@@ -76,6 +76,10 @@ class ExperimentConfig:
             if key.endswith("tolerance") or key == "slack":
                 if not (isinstance(val, (int, float)) and val > 0):
                     raise ConfigError(f"tolerance {key} must be positive", key=key)
+        levels = params.get("levels")
+        if levels is not None and not _is_level_list(levels):
+            raise ConfigError("levels must be a non-empty list of [nr, ntheta] "
+                              "pairs of positive integers", key="levels")
         theta = params.get("theta")
         if theta is not None and not (0 < theta < 0.25):
             raise ConfigError("theta must lie in (0, 1/4)", key="theta")
@@ -92,6 +96,13 @@ class ExperimentConfig:
         return cls(kind=kind, field_spec=fspec, params=params,
                    output_dir=raw["output_dir"], seed=int(raw.get("seed", 0)),
                    base_dir=base_dir)
+
+
+def _is_level_list(levels):
+    """A non-empty list of [nr, ntheta] pairs of positive ints (bools excluded)."""
+    return (isinstance(levels, list) and len(levels) > 0
+            and all(isinstance(lv, list) and len(lv) == 2
+                    and all(type(v) is int and v > 0 for v in lv) for lv in levels))
 
 
 def _complex_list(pairs):
@@ -185,7 +196,8 @@ class OutputWriter:
         entries = []
         for name in sorted(self.files):
             p = self.path(name)
-            digest = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            with open(p, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             entries.append({"path": name, "sha256": digest, "bytes": os.path.getsize(p)})
         with open(self.path("manifest.json"), "w") as fh:
             json.dump({"schema_version": SCHEMA_VERSION, "files": entries},
@@ -453,23 +465,21 @@ def run(cfg):
                "checks": [], "stages": {}}
     failed_stage = False
     if cfg.kind == "full-pipeline":
-        stage_list = cfg.params.get(
-            "stages", ["frequency", "monotonicity", "decay", "corollaries", "spectral"])
-        for name in stage_list:
-            try:
-                res = STAGES[name](cfg, u, out, prefix=f"{name}_")
-                summary["stages"][name] = {"status": "ok", **res}
-                summary["checks"].extend(res.get("checks", []))
-            except BranchLabError as exc:
-                failed_stage = True
-                summary["stages"][name] = {"status": "error", "error": str(exc)}
-            except Exception as exc:  # numerical-stage failure, keep going
-                failed_stage = True
-                summary["stages"][name] = {"status": "error", "error": repr(exc)}
+        stage_list = [(name, f"{name}_") for name in cfg.params.get(
+            "stages", ["frequency", "monotonicity", "decay", "corollaries", "spectral"])]
     else:
-        res = STAGES[cfg.kind](cfg, u, out)
-        summary["stages"][cfg.kind] = {"status": "ok", **res}
-        summary["checks"].extend(res.get("checks", []))
+        stage_list = [(cfg.kind, "")]
+    for name, prefix in stage_list:
+        try:
+            res = STAGES[name](cfg, u, out, prefix=prefix)
+            summary["stages"][name] = {"status": "ok", **res}
+            summary["checks"].extend(res.get("checks", []))
+        except BranchLabError as exc:
+            failed_stage = True
+            summary["stages"][name] = {"status": "error", "error": str(exc)}
+        except Exception as exc:  # numerical-stage failure, keep going
+            failed_stage = True
+            summary["stages"][name] = {"status": "error", "error": repr(exc)}
     hard_fail = any(c["status"] == "fail" for c in summary["checks"])
     summary["status"] = "error" if failed_stage else ("fail" if hard_fail else "ok")
     out.write_json("summary.json", summary)

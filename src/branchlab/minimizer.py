@@ -206,140 +206,107 @@ def _deflect_cuts(cuts, rs):
     return tuple(out)
 
 
-def _segments_cross(p1, p2, q1, q2):
-    """True if open segments p1p2 and q1q2 intersect."""
+def _crossing_signs(p, q, cuts):
+    """(-1)^(number of cuts crossed) for each segment p[k] q[k], as floats.
+
+    A cut counts when the open segments properly intersect: all four
+    orientations are nonzero (|orient| >= 1e-14) and the endpoints of each
+    segment lie on opposite sides of the other.
+    """
 
     def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
+        v = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+             - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+        return np.where(np.abs(v) < 1e-14, 0.0, np.sign(v))
 
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
-
-
-class _Assembly:
-    """Edge list (a, b, g, sigma) over node ids; negative id = Dirichlet slot."""
-
-    def __init__(self, n_unknown):
-        self.n = n_unknown
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.rhs_edges = []   # (unknown, g, sigma, dirichlet_slot)
-        self.const_edges = [] # (slot_a, slot_b, g, sigma)
-        self.edges = []       # full list for energy evaluation
-
-    def add_edge(self, a, b, g, sigma=1.0):
-        self.edges.append((a, b, g, sigma))
-        a_unk, b_unk = a >= 0, b >= 0
-        if a_unk and b_unk:
-            self.rows += [a, b, a, b]
-            self.cols += [a, b, b, a]
-            self.vals += [g, g, -g * sigma, -g * sigma]
-        elif a_unk:
-            self.rows.append(a)
-            self.cols.append(a)
-            self.vals.append(g)
-            self.rhs_edges.append((a, g, sigma, b))
-        elif b_unk:
-            self.rows.append(b)
-            self.cols.append(b)
-            self.vals.append(g)
-            # energy term g (sigma v_b - d_a)^2 = g sigma^2 (v_b - sigma d_a)^2
-            self.rhs_edges.append((b, g, sigma, a))
-        else:
-            self.const_edges.append((a, b, g, sigma))
-
-    def matrix(self):
-        return coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n, self.n)
-        ).tocsr()
-
-    def rhs(self, dirichlet):
-        out = np.zeros((self.n, dirichlet.shape[1]))
-        for a, g, sigma, slot in self.rhs_edges:
-            out[a] += g * sigma * dirichlet[-1 - slot]
-        return out
-
-    def energy(self, v, dirichlet):
-        """Quadratic form over all edges for given unknown and boundary values."""
-
-        def val(idx):
-            return v[idx] if idx >= 0 else dirichlet[-1 - idx]
-
-        total = 0.0
-        for a, b, g, sigma in self.edges:
-            diff = sigma * val(b) - val(a)
-            total += g * float(np.sum(diff * diff))
-        return total
+    signs = np.ones(p.shape[0])
+    for (c1, c2) in cuts:
+        cross = ((orient(p, q, c1) * orient(p, q, c2) == -1.0)
+                 & (orient(c1, c2, p) * orient(c1, c2, q) == -1.0))
+        signs[cross] = -signs[cross]
+    return signs
 
 
-def _build_cover_assembly(rs, M, wrap_sign, center_mode, cut_segments=()):
-    """Polar edge assembly; rings 0..NR-2 unknown, ring NR-1 Dirichlet.
+def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
+    """Edges (a, b, g, sigma) of the polar cover grid, as arrays.
 
-    center_mode: 'zero' pins v(0) = 0 (branch point at the center),
-    'unknown' makes the center value one extra unknown (regular point).
-    Dirichlet slots are encoded as negative ids: boundary node j -> -1 - j.
+    Edge k carries the energy term g[k] (sigma[k] v[b[k]] - v[a[k]])^2.
+    Rings 0..NR-2 are unknown (node (i, j) has id i * M + j) and ring NR-1
+    is Dirichlet, encoded by negative ids: boundary node j -> -1 - j.
+    center_mode: 'zero' pins v(0) = 0 (branch point at the center) through
+    the Dirichlet slot -1 - M, 'unknown' makes the center value one extra
+    unknown (regular point).  Order: center spokes, radial edges, angular
+    edges, each ring by ring.
     """
     NR = rs.shape[0]
     dth = 2.0 * np.pi / M
     n_ring_unknowns = (NR - 1) * M
-    has_center = center_mode == "unknown"
-    n_unknown = n_ring_unknowns + (1 if has_center else 0)
-    asm = _Assembly(n_unknown)
-    center_id = n_ring_unknowns if has_center else None
-
-    def node_id(i, j):
-        if i == NR - 1:
-            return -1 - j
-        return i * M + j
-
-    thetas = np.arange(M) * dth
-    xy = lambda i, j: np.array([rs[i] * np.cos(thetas[j]), rs[i] * np.sin(thetas[j])])
-
-    def crossing_sign(p, q):
-        s = 1.0
-        for (c1, c2) in cut_segments:
-            if _segments_cross(p, q, c1, c2):
-                s = -s
-        return s
+    ids = np.arange(NR * M).reshape(NR, M)
+    ids[-1] = -1 - np.arange(M)
+    jn = (np.arange(M) + 1) % M
 
     # radial edges center -> ring 0
     g_c = dth * (rs[0] / 2.0) / rs[0]
-    for j in range(M):
-        sigma = crossing_sign(np.zeros(2), xy(0, j)) if cut_segments else 1.0
-        if has_center:
-            asm.add_edge(center_id, node_id(0, j), g_c, sigma)
-        elif center_mode == "zero":
-            # (v_{0j} - 0)^2: plain diagonal contribution
-            asm.add_edge(node_id(0, j), -1 - M, g_c, 0.0)  # sigma 0 couples to value 0
+    if center_mode == "unknown":
+        a_c, b_c, s_c = np.full(M, n_ring_unknowns), ids[0], np.ones(M)
+    else:
+        # (v_{0j} - 0)^2: sigma 0 couples to the pinned value 0
+        a_c, b_c, s_c = ids[0], np.full(M, -1 - M), np.zeros(M)
     # radial edges ring i -> ring i+1
-    for i in range(NR - 1):
-        r_mid = 0.5 * (rs[i] + rs[i + 1])
-        g = dth * r_mid / (rs[i + 1] - rs[i])
-        for j in range(M):
-            sigma = crossing_sign(xy(i, j), xy(i + 1, j)) if cut_segments else 1.0
-            asm.add_edge(node_id(i, j), node_id(i + 1, j), g, sigma)
-    # angular edges within each ring
-    lower = np.empty(NR)
-    upper = np.empty(NR)
-    lower[0] = rs[0] / 2.0
-    lower[1:] = 0.5 * (rs[:-1] + rs[1:])
-    upper[:-1] = lower[1:]
-    upper[-1] = rs[-1]
-    for i in range(NR):
-        band = upper[i] - lower[i]
-        g = band / (rs[i] * dth)
-        for j in range(M):
-            jn = (j + 1) % M
-            sigma = 1.0 if jn != 0 else float(wrap_sign)
-            if cut_segments:
-                sigma *= crossing_sign(xy(i, j), xy(i, jn))
-            asm.add_edge(node_id(i, j), node_id(i, jn), g, sigma)
-    return asm
+    r_mid = 0.5 * (rs[:-1] + rs[1:])
+    g_r = dth * r_mid / (rs[1:] - rs[:-1])
+    # angular edges within each ring, weighted by the ring's radial band
+    lower = np.concatenate([[rs[0] / 2.0], r_mid])
+    upper = np.concatenate([r_mid, [rs[-1]]])
+    g_a = (upper - lower) / (rs * dth)
+    s_a = np.where(jn == 0, float(wrap_sign), 1.0)
+
+    a = np.concatenate([a_c, ids[:-1].ravel(), ids.ravel()])
+    b = np.concatenate([b_c, ids[1:].ravel(), ids[:, jn].ravel()])
+    g = np.concatenate([np.full(M, g_c), np.repeat(g_r, M), np.repeat(g_a, M)])
+    sigma = np.concatenate([s_c, np.ones((NR - 1) * M), np.tile(s_a, NR)])
+    if cut_segments:
+        thetas = np.arange(M) * dth
+        xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
+        p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
+        q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
+        sigma *= _crossing_signs(p, q, cut_segments)
+    return a, b, g, sigma
+
+
+def _assemble(rs, M, wrap_sign, center_mode, cut_segments, bvals):
+    """Sparse operator A and right-hand side of the cover problem.
+
+    An edge between two unknowns adds the 2x2 block g [[1, -sigma],
+    [-sigma, 1]]; an edge with one Dirichlet end adds g to the diagonal and
+    g sigma d to the right-hand side, d the Dirichlet value.  The COO entries
+    are laid out edge by edge, so duplicate sums come out in edge order.
+    """
+    a, b, g, sigma = _cover_edges(rs, M, wrap_sign, center_mode, cut_segments)
+    n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
+    a_unk, b_unk = a >= 0, b >= 0
+    both = a_unk & b_unk
+    diag = np.where(a_unk, a, b)
+    gs = -g * sigma
+    rows = np.stack([diag, b, a, b], axis=1)
+    cols = np.stack([diag, b, b, a], axis=1)
+    vals = np.stack([g, g, gs, gs], axis=1)
+    keep = np.stack([a_unk | b_unk, both, both, both], axis=1)
+    A = coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    dirichlet = _dirichlet_slots(bvals)
+    one = a_unk ^ b_unk
+    slot = np.where(a_unk, b, a)[one]
+    rhs = np.zeros((n, bvals.shape[1]))
+    np.add.at(rhs, diag[one], (g * sigma)[one, None] * dirichlet[slot])
+    return A, rhs
+
+
+def _dirichlet_slots(bvals):
+    """Dirichlet values indexed by their negative ids: row -1 - j is node j.
+
+    Slot -1 - M holds the pinned zero for the center in 'zero' mode.
+    """
+    return np.concatenate([np.zeros((1, bvals.shape[1])), bvals[::-1]])
 
 
 @dataclass
@@ -422,22 +389,15 @@ class CoverField:
 
 def energy(cf):
     """Discrete two-valued Dirichlet energy (both selections on the base)."""
-    asm = _build_cover_assembly(cf.rs, cf.thetas.shape[0], cf.wrap_sign,
-                                cf.center_mode, cf.cuts)
-    NR, M, m = cf.values.shape
-    v = cf.values[:-1].reshape(-1, m)
+    a, b, g, sigma = _cover_edges(cf.rs, cf.thetas.shape[0], cf.wrap_sign,
+                                  cf.center_mode, cf.cuts)
+    parts = [cf.values[:-1].reshape(-1, cf.m)]
     if cf.center_mode == "unknown":
-        v = np.concatenate([v, cf.center_value[None, :]], axis=0)
-    dirichlet = _dirichlet_array(cf)
-    return 2.0 * asm.energy(v, dirichlet)
-
-
-def _dirichlet_array(cf):
-    M, m = cf.thetas.shape[0], cf.m
-    out = np.zeros((M + 1, m))
-    out[:M] = cf.values[-1]
-    # slot M (id -1-M) holds the pinned zero for the center in 'zero' mode
-    return out
+        parts.append(cf.center_value[None, :])
+    # negative ids count from the end, into the Dirichlet slots
+    v = np.concatenate(parts + [_dirichlet_slots(cf.values[-1])])
+    diff = sigma[:, None] * v[b] - v[a]
+    return 2.0 * float(np.sum(g * np.sum(diff * diff, axis=1)))
 
 
 def _boundary_values_with_cuts(btr, M, cuts, R):
@@ -450,17 +410,10 @@ def _boundary_values_with_cuts(btr, M, cuts, R):
     g = btr.sample_half(M)
     thetas = np.arange(M) * (2.0 * np.pi / M)
     pts = np.stack([R * np.cos(thetas), R * np.sin(thetas)], axis=-1)
-    cut_edge = np.zeros(M, dtype=bool)
-    for j in range(M):
-        jn = (j + 1) % M
-        crossed = False
-        for (c1, c2) in cuts:
-            if _segments_cross(pts[j], pts[jn], c1, c2):
-                crossed = not crossed
-        cut_edge[j] = crossed
-    sigma = np.ones(M)
-    for j in range(1, M):
-        sigma[j] = -sigma[j - 1] if cut_edge[j - 1] else sigma[j - 1]
+    cut_edge = _crossing_signs(pts, np.roll(pts, -1, axis=0), cuts) < 0
+    # one flip per cut edge passed on the way from node 0 to node j
+    flips = np.concatenate([[0], np.cumsum(cut_edge[:-1])])
+    sigma = np.where(flips % 2 == 1, -1.0, 1.0)
     scale = max(float(np.max(np.abs(g))), 1e-300)
 
     def jump_check(b):
@@ -543,11 +496,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec(), rtol=CG_
         wrap = 1
         center_mode = "unknown"
         bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
-    asm = _build_cover_assembly(rs, M, wrap, center_mode, cuts)
-    A = asm.matrix()
-    dirichlet = np.zeros((M + 1, m))
-    dirichlet[:M] = bvals
-    rhs = asm.rhs(dirichlet)
+    A, rhs = _assemble(rs, M, wrap, center_mode, cuts, bvals)
     n_unknown = A.shape[0]
     sol = np.zeros((n_unknown, m))
     diag = A.diagonal()
@@ -660,7 +609,8 @@ def optimize_branch_points(boundary, initial, budget=40, step=None,
                     except BoundaryLiftError:
                         continue
                     evals += 1
-                    if trial[2] < e - 1e-14 and (best is None or trial[2] < best[2]):
+                    # relative margin: summation noise scales with the energy
+                    if trial[2] < e - 1e-12 * abs(e) and (best is None or trial[2] < best[2]):
                         best = trial + (cand,)
                     if evals >= budget:
                         break

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from branchlab import cli
-from branchlab.errors import ConfigError
+from branchlab.errors import ConfigError, SolverError
 
 C_RE = 0.7071067811865476
 
@@ -182,3 +182,56 @@ def test_build_field_types(tmp_path):
     assert f2.m == 2
     with pytest.raises(ConfigError):
         cli.build_field({"type": "alien"})
+
+
+def minimize_config(outdir, levels):
+    return {
+        "schema_version": 1,
+        "kind": "minimize",
+        "field": {"type": "power_sum", "n": 2,
+                  "terms": [{"k": 1, "c": [[C_RE, 0.0], [0.0, C_RE]]}]},
+        "params": {"levels": levels},
+        "output_dir": outdir,
+        "seed": 0,
+    }
+
+
+def test_single_kind_run_exit_ok(tmp_path):
+    path = write_config(tmp_path, minimize_config("out", [[12, 24], [24, 48]]))
+    assert cli.main(["run", path]) == cli.EXIT_OK
+    outdir = tmp_path / "out"
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["stages"]["minimize"]["status"] == "ok"
+    assert (outdir / "minimizer_solution.csv").exists()
+
+
+@pytest.mark.parametrize("levels", [[[4]], [], [[0, 8]], [[8, 16.5]], "8x16", [[True, 8]],
+                                    [[8, 16, 32]]])
+def test_malformed_levels_exit_config(tmp_path, capsys, levels):
+    path = write_config(tmp_path, minimize_config("out", levels))
+    for verb in ("validate", "run"):
+        assert cli.main([verb, path]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["key"] == "levels"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["frequency", "full-pipeline"])
+@pytest.mark.parametrize("exc", [SolverError("forced failure"), ValueError("forced failure")])
+def test_stage_exception_exit_numerical(tmp_path, monkeypatch, kind, exc):
+    # a failing stage is recorded in summary.json in both run modes
+    def failing_stage(cfg, u, out, prefix=""):
+        raise exc
+
+    monkeypatch.setitem(cli.STAGES, "frequency", failing_stage)
+    cfg = freq_config("out")
+    cfg["kind"] = kind
+    cfg["params"]["stages"] = ["frequency"]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path]) == cli.EXIT_NUMERICAL
+    outdir = tmp_path / "out"
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["status"] == "error"
+    assert summary["stages"]["frequency"]["status"] == "error"
+    assert "forced failure" in summary["stages"]["frequency"]["error"]
+    assert (outdir / "manifest.json").exists()

@@ -1,11 +1,15 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.sparse import coo_matrix
 
 from branchlab.errors import BoundaryLiftError
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.frequency import stationarity_residuals
-from branchlab.minimizer import (BoundaryTrace, BranchConfiguration,
-                                 CoverGridSpec, cover_frequency, energy,
+from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
+                                 CoverGridSpec, _assemble, _cover_edges,
+                                 _deflect_cuts, cover_frequency, energy,
                                  l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -207,3 +211,219 @@ def test_branched_beats_decoupled_for_coinciding_values():
     cov1 = solve_branched_laplace(btr, cfg, grid=GRID)
     assert energy(cov0) == pytest.approx(2 * np.pi, rel=1e-3)
     assert energy(cov1) < energy(cov0) - 0.1
+
+
+def test_search_invariant_under_data_scaling():
+    # scaling the data by a power of two scales every energy exactly, so the
+    # accept margin must be relative for the search to take the same moves
+    runs = []
+    for amp in (0.25, 1.0, 4.0):
+        fld = BranchPolynomialField([-0.2, 1.0], c=amp * np.array([1.0, -1.0j]))
+        res = optimize_branch_points(BoundaryTrace.from_field(fld, 1.0),
+                                     BranchConfiguration([np.array([0.25, 0.05])]),
+                                     budget=16, grid=GRID_COARSE)
+        runs.append((amp, res))
+    amp0, ref = runs[0]
+    for amp, res in runs[1:]:
+        assert len(res.trace) == len(ref.trace)
+        np.testing.assert_allclose(np.asarray(res.trace) / amp ** 2,
+                                   np.asarray(ref.trace) / amp0 ** 2, rtol=1e-12)
+        for p, q in zip(res.config.points, ref.config.points):
+            assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.0, 4.0, 1e4])
+def test_search_ignores_rounding_level_gains(monkeypatch, scale):
+    # an energy that falls by about one ulp per step is flat up to rounding:
+    # no trial is an improvement, whatever the energy scale
+    from branchlab import minimizer as mmod
+
+    monkeypatch.setattr(mmod, "solve_branched_laplace", lambda boundary, cfg, grid: cfg)
+    monkeypatch.setattr(mmod, "energy", lambda cfg: scale * (
+        1.0 + 2e-15 * sum(float(np.sum(p)) for p in cfg.points)))
+    btr = BoundaryTrace(np.arange(64) * (4 * np.pi / 64), np.zeros((64, 1)), 1.0)
+    res = optimize_branch_points(btr, BranchConfiguration([np.array([0.3, 0.1])]),
+                                 budget=20, grid=GRID_COARSE)
+    assert len(res.trace) == 1
+
+
+# ---------------------------------------------------------------------------
+# Cover assembly against an edge-by-edge reference
+
+
+def _reference_edges(rs, M, wrap_sign, center_mode, cuts):
+    """Edge list (a, b, g, sigma), one edge at a time, scalar cut tests."""
+    NR = rs.shape[0]
+    dth = 2.0 * np.pi / M
+    thetas = np.arange(M) * dth
+    x, y = rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)
+
+    def node(i, j):
+        return -1 - j if i == NR - 1 else i * M + j
+
+    def pt(i, j):
+        return (float(x[i, j]), float(y[i, j]))
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(v) < 1e-14 else (1 if v > 0 else -1)
+
+    def sign(p, q):
+        s = 1.0
+        for c1, c2 in cuts:
+            o1, o2, o3, o4 = orient(p, q, c1), orient(p, q, c2), orient(c1, c2, p), orient(c1, c2, q)
+            if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+                s = -s
+        return s
+
+    edges = []
+    g_c = dth * (rs[0] / 2.0) / rs[0]
+    for j in range(M):
+        if center_mode == "unknown":
+            edges.append(((NR - 1) * M, node(0, j), g_c, sign((0.0, 0.0), pt(0, j))))
+        else:
+            edges.append((node(0, j), -1 - M, g_c, 0.0))
+    for i in range(NR - 1):
+        g = dth * (0.5 * (rs[i] + rs[i + 1])) / (rs[i + 1] - rs[i])
+        for j in range(M):
+            edges.append((node(i, j), node(i + 1, j), g, sign(pt(i, j), pt(i + 1, j))))
+    for i in range(NR):
+        lower = rs[0] / 2.0 if i == 0 else 0.5 * (rs[i - 1] + rs[i])
+        upper = rs[-1] if i == NR - 1 else 0.5 * (rs[i] + rs[i + 1])
+        g = (upper - lower) / (rs[i] * dth)
+        for j in range(M):
+            jn = (j + 1) % M
+            s = (float(wrap_sign) if jn == 0 else 1.0) * sign(pt(i, j), pt(i, jn))
+            edges.append((node(i, j), node(i, jn), g, s))
+    return edges
+
+
+def _reference_assembly(rs, M, wrap_sign, center_mode, cuts, bvals):
+    n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
+    dirichlet = np.zeros((M + 1, bvals.shape[1]))
+    dirichlet[:M] = bvals
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((n, bvals.shape[1]))
+    for a, b, g, s in _reference_edges(rs, M, wrap_sign, center_mode, cuts):
+        if a >= 0 and b >= 0:
+            rows += [a, b, a, b]
+            cols += [a, b, b, a]
+            vals += [g, g, -g * s, -g * s]
+        elif a >= 0 or b >= 0:
+            u, slot = (a, b) if a >= 0 else (b, a)
+            rows.append(u)
+            cols.append(u)
+            vals.append(g)
+            rhs[u] += g * s * dirichlet[-1 - slot]
+    A = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return A, rhs
+
+
+def _reference_energy(cf):
+    NR, M, m = cf.values.shape
+    total = 0.0
+    for a, b, g, s in _reference_edges(cf.rs, M, cf.wrap_sign, cf.center_mode, cf.cuts):
+        def val(k):
+            if k >= 0:
+                return cf.center_value if k == (NR - 1) * M else cf.values[k // M, k % M]
+            return cf.values[-1, -1 - k] if k > -1 - M else np.zeros(m)
+
+        diff = s * val(b) - val(a)
+        total += g * float(np.sum(diff * diff))
+    return 2.0 * total
+
+
+def _grid_point(rs, M, i, j):
+    th = j * (2.0 * np.pi / M)
+    return np.array([rs[i] * np.cos(th), rs[i] * np.sin(th)])
+
+
+@st.composite
+def cut_configurations(draw):
+    """Grid plus deflected cuts of a random one- or two-point configuration.
+
+    Points are drawn anywhere in the disk, exactly on grid nodes, or within
+    0.02 of the center; one-point cuts end at a random boundary anchor.
+    """
+    nr = draw(st.sampled_from([8, 12, 16]))
+    M = 2 * nr
+    rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
+    polar = st.builds(lambda r, t: np.array([r * np.cos(t), r * np.sin(t)]),
+                      st.floats(0.0, 0.85), st.floats(0.0, 2.0 * np.pi))
+    node = st.builds(lambda i, j: _grid_point(rs, M, i, j),
+                     st.integers(0, nr - 3), st.integers(0, M - 1))
+    near_center = st.builds(lambda r, t: np.array([r * np.cos(t), r * np.sin(t)]),
+                            st.floats(0.0, 0.02), st.floats(0.0, 2.0 * np.pi))
+    point = st.one_of(polar, node, near_center)
+    points = draw(st.lists(point, min_size=1, max_size=2))
+    if len(points) == 2 and np.allclose(points[0], points[1]):
+        points = points[:1]
+    cfg = BranchConfiguration(points)
+    t = draw(st.floats(0.0, 2.0 * np.pi))
+    anchor = 1.5 * np.array([np.cos(t), np.sin(t)])
+    return rs, M, _deflect_cuts(cfg.cuts(1.0, boundary_anchor=anchor), rs)
+
+
+def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
+    rng = np.random.default_rng(seed)
+    bvals = rng.standard_normal((M, 2))
+    A, rhs = _assemble(rs, M, wrap_sign, center_mode, cuts, bvals)
+    A_ref, rhs_ref = _reference_assembly(rs, M, wrap_sign, center_mode, cuts, bvals)
+    assert np.array_equal(A.indptr, A_ref.indptr)
+    assert np.array_equal(A.indices, A_ref.indices)
+    assert np.array_equal(A.data, A_ref.data)
+    assert np.array_equal(rhs, rhs_ref)
+    cf = CoverField(rs, np.arange(M) * (2.0 * np.pi / M),
+                    rng.standard_normal((rs.shape[0], M, 2)), wrap_sign, np.zeros(2),
+                    rng.standard_normal(2), cuts=cuts, center_mode=center_mode)
+    assert energy(cf) == pytest.approx(_reference_energy(cf), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_configurations(), st.integers(0, 2 ** 16))
+def test_assembly_matches_reference(case, seed):
+    rs, M, cuts = case
+    _check_against_reference(rs, M, 1, "unknown", cuts, seed)
+
+
+@pytest.mark.parametrize("wrap_sign,center_mode", [(-1, "zero"), (1, "unknown")])
+def test_centered_assembly_matches_reference(wrap_sign, center_mode):
+    rs = GRID_COARSE.radii(1.0)
+    _check_against_reference(rs, GRID_COARSE.ntheta, wrap_sign, center_mode, (), 0)
+
+
+def _inside_convex(poly, pts):
+    """(cells, points) mask: point strictly inside each counter-clockwise polygon."""
+    inside = np.ones(poly.shape[:1] + pts.shape[:1], dtype=bool)
+    for k in range(poly.shape[1]):
+        v0, v1 = poly[:, k, None, :], poly[:, (k + 1) % poly.shape[1], None, :]
+        cross = ((v1[..., 0] - v0[..., 0]) * (pts[None, :, 1] - v0[..., 1])
+                 - (v1[..., 1] - v0[..., 1]) * (pts[None, :, 0] - v0[..., 0]))
+        inside &= cross > 0
+    return inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_configurations())
+def test_crossing_parity_of_grid_loops(case):
+    # around every grid cell and center triangle, the edge signs multiply to
+    # -1 exactly when the loop holds an odd number of cut endpoints; the
+    # inner vertex of a deflected cut is an endpoint of two segments and
+    # cancels
+    rs, M, cuts = case
+    NR = rs.shape[0]
+    sigma = _cover_edges(rs, M, 1, "unknown", cuts)[3]
+    spoke = sigma[:M]
+    radial = sigma[M:NR * M].reshape(NR - 1, M)
+    angular = sigma[NR * M:].reshape(NR, M)
+    jn = (np.arange(M) + 1) % M
+    thetas = np.arange(M) * (2.0 * np.pi / M)
+    xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
+    cells = np.stack([xy[:-1], xy[1:], xy[1:, jn], xy[:-1, jn]], axis=2).reshape(-1, 4, 2)
+    triangles = np.stack([np.zeros((M, 2)), xy[0], xy[0, jn]], axis=1)
+    ends = np.array([p for seg in cuts for p in seg]).reshape(-1, 2)
+    cell_sign = (angular[:-1] * radial[:, jn] * angular[1:] * radial).ravel()
+    tri_sign = spoke * spoke[jn] * angular[0]
+    for poly, signs in ((cells, cell_sign), (triangles, tri_sign)):
+        odd = _inside_convex(poly, ends).sum(axis=1) % 2 == 1
+        assert np.array_equal(signs == -1.0, odd)
