@@ -30,6 +30,7 @@ from .svgplot import write_loglog_svg
 SCHEMA_VERSION = 1
 KINDS = ("frequency", "monotonicity", "minimize", "decay", "spectral",
          "corollaries", "full-pipeline")
+PIPELINE_STAGES = ("frequency", "monotonicity", "decay", "corollaries", "spectral")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,9 +94,23 @@ class ExperimentConfig:
             full = path if os.path.isabs(path) else os.path.join(base_dir, path)
             if not os.path.exists(full):
                 raise ConfigError(f"sampled field file missing: {full}", key="field.path")
-        return cls(kind=kind, field_spec=fspec, params=params,
-                   output_dir=raw["output_dir"], seed=int(raw.get("seed", 0)),
-                   base_dir=base_dir)
+        cfg = cls(kind=kind, field_spec=fspec, params=params,
+                  output_dir=raw["output_dir"], seed=int(raw.get("seed", 0)),
+                  base_dir=base_dir)
+        if not (isinstance(cfg.stages, (list, tuple))
+                and all(s in KINDS and s != "full-pipeline" for s in cfg.stages)):
+            raise ConfigError("stages must be a list of stage kinds", key="stages")
+        if "corollaries" in cfg.stages and not _has_perturbations(fspec):
+            raise ConfigError("corollaries kind needs a power-sum field with a "
+                              "base profile term plus perturbation terms", key="field")
+        return cfg
+
+    @property
+    def stages(self):
+        """The stage kinds this config runs, in order."""
+        if self.kind == "full-pipeline":
+            return self.params.get("stages", PIPELINE_STAGES)
+        return [self.kind]
 
 
 def _is_level_list(levels):
@@ -103,6 +118,13 @@ def _is_level_list(levels):
     return (isinstance(levels, list) and len(levels) > 0
             and all(isinstance(lv, list) and len(lv) == 2
                     and all(type(v) is int and v > 0 for v in lv) for lv in levels))
+
+
+def _has_perturbations(fspec):
+    """Whether the field builds as a base mode plus perturbation modes."""
+    terms = fspec.get("terms")
+    return fspec["type"] == "non_stationary_control" or (
+        fspec["type"] == "power_sum" and isinstance(terms, list) and len(terms) >= 2)
 
 
 def _complex_list(pairs):
@@ -145,11 +167,16 @@ def thread_count():
         return 1
 
 
+def _worker_count(n_items):
+    """Threads for a sweep: BRANCHLAB_THREADS, capped by the items and the CPUs."""
+    return min(thread_count(), n_items, os.cpu_count() or 1)
+
+
 def _pmap(fn, items):
-    nthreads = thread_count()
-    if nthreads <= 1 or len(items) <= 1:
+    nworkers = _worker_count(len(items))
+    if nworkers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -407,9 +434,6 @@ def stage_corollaries(cfg, u, out, prefix=""):
     spec = quad_spec(params)
     k = int(params.get("k", 1))
     t_values = params.get("t_values", [0.1, 0.01, 0.001])
-    if not hasattr(u, "modes") or len(u.modes) < 2:
-        raise ConfigError("corollaries kind needs a power-sum field with a "
-                          "base profile term plus perturbation terms", key="field")
     base_mode = u.modes[0]
     prof = pmod.CylindricalProfile(base_mode.a - 1j * base_mode.b, k, n=u.n)
 
@@ -464,12 +488,8 @@ def run(cfg):
     summary = {"kind": cfg.kind, "seed": cfg.seed, "schema_version": SCHEMA_VERSION,
                "checks": [], "stages": {}}
     failed_stage = False
-    if cfg.kind == "full-pipeline":
-        stage_list = [(name, f"{name}_") for name in cfg.params.get(
-            "stages", ["frequency", "monotonicity", "decay", "corollaries", "spectral"])]
-    else:
-        stage_list = [(cfg.kind, "")]
-    for name, prefix in stage_list:
+    for name in cfg.stages:
+        prefix = f"{name}_" if cfg.kind == "full-pipeline" else ""
         try:
             res = STAGES[name](cfg, u, out, prefix=prefix)
             summary["stages"][name] = {"status": "ok", **res}

@@ -560,9 +560,9 @@ class SampledField(Field):
     """Two-valued samples on a polar grid, with a propagated local lift.
 
     The lift stores one branch s_lift of the symmetric part chosen
-    continuously along the grid by breadth-first pairing propagation from the
-    outermost annulus; hol records the pairing holonomy of each annular loop
-    (-1 on genuinely branched data with odd k).
+    continuously along the grid by propagate_signs, seeded on the outermost
+    annulus; hol records the pairing holonomy of each annular loop (-1 on
+    genuinely branched data with odd k).
     """
 
     def __init__(self, grid, s_lift, average=None, symmetric=True, hol=None, domain=None):
@@ -687,37 +687,30 @@ class SampledField(Field):
                 h = None if self.avg is None else self.avg.reshape(-1, self.m)
             if h is None:
                 h = np.zeros_like(s)
-            a1 = h + s
-            a2 = h - s
-            for i in range(nodes.shape[0]):
-                row = [repr(float(v)) for v in nodes[i]]
-                row += [repr(float(v)) for v in a1[i]]
-                row += [repr(float(v)) for v in a2[i]]
-                fh.write(",".join(row) + "\n")
+            row = ",".join(["%r"] * len(cols)) + "\n"
+            table = np.concatenate([nodes, h + s, h - s], axis=1).tolist()
+            fh.writelines(row % tuple(values) for values in table)
 
     @classmethod
     def from_csv(cls, path):
         meta = {}
-        rows = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith(("rs=", "thetas=", "ys=", "shape=")):
-                        k, v = body.split("=", 1)
-                        meta[k] = v
-                    else:
-                        for part in body.split():
-                            if "=" in part:
-                                k, v = part.split("=", 1)
-                                meta[k] = v
-                    continue
-                if line[0].isalpha() or line.startswith("x1"):
-                    continue
-                rows.append([float(p) for p in line.split(",")])
+                if not line.startswith("#"):
+                    break  # the column names; the data block follows
+                body = line[1:].strip()
+                if body.startswith(("rs=", "thetas=", "ys=", "shape=")):
+                    k, v = body.split("=", 1)
+                    meta[k] = v
+                else:
+                    for part in body.split():
+                        if "=" in part:
+                            k, v = part.split("=", 1)
+                            meta[k] = v
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         n = int(meta["n"])
         m = int(meta["m"])
         hol = int(meta.get("hol", "0")) or None
@@ -725,7 +718,6 @@ class SampledField(Field):
         rs = np.array([float(v) for v in meta["rs"].split(",")])
         thetas = np.array([float(v) for v in meta["thetas"].split(",")])
         ys = np.array([float(v) for v in meta["ys"].split(",")]) if "ys" in meta else None
-        data = np.asarray(rows, dtype=float)
         a1 = data[:, n:n + m]
         a2 = data[:, n + m:n + 2 * m]
         s = (a1 - a2) / 2.0
@@ -742,89 +734,80 @@ class SampledField(Field):
 
 
 def propagate_signs(svals, seed_ring=-1):
-    """Breadth-first pairing propagation on a polar value array.
+    """Continuous lift of a polar value array, swept ring by ring.
 
-    svals has shape (nr, nt, m); returns (signs (nr, nt), holonomy) where
-    signs make sign * svals locally continuous sweeping inward from the
-    outermost annulus, and holonomy is the sign picked up around a theta
-    loop (consistent across rings or a PairingError is raised).
+    svals has shape (nr, nt, m), or (nr, nt, ny, m) for a stack of ny axis
+    slabs.  Returns (signs, holonomy): signs (nr, nt), or (nr, nt, ny), make
+    sign * svals locally continuous, and holonomy is the sign picked up
+    around a theta loop, one per slab for a stack.  Column 0 is continued
+    from ring to ring, sweeping inward from the outermost annulus (or
+    outward for seed_ring=0); each ring is then continued along theta.  A
+    slab whose rings disagree on the holonomy raises a PairingError, the
+    first such slab for a stack.
 
     Matching uses a first-order continuation predictor rather than the bare
     previous value: value curves that swing quickly through a near-zero dip
-    would otherwise be mis-paired at coarse angular sampling.
+    would otherwise be mis-paired at coarse angular sampling.  Every (ring,
+    slab) pair is one lane; the theta sweep advances all lanes at once.
     """
-    nr, nt, m = svals.shape
-    signs = np.ones((nr, nt))
-    hols = np.zeros(nr)
-    order = list(range(nr))[::-1] if seed_ring == -1 else list(range(nr))
-    prev_ring = None
-    for ri in order:
-        if prev_ring is not None:
-            d_keep = np.sum((svals[ri, 0] - prev_ring[0]) ** 2)
-            d_swap = np.sum((svals[ri, 0] + prev_ring[0]) ** 2)
-            signs[ri, 0] = 1.0 if d_keep <= d_swap else -1.0
-        lift_prev2 = None
-        lift_prev = signs[ri, 0] * svals[ri, 0]
-        for j in range(1, nt):
-            pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
-            d_keep = np.sum((svals[ri, j] - pred) ** 2)
-            d_swap = np.sum((svals[ri, j] + pred) ** 2)
-            signs[ri, j] = 1.0 if d_keep <= d_swap else -1.0
-            lift_prev2 = lift_prev
-            lift_prev = signs[ri, j] * svals[ri, j]
-        # holonomy: continue the predictor across the wraparound
-        pred = 2.0 * lift_prev - lift_prev2 if lift_prev2 is not None else lift_prev
-        first = signs[ri, 0] * svals[ri, 0]
-        d_keep = np.sum((first - pred) ** 2)
-        d_swap = np.sum((first + pred) ** 2)
-        hols[ri] = 1.0 if d_keep <= d_swap else -1.0
-        prev_ring = signs[ri][:, None] * svals[ri]
-    if not (np.all(hols == 1.0) or np.all(hols == -1.0)):
-        bad = int(np.argmax(hols != hols[-1]))
-        raise PairingError(
-            f"inconsistent pairing holonomy at annulus {bad}", loop=bad
-        )
-    return signs, float(hols[-1])
+    x = svals if svals.ndim == 4 else svals[:, :, None]
+    nr, nt = x.shape[:2]
+
+    def nearer(v, pred):
+        return np.where(np.sum((v - pred) ** 2, axis=-1) <= np.sum((v + pred) ** 2, axis=-1),
+                        1.0, -1.0)
+
+    signs = np.ones(x.shape[:-1])
+    prev = None
+    for ri in (range(nr - 1, -1, -1) if seed_ring == -1 else range(nr)):
+        if prev is not None:
+            signs[ri, 0] = nearer(x[ri, 0], prev)
+        prev = signs[ri, 0][:, None] * x[ri, 0]
+    first = signs[:, 0, :, None] * x[:, 0]
+    lift_prev, lift_prev2 = first, None
+    for j in range(1, nt):
+        pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
+        signs[:, j] = nearer(x[:, j], pred)
+        lift_prev2, lift_prev = lift_prev, signs[:, j, :, None] * x[:, j]
+    # holonomy: continue the predictor across the wraparound
+    pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
+    hols = nearer(first, pred)  # (nr, ny)
+    mixed = np.any(hols != hols[-1], axis=0)
+    if np.any(mixed):
+        col = hols[:, int(np.argmax(mixed))]
+        bad = int(np.argmax(col != col[-1]))
+        raise PairingError(f"inconsistent pairing holonomy at annulus {bad}", loop=bad)
+    if svals.ndim == 4:
+        return signs, hols[-1]
+    return signs[:, :, 0], float(hols[-1, 0])
 
 
 def sample(field, grid):
     """Materialize a field on a polar grid, propagating a continuous lift."""
     nodes = grid.nodes()
-    s = field.symmetric_values(nodes)
     m = field.m
-    if grid.n == 2:
-        svals = s.reshape(grid.shape + (m,))
-        signs, hol = propagate_signs(svals)
-        lift = signs[:, :, None] * svals
-        avg = None
-        if not field.is_symmetric:
-            avg = field.average_values(nodes).reshape(grid.shape + (m,))
-        return SampledField(grid, lift, average=avg, symmetric=field.is_symmetric,
-                            hol=hol, domain=field.domain)
-    nrt = grid.shape[0] * grid.shape[1]
-    ny = grid.shape[2]
-    svals = np.moveaxis(s.reshape((ny, grid.shape[0], grid.shape[1], m)), 0, 2)
-    lift = np.zeros_like(svals)
-    hol = None
-    prev_slab = None
-    for iy in range(ny):
-        signs, h = propagate_signs(svals[:, :, iy])
-        slab = signs[:, :, None] * svals[:, :, iy]
-        if prev_slab is not None:
-            d_keep = np.sum((slab - prev_slab) ** 2)
-            d_swap = np.sum((slab + prev_slab) ** 2)
-            if d_swap < d_keep:
-                slab = -slab
-        if hol is None:
-            hol = h
-        elif h != hol:
+
+    def on_grid(vals):
+        if grid.n == 2:
+            return vals.reshape(grid.shape + (m,))
+        # nodes() orders the axis outermost
+        return np.moveaxis(vals.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
+
+    svals = on_grid(field.symmetric_values(nodes))
+    signs, hol = propagate_signs(svals)
+    lift = np.empty_like(svals)  # keeps the node layout of svals
+    np.multiply(signs[..., None], svals, out=lift)
+    if grid.n == 3:
+        # each slab's sign is fixed against the slab below it
+        for iy in range(1, grid.shape[2]):
+            slab, prev_slab = lift[:, :, iy], lift[:, :, iy - 1]
+            if np.sum((slab + prev_slab) ** 2) < np.sum((slab - prev_slab) ** 2):
+                lift[:, :, iy] = -slab
+        if np.any(hol != hol[0]):
+            iy = int(np.argmax(hol != hol[0]))
             raise PairingError(f"holonomy changes along the axis at slab {iy}", loop=iy)
-        lift[:, :, iy] = slab
-        prev_slab = slab
-    avg = None
-    if not field.is_symmetric:
-        h = field.average_values(nodes)
-        avg = np.moveaxis(h.reshape((ny, grid.shape[0], grid.shape[1], m)), 0, 2)
+        hol = float(hol[0])
+    avg = None if field.is_symmetric else on_grid(field.average_values(nodes))
     return SampledField(grid, lift, average=avg, symmetric=field.is_symmetric,
                         hol=hol, domain=field.domain)
 

@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import cg
 
 from .errors import BoundaryLiftError, SolverError
-from .fields import PolarGrid, SampledField, graded_radii
+from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
 from .frequency import FrequencyProfile
 from .quadrature import Ball
 
@@ -54,27 +54,16 @@ class BoundaryTrace:
             # crossings of the lift would defeat value-based matching
             pts = np.stack([radius * np.cos(thetas), radius * np.sin(thetas)], axis=-1)
             s = fld.symmetric_values(pts)
-            vals = np.empty_like(s)
-            vals[0] = s[0]
-            prev2 = None
-            for j in range(1, nsamples):
-                pred = vals[j - 1] if prev2 is None else 2 * vals[j - 1] - prev2
-                d_keep = np.sum((s[j] - pred) ** 2)
-                d_swap = np.sum((s[j] + pred) ** 2)
-                vals[j] = s[j] if d_keep <= d_swap else -s[j]
-                prev2 = vals[j - 1]
+            signs, _ = propagate_signs(s[None])
+            vals = signs[0][:, None] * s
         return cls(thetas, vals, radius)
 
     @classmethod
     def from_csv(cls, path, radius):
-        rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line[0].isalpha():
-                    continue
-                rows.append([float(p) for p in line.split(",")])
-        data = np.asarray(rows, dtype=float)
+            rows = [line for line in map(str.strip, fh)
+                    if line and not line.startswith("#") and not line[0].isalpha()]
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
         order = np.argsort(data[:, 0])
         return cls(data[order, 0], data[order, 1:], radius)
 
@@ -111,10 +100,9 @@ class BoundaryTrace:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("theta," + ",".join(f"v{k+1}" for k in range(self.m)) + "\n")
-            for j in range(self.thetas.shape[0]):
-                row = [repr(float(self.thetas[j]))]
-                row += [repr(float(v)) for v in self.values[j]]
-                fh.write(",".join(row) + "\n")
+            row = ",".join(["%r"] * (1 + self.m)) + "\n"
+            table = np.column_stack([self.thetas, self.values]).tolist()
+            fh.writelines(row % tuple(values) for values in table)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import FitError, PairingError
-from .fields import Field, _as_points, l2_distance_sq
+from .fields import Field, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric
 from .quadrature import Ball, QuadratureSpec, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
@@ -254,23 +254,21 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
     wrt = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones_like(T)
+    signs, hol = propagate_signs(sv)
+    if np.any(np.asarray(hol) < 0):
+        raise PairingError("u-lift is not 4pi-periodic on the cover")
     if n == 2:
-        slabs = [sv]
+        slabs = [(signs, sv)]
         wy = [1.0]
     else:
-        slabs = [sv[:, :, l] for l in range(sv.shape[2])]
+        slabs = [(signs[:, :, l], sv[:, :, l]) for l in range(sv.shape[2])]
         wy = list(grid.wy)
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
     total_w = 0.0
     lifted = []
-    from .fields import propagate_signs
-
-    for slab, wl in zip(slabs, wy):
-        signs, hol = propagate_signs(slab)
-        if hol < 0:
-            raise PairingError("u-lift is not 4pi-periodic on the cover")
-        lift = signs[:, :, None] * slab
+    for (sg, slab), wl in zip(slabs, wy):
+        lift = sg[:, :, None] * slab
         # a global sign flip of the lift negates c; both describe one pair
         lifted.append((lift, wl))
         w = wrt * wl

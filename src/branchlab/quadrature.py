@@ -16,14 +16,27 @@ Summation uses numpy's pairwise reduction, which is deterministic for a
 fixed node layout.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_01(n):
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _leggauss(int(n))
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -112,7 +125,7 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0):
     cs, ct = np.cos(theta), np.sin(theta)
     if n == 3:
         # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
-        psi, wpsi = np.polynomial.legendre.leggauss(int(naxis))
+        psi, wpsi = _leggauss(int(naxis))
         psi = psi * (np.pi / 2.0)
         wpsi = wpsi * (np.pi / 2.0)
         y = rho * np.sin(psi)
@@ -183,7 +196,7 @@ def sphere_rule(ball, nang=256, npolar=128):
         return Rule(pts, w)
     if n == 3:
         # Gauss-Legendre in t = cos(polar angle): the area element becomes dt
-        t, wt_polar = np.polynomial.legendre.leggauss(int(npolar))
+        t, wt_polar = _leggauss(int(npolar))
         sint = np.sqrt(np.maximum(1.0 - t * t, 0.0))
         theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
         wth = 2.0 * np.pi / nang
@@ -202,7 +215,7 @@ def sphere_rule(ball, nang=256, npolar=128):
         return Rule(pts, w)
     if n == 4:
         # measure sin(psi) cos(psi) dpsi = -dtau/4 under tau = cos(2 psi)
-        tau, wtau = np.polynomial.legendre.leggauss(int(npolar))
+        tau, wtau = _leggauss(int(npolar))
         sinp = np.sqrt((1.0 - tau) / 2.0)
         cosp = np.sqrt((1.0 + tau) / 2.0)
         theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError
-from .quadrature import gauss_legendre_01
+from .quadrature import _leggauss, gauss_legendre_01
 
 FOUR_PI = 4.0 * np.pi
 
@@ -182,7 +182,7 @@ def cover_ball_rule(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
         R, T = np.meshgrid(r, theta, indexing="ij")
         W = (wr * r)[:, None] * dth * np.ones_like(T)
         return R.ravel(), T.ravel(), None, W.ravel()
-    psi, wpsi = np.polynomial.legendre.leggauss(int(ny))
+    psi, wpsi = _leggauss(int(ny))
     psi = psi * (np.pi / 2.0)
     wpsi = wpsi * (np.pi / 2.0)
     ys = rho * np.sin(psi)

@@ -143,9 +143,9 @@ def test_decay_kind(tmp_path):
     assert (outdir / "decay_loglog.svg").exists()
 
 
-def test_full_pipeline_stage_error_exit_code(tmp_path):
-    # corollaries stage needs a perturbation term; a single-term field makes
-    # that stage fail while the others keep running
+def test_full_pipeline_stage_error_exit_code(tmp_path, capsys):
+    # corollaries needs a perturbation term; a single-term field is a config
+    # error naming `field` in both run modes, caught before any stage runs
     cfg = {
         "schema_version": 1,
         "kind": "full-pipeline",
@@ -157,11 +157,27 @@ def test_full_pipeline_stage_error_exit_code(tmp_path):
         "output_dir": "out_pipe",
         "seed": 0,
     }
+    for kind in ("full-pipeline", "corollaries"):
+        path = write_config(tmp_path, dict(cfg, kind=kind))
+        for verb in ("validate", "run"):
+            assert cli.main([verb, path]) == cli.EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["key"] == "field"
+    assert not (tmp_path / "out_pipe").exists()
+
+
+@pytest.mark.parametrize("stages", [["frequncy"], "frequency", 5, [["frequency"]],
+                                    ["full-pipeline"]])
+def test_malformed_stages_exit_config(tmp_path, capsys, stages):
+    cfg = freq_config("out")
+    cfg["kind"] = "full-pipeline"
+    cfg["params"]["stages"] = stages
     path = write_config(tmp_path, cfg)
-    assert cli.main(["run", path]) == cli.EXIT_NUMERICAL
-    summary = json.loads((tmp_path / "out_pipe" / "summary.json").read_text())
-    assert summary["stages"]["frequency"]["status"] == "ok"
-    assert summary["stages"]["corollaries"]["status"] == "error"
+    for verb in ("validate", "run"):
+        assert cli.main([verb, path]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["key"] == "stages"
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_env(monkeypatch):
@@ -171,6 +187,20 @@ def test_threads_env(monkeypatch):
     assert cli.thread_count() == 1
     out = cli._pmap(lambda x: x * x, [1, 2, 3])
     assert out == [1, 4, 9]
+
+
+def test_worker_count_capped(monkeypatch):
+    # only the computed count is checked; no pool is started
+    monkeypatch.setenv("BRANCHLAB_THREADS", "100000")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(3) == 3
+    assert cli._worker_count(1000) == 4
+    assert cli._worker_count(0) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(1000) == 1
+    monkeypatch.setenv("BRANCHLAB_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._worker_count(1000) == 2
 
 
 def test_build_field_types(tmp_path):

@@ -2,12 +2,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
-from branchlab.errors import DegenerateRescaleError, SingularEvaluationError
+from branchlab.errors import (DegenerateRescaleError, PairingError,
+                              SingularEvaluationError)
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
-                              CylindricalModeField, PolarGrid, Polynomial,
+                              CylindricalModeField, Field, PolarGrid, Polynomial,
                               SampledField, graded_radii,
                               harmonic_polynomial_basis, l2_distance_sq,
                               norm_sq, propagate_signs, rescale, sample)
@@ -214,6 +216,54 @@ def test_sampled_n3_roundtrip_and_interp(tmp_path):
     assert np.max(per_point) < 2e-3
 
 
+def _sampled_csv_reference(sf, path):
+    """Row-by-row writer, the reference for SampledField.to_csv."""
+    with open(path, "w") as fh:
+        fh.write("# branchlab sampled-field v1\n")
+        fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.symmetric)} "
+                 f"hol={int(sf.hol) if sf.hol is not None else 0}\n")
+        fh.write(f"# shape={','.join(str(s) for s in sf.grid.shape)}\n")
+        fh.write("# rs=" + ",".join(repr(float(v)) for v in sf.grid.rs) + "\n")
+        fh.write("# thetas=" + ",".join(repr(float(v)) for v in sf.grid.thetas) + "\n")
+        if sf.grid.ys is not None:
+            fh.write("# ys=" + ",".join(repr(float(v)) for v in sf.grid.ys) + "\n")
+        cols = [f"x{i+1}" for i in range(sf.n)]
+        cols += [f"a1_{k+1}" for k in range(sf.m)] + [f"a2_{k+1}" for k in range(sf.m)]
+        fh.write(",".join(cols) + "\n")
+        nodes = sf.grid.nodes()
+        if sf.n == 3:
+            s = np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
+            h = None if sf.avg is None else np.moveaxis(sf.avg, 2, 0).reshape(-1, sf.m)
+        else:
+            s = sf.s_lift.reshape(-1, sf.m)
+            h = None if sf.avg is None else sf.avg.reshape(-1, sf.m)
+        if h is None:
+            h = np.zeros_like(s)
+        a1, a2 = h + s, h - s
+        for i in range(nodes.shape[0]):
+            row = [repr(float(v)) for v in nodes[i]]
+            row += [repr(float(v)) for v in a1[i]] + [repr(float(v)) for v in a2[i]]
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
+    ys = None if n == 2 else np.linspace(-0.5, 0.5, 3)
+    grid = PolarGrid(graded_radii(6, 0.9), np.arange(10) * (2 * np.pi / 10), ys)
+    rng = np.random.default_rng(5)
+    lift = rng.standard_normal(grid.shape + (2,)) * 10.0 ** rng.integers(-300, 300, grid.shape + (2,))
+    lift.flat[:3] = [0.0, -0.0, 1e-320]
+    avg = rng.standard_normal(grid.shape + (2,))
+    for sf in (SampledField(grid, lift, average=avg, symmetric=False),
+               SampledField(grid, lift, hol=-1.0)):
+        sf.to_csv(tmp_path / "new.csv")
+        _sampled_csv_reference(sf, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the symmetric field parses back exactly, so it rewrites the same bytes
+    SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
+    assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_pairing_propagation_holonomy():
     odd = _sample_field(CylindricalModeField.power_sum([(C_NULL, 1)], n=2))
     assert odd.hol == -1.0
@@ -260,10 +310,137 @@ def test_propagate_signs_loop_inconsistency():
     odd_ring = np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)[None]
     even_ring = np.stack([np.cos(theta), -np.sin(theta)], axis=-1)[None]
     svals = np.concatenate([odd_ring, even_ring], axis=0)
-    from branchlab.errors import PairingError
-
     with pytest.raises(PairingError):
         propagate_signs(svals)
+
+
+def _propagate_signs_reference(svals, seed_ring=-1):
+    """Node-by-node continuation, the reference for the vectorized sweep."""
+    nr, nt, m = svals.shape
+    signs = np.ones((nr, nt))
+    hols = np.zeros(nr)
+    order = list(range(nr))[::-1] if seed_ring == -1 else list(range(nr))
+    prev_ring = None
+    for ri in order:
+        if prev_ring is not None:
+            d_keep = np.sum((svals[ri, 0] - prev_ring[0]) ** 2)
+            d_swap = np.sum((svals[ri, 0] + prev_ring[0]) ** 2)
+            signs[ri, 0] = 1.0 if d_keep <= d_swap else -1.0
+        lift_prev2 = None
+        lift_prev = signs[ri, 0] * svals[ri, 0]
+        for j in range(1, nt):
+            pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
+            d_keep = np.sum((svals[ri, j] - pred) ** 2)
+            d_swap = np.sum((svals[ri, j] + pred) ** 2)
+            signs[ri, j] = 1.0 if d_keep <= d_swap else -1.0
+            lift_prev2 = lift_prev
+            lift_prev = signs[ri, j] * svals[ri, j]
+        pred = 2.0 * lift_prev - lift_prev2 if lift_prev2 is not None else lift_prev
+        first = signs[ri, 0] * svals[ri, 0]
+        d_keep = np.sum((first - pred) ** 2)
+        d_swap = np.sum((first + pred) ** 2)
+        hols[ri] = 1.0 if d_keep <= d_swap else -1.0
+        prev_ring = signs[ri][:, None] * svals[ri]
+    if not (np.all(hols == 1.0) or np.all(hols == -1.0)):
+        bad = int(np.argmax(hols != hols[-1]))
+        raise PairingError(f"inconsistent pairing holonomy at annulus {bad}", loop=bad)
+    return signs, float(hols[-1])
+
+
+def _outcome(fn, svals, seed_ring):
+    try:
+        signs, hol = fn(svals, seed_ring)
+    except PairingError as exc:
+        return "error", str(exc), exc.loop
+    return "ok", signs, hol
+
+
+# exact ties and signed zeros come from the small pool; a smooth half-angle
+# pattern keeps holonomies consistent so that full sweeps succeed too
+_POOL = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _value_stacks(draw):
+    nr, nt, ny = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    elems = _POOL | st.floats(-4.0, 4.0, allow_nan=False)
+    vals = draw(arrays(float, (nr, nt, ny, m), elements=elems))
+    if draw(st.booleans()):
+        theta = np.arange(nt) * (2.0 * np.pi / nt)
+        k = draw(st.integers(1, 3))
+        amp = draw(arrays(float, (nr, 1, ny, 1), elements=st.floats(0.5, 2.0)))
+        ring = np.stack([np.cos(k * theta / 2), np.sin(k * theta / 2)], axis=-1)
+        vals = amp * ring[None, :, None, :] + 0.05 * vals[..., :1]
+    return vals
+
+
+def _check_against_reference(vals, seed_ring):
+    # one slab: signs (with their sign bit), holonomy and errors agree
+    for iy in range(vals.shape[2]):
+        got = _outcome(propagate_signs, vals[:, :, iy], seed_ring)
+        ref = _outcome(_propagate_signs_reference, vals[:, :, iy], seed_ring)
+        assert got[0] == ref[0]
+        if ref[0] == "error":
+            assert got[1:] == ref[1:]
+        else:
+            assert np.array_equal(got[1], ref[1])
+            assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
+            assert type(got[2]) is float and got[2] == ref[2]
+    # the stack agrees with the per-slab loop, up to that loop's first error
+    got = _outcome(propagate_signs, vals, seed_ring)
+    signs, hols = [], []
+    for iy in range(vals.shape[2]):
+        ref = _outcome(_propagate_signs_reference, vals[:, :, iy], seed_ring)
+        if ref[0] == "error":
+            assert got == ref
+            return
+        signs.append(ref[1])
+        hols.append(ref[2])
+    assert got[0] == "ok"
+    assert np.array_equal(got[1], np.stack(signs, axis=-1))
+    assert np.array_equal(got[2], hols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_value_stacks(), st.sampled_from([-1, 0]))
+@example(np.zeros((3, 5, 2, 2)), -1)
+@example(np.array([[[[1.0, -0.0]]], [[[-1.0, 0.0]]]]), 0)
+@example(np.arange(24.0).reshape(1, 6, 2, 2) - 11.5, -1)
+def test_propagate_signs_matches_reference(vals, seed_ring):
+    _check_against_reference(vals, seed_ring)
+
+
+class _SlabFlipped(Field):
+    """The pair of `base`, with its representative negated for y > 0."""
+
+    def __init__(self, base):
+        self.base, self.n, self.m, self.domain = base, base.n, base.m, base.domain
+
+    def symmetric_values(self, X):
+        return self.base.symmetric_values(X) * np.where(X[:, 2] > 0, -1.0, 1.0)[:, None]
+
+
+def test_sample_n3_matches_per_slab_reference():
+    # the stacked call plus slab alignment reproduce the per-slab loop, and
+    # the alignment undoes a representative that flips along the axis
+    base = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 3)], n=3)
+    u = _SlabFlipped(base)
+    grid = PolarGrid(graded_radii(12, 0.8), np.arange(24) * (2 * np.pi / 24),
+                     np.linspace(-0.5, 0.5, 5))
+    svals = np.moveaxis(u.symmetric_values(grid.nodes()).reshape(5, 12, 24, 2), 0, 2)
+    ref = np.zeros_like(svals)
+    prev = None
+    for iy in range(5):
+        signs, hol = _propagate_signs_reference(svals[:, :, iy])
+        slab = signs[:, :, None] * svals[:, :, iy]
+        if prev is not None and np.sum((slab + prev) ** 2) < np.sum((slab - prev) ** 2):
+            slab = -slab
+        ref[:, :, iy] = prev = slab
+    sf = sample(u, grid)
+    assert np.array_equal(sf.s_lift, ref)
+    assert np.array_equal(sf.s_lift, sample(base, grid).s_lift)
+    assert sf.hol == hol == -1.0
 
 
 # -- harmonic polynomial basis -------------------------------------------------

@@ -159,6 +159,49 @@ def test_boundary_csv_roundtrip(tmp_path, half_trace):
     assert np.max(np.abs(g1 - g2)) < 1e-12
 
 
+def _continuation_reference(s):
+    """Sample-by-sample predictor continuation, the reference for from_field."""
+    vals = np.empty_like(s)
+    vals[0] = s[0]
+    prev2 = None
+    for j in range(1, s.shape[0]):
+        pred = vals[j - 1] if prev2 is None else 2 * vals[j - 1] - prev2
+        d_keep = np.sum((s[j] - pred) ** 2)
+        d_swap = np.sum((s[j] + pred) ** 2)
+        vals[j] = s[j] if d_keep <= d_swap else -s[j]
+        prev2 = vals[j - 1]
+    return vals
+
+
+@pytest.mark.parametrize("coeffs", [[-0.09, 0.0, 1.0], [-0.2, 1.0], [0.0, 0.0, 1.0]])
+def test_from_field_continuation_matches_reference(coeffs):
+    # branch polynomial fields have no exact lift, so from_field continues
+    u = BranchPolynomialField(coeffs)
+    nsamples = 512
+    btr = BoundaryTrace.from_field(u, 1.0, nsamples=nsamples)
+    th = np.arange(nsamples) * (4.0 * np.pi / nsamples)
+    ref = _continuation_reference(u.symmetric_values(np.stack([np.cos(th), np.sin(th)], -1)))
+    assert np.array_equal(btr.values, ref)
+    assert np.array_equal(np.signbit(btr.values), np.signbit(ref))
+
+
+def test_boundary_csv_bytes_match_row_writer(tmp_path, half_trace):
+    values = half_trace[1].values.copy()
+    values[:3] = [[0.0, -0.0], [1e-320, -1e300], [np.pi, -1.0 / 3.0]]
+    btr = BoundaryTrace(half_trace[1].thetas, values, 1.0)
+    btr.to_csv(tmp_path / "new.csv")
+    with open(tmp_path / "ref.csv", "w") as fh:
+        fh.write("theta," + ",".join(f"v{k+1}" for k in range(btr.m)) + "\n")
+        for j in range(btr.thetas.shape[0]):
+            row = [repr(float(btr.thetas[j]))] + [repr(float(v)) for v in btr.values[j]]
+            fh.write(",".join(row) + "\n")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = BoundaryTrace.from_csv(tmp_path / "new.csv", 1.0)
+    assert np.array_equal(back.thetas, btr.thetas)
+    assert np.array_equal(back.values, btr.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(btr.values))
+
+
 def test_two_point_solve_and_search():
     t = 0.3
     u = BranchPolynomialField([-t * t, 0.0, 1.0])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from branchlab.quadrature import (Ball, QuadratureSpec, ball_rule, disk_rule,
-                                  loglog_slope, sphere_rule, unit_ball)
+from branchlab.quadrature import (Ball, QuadratureSpec, _leggauss, ball_rule, disk_rule,
+                                  gauss_legendre_01, loglog_slope, sphere_rule,
+                                  unit_ball)
 
 
 def test_disk_polynomial_exactness():
@@ -62,3 +63,14 @@ def test_loglog_slope():
     x = np.array([1.0, 0.5, 0.25, 0.125])
     y = 3.0 * x ** 2
     assert loglog_slope(x, y) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_gauss_legendre_cached_per_order():
+    x, w = np.polynomial.legendre.leggauss(7)
+    s, ws = gauss_legendre_01(7)
+    assert np.array_equal(s, (x + 1.0) / 2.0) and np.array_equal(ws, w / 2.0)
+    # callers get their own arrays; the shared cache cannot be written
+    s[0] = 5.0
+    assert np.array_equal(gauss_legendre_01(7)[0], (x + 1.0) / 2.0)
+    with pytest.raises(ValueError):
+        _leggauss(7)[0][0] = 5.0
