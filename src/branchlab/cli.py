@@ -10,6 +10,7 @@ its content hash.  BRANCHLAB_THREADS caps parallelism of family sweeps.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ SCHEMA_VERSION = 1
 KINDS = ("frequency", "monotonicity", "minimize", "decay", "spectral",
          "corollaries", "full-pipeline")
 PIPELINE_STAGES = ("frequency", "monotonicity", "decay", "corollaries", "spectral")
+QUADRATURE_COUNTS = ("nr", "ntheta", "naxis", "nsphere", "npolar")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +83,17 @@ class ExperimentConfig:
         if levels is not None and not _is_level_list(levels):
             raise ConfigError("levels must be a non-empty list of [nr, ntheta] "
                               "pairs of positive integers", key="levels")
+        radii = params.get("radii")
+        if radii is not None and not _is_radius_list(radii):
+            raise ConfigError("radii must be a non-empty list of positive finite "
+                              "numbers", key="radii")
+        quad = params.get("quadrature", {})
+        if not isinstance(quad, dict):
+            raise ConfigError("quadrature must be an object", key="quadrature")
+        for name, count in quad.items():
+            if name not in QUADRATURE_COUNTS or not (type(count) is int and count > 0):
+                raise ConfigError(f"quadrature.{name} must be one of {QUADRATURE_COUNTS} "
+                                  "with a positive integer count", key=f"quadrature.{name}")
         theta = params.get("theta")
         if theta is not None and not (0 < theta < 0.25):
             raise ConfigError("theta must lie in (0, 1/4)", key="theta")
@@ -120,6 +133,12 @@ def _is_level_list(levels):
                     and all(type(v) is int and v > 0 for v in lv) for lv in levels))
 
 
+def _is_radius_list(radii):
+    """A non-empty list of positive finite numbers (bools excluded)."""
+    return (isinstance(radii, list) and len(radii) > 0
+            and all(type(r) in (int, float) and math.isfinite(r) and r > 0 for r in radii))
+
+
 def _has_perturbations(fspec):
     """Whether the field builds as a base mode plus perturbation modes."""
     terms = fspec.get("terms")
@@ -151,12 +170,7 @@ def build_field(spec, base_dir="."):
 
 
 def quad_spec(params):
-    q = params.get("quadrature", {})
-    return QuadratureSpec(
-        nr=int(q.get("nr", 48)), ntheta=int(q.get("ntheta", 96)),
-        naxis=int(q.get("naxis", 24)), nsphere=int(q.get("nsphere", 256)),
-        npolar=int(q.get("npolar", 128)),
-    )
+    return QuadratureSpec(**params.get("quadrature", {}))
 
 
 def thread_count():

@@ -247,9 +247,6 @@ class DecayRun:
     drift: list                # per-step profile drift excesses
     truncated: bool = False
 
-    def excess_table(self):
-        return [(self.theta ** s.j, s.excess_sq, s.ratio) for s in self.steps]
-
     def to_json_dict(self):
         return {
             "center": [float(v) for v in self.center],

@@ -37,12 +37,23 @@ class Field:
     n = None
     m = None
     domain = None
+    average = None  # optional single-valued part h, with value(X) and gradient(X)
 
     def average_values(self, X):
-        return np.zeros((X.shape[0], self.m))
+        X, _ = _as_points(X, self.n)
+        if self.average is None:
+            return np.zeros((X.shape[0], self.m))
+        return self.average.value(X)
 
     def average_gradient(self, X):
-        return np.zeros((X.shape[0], self.m, self.n))
+        X, _ = _as_points(X, self.n)
+        if self.average is None:
+            return np.zeros((X.shape[0], self.m, self.n))
+        return self.average.gradient(X)
+
+    @property
+    def is_symmetric(self):
+        return self.average is None
 
     def symmetric_values(self, X):
         raise NotImplementedError
@@ -68,10 +79,6 @@ class Field:
         if not np.all(np.isfinite(ds)):
             raise SingularEvaluationError(f"gradient singular at {X[0].tolist()}")
         return dh[0] + ds[0], dh[0] - ds[0]
-
-    @property
-    def is_symmetric(self):
-        return True
 
 
 def _xy_split(X, n):
@@ -191,22 +198,6 @@ class CylindricalModeField(Field):
                     out[:, :, 2:] += rad[:, :, None] * ang[:, :, None] * md.ylin[None, None, :]
         return out
 
-    def average_values(self, X):
-        X, _ = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m))
-        return self.average.value(X)
-
-    def average_gradient(self, X):
-        X, _ = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m, self.n))
-        return self.average.gradient(X)
-
-    @property
-    def is_symmetric(self):
-        return self.average is None
-
     def lift_values(self, r, theta, y=None):
         """Exact continuous lift of the symmetric part on the 4pi cover."""
         r = np.asarray(r, dtype=float)
@@ -220,9 +211,6 @@ class CylindricalModeField(Field):
                 yf = yf[..., None]
             out += (r ** md.beta)[..., None] * ang * yf
         return out
-
-    def min_beta(self):
-        return min(md.beta for md in self.modes)
 
     def rescaled_exact(self, Y, rho, scale):
         """Exact reparameterization s(Y + rho X)/scale for Y on the axis."""
@@ -301,22 +289,6 @@ class BranchPolynomialField(Field):
                 dwdy = -qg / (2.0 * w[:, None])
             out[:, :, 2:] = np.real(dwdy[:, None, :] * self.c[None, :, None])
         return out
-
-    def average_values(self, X):
-        X, _ = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m))
-        return self.average.value(X)
-
-    def average_gradient(self, X):
-        X, _ = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m, self.n))
-        return self.average.gradient(X)
-
-    @property
-    def is_symmetric(self):
-        return self.average is None
 
     def branch_points(self):
         """Zeros of P inside the domain (constant-coefficient case only)."""
@@ -473,14 +445,15 @@ class RescaledField(Field):
 def norm_sq(field, ball, spec=None):
     """integral over the ball of |u|^2 = |u1|^2 + |u2|^2."""
     spec = spec or QuadratureSpec()
-    rule = spec.ball(ball)
-    if field.is_symmetric:
-        s = field.symmetric_values(rule.points)
-        vals = 2.0 * np.sum(s * s, axis=-1)
-    else:
-        a1, a2 = field.pair_values(rule.points)
-        vals = np.sum(a1 * a1, axis=-1) + np.sum(a2 * a2, axis=-1)
-    return rule.integrate_values(vals)
+
+    def integrand(X):
+        if field.is_symmetric:
+            s = field.symmetric_values(X)
+            return 2.0 * np.sum(s * s, axis=-1)
+        a1, a2 = field.pair_values(X)
+        return np.sum(a1 * a1, axis=-1) + np.sum(a2 * a2, axis=-1)
+
+    return spec.integrate_ball(ball, integrand)
 
 
 def rescale(field, Y, rho, spec=None, exact=True):
@@ -509,14 +482,13 @@ def l2_distance_sq(u, v, ball, spec=None):
     if u.m != v.m or u.n != v.n:
         raise DimensionMismatchError("fields have mismatched dimensions")
     spec = spec or QuadratureSpec()
-    rule = spec.ball(ball)
-    if u.is_symmetric and v.is_symmetric:
-        vals = metric_sq_symmetric(u.symmetric_values(rule.points), v.symmetric_values(rule.points))
-    else:
-        u1, u2 = u.pair_values(rule.points)
-        v1, v2 = v.pair_values(rule.points)
-        vals = metric_sq_arrays(u1, u2, v1, v2)
-    return rule.integrate_values(vals)
+
+    def integrand(X):
+        if u.is_symmetric and v.is_symmetric:
+            return metric_sq_symmetric(u.symmetric_values(X), v.symmetric_values(X))
+        return metric_sq_arrays(*u.pair_values(X), *v.pair_values(X))
+
+    return spec.integrate_ball(ball, integrand)
 
 
 # ---------------------------------------------------------------------------

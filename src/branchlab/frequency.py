@@ -23,21 +23,22 @@ def _pair_sq(vals_h, vals_s):
     return 2.0 * (np.sum(vals_h * vals_h, axis=-1) + np.sum(vals_s * vals_s, axis=-1))
 
 
+def _grad_sq(u, X, axes=slice(None)):
+    """|Du|^2 summed over the two selections, over the gradient components axes."""
+    dh = u.average_gradient(X)[:, :, axes]
+    ds = u.symmetric_gradient(X)[:, :, axes]
+    return 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
+
+
 def energy_integral(u, ball, spec):
     """int_{ball} |Du|^2."""
-    rule = spec.ball(ball)
-    dh = u.average_gradient(rule.points)
-    ds = u.symmetric_gradient(rule.points)
-    vals = 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
-    return rule.integrate_values(vals)
+    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X))
 
 
 def height_integral(u, ball, spec):
     """int over the boundary sphere of |u|^2."""
-    rule = spec.sphere(ball)
-    h = u.average_values(rule.points)
-    s = u.symmetric_values(rule.points)
-    return rule.integrate_values(_pair_sq(h, s))
+    return spec.integrate_sphere(
+        ball, lambda X: _pair_sq(u.average_values(X), u.symmetric_values(X)))
 
 
 @dataclass
@@ -82,7 +83,8 @@ def frequency_profile(u, Y, radii, spec=None):
     for i, rho in enumerate(radii):
         ball = Ball(tuple(Y), float(rho))
         D[i] = rho ** (2 - n) * energy_integral(u, ball, spec)
-        H[i] = rho ** (1 - n) * height_integral(u, ball, spec)
+        h = norm_scale if float(rho) == rho_max else height_integral(u, ball, spec)
+        H[i] = rho ** (1 - n) * h
         if H[i] <= floor * rho ** (1 - n):
             raise DegenerateHeightError(float(rho), float(H[i]), floor)
     return FrequencyProfile(Y, radii, D, H, D / H, spec)
@@ -311,12 +313,13 @@ def radial_frequency_deviation(u, Y, alpha, ball, spec=None):
     Y = np.asarray(Y, dtype=float)
     n = u.n
     ball = Ball(tuple(Y), ball) if np.isscalar(ball) else ball
-    rule = spec.ball(ball)
-    X = rule.points
-    R = np.linalg.norm(X - Y[None, :], axis=1)
-    nu = (X - Y[None, :]) / R[:, None]
-    vals = _radial_deviation_sq(u, X, R, nu, alpha)
-    return rule.integrate_values(R ** (2 - n) * vals)
+
+    def integrand(X):
+        R = np.linalg.norm(X - Y[None, :], axis=1)
+        nu = (X - Y[None, :]) / R[:, None]
+        return R ** (2 - n) * _radial_deviation_sq(u, X, R, nu, alpha)
+
+    return spec.integrate_ball(ball, integrand)
 
 
 def _radial_deviation_sq(u, X, R, nu, alpha):
@@ -337,11 +340,7 @@ def axis_energy_integral(u, ball, spec=None):
     spec = spec or QuadratureSpec()
     if u.n <= 2:
         return 0.0
-    rule = spec.ball(ball)
-    dh = u.average_gradient(rule.points)[:, :, 2:]
-    ds = u.symmetric_gradient(rule.points)[:, :, 2:]
-    vals = 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
-    return rule.integrate_values(vals)
+    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X, slice(2, None)))
 
 
 @dataclass

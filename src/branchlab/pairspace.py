@@ -126,8 +126,3 @@ def metric_sq_symmetric(su, sv):
     keep = np.sum((su - sv) ** 2, axis=-1)
     swap = np.sum((su + sv) ** 2, axis=-1)
     return 2.0 * np.minimum(keep, swap)
-
-
-def norm_sq_symmetric(s):
-    """|{+-s}|^2 = 2|s|^2 pointwise."""
-    return 2.0 * np.sum(s ** 2, axis=-1)

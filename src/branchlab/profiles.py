@@ -403,10 +403,6 @@ class GraphRepresentation:
     def ratio_in(self):
         return self.integral_in / self.excess_sq if self.excess_sq > 0 else 0.0
 
-    @property
-    def ratio_out(self):
-        return self.integral_out / self.excess_sq if self.excess_sq > 0 else 0.0
-
 
 def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
                         nr=40, ntheta=128, ny=10, spec=None,

@@ -13,13 +13,19 @@ in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
 
 Summation uses numpy's pairwise reduction, which is deterministic for a
-fixed node layout.
+fixed node layout.  Large rules are also split into a fixed sequence of node
+blocks (whole axis slabs of a ball, whole polar rows of a sphere), so an
+integral can be reduced block by block with memory bounded by the block
+size; the block sums are added in block order, so results stay reproducible.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+# Node budget of one block; a single slab or row larger than this is a block.
+BLOCK_NODES = 2 ** 17
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,130 +120,132 @@ def disk_rule(center, radius, nr=48, ntheta=96, grading=2.0):
     return Rule(pts, w)
 
 
-def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0):
-    """Rule for a ball in R^n; axis variables handled by slabs of graded disks."""
+def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None)):
+    """Rule for a ball in R^n; axis variables handled by slabs of graded disks.
+
+    slabs selects a run of the axis slabs (all by default; ignored for the
+    disk, which is one slab); the nodes of each slab come out in the same
+    order whichever run they are built in.
+    """
     n = ball.n
     c = ball.center_array
     rho = ball.radius
     if n == 2:
         return disk_rule(c, rho, nr=nr, ntheta=ntheta, grading=grading)
+    if n not in (3, 4):
+        raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
     r01, wr01, theta, wt = _polar_nodes(nr, ntheta, grading)
-    cs, ct = np.cos(theta), np.sin(theta)
     if n == 3:
         # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
         psi, wpsi = _leggauss(int(naxis))
-        psi = psi * (np.pi / 2.0)
-        wpsi = wpsi * (np.pi / 2.0)
+        psi = psi[slabs] * (np.pi / 2.0)
+        wpsi = wpsi[slabs] * (np.pi / 2.0)
         y = rho * np.sin(psi)
         wy = rho * np.cos(psi) * wpsi
-        pts = []
-        wts = []
-        for yl, wl in zip(y, wy):
-            rho_l = np.sqrt(max(rho * rho - yl * yl, 0.0))
-            if rho_l <= 0.0:
-                continue
-            r = rho_l * r01
-            wr = rho_l * wr01
-            R, CS = np.meshgrid(r, cs, indexing="ij")
-            _, SN = np.meshgrid(r, ct, indexing="ij")
-            WR = np.repeat(wr[:, None], ntheta, axis=1)
-            p = np.stack(
-                [c[0] + R * CS, c[1] + R * SN, np.full_like(R, c[2] + yl)], axis=-1
-            )
-            pts.append(p.reshape(-1, 3))
-            wts.append((WR * R * wt * wl).reshape(-1))
-        return Rule(np.concatenate(pts), np.concatenate(wts))
-    if n == 4:
-        # polar coordinates in the (y1, y2)-plane as well
+        axis = (c[2] + y)[:, None, None]  # (slab, 1, n - 2)
+    else:
+        # polar coordinates (rl, phi) in the (y1, y2)-plane as well
         sy, wsy = gauss_legendre_01(int(naxis))
-        ry = rho * sy
-        wry = rho * wsy
+        y = rho * sy[slabs]
+        wy = rho * wsy[slabs]
         nphi = max(8, naxis)
         phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-        wphi = 2.0 * np.pi / nphi
-        pts = []
-        wts = []
-        for rl, wl in zip(ry, wry):
-            rho_l = np.sqrt(max(rho * rho - rl * rl, 0.0))
-            if rho_l <= 0.0:
-                continue
-            r = rho_l * r01
-            wr = rho_l * wr01
-            for ph in phi:
-                R, CS = np.meshgrid(r, cs, indexing="ij")
-                _, SN = np.meshgrid(r, ct, indexing="ij")
-                WR = np.repeat(wr[:, None], ntheta, axis=1)
-                p = np.stack(
-                    [
-                        c[0] + R * CS,
-                        c[1] + R * SN,
-                        np.full_like(R, c[2] + rl * np.cos(ph)),
-                        np.full_like(R, c[3] + rl * np.sin(ph)),
-                    ],
-                    axis=-1,
-                )
-                pts.append(p.reshape(-1, 4))
-                wts.append((WR * R * wt * rl * wl * wphi).reshape(-1))
-        return Rule(np.concatenate(pts), np.concatenate(wts))
-    raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
+        axis = np.stack([c[2] + y[:, None] * np.cos(phi), c[3] + y[:, None] * np.sin(phi)],
+                        axis=-1)  # (slab, phi, n - 2)
+    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))
+    keep = rho_l > 0.0
+    rho_l, y, wy, axis = rho_l[keep], y[keep], wy[keep], axis[keep]
+    r = rho_l[:, None] * r01
+    wr = rho_l[:, None] * wr01
+    if n == 3:
+        wslab = wr * r * wt * wy[:, None]
+    else:
+        wslab = wr * r * wt * y[:, None] * wy[:, None] * (2.0 * np.pi / nphi)
+    # nodes ordered (slab, phi, r, theta)
+    shape = axis.shape[:2] + (nr, ntheta)
+    pts = np.empty(shape + (n,))
+    R = r[:, None, :, None]
+    pts[..., 0] = c[0] + R * np.cos(theta)
+    pts[..., 1] = c[1] + R * np.sin(theta)
+    pts[..., 2:] = axis[:, :, None, None, :]
+    w = np.broadcast_to(wslab[:, None, :, None], shape)
+    return Rule(pts.reshape(-1, n), w.reshape(-1))
 
 
-def sphere_rule(ball, nang=256, npolar=128):
-    """Rule for the boundary sphere of a ball in R^n."""
+def sphere_rule(ball, nang=256, npolar=128, rows=slice(None)):
+    """Rule for the boundary sphere of a ball in R^n.
+
+    rows selects a run of the polar rows (all by default; ignored for the
+    circle, which is one row), as slabs do for ball_rule.
+    """
     n = ball.n
     c = ball.center_array
     rho = ball.radius
+    theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
+    wth = 2.0 * np.pi / nang
     if n == 2:
-        theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
         pts = np.stack(
             [c[0] + rho * np.cos(theta), c[1] + rho * np.sin(theta)], axis=-1
         )
         w = np.full(nang, rho * 2.0 * np.pi / nang)
         return Rule(pts, w)
+    if n not in (3, 4):
+        raise ValueError(f"sphere_rule supports n in (2, 3, 4), got n={n}")
+    t, wpolar = _leggauss(int(npolar))
+    t, wpolar = t[rows], wpolar[rows]
     if n == 3:
         # Gauss-Legendre in t = cos(polar angle): the area element becomes dt
-        t, wt_polar = _leggauss(int(npolar))
-        sint = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-        theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
-        wth = 2.0 * np.pi / nang
-        S, T = np.meshgrid(sint, theta, indexing="ij")
-        C, _ = np.meshgrid(t, theta, indexing="ij")
-        W, _ = np.meshgrid(wt_polar, theta, indexing="ij")
-        pts = np.stack(
-            [
-                c[0] + rho * S * np.cos(T),
-                c[1] + rho * S * np.sin(T),
-                c[2] + rho * C,
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        w = (rho * rho * W * wth).reshape(-1)
-        return Rule(pts, w)
-    if n == 4:
-        # measure sin(psi) cos(psi) dpsi = -dtau/4 under tau = cos(2 psi)
-        tau, wtau = _leggauss(int(npolar))
-        sinp = np.sqrt((1.0 - tau) / 2.0)
-        cosp = np.sqrt((1.0 + tau) / 2.0)
-        theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
-        wth = 2.0 * np.pi / nang
-        nchi = max(16, nang // 4)
-        chi = (np.arange(nchi) + 0.5) * (2.0 * np.pi / nchi)
-        wch = 2.0 * np.pi / nchi
-        P_s, T, H = np.meshgrid(sinp, theta, chi, indexing="ij")
-        P_c, _, _ = np.meshgrid(cosp, theta, chi, indexing="ij")
-        W, _, _ = np.meshgrid(wtau, theta, chi, indexing="ij")
-        pts = np.stack(
-            [
-                c[0] + rho * P_s * np.cos(T),
-                c[1] + rho * P_s * np.sin(T),
-                c[2] + rho * P_c * np.cos(H),
-                c[3] + rho * P_c * np.sin(H),
-            ],
-            axis=-1,
-        ).reshape(-1, 4)
-        w = (rho ** 3 * 0.25 * W * wth * wch).reshape(-1)
-        return Rule(pts, w)
-    raise ValueError(f"sphere_rule supports n in (2, 3, 4), got n={n}")
+        sint = np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None]
+        pts = np.empty((t.shape[0], nang, 3))
+        pts[..., 0] = c[0] + rho * sint * np.cos(theta)
+        pts[..., 1] = c[1] + rho * sint * np.sin(theta)
+        pts[..., 2] = (c[2] + rho * t)[:, None]
+        w = np.broadcast_to((rho * rho * wpolar * wth)[:, None], pts.shape[:2])
+        return Rule(pts.reshape(-1, 3), w.reshape(-1))
+    # measure sin(psi) cos(psi) dpsi = -dtau/4 under tau = cos(2 psi)
+    sinp = np.sqrt((1.0 - t) / 2.0)[:, None, None]
+    cosp = np.sqrt((1.0 + t) / 2.0)[:, None, None]
+    nchi = max(16, nang // 4)
+    chi = (np.arange(nchi) + 0.5) * (2.0 * np.pi / nchi)
+    wch = 2.0 * np.pi / nchi
+    pts = np.empty((t.shape[0], nang, nchi, 4))
+    pts[..., 0] = c[0] + rho * sinp * np.cos(theta)[:, None]
+    pts[..., 1] = c[1] + rho * sinp * np.sin(theta)[:, None]
+    pts[..., 2] = c[2] + rho * cosp * np.cos(chi)
+    pts[..., 3] = c[3] + rho * cosp * np.sin(chi)
+    w = np.broadcast_to((rho ** 3 * 0.25 * wpolar * wth * wch)[:, None, None], pts.shape[:3])
+    return Rule(pts.reshape(-1, 4), w.reshape(-1))
+
+
+def _blocks(count, per_slab):
+    """Runs of whole slabs of at most BLOCK_NODES nodes; one slab if it is larger."""
+    step = max(1, BLOCK_NODES // per_slab)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def ball_blocks(ball, nr=48, ntheta=96, naxis=24, grading=2.0):
+    """The ball rule as a fixed sequence of node blocks; a disk is one slab."""
+    count = 1 if ball.n == 2 else int(naxis)
+    per_slab = nr * ntheta * (max(8, naxis) if ball.n == 4 else 1)
+    for slabs in _blocks(count, per_slab):
+        yield ball_rule(ball, nr, ntheta, naxis, grading, slabs=slabs)
+
+
+def sphere_blocks(ball, nang=256, npolar=128):
+    """The sphere rule as a fixed sequence of node blocks; a circle is one row."""
+    count = 1 if ball.n == 2 else int(npolar)
+    per_row = nang * (max(16, nang // 4) if ball.n == 4 else 1)
+    for rows in _blocks(count, per_row):
+        yield sphere_rule(ball, nang, npolar, rows=rows)
+
+
+def _sum_blocks(blocks, integrand):
+    """Sum of the block integrals of integrand(points) -> (N,), in block order."""
+    total = None
+    for rule in blocks:
+        part = rule.integrate_values(integrand(rule.points))
+        total = part if total is None else total + part
+    return total
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,15 @@ class QuadratureSpec:
 
     def sphere(self, ball):
         return sphere_rule(ball, nang=self.nsphere, npolar=self.npolar)
+
+    def integrate_ball(self, ball, integrand):
+        """Integral of integrand(points) -> (N,) over the ball, block by block."""
+        return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, self.grading),
+                           integrand)
+
+    def integrate_sphere(self, ball, integrand):
+        """Integral of integrand(points) -> (N,) over the boundary sphere, block by block."""
+        return _sum_blocks(sphere_blocks(ball, self.nsphere, self.npolar), integrand)
 
 
 def loglog_slope(x, y):

@@ -268,12 +268,6 @@ def project_L(w, rho, c0, alpha, nr=32, ntheta=128, ny=16, cond_max=1e12):
     return SpectralProjection(rho, coef, psi, rem, nw, npsi, nrem)
 
 
-def cover_norm_sq(w, rho, nr=32, ntheta=128, ny=16):
-    r, th, y, wt = cover_ball_rule(rho, w.n, nr=nr, ntheta=ntheta, ny=ny)
-    Wv = _eval_cover(w, r, th, y)
-    return float(np.sum(wt * np.sum(Wv * Wv, axis=1)))
-
-
 def radial_deviation_integral(w, alpha, rho, inner=0.0, nr=32, ntheta=128, ny=16,
                               fd_eps=1e-4):
     """int over the cover ball (annulus) of R^(2-n) |d/dR (w/R^alpha)|^2.

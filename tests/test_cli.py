@@ -180,6 +180,34 @@ def test_malformed_stages_exit_config(tmp_path, capsys, stages):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"radii": [0.5, -1]}, "radii"),
+    ({"radii": [0, 0.5]}, "radii"),
+    ({"radii": []}, "radii"),
+    ({"radii": "x"}, "radii"),
+    ({"radii": [0.5, float("nan")]}, "radii"),
+    ({"radii": [0.5, float("inf")]}, "radii"),
+    ({"radii": [True, 0.5]}, "radii"),
+    ({"radii": [[0.5]]}, "radii"),
+    ({"quadrature": {"nr": 0}}, "quadrature.nr"),
+    ({"quadrature": {"naxis": 2.5}}, "quadrature.naxis"),
+    ({"quadrature": {"nsphere": "64"}}, "quadrature.nsphere"),
+    ({"quadrature": {"npolar": -4}}, "quadrature.npolar"),
+    ({"quadrature": {"ntheta": True}}, "quadrature.ntheta"),
+    ({"quadrature": {"nr": 8, "nrr": 8}}, "quadrature.nrr"),
+    ({"quadrature": [32, 64]}, "quadrature"),
+])
+def test_malformed_radii_and_quadrature_exit_config(tmp_path, capsys, params, key):
+    cfg = freq_config("out")
+    cfg["params"].update(params)
+    path = write_config(tmp_path, cfg)
+    for verb in ("validate", "run"):
+        assert cli.main([verb, path]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["key"] == key
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_env(monkeypatch):
     monkeypatch.setenv("BRANCHLAB_THREADS", "4")
     assert cli.thread_count() == 4

@@ -297,3 +297,27 @@ def test_frequency_profile_csv(tmp_path, phi_half, spec_fast):
     text = path.read_text().splitlines()
     assert text[0] == "rho,D,H,N,dN_drho"
     assert len(text) == 4
+
+
+def test_frequency_n4_model_profile_blocked():
+    # n = 4 rules here span several node blocks, so D and H are summed block
+    # by block; N stays 1/2 up to the quadrature error of this small spec
+    spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
+    radii = np.array([0.25, 0.5, 1.0])
+    prof = frequency_profile(u, np.zeros(4), radii, spec)
+    assert np.max(np.abs(prof.N - 0.5)) < 2e-4
+    assert np.ptp(prof.N) < 1e-12
+    again = frequency_profile(u, np.zeros(4), radii, spec)
+    for a, b in ((prof.D, again.D), (prof.H, again.H), (prof.N, again.N)):
+        assert np.array_equal(a, b)
+    # the block sums agree with one reduction over the whole rule
+    ball = unit_ball(4)
+    rule = spec.ball(ball)
+    ds = u.symmetric_gradient(rule.points)
+    assert prof.D[2] == pytest.approx(
+        rule.integrate_values(2.0 * np.sum(ds * ds, axis=(1, 2))), rel=1e-13)
+    srule = spec.sphere(ball)
+    s = u.symmetric_values(srule.points)
+    assert prof.H[2] == pytest.approx(
+        srule.integrate_values(2.0 * np.sum(s * s, axis=1)), rel=1e-13)
