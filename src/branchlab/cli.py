@@ -97,9 +97,15 @@ class ExperimentConfig:
         theta = params.get("theta")
         if theta is not None and not (0 < theta < 0.25):
             raise ConfigError("theta must lie in (0, 1/4)", key="theta")
+        expect = params.get("expect_constant")
+        if expect is not None and not (_is_finite(expect) and expect != 0):
+            raise ConfigError("expect_constant must be nonzero and finite", key="expect_constant")
         fspec = raw["field"]
         if not isinstance(fspec, dict) or "type" not in fspec:
             raise ConfigError("field spec needs a type", key="field")
+        center = params.get("center")
+        if center is not None and not _is_point(center, fspec):
+            raise ConfigError("center must list one finite number per coordinate", key="center")
         if fspec["type"] == "sampled":
             path = fspec.get("path")
             if not path:
@@ -133,10 +139,22 @@ def _is_level_list(levels):
                     and all(type(v) is int and v > 0 for v in lv) for lv in levels))
 
 
+def _is_finite(x):
+    """A finite int or float (bools excluded)."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _is_radius_list(radii):
-    """A non-empty list of positive finite numbers (bools excluded)."""
+    """A non-empty list of positive finite numbers."""
     return (isinstance(radii, list) and len(radii) > 0
-            and all(type(r) in (int, float) and math.isfinite(r) and r > 0 for r in radii))
+            and all(_is_finite(r) and r > 0 for r in radii))
+
+
+def _is_point(center, fspec):
+    """A non-empty list of finite numbers, n of them for a field that declares n."""
+    return (isinstance(center, list) and len(center) > 0 and all(map(_is_finite, center))
+            and (fspec["type"] not in ("power_sum", "branch_polynomial")
+                 or len(center) == fspec.get("n", 2)))
 
 
 def _has_perturbations(fspec):

@@ -38,6 +38,7 @@ class Field:
     m = None
     domain = None
     average = None  # optional single-valued part h, with value(X) and gradient(X)
+    planar = False  # True when values and gradients depend on (x1, x2) alone
 
     def average_values(self, X):
         X, _ = _as_points(X, self.n)
@@ -133,6 +134,7 @@ class CylindricalModeField(Field):
             raise ValueError("mixed angular parities give an ill-defined unordered pair")
         self.parity = parities.pop()
         self.average = average
+        self.planar = average is None and all(md.ylin is None for md in self.modes)
         self.domain = domain if domain is not None else unit_ball(self.n)
 
     @classmethod
@@ -188,9 +190,10 @@ class CylindricalModeField(Field):
                 ang = cf[:, None] * md.a + sf[:, None] * md.b
                 dang = md.freq * (-sf[:, None] * md.a + cf[:, None] * md.b)
                 yf = self._yfactor(md, y)
-                yf = yf[:, None] if np.ndim(yf) == 1 else np.full((N, 1), yf)
-                ds_dr = md.beta * r[:, None] ** (md.beta - 1.0) * ang * yf
-                ds_dt_over_r = r[:, None] ** (md.beta - 1.0) * dang * yf
+                yf = yf[:, None] if np.ndim(yf) == 1 else yf
+                rad1 = r[:, None] ** (md.beta - 1.0)
+                ds_dr = md.beta * rad1 * ang * yf
+                ds_dt_over_r = rad1 * dang * yf
                 out[:, :, 0] += ct[:, None] * ds_dr - st[:, None] * ds_dt_over_r
                 out[:, :, 1] += st[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
                 if self.n > 2 and md.ylin is not None:
@@ -252,6 +255,7 @@ class BranchPolynomialField(Field):
         if qfun is not None and self.n < 3:
             raise DimensionMismatchError("y-dependent shift needs n >= 3")
         self.average = average
+        self.planar = qfun is None and average is None
         self.domain = domain if domain is not None else unit_ball(self.n)
 
     def _P(self, z, y):
@@ -416,6 +420,7 @@ class RescaledField(Field):
         self.scale = float(scale)
         self.n = base.n
         self.m = base.m
+        self.planar = base.planar
         self.domain = unit_ball(self.n)
 
     def _map(self, X):
@@ -453,7 +458,7 @@ def norm_sq(field, ball, spec=None):
         a1, a2 = field.pair_values(X)
         return np.sum(a1 * a1, axis=-1) + np.sum(a2 * a2, axis=-1)
 
-    return spec.integrate_ball(ball, integrand)
+    return spec.integrate_ball(ball, integrand, planar=field.planar)
 
 
 def rescale(field, Y, rho, spec=None, exact=True):
@@ -488,7 +493,7 @@ def l2_distance_sq(u, v, ball, spec=None):
             return metric_sq_symmetric(u.symmetric_values(X), v.symmetric_values(X))
         return metric_sq_arrays(*u.pair_values(X), *v.pair_values(X))
 
-    return spec.integrate_ball(ball, integrand)
+    return spec.integrate_ball(ball, integrand, planar=u.planar and v.planar)
 
 
 # ---------------------------------------------------------------------------

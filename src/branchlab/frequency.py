@@ -25,20 +25,27 @@ def _pair_sq(vals_h, vals_s):
 
 def _grad_sq(u, X, axes=slice(None)):
     """|Du|^2 summed over the two selections, over the gradient components axes."""
-    dh = u.average_gradient(X)[:, :, axes]
     ds = u.symmetric_gradient(X)[:, :, axes]
+    if u.is_symmetric:
+        return 2.0 * np.sum(ds * ds, axis=(1, 2))
+    dh = u.average_gradient(X)[:, :, axes]
     return 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
 
 
 def energy_integral(u, ball, spec):
     """int_{ball} |Du|^2."""
-    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X))
+    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X), planar=u.planar)
 
 
 def height_integral(u, ball, spec):
     """int over the boundary sphere of |u|^2."""
-    return spec.integrate_sphere(
-        ball, lambda X: _pair_sq(u.average_values(X), u.symmetric_values(X)))
+    def integrand(X):
+        s = u.symmetric_values(X)
+        if u.is_symmetric:
+            return 2.0 * np.sum(s * s, axis=-1)
+        return _pair_sq(u.average_values(X), s)
+
+    return spec.integrate_sphere(ball, integrand, planar=u.planar)
 
 
 @dataclass
@@ -340,7 +347,7 @@ def axis_energy_integral(u, ball, spec=None):
     spec = spec or QuadratureSpec()
     if u.n <= 2:
         return 0.0
-    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X, slice(2, None)))
+    return spec.integrate_ball(ball, lambda X: _grad_sq(u, X, slice(2, None)), planar=u.planar)
 
 
 @dataclass

@@ -120,12 +120,22 @@ def disk_rule(center, radius, nr=48, ntheta=96, grading=2.0):
     return Rule(pts, w)
 
 
-def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None)):
+def _axis_angles(n, planar, full):
+    """Nodes of the n = 4 axis angle (phi of a ball slab, chi of a sphere row).
+
+    One midpoint node of weight 2 pi is exact for a planar integrand, one of
+    (x1, x2) alone; below n = 4 the rules have no such angle.
+    """
+    return full if n == 4 and not planar else 1
+
+
+def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), planar=False):
     """Rule for a ball in R^n; axis variables handled by slabs of graded disks.
 
     slabs selects a run of the axis slabs (all by default; ignored for the
     disk, which is one slab); the nodes of each slab come out in the same
-    order whichever run they are built in.
+    order whichever run they are built in.  planar=True collapses the n = 4
+    axis angle, for integrands of (x1, x2) alone.
     """
     n = ball.n
     c = ball.center_array
@@ -148,7 +158,7 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None)):
         sy, wsy = gauss_legendre_01(int(naxis))
         y = rho * sy[slabs]
         wy = rho * wsy[slabs]
-        nphi = max(8, naxis)
+        nphi = _axis_angles(n, planar, max(8, naxis))
         phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
         axis = np.stack([c[2] + y[:, None] * np.cos(phi), c[3] + y[:, None] * np.sin(phi)],
                         axis=-1)  # (slab, phi, n - 2)
@@ -172,11 +182,11 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None)):
     return Rule(pts.reshape(-1, n), w.reshape(-1))
 
 
-def sphere_rule(ball, nang=256, npolar=128, rows=slice(None)):
+def sphere_rule(ball, nang=256, npolar=128, rows=slice(None), planar=False):
     """Rule for the boundary sphere of a ball in R^n.
 
-    rows selects a run of the polar rows (all by default; ignored for the
-    circle, which is one row), as slabs do for ball_rule.
+    rows selects a run of the polar rows (a circle is one row) and planar
+    collapses the n = 4 axis angle, as slabs and planar do for ball_rule.
     """
     n = ball.n
     c = ball.center_array
@@ -205,7 +215,7 @@ def sphere_rule(ball, nang=256, npolar=128, rows=slice(None)):
     # measure sin(psi) cos(psi) dpsi = -dtau/4 under tau = cos(2 psi)
     sinp = np.sqrt((1.0 - t) / 2.0)[:, None, None]
     cosp = np.sqrt((1.0 + t) / 2.0)[:, None, None]
-    nchi = max(16, nang // 4)
+    nchi = _axis_angles(n, planar, max(16, nang // 4))
     chi = (np.arange(nchi) + 0.5) * (2.0 * np.pi / nchi)
     wch = 2.0 * np.pi / nchi
     pts = np.empty((t.shape[0], nang, nchi, 4))
@@ -223,20 +233,20 @@ def _blocks(count, per_slab):
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def ball_blocks(ball, nr=48, ntheta=96, naxis=24, grading=2.0):
+def ball_blocks(ball, nr=48, ntheta=96, naxis=24, grading=2.0, planar=False):
     """The ball rule as a fixed sequence of node blocks; a disk is one slab."""
     count = 1 if ball.n == 2 else int(naxis)
-    per_slab = nr * ntheta * (max(8, naxis) if ball.n == 4 else 1)
+    per_slab = nr * ntheta * _axis_angles(ball.n, planar, max(8, naxis))
     for slabs in _blocks(count, per_slab):
-        yield ball_rule(ball, nr, ntheta, naxis, grading, slabs=slabs)
+        yield ball_rule(ball, nr, ntheta, naxis, grading, slabs=slabs, planar=planar)
 
 
-def sphere_blocks(ball, nang=256, npolar=128):
+def sphere_blocks(ball, nang=256, npolar=128, planar=False):
     """The sphere rule as a fixed sequence of node blocks; a circle is one row."""
     count = 1 if ball.n == 2 else int(npolar)
-    per_row = nang * (max(16, nang // 4) if ball.n == 4 else 1)
+    per_row = nang * _axis_angles(ball.n, planar, max(16, nang // 4))
     for rows in _blocks(count, per_row):
-        yield sphere_rule(ball, nang, npolar, rows=rows)
+        yield sphere_rule(ball, nang, npolar, rows=rows, planar=planar)
 
 
 def _sum_blocks(blocks, integrand):
@@ -278,14 +288,14 @@ class QuadratureSpec:
     def sphere(self, ball):
         return sphere_rule(ball, nang=self.nsphere, npolar=self.npolar)
 
-    def integrate_ball(self, ball, integrand):
+    def integrate_ball(self, ball, integrand, planar=False):
         """Integral of integrand(points) -> (N,) over the ball, block by block."""
-        return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, self.grading),
-                           integrand)
+        return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, self.grading,
+                                       planar), integrand)
 
-    def integrate_sphere(self, ball, integrand):
+    def integrate_sphere(self, ball, integrand, planar=False):
         """Integral of integrand(points) -> (N,) over the boundary sphere, block by block."""
-        return _sum_blocks(sphere_blocks(ball, self.nsphere, self.npolar), integrand)
+        return _sum_blocks(sphere_blocks(ball, self.nsphere, self.npolar, planar), integrand)
 
 
 def loglog_slope(x, y):

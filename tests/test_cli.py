@@ -196,6 +196,18 @@ def test_malformed_stages_exit_config(tmp_path, capsys, stages):
     ({"quadrature": {"ntheta": True}}, "quadrature.ntheta"),
     ({"quadrature": {"nr": 8, "nrr": 8}}, "quadrature.nrr"),
     ({"quadrature": [32, 64]}, "quadrature"),
+    ({"center": [0.0, 0.0, 0.0]}, "center"),
+    ({"center": [0.0]}, "center"),
+    ({"center": []}, "center"),
+    ({"center": "x"}, "center"),
+    ({"center": [0.0, float("nan")]}, "center"),
+    ({"center": [True, 0.0]}, "center"),
+    ({"expect_constant": "x"}, "expect_constant"),
+    ({"expect_constant": 0}, "expect_constant"),
+    ({"expect_constant": 0.0}, "expect_constant"),
+    ({"expect_constant": float("inf")}, "expect_constant"),
+    ({"expect_constant": True}, "expect_constant"),
+    ({"expect_constant": [0.5]}, "expect_constant"),
 ])
 def test_malformed_radii_and_quadrature_exit_config(tmp_path, capsys, params, key):
     cfg = freq_config("out")
@@ -206,6 +218,24 @@ def test_malformed_radii_and_quadrature_exit_config(tmp_path, capsys, params, ke
         err = json.loads(capsys.readouterr().err.strip())
         assert err["key"] == key
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, center, code", [
+    (2, [0.1, -0.2], cli.EXIT_OK),
+    (3, [0, 0, 0.5], cli.EXIT_OK),
+    (3, [0.0, 0.0], cli.EXIT_CONFIG),
+    (3, [0.0, 0.0, 0.0, 0.0], cli.EXIT_CONFIG),
+])
+def test_center_checked_against_field_dimension(tmp_path, capsys, n, center, code):
+    cfg = freq_config("out")
+    cfg["field"]["n"] = n
+    cfg["params"]["center"] = center
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == code
+    if code == cli.EXIT_CONFIG:
+        assert json.loads(capsys.readouterr().err.strip())["key"] == "center"
+        assert cli.main(["run", path]) == code
+        assert not (tmp_path / "out").exists()
 
 
 def test_threads_env(monkeypatch):

@@ -10,11 +10,11 @@ from branchlab.errors import (DegenerateRescaleError, PairingError,
                               SingularEvaluationError)
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid, Polynomial,
-                              SampledField, graded_radii,
+                              RescaledField, SampledField, graded_radii,
                               harmonic_polynomial_basis, l2_distance_sq,
                               norm_sq, propagate_signs, rescale, sample)
-from branchlab.pairspace import UnorderedPair
-from branchlab.quadrature import QuadratureSpec, unit_ball
+from branchlab.pairspace import UnorderedPair, metric_sq_symmetric
+from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
 
@@ -106,6 +106,113 @@ def test_cylindrical_invariance(x1, x2, y):
     assert np.allclose(a, b, atol=1e-14)
 
 
+def _symmetric_gradient_reference(u, X):
+    """CylindricalModeField.symmetric_gradient as written with two powers per mode."""
+    r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+    y = X[:, 2:] if u.n > 2 else None
+    N = X.shape[0]
+    out = np.zeros((N, u.m, u.n))
+    ct, st_ = np.cos(theta), np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for md in u.modes:
+            cf = np.cos(md.freq * theta)
+            sf = np.sin(md.freq * theta)
+            ang = cf[:, None] * md.a + sf[:, None] * md.b
+            dang = md.freq * (-sf[:, None] * md.a + cf[:, None] * md.b)
+            yf = u._yfactor(md, y)
+            yf = yf[:, None] if np.ndim(yf) == 1 else np.full((N, 1), yf)
+            ds_dr = md.beta * r[:, None] ** (md.beta - 1.0) * ang * yf
+            ds_dt_over_r = r[:, None] ** (md.beta - 1.0) * dang * yf
+            out[:, :, 0] += ct[:, None] * ds_dr - st_[:, None] * ds_dt_over_r
+            out[:, :, 1] += st_[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
+            if u.n > 2 and md.ylin is not None:
+                rad = (r ** md.beta)[:, None]
+                out[:, :, 2:] += rad[:, :, None] * ang[:, :, None] * md.ylin[None, None, :]
+    return out
+
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _mode_fields(draw, dims=(2, 3, 4)):
+    """Mode fields of one angular parity; at n >= 3 each mode may carry ylin."""
+    n = draw(st.sampled_from(dims))
+    m = draw(st.integers(1, 3))
+    half = draw(st.sampled_from([0.0, 0.5]))
+    modes = []
+    for _ in range(draw(st.integers(1, 3))):
+        ylin = None
+        if n > 2 and draw(st.booleans()):
+            ylin = draw(st.lists(_coef, min_size=n - 2, max_size=n - 2))
+        modes.append(CylindricalMode(draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.5])),
+                                     draw(st.integers(0, 4)) + half,
+                                     draw(st.lists(_coef, min_size=m, max_size=m)),
+                                     draw(st.lists(_coef, min_size=m, max_size=m)),
+                                     draw(_coef), ylin))
+    return CylindricalModeField(modes, n=n)
+
+
+def _points(draw, n):
+    rows = draw(st.integers(1, 6))
+    X = draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0)))
+    return np.vstack([X, np.zeros((1, n))])  # the origin, where r^(beta - 1) blows up
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_symmetric_gradient_matches_reference(data):
+    u = data.draw(_mode_fields())
+    X = _points(data.draw, u.n)
+    np.testing.assert_array_equal(u.symmetric_gradient(X), _symmetric_gradient_reference(u, X))
+
+
+@st.composite
+def _fields_with_planarity(draw):
+    """(field, whether it depends on (x1, x2) alone) for every kind that sets planar."""
+    kind = draw(st.sampled_from(["modes", "modes_average", "poly", "poly_qfun",
+                                 "poly_average"]))
+    if kind.startswith("modes"):
+        u = draw(_mode_fields(dims=(3, 4)))
+        n, m, planar = u.n, u.m, all(md.ylin is None for md in u.modes)
+    else:
+        n, m, planar = draw(st.sampled_from([3, 4])), 2, True
+        coeffs = draw(st.lists(_coef, min_size=2, max_size=4))
+        qfun = qgrad = None
+        if kind == "poly_qfun":
+            qfun = lambda y: 0.3 * y[:, 0] ** 2  # noqa: E731
+            qgrad = lambda y: np.column_stack([0.6 * y[:, 0], np.zeros((len(y), n - 3))])  # noqa: E731
+    if kind.endswith("average"):
+        # a single-valued part that varies along x3
+        average, planar = Polynomial([(0, 0, 1) + (0,) * (n - 3)], [np.ones(m)], n), False
+    else:
+        average = None
+    if kind.startswith("modes"):
+        u = CylindricalModeField(u.modes, n=n, average=average)
+    else:
+        u = BranchPolynomialField(coeffs, n=n, qfun=qfun, qgrad=qgrad, average=average)
+        planar = planar and qfun is None
+    if draw(st.booleans()):
+        Y = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+        u = RescaledField(u, Y, draw(st.floats(0.1, 2.0)), draw(st.floats(0.5, 3.0)))
+    return u, planar
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_planar_fields_ignore_axis_variables(data):
+    u, planar = data.draw(_fields_with_planarity())
+    assert u.planar is planar
+    X = _points(data.draw, u.n)
+    X2 = X.copy()
+    X2[:, 2:] = data.draw(arrays(np.float64, (X.shape[0], u.n - 2),
+                                 elements=st.floats(-1.0, 1.0)))
+    if planar:
+        for fn in (u.symmetric_values, u.symmetric_gradient, u.average_values,
+                   u.average_gradient):
+            np.testing.assert_array_equal(fn(X), fn(X2))
+
+
 # -- rescaling ----------------------------------------------------------------
 
 def test_rescale_unit_norm(spec_fast):
@@ -164,6 +271,25 @@ def test_l2_distance_to_zero_is_norm(spec_fast):
     zero = CylindricalModeField([CylindricalMode(1.5, 1.5, [0.0, 0.0], [0.0, 0.0])], n=2)
     d = l2_distance_sq(u, zero, unit_ball(2), spec_fast)
     assert d == pytest.approx(norm_sq(u, unit_ball(2), spec_fast), rel=1e-13)
+
+
+def test_n4_norm_and_distance_collapse_only_planar_integrands():
+    # the n = 4 axis angle is collapsed only when every field in the
+    # integrand is planar; each result matches the full rule either way
+    spec = QuadratureSpec(nr=12, ntheta=24, naxis=6, nsphere=32, npolar=16)
+    ball = Ball((0.1, -0.05, 0.2, 0.0), 0.5)
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
+    w = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 3)], n=4)
+    v = CylindricalModeField([CylindricalMode(0.5, 0.5, C_NULL.real, -C_NULL.imag, 1.0,
+                                              [0.3, -0.2])], n=4)
+    rule = spec.ball(ball)
+    for a in (u, v):
+        full = rule.integrate(lambda X: 2.0 * np.sum(a.symmetric_values(X) ** 2, axis=1))
+        assert norm_sq(a, ball, spec) == pytest.approx(full, rel=1e-13)
+    for a, b in ((u, w), (u, v), (v, u)):
+        full = rule.integrate(
+            lambda X: metric_sq_symmetric(a.symmetric_values(X), b.symmetric_values(X)))
+        assert l2_distance_sq(a, b, ball, spec) == pytest.approx(full, rel=1e-13)
 
 
 def test_quadrature_convergence_order():

@@ -10,7 +10,8 @@ from branchlab.frequency import (axis_energy_integral, check_monotonicity,
                                  radial_frequency_deviation,
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
-from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
+from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, sphere_blocks,
+                                  unit_ball)
 
 from conftest import C_NULL, power_sum_DH
 
@@ -300,24 +301,34 @@ def test_frequency_profile_csv(tmp_path, phi_half, spec_fast):
 
 
 def test_frequency_n4_model_profile_blocked():
-    # n = 4 rules here span several node blocks, so D and H are summed block
-    # by block; N stays 1/2 up to the quadrature error of this small spec
+    # an axis-invariant (planar) model profile runs on collapsed rules of one
+    # block each; a mode that varies along x3, x4 keeps the full rules, which
+    # span two blocks here, so its D and H are summed block by block
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
-    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
-    radii = np.array([0.25, 0.5, 1.0])
-    prof = frequency_profile(u, np.zeros(4), radii, spec)
-    assert np.max(np.abs(prof.N - 0.5)) < 2e-4
-    assert np.ptp(prof.N) < 1e-12
-    again = frequency_profile(u, np.zeros(4), radii, spec)
-    for a, b in ((prof.D, again.D), (prof.H, again.H), (prof.N, again.N)):
-        assert np.array_equal(a, b)
-    # the block sums agree with one reduction over the whole rule
     ball = unit_ball(4)
-    rule = spec.ball(ball)
-    ds = u.symmetric_gradient(rule.points)
-    assert prof.D[2] == pytest.approx(
-        rule.integrate_values(2.0 * np.sum(ds * ds, axis=(1, 2))), rel=1e-13)
-    srule = spec.sphere(ball)
-    s = u.symmetric_values(srule.points)
-    assert prof.H[2] == pytest.approx(
-        srule.integrate_values(2.0 * np.sum(s * s, axis=1)), rel=1e-13)
+    radii = np.array([0.25, 0.5, 1.0])
+    ylin = CylindricalMode(0.5, 0.5, C_NULL.real, -C_NULL.imag, 1.0, [0.3, -0.2])
+    for u, nblocks in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 1),
+                       (CylindricalModeField([ylin], n=4), 2)):
+        assert u.planar == (nblocks == 1)
+        assert len(list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis,
+                                    planar=u.planar))) == nblocks
+        assert len(list(sphere_blocks(ball, spec.nsphere, spec.npolar,
+                                      planar=u.planar))) == nblocks
+        prof = frequency_profile(u, np.zeros(4), radii, spec)
+        if u.planar:
+            # N stays 1/2 up to the quadrature error of this small spec
+            assert np.max(np.abs(prof.N - 0.5)) < 2e-4
+            assert np.ptp(prof.N) < 1e-12
+        again = frequency_profile(u, np.zeros(4), radii, spec)
+        for a, b in ((prof.D, again.D), (prof.H, again.H), (prof.N, again.N)):
+            assert np.array_equal(a, b)
+        # the sums agree with one reduction over the whole, uncollapsed rule
+        rule = spec.ball(ball)
+        ds = u.symmetric_gradient(rule.points)
+        assert prof.D[2] == pytest.approx(
+            rule.integrate_values(2.0 * np.sum(ds * ds, axis=(1, 2))), rel=1e-13)
+        srule = spec.sphere(ball)
+        s = u.symmetric_values(srule.points)
+        assert prof.H[2] == pytest.approx(
+            srule.integrate_values(2.0 * np.sum(s * s, axis=1)), rel=1e-13)

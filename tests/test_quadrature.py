@@ -251,3 +251,64 @@ def test_blocked_integrals_match_whole_rule(ball):
              spec.integrate_sphere(ball, f))):
         assert len(list(blocks)) > 1
         assert integral == pytest.approx(rule.integrate(f), rel=1e-13)
+
+
+@pytest.mark.parametrize("ball", BALLS[4:], ids=lambda b: f"n{b.n}-{b.center}")
+@pytest.mark.parametrize("spec", BALL_SPECS[1:], ids=["small", "wide"])
+def test_planar_rules_exact_for_planar_integrands(ball, spec):
+    # one axis angle integrates a function of (x1, x2) alone exactly, so the
+    # collapsed rules agree with the full rules up to rounding
+    c = ball.center_array
+
+    def f(X):
+        return np.exp(X[:, 0]) * (1.0 + X[:, 1] ** 2) + np.hypot(X[:, 0] - c[0],
+                                                                X[:, 1] - c[1]) ** 0.5
+
+    assert spec.integrate_ball(ball, f, planar=True) == pytest.approx(
+        spec.ball(ball).integrate(f), rel=1e-14)
+    assert spec.integrate_sphere(ball, f, planar=True) == pytest.approx(
+        spec.sphere(ball).integrate(f), rel=1e-14)
+
+
+@pytest.mark.parametrize("ball", BALLS[4:], ids=lambda b: f"n{b.n}-{b.center}")
+@pytest.mark.parametrize("spec", BALL_SPECS, ids=["tiny", "small", "wide"])
+def test_planar_blocks_are_whole_slabs_within_budget(ball, spec):
+    cases = [(ball_rule(ball, spec.nr, spec.ntheta, spec.naxis, planar=True),
+              list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=True)),
+              spec.nr * spec.ntheta),
+             (sphere_rule(ball, spec.nsphere, spec.npolar, planar=True),
+              list(sphere_blocks(ball, spec.nsphere, spec.npolar, planar=True)),
+              spec.nsphere)]
+    for whole, blocks, per_slab in cases:
+        assert np.array_equal(np.concatenate([b.points for b in blocks]), whole.points)
+        assert np.array_equal(np.concatenate([b.weights for b in blocks]), whole.weights)
+        for block in blocks:
+            assert block.size % per_slab == 0
+            assert block.size <= BLOCK_NODES or block.size == per_slab
+
+
+def test_default_n4_planar_rules_are_one_block():
+    ball = unit_ball(4)
+    assert [b.size for b in ball_blocks(ball, planar=True)] == [110_592]
+    assert [b.size for b in sphere_blocks(ball, planar=True)] == [32_768]
+    # the whole rules of a spec never collapse
+    assert QuadratureSpec().ball(ball).size == 2_654_208
+
+
+@pytest.mark.parametrize("ball", BALLS[:4], ids=lambda b: f"n{b.n}-{b.center}")
+@pytest.mark.parametrize("spec", BALL_SPECS, ids=["tiny", "small", "wide"])
+def test_planar_ignored_below_n4(ball, spec):
+    for full, planar in (
+            ((ball_rule(ball, spec.nr, spec.ntheta, spec.naxis),),
+             (ball_rule(ball, spec.nr, spec.ntheta, spec.naxis, planar=True),)),
+            ((sphere_rule(ball, spec.nsphere, spec.npolar),),
+             (sphere_rule(ball, spec.nsphere, spec.npolar, planar=True),)),
+            (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis),
+             ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=True)),
+            (sphere_blocks(ball, spec.nsphere, spec.npolar),
+             sphere_blocks(ball, spec.nsphere, spec.npolar, planar=True))):
+        full, planar = list(full), list(planar)
+        assert len(full) == len(planar)
+        for a, b in zip(full, planar):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.weights, b.weights)
