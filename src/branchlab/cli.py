@@ -95,7 +95,7 @@ class ExperimentConfig:
                 raise ConfigError(f"quadrature.{name} must be one of {QUADRATURE_COUNTS} "
                                   "with a positive integer count", key=f"quadrature.{name}")
         theta = params.get("theta")
-        if theta is not None and not (0 < theta < 0.25):
+        if theta is not None and not (_is_finite(theta) and 0 < theta < 0.25):
             raise ConfigError("theta must lie in (0, 1/4)", key="theta")
         expect = params.get("expect_constant")
         if expect is not None and not (_is_finite(expect) and expect != 0):
@@ -103,9 +103,17 @@ class ExperimentConfig:
         fspec = raw["field"]
         if not isinstance(fspec, dict) or "type" not in fspec:
             raise ConfigError("field spec needs a type", key="field")
+        n = fspec.get("n", 2)
+        if not (type(n) is int and n >= 2):
+            raise ConfigError("field.n must be an integer >= 2", key="field.n")
         center = params.get("center")
         if center is not None and not _is_point(center, fspec):
             raise ConfigError("center must list one finite number per coordinate", key="center")
+        centers = params.get("centers")
+        if centers is not None and not (isinstance(centers, list) and len(centers) > 0
+                                        and all(_is_point(c, fspec) for c in centers)):
+            raise ConfigError("centers must be a non-empty list of points, each one finite "
+                              "number per coordinate", key="centers")
         if fspec["type"] == "sampled":
             path = fspec.get("path")
             if not path:

@@ -6,17 +6,19 @@ the unknown layout by giving the theta-wraparound edge a -1 coupling, so the
 stored rectangle [0, 2pi) x [0, R] carries the whole solution.  The discrete
 energy is the quadratic form of conservative finite-difference fluxes on the
 polar grid (radial grading r_i ~ (i/N)^2 to resolve the r^(alpha-1) gradient
-near the branch point), and the minimizer is the CG solution of its normal
-equations.
+near the branch point), and the minimizer solves its normal equations.
 
+A branch point at the center keeps the operator separable, so it solves
+directly: Fourier modes in theta, then one tridiagonal radial solve per mode.
 Off-center and two-point branch configurations are handled by cut-based
-sign bookkeeping: edges crossing the cut arcs couple with a -1 sign.
+sign bookkeeping (edges crossing the cut arcs couple with a -1 sign) and
+solve by Jacobi-preconditioned CG.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import cg
 
 from .errors import BoundaryLiftError, SolverError
@@ -25,6 +27,7 @@ from .frequency import FrequencyProfile
 from .quadrature import Ball
 
 CG_RTOL = 1e-10
+SEPARABLE_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,23 @@ def _crossing_signs(p, q, cuts):
     return signs
 
 
+def _ring_weights(rs, M):
+    """Edge weights of the polar cover grid, which depend only on the ring.
+
+    g_c weighs each center spoke (center -> ring 0), g_r[i] each radial edge
+    ring i -> ring i+1, and g_a[i] each angular edge within ring i, weighted
+    by the ring's radial band.
+    """
+    dth = 2.0 * np.pi / M
+    g_c = dth * (rs[0] / 2.0) / rs[0]
+    r_mid = 0.5 * (rs[:-1] + rs[1:])
+    g_r = dth * r_mid / (rs[1:] - rs[:-1])
+    lower = np.concatenate([[rs[0] / 2.0], r_mid])
+    upper = np.concatenate([r_mid, [rs[-1]]])
+    g_a = (upper - lower) / (rs * dth)
+    return g_c, g_r, g_a
+
+
 def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     """Edges (a, b, g, sigma) of the polar cover grid, as arrays.
 
@@ -227,26 +247,17 @@ def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     edges, each ring by ring.
     """
     NR = rs.shape[0]
-    dth = 2.0 * np.pi / M
     n_ring_unknowns = (NR - 1) * M
     ids = np.arange(NR * M).reshape(NR, M)
     ids[-1] = -1 - np.arange(M)
     jn = (np.arange(M) + 1) % M
+    g_c, g_r, g_a = _ring_weights(rs, M)
 
-    # radial edges center -> ring 0
-    g_c = dth * (rs[0] / 2.0) / rs[0]
     if center_mode == "unknown":
         a_c, b_c, s_c = np.full(M, n_ring_unknowns), ids[0], np.ones(M)
     else:
         # (v_{0j} - 0)^2: sigma 0 couples to the pinned value 0
         a_c, b_c, s_c = ids[0], np.full(M, -1 - M), np.zeros(M)
-    # radial edges ring i -> ring i+1
-    r_mid = 0.5 * (rs[:-1] + rs[1:])
-    g_r = dth * r_mid / (rs[1:] - rs[:-1])
-    # angular edges within each ring, weighted by the ring's radial band
-    lower = np.concatenate([[rs[0] / 2.0], r_mid])
-    upper = np.concatenate([r_mid, [rs[-1]]])
-    g_a = (upper - lower) / (rs * dth)
     s_a = np.where(jn == 0, float(wrap_sign), 1.0)
 
     a = np.concatenate([a_c, ids[:-1].ravel(), ids.ravel()])
@@ -254,7 +265,7 @@ def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     g = np.concatenate([np.full(M, g_c), np.repeat(g_r, M), np.repeat(g_a, M)])
     sigma = np.concatenate([s_c, np.ones((NR - 1) * M), np.tile(s_a, NR)])
     if cut_segments:
-        thetas = np.arange(M) * dth
+        thetas = np.arange(M) * (2.0 * np.pi / M)
         xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
         p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
         q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
@@ -456,14 +467,85 @@ def _anchor_for_single_point(boundary, point, R, parity):
     return np.array([np.cos(th), np.sin(th)]) * (1.5 * R)
 
 
-def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec(), rtol=CG_RTOL,
-                           maxiter=None):
+def _thomas(off, diag, f):
+    """Solve the symmetric tridiagonal systems T_k x[:, k] = f[:, k] in place.
+
+    diag is (n, K), column k the diagonal of T_k; off (n - 1,) couples row
+    i to row i + 1 in every T_k; f is (n, K) and is overwritten by x.
+    """
+    n = diag.shape[0]
+    if n == 0:
+        return f
+    ratio = np.empty_like(diag)
+    piv = diag[0]
+    f[0] /= piv
+    for i in range(1, n):
+        ratio[i - 1] = off[i - 1] / piv
+        piv = diag[i] - off[i - 1] * ratio[i - 1]
+        f[i] -= off[i - 1] * f[i - 1]
+        f[i] /= piv
+    for i in range(n - 2, -1, -1):
+        f[i] -= ratio[i] * f[i + 1]
+    return f
+
+
+def _solve_separable(rs, M, wrap_sign, center_mode, rhs):
+    """Direct solve of the centred cover system, in _assemble's unknown layout.
+
+    Every ring carries the same angular operator, so Fourier modes in theta
+    diagonalize it: mode k of ring i has the angular eigenvalue
+    2 (1 - cos(2 pi (k + h) / M)) g_a[i], with h = 1/2 after the twist
+    e^{-i pi j / M} that makes anti-periodic data periodic, else h = 0.  Each
+    mode leaves one tridiagonal radial system over the unknown rings.  The
+    'unknown' center couples only to mode 0 of ring 0, through its row
+    M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it; f_c is 0
+    unless ring 0 is the boundary.  Columns solve one at a time, which keeps
+    the complex work arrays small.
+    """
+    g_c, g_r, g_a = _ring_weights(rs, M)
+    nring = rs.shape[0] - 1
+    h = 0.5 if wrap_sign == -1 else 0.0
+    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)
+    lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
+    inner = np.concatenate([[g_c], g_r[:-1]])  # weight towards the center
+    diag = (inner + g_r)[:, None] + g_a[:nring, None] * lam
+    if center_mode == "unknown" and nring:
+        diag[0, 0] -= g_c
+    sol = np.empty(rhs.shape)
+    for k in range(rhs.shape[1]):
+        f = np.fft.fft(twist * rhs[: nring * M, k].reshape(nring, M), axis=1)
+        u = np.fft.ifft(_thomas(-g_r[:-1], diag, f), axis=1)
+        u *= np.conj(twist)
+        sol[: nring * M, k] = u.real.ravel()
+    if center_mode == "unknown":
+        ring0 = sol[: M * min(nring, 1)]  # empty when ring 0 is the boundary
+        sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
+    return sol
+
+
+def _solve_cg(A, rhs):
+    """Jacobi-preconditioned CG, column by column, to relative residual CG_RTOL."""
+    sol = np.zeros(rhs.shape)
+    precond = diags(1.0 / np.maximum(A.diagonal(), 1e-300))
+    for k in range(rhs.shape[1]):
+        x, info = cg(A, rhs[:, k], rtol=CG_RTOL, atol=0.0, M=precond)
+        if info != 0:
+            res = float(np.linalg.norm(A @ x - rhs[:, k])
+                        / max(np.linalg.norm(rhs[:, k]), 1e-300))
+            raise SolverError(f"CG did not converge (info={info})", residual=res)
+        sol[:, k] = x
+    return sol
+
+
+def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     """Discrete energy minimizer on the cover with the prescribed branch set.
 
     boundary is a BoundaryTrace (lifted values on [0, 4pi)); config defaults
-    to a single branch point at the disk center.  Anti-periodic data routes
-    to the twisted polar solve; periodic data with a centered configuration
-    decouples into a single-valued harmonic extension.
+    to a single branch point at the disk center.  Centred configurations
+    solve directly (_solve_separable): anti-periodic data on the twisted
+    polar grid, periodic data as the decoupled single-valued harmonic
+    extension.  A relative residual above SEPARABLE_RTOL raises SolverError.
+    Configurations with cuts solve by Jacobi-CG (_solve_cg).
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -485,24 +567,16 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec(), rtol=CG_
         center_mode = "unknown"
         bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
     A, rhs = _assemble(rs, M, wrap, center_mode, cuts, bvals)
-    n_unknown = A.shape[0]
-    sol = np.zeros((n_unknown, m))
-    diag = A.diagonal()
-    from scipy.sparse import diags
-
-    precond = diags(1.0 / np.maximum(diag, 1e-300))
-    for k in range(m):
-        x, info = cg(A, rhs[:, k], rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
-        res = float(np.linalg.norm(A @ x - rhs[:, k]) / max(np.linalg.norm(rhs[:, k]), 1e-300))
-        if info != 0:
-            raise SolverError(f"CG did not converge (info={info})", residual=res)
-        sol[:, k] = x
+    sol = _solve_cg(A, rhs) if cuts else _solve_separable(rs, M, wrap, center_mode, rhs)
+    res_total = float(np.linalg.norm(A @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    if not cuts and not res_total <= SEPARABLE_RTOL:
+        raise SolverError(f"direct solve residual {res_total:.3e} above {SEPARABLE_RTOL:.0e}",
+                          residual=res_total)
     NR = rs.shape[0]
     values = np.zeros((NR, M, m))
     values[:-1] = sol[: (NR - 1) * M].reshape(NR - 1, M, m)
     values[-1] = bvals
     center_value = sol[-1] if center_mode == "unknown" else np.zeros(m)
-    res_total = float(np.linalg.norm(A @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
     return CoverField(rs, np.arange(M) * (2.0 * np.pi / M), values, wrap, np.zeros(2),
                       center_value, config=config, boundary=boundary,
                       cuts=cuts, center_mode=center_mode,

@@ -208,6 +208,18 @@ def test_malformed_stages_exit_config(tmp_path, capsys, stages):
     ({"expect_constant": float("inf")}, "expect_constant"),
     ({"expect_constant": True}, "expect_constant"),
     ({"expect_constant": [0.5]}, "expect_constant"),
+    ({"theta": "x"}, "theta"),
+    ({"theta": [0.1]}, "theta"),
+    ({"theta": True}, "theta"),
+    ({"theta": float("nan")}, "theta"),
+    ({"theta": 0.25}, "theta"),
+    ({"centers": [[0.0, 0.0, 0.0]]}, "centers"),
+    ({"centers": [[0.0, 0.0], [0.0]]}, "centers"),
+    ({"centers": [0.0, 0.0]}, "centers"),
+    ({"centers": []}, "centers"),
+    ({"centers": "x"}, "centers"),
+    ({"centers": [[0.0, float("inf")]]}, "centers"),
+    ({"centers": [[True, 0.0]]}, "centers"),
 ])
 def test_malformed_radii_and_quadrature_exit_config(tmp_path, capsys, params, key):
     cfg = freq_config("out")
@@ -234,6 +246,36 @@ def test_center_checked_against_field_dimension(tmp_path, capsys, n, center, cod
     assert cli.main(["validate", path]) == code
     if code == cli.EXIT_CONFIG:
         assert json.loads(capsys.readouterr().err.strip())["key"] == "center"
+        assert cli.main(["run", path]) == code
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", ["x", "2", 1, 0, 2.0, 2.5, True, None, [2]])
+def test_malformed_field_dimension_exit_config(tmp_path, capsys, n):
+    cfg = freq_config("out")
+    cfg["field"]["n"] = n
+    path = write_config(tmp_path, cfg)
+    for verb in ("validate", "run"):
+        assert cli.main([verb, path]) == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["key"] == "field.n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, centers, code", [
+    (2, [[0.0, 0.0], [0.1, -0.2]], cli.EXIT_OK),
+    (3, [[0, 0, 0.5]], cli.EXIT_OK),
+    (2, [[0.0, 0.0, 0.0]], cli.EXIT_CONFIG),
+    (3, [[0.0, 0.0, 0.0], [0.0, 0.0]], cli.EXIT_CONFIG),
+])
+def test_centers_checked_against_field_dimension(tmp_path, capsys, n, centers, code):
+    cfg = freq_config("out")
+    cfg["kind"] = "decay"
+    cfg["field"]["n"] = n
+    cfg["params"]["centers"] = centers
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == code
+    if code == cli.EXIT_CONFIG:
+        assert json.loads(capsys.readouterr().err.strip())["key"] == "centers"
         assert cli.main(["run", path]) == code
         assert not (tmp_path / "out").exists()
 

@@ -1,16 +1,19 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, diags
+from scipy.sparse.linalg import cg, spsolve
 
-from branchlab.errors import BoundaryLiftError
+from branchlab.errors import BoundaryLiftError, SolverError
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
                                  CoverGridSpec, _assemble, _cover_edges,
-                                 _deflect_cuts, cover_frequency, energy,
-                                 l2_error_vs_field, local_growth_exponent,
+                                 _deflect_cuts, _solve_separable, cover_frequency,
+                                 energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
 
@@ -470,3 +473,80 @@ def test_crossing_parity_of_grid_loops(case):
     for poly, signs in ((cells, cell_sign), (triangles, tri_sign)):
         odd = _inside_convex(poly, ends).sum(axis=1) % 2 == 1
         assert np.array_equal(signs == -1.0, odd)
+
+
+# ---------------------------------------------------------------------------
+# Direct centred solve against sparse LU and the Jacobi-CG loop
+
+
+def _cg_reference(A, rhs):
+    """Jacobi-preconditioned CG column by column at rtol 1e-10 (the old solver)."""
+    precond = diags(1.0 / np.maximum(A.diagonal(), 1e-300))
+    sol = np.zeros(rhs.shape)
+    for k in range(rhs.shape[1]):
+        sol[:, k], info = cg(A, rhs[:, k], rtol=1e-10, atol=0.0, M=precond)
+        assert info == 0
+    return sol
+
+
+def _periodic_trace():
+    # periodic over 2pi, nonzero mean: the center unknown carries weight
+    th = np.arange(512) * (4.0 * np.pi / 512)
+    return BoundaryTrace(th, 1.0 + 0.3 * np.cos(th) + 0.2 * np.sin(2.0 * th), 1.0)
+
+
+@pytest.mark.parametrize("nr", [1, 2, 3, 17])
+@pytest.mark.parametrize("wrap_sign,center_mode", [(-1, "zero"), (1, "unknown")])
+def test_separable_solve_matches_spsolve(wrap_sign, center_mode, nr):
+    rng = np.random.default_rng(nr)
+    for M in (1, 2, 3, 5, 64):
+        rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
+        for m in (1, 2, 3):
+            A, rhs = _assemble(rs, M, wrap_sign, center_mode, (), rng.standard_normal((M, m)))
+            x = _solve_separable(rs, M, wrap_sign, center_mode, rhs)
+            assert x.shape == rhs.shape
+            if A.shape[0] == 0:
+                continue
+            ref = spsolve(A.tocsc(), rhs).reshape(rhs.shape)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("c, k, M, expected", [
+    (C_NULL, 1, 1, 3.4599025397735828),             # sqrt(z), anti-periodic
+    (np.array([1.0 + 0j]), 2, 2, 8.829664396649912),  # r cos(theta), periodic
+])
+def test_single_ring_grids(c, k, M, expected):
+    # nr = 1 leaves no unknown ring; the energies are the Jacobi-CG ones
+    btr = BoundaryTrace.from_field(CylindricalModeField.power_sum([(c, k)], n=2), 1.0)
+    cov = solve_branched_laplace(btr, grid=CoverGridSpec(nr=1, ntheta=M))
+    assert energy(cov) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("grid", [GRID, CoverGridSpec(nr=128, ntheta=256)],
+                         ids=["48x96", "128x256"])
+def test_separable_energy_matches_cg(grid):
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.05 * C_NULL, 3)], n=2)
+    for btr in (BoundaryTrace.from_field(u, 1.0), _periodic_trace()):
+        cov = solve_branched_laplace(btr, grid=grid)
+        assert cov.solve_residual < 1e-13
+        A, rhs = _assemble(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, (),
+                           cov.values[-1])
+        sol = _cg_reference(A, rhs)
+        n_ring_unknowns = (cov.rs.shape[0] - 1) * grid.ntheta
+        values = cov.values.copy()
+        values[:-1] = sol[:n_ring_unknowns].reshape(values[:-1].shape)
+        center = sol[-1] if cov.center_mode == "unknown" else cov.center_value
+        ref = dataclasses.replace(cov, values=values, center_value=center)
+        assert energy(cov) == pytest.approx(energy(ref), rel=1e-8)
+        assert energy(cov) <= energy(ref) * (1 + 1e-14)
+
+
+def test_separable_residual_check_raises(monkeypatch, half_trace):
+    from branchlab import minimizer as mmod
+
+    solve = mmod._solve_separable
+    monkeypatch.setattr(mmod, "_solve_separable",
+                        lambda *args: solve(*args) * (1.0 + 1e-6))
+    with pytest.raises(SolverError) as info:
+        solve_branched_laplace(half_trace[1], grid=GRID_COARSE)
+    assert 1e-10 < info.value.residual < 1e-3
