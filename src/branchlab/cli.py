@@ -42,11 +42,10 @@ EXIT_NUMERICAL = 3
 @dataclass
 class ExperimentConfig:
     kind: str
-    field_spec: dict
     params: dict
     output_dir: str
     seed: int
-    schema_version: int = SCHEMA_VERSION
+    field: fmod.Field
     base_dir: str = "."
 
     @classmethod
@@ -62,89 +61,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw, base_dir="."):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object", key="root")
+        """Check the whole config, build its field, and fill in every PARAMS default."""
+        _require(isinstance(raw, dict), "root", "config root must be an object")
         for req in ("kind", "field", "output_dir"):
-            if req not in raw:
-                raise ConfigError(f"missing required key: {req}", key=req)
-        if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError("unsupported schema_version", key="schema_version")
-        kind = raw["kind"]
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind: {kind}", key="kind")
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object", key="params")
-        for key, val in params.items():
-            if key.endswith("tolerance") or key == "slack":
-                if not (isinstance(val, (int, float)) and val > 0):
-                    raise ConfigError(f"tolerance {key} must be positive", key=key)
-        levels = params.get("levels")
-        if levels is not None and not _is_level_list(levels):
-            raise ConfigError("levels must be a non-empty list of [nr, ntheta] "
-                              "pairs of positive integers", key="levels")
-        radii = params.get("radii")
-        if radii is not None and not _is_radius_list(radii):
-            raise ConfigError("radii must be a non-empty list of positive finite "
-                              "numbers", key="radii")
-        quad = params.get("quadrature", {})
-        if not isinstance(quad, dict):
-            raise ConfigError("quadrature must be an object", key="quadrature")
-        for name, count in quad.items():
-            if name not in QUADRATURE_COUNTS or not (type(count) is int and count > 0):
-                raise ConfigError(f"quadrature.{name} must be one of {QUADRATURE_COUNTS} "
-                                  "with a positive integer count", key=f"quadrature.{name}")
-        theta = params.get("theta")
-        if theta is not None and not (_is_finite(theta) and 0 < theta < 0.25):
-            raise ConfigError("theta must lie in (0, 1/4)", key="theta")
-        expect = params.get("expect_constant")
-        if expect is not None and not (_is_finite(expect) and expect != 0):
-            raise ConfigError("expect_constant must be nonzero and finite", key="expect_constant")
-        fspec = raw["field"]
-        if not isinstance(fspec, dict) or "type" not in fspec:
-            raise ConfigError("field spec needs a type", key="field")
-        n = fspec.get("n", 2)
-        if not (type(n) is int and n >= 2):
-            raise ConfigError("field.n must be an integer >= 2", key="field.n")
-        center = params.get("center")
-        if center is not None and not _is_point(center, fspec):
-            raise ConfigError("center must list one finite number per coordinate", key="center")
-        centers = params.get("centers")
-        if centers is not None and not (isinstance(centers, list) and len(centers) > 0
-                                        and all(_is_point(c, fspec) for c in centers)):
-            raise ConfigError("centers must be a non-empty list of points, each one finite "
-                              "number per coordinate", key="centers")
-        if fspec["type"] == "sampled":
-            path = fspec.get("path")
-            if not path:
-                raise ConfigError("sampled field spec needs a path", key="field.path")
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            if not os.path.exists(full):
-                raise ConfigError(f"sampled field file missing: {full}", key="field.path")
-        cfg = cls(kind=kind, field_spec=fspec, params=params,
-                  output_dir=raw["output_dir"], seed=int(raw.get("seed", 0)),
-                  base_dir=base_dir)
-        if not (isinstance(cfg.stages, (list, tuple))
-                and all(s in KINDS and s != "full-pipeline" for s in cfg.stages)):
-            raise ConfigError("stages must be a list of stage kinds", key="stages")
-        if "corollaries" in cfg.stages and not _has_perturbations(fspec):
-            raise ConfigError("corollaries kind needs a power-sum field with a "
-                              "base profile term plus perturbation terms", key="field")
+            _require(req in raw, req, f"missing required key: {req}")
+        _require(raw.get("schema_version", SCHEMA_VERSION) == SCHEMA_VERSION, "schema_version",
+                 "unsupported schema_version")
+        kind, output_dir, seed = raw["kind"], raw["output_dir"], raw.get("seed", 0)
+        _require(kind in KINDS, "kind", f"unknown experiment kind: {kind}")
+        _require(isinstance(output_dir, str) and output_dir != "", "output_dir",
+                 "output_dir must be a non-empty string")
+        _require(_is_int(seed, 0), "seed", "seed must be an integer >= 0")
+        given, fspec = raw.get("params", {}), raw["field"]
+        _require(isinstance(given, dict), "params", "params must be an object")
+        for key in given:
+            _require(key in PARAMS, key, f"unknown params key: {key}")
+        _require(isinstance(fspec, dict) and "type" in fspec, "field", "field spec needs a type")
+        u = build_field(fspec, base_dir)
+        params = {}
+        for key, (default, ok, valid) in PARAMS.items():
+            value = params[key] = given.get(key, default(u) if callable(default) else default)
+            _require((value is None and default is None) or ok(value, params, u), key,
+                     f"{key} must be {valid}")
+        cfg = cls(kind, params, output_dir, seed, u, base_dir)
+        _require("corollaries" not in cfg.stages or len(getattr(u, "modes", ())) >= 2, "field",
+                 "corollaries needs a power-sum field with a base term plus perturbation terms")
         return cfg
 
     @property
     def stages(self):
         """The stage kinds this config runs, in order."""
-        if self.kind == "full-pipeline":
-            return self.params.get("stages", PIPELINE_STAGES)
-        return [self.kind]
+        return self.params["stages"] if self.kind == "full-pipeline" else [self.kind]
 
 
-def _is_level_list(levels):
-    """A non-empty list of [nr, ntheta] pairs of positive ints (bools excluded)."""
-    return (isinstance(levels, list) and len(levels) > 0
-            and all(isinstance(lv, list) and len(lv) == 2
-                    and all(type(v) is int and v > 0 for v in lv) for lv in levels))
+def _require(ok, key, message):
+    if not ok:
+        raise ConfigError(message, key=key)
 
 
 def _is_finite(x):
@@ -152,51 +104,123 @@ def _is_finite(x):
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _is_radius_list(radii):
-    """A non-empty list of positive finite numbers."""
-    return (isinstance(radii, list) and len(radii) > 0
-            and all(_is_finite(r) and r > 0 for r in radii))
+def _is_positive(x, *_):
+    return _is_finite(x) and x > 0
 
 
-def _is_point(center, fspec):
-    """A non-empty list of finite numbers, n of them for a field that declares n."""
-    return (isinstance(center, list) and len(center) > 0 and all(map(_is_finite, center))
-            and (fspec["type"] not in ("power_sum", "branch_polynomial")
-                 or len(center) == fspec.get("n", 2)))
+def _is_int(x, lo=1):
+    """An int >= lo (bools excluded)."""
+    return type(x) is int and x >= lo
 
 
-def _has_perturbations(fspec):
-    """Whether the field builds as a base mode plus perturbation modes."""
-    terms = fspec.get("terms")
-    return fspec["type"] == "non_stationary_control" or (
-        fspec["type"] == "power_sum" and isinstance(terms, list) and len(terms) >= 2)
+def _is_list(xs, ok=_is_positive):
+    """A non-empty list whose every entry passes ok."""
+    return isinstance(xs, list) and len(xs) > 0 and all(ok(x) for x in xs)
+
+
+def _is_increasing(xs, *_):
+    """At least two strictly increasing positive finite numbers."""
+    return _is_list(xs) and len(xs) >= 2 and all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _is_point(x, params, u):
+    """One finite number per coordinate of the field u."""
+    return _is_list(x, _is_finite) and len(x) == u.n
+
+
+def _is_quadrature(quad, *_):
+    """An object of QUADRATURE_COUNTS entries; a bad entry raises, naming itself."""
+    for name, count in quad.items() if isinstance(quad, dict) else ():
+        _require(name in QUADRATURE_COUNTS and _is_int(count), f"quadrature.{name}",
+                 f"quadrature.{name} must be a positive integer count in {QUADRATURE_COUNTS}")
+    return isinstance(quad, dict)
+
+
+POSITIVE = "a positive finite number"
+
+# The run contract: every `params` key -> (default, check, valid values).  A
+# check is called as check(value, params, field), where params holds the keys
+# above it, already checked.  A default that is a function is given the field;
+# a key whose default is None may be given as null, the same as leaving it out.
+PARAMS = {
+    "stages": (list(PIPELINE_STAGES), lambda s, *_: isinstance(s, list)
+               and all(k in KINDS and k != "full-pipeline" for k in s),
+               "a list of stage kinds, full-pipeline excluded"),
+    "quadrature": ({}, _is_quadrature, "an object mapping any of "
+                   f"{', '.join(QUADRATURE_COUNTS)} to a positive integer"),
+    "radii": ([0.25, 0.5, 1.0], _is_increasing, "at least two increasing positive numbers"),
+    "center": (lambda u: [0.0] * u.n, _is_point, "one finite number per field coordinate"),
+    "centers": (None, lambda cs, p, u: _is_list(cs, lambda c: _is_point(c, p, u)),
+                "a non-empty list of points like center"),
+    "expect_constant": (None, lambda x, *_: _is_finite(x) and x != 0, "a nonzero finite number"),
+    "tolerance": (1e-6, _is_positive, POSITIVE),
+    "radii_range": ([0.05, 0.9], lambda r, *_: _is_increasing(r) and len(r) == 2,
+                    "[lo, hi] with 0 < lo < hi"),
+    "nradii": (18, lambda x, *_: _is_int(x, 3), "an integer >= 3"),
+    "slack": (1e-8, _is_positive, POSITIVE),
+    "n_random": (0, lambda x, *_: _is_int(x, 0), "an integer >= 0"),
+    "include_control": (False, lambda x, *_: type(x) is bool, "true or false"),
+    "radius": (1.0, _is_positive, POSITIVE),
+    "levels": ([[32, 64], [64, 128], [128, 256]],
+               lambda v, *_: _is_list(v, lambda lv: _is_list(lv, _is_int) and len(lv) == 2),
+               "a non-empty list of [nr, ntheta] pairs of positive integers"),
+    "freq_radii": ([0.25, 0.5], lambda r, p, u: _is_list(r) and max(r) <= p["radius"],
+                   "a non-empty list of positive numbers, each <= radius"),
+    "theta": (0.125, lambda x, *_: _is_finite(x) and 0 < x < 0.25, "a number in (0, 1/4)"),
+    "k": (1, lambda x, *_: _is_int(x), "a positive integer"),
+    "j_max": (3, lambda x, *_: _is_int(x), "a positive integer"),
+    "delta0": (None, _is_positive, POSITIVE),
+    "eps0": (None, _is_positive, POSITIVE),
+    "probe_gaps": (False, lambda x, *_: type(x) is bool, "true or false"),
+    "sigmas": (None, lambda s, *_: _is_list(s), "one or more positive numbers"),
+    "expect_ratio": (None, _is_positive, POSITIVE),
+    "scales": ([0.5, 0.25, 0.125], lambda s, *_: _is_list(s), "one or more positive numbers"),
+    "t_values": ([0.1, 0.01, 0.001], lambda t, *_: _is_list(t, _is_finite),
+                 "a non-empty list of finite numbers"),
+}
 
 
 def _complex_list(pairs):
+    """[[re, im], ...] of finite numbers, as a complex array."""
+    if not _is_list(pairs, lambda p: _is_list(p, _is_finite) and len(p) == 2):
+        raise ValueError("expected a non-empty list of [re, im] pairs of finite numbers")
     return np.array([complex(p[0], p[1]) for p in pairs])
 
 
 def build_field(spec, base_dir="."):
+    """The field a config's `field` object describes; ConfigError names a bad entry."""
     ftype = spec.get("type")
-    n = int(spec.get("n", 2))
-    if ftype == "power_sum":
-        terms = [(_complex_list(t["c"]), int(t["k"])) for t in spec["terms"]]
-        return fmod.CylindricalModeField.power_sum(terms, n=n)
-    if ftype == "branch_polynomial":
-        coeffs = _complex_list(spec["coeffs"])
-        c = _complex_list(spec["c"]) if "c" in spec else None
-        return fmod.BranchPolynomialField(coeffs, c=c, n=n)
-    if ftype == "non_stationary_control":
-        return fmod.non_stationary_control(int(spec.get("m", 1)))
-    if ftype == "sampled":
-        path = spec["path"]
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        return fmod.SampledField.from_csv(full)
+    n = spec.get("n", 2)
+    _require(_is_int(n, 2), "field.n", "field.n must be an integer >= 2")
+    try:
+        if ftype == "power_sum":
+            key = "terms"
+            terms = [(_complex_list(t["c"]), t["k"]) for t in spec["terms"]]
+            if not all(_is_int(k) for _, k in terms):
+                raise ValueError("each term needs an integer k >= 1")
+            return fmod.CylindricalModeField.power_sum(terms, n=n)
+        if ftype == "branch_polynomial":
+            key = "coeffs"
+            coeffs = _complex_list(spec["coeffs"])
+            key = "c"
+            c = _complex_list(spec["c"]) if "c" in spec else None
+            return fmod.BranchPolynomialField(coeffs, c=c, n=n)
+        if ftype == "non_stationary_control":
+            key, m = "m", spec.get("m", 1)
+            if not _is_int(m):
+                raise ValueError(f"m = {m!r} is not a positive integer")
+            return fmod.non_stationary_control(m)
+        if ftype == "sampled":
+            key = "path"
+            return fmod.SampledField.from_csv(os.path.join(base_dir, spec["path"]))
+    except (BranchLabError, KeyError, TypeError, ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"field.{key} cannot build the field: {type(exc).__name__}: {exc}",
+                          key=f"field.{key}") from exc
     raise ConfigError(f"unknown field type: {ftype}", key="field.type")
 
 
 def quad_spec(params):
-    return QuadratureSpec(**params.get("quadrature", {}))
+    return QuadratureSpec(**params["quadrature"])
 
 
 def thread_count():
@@ -272,12 +296,8 @@ class OutputWriter:
             fh.write("\n")
 
 
-def check(name, ok, detail="", expect_fail=False):
-    if expect_fail:
-        status = "expected-fail" if not ok else "unexpected-pass"
-    else:
-        status = "pass" if ok else "fail"
-    return {"name": name, "status": status, "detail": detail}
+def check(name, ok, detail=""):
+    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +307,16 @@ def check(name, ok, detail="", expect_fail=False):
 def stage_frequency(cfg, u, out, prefix=""):
     params = cfg.params
     spec = quad_spec(params)
-    center = np.asarray(params.get("center", [0.0] * u.n), dtype=float)
-    radii = np.asarray(params.get("radii", [0.25, 0.5, 1.0]), dtype=float)
+    center = np.asarray(params["center"], dtype=float)
+    radii = np.asarray(params["radii"], dtype=float)
     prof = qmod.frequency_profile(u, center, radii, spec)
     prof.to_csv(out.path(prefix + "frequency_profile.csv"))
     out.register_external(prefix + "frequency_profile.csv")
     checks = []
-    expect = params.get("expect_constant")
+    expect = params["expect_constant"]
     if expect is not None:
         err = float(np.max(np.abs(prof.N - expect) / abs(expect)))
-        checks.append(check("frequency_constant", err <= params.get("tolerance", 1e-6),
+        checks.append(check("frequency_constant", err <= params["tolerance"],
                             f"max relative deviation {err:.3e}"))
     out.write_svg(prefix + "frequency.svg",
                   [("N(rho)", prof.radii.tolist(), np.maximum(prof.N, 1e-300).tolist())],
@@ -308,9 +328,9 @@ def stage_frequency(cfg, u, out, prefix=""):
 def stage_monotonicity(cfg, u, out, prefix=""):
     params = cfg.params
     spec = quad_spec(params)
-    lo, hi = params.get("radii_range", [0.05, 0.9])
-    radii = np.linspace(lo, hi, int(params.get("nradii", 18)))
-    slack = params.get("slack", 1e-8)
+    lo, hi = params["radii_range"]
+    radii = np.linspace(lo, hi, params["nradii"])
+    slack = params["slack"]
     checks = []
     rows = []
     prof = qmod.frequency_profile(u, np.zeros(u.n), radii, spec)
@@ -319,8 +339,8 @@ def stage_monotonicity(cfg, u, out, prefix=""):
     checks.append(check("monotone_configured_field", rep.ok,
                         f"{len(rep.violations)} violations"))
     rng = np.random.default_rng(cfg.seed)
-    n_random = int(params.get("n_random", 0))
-    rfields = [fmod.random_stationary_power_sum(rng, n=u.n) for _ in range(n_random)]
+    rfields = [fmod.random_stationary_power_sum(rng, n=u.n)
+               for _ in range(params["n_random"])]
 
     def run_one(idx_field):
         idx, fld = idx_field
@@ -331,7 +351,7 @@ def stage_monotonicity(cfg, u, out, prefix=""):
         rows.append((f"random-{idx}", len(r.violations)))
         checks.append(check(f"monotone_random_{idx}", r.ok,
                             f"{len(r.violations)} violations"))
-    if params.get("include_control", False):
+    if params["include_control"]:
         ctrl = fmod.non_stationary_control()
         pc = qmod.frequency_profile(ctrl, np.zeros(2), radii, spec)
         rc = qmod.check_monotonicity(pc, slack)
@@ -344,22 +364,20 @@ def stage_monotonicity(cfg, u, out, prefix=""):
 
 def stage_minimize(cfg, u, out, prefix=""):
     params = cfg.params
-    radius = float(params.get("radius", 1.0))
-    levels = params.get("levels", [[32, 64], [64, 128], [128, 256]])
-    btr = mmod.BoundaryTrace.from_field(u, radius)
+    levels = params["levels"]
+    btr = mmod.BoundaryTrace.from_field(u, params["radius"])
     rows = []
     errors = []
     cov = None
     for nr, ntheta in levels:
-        cov = mmod.solve_branched_laplace(
-            btr, grid=mmod.CoverGridSpec(nr=int(nr), ntheta=int(ntheta)))
+        cov = mmod.solve_branched_laplace(btr, grid=mmod.CoverGridSpec(nr=nr, ntheta=ntheta))
         e = mmod.energy(cov)
         err = float(np.sqrt(mmod.l2_error_vs_field(cov, u)))
         errors.append(err)
-        rows.append((int(nr), int(ntheta), float(e), err, cov.solve_residual))
+        rows.append((nr, ntheta, float(e), err, cov.solve_residual))
     out.write_csv(prefix + "minimize_convergence.csv",
                   ["nr", "ntheta", "energy", "l2_error", "cg_residual"], rows)
-    freq_radii = params.get("freq_radii", [0.25, 0.5])
+    freq_radii = params["freq_radii"]
     prof = mmod.cover_frequency(cov, freq_radii)
     checks = []
     if len(errors) >= 2:
@@ -382,30 +400,21 @@ def stage_minimize(cfg, u, out, prefix=""):
 def stage_decay(cfg, u, out, prefix=""):
     params = cfg.params
     spec = quad_spec(params)
-    theta = float(params.get("theta", 0.125))
-    k = int(params.get("k", 1))
-    j_max = int(params.get("j_max", 3))
-    centers = params.get("centers")
-    if centers is None:
-        centers = [params.get("center", [0.0] * u.n)]
-    delta0 = params.get("delta0")
+    theta = params["theta"]
+    centers = params["centers"] or [params["center"]]
     checks = []
     values = {}
     for idx, center_spec in enumerate(centers):
         tag = f"{prefix}" if len(centers) == 1 else f"{prefix}center{idx}_"
         center = np.asarray(center_spec, dtype=float)
-        run = dmod.iterate(u, center, k, theta=theta, j_max=j_max, spec=spec,
-                           probe_gaps=bool(params.get("probe_gaps", False)),
-                           delta0=None if delta0 is None else float(delta0),
-                           eps0=params.get("eps0"))
+        run = dmod.iterate(u, center, params["k"], theta=theta, j_max=params["j_max"],
+                           spec=spec, probe_gaps=params["probe_gaps"],
+                           delta0=params["delta0"], eps0=params["eps0"])
         out.write_json(tag + "decay_run.json", run.to_json_dict())
         rows = [(s.j, theta ** s.j, s.excess_sq, s.ratio, s.outcome) for s in run.steps]
         out.write_csv(tag + "decay_table.csv",
                       ["j", "scale", "excess_sq", "ratio", "outcome"], rows)
-        sigmas = params.get("sigmas")
-        tr = dmod.tangent_expansion(u, center, run,
-                                    sigmas=None if sigmas is None else np.asarray(sigmas),
-                                    spec=spec)
+        tr = dmod.tangent_expansion(u, center, run, sigmas=params["sigmas"], spec=spec)
         out.write_csv(tag + "tangent_tables.csv",
                       ["sigma", "l2_scaled", "sup_sq"],
                       [(float(s), float(a), float(b))
@@ -417,7 +426,7 @@ def stage_decay(cfg, u, out, prefix=""):
                        ("sigma^-n L2(eps)^2", tr.sigmas.tolist(),
                         np.maximum(tr.l2_table, 1e-300).tolist())],
                       title="decay iteration", xlabel="scale", ylabel="excess")
-        expect_ratio = params.get("expect_ratio")
+        expect_ratio = params["expect_ratio"]
         if expect_ratio is not None:
             ratios = [s.ratio for s in run.steps[1:] if np.isfinite(s.ratio)]
             ok = all(abs(r - expect_ratio) <= 0.2 * expect_ratio for r in ratios)
@@ -432,7 +441,7 @@ def stage_decay(cfg, u, out, prefix=""):
 def stage_spectral(cfg, u, out, prefix=""):
     params = cfg.params
     spec = quad_spec(params)
-    k = int(params.get("k", 1))
+    k = params["k"]
     alpha = k / 2.0
     prof = pmod.fit_profile(u, k, spec=spec)
     e_sq = pmod.excess(u, prof, unit_ball(u.n), spec)
@@ -446,9 +455,8 @@ def stage_spectral(cfg, u, out, prefix=""):
     proj = smod.project_L(w, 1.0, prof.c, alpha)
     checks.append(check("pythagoras", proj.pythagoras_residual <= 1e-10,
                         f"residual {proj.pythagoras_residual:.3e}"))
-    scales = params.get("scales", [0.5, 0.25, 0.125])
-    rep = smod.remainder_decay_check(w, theta=float(params.get("theta", 0.125)),
-                               scales=scales, c0=prof.c, alpha=alpha)
+    rep = smod.remainder_decay_check(w, theta=params["theta"], scales=params["scales"],
+                                     c0=prof.c, alpha=alpha)
     contr = rep.contractions
     checks.append(check("contractions_below_one",
                         all(c < 1.0 for c in contr), f"{contr}"))
@@ -472,10 +480,8 @@ def stage_spectral(cfg, u, out, prefix=""):
 def stage_corollaries(cfg, u, out, prefix=""):
     params = cfg.params
     spec = quad_spec(params)
-    k = int(params.get("k", 1))
-    t_values = params.get("t_values", [0.1, 0.01, 0.001])
     base_mode = u.modes[0]
-    prof = pmod.CylindricalProfile(base_mode.a - 1j * base_mode.b, k, n=u.n)
+    prof = pmod.CylindricalProfile(base_mode.a - 1j * base_mode.b, params["k"], n=u.n)
 
     def family_member(t):
         modes = [base_mode] + [
@@ -488,7 +494,7 @@ def stage_corollaries(cfg, u, out, prefix=""):
         ut = family_member(t)
         return t, pmod.corollary_checks(ut, prof, spec=spec)
 
-    results = _pmap(run_one, list(t_values))
+    results = _pmap(run_one, params["t_values"])
     rows = []
     by_name = {}
     for t, rws in results:
@@ -520,18 +526,15 @@ STAGES = {
 
 def run(cfg):
     """Execute the experiment; returns (exit_code, outdir)."""
-    outdir = cfg.output_dir
-    if not os.path.isabs(outdir):
-        outdir = os.path.join(cfg.base_dir, outdir)
+    outdir = os.path.join(cfg.base_dir, cfg.output_dir)
     out = OutputWriter(outdir)
-    u = build_field(cfg.field_spec, cfg.base_dir)
     summary = {"kind": cfg.kind, "seed": cfg.seed, "schema_version": SCHEMA_VERSION,
                "checks": [], "stages": {}}
     failed_stage = False
     for name in cfg.stages:
         prefix = f"{name}_" if cfg.kind == "full-pipeline" else ""
         try:
-            res = STAGES[name](cfg, u, out, prefix=prefix)
+            res = STAGES[name](cfg, cfg.field, out, prefix=prefix)
             summary["stages"][name] = {"status": "ok", **res}
             summary["checks"].extend(res.get("checks", []))
         except BranchLabError as exc:
@@ -578,18 +581,16 @@ def main(argv=None):
     p_val.add_argument("config")
     args = parser.parse_args(argv)
     try:
-        if args.verb == "validate":
-            ExperimentConfig.from_json_file(args.config)
-            print("ok")
-            return EXIT_OK
-        if args.verb == "run":
-            cfg = ExperimentConfig.from_json_file(args.config)
-            code, outdir = run(cfg)
-            print(f"artifacts: {outdir}")
-            return code
         if args.verb == "report":
             print(report(args.directory))
             return EXIT_OK
+        cfg = ExperimentConfig.from_json_file(args.config)
+        if args.verb == "validate":
+            print("ok")
+            return EXIT_OK
+        code, outdir = run(cfg)
+        print(f"artifacts: {outdir}")
+        return code
     except ConfigError as exc:
         err = {"error": str(exc), "key": exc.key}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
@@ -597,7 +598,6 @@ def main(argv=None):
     except BranchLabError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

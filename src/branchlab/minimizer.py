@@ -489,7 +489,7 @@ def _thomas(off, diag, f):
     return f
 
 
-def _solve_separable(rs, M, wrap_sign, center_mode, rhs):
+def solve_separable(rs, M, wrap_sign, center_mode, rhs):
     """Direct solve of the centred cover system, in _assemble's unknown layout.
 
     Every ring carries the same angular operator, so Fourier modes in theta
@@ -542,7 +542,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
 
     boundary is a BoundaryTrace (lifted values on [0, 4pi)); config defaults
     to a single branch point at the disk center.  Centred configurations
-    solve directly (_solve_separable): anti-periodic data on the twisted
+    solve directly (solve_separable): anti-periodic data on the twisted
     polar grid, periodic data as the decoupled single-valued harmonic
     extension.  A relative residual above SEPARABLE_RTOL raises SolverError.
     Configurations with cuts solve by Jacobi-CG (_solve_cg).
@@ -567,7 +567,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
         center_mode = "unknown"
         bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
     A, rhs = _assemble(rs, M, wrap, center_mode, cuts, bvals)
-    sol = _solve_cg(A, rhs) if cuts else _solve_separable(rs, M, wrap, center_mode, rhs)
+    sol = _solve_cg(A, rhs) if cuts else solve_separable(rs, M, wrap, center_mode, rhs)
     res_total = float(np.linalg.norm(A @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
     if not cuts and not res_total <= SEPARABLE_RTOL:
         raise SolverError(f"direct solve residual {res_total:.3e} above {SEPARABLE_RTOL:.0e}",

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import FitError, PairingError
-from .fields import Field, _as_points, l2_distance_sq, propagate_signs
+from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric
 from .quadrature import Ball, QuadratureSpec, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
@@ -161,14 +161,9 @@ class CoverGrid:
         return 4.0 * np.pi / self.thetas.shape[0]
 
     def base_points(self, n):
-        R, T = np.meshgrid(self.rs, self.thetas, indexing="ij")
-        x1, x2 = R * np.cos(T), R * np.sin(T)
-        if n == 2:
-            return np.stack([x1, x2], axis=-1).reshape(-1, 2), (self.rs.shape[0], self.thetas.shape[0])
-        pts = []
-        for y in self.ys:
-            pts.append(np.stack([x1, x2, np.full_like(x1, y)], axis=-1).reshape(-1, 3))
-        return np.concatenate(pts), (self.rs.shape[0], self.thetas.shape[0], self.ys.shape[0])
+        """Frame points (axis slabs outermost for n = 3) and the grid shape."""
+        grid = PolarGrid(self.rs, self.thetas, self.ys if n > 2 else None)
+        return grid.nodes(), grid.shape
 
 
 def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):

@@ -365,3 +365,165 @@ def test_stage_exception_exit_numerical(tmp_path, monkeypatch, kind, exc):
     assert summary["stages"]["frequency"]["status"] == "error"
     assert "forced failure" in summary["stages"]["frequency"]["error"]
     assert (outdir / "manifest.json").exists()
+
+
+# At least one malformed value for every key of cli.PARAMS, among them each
+# input that used to validate and then run on defaults or fail with exit 1/3.
+MALFORMED = {
+    "stages": [["frequncy"], "frequency"],
+    "quadrature": ["x", [32, 64]],
+    "radii": [[0.5], [0.5, 0.25], [0.5, 0.5], "x", None],
+    "center": [[0.0], [0.0, "x"]],
+    "centers": [[[0.0]], []],
+    "expect_constant": [0, "x"],
+    "tolerance": [0, -1e-6, float("inf"), True, "x"],
+    "radii_range": [[0.05], [0.9, 0.05], [0.0, 0.9], [0.05, 0.5, 0.9], "x"],
+    "nradii": [2, 0, 18.0, "x"],
+    "slack": [0, float("nan"), "x"],
+    "n_random": [-1, 1.5, "x"],
+    "include_control": [1, "yes", None],
+    "radius": [0, -1.0, "x"],
+    "levels": [[[8]], "x", None],
+    "freq_radii": [[1.5], [0.25, 1.0001], [], [0.25, -0.5], "x"],
+    "theta": [0, 0.25, "x", None],
+    "k": ["x", 0, 1.5, True],
+    "j_max": [0, 2.5, "x"],
+    "delta0": [0, "x"],
+    "eps0": [-1, "x"],
+    "probe_gaps": [1, "true"],
+    "sigmas": [[], [0.5, -0.25], "x"],
+    "expect_ratio": [0, "x"],
+    "scales": [[], [0.5, 0.0], "x"],
+    "t_values": [[], [0.1, "x"], [float("nan")], 0.1],
+}
+
+
+def assert_config_error(tmp_path, capsys, cfg, key):
+    """Both verbs exit 2 naming key, and no output directory is created."""
+    path = write_config(tmp_path, cfg)
+    for verb in ("validate", "run"):
+        assert cli.main([verb, path]) == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["key"] == key
+    assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
+def test_malformed_rows_cover_every_params_key():
+    assert set(MALFORMED) == set(cli.PARAMS)
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k in cli.PARAMS
+                                        for v in MALFORMED.get(k, [])])
+def test_malformed_params_exit_config(tmp_path, capsys, key, value):
+    cfg = freq_config("out")
+    cfg["params"][key] = value
+    assert_config_error(tmp_path, capsys, cfg, key)
+
+
+def term(k, *c):
+    return {"k": k, "c": [list(v) for v in c]}
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c["params"].update(radiii=[0.25, 0.5]), "radiii"),
+    (lambda c: c["params"].update(rel_tolerance=1e-6), "rel_tolerance"),
+    (lambda c: c["params"].update(radius=0.3), "freq_radii"),  # defaults are checked too
+    (lambda c: c.update(seed="x"), "seed"),
+    (lambda c: c.update(seed=1.7), "seed"),
+    (lambda c: c.update(seed=-1), "seed"),
+    (lambda c: c.update(seed=True), "seed"),
+    (lambda c: c.update(output_dir=5), "output_dir"),
+    (lambda c: c.update(output_dir=""), "output_dir"),
+    (lambda c: c.update(field={"type": "alien"}), "field.type"),
+    (lambda c: c.update(field={"type": ["power_sum"]}), "field.type"),
+    (lambda c: c["field"].update(terms=[]), "field.terms"),
+    (lambda c: c["field"].update(terms="x"), "field.terms"),
+    (lambda c: c["field"].pop("terms"), "field.terms"),
+    (lambda c: c["field"].update(terms=[{"k": 1}]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term("x", (1.0, 0.0))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(0, (1.0, 0.0))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1.5, (1.0, 0.0))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1, (1.0,))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1, (1.0, 0.0, 2.0))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1, (float("nan"), 0.0))]), "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1, (1.0, 0.0)), term(2, (1.0, 0.0))]),
+     "field.terms"),
+    (lambda c: c["field"].update(terms=[term(1, (1.0, 0.0)),
+                                        term(3, (1.0, 0.0), (0.0, 1.0))]), "field.terms"),
+    (lambda c: c.update(field={"type": "branch_polynomial"}), "field.coeffs"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": []}), "field.coeffs"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": "x"}), "field.coeffs"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": [[-0.2, 0.0], [1.0]]}),
+     "field.coeffs"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": [[-0.2, 0.0], [1.0, 0.0]],
+                               "c": [[1.0]]}), "field.c"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "m": 0}), "field.m"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "m": 1.5}), "field.m"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "m": "2"}), "field.m"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "m": True}), "field.m"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "m": [1]}), "field.m"),
+    (lambda c: c.update(field={"type": "sampled"}), "field.path"),
+    (lambda c: c.update(field={"type": "sampled", "path": 5}), "field.path"),
+    (lambda c: c.update(field={"type": "sampled", "path": ""}), "field.path"),
+])
+def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
+    cfg = freq_config("out")
+    mutate(cfg)
+    assert_config_error(tmp_path, capsys, cfg, key)
+
+
+SAMPLED_HEADER = ("# branchlab sampled-field v1\n# n=2 m=1 symmetric=1 hol=0\n# shape=2,2\n"
+                  "# rs=0.5,1.0\n# thetas=0.0,3.0\nx1,x2,a1_1,a2_1\n")
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("content", [
+    "",
+    "# branchlab sampled-field v1\nx1,x2,a1_1,a2_1\n0.5,0.0,1.0,-1.0\n",
+    SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n",
+    SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 3 + "0.5,0.0,x,y\n",
+])
+def test_corrupt_sampled_csv_exit_config(tmp_path, capsys, content):
+    (tmp_path / "field.csv").write_text(content)
+    cfg = freq_config("out")
+    cfg["field"] = {"type": "sampled", "path": "field.csv"}
+    assert_config_error(tmp_path, capsys, cfg, "field.path")
+
+
+def test_sampled_csv_loads(tmp_path):
+    (tmp_path / "field.csv").write_text(SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 4)
+    cfg = freq_config("out")
+    cfg["field"] = {"type": "sampled", "path": "field.csv"}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_params_filled_at_load(n):
+    raw = freq_config("out")
+    raw["field"]["n"] = n
+    raw["params"].update(centers=None, sigmas=None)  # null keeps a step off
+    cfg = cli.ExperimentConfig.from_dict(raw)
+    assert set(cfg.params) == set(cli.PARAMS)
+    assert cfg.field.n == n
+    assert cfg.params["center"] == [0.0] * n
+    assert cfg.params["centers"] is None and cfg.params["theta"] == 0.125
+    assert cfg.params["radii"] == raw["params"]["radii"]
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_example_configs_validate(name):
+    assert cli.main(["validate", os.path.join(CONFIGS, name)]) == cli.EXIT_OK
+
+
+def test_readme_config_and_params_table(tmp_path):
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    rows = [line.split("`")[1] for line in text.splitlines() if line.startswith("| `")]
+    assert sorted(rows) == sorted(cli.PARAMS)

@@ -12,7 +12,7 @@ from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
                                  CoverGridSpec, _assemble, _cover_edges,
-                                 _deflect_cuts, _solve_separable, cover_frequency,
+                                 _deflect_cuts, solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -503,7 +503,7 @@ def test_separable_solve_matches_spsolve(wrap_sign, center_mode, nr):
         rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
         for m in (1, 2, 3):
             A, rhs = _assemble(rs, M, wrap_sign, center_mode, (), rng.standard_normal((M, m)))
-            x = _solve_separable(rs, M, wrap_sign, center_mode, rhs)
+            x = solve_separable(rs, M, wrap_sign, center_mode, rhs)
             assert x.shape == rhs.shape
             if A.shape[0] == 0:
                 continue
@@ -544,8 +544,8 @@ def test_separable_energy_matches_cg(grid):
 def test_separable_residual_check_raises(monkeypatch, half_trace):
     from branchlab import minimizer as mmod
 
-    solve = mmod._solve_separable
-    monkeypatch.setattr(mmod, "_solve_separable",
+    solve = mmod.solve_separable
+    monkeypatch.setattr(mmod, "solve_separable",
                         lambda *args: solve(*args) * (1.0 + 1e-6))
     with pytest.raises(SolverError) as info:
         solve_branched_laplace(half_trace[1], grid=GRID_COARSE)

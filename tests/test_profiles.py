@@ -252,3 +252,22 @@ def test_corollary_csv(tmp_path, spec_fast):
     lines = path.read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,ratio,params"
     assert len(lines) == len(rows) + 1
+
+
+def _base_points_reference(grid, n):
+    """The former CoverGrid.base_points body, the reference for PolarGrid.nodes."""
+    R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
+    x1, x2 = R * np.cos(T), R * np.sin(T)
+    if n == 2:
+        return np.stack([x1, x2], axis=-1).reshape(-1, 2), (grid.rs.shape[0], grid.thetas.shape[0])
+    pts = [np.stack([x1, x2, np.full_like(x1, y)], axis=-1).reshape(-1, 3) for y in grid.ys]
+    return np.concatenate(pts), (grid.rs.shape[0], grid.thetas.shape[0], grid.ys.shape[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cover_grid_base_points_bit_identical(n):
+    grid = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
+    pts, shape = grid.base_points(n)
+    ref_pts, ref_shape = _base_points_reference(grid, n)
+    assert shape == ref_shape
+    assert pts.tobytes() == ref_pts.tobytes()
