@@ -33,6 +33,14 @@ KINDS = ("frequency", "monotonicity", "minimize", "decay", "spectral",
          "corollaries", "full-pipeline")
 PIPELINE_STAGES = ("frequency", "monotonicity", "decay", "corollaries", "spectral")
 QUADRATURE_COUNTS = ("nr", "ntheta", "naxis", "nsphere", "npolar")
+CONFIG_KEYS = ("schema_version", "kind", "field", "params", "output_dir", "seed")
+# The entries of a `field` object, by field type.
+FIELD_ENTRIES = {
+    "power_sum": ("type", "n", "terms"),
+    "branch_polynomial": ("type", "n", "coeffs", "c"),
+    "non_stationary_control": ("type", "n", "m"),
+    "sampled": ("type", "n", "path"),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +73,8 @@ class ExperimentConfig:
         _require(isinstance(raw, dict), "root", "config root must be an object")
         for req in ("kind", "field", "output_dir"):
             _require(req in raw, req, f"missing required key: {req}")
+        for key in raw:
+            _require(key in CONFIG_KEYS, key, f"unknown config key: {key}")
         _require(raw.get("schema_version", SCHEMA_VERSION) == SCHEMA_VERSION, "schema_version",
                  "unsupported schema_version")
         kind, output_dir, seed = raw["kind"], raw["output_dir"], raw.get("seed", 0)
@@ -190,6 +200,10 @@ def _complex_list(pairs):
 def build_field(spec, base_dir="."):
     """The field a config's `field` object describes; ConfigError names a bad entry."""
     ftype = spec.get("type")
+    entries = FIELD_ENTRIES.get(ftype) if isinstance(ftype, str) else None
+    _require(entries is not None, "field.type", f"unknown field type: {ftype}")
+    for entry in spec:
+        _require(entry in entries, f"field.{entry}", f"a {ftype} field has no entry {entry}")
     n = spec.get("n", 2)
     _require(_is_int(n, 2), "field.n", "field.n must be an integer >= 2")
     try:
@@ -198,25 +212,27 @@ def build_field(spec, base_dir="."):
             terms = [(_complex_list(t["c"]), t["k"]) for t in spec["terms"]]
             if not all(_is_int(k) for _, k in terms):
                 raise ValueError("each term needs an integer k >= 1")
-            return fmod.CylindricalModeField.power_sum(terms, n=n)
-        if ftype == "branch_polynomial":
+            u = fmod.CylindricalModeField.power_sum(terms, n=n)
+        elif ftype == "branch_polynomial":
             key = "coeffs"
             coeffs = _complex_list(spec["coeffs"])
             key = "c"
             c = _complex_list(spec["c"]) if "c" in spec else None
-            return fmod.BranchPolynomialField(coeffs, c=c, n=n)
-        if ftype == "non_stationary_control":
+            u = fmod.BranchPolynomialField(coeffs, c=c, n=n)
+        elif ftype == "non_stationary_control":
             key, m = "m", spec.get("m", 1)
             if not _is_int(m):
                 raise ValueError(f"m = {m!r} is not a positive integer")
-            return fmod.non_stationary_control(m)
-        if ftype == "sampled":
+            u = fmod.non_stationary_control(m)
+        else:
             key = "path"
-            return fmod.SampledField.from_csv(os.path.join(base_dir, spec["path"]))
+            u = fmod.SampledField.from_csv(os.path.join(base_dir, spec["path"]))
     except (BranchLabError, KeyError, TypeError, ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"field.{key} cannot build the field: {type(exc).__name__}: {exc}",
                           key=f"field.{key}") from exc
-    raise ConfigError(f"unknown field type: {ftype}", key="field.type")
+    _require(spec.get("n", u.n) == u.n, "field.n",
+             f"field.n is {n}, but the {ftype} field has n = {u.n}")
+    return u
 
 
 def quad_spec(params):

@@ -506,7 +506,12 @@ def graded_radii(nr, radius, grading=2.0, inner=0.0):
 
 
 class PolarGrid:
-    """Polar grid in the (x1,x2)-plane times an optional axis line (n=3)."""
+    """Polar grid in the (x1,x2)-plane times an optional axis line (n=3).
+
+    Per-node data comes in two layouts: rows in nodes() order, axis slabs
+    outermost, and arrays of shape (nr, nt[, ny], m); on_grid and node_rows
+    convert between them.
+    """
 
     def __init__(self, rs, thetas, ys=None):
         self.rs = np.asarray(rs, dtype=float)
@@ -531,6 +536,18 @@ class PolarGrid:
         for y in self.ys:
             pts.append(np.stack([x1, x2, np.full_like(x1, y)], axis=-1).reshape(-1, 3))
         return np.concatenate(pts)
+
+    def on_grid(self, rows):
+        """(N, m) rows in nodes() order as an (nr, nt[, ny], m) array."""
+        m = rows.shape[-1]
+        if self.ys is None:
+            return rows.reshape(self.shape + (m,))
+        return np.moveaxis(rows.reshape((self.shape[2],) + self.shape[:2] + (m,)), 0, 2)
+
+    def node_rows(self, arr):
+        """An (nr, nt[, ny], m) array as (N, m) rows in nodes() order."""
+        m = arr.shape[-1]
+        return (arr if self.ys is None else np.moveaxis(arr, 2, 0)).reshape(-1, m)
 
 
 class SampledField(Field):
@@ -577,41 +594,27 @@ class SampledField(Field):
         jt1 = np.mod(jt + 1, th.shape[0])
         wrap = (jt + 1) >= th.shape[0]
         sgn = np.where(wrap, (self.hol if self.hol is not None else 1.0), 1.0)
+        if self.n == 2:
+            slabs = [((), 1.0)]  # the plane is one slab, of weight 1
+        else:
+            iy, ty = self._locate(X[:, 2], self.grid.ys)
+            slabs = [((iy,), (1 - ty)[:, None]), ((iy + 1,), ty[:, None])]
 
         def gather(arr):
-            # arr shape (nr, nt, m) -> bilinear in (r, theta) with seam sign
-            v00 = arr[ir, jt0]
-            v01 = arr[ir, jt1] * sgn[:, None]
-            v10 = arr[ir + 1, jt0]
-            v11 = arr[ir + 1, jt1] * sgn[:, None]
-            return (
-                (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
-                + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)
-            )
+            # arr shape (nr, nt[, ny], m) -> bilinear in (r, theta) with seam
+            # sign on each axis slab, linear across the slabs
+            parts = []
+            for iy, wy in slabs:
+                v00 = arr[(ir, jt0) + iy]
+                v01 = arr[(ir, jt1) + iy] * sgn[:, None]
+                v10 = arr[(ir + 1, jt0) + iy]
+                v11 = arr[(ir + 1, jt1) + iy] * sgn[:, None]
+                parts.append(wy * (
+                    (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
+                    + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)))
+            return sum(parts[1:], parts[0])
 
-        if self.n == 2:
-            return gather(self.s_lift), (gather(self.avg) if self.avg is not None else None)
-        ys = self.grid.ys
-        iy, ty = self._locate(X[:, 2], ys)
-        havg = None
-        s0 = self._gather3(self.s_lift, ir, tr, jt0, jt1, tt, sgn, iy)
-        s1 = self._gather3(self.s_lift, ir, tr, jt0, jt1, tt, sgn, iy + 1)
-        out = (1 - ty)[:, None] * s0 + ty[:, None] * s1
-        if self.avg is not None:
-            h0 = self._gather3(self.avg, ir, tr, jt0, jt1, tt, sgn, iy)
-            h1 = self._gather3(self.avg, ir, tr, jt0, jt1, tt, sgn, iy + 1)
-            havg = (1 - ty)[:, None] * h0 + ty[:, None] * h1
-        return out, havg
-
-    def _gather3(self, arr, ir, tr, jt0, jt1, tt, sgn, iy):
-        v00 = arr[ir, jt0, iy]
-        v01 = arr[ir, jt1, iy] * sgn[:, None]
-        v10 = arr[ir + 1, jt0, iy]
-        v11 = arr[ir + 1, jt1, iy] * sgn[:, None]
-        return (
-            (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
-            + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)
-        )
+        return gather(self.s_lift), (gather(self.avg) if self.avg is not None else None)
 
     def symmetric_values(self, X):
         s, _ = self._interp_lift(X)
@@ -654,18 +657,10 @@ class SampledField(Field):
             cols = [f"x{i+1}" for i in range(self.n)]
             cols += [f"a1_{k+1}" for k in range(self.m)] + [f"a2_{k+1}" for k in range(self.m)]
             fh.write(",".join(cols) + "\n")
-            nodes = self.grid.nodes()
-            if self.n == 3:
-                # nodes() orders y outermost; match with explicit reorder
-                s = np.moveaxis(self.s_lift, 2, 0).reshape(-1, self.m)
-                h = None if self.avg is None else np.moveaxis(self.avg, 2, 0).reshape(-1, self.m)
-            else:
-                s = self.s_lift.reshape(-1, self.m)
-                h = None if self.avg is None else self.avg.reshape(-1, self.m)
-            if h is None:
-                h = np.zeros_like(s)
+            s = self.grid.node_rows(self.s_lift)
+            h = np.zeros_like(s) if self.avg is None else self.grid.node_rows(self.avg)
             row = ",".join(["%r"] * len(cols)) + "\n"
-            table = np.concatenate([nodes, h + s, h - s], axis=1).tolist()
+            table = np.concatenate([self.grid.nodes(), h + s, h - s], axis=1).tolist()
             fh.writelines(row % tuple(values) for values in table)
 
     @classmethod
@@ -700,14 +695,11 @@ class SampledField(Field):
         s = (a1 - a2) / 2.0
         h = (a1 + a2) / 2.0
         symmetric = bool(int(meta.get("symmetric", "1")))
-        if ys is None:
-            s_lift = s.reshape(shape + (m,))
-            avg = None if symmetric else h.reshape(shape + (m,))
-        else:
-            s_lift = np.moveaxis(s.reshape((shape[2], shape[0], shape[1], m)), 0, 2)
-            avg = None if symmetric else np.moveaxis(h.reshape((shape[2], shape[0], shape[1], m)), 0, 2)
         grid = PolarGrid(rs, thetas, ys)
-        return cls(grid, s_lift, average=avg, symmetric=symmetric, hol=hol)
+        if (n, shape) != (grid.n, grid.shape):
+            raise ValueError(f"n={n} shape={meta['shape']} disagree with the rs/thetas/ys lists")
+        avg = None if symmetric else grid.on_grid(h)
+        return cls(grid, grid.on_grid(s), average=avg, symmetric=symmetric, hol=hol)
 
 
 def propagate_signs(svals, seed_ring=-1):
@@ -762,15 +754,7 @@ def propagate_signs(svals, seed_ring=-1):
 def sample(field, grid):
     """Materialize a field on a polar grid, propagating a continuous lift."""
     nodes = grid.nodes()
-    m = field.m
-
-    def on_grid(vals):
-        if grid.n == 2:
-            return vals.reshape(grid.shape + (m,))
-        # nodes() orders the axis outermost
-        return np.moveaxis(vals.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
-
-    svals = on_grid(field.symmetric_values(nodes))
+    svals = grid.on_grid(field.symmetric_values(nodes))
     signs, hol = propagate_signs(svals)
     lift = np.empty_like(svals)  # keeps the node layout of svals
     np.multiply(signs[..., None], svals, out=lift)
@@ -784,7 +768,7 @@ def sample(field, grid):
             iy = int(np.argmax(hol != hol[0]))
             raise PairingError(f"holonomy changes along the axis at slab {iy}", loop=iy)
         hol = float(hol[0])
-    avg = None if field.is_symmetric else on_grid(field.average_values(nodes))
+    avg = None if field.is_symmetric else grid.on_grid(field.average_values(nodes))
     return SampledField(grid, lift, average=avg, symmetric=field.is_symmetric,
                         hol=hol, domain=field.domain)
 

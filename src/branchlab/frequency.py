@@ -245,6 +245,17 @@ def default_test_functions(n, radius=0.85):
     return [BumpTestFunction(center, radius), BumpTestFunction(off, radius / 2)]
 
 
+def _sphere_radial(u, Y, rho, spec):
+    """The sphere rule of B_rho(Y), with u's average h and symmetric part s on
+    it and their radial derivatives: (rule, h, s, D_R h, D_R s)."""
+    srule = spec.sphere(Ball(tuple(Y), rho))
+    X = srule.points
+    nu = (X - Y[None, :]) / rho
+    dr_h = np.einsum("pki,pi->pk", u.average_gradient(X), nu)
+    dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), nu)
+    return srule, u.average_values(X), u.symmetric_values(X), dr_h, dr_s
+
+
 def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
                            spec=None, domain=None):
     """Residuals of the squash, squeeze and radial variational identities.
@@ -291,17 +302,8 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
     radial = []
     Y = np.zeros(n)
     for rho in radial_radii:
-        ball = Ball(tuple(Y), float(rho))
-        lhs = energy_integral(u, ball, spec)
-        srule = spec.sphere(ball)
-        X = srule.points
-        h = u.average_values(X)
-        s = u.symmetric_values(X)
-        dh = u.average_gradient(X)
-        ds = u.symmetric_gradient(X)
-        nu = (X - Y[None, :]) / rho
-        dr_h = np.einsum("pki,pi->pk", dh, nu)
-        dr_s = np.einsum("pki,pi->pk", ds, nu)
+        lhs = energy_integral(u, Ball(tuple(Y), float(rho)), spec)
+        srule, h, s, dr_h, dr_s = _sphere_radial(u, Y, float(rho), spec)
         u_dru = 2.0 * (np.sum(h * dr_h, axis=1) + np.sum(s * dr_s, axis=1))
         rhs = srule.integrate_values(u_dru)
         radial.append(lhs - rhs)
@@ -382,15 +384,7 @@ def frequency_derivative_identity(u, Y, rho_grid, spec=None):
     for i in range(1, rho_grid.shape[0] - 1):
         rho = float(rho_grid[i])
         lhs = (prof.N[i + 1] - prof.N[i - 1]) / (rho_grid[i + 1] - rho_grid[i - 1])
-        srule = spec.sphere(Ball(tuple(Y), rho))
-        X = srule.points
-        hvals = u.average_values(X)
-        svals = u.symmetric_values(X)
-        dh = u.average_gradient(X)
-        ds = u.symmetric_gradient(X)
-        nu = (X - Y[None, :]) / rho
-        dr_h = np.einsum("pki,pi->pk", dh, nu)
-        dr_s = np.einsum("pki,pi->pk", ds, nu)
+        srule, hvals, svals, dr_h, dr_s = _sphere_radial(u, Y, rho, spec)
         u_sq = _pair_sq(hvals, svals)
         dr_sq = _pair_sq(dr_h, dr_s)
         u_dru = 2.0 * (np.sum(hvals * dr_h, axis=1) + np.sum(svals * dr_s, axis=1))

@@ -218,6 +218,13 @@ def _crossing_signs(p, q, cuts):
     return signs
 
 
+def _ring_bands(rs):
+    """Radial band (lower, upper) of each ring: between the midpoints to its
+    neighbours, from rs[0] / 2 for ring 0 and up to rs[-1] for the last."""
+    r_mid = 0.5 * (rs[:-1] + rs[1:])
+    return np.concatenate([[rs[0] / 2.0], r_mid]), np.concatenate([r_mid, [rs[-1]]])
+
+
 def _ring_weights(rs, M):
     """Edge weights of the polar cover grid, which depend only on the ring.
 
@@ -227,10 +234,8 @@ def _ring_weights(rs, M):
     """
     dth = 2.0 * np.pi / M
     g_c = dth * (rs[0] / 2.0) / rs[0]
-    r_mid = 0.5 * (rs[:-1] + rs[1:])
-    g_r = dth * r_mid / (rs[1:] - rs[:-1])
-    lower = np.concatenate([[rs[0] / 2.0], r_mid])
-    upper = np.concatenate([r_mid, [rs[-1]]])
+    lower, upper = _ring_bands(rs)
+    g_r = dth * lower[1:] / (rs[1:] - rs[:-1])
     g_a = (upper - lower) / (rs * dth)
     return g_c, g_r, g_a
 
@@ -606,20 +611,13 @@ def cover_frequency(cf, radii):
 
 def l2_error_vs_field(cf, fld):
     """Grid-weighted L2 pair distance between the cover data and a field."""
-    NR, M, m = cf.values.shape
-    rs, thetas = cf.rs, cf.thetas
-    pts = PolarGrid(rs, thetas).nodes()
-    s_exact = fld.symmetric_values(pts).reshape(NR, M, m)
+    grid = PolarGrid(cf.rs, cf.thetas)
+    s_exact = grid.on_grid(fld.symmetric_values(grid.nodes()))
     d_keep = np.sum((cf.values - s_exact) ** 2, axis=-1)
     d_swap = np.sum((cf.values + s_exact) ** 2, axis=-1)
     g2 = 2.0 * np.minimum(d_keep, d_swap)
-    lower = np.empty(NR)
-    upper = np.empty(NR)
-    lower[0] = rs[0] / 2.0
-    lower[1:] = 0.5 * (rs[:-1] + rs[1:])
-    upper[:-1] = lower[1:]
-    upper[-1] = rs[-1]
-    w = ((upper - lower) * rs)[:, None] * (2.0 * np.pi / M)
+    lower, upper = _ring_bands(cf.rs)
+    w = ((upper - lower) * cf.rs)[:, None] * (2.0 * np.pi / cf.thetas.shape[0])
     return float(np.sum(w * g2))
 
 

@@ -146,24 +146,23 @@ def excess(u, prof, ball=None, spec=None):
     return l2_distance_sq(u, prof, ball, spec)
 
 
-@dataclass
-class CoverGrid:
-    """Annular grid on the double cover, in profile frame coordinates."""
+class CoverGrid(PolarGrid):
+    """Annular grid on the double cover, theta in [0, 4 pi), in profile frame
+    coordinates, with radial weights wr and axis weights wy (n = 3)."""
 
-    rs: np.ndarray          # (nr,)
-    wr: np.ndarray          # radial weights
-    thetas: np.ndarray      # (nt,) on [0, 4 pi)
-    ys: np.ndarray          # (ny,) axis nodes (empty for n=2)
-    wy: np.ndarray
+    def __init__(self, rs, wr, thetas, ys=None, wy=None):
+        super().__init__(rs, thetas, ys)
+        self.wr = wr
+        self.wy = wy
 
     @property
     def wtheta(self):
         return 4.0 * np.pi / self.thetas.shape[0]
 
-    def base_points(self, n):
-        """Frame points (axis slabs outermost for n = 3) and the grid shape."""
-        grid = PolarGrid(self.rs, self.thetas, self.ys if n > 2 else None)
-        return grid.nodes(), grid.shape
+    def weights(self):
+        """Quadrature weight of each node, shape (nr, nt[, ny])."""
+        w = np.outer(self.wr * self.rs * self.wtheta, np.ones(self.thetas.shape[0]))
+        return w if self.ys is None else w[:, :, None] * self.wy
 
 
 def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
@@ -172,42 +171,30 @@ def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
     wr = (rmax - tau) * ws
     thetas = (np.arange(ntheta) + 0.5) * (4.0 * np.pi / ntheta)
     if n == 2:
-        ys = np.zeros(0)
-        wy = np.ones(1)
-    else:
-        ymax = ymax if ymax is not None else np.sqrt(max(1.0 - rmax ** 2, 0.04))
-        ty, wty = gauss_legendre_01(ny)
-        ys = ymax * (2.0 * ty - 1.0)
-        wy = 2.0 * ymax * wty
-    return CoverGrid(rs, wr, thetas, ys, wy)
+        return CoverGrid(rs, wr, thetas)
+    ymax = ymax if ymax is not None else np.sqrt(max(1.0 - rmax ** 2, 0.04))
+    ty, wty = gauss_legendre_01(ny)
+    return CoverGrid(rs, wr, thetas, ymax * (2.0 * ty - 1.0), 2.0 * ymax * wty)
 
 
 def lift_against_profile(u, prof, grid):
     """Nearest-selection lift of u's symmetric part against the profile lift.
 
-    Returns (u_lift, phi_lift, signs, weights, shape); raises PairingError
-    when the induced sign field has holonomy inconsistent with the parity of
-    k around some annular loop of the cover.
+    Returns (u_lift, phi_lift, signs, shape); raises PairingError when the
+    induced sign field has holonomy inconsistent with the parity of k around
+    some annular loop of the cover.
     """
-    n = prof.n
-    pts_frame, shape = grid.base_points(n)
-    pts = prof.from_frame(pts_frame)
-    s_rep = u.symmetric_values(pts)
+    s_rep = grid.on_grid(u.symmetric_values(prof.from_frame(grid.nodes())))
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
-    phi_l = prof.lift(R, T)  # (nr, nt, m)
-    if n == 2:
-        s_rep = s_rep.reshape(shape + (prof.m,))
-        phi = phi_l
-    else:
-        s_rep = np.moveaxis(s_rep.reshape((shape[2],) + shape[:2] + (prof.m,)), 0, 2)
-        phi = phi_l[:, :, None, :]
+    phi = prof.lift(R, T)  # (nr, nt, m)
+    if grid.n == 3:
+        phi = phi[:, :, None, :]
     d_keep = np.sum((s_rep - phi) ** 2, axis=-1)
     d_swap = np.sum((s_rep + phi) ** 2, axis=-1)
     signs = np.where(d_keep <= d_swap, 1.0, -1.0)
     u_lift = signs[..., None] * s_rep
     # holonomy of the sign field around each theta loop must be +1 on the
     # cover (the lift of a genuine two-valued branch is 4pi-periodic)
-    nt = grid.thetas.shape[0]
     flips = signs * np.roll(signs, -1, axis=1)
     # ignore flips where the profile is tiny relative to the residual
     # (ambiguous pairing); they do not witness holonomy
@@ -222,7 +209,7 @@ def lift_against_profile(u, prof, grid):
         else:
             bad = tuple(int(v) for v in np.argwhere(hol < 0)[0])
         raise PairingError(f"pairing holonomy violation around annulus {bad}", loop=bad)
-    return u_lift, phi, signs, shape
+    return u_lift, phi, signs, grid.shape
 
 
 def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
@@ -237,42 +224,29 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
     probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, center=center, n=n)
     grid = cover_grid(tau, rmax, nr=nr, ntheta=ntheta, n=n, ny=ny)
     alpha = k / 2.0
-    pts_frame, shape = grid.base_points(n)
-    pts = probe.from_frame(pts_frame)
-    s_rep = u.symmetric_values(pts)
-    if n == 2:
-        sv = s_rep.reshape(shape + (m,))
-    else:
-        sv = np.moveaxis(s_rep.reshape((shape[2],) + shape[:2] + (m,)), 0, 2)
-    # resolve the u-lift by propagation along theta on the cover, ring by ring
+    # one lane per axis slab; the plane (n = 2) is one slab
+    lanes = grid.shape[:2] + (-1,)
+    sv = grid.on_grid(u.symmetric_values(probe.from_frame(grid.nodes()))).reshape(lanes + (m,))
+    wts = grid.weights().reshape(lanes)
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
-    wrt = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones_like(T)
+    # resolve the u-lift by propagation along theta on the cover, ring by ring
     signs, hol = propagate_signs(sv)
-    if np.any(np.asarray(hol) < 0):
+    if np.any(hol < 0):
         raise PairingError("u-lift is not 4pi-periodic on the cover")
-    if n == 2:
-        slabs = [(signs, sv)]
-        wy = [1.0]
-    else:
-        slabs = [(signs[:, :, l], sv[:, :, l]) for l in range(sv.shape[2])]
-        wy = list(grid.wy)
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
-    total_w = 0.0
     lifted = []
-    for (sg, slab), wl in zip(slabs, wy):
-        lift = sg[:, :, None] * slab
+    for l in range(sv.shape[2]):
         # a global sign flip of the lift negates c; both describe one pair
-        lifted.append((lift, wl))
-        w = wrt * wl
+        lift, w = signs[:, :, l, None] * sv[:, :, l], wts[:, :, l]
+        lifted.append((lift, w))
         G[0, 0] += np.sum(w * b1 * b1)
         G[0, 1] += np.sum(w * b1 * b2)
         G[1, 1] += np.sum(w * b2 * b2)
         rhs[0] += np.einsum("rt,rtk->k", w * b1, lift)
         rhs[1] += np.einsum("rt,rtk->k", w * b2, lift)
-        total_w += np.sum(w)
     G[1, 0] = G[0, 1]
     condition = np.linalg.cond(G)
     if not np.isfinite(condition) or condition > cond_max:
@@ -280,9 +254,9 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
     coef = np.linalg.solve(G, rhs)  # rows: [cos part; sin part] per component
     c = coef[0] - 1j * coef[1]
     resid_sq = 0.0
-    for (lift, wl) in lifted:
+    for (lift, w) in lifted:
         fitv = b1[..., None] * coef[0][None, None, :] + b2[..., None] * coef[1][None, None, :]
-        resid_sq += np.sum((wrt * wl)[..., None] * (lift - fitv) ** 2)
+        resid_sq += np.sum(w[..., None] * (lift - fitv) ** 2)
     return c, float(np.sqrt(max(resid_sq, 0.0)))
 
 
@@ -415,77 +389,50 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     alpha = prof.alpha
     grid = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
                       ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
-    u_lift, phi, signs, shape = lift_against_profile(u, prof, grid)
+    u_lift, phi, _, shape = lift_against_profile(u, prof, grid)
+    # one lane per axis slab; the plane (n = 2) is one slab
+    u_lift, phi = u_lift.reshape(shape[:2] + (-1, m)), phi.reshape(shape[:2] + (1, m))
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
-    # per-(ring, y) mean local excess against the profile scale
-    pair_resid = 2.0 * np.sum(v_hat ** 2, axis=-1)
-    local = np.mean(pair_resid, axis=1)  # (nr,) or (nr, ny)
-    phi_scale = np.mean(2.0 * np.sum(np.asarray(phi) ** 2, axis=-1), axis=1)
-    if n == 3 and phi_scale.ndim == 1:
-        phi_scale = phi_scale[:, None]
+    # per-(ring, slab) mean local excess against the profile scale
+    pair_v_sq = 2.0 * np.sum(v_hat ** 2, axis=-1)
+    local = np.mean(pair_v_sq, axis=1)
+    phi_scale = np.mean(2.0 * np.sum(phi ** 2, axis=-1), axis=1)
     admissible = local <= threshold_factor * np.maximum(phi_scale, 1e-300)
     # flood fill from the outermost ring inward (and along y)
-    filled = np.zeros_like(admissible, dtype=bool)
-    if n == 2:
-        for i in range(grid.rs.shape[0] - 1, -1, -1):
-            if not admissible[i]:
-                break
-            filled[i] = True
-    else:
-        frontier = [(grid.rs.shape[0] - 1, l) for l in range(shape[2])
-                    if admissible[grid.rs.shape[0] - 1, l]]
-        for node in frontier:
-            filled[node] = True
-        while frontier:
-            i, l = frontier.pop()
-            for di, dl in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, ll = i + di, l + dl
-                if 0 <= ii < shape[0] and 0 <= ll < shape[2] and admissible[ii, ll] and not filled[ii, ll]:
-                    filled[ii, ll] = True
-                    frontier.append((ii, ll))
+    nring, nlane = admissible.shape
+    filled = np.zeros_like(admissible)
+    frontier = [(nring - 1, l) for l in range(nlane) if admissible[-1, l]]
+    for node in frontier:
+        filled[node] = True
+    while frontier:
+        i, l = frontier.pop()
+        for ii, ll in ((i - 1, l), (i + 1, l), (i, l - 1), (i, l + 1)):
+            if 0 <= ii < nring and 0 <= ll < nlane and admissible[ii, ll] and not filled[ii, ll]:
+                filled[ii, ll] = True
+                frontier.append((ii, ll))
     # required region: rings with r > tau must be covered
-    req = grid.rs > tau
-    if n == 2:
-        tube_ok = bool(np.all(filled[req]))
-    else:
-        tube_ok = bool(np.all(filled[req, :]))
+    tube_ok = bool(np.all(filled[grid.rs > tau]))
     # plane gradient of v by finite differences of the lifted difference
     # (differencing v directly keeps the exact-profile case exactly zero)
-    dr = np.gradient(v_hat, grid.rs, axis=0)
-    dt = np.gradient(v_hat, grid.thetas, axis=1)
-    R = grid.rs.reshape((-1,) + (1,) * (v_hat.ndim - 1))
-    dv1 = dr
-    dv2 = dt / R
+    dv1 = np.gradient(v_hat, grid.rs, axis=0)
+    dv2 = np.gradient(v_hat, grid.thetas, axis=1) / grid.rs[:, None, None, None]
     Rm, Tm = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
-    p1, p2 = prof.lift_gradient_plane(Rm, Tm)
-    ct, st = np.cos(Tm), np.sin(Tm)
-    if n == 3:
-        ct, st = ct[:, :, None], st[:, :, None]
-        p1, p2 = p1[:, :, None, :], p2[:, :, None, :]
-    dvx = ct[..., None] * dv1 - st[..., None] * dv2
-    dvy = st[..., None] * dv1 + ct[..., None] * dv2
+    p1, p2 = (p[:, :, None, :] for p in prof.lift_gradient_plane(Rm, Tm))
+    ct, st = np.cos(Tm)[:, :, None, None], np.sin(Tm)[:, :, None, None]
+    dvx = ct * dv1 - st * dv2
+    dvy = st * dv1 + ct * dv2
     dv_hat = np.stack([dvx, dvy], axis=-1)
     # expand ring mask to node mask
-    if n == 2:
-        node_mask = np.repeat(filled[:, None], shape[1], axis=1)
-        ring_r = grid.rs[:, None]
-        wts = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones(shape)
-    else:
-        node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
-        ring_r = grid.rs[:, None, None]
-        wts = (grid.wr[:, None, None] * grid.rs[:, None, None] * grid.wtheta
-               * grid.wy[None, None, :]) * np.ones(shape)
+    node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
+    ring_r = grid.rs[:, None, None]
+    wts = grid.weights().reshape(node_mask.shape)
     vmag = np.linalg.norm(v_hat, axis=-1)
     dvmag = np.linalg.norm(dv_hat.reshape(dv_hat.shape[:-2] + (-1,)), axis=-1)
     # interior rings only for the derivative sup (one-sided FD ends are noisy)
     inner = np.zeros_like(node_mask)
-    if n == 2:
-        inner[1:-1, :] = node_mask[1:-1, :]
-    else:
-        inner[1:-1, :, :] = node_mask[1:-1, :, :]
+    inner[1:-1] = node_mask[1:-1]
     sup_v = float(np.max(np.where(node_mask, vmag / ring_r ** alpha, 0.0), initial=0.0))
     sup_dv = float(np.max(np.where(inner, dvmag * ring_r ** (1 - alpha), 0.0), initial=0.0))
-    pair_v_sq = 2.0 * np.sum(v_hat ** 2, axis=-1)
     pair_dv_sq = 2.0 * np.sum(dv_hat ** 2, axis=(-2, -1))
     integral_in = float(np.sum(np.where(node_mask, wts * (pair_v_sq + ring_r ** 2 * pair_dv_sq), 0.0)) / 2.0)
     # excluded-region integral of |u|^2 + r^2 |Du|^2 over the same grid
@@ -496,7 +443,8 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     integral_out = float(np.sum(np.where(~node_mask, wts * (su2 + ring_r ** 2 * du_sq), 0.0)) / 2.0)
     exc = excess(u, prof, unit_ball(n), spec)
     return GraphRepresentation(
-        grid=grid, shape=shape, admissible=filled, v_hat=v_hat, dv_hat=dv_hat,
+        grid=grid, shape=shape, admissible=filled.reshape(shape[:1] + shape[2:]),
+        v_hat=v_hat.reshape(shape + (m,)), dv_hat=dv_hat.reshape(shape + (m, 2)),
         tau=tau, beta=beta, sup_v=sup_v, sup_dv=sup_dv,
         tube_condition_met=tube_ok, integral_in=integral_in,
         integral_out=integral_out, excess_sq=float(exc),

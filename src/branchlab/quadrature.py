@@ -97,12 +97,12 @@ class Rule:
         return np.sum(self.weights[:, None] * vals.reshape(vals.shape[0], -1), axis=0)
 
 
-def _polar_nodes(nr, ntheta, grading):
+def _polar_nodes(nr, ntheta, grading, period=2.0 * np.pi):
     s, ws = gauss_legendre_01(nr)
     r01 = s ** grading
     wr01 = ws * grading * s ** (grading - 1.0)
-    theta = (np.arange(ntheta) + 0.5) * (2.0 * np.pi / ntheta)
-    wt = 2.0 * np.pi / ntheta
+    theta = (np.arange(ntheta) + 0.5) * (period / ntheta)
+    wt = period / ntheta
     return r01, wr01, theta, wt
 
 
@@ -129,6 +129,47 @@ def _axis_angles(n, planar, full):
     return full if n == 4 and not planar else 1
 
 
+def _polar_slabs(ball, nr, ntheta, naxis, grading, slabs=slice(None), planar=False,
+                 period=2.0 * np.pi):
+    """Graded disks stacked along the axis variables of a ball; a disk is one slab.
+
+    Returns the disk radii (slab, nr), the angles (ntheta,) over [0, period),
+    the axis offsets of the slabs from the center (slab, phi, n - 2) and the
+    weight of each node of a ring (slab, nr).  slabs and planar are as for
+    ball_rule; period 4 pi gives the same slabs on the double cover.
+    """
+    n, rho = ball.n, ball.radius
+    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, grading, period)
+    if n == 2:
+        y, wy, axis = np.zeros(1), np.ones(1), np.zeros((1, 1, 0))
+    elif n == 3:
+        # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
+        psi, wpsi = _leggauss(int(naxis))
+        psi = psi[slabs] * (np.pi / 2.0)
+        wpsi = wpsi[slabs] * (np.pi / 2.0)
+        y = rho * np.sin(psi)
+        wy = rho * np.cos(psi) * wpsi
+        axis = y[:, None, None]
+    else:
+        # polar coordinates (rl, phi) in the (y1, y2)-plane as well
+        sy, wsy = gauss_legendre_01(int(naxis))
+        y = rho * sy[slabs]
+        wy = rho * wsy[slabs]
+        nphi = _axis_angles(n, planar, max(8, naxis))
+        phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
+        axis = np.stack([y[:, None] * np.cos(phi), y[:, None] * np.sin(phi)], axis=-1)
+    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))
+    keep = rho_l > 0.0
+    rho_l, y, wy, axis = rho_l[keep], y[keep], wy[keep], axis[keep]
+    r = rho_l[:, None] * r01
+    w = rho_l[:, None] * wr01 * r * wt
+    if n == 4:
+        w = w * y[:, None] * wy[:, None] * (2.0 * np.pi / nphi)
+    else:
+        w = w * wy[:, None]
+    return r, theta, axis, w
+
+
 def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), planar=False):
     """Rule for a ball in R^n; axis variables handled by slabs of graded disks.
 
@@ -139,45 +180,18 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), 
     """
     n = ball.n
     c = ball.center_array
-    rho = ball.radius
     if n == 2:
-        return disk_rule(c, rho, nr=nr, ntheta=ntheta, grading=grading)
+        return disk_rule(c, ball.radius, nr=nr, ntheta=ntheta, grading=grading)
     if n not in (3, 4):
         raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
-    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, grading)
-    if n == 3:
-        # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
-        psi, wpsi = _leggauss(int(naxis))
-        psi = psi[slabs] * (np.pi / 2.0)
-        wpsi = wpsi[slabs] * (np.pi / 2.0)
-        y = rho * np.sin(psi)
-        wy = rho * np.cos(psi) * wpsi
-        axis = (c[2] + y)[:, None, None]  # (slab, 1, n - 2)
-    else:
-        # polar coordinates (rl, phi) in the (y1, y2)-plane as well
-        sy, wsy = gauss_legendre_01(int(naxis))
-        y = rho * sy[slabs]
-        wy = rho * wsy[slabs]
-        nphi = _axis_angles(n, planar, max(8, naxis))
-        phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-        axis = np.stack([c[2] + y[:, None] * np.cos(phi), c[3] + y[:, None] * np.sin(phi)],
-                        axis=-1)  # (slab, phi, n - 2)
-    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))
-    keep = rho_l > 0.0
-    rho_l, y, wy, axis = rho_l[keep], y[keep], wy[keep], axis[keep]
-    r = rho_l[:, None] * r01
-    wr = rho_l[:, None] * wr01
-    if n == 3:
-        wslab = wr * r * wt * wy[:, None]
-    else:
-        wslab = wr * r * wt * y[:, None] * wy[:, None] * (2.0 * np.pi / nphi)
+    r, theta, axis, wslab = _polar_slabs(ball, nr, ntheta, naxis, grading, slabs, planar)
     # nodes ordered (slab, phi, r, theta)
     shape = axis.shape[:2] + (nr, ntheta)
     pts = np.empty(shape + (n,))
     R = r[:, None, :, None]
     pts[..., 0] = c[0] + R * np.cos(theta)
     pts[..., 1] = c[1] + R * np.sin(theta)
-    pts[..., 2:] = axis[:, :, None, None, :]
+    pts[..., 2:] = c[2:] + axis[:, :, None, None, :]
     w = np.broadcast_to(wslab[:, None, :, None], shape)
     return Rule(pts.reshape(-1, n), w.reshape(-1))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError
-from .quadrature import _leggauss, gauss_legendre_01
+from .quadrature import Ball, _polar_slabs
 
 FOUR_PI = 4.0 * np.pi
 
@@ -172,36 +172,17 @@ def l_span_elements(c0, alpha, n, m):
 
 
 def cover_ball_rule(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
-    """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover."""
-    s, ws = gauss_legendre_01(nr)
-    theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
-    dth = FOUR_PI / ntheta
-    if n == 2:
-        r = rho * s ** grading
-        wr = rho * grading * s ** (grading - 1.0) * ws
-        R, T = np.meshgrid(r, theta, indexing="ij")
-        W = (wr * r)[:, None] * dth * np.ones_like(T)
-        return R.ravel(), T.ravel(), None, W.ravel()
-    psi, wpsi = _leggauss(int(ny))
-    psi = psi * (np.pi / 2.0)
-    wpsi = wpsi * (np.pi / 2.0)
-    ys = rho * np.sin(psi)
-    wys = rho * np.cos(psi) * wpsi
-    rs_list, th_list, y_list, w_list = [], [], [], []
-    for yl, wl in zip(ys, wys):
-        rho_l = np.sqrt(max(rho * rho - yl * yl, 0.0))
-        if rho_l <= 0:
-            continue
-        r = rho_l * s ** grading
-        wr = rho_l * grading * s ** (grading - 1.0) * ws
-        R, T = np.meshgrid(r, theta, indexing="ij")
-        W = (wr * r)[:, None] * dth * wl * np.ones_like(T)
-        rs_list.append(R.ravel())
-        th_list.append(T.ravel())
-        y_list.append(np.full(R.size, yl))
-        w_list.append(W.ravel())
-    return (np.concatenate(rs_list), np.concatenate(th_list),
-            np.concatenate(y_list)[:, None], np.concatenate(w_list))
+    """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover.
+
+    These are the slabs of the ball rule, with theta over the double cover.
+    """
+    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), nr, ntheta, ny, grading,
+                                     period=FOUR_PI)
+    shape = axis.shape[:2] + (nr, ntheta)  # (slab, 1, r, theta)
+    R, W = (np.broadcast_to(a[:, None, :, None], shape).ravel() for a in (r, w))
+    Y = None if n == 2 else np.broadcast_to(axis[:, :, None, None, :],
+                                            shape + (n - 2,)).reshape(-1, n - 2)
+    return R, np.broadcast_to(theta, shape).ravel(), Y, W
 
 
 def _eval_cover(f, r, theta, y):

@@ -464,6 +464,17 @@ def term(k, *c):
     (lambda c: c.update(field={"type": "sampled"}), "field.path"),
     (lambda c: c.update(field={"type": "sampled", "path": 5}), "field.path"),
     (lambda c: c.update(field={"type": "sampled", "path": ""}), "field.path"),
+    (lambda c: c.update(sed=5), "sed"),
+    (lambda c: c.update(description="x"), "description"),
+    (lambda c: c["field"].update(nn=3), "field.nn"),
+    (lambda c: c["field"].update(coeffs=[[1.0, 0.0]]), "field.coeffs"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": [[-0.2, 0.0], [1.0, 0.0]],
+                               "cc": [[1.0, 0.0], [0.0, 1.0]]}), "field.cc"),
+    (lambda c: c.update(field={"type": "branch_polynomial", "coeffs": [[-0.2, 0.0], [1.0, 0.0]],
+                               "terms": []}), "field.terms"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "n": 3}), "field.n"),
+    (lambda c: c.update(field={"type": "non_stationary_control", "path": "f.csv"}), "field.path"),
+    (lambda c: c.update(field={"type": "sampled", "path": "f.csv", "m": 1}), "field.m"),
 ])
 def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
     cfg = freq_config("out")
@@ -481,6 +492,8 @@ SAMPLED_HEADER = ("# branchlab sampled-field v1\n# n=2 m=1 symmetric=1 hol=0\n# 
     "# branchlab sampled-field v1\nx1,x2,a1_1,a2_1\n0.5,0.0,1.0,-1.0\n",
     SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n",
     SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 3 + "0.5,0.0,x,y\n",
+    SAMPLED_HEADER.replace("shape=2,2", "shape=1,4") + "0.5,0.0,1.0,-1.0\n" * 4,
+    SAMPLED_HEADER.replace("n=2", "n=3").replace("x2,", "x2,x3,") + "0.5,0.0,0.0,1.0,-1.0\n" * 4,
 ])
 def test_corrupt_sampled_csv_exit_config(tmp_path, capsys, content):
     (tmp_path / "field.csv").write_text(content)
@@ -494,6 +507,16 @@ def test_sampled_csv_loads(tmp_path):
     cfg = freq_config("out")
     cfg["field"] = {"type": "sampled", "path": "field.csv"}
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("n, code", [(2, cli.EXIT_OK), (3, cli.EXIT_CONFIG)])
+def test_sampled_field_n_is_the_csv_dimension(tmp_path, capsys, n, code):
+    (tmp_path / "field.csv").write_text(SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 4)
+    cfg = freq_config("out")
+    cfg["field"] = {"type": "sampled", "path": "field.csv", "n": n}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == code
+    if code == cli.EXIT_CONFIG:
+        assert json.loads(capsys.readouterr().err.strip())["key"] == "field.n"
 
 
 @pytest.mark.parametrize("n", [2, 3])

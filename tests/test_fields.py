@@ -569,6 +569,84 @@ def test_sample_n3_matches_per_slab_reference():
     assert sf.hol == hol == -1.0
 
 
+@pytest.mark.parametrize("ys", [None, np.linspace(-0.5, 0.5, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_polar_grid_layout_matches_former_reorders(ys, m):
+    grid = PolarGrid(graded_radii(5, 0.8), np.arange(7) * (2 * np.pi / 7), ys)
+    rows = np.random.default_rng(m).standard_normal((grid.nodes().shape[0], m))
+    arr = grid.on_grid(rows)
+    # the former hand-written reorders: nodes() orders the axis slabs outermost
+    if ys is None:
+        ref, ref_rows = rows.reshape(grid.shape + (m,)), arr.reshape(-1, m)
+    else:
+        ref = np.moveaxis(rows.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
+        ref_rows = np.moveaxis(arr, 2, 0).reshape(-1, m)
+    assert arr.shape == grid.shape + (m,)
+    assert np.array_equal(arr, ref)
+    assert np.array_equal(grid.node_rows(arr), ref_rows)
+    assert np.array_equal(grid.node_rows(arr), rows)
+    assert np.array_equal(grid.on_grid(grid.node_rows(arr)), arr)
+    # on the grid, index (i, j[, l]) holds the node (r_i, theta_j[, y_l])
+    pts = grid.on_grid(grid.nodes())
+    R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
+    if ys is not None:
+        R, T = R[:, :, None], T[:, :, None]
+        assert np.array_equal(pts[..., 2], np.broadcast_to(ys, grid.shape))
+    assert np.array_equal(pts[..., 0], np.broadcast_to(R * np.cos(T), grid.shape))
+    assert np.array_equal(pts[..., 1], np.broadcast_to(R * np.sin(T), grid.shape))
+
+
+def _interp_lift_reference(sf, X):
+    """The former SampledField._interp_lift body, with its separate n = 3 gather."""
+    r = np.hypot(X[:, 0], X[:, 1])
+    theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
+    ir, tr = sf._locate(r, sf.grid.rs)
+    th = sf.grid.thetas
+    dth = th[1] - th[0]
+    jt = np.floor((theta - th[0]) / dth).astype(int)
+    tt = (theta - th[0]) / dth - jt
+    jt0, jt1 = np.mod(jt, th.shape[0]), np.mod(jt + 1, th.shape[0])
+    sgn = np.where((jt + 1) >= th.shape[0], (sf.hol if sf.hol is not None else 1.0), 1.0)
+
+    def gather(arr, *iy):
+        v00 = arr[(ir, jt0) + iy]
+        v01 = arr[(ir, jt1) + iy] * sgn[:, None]
+        v10 = arr[(ir + 1, jt0) + iy]
+        v11 = arr[(ir + 1, jt1) + iy] * sgn[:, None]
+        return ((1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
+                + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11))
+
+    if sf.n == 2:
+        return gather(sf.s_lift), (gather(sf.avg) if sf.avg is not None else None)
+    iy, ty = sf._locate(X[:, 2], sf.grid.ys)
+
+    def across(arr):
+        return (1 - ty)[:, None] * gather(arr, iy) + ty[:, None] * gather(arr, iy + 1)
+
+    return across(sf.s_lift), (across(sf.avg) if sf.avg is not None else None)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("with_average", [False, True])
+@pytest.mark.parametrize("c", [C_NULL, np.array([1.0, 0.0]) + 0j])  # the second: signed zeros
+def test_sampled_interpolation_matches_former_gathers(n, with_average, c):
+    average = None
+    if with_average:
+        average = Polynomial([(1,) + (0,) * (n - 1), (0, 2) + (0,) * (n - 2)],
+                             [np.array([0.3, -0.1]), np.array([0.05, 0.2])], n)
+    u = CylindricalModeField.power_sum([(c, 1), (0.1 * c, 3)], n=n, average=average)
+    grid = PolarGrid(graded_radii(10, 0.9), np.arange(24) * (2 * np.pi / 24),
+                     None if n == 2 else np.linspace(-0.4, 0.4, 5))
+    sf = sample(u, grid)
+    X = np.random.default_rng(5).uniform(-0.6, 0.6, size=(300, n))
+    X[:8, 1], X[8:16, 1] = 0.0, -0.0  # on the seam, from both sides
+    X[16:24, :2] = 0.0  # at the center, where a zero sample keeps its sign
+    s, h = sf._interp_lift(X)
+    s0, h0 = _interp_lift_reference(sf, X)
+    assert s.tobytes() == s0.tobytes()
+    assert (h is None and h0 is None) or h.tobytes() == h0.tobytes()
+
+
 # -- harmonic polynomial basis -------------------------------------------------
 
 @pytest.mark.parametrize("n,degree,count", [(2, 3, 7), (3, 2, 9)])

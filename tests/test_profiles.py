@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from branchlab.errors import FitError
-from branchlab.fields import BranchPolynomialField, CylindricalModeField
+from branchlab.fields import BranchPolynomialField, CylindricalMode, CylindricalModeField
 from branchlab.profiles import (CylindricalProfile, corollary_checks,
                                 cover_grid, excess, fit_c, fit_profile,
                                 fit_rotation, graphical_decompose,
@@ -267,7 +267,135 @@ def _base_points_reference(grid, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_cover_grid_base_points_bit_identical(n):
     grid = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
-    pts, shape = grid.base_points(n)
+    pts, shape = grid.nodes(), grid.shape
     ref_pts, ref_shape = _base_points_reference(grid, n)
     assert shape == ref_shape
     assert pts.tobytes() == ref_pts.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cover_grid_weights_bit_identical(n):
+    grid = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
+    w = grid.weights()
+    assert w.shape == grid.shape
+    # the former fit_c weights, slab by slab: wrt * wl, wl = 1 on the plane
+    T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")[1]
+    wrt = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones_like(T)
+    for l, wl in enumerate([1.0] if n == 2 else grid.wy):
+        assert (w if n == 2 else w[:, :, l]).tobytes() == (wrt * wl).tobytes()
+    # the former graphical_decompose weights
+    if n == 2:
+        wts = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones(grid.shape)
+    else:
+        wts = (grid.wr[:, None, None] * grid.rs[:, None, None] * grid.wtheta
+               * grid.wy[None, None, :]) * np.ones(grid.shape)
+    assert w.tobytes() == wts.tobytes()
+
+
+def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=40,
+                                   ntheta=128, ny=10, spec=None, threshold_factor=0.0625):
+    """The former graphical_decompose body, with its separate n = 2 and n = 3 paths."""
+    n = u.n
+    alpha = prof.alpha
+    grid = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
+                      ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
+    u_lift, phi, signs, shape = lift_against_profile(u, prof, grid)
+    v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
+    pair_resid = 2.0 * np.sum(v_hat ** 2, axis=-1)
+    local = np.mean(pair_resid, axis=1)
+    phi_scale = np.mean(2.0 * np.sum(np.asarray(phi) ** 2, axis=-1), axis=1)
+    admissible = local <= threshold_factor * np.maximum(phi_scale, 1e-300)
+    filled = np.zeros_like(admissible, dtype=bool)
+    if n == 2:
+        for i in range(grid.rs.shape[0] - 1, -1, -1):
+            if not admissible[i]:
+                break
+            filled[i] = True
+    else:
+        frontier = [(grid.rs.shape[0] - 1, l) for l in range(shape[2])
+                    if admissible[grid.rs.shape[0] - 1, l]]
+        for node in frontier:
+            filled[node] = True
+        while frontier:
+            i, l = frontier.pop()
+            for di, dl in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                ii, ll = i + di, l + dl
+                if (0 <= ii < shape[0] and 0 <= ll < shape[2] and admissible[ii, ll]
+                        and not filled[ii, ll]):
+                    filled[ii, ll] = True
+                    frontier.append((ii, ll))
+    req = grid.rs > tau
+    tube_ok = bool(np.all(filled[req])) if n == 2 else bool(np.all(filled[req, :]))
+    dr = np.gradient(v_hat, grid.rs, axis=0)
+    dt = np.gradient(v_hat, grid.thetas, axis=1)
+    R = grid.rs.reshape((-1,) + (1,) * (v_hat.ndim - 1))
+    dv1, dv2 = dr, dt / R
+    Rm, Tm = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
+    p1, p2 = prof.lift_gradient_plane(Rm, Tm)
+    ct, st = np.cos(Tm), np.sin(Tm)
+    if n == 3:
+        ct, st = ct[:, :, None], st[:, :, None]
+        p1, p2 = p1[:, :, None, :], p2[:, :, None, :]
+    dvx = ct[..., None] * dv1 - st[..., None] * dv2
+    dvy = st[..., None] * dv1 + ct[..., None] * dv2
+    dv_hat = np.stack([dvx, dvy], axis=-1)
+    if n == 2:
+        node_mask = np.repeat(filled[:, None], shape[1], axis=1)
+        ring_r = grid.rs[:, None]
+        wts = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones(shape)
+    else:
+        node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
+        ring_r = grid.rs[:, None, None]
+        wts = (grid.wr[:, None, None] * grid.rs[:, None, None] * grid.wtheta
+               * grid.wy[None, None, :]) * np.ones(shape)
+    vmag = np.linalg.norm(v_hat, axis=-1)
+    dvmag = np.linalg.norm(dv_hat.reshape(dv_hat.shape[:-2] + (-1,)), axis=-1)
+    inner = np.zeros_like(node_mask)
+    inner[1:-1] = node_mask[1:-1]
+    sup_v = float(np.max(np.where(node_mask, vmag / ring_r ** alpha, 0.0), initial=0.0))
+    sup_dv = float(np.max(np.where(inner, dvmag * ring_r ** (1 - alpha), 0.0), initial=0.0))
+    pair_v_sq = 2.0 * np.sum(v_hat ** 2, axis=-1)
+    pair_dv_sq = 2.0 * np.sum(dv_hat ** 2, axis=(-2, -1))
+    integral_in = float(np.sum(np.where(node_mask, wts * (pair_v_sq + ring_r ** 2 * pair_dv_sq),
+                                        0.0)) / 2.0)
+    su2 = 2.0 * np.sum(u_lift ** 2, axis=-1)
+    du1 = dv_hat[..., 0] + np.broadcast_to(p1, dvx.shape)
+    du2 = dv_hat[..., 1] + np.broadcast_to(p2, dvy.shape)
+    du_sq = 2.0 * (np.sum(du1 ** 2, axis=-1) + np.sum(du2 ** 2, axis=-1))
+    integral_out = float(np.sum(np.where(~node_mask, wts * (su2 + ring_r ** 2 * du_sq), 0.0)) / 2.0)
+    return filled, v_hat, dv_hat, sup_v, sup_dv, tube_ok, integral_in, integral_out
+
+
+@pytest.mark.parametrize("n, case", [(2, "exact"), (2, "perturbed"), (2, "displaced"),
+                                     (3, "exact"), (3, "perturbed"), (3, "displaced"),
+                                     (3, "axis-dependent"), (3, "filled-along-y")])
+def test_graphical_decompose_matches_former_paths(n, case, spec_fast):
+    prof = CylindricalProfile(C_NULL, 1, n=n)
+    if case == "exact":
+        u = prof
+    elif case == "perturbed":
+        u = CylindricalModeField.power_sum([(C_NULL, 1), (0.2 * C_NULL, 5)], n=n)
+    elif case == "displaced":  # the inner rings are not admissible
+        u = BranchPolynomialField([-0.05, 1.0], c=C_NULL, n=n)
+    elif case == "axis-dependent":  # the branch set bends away along y
+        u = BranchPolynomialField([0.0, 1.0], c=C_NULL, n=3, qfun=lambda y: 3.0 * y[:, 0] ** 2,
+                                  qgrad=lambda y: 6.0 * y)
+    else:  # outer rings of the end slabs fail; their inner rings fill from the middle slabs
+        pert = CylindricalMode(2.5, 2.5, 3.0 * C_NULL.real, -3.0 * C_NULL.imag, y0=0.0,
+                               ylin=[-1.0])
+        u = CylindricalModeField(CylindricalModeField.power_sum([(C_NULL, 1)], n=3).modes
+                                 + [pert], n=3)
+    counts = {"nr": 16, "ntheta": 32, "ny": 6}
+    gr = graphical_decompose(u, prof, spec=spec_fast, **counts)
+    filled, v_hat, dv_hat, sup_v, sup_dv, tube_ok, i_in, i_out = \
+        _graphical_decompose_reference(u, prof, **counts)
+    assert gr.admissible.shape == gr.shape[:1] + gr.shape[2:]
+    assert np.array_equal(gr.admissible, filled)
+    assert gr.v_hat.tobytes() == v_hat.tobytes() and gr.v_hat.shape == v_hat.shape
+    assert gr.dv_hat.tobytes() == dv_hat.tobytes() and gr.dv_hat.shape == dv_hat.shape
+    assert (gr.sup_v, gr.sup_dv, gr.tube_condition_met) == (sup_v, sup_dv, tube_ok)
+    assert (gr.integral_in, gr.integral_out) == (i_in, i_out)
+    if case != "exact" and case != "perturbed":
+        assert np.any(gr.admissible) and not np.all(gr.admissible)
+    if case == "filled-along-y":
+        assert gr.admissible[0, 0] and not gr.admissible[-1, 0]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from branchlab.spectral import (CoverFourierBasis, CoverFunction,
-                                remainder_decay_check, fourier_coefficients,
+from branchlab.quadrature import _leggauss, gauss_legendre_01
+from branchlab.spectral import (FOUR_PI, CoverFourierBasis, CoverFunction,
+                                cover_ball_rule, remainder_decay_check,
+                                fourier_coefficients,
                                 half_case_boundary_term, l_span_elements,
                                 project_L, profile_plane_gradient_lift,
                                 spectral_decompose)
@@ -207,3 +209,50 @@ def test_spectral_decomp_exports(tmp_path, basis):
     json_path = tmp_path / "proj.json"
     decomp.projections_to_json(json_path)
     assert "0.5" in json_path.read_text()
+
+
+def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
+    """The former per-slab body of cover_ball_rule, the reference for the slab rule."""
+    s, ws = gauss_legendre_01(nr)
+    theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
+    dth = FOUR_PI / ntheta
+    if n == 2:
+        r = rho * s ** grading
+        wr = rho * grading * s ** (grading - 1.0) * ws
+        R, T = np.meshgrid(r, theta, indexing="ij")
+        W = (wr * r)[:, None] * dth * np.ones_like(T)
+        return R.ravel(), T.ravel(), None, W.ravel()
+    psi, wpsi = _leggauss(int(ny))
+    psi = psi * (np.pi / 2.0)
+    wpsi = wpsi * (np.pi / 2.0)
+    ys = rho * np.sin(psi)
+    wys = rho * np.cos(psi) * wpsi
+    rs_list, th_list, y_list, w_list = [], [], [], []
+    for yl, wl in zip(ys, wys):
+        rho_l = np.sqrt(max(rho * rho - yl * yl, 0.0))
+        if rho_l <= 0:
+            continue
+        r = rho_l * s ** grading
+        wr = rho_l * grading * s ** (grading - 1.0) * ws
+        R, T = np.meshgrid(r, theta, indexing="ij")
+        W = (wr * r)[:, None] * dth * wl * np.ones_like(T)
+        rs_list.append(R.ravel())
+        th_list.append(T.ravel())
+        y_list.append(np.full(R.size, yl))
+        w_list.append(W.ravel())
+    return (np.concatenate(rs_list), np.concatenate(th_list),
+            np.concatenate(y_list)[:, None], np.concatenate(w_list))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.125, 1.0 / 32, 0.3, 0.7, 1.0 / 3])
+@pytest.mark.parametrize("counts", [{}, {"nr": 7, "ntheta": 12, "ny": 5}])
+def test_cover_ball_rule_matches_former_slab_loop(n, rho, counts):
+    r, th, y, w = cover_ball_rule(rho, n, **counts)
+    r0, th0, y0, w0 = _cover_ball_rule_reference(rho, n, **counts)
+    assert np.array_equal(r, r0) and np.array_equal(th, th0)
+    assert (y is None and y0 is None) or np.array_equal(y, y0)
+    assert np.max(np.abs(w - w0) / w0) <= 1e-14
+    if n == 2 and np.log2(rho) == round(np.log2(rho)):
+        # at power-of-two radii the ball's weight formula rounds the same way
+        assert np.array_equal(w, w0)
