@@ -96,6 +96,9 @@ class ExperimentConfig:
         cfg = cls(kind, params, output_dir, seed, u, base_dir)
         _require("corollaries" not in cfg.stages or len(getattr(u, "modes", ())) >= 2, "field",
                  "corollaries needs a power-sum field with a base term plus perturbation terms")
+        _require(u.n <= 3 or not {"decay", "spectral"} & set(cfg.stages), "field.n",
+                 f"decay and spectral fit profiles at n = 2 and 3 only, and the field has "
+                 f"n = {u.n}")
         return cfg
 
     @property

@@ -179,9 +179,22 @@ class CylindricalModeField(Field):
 
     def symmetric_gradient(self, X):
         X, _ = _as_points(X, self.n)
-        r, theta, y = _xy_split(X, self.n)
         N = X.shape[0]
         out = np.zeros((N, self.m, self.n))
+        terms = self.power_terms()
+        if terms is not None:
+            # Re f with f = sum c z^(k/2) has gradient (Re f', -Im f'), f' = sum (k/2) c s^(k-2).
+            # s = sqrt(z) takes the arctan2 branch, signed zeros of x2 included, which
+            # z = x1 + 1j*x2 would lose.  Values stay trigonometric, so the c that
+            # fit_c reads off them do not move by rounding.
+            z = np.empty(N, dtype=complex)
+            z.real, z.imag = X[:, 0], X[:, 1]
+            s = np.sqrt(z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fp = sum((0.5 * k * s ** (k - 2))[:, None] * c for c, k in terms)
+            out[:, :, 0], out[:, :, 1] = fp.real, -fp.imag
+            return out
+        r, theta, y = _xy_split(X, self.n)
         ct, st = np.cos(theta), np.sin(theta)
         with np.errstate(divide="ignore", invalid="ignore"):
             for md in self.modes:

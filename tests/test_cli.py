@@ -166,6 +166,27 @@ def test_full_pipeline_stage_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out_pipe").exists()
 
 
+def test_frequency_and_corollaries_run_at_n4(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "kind": "full-pipeline",
+        "field": {"type": "power_sum", "n": 4,
+                  "terms": [term(1, (C_RE, 0.0), (0.0, C_RE)),
+                            term(3, (0.05, 0.0), (0.0, 0.05))]},
+        "params": {"stages": ["frequency", "corollaries"], "radii": [0.5, 1.0],
+                   "quadrature": {"nr": 12, "ntheta": 24, "naxis": 6, "nsphere": 32,
+                                  "npolar": 16}},
+        "output_dir": "out_n4",
+        "seed": 0,
+    }
+    for kind in ("frequency", "corollaries"):
+        assert cli.main(["validate", write_config(tmp_path, dict(cfg, kind=kind))]) == cli.EXIT_OK
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "out_n4" / "summary.json").read_text())
+    assert {k: v["status"] for k, v in summary["stages"].items()} == {
+        "frequency": "ok", "corollaries": "ok"}
+
+
 @pytest.mark.parametrize("stages", [["frequncy"], "frequency", 5, [["frequency"]],
                                     ["full-pipeline"]])
 def test_malformed_stages_exit_config(tmp_path, capsys, stages):
@@ -475,6 +496,21 @@ def term(k, *c):
     (lambda c: c.update(field={"type": "non_stationary_control", "n": 3}), "field.n"),
     (lambda c: c.update(field={"type": "non_stationary_control", "path": "f.csv"}), "field.path"),
     (lambda c: c.update(field={"type": "sampled", "path": "f.csv", "m": 1}), "field.m"),
+    # decay and spectral fit profiles on n = 2 and 3 cover grids only; explicit
+    # ids keep the generated id of the field.n row above
+    pytest.param(lambda c: (c.update(kind="decay"), c["field"].update(n=4)), "field.n",
+                 id="decay-n4"),
+    pytest.param(lambda c: (c.update(kind="spectral"), c["field"].update(n=4)), "field.n",
+                 id="spectral-n4"),
+    pytest.param(lambda c: (c.update(kind="full-pipeline"), c["field"].update(n=4),
+                            c["params"].update(stages=["decay"])), "field.n",
+                 id="stages-decay-n4"),
+    pytest.param(lambda c: (c.update(kind="full-pipeline"), c["field"].update(n=4),
+                            c["params"].update(stages=["frequency", "spectral"])), "field.n",
+                 id="stages-spectral-n4"),
+    pytest.param(lambda c: c.update(kind="spectral", field={
+        "type": "branch_polynomial", "n": 5, "coeffs": [[-0.04, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
+        "field.n", id="spectral-branch-polynomial-n5"),
 ])
 def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
     cfg = freq_config("out")

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -163,8 +163,112 @@ def _points(draw, n):
 @given(st.data())
 def test_symmetric_gradient_matches_reference(data):
     u = data.draw(_mode_fields())
+    assume(u.power_terms() is None)  # all-harmonic sums take the complex-derivative path
     X = _points(data.draw, u.n)
     np.testing.assert_array_equal(u.symmetric_gradient(X), _symmetric_gradient_reference(u, X))
+
+
+def _symmetric_values_reference(u, X):
+    """CylindricalModeField.symmetric_values as written, one cos/sin pair per mode."""
+    r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+    y = X[:, 2:] if u.n > 2 else None
+    out = np.zeros((X.shape[0], u.m))
+    for md in u.modes:
+        ang = np.cos(md.freq * theta)[:, None] * md.a + np.sin(md.freq * theta)[:, None] * md.b
+        yf = u._yfactor(md, y)
+        yf = yf[:, None] if np.ndim(yf) == 1 else yf
+        out += (r ** md.beta)[:, None] * ang * yf
+    return out
+
+
+@st.composite
+def _power_sum_fields(draw, rescaled=True):
+    """{+-Re sum c z^(k/2)} with 1-3 terms of one parity, maybe viewed through a RescaledField."""
+    n, m = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 3))
+    parity = draw(st.integers(0, 1))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = 2 * draw(st.integers(1 - parity, 3)) + parity
+        re, im = (np.array(draw(st.lists(_coef, min_size=m, max_size=m))) for _ in range(2))
+        terms.append((re + 1j * im, k))
+    u = CylindricalModeField.power_sum(terms, n=n)
+    if rescaled and draw(st.booleans()):
+        Y = np.array([0.0, 0.0] + draw(st.lists(st.floats(-0.5, 0.5), min_size=n - 2,
+                                                max_size=n - 2)))
+        u = RescaledField(u, Y, draw(st.floats(0.1, 2.0)), draw(st.floats(0.5, 3.0)))
+    return u
+
+
+def _cut_points(draw, n):
+    """_points plus points on the negative x1 axis with x2 = +0.0 and x2 = -0.0."""
+    X = _points(draw, n)
+    cut = np.zeros((2, n))
+    cut[:, 0] = -draw(st.floats(0.05, 1.0))
+    cut[:, 2:] = draw(st.floats(-1.0, 1.0))
+    cut[1, 1] = -0.0
+    return np.vstack([X, cut])
+
+
+def _unwrap(u, X):
+    """(mode field, its points, gradient factor) behind a possibly rescaled field."""
+    if isinstance(u, RescaledField):
+        return u.base, u._map(X), u.rho / u.scale
+    return u, X, 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_sum_gradient_matches_trig_reference(data):
+    u = data.draw(_power_sum_fields())
+    X = _cut_points(data.draw, u.n)
+    base, Xb, factor = _unwrap(u, X)
+    assert base.power_terms() is not None
+    got, ref = u.symmetric_gradient(X), _symmetric_gradient_reference(base, Xb) * factor
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    # A subnormal r = hypot(x1, x2) keeps only a few digits, so there the reference
+    # is the inaccurate side (8e-13 relative at r = 3e-313 against a 200-bit
+    # evaluation, where sqrt(z) is within 2e-16); compare values at r = 0 or normal r.
+    r = np.hypot(Xb[:, 0], Xb[:, 1])
+    check = finite & ((r == 0) | (r >= np.finfo(float).tiny))[:, None, None]
+    scale = np.max(np.abs(ref[check]), initial=0.0)
+    np.testing.assert_allclose(got[check], ref[check], rtol=0, atol=1e-14 * scale)
+    if u.n > 2:
+        assert not np.any(got[finite.all(axis=(1, 2)), :, 2:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_power_sum_values_stay_trigonometric(data):
+    # Values of all-harmonic sums must stay bit-identical, unlike gradients:
+    # perfbench/workloads.py::_c_entries fixes a fitted c's sign from its larger
+    # component, and for c = (1, i)/sqrt(2) the two tie, so a rounding-level
+    # change to values (which fit_c reads) flips the decay.limit.c* fingerprints.
+    u = data.draw(_power_sum_fields())
+    X = _cut_points(data.draw, u.n)
+    base, Xb, _ = _unwrap(u, X)
+    ref = _symmetric_values_reference(base, Xb)
+    if base is not u:
+        ref = ref / u.scale
+    np.testing.assert_array_equal(u.symmetric_values(X), ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_power_sum_gradient_on_the_cut_matches_values_branch(data):
+    # eval_gradient pairs ds with s, so the gradient must take the values' branch
+    # on the cut: theta = +pi at x2 = +0.0 and -pi at x2 = -0.0.
+    u = data.draw(_power_sum_fields(rescaled=False))
+    X = np.zeros((2, u.n))
+    X[:, 0] = -data.draw(st.floats(0.1, 0.9))
+    X[1, 1] = -0.0
+    eps = 1e-6
+    Xp, Xm = X.copy(), X.copy()  # X + dX would turn -0.0 into +0.0
+    Xp[:, 0] += eps
+    Xm[:, 0] -= eps
+    fd = (u.symmetric_values(Xp) - u.symmetric_values(Xm)) / (2 * eps)
+    assert np.signbit(Xm[:, 1]).tolist() == np.signbit(Xp[:, 1]).tolist() == [False, True]
+    np.testing.assert_allclose(u.symmetric_gradient(X)[:, :, 0], fd, rtol=0, atol=1e-6)
 
 
 @st.composite
