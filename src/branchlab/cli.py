@@ -471,11 +471,10 @@ def stage_spectral(cfg, u, out, prefix=""):
                        {"note": "field coincides with its profile; no blow-up"})
         return {"checks": checks, "values": {"excess": e_sq}}
     w = smod.CoverFunction.blowup(u, prof, scale)
-    proj = smod.project_L(w, 1.0, prof.c, alpha)
-    checks.append(check("pythagoras", proj.pythagoras_residual <= 1e-10,
-                        f"residual {proj.pythagoras_residual:.3e}"))
     rep = smod.remainder_decay_check(w, theta=params["theta"], scales=params["scales"],
                                      c0=prof.c, alpha=alpha)
+    pyth = rep.unit_projection.pythagoras_residual
+    checks.append(check("pythagoras", pyth <= 1e-10, f"residual {pyth:.3e}"))
     contr = rep.contractions
     checks.append(check("contractions_below_one",
                         all(c < 1.0 for c in contr), f"{contr}"))

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import cg
 from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
 from .frequency import FrequencyProfile
+from .pairspace import metric_sq_symmetric
 from .quadrature import Ball
 
 CG_RTOL = 1e-10
@@ -354,22 +355,24 @@ class CoverField:
         j1 = (j0 + 1) % M
         wrap = (j0 + 1) >= M
         tw = np.where(wrap, float(self.wrap_sign), 1.0)
-        out = np.empty((r.shape[0], self.m))
-        for p in range(r.shape[0]):
-            col0 = self._radial_interp(r[p], j0[p])
-            col1 = self._radial_interp(r[p], j1[p]) * tw[p]
-            out[p] = sign[p] * ((1 - tt[p]) * col0 + tt[p] * col1)
-        return out
+        col0 = self._radial_interp(r, j0)
+        col1 = self._radial_interp(r, j1) * tw[:, None]
+        return sign[:, None] * ((1 - tt[:, None]) * col0 + tt[:, None] * col1)
 
     def _radial_interp(self, r, j):
+        """Linear interpolation in r, toward center_value inside rs[0].
+
+        r is one radius (j an index or a slice) or an array of radii paired
+        with an array of angle indices j.
+        """
         rs = self.rs
-        if r <= rs[0]:
-            t = r / rs[0]
-            return (1 - t) * self.center_value + t * self.values[0, j]
-        i = int(np.searchsorted(rs, r)) - 1
-        i = min(max(i, 0), rs.shape[0] - 2)
-        t = (r - rs[i]) / (rs[i + 1] - rs[i])
-        return (1 - t) * self.values[i, j] + t * self.values[i + 1, j]
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(rs, r) - 1, 0, rs.shape[0] - 2)
+        t = ((r - rs[i]) / (rs[i + 1] - rs[i]))[..., None]
+        t0 = (r / rs[0])[..., None]
+        return np.where(r[..., None] <= rs[0],
+                        (1 - t0) * self.center_value + t0 * self.values[0, j],
+                        (1 - t) * self.values[i, j] + t * self.values[i + 1, j])
 
     def _radial_derivative(self, r, j):
         """d/dr of the quadratic through the three rings around r."""
@@ -601,8 +604,8 @@ def cover_frequency(cf, radii):
     D = np.zeros_like(radii)
     H = np.zeros_like(radii)
     for idx, rho in enumerate(radii):
-        vals = np.stack([cf._radial_interp(rho, j) for j in range(M)])
-        ders = np.stack([cf._radial_derivative(rho, j) for j in range(M)])
+        vals = cf._radial_interp(rho, slice(None))
+        ders = cf._radial_derivative(rho, slice(None))
         # base-ring integrals carry the pair factor 2; n = 2 scalings
         H[idx] = (1.0 / rho) * 2.0 * float(np.sum(vals * vals)) * dth * rho
         D[idx] = 2.0 * float(np.sum(vals * ders)) * dth * rho
@@ -613,9 +616,7 @@ def l2_error_vs_field(cf, fld):
     """Grid-weighted L2 pair distance between the cover data and a field."""
     grid = PolarGrid(cf.rs, cf.thetas)
     s_exact = grid.on_grid(fld.symmetric_values(grid.nodes()))
-    d_keep = np.sum((cf.values - s_exact) ** 2, axis=-1)
-    d_swap = np.sum((cf.values + s_exact) ** 2, axis=-1)
-    g2 = 2.0 * np.minimum(d_keep, d_swap)
+    g2 = metric_sq_symmetric(cf.values, s_exact)
     lower, upper = _ring_bands(cf.rs)
     w = ((upper - lower) * cf.rs)[:, None] * (2.0 * np.pi / cf.thetas.shape[0])
     return float(np.sum(w * g2))

@@ -98,13 +98,6 @@ class CylindricalProfile(Field):
         w = r ** self.alpha * np.exp(1j * self.alpha * theta)
         return np.real(np.asarray(w)[..., None] * self.c)
 
-    def lift_gradient_plane(self, r, theta):
-        """(d/dx'_1, d/dx'_2) of the lift, in frame coordinates."""
-        w = self.alpha * r ** (self.alpha - 1.0) * np.exp(1j * (self.alpha - 1.0) * theta)
-        d1 = np.real(np.asarray(w)[..., None] * self.c)
-        d2 = np.real(1j * np.asarray(w)[..., None] * self.c)
-        return d1, d2
-
     def to_json_dict(self):
         return {
             "m": self.m,
@@ -132,6 +125,16 @@ class CylindricalProfile(Field):
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def profile_plane_gradient_lift(c, alpha, r, theta):
+    """(d/dx'_1, d/dx'_2) of the lift Re(c r^alpha e^(i alpha theta)), in frame coordinates."""
+    w = alpha * np.asarray(r, dtype=float) ** (alpha - 1.0) * np.exp(
+        1j * (alpha - 1.0) * np.asarray(theta, dtype=float)
+    )
+    d1 = np.real(w[..., None] * c)
+    d2 = np.real(1j * w[..., None] * c)
+    return d1, d2
 
 
 def profile_distance_sq(p1, p2, ball=None, spec=None):
@@ -417,7 +420,7 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     dv1 = np.gradient(v_hat, grid.rs, axis=0)
     dv2 = np.gradient(v_hat, grid.thetas, axis=1) / grid.rs[:, None, None, None]
     Rm, Tm = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
-    p1, p2 = (p[:, :, None, :] for p in prof.lift_gradient_plane(Rm, Tm))
+    p1, p2 = (p[:, :, None, :] for p in profile_plane_gradient_lift(prof.c, prof.alpha, Rm, Tm))
     ct, st = np.cos(Tm)[:, :, None, None], np.sin(Tm)[:, :, None, None]
     dvx = ct * dv1 - st * dv2
     dvy = st * dv1 + ct * dv2

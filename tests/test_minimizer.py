@@ -132,6 +132,72 @@ def test_cover_frequency(half_trace):
     assert np.all(np.abs(prof.N - 0.5) < 0.02)
 
 
+def _radial_interp_reference(cf, r, j):
+    """The former scalar CoverField._radial_interp: one radius, one angle column."""
+    rs = cf.rs
+    if r <= rs[0]:
+        t = r / rs[0]
+        return (1 - t) * cf.center_value + t * cf.values[0, j]
+    i = int(np.searchsorted(rs, r)) - 1
+    i = min(max(i, 0), rs.shape[0] - 2)
+    t = (r - rs[i]) / (rs[i + 1] - rs[i])
+    return (1 - t) * cf.values[i, j] + t * cf.values[i + 1, j]
+
+
+def _value_at_reference(cf, r, theta):
+    """The former per-point loop of CoverField.value_at."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    sheet = np.floor_divide(theta, 2.0 * np.pi).astype(int) % 2
+    sign = np.where(sheet == 1, -1.0, 1.0)
+    th = np.mod(theta, 2.0 * np.pi)
+    M = cf.thetas.shape[0]
+    dth = 2.0 * np.pi / M
+    j0 = np.floor(th / dth).astype(int) % M
+    tt = th / dth - np.floor(th / dth)
+    j1 = (j0 + 1) % M
+    tw = np.where((j0 + 1) >= M, float(cf.wrap_sign), 1.0)
+    out = np.empty((r.shape[0], cf.m))
+    for p in range(r.shape[0]):
+        col0 = _radial_interp_reference(cf, r[p], j0[p])
+        col1 = _radial_interp_reference(cf, r[p], j1[p]) * tw[p]
+        out[p] = sign[p] * ((1 - tt[p]) * col0 + tt[p] * col1)
+    return out
+
+
+def _cover_frequency_reference(cf, radii):
+    """The former per-angle loop of cover_frequency, as (D, H)."""
+    M = cf.thetas.shape[0]
+    dth = 2.0 * np.pi / M
+    radii = np.asarray(radii, dtype=float)
+    D, H = np.zeros_like(radii), np.zeros_like(radii)
+    for idx, rho in enumerate(radii):
+        vals = np.stack([_radial_interp_reference(cf, rho, j) for j in range(M)])
+        ders = np.stack([cf._radial_derivative(rho, j) for j in range(M)])
+        H[idx] = (1.0 / rho) * 2.0 * float(np.sum(vals * vals)) * dth * rho
+        D[idx] = 2.0 * float(np.sum(vals * ders)) * dth * rho
+    return D, H
+
+
+@pytest.mark.parametrize("wrap_sign", [-1, 1])
+@pytest.mark.parametrize("m", [1, 2])
+def test_cover_field_interpolation_matches_per_angle_loop(wrap_sign, m):
+    rng = np.random.default_rng(5 + m)
+    rs = np.sort(rng.uniform(0.05, 1.0, 12))
+    M = 16
+    cf = CoverField(rs, np.arange(M) * (2.0 * np.pi / M), rng.standard_normal((12, M, m)),
+                    wrap_sign, np.zeros(2), rng.standard_normal(m))
+    # radii inside the first ring, on rings, between them and past the last
+    r = np.concatenate([rng.uniform(0.0, 1.1, 200), rs, [0.0, rs[0] / 2]])
+    theta = rng.uniform(0.0, 4.0 * np.pi, r.shape[0])
+    theta[:3] = [0.0, 2.0 * np.pi, 4.0 * np.pi - 1e-9]
+    assert np.array_equal(cf.value_at(r, theta), _value_at_reference(cf, r, theta))
+    radii = np.concatenate([rng.uniform(0.01, 1.0, 6), rs[[0, 5, -1]]])
+    prof = cover_frequency(cf, radii)
+    D, H = _cover_frequency_reference(cf, radii)
+    assert np.array_equal(prof.D, D) and np.array_equal(prof.H, H)
+
+
 def test_stationarity_transfer(half_trace):
     # the solved field passes the variational identities at grid-order level,
     # while the same data with c . c != 0 carries the O(1) squeeze residue

@@ -9,8 +9,8 @@ from branchlab.profiles import (CylindricalProfile, corollary_checks,
                                 cover_grid, excess, fit_c, fit_profile,
                                 fit_rotation, graphical_decompose,
                                 is_admissible_skew, lift_against_profile,
-                                skew_from_params, skew_params,
-                                write_corollary_csv)
+                                profile_plane_gradient_lift, skew_from_params,
+                                skew_params, write_corollary_csv)
 from branchlab.quadrature import unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
@@ -331,7 +331,7 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     R = grid.rs.reshape((-1,) + (1,) * (v_hat.ndim - 1))
     dv1, dv2 = dr, dt / R
     Rm, Tm = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
-    p1, p2 = prof.lift_gradient_plane(Rm, Tm)
+    p1, p2 = profile_plane_gradient_lift(prof.c, prof.alpha, Rm, Tm)
     ct, st = np.cos(Tm), np.sin(Tm)
     if n == 3:
         ct, st = ct[:, :, None], st[:, :, None]
