@@ -563,6 +563,10 @@ class PolarGrid:
         return (arr if self.ys is None else np.moveaxis(arr, 2, 0)).reshape(-1, m)
 
 
+SAMPLED_CSV_V1 = "# branchlab sampled-field v1"
+SAMPLED_CSV_V2 = "# branchlab sampled-field v2"
+
+
 class SampledField(Field):
     """Two-valued samples on a polar grid, with a propagated local lift.
 
@@ -570,6 +574,15 @@ class SampledField(Field):
     continuously along the grid by propagate_signs, seeded on the outermost
     annulus; hol records the pairing holonomy of each annular loop (-1 on
     genuinely branched data with odd k).
+
+    to_csv writes the v2 layout: a version line, a header with n, m,
+    symmetric, hol, shape and the rs/thetas[/ys] lists, a line of column
+    names, then one row per node in PolarGrid.nodes() order.  The node
+    coordinates are in the header only.  A symmetric field's row is its m
+    lift values s; any other field's row is h + s, then h - s.  Values are
+    float reprs, so a symmetric field reads back bit for bit, -0.0 included.
+    from_csv also reads v1, whose rows carry the node coordinates first and
+    always hold h + s, h - s (h = 0 for a symmetric field).
     """
 
     def __init__(self, grid, s_lift, average=None, symmetric=True, hol=None, domain=None):
@@ -655,31 +668,36 @@ class SampledField(Field):
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        shape = self.grid.shape
+        s = self.grid.node_rows(self.s_lift)
+        if self.symmetric:
+            cols, table = [f"s_{k+1}" for k in range(self.m)], s
+        else:
+            h = np.zeros_like(s) if self.avg is None else self.grid.node_rows(self.avg)
+            cols = [f"a1_{k+1}" for k in range(self.m)] + [f"a2_{k+1}" for k in range(self.m)]
+            table = np.concatenate([h + s, h - s], axis=1)
         with open(path, "w") as fh:
-            fh.write("# branchlab sampled-field v1\n")
+            fh.write(SAMPLED_CSV_V2 + "\n")
             fh.write(
                 f"# n={self.n} m={self.m} symmetric={int(self.symmetric)} "
                 f"hol={int(self.hol) if self.hol is not None else 0}\n"
             )
-            fh.write(f"# shape={','.join(str(s) for s in shape)}\n")
+            fh.write(f"# shape={','.join(str(k) for k in self.grid.shape)}\n")
             fh.write("# rs=" + ",".join(repr(float(v)) for v in self.grid.rs) + "\n")
             fh.write("# thetas=" + ",".join(repr(float(v)) for v in self.grid.thetas) + "\n")
             if self.grid.ys is not None:
                 fh.write("# ys=" + ",".join(repr(float(v)) for v in self.grid.ys) + "\n")
-            cols = [f"x{i+1}" for i in range(self.n)]
-            cols += [f"a1_{k+1}" for k in range(self.m)] + [f"a2_{k+1}" for k in range(self.m)]
             fh.write(",".join(cols) + "\n")
-            s = self.grid.node_rows(self.s_lift)
-            h = np.zeros_like(s) if self.avg is None else self.grid.node_rows(self.avg)
             row = ",".join(["%r"] * len(cols)) + "\n"
-            table = np.concatenate([self.grid.nodes(), h + s, h - s], axis=1).tolist()
-            fh.writelines(row % tuple(values) for values in table)
+            fh.writelines(row % tuple(values) for values in table.tolist())
 
     @classmethod
     def from_csv(cls, path):
+        """Read a v2 file, or a v1 file as written before v2 existed."""
         meta = {}
         with open(path) as fh:
+            version = fh.readline().strip()
+            if version not in (SAMPLED_CSV_V1, SAMPLED_CSV_V2):
+                raise ValueError(f"unknown sampled-field version line {version!r}")
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -703,15 +721,22 @@ class SampledField(Field):
         rs = np.array([float(v) for v in meta["rs"].split(",")])
         thetas = np.array([float(v) for v in meta["thetas"].split(",")])
         ys = np.array([float(v) for v in meta["ys"].split(",")]) if "ys" in meta else None
-        a1 = data[:, n:n + m]
-        a2 = data[:, n + m:n + 2 * m]
-        s = (a1 - a2) / 2.0
-        h = (a1 + a2) / 2.0
         symmetric = bool(int(meta.get("symmetric", "1")))
         grid = PolarGrid(rs, thetas, ys)
         if (n, shape) != (grid.n, grid.shape):
             raise ValueError(f"n={n} shape={meta['shape']} disagree with the rs/thetas/ys lists")
-        avg = None if symmetric else grid.on_grid(h)
+        first = n if version == SAMPLED_CSV_V1 else 0  # v1 rows start with the node
+        s_only = symmetric and version == SAMPLED_CSV_V2  # v2 stores a symmetric s as is
+        expect = (int(np.prod(shape)), first + (m if s_only else 2 * m))
+        if data.shape != expect:
+            raise ValueError(f"the data block is {data.shape[0]}x{data.shape[1]}, "
+                             f"not {expect[0]}x{expect[1]}")
+        if s_only:
+            s, avg = data, None
+        else:
+            a1, a2 = data[:, first:first + m], data[:, first + m:]
+            s = (a1 - a2) / 2.0
+            avg = None if symmetric else grid.on_grid((a1 + a2) / 2.0)
         return cls(grid, grid.on_grid(s), average=avg, symmetric=symmetric, hol=hol)
 
 

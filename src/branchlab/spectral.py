@@ -1,11 +1,10 @@
-"""Linear theory on the branched cover: eigenbasis, projections, decay.
+"""Linear theory on the branched cover: projections onto L, decay.
 
 Functions on the graph of a cylindrical profile are parameterized by cover
-coordinates (r, theta, y) with theta in [0, 4pi).  The angular eigenbasis is
-analytic (cosines and sines of half-integer frequencies), the distinguished
-span L collects the degree-alpha kernel modes (the c-modes r^alpha cos/sin
-and the axis-tilt modes D_i phi . y_j), and the decay check runs the
-contraction of radial-derivative integrals across scales.
+coordinates (r, theta, y) with theta in [0, 4pi).  The distinguished span L
+collects the degree-alpha kernel modes (the c-modes r^alpha cos/sin and the
+axis-tilt modes D_i phi . y_j), and the decay check runs the contraction of
+radial-derivative integrals across scales.
 
 L is one array: `l_span` gives its K basis functions at all nodes at once,
 shape (N, K, m), and `project_L` builds the Gram matrix, the right-hand side
@@ -13,8 +12,7 @@ and the projection each with one contraction.  `remainder_decay_check`
 projects each distinct radius once and integrates each distinct radius once.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,67 +21,6 @@ from .profiles import profile_plane_gradient_lift
 from .quadrature import Ball, _polar_slabs
 
 FOUR_PI = 4.0 * np.pi
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    lam: float
-    kind: str   # "cos" | "sin" | "const"
-    freq: float
-
-    def values(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "const":
-            return np.full_like(theta, 1.0 / np.sqrt(FOUR_PI))
-        norm = 1.0 / np.sqrt(2.0 * np.pi)
-        if self.kind == "cos":
-            return np.cos(self.freq * theta) * norm
-        return np.sin(self.freq * theta) * norm
-
-    def second_derivative(self, theta):
-        return -self.lam * self.values(theta)
-
-
-class CoverFourierBasis:
-    """Orthonormal 4pi-periodic eigenfunctions cos(j theta/2), sin(j theta/2).
-
-    Eigenvalues lambda = (j/2)^2 appear in nondecreasing order; l0(alpha)
-    returns the first index with lambda = (alpha-1)^2.
-    """
-
-    def __init__(self, max_half_frequency=16):
-        elems = [BasisElement(0.0, "const", 0.0)]
-        for j in range(1, max_half_frequency + 1):
-            f = j / 2.0
-            elems.append(BasisElement(f * f, "cos", f))
-            elems.append(BasisElement(f * f, "sin", f))
-        self.elements = elems
-
-    def __len__(self):
-        return len(self.elements)
-
-    def l0(self, alpha):
-        target = (alpha - 1.0) ** 2
-        for idx, el in enumerate(self.elements):
-            if abs(el.lam - target) < 1e-12:
-                return idx
-        raise ValueError("basis truncated below the requested frequency")
-
-    def matrix(self, theta):
-        return np.stack([el.values(theta) for el in self.elements], axis=0)
-
-    def orthonormality_matrix(self, ntheta=512):
-        theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
-        Phi = self.matrix(theta)
-        return Phi @ Phi.T * (FOUR_PI / ntheta)
-
-    def eigen_residual(self, ntheta=64):
-        theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
-        worst = 0.0
-        for el in self.elements:
-            res = el.second_derivative(theta) + el.lam * el.values(theta)
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
 
 
 class CoverFunction:
@@ -119,20 +56,6 @@ class CoverFunction:
             return (sel[..., None] * s - phi) / scale
 
         return cls(fn, n=u.n, m=u.m)
-
-
-def fourier_coefficients(w, r, y, basis, ntheta=256):
-    """Angular coefficients of w at fixed (r, y) and the Parseval residual."""
-    theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
-    dth = FOUR_PI / ntheta
-    vals = w(np.full(ntheta, float(r)), theta,
-             None if y is None else np.broadcast_to(np.asarray(y, float), (ntheta, len(np.atleast_1d(y)))))
-    vals = np.asarray(vals, dtype=float)
-    Phi = basis.matrix(theta)
-    coeffs = Phi @ vals * dth          # (nl, m)
-    total = float(np.sum(vals * vals) * dth)
-    parseval_residual = abs(total - float(np.sum(coeffs * coeffs)))
-    return coeffs, parseval_residual
 
 
 # ---------------------------------------------------------------------------
@@ -356,55 +279,3 @@ def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), beta2=10
     return DecayReport(rows=rows, theta=float(theta), lhs=float(lhs),
                        rhs_norm=float(rhs), exponent_estimate=float(slope),
                        hypotheses_ok=bool(hyp_ok), unit_projection=proj[1.0])
-
-
-# ---------------------------------------------------------------------------
-# Grid container and exports
-
-
-@dataclass
-class SpectralDecomp:
-    rs: np.ndarray
-    ys: np.ndarray
-    coefficients: np.ndarray          # (nl, nr, ny, m)
-    basis: CoverFourierBasis = field(repr=False, default=None)
-    projections: dict = field(default_factory=dict)  # rho -> coefficient vector
-
-    def to_csv(self, path):
-        nl, nr, ny, m = self.coefficients.shape
-        with open(path, "w") as fh:
-            fh.write("l,r,y," + ",".join(f"w_l_{k+1}" for k in range(m)) + "\n")
-            for l in range(nl):
-                for ir in range(nr):
-                    for iy in range(ny):
-                        row = [str(l), repr(float(self.rs[ir])),
-                               repr(float(self.ys[iy]) if self.ys.size else 0.0)]
-                        row += [repr(float(v)) for v in self.coefficients[l, ir, iy]]
-                        fh.write(",".join(row) + "\n")
-
-    def projections_to_json(self, path):
-        data = {repr(float(rho)): [float(v) for v in coef]
-                for rho, coef in sorted(self.projections.items())}
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def spectral_decompose(w, rs, ys=None, basis=None, scales=(), *, c0, alpha=0.5,
-                       ntheta=256):
-    """Tabulate angular coefficients of w on a grid, with optional projections."""
-    basis = basis or CoverFourierBasis()
-    rs = np.asarray(rs, dtype=float)
-    ys = np.zeros(1) if ys is None or (hasattr(ys, "__len__") and len(ys) == 0) else np.asarray(ys, dtype=float)
-    nl = len(basis)
-    coeffs = np.zeros((nl, rs.shape[0], ys.shape[0], w.m))
-    for ir, r in enumerate(rs):
-        for iy, yv in enumerate(ys):
-            yarg = None if w.n == 2 else np.array([yv])
-            ck, _ = fourier_coefficients(w, r, yarg, basis, ntheta=ntheta)
-            coeffs[:, ir, iy] = ck
-    decomp = SpectralDecomp(rs, ys if w.n > 2 else np.zeros(0), coeffs, basis)
-    for rho in scales:
-        proj = project_L(w, rho, c0, alpha)
-        decomp.projections[float(rho)] = proj.coefficients
-    return decomp

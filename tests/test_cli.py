@@ -520,6 +520,10 @@ def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
 
 SAMPLED_HEADER = ("# branchlab sampled-field v1\n# n=2 m=1 symmetric=1 hol=0\n# shape=2,2\n"
                   "# rs=0.5,1.0\n# thetas=0.0,3.0\nx1,x2,a1_1,a2_1\n")
+SAMPLED_V2_HEADER = ("# branchlab sampled-field v2\n# n=2 m=1 symmetric=1 hol=0\n# shape=2,2\n"
+                     "# rs=0.5,1.0\n# thetas=0.0,3.0\ns_1\n")
+SAMPLED_V2_N3_HEADER = ("# branchlab sampled-field v2\n# n=3 m=1 symmetric=1 hol=0\n"
+                        "# shape=2,2,2\n# rs=0.5,1.0\n# thetas=0.0,3.0\n# ys=-0.5,0.5\ns_1\n")
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt")
@@ -530,6 +534,19 @@ SAMPLED_HEADER = ("# branchlab sampled-field v1\n# n=2 m=1 symmetric=1 hol=0\n# 
     SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 3 + "0.5,0.0,x,y\n",
     SAMPLED_HEADER.replace("shape=2,2", "shape=1,4") + "0.5,0.0,1.0,-1.0\n" * 4,
     SAMPLED_HEADER.replace("n=2", "n=3").replace("x2,", "x2,x3,") + "0.5,0.0,0.0,1.0,-1.0\n" * 4,
+    pytest.param(SAMPLED_V2_HEADER + "0.5,0.0,1.0\n" * 4, id="v2-with-coordinates"),
+    pytest.param(SAMPLED_V2_HEADER + "1.0,-1.0\n" * 4, id="v2-symmetric-two-columns"),
+    pytest.param(SAMPLED_V2_HEADER.replace("symmetric=1", "symmetric=0") + "1.0\n" * 4,
+                 id="v2-nonsymmetric-one-column"),
+    pytest.param(SAMPLED_V2_HEADER + "1.0\n" * 3, id="v2-rows-below-nr-nt"),
+    pytest.param(SAMPLED_V2_HEADER + "1.0\n" * 5, id="v2-rows-above-nr-nt"),
+    pytest.param(SAMPLED_V2_N3_HEADER + "1.0\n" * 4, id="v2-rows-nr-nt-not-ny"),
+    pytest.param(SAMPLED_V2_HEADER.replace("v2", "v3") + "1.0\n" * 4, id="v3-version-line"),
+    pytest.param("x1,x2,a1_1,a2_1\n" + "0.5,0.0,1.0,-1.0\n" * 4, id="no-version-line"),
+    pytest.param(SAMPLED_V2_HEADER.replace("shape=2,2", "shape=1,4") + "1.0\n" * 4,
+                 id="v2-shape-disagrees"),
+    pytest.param(SAMPLED_V2_HEADER.replace("n=2", "n=3") + "1.0\n" * 4, id="v2-n-disagrees"),
+    pytest.param(SAMPLED_V2_N3_HEADER.replace("n=3", "n=2") + "1.0\n" * 8, id="v2-n3-lists-n2"),
 ])
 def test_corrupt_sampled_csv_exit_config(tmp_path, capsys, content):
     (tmp_path / "field.csv").write_text(content)
@@ -540,6 +557,15 @@ def test_corrupt_sampled_csv_exit_config(tmp_path, capsys, content):
 
 def test_sampled_csv_loads(tmp_path):
     (tmp_path / "field.csv").write_text(SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 4)
+    cfg = freq_config("out")
+    cfg["field"] = {"type": "sampled", "path": "field.csv"}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("content", [SAMPLED_V2_HEADER + "1.0\n" * 4,
+                                     SAMPLED_V2_N3_HEADER + "1.0\n" * 8])
+def test_sampled_v2_csv_loads(tmp_path, content):
+    (tmp_path / "field.csv").write_text(content)
     cfg = freq_config("out")
     cfg["field"] = {"type": "sampled", "path": "field.csv"}
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
+from branchlab import cli
 from branchlab.errors import (DegenerateRescaleError, PairingError,
                               SingularEvaluationError)
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
@@ -446,29 +448,37 @@ def test_sampled_n3_roundtrip_and_interp(tmp_path):
     assert np.max(per_point) < 2e-3
 
 
+def _sampled_csv_header(sf, fh, version):
+    fh.write(f"# branchlab sampled-field {version}\n")
+    fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.symmetric)} "
+             f"hol={int(sf.hol) if sf.hol is not None else 0}\n")
+    fh.write(f"# shape={','.join(str(s) for s in sf.grid.shape)}\n")
+    fh.write("# rs=" + ",".join(repr(float(v)) for v in sf.grid.rs) + "\n")
+    fh.write("# thetas=" + ",".join(repr(float(v)) for v in sf.grid.thetas) + "\n")
+    if sf.grid.ys is not None:
+        fh.write("# ys=" + ",".join(repr(float(v)) for v in sf.grid.ys) + "\n")
+
+
+def _node_rows(sf):
+    """(s, h) as (N, m) rows in nodes() order, h = 0 for a field with no average."""
+    if sf.n == 3:
+        s = np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
+        h = None if sf.avg is None else np.moveaxis(sf.avg, 2, 0).reshape(-1, sf.m)
+    else:
+        s = sf.s_lift.reshape(-1, sf.m)
+        h = None if sf.avg is None else sf.avg.reshape(-1, sf.m)
+    return s, np.zeros_like(s) if h is None else h
+
+
 def _sampled_csv_reference(sf, path):
-    """Row-by-row writer, the reference for SampledField.to_csv."""
+    """Row-by-row v1 writer: node coordinates, then h + s and h - s."""
     with open(path, "w") as fh:
-        fh.write("# branchlab sampled-field v1\n")
-        fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.symmetric)} "
-                 f"hol={int(sf.hol) if sf.hol is not None else 0}\n")
-        fh.write(f"# shape={','.join(str(s) for s in sf.grid.shape)}\n")
-        fh.write("# rs=" + ",".join(repr(float(v)) for v in sf.grid.rs) + "\n")
-        fh.write("# thetas=" + ",".join(repr(float(v)) for v in sf.grid.thetas) + "\n")
-        if sf.grid.ys is not None:
-            fh.write("# ys=" + ",".join(repr(float(v)) for v in sf.grid.ys) + "\n")
+        _sampled_csv_header(sf, fh, "v1")
         cols = [f"x{i+1}" for i in range(sf.n)]
         cols += [f"a1_{k+1}" for k in range(sf.m)] + [f"a2_{k+1}" for k in range(sf.m)]
         fh.write(",".join(cols) + "\n")
         nodes = sf.grid.nodes()
-        if sf.n == 3:
-            s = np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
-            h = None if sf.avg is None else np.moveaxis(sf.avg, 2, 0).reshape(-1, sf.m)
-        else:
-            s = sf.s_lift.reshape(-1, sf.m)
-            h = None if sf.avg is None else sf.avg.reshape(-1, sf.m)
-        if h is None:
-            h = np.zeros_like(s)
+        s, h = _node_rows(sf)
         a1, a2 = h + s, h - s
         for i in range(nodes.shape[0]):
             row = [repr(float(v)) for v in nodes[i]]
@@ -476,22 +486,100 @@ def _sampled_csv_reference(sf, path):
             fh.write(",".join(row) + "\n")
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
+def _sampled_csv_v2_reference(sf, path):
+    """Row-by-row v2 writer, the reference for SampledField.to_csv: values only."""
+    with open(path, "w") as fh:
+        _sampled_csv_header(sf, fh, "v2")
+        s, h = _node_rows(sf)
+        if sf.symmetric:
+            fh.write(",".join(f"s_{k+1}" for k in range(sf.m)) + "\n")
+            table = s
+        else:
+            fh.write(",".join([f"a1_{k+1}" for k in range(sf.m)]
+                              + [f"a2_{k+1}" for k in range(sf.m)]) + "\n")
+            table = np.concatenate([h + s, h - s], axis=1)
+        for values in table:
+            fh.write(",".join(repr(float(v)) for v in values) + "\n")
+
+
+def _extreme_sampled_fields(n):
+    """A non-symmetric and a symmetric field with +-0.0, a subnormal and 1e+-300 values."""
     ys = None if n == 2 else np.linspace(-0.5, 0.5, 3)
     grid = PolarGrid(graded_radii(6, 0.9), np.arange(10) * (2 * np.pi / 10), ys)
     rng = np.random.default_rng(5)
     lift = rng.standard_normal(grid.shape + (2,)) * 10.0 ** rng.integers(-300, 300, grid.shape + (2,))
-    lift.flat[:3] = [0.0, -0.0, 1e-320]
+    lift.flat[:5] = [0.0, -0.0, 1e-320, 1e300, -1e-300]
     avg = rng.standard_normal(grid.shape + (2,))
-    for sf in (SampledField(grid, lift, average=avg, symmetric=False),
-               SampledField(grid, lift, hol=-1.0)):
+    return (SampledField(grid, lift, average=avg, symmetric=False),
+            SampledField(grid, lift, hol=-1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
+    for sf in _extreme_sampled_fields(n):
         sf.to_csv(tmp_path / "new.csv")
-        _sampled_csv_reference(sf, tmp_path / "ref.csv")
+        _sampled_csv_v2_reference(sf, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    # the symmetric field parses back exactly, so it rewrites the same bytes
-    SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
-    assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if sf.symmetric:  # s parses back exactly, so it rewrites the same bytes
+            SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
+            assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # a v1 file reads as it always has: s = (a1 - a2)/2, h = (a1 + a2)/2
+        _sampled_csv_reference(sf, tmp_path / "v1.csv")
+        back = SampledField.from_csv(tmp_path / "v1.csv")
+        h = np.zeros_like(sf.s_lift) if sf.avg is None else sf.avg
+        a1, a2 = h + sf.s_lift, h - sf.s_lift
+        assert np.array_equal(back.s_lift, (a1 - a2) / 2.0)
+        assert (back.avg is None) == sf.symmetric
+        if not sf.symmetric:
+            assert np.array_equal(back.avg, (a1 + a2) / 2.0)
+        assert back.hol == sf.hol and back.symmetric == sf.symmetric
+        assert np.array_equal(back.grid.rs, sf.grid.rs)
+        assert np.array_equal(back.grid.thetas, sf.grid.thetas)
+        assert (back.grid.ys is None) == (n == 2)
+        if n == 3:
+            assert np.array_equal(back.grid.ys, sf.grid.ys)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_v2_roundtrip_keeps_negative_zero(tmp_path, n):
+    sf = _extreme_sampled_fields(n)[1]
+    assert np.signbit(sf.s_lift.flat[1]) and sf.s_lift.flat[1] == 0.0
+    sf.to_csv(tmp_path / "v2.csv")
+    back = SampledField.from_csv(tmp_path / "v2.csv")
+    assert np.array_equal(np.signbit(back.s_lift), np.signbit(sf.s_lift))
+    assert np.array_equal(back.s_lift, sf.s_lift)
+    # v1 stored a1 = 0 + s and a2 = 0 - s, so -0.0 came back as +0.0
+    _sampled_csv_reference(sf, tmp_path / "v1.csv")
+    assert not np.signbit(SampledField.from_csv(tmp_path / "v1.csv").s_lift.flat[1])
+
+
+def test_minimize_to_decay_hand_off_matches_v1(tmp_path):
+    """A decay run on the minimizer's v2 file writes what it writes on the same field as v1."""
+    def run(config):
+        path = tmp_path / f"{config['output_dir']}.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+        return tmp_path / config["output_dir"]
+
+    solution = run({
+        "schema_version": 1, "kind": "minimize", "seed": 0, "output_dir": "minimize",
+        "field": {"type": "power_sum", "n": 2,
+                  "terms": [{"k": 1, "c": [[0.7071067811865476, 0.0], [0.0, 0.7071067811865476]]},
+                            {"k": 3, "c": [[0.035, 0.0], [0.0, 0.035]]}]},
+        "params": {"levels": [[16, 32], [32, 64]]},
+    }) / "minimizer_solution.csv"
+    assert solution.read_text().startswith("# branchlab sampled-field v2\n")
+    _sampled_csv_reference(SampledField.from_csv(solution), tmp_path / "v1.csv")
+    outs = [run({"schema_version": 1, "kind": "decay", "seed": 0, "output_dir": name,
+                 "field": {"type": "sampled", "path": path},
+                 "params": {"j_max": 2, "quadrature": {"nr": 12, "ntheta": 24, "nsphere": 48}}})
+            for name, path in (("decay_v2", "minimize/minimizer_solution.csv"),
+                               ("decay_v1", "v1.csv"))]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "decay_run.json" in names and "manifest.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_pairing_propagation_holonomy():

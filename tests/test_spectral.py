@@ -6,37 +6,11 @@ import pytest
 from branchlab import cli
 from branchlab import spectral as smod
 from branchlab.quadrature import _leggauss, gauss_legendre_01
-from branchlab.spectral import (FOUR_PI, CoverFourierBasis, CoverFunction,
-                                cover_ball_rule, remainder_decay_check,
-                                fourier_coefficients,
-                                half_case_boundary_term, l_span,
-                                project_L, profile_plane_gradient_lift,
-                                spectral_decompose)
+from branchlab.spectral import (FOUR_PI, CoverFunction, cover_ball_rule,
+                                remainder_decay_check, half_case_boundary_term,
+                                l_span, project_L, profile_plane_gradient_lift)
 
 from conftest import C_NULL
-
-
-@pytest.fixture(scope="module")
-def basis():
-    return CoverFourierBasis()
-
-
-def test_orthonormality(basis):
-    M = basis.orthonormality_matrix()
-    assert np.max(np.abs(M - np.eye(len(basis)))) < 1e-12
-
-
-def test_eigen_residual(basis):
-    assert basis.eigen_residual() <= 1e-8
-
-
-def test_eigenvalue_ordering_and_l0(basis):
-    lams = [el.lam for el in basis.elements]
-    assert all(lams[i] <= lams[i + 1] for i in range(len(lams) - 1))
-    # alpha = 1/2: (alpha-1)^2 = 1/4 is the first half-frequency pair
-    assert basis.elements[basis.l0(0.5)].lam == pytest.approx(0.25)
-    # alpha = 1: (alpha-1)^2 = 0 is the constant mode
-    assert basis.l0(1.0) == 0
 
 
 def _mode(alpha, vec, kind="cos"):
@@ -45,50 +19,6 @@ def _mode(alpha, vec, kind="cos"):
         return (np.asarray(r) ** alpha * ang)[..., None] * vec
 
     return CoverFunction(fn, n=2, m=len(vec))
-
-
-def test_fourier_single_mode(basis):
-    w = _mode(0.5, np.array([2.0, 0.0]))
-    coeffs, parseval = fourier_coefficients(w, 0.7, None, basis)
-    nz = np.argwhere(np.abs(coeffs) > 1e-12)
-    assert nz.shape[0] == 1
-    el = basis.elements[nz[0][0]]
-    assert el.kind == "cos" and el.freq == 0.5
-    assert parseval < 1e-10
-
-
-def test_fourier_tilt_mode_support(basis):
-    # w = D1 phi0 . y1: coefficients live on the (alpha-1)-frequency modes,
-    # linear in y1
-    alpha = 0.5
-
-    def fn(r, theta, y):
-        d1, _ = profile_plane_gradient_lift(C_NULL, alpha, np.asarray(r), np.asarray(theta))
-        return d1 * np.asarray(y)[..., 0][..., None]
-
-    w = CoverFunction(fn, n=3, m=2)
-    for yv, scale in ((0.2, 1.0), (0.4, 2.0)):
-        coeffs, _ = fourier_coefficients(w, 0.5, np.array([yv]), basis)
-        nz = sorted({basis.elements[i].freq for i in np.argwhere(np.abs(coeffs) > 1e-10)[:, 0]})
-        assert nz == [0.5]  # |alpha - 1| = 1/2 modes only
-        if yv == 0.2:
-            base = coeffs.copy()
-        else:
-            assert np.allclose(coeffs, scale * base, atol=1e-12)
-
-
-def test_parseval_random_trig(basis):
-    rng = np.random.default_rng(3)
-    coef = rng.standard_normal(8)
-
-    def fn(r, theta, y=None):
-        th = np.asarray(theta)
-        vals = sum(c * np.cos((j + 1) / 2.0 * th + 0.3 * j) for j, c in enumerate(coef))
-        return vals[..., None]
-
-    w = CoverFunction(fn, n=2, m=1)
-    _, parseval = fourier_coefficients(w, 0.5, None, basis)
-    assert parseval < 1e-10
 
 
 def test_l_span_dimension():
@@ -201,20 +131,6 @@ def test_classification_consistency():
             n=2, m=2)
         proj = project_L(w, 1.0, C_NULL, alpha)
         assert proj.norm_sq_remainder <= 1e-10 * max(proj.norm_sq_w, 1e-30)
-
-
-def test_spectral_decomp_exports(tmp_path, basis):
-    w = _mode(0.5, np.array([1.0, 0.0]))
-    decomp = spectral_decompose(w, rs=np.array([0.3, 0.6]), basis=basis,
-                                scales=(0.5,), c0=C_NULL, alpha=0.5)
-    csv_path = tmp_path / "decomp.csv"
-    decomp.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("l,r,y,")
-    assert len(lines) == 1 + len(basis) * 2
-    json_path = tmp_path / "proj.json"
-    decomp.projections_to_json(json_path)
-    assert "0.5" in json_path.read_text()
 
 
 def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
