@@ -329,8 +329,8 @@ def stage_frequency(cfg, u, out, prefix=""):
     center = np.asarray(params["center"], dtype=float)
     radii = np.asarray(params["radii"], dtype=float)
     prof = qmod.frequency_profile(u, center, radii, spec)
-    prof.to_csv(out.path(prefix + "frequency_profile.csv"))
-    out.register_external(prefix + "frequency_profile.csv")
+    out.write_csv(prefix + "frequency_profile.csv", ["rho", "D", "H", "N", "dN_drho"],
+                  prof.rows())
     checks = []
     expect = params["expect_constant"]
     if expect is not None:

@@ -17,7 +17,7 @@ from .errors import (
     PairingError,
     SingularEvaluationError,
 )
-from .pairspace import UnorderedPair, metric_sq_arrays, metric_sq_symmetric
+from .pairspace import UnorderedPair, metric_sq_arrays, metric_sq_symmetric, selection_costs
 from .quadrature import Ball, QuadratureSpec, unit_ball
 
 
@@ -159,23 +159,14 @@ class CylindricalModeField(Field):
         return out
 
     def _yfactor(self, md, y):
-        if y is None or y.shape[1] == 0:
-            return md.y0
-        if md.ylin is None:
+        """y0 + ylin . y over the points' axis coordinates y, or y0 alone."""
+        if y is None or y.shape[-1] == 0 or md.ylin is None:
             return md.y0
         return md.y0 + y @ md.ylin
 
     def symmetric_values(self, X):
         X, _ = _as_points(X, self.n)
-        r, theta, y = _xy_split(X, self.n)
-        out = np.zeros((X.shape[0], self.m))
-        for md in self.modes:
-            rad = r ** md.beta
-            ang = np.cos(md.freq * theta)[:, None] * md.a + np.sin(md.freq * theta)[:, None] * md.b
-            yf = self._yfactor(md, y)
-            yf = yf[:, None] if np.ndim(yf) == 1 else yf
-            out += rad[:, None] * ang * yf
-        return out
+        return self.lift(*_xy_split(X, self.n))
 
     def symmetric_gradient(self, X):
         X, _ = _as_points(X, self.n)
@@ -214,18 +205,21 @@ class CylindricalModeField(Field):
                     out[:, :, 2:] += rad[:, :, None] * ang[:, :, None] * md.ylin[None, None, :]
         return out
 
-    def lift_values(self, r, theta, y=None):
-        """Exact continuous lift of the symmetric part on the 4pi cover."""
+    def lift(self, r, theta, y=None):
+        """Exact continuous lift of the symmetric part on the 4pi cover.
+
+        theta runs over [0, 4pi); y holds the axis coordinates, shape
+        r.shape + (n - 2,), or None for y = 0.  At theta = arctan2(x2, x1)
+        this is the representative symmetric_values gives.
+        """
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        y = None if y is None else np.asarray(y, dtype=float)
         out = np.zeros(r.shape + (self.m,))
         for md in self.modes:
             ang = np.cos(md.freq * theta)[..., None] * md.a + np.sin(md.freq * theta)[..., None] * md.b
-            yf = md.y0
-            if md.ylin is not None and y is not None:
-                yf = md.y0 + np.asarray(y, dtype=float) @ md.ylin
-                yf = yf[..., None]
-            out += (r ** md.beta)[..., None] * ang * yf
+            yf = self._yfactor(md, y)
+            out += (r ** md.beta)[..., None] * ang * (yf[..., None] if np.ndim(yf) else yf)
         return out
 
     def rescaled_exact(self, Y, rho, scale):
@@ -745,12 +739,15 @@ def propagate_signs(svals, seed_ring=-1):
 
     svals has shape (nr, nt, m), or (nr, nt, ny, m) for a stack of ny axis
     slabs.  Returns (signs, holonomy): signs (nr, nt), or (nr, nt, ny), make
-    sign * svals locally continuous, and holonomy is the sign picked up
-    around a theta loop, one per slab for a stack.  Column 0 is continued
-    from ring to ring, sweeping inward from the outermost annulus (or
-    outward for seed_ring=0); each ring is then continued along theta.  A
-    slab whose rings disagree on the holonomy raises a PairingError, the
-    first such slab for a stack.
+    sign * svals one locally continuous lift, and holonomy is the float sign
+    picked up around a theta loop.  Column 0 is continued from ring to ring,
+    sweeping inward from the outermost annulus (or outward for seed_ring=0);
+    each ring is then continued along theta.  A slab whose rings disagree on
+    the holonomy raises a PairingError, the first such slab for a stack.
+
+    A stack is one lift: a slab whose holonomy differs from slab 0's raises a
+    PairingError naming it, and each slab is aligned to the aligned slab
+    below it by whole-slab sums, a tie keeping the sign.
 
     Matching uses a first-order continuation predictor rather than the bare
     previous value: value curves that swing quickly through a near-zero dip
@@ -758,11 +755,11 @@ def propagate_signs(svals, seed_ring=-1):
     slab) pair is one lane; the theta sweep advances all lanes at once.
     """
     x = svals if svals.ndim == 4 else svals[:, :, None]
-    nr, nt = x.shape[:2]
+    nr, nt, ny = x.shape[:3]
 
     def nearer(v, pred):
-        return np.where(np.sum((v - pred) ** 2, axis=-1) <= np.sum((v + pred) ** 2, axis=-1),
-                        1.0, -1.0)
+        keep, swap = selection_costs(v, pred)
+        return np.where(keep <= swap, 1.0, -1.0)
 
     signs = np.ones(x.shape[:-1])
     prev = None
@@ -784,28 +781,28 @@ def propagate_signs(svals, seed_ring=-1):
         col = hols[:, int(np.argmax(mixed))]
         bad = int(np.argmax(col != col[-1]))
         raise PairingError(f"inconsistent pairing holonomy at annulus {bad}", loop=bad)
-    if svals.ndim == 4:
-        return signs, hols[-1]
-    return signs[:, :, 0], float(hols[-1, 0])
+    if np.any(hols[-1] != hols[-1, 0]):
+        iy = int(np.argmax(hols[-1] != hols[-1, 0]))
+        raise PairingError(f"holonomy changes along the axis at slab {iy}", loop=iy)
+    for iy in range(1, ny):
+        below = signs[:, :, iy - 1, None] * x[:, :, iy - 1]
+        keep, swap = selection_costs((signs[:, :, iy, None] * x[:, :, iy]).ravel(), below.ravel())
+        if swap < keep:
+            signs[:, :, iy] = -signs[:, :, iy]
+    return (signs if svals.ndim == 4 else signs[:, :, 0]), float(hols[-1, 0])
 
 
 def sample(field, grid):
-    """Materialize a field on a polar grid, propagating a continuous lift."""
+    """Materialize a field on a polar grid as one continuous lift.
+
+    The lift is propagate_signs over the grid values, so at n = 3 the axis
+    slabs are aligned into one lift and must share one holonomy.
+    """
     nodes = grid.nodes()
     svals = grid.on_grid(field.symmetric_values(nodes))
     signs, hol = propagate_signs(svals)
     lift = np.empty_like(svals)  # keeps the node layout of svals
     np.multiply(signs[..., None], svals, out=lift)
-    if grid.n == 3:
-        # each slab's sign is fixed against the slab below it
-        for iy in range(1, grid.shape[2]):
-            slab, prev_slab = lift[:, :, iy], lift[:, :, iy - 1]
-            if np.sum((slab + prev_slab) ** 2) < np.sum((slab - prev_slab) ** 2):
-                lift[:, :, iy] = -slab
-        if np.any(hol != hol[0]):
-            iy = int(np.argmax(hol != hol[0]))
-            raise PairingError(f"holonomy changes along the axis at slab {iy}", loop=iy)
-        hol = float(hol[0])
     avg = None if field.is_symmetric else grid.on_grid(field.average_values(nodes))
     return SampledField(grid, lift, average=avg, symmetric=field.is_symmetric,
                         hol=hol, domain=field.domain)

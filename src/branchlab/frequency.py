@@ -69,12 +69,6 @@ class FrequencyProfile:
             for i in range(self.radii.shape[0])
         ]
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("rho,D,H,N,dN_drho\n")
-            for row in self.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
-
 
 def frequency_profile(u, Y, radii, spec=None):
     """Quadrature profile of (D, H, N) at the given radii about Y."""

@@ -51,8 +51,6 @@ class BoundaryTrace:
         thetas = np.arange(nsamples) * (4.0 * np.pi / nsamples)
         if hasattr(fld, "lift"):
             vals = fld.lift(np.full(nsamples, radius), thetas)
-        elif hasattr(fld, "lift_values"):
-            vals = fld.lift_values(np.full(nsamples, radius), thetas)
         else:
             # continuation with a first-order predictor: transversal zero
             # crossings of the lift would defeat value-based matching

@@ -121,8 +121,15 @@ def metric_sq_arrays(a1, a2, b1, b2):
     return np.minimum(keep, swap)
 
 
+def selection_costs(su, sv):
+    """(|su - sv|^2, |su + sv|^2): the costs of keeping and of negating su against sv.
+
+    This is the lab's one nearest-selection rule; callers keep su where
+    keep <= swap, so a tie keeps the sign.
+    """
+    return np.sum((su - sv) ** 2, axis=-1), np.sum((su + sv) ** 2, axis=-1)
+
+
 def metric_sq_symmetric(su, sv):
     """G^2 between symmetric pairs {+-su} and {+-sv}: 2 min(|su-sv|^2, |su+sv|^2)."""
-    keep = np.sum((su - sv) ** 2, axis=-1)
-    swap = np.sum((su + sv) ** 2, axis=-1)
-    return 2.0 * np.minimum(keep, swap)
+    return 2.0 * np.minimum(*selection_costs(su, sv))

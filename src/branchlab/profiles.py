@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from .errors import FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
-from .pairspace import metric_sq_symmetric
+from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import Ball, QuadratureSpec, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
@@ -192,8 +192,7 @@ def lift_against_profile(u, prof, grid):
     phi = prof.lift(R, T)  # (nr, nt, m)
     if grid.n == 3:
         phi = phi[:, :, None, :]
-    d_keep = np.sum((s_rep - phi) ** 2, axis=-1)
-    d_swap = np.sum((s_rep + phi) ** 2, axis=-1)
+    d_keep, d_swap = selection_costs(s_rep, phi)
     signs = np.where(d_keep <= d_swap, 1.0, -1.0)
     u_lift = signs[..., None] * s_rep
     # holonomy of the sign field around each theta loop must be +1 on the
@@ -221,7 +220,9 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
 
     The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
     component; the pairing of u against the current profile frame is taken
-    outside the tube r <= tau.  Returns (c, weighted residual).
+    outside the tube r <= tau.  The u-lift is one propagate_signs lift over
+    all axis slabs, so every representative of the pair u fits the same c up
+    to a global sign.  Returns (c, weighted residual).
     """
     n, m = u.n, u.m
     probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, center=center, n=n)
@@ -234,9 +235,9 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
-    # resolve the u-lift by propagation along theta on the cover, ring by ring
+    # one u-lift over all slabs, propagated along theta on the cover
     signs, hol = propagate_signs(sv)
-    if np.any(hol < 0):
+    if hol < 0:
         raise PairingError("u-lift is not 4pi-periodic on the cover")
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
@@ -513,11 +514,3 @@ def corollary_checks(u, prof, Z=None, gamma=0.5, sigma=0.5, delta=0.05,
         rows.append(CorollaryRow("axis_energy", float(lhs_62b), float(rhs),
                                  {"gamma": gamma}))
     return rows
-
-
-def write_corollary_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("name,lhs,rhs,ratio,params\n")
-        for row in rows:
-            params = json.dumps(row.params, sort_keys=True).replace(",", ";")
-            fh.write(f"{row.name},{row.lhs!r},{row.rhs!r},{row.ratio!r},{params}\n")

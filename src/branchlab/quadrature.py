@@ -108,16 +108,7 @@ def _polar_nodes(nr, ntheta, grading, period=2.0 * np.pi):
 
 def disk_rule(center, radius, nr=48, ntheta=96, grading=2.0):
     """Rule for the disk of given radius about center (a 2-vector)."""
-    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, grading)
-    r = radius * r01
-    wr = radius * wr01
-    R, T = np.meshgrid(r, theta, indexing="ij")
-    WR = np.repeat(wr[:, None], ntheta, axis=1)
-    pts = np.stack(
-        [center[0] + R * np.cos(T), center[1] + R * np.sin(T)], axis=-1
-    ).reshape(-1, 2)
-    w = (WR * R * wt).reshape(-1)
-    return Rule(pts, w)
+    return ball_rule(Ball(tuple(center), radius), nr=nr, ntheta=ntheta, grading=grading)
 
 
 def _axis_angles(n, planar, full):
@@ -180,9 +171,7 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), 
     """
     n = ball.n
     c = ball.center_array
-    if n == 2:
-        return disk_rule(c, ball.radius, nr=nr, ntheta=ntheta, grading=grading)
-    if n not in (3, 4):
+    if n not in (2, 3, 4):
         raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
     r, theta, axis, wslab = _polar_slabs(ball, nr, ntheta, naxis, grading, slabs, planar)
     # nodes ordered (slab, phi, r, theta)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
+from .pairspace import selection_costs
 from .profiles import profile_plane_gradient_lift
 from .quadrature import Ball, _polar_slabs
 
@@ -50,8 +51,7 @@ class CoverFunction:
             pts = prof.from_frame(pts_frame.reshape(-1, prof.n))
             s = u.symmetric_values(pts).reshape(r.shape + (u.m,))
             phi = prof.lift(r, theta)
-            d_keep = np.sum((s - phi) ** 2, axis=-1)
-            d_swap = np.sum((s + phi) ** 2, axis=-1)
+            d_keep, d_swap = selection_costs(s, phi)
             sel = np.where(d_keep <= d_swap, 1.0, -1.0)
             return (sel[..., None] * s - phi) / scale
 

@@ -16,6 +16,7 @@ from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               harmonic_polynomial_basis, l2_distance_sq,
                               norm_sq, propagate_signs, rescale, sample)
 from branchlab.pairspace import UnorderedPair, metric_sq_symmetric
+from branchlab.profiles import fit_c, fit_profile
 from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
@@ -218,11 +219,18 @@ def _unwrap(u, X):
     return u, X, 1.0
 
 
+@st.composite
+def _power_sums_and_cut_points(draw):
+    u = draw(_power_sum_fields())
+    return u, _cut_points(draw, u.n)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_power_sum_gradient_matches_trig_reference(data):
-    u = data.draw(_power_sum_fields())
-    X = _cut_points(data.draw, u.n)
+@given(_power_sums_and_cut_points())
+@example((CylindricalModeField.power_sum([(5e-324 + 0j, 1)], n=2),
+          np.array([[-0.5, 0.0], [-0.5, -0.0]])))
+def test_power_sum_gradient_matches_trig_reference(case):
+    u, X = case
     base, Xb, factor = _unwrap(u, X)
     assert base.power_terms() is not None
     got, ref = u.symmetric_gradient(X), _symmetric_gradient_reference(base, Xb) * factor
@@ -233,7 +241,10 @@ def test_power_sum_gradient_matches_trig_reference(data):
     # evaluation, where sqrt(z) is within 2e-16); compare values at r = 0 or normal r.
     r = np.hypot(Xb[:, 0], Xb[:, 1])
     check = finite & ((r == 0) | (r >= np.finfo(float).tiny))[:, None, None]
-    scale = np.max(np.abs(ref[check]), initial=0.0)
+    # Where every reference value is subnormal or zero, 1e-14 relative is below one
+    # subnormal ulp: the complex path's correctly rounded +-5e-324 must pass where
+    # the trigonometric reference underflows to 0, so the scale is floored at tiny.
+    scale = max(np.max(np.abs(ref[check]), initial=0.0), np.finfo(float).tiny)
     np.testing.assert_allclose(got[check], ref[check], rtol=0, atol=1e-14 * scale)
     if u.n > 2:
         assert not np.any(got[finite.all(axis=(1, 2)), :, 2:])
@@ -705,7 +716,9 @@ def _check_against_reference(vals, seed_ring):
             assert np.array_equal(got[1], ref[1])
             assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
             assert type(got[2]) is float and got[2] == ref[2]
-    # the stack agrees with the per-slab loop, up to that loop's first error
+    # the stack is the per-slab loop (up to its first error), then one
+    # holonomy for all slabs, then each slab aligned to the aligned slab below
+    # it by whole-slab sums, a tie keeping the sign
     got = _outcome(propagate_signs, vals, seed_ring)
     signs, hols = [], []
     for iy in range(vals.shape[2]):
@@ -715,9 +728,18 @@ def _check_against_reference(vals, seed_ring):
             return
         signs.append(ref[1])
         hols.append(ref[2])
+    if hols.count(hols[0]) != len(hols):
+        iy = next(i for i, h in enumerate(hols) if h != hols[0])
+        assert got == ("error", f"holonomy changes along the axis at slab {iy}", iy)
+        return
+    for iy in range(1, vals.shape[2]):
+        slab = signs[iy][:, :, None] * vals[:, :, iy]
+        prev = signs[iy - 1][:, :, None] * vals[:, :, iy - 1]
+        if np.sum((slab + prev) ** 2) < np.sum((slab - prev) ** 2):
+            signs[iy] = -signs[iy]
     assert got[0] == "ok"
     assert np.array_equal(got[1], np.stack(signs, axis=-1))
-    assert np.array_equal(got[2], hols)
+    assert type(got[2]) is float and got[2] == hols[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -725,6 +747,9 @@ def _check_against_reference(vals, seed_ring):
 @example(np.zeros((3, 5, 2, 2)), -1)
 @example(np.array([[[[1.0, -0.0]]], [[[-1.0, 0.0]]]]), 0)
 @example(np.arange(24.0).reshape(1, 6, 2, 2) - 11.5, -1)
+@example(np.einsum("r,y,tk->rtyk", [1.0, 0.5], [1.0, -1.0, -2.0],  # slabs 1, 2 flipped
+                   np.stack([np.cos(np.arange(6) * np.pi / 6),
+                             np.sin(np.arange(6) * np.pi / 6)], axis=-1)), -1)
 def test_propagate_signs_matches_reference(vals, seed_ring):
     _check_against_reference(vals, seed_ring)
 
@@ -759,6 +784,32 @@ def test_sample_n3_matches_per_slab_reference():
     assert np.array_equal(sf.s_lift, ref)
     assert np.array_equal(sf.s_lift, sample(base, grid).s_lift)
     assert sf.hol == hol == -1.0
+
+
+class _PointSigns(Field):
+    """The pair of `base`, with its representative negated at random points."""
+
+    def __init__(self, base):
+        self.base, self.n, self.m, self.domain = base, base.n, base.m, base.domain
+
+    def symmetric_values(self, X):
+        flips = np.random.default_rng(7).choice([-1.0, 1.0], size=X.shape[0])
+        return self.base.symmetric_values(X) * flips[:, None]
+
+
+def test_fit_c_n3_is_one_lift_over_slabs():
+    # every representative of one pair fits one c, up to a global sign; slabs
+    # lifted apart would cancel in the normal equations of _SlabFlipped
+    base = CylindricalModeField.power_sum([(np.array([1.0, 0.3j]), 1)], n=3)
+    c0, _ = fit_c(base, 1)
+    assert np.allclose(c0, [1.0, 0.3j], atol=1e-10)
+    p0 = fit_profile(base, 1)
+    for u in (_SlabFlipped(base), _PointSigns(base)):
+        c, _ = fit_c(u, 1)
+        assert min(np.max(np.abs(c - c0)), np.max(np.abs(c + c0))) <= 1e-12
+        p = fit_profile(u, 1)
+        assert min(np.max(np.abs(p.c - p0.c)), np.max(np.abs(p.c + p0.c))) <= 1e-12
+        assert np.allclose(p.A, p0.A, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ys", [None, np.linspace(-0.5, 0.5, 4)])

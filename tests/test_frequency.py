@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from branchlab import cli
 from branchlab.errors import DegenerateHeightError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, non_stationary_control)
@@ -291,11 +294,17 @@ def test_frequency_derivative_identity(spec_fine):
         assert abs(row.lhs) < 1e-9 and abs(row.rhs) < 1e-12
 
 
-def test_frequency_profile_csv(tmp_path, phi_half, spec_fast):
-    prof = frequency_profile(phi_half, np.zeros(2), np.array([0.3, 0.5, 0.7]), spec_fast)
-    path = tmp_path / "prof.csv"
-    prof.to_csv(path)
-    text = path.read_text().splitlines()
+def test_frequency_profile_csv(tmp_path):
+    cfg = {"schema_version": 1, "kind": "frequency", "seed": 0, "output_dir": "out",
+           "field": {"type": "power_sum", "n": 2,
+                     "terms": [{"k": 1, "c": [[C_NULL[0].real, C_NULL[0].imag],
+                                              [C_NULL[1].real, C_NULL[1].imag]]}]},
+           "params": {"radii": [0.3, 0.5, 0.7],
+                      "quadrature": {"nr": 16, "ntheta": 32, "nsphere": 64}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    text = (tmp_path / "out" / "frequency_profile.csv").read_text().splitlines()
     assert text[0] == "rho,D,H,N,dN_drho"
     assert len(text) == 4
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from branchlab import cli
 from branchlab.errors import FitError
 from branchlab.fields import BranchPolynomialField, CylindricalMode, CylindricalModeField
 from branchlab.profiles import (CylindricalProfile, corollary_checks,
@@ -10,7 +11,7 @@ from branchlab.profiles import (CylindricalProfile, corollary_checks,
                                 fit_rotation, graphical_decompose,
                                 is_admissible_skew, lift_against_profile,
                                 profile_plane_gradient_lift, skew_from_params,
-                                skew_params, write_corollary_csv)
+                                skew_params)
 from branchlab.quadrature import unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
@@ -243,15 +244,23 @@ def test_profile_json_roundtrip(tmp_path):
     assert np.allclose(back.center, prof.center)
 
 
-def test_corollary_csv(tmp_path, spec_fast):
-    prof = CylindricalProfile(C_NULL, 1, n=2)
-    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=2)
-    rows = corollary_checks(u, prof, spec=spec_fast)
-    path = tmp_path / "corollaries.csv"
-    write_corollary_csv(rows, path)
-    lines = path.read_text().splitlines()
+def test_corollary_csv(tmp_path):
+    def c(scale):
+        return [[scale * C_NULL[0].real, scale * C_NULL[0].imag],
+                [scale * C_NULL[1].real, scale * C_NULL[1].imag]]
+
+    t_values = [0.1, 0.01]
+    cfg = {"schema_version": 1, "kind": "corollaries", "seed": 0, "output_dir": "out",
+           "field": {"type": "power_sum", "n": 2,
+                     "terms": [{"k": 1, "c": c(1.0)}, {"k": 5, "c": c(0.01)}]},
+           "params": {"k": 1, "t_values": t_values,
+                      "quadrature": {"nr": 16, "ntheta": 32, "nsphere": 64}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    lines = (tmp_path / "out" / "corollary_report.csv").read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,ratio,params"
-    assert len(lines) == len(rows) + 1
+    assert len(lines) == 4 * len(t_values) + 1  # four rows per t at n = 2, no axis_energy
 
 
 def _base_points_reference(grid, n):
