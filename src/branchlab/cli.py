@@ -4,7 +4,8 @@ Verbs: `branchlab run <config.json>`, `branchlab report <dir>`,
 `branchlab validate <config.json>`.  Outputs are deterministic for a fixed
 (config, seed): CSV/JSON files are written with repr-formatted floats and
 sorted keys, and the manifest (written last) lists every produced file with
-its content hash.  BRANCHLAB_THREADS caps parallelism of family sweeps.
+its content hash.  Family sweeps (the random fields of `monotonicity`, the t
+values of `corollaries`) run in order in one thread.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,27 +242,6 @@ def quad_spec(params):
     return QuadratureSpec(**params["quadrature"])
 
 
-def thread_count():
-    raw = os.environ.get("BRANCHLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _worker_count(n_items):
-    """Threads for a sweep: BRANCHLAB_THREADS, capped by the items and the CPUs."""
-    return min(thread_count(), n_items, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    nworkers = _worker_count(len(items))
-    if nworkers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(fn, items))
-
-
 class OutputWriter:
     """Serialized file writes plus the closing manifest."""
 
@@ -358,15 +337,10 @@ def stage_monotonicity(cfg, u, out, prefix=""):
     checks.append(check("monotone_configured_field", rep.ok,
                         f"{len(rep.violations)} violations"))
     rng = np.random.default_rng(cfg.seed)
-    rfields = [fmod.random_stationary_power_sum(rng, n=u.n)
-               for _ in range(params["n_random"])]
-
-    def run_one(idx_field):
-        idx, fld = idx_field
+    for idx in range(params["n_random"]):
+        fld = fmod.random_stationary_power_sum(rng, n=u.n)
         p = qmod.frequency_profile(fld, np.zeros(fld.n), radii, spec)
-        return idx, qmod.check_monotonicity(p, slack)
-
-    for idx, r in _pmap(run_one, list(enumerate(rfields))):
+        r = qmod.check_monotonicity(p, slack)
         rows.append((f"random-{idx}", len(r.violations)))
         checks.append(check(f"monotone_random_{idx}", r.ok,
                             f"{len(r.violations)} violations"))
@@ -508,15 +482,10 @@ def stage_corollaries(cfg, u, out, prefix=""):
         ]
         return fmod.CylindricalModeField(modes, n=u.n)
 
-    def run_one(t):
-        ut = family_member(t)
-        return t, pmod.corollary_checks(ut, prof, spec=spec)
-
-    results = _pmap(run_one, params["t_values"])
     rows = []
     by_name = {}
-    for t, rws in results:
-        for r in rws:
+    for t in params["t_values"]:
+        for r in pmod.corollary_checks(family_member(t), prof, spec=spec):
             rows.append((r.name, float(r.lhs), float(r.rhs), float(r.ratio),
                          json.dumps({**r.params, "t": t}, sort_keys=True).replace(",", ";")))
             by_name.setdefault(r.name, []).append(r.ratio)

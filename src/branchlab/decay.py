@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRescaleError, FitError
-from .fields import (RescaledField, harmonic_polynomial_basis, Polynomial,
-                     propagate_signs)
+from .fields import _rescaled, harmonic_polynomial_basis, Polynomial, propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
 from .quadrature import Ball, QuadratureSpec, loglog_slope, unit_ball
@@ -22,13 +21,7 @@ from .pairspace import metric_sq_symmetric
 
 def rescale_raw(u, Z, rho, homogeneity):
     """View theta^(-alpha) u(Z + rho X) without L2 normalization."""
-    Z = np.asarray(Z, dtype=float)
-    scale = rho ** homogeneity
-    if hasattr(u, "rescaled_exact"):
-        ex = u.rescaled_exact(Z, rho, scale)
-        if ex is not None:
-            return ex
-    return RescaledField(u, Z, rho, scale)
+    return _rescaled(u, np.asarray(Z, dtype=float), rho, rho ** homogeneity)
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +49,11 @@ class SingularReport:
     grid_spacing: float
     thresholds: dict
 
-    def high_frequency(self, alpha, k_sigma=3.0):
+    def high_frequency(self, alpha):
+        """Candidates whose frequency is within three estimator sigmas of alpha, or above."""
         out = []
         for c in self.candidates:
-            if c.frequency.value >= alpha - k_sigma * max(c.frequency.uncertainty, 1e-12):
+            if c.frequency.value >= alpha - 3.0 * max(c.frequency.uncertainty, 1e-12):
                 out.append(c)
         return out
 
@@ -91,9 +85,9 @@ def _polish_minimum(u, X0, h):
     return X
 
 
-def _loop_holonomy(u, Z, radius, nsamp=64):
-    th = (np.arange(nsamp) + 0.5) * (2.0 * np.pi / nsamp)
-    pts = np.zeros((nsamp, u.n))
+def _loop_holonomy(u, Z, radius):
+    th = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    pts = np.zeros((64, u.n))
     pts[:, 0] = Z[0] + radius * np.cos(th)
     pts[:, 1] = Z[1] + radius * np.sin(th)
     if u.n > 2:
@@ -103,8 +97,7 @@ def _loop_holonomy(u, Z, radius, nsamp=64):
     return hol
 
 
-def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True,
-                      freq_radius=None):
+def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True):
     """Scan for symmetric-part zeros, refine, and classify candidates.
 
     Candidates with frequency below 1/2 (minus estimator noise) are dropped
@@ -155,7 +148,7 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True,
             kept.append(Z)
     candidates = []
     tau_ds = tau_s / max(extent, 1e-30)
-    rmax = freq_radius if freq_radius is not None else min(0.25, 4 * h + 0.05)
+    rmax = min(0.25, 4 * h + 0.05)
     # frequency estimation is the expensive part; sample at most a dozen
     # locations and let the rest inherit the nearest estimate
     ref_ids = sorted({int(round(q)) for q in np.linspace(0, len(kept) - 1, min(12, len(kept)))}) if kept else []
@@ -191,13 +184,13 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True,
     return SingularReport(candidates, h, {"s": tau_s})
 
 
-def gap_probe(report, delta0, alpha, n, k_sigma=3.0, ny=21):
+def gap_probe(report, delta0, alpha, n):
     """Witness y0 with B_delta0(0, y0) free of high-frequency candidates."""
-    cands = report.high_frequency(alpha, k_sigma)
+    cands = report.high_frequency(alpha)
     if n == 2:
         centers = [np.zeros(2)]
     else:
-        centers = [np.array([0.0, 0.0, y]) for y in np.linspace(-0.5, 0.5, ny)]
+        centers = [np.array([0.0, 0.0, y]) for y in np.linspace(-0.5, 0.5, 21)]
     for ctr in centers:
         if all(np.linalg.norm(c.location - ctr) > delta0 for c in cands):
             return ctr[2:] if n > 2 else np.zeros(0)
@@ -208,7 +201,7 @@ def gap_probe(report, delta0, alpha, n, k_sigma=3.0, ny=21):
 # Decay iteration
 
 
-def decay_step(u, phi_prev, theta, spec=None, tau=0.05):
+def decay_step(u, phi_prev, theta, spec=None):
     """One excess-decay step at scale ratio theta about the origin.
 
     Returns (phi_tilde, ratio, excess_theta_sq) where ratio is the
@@ -219,7 +212,7 @@ def decay_step(u, phi_prev, theta, spec=None, tau=0.05):
     alpha = phi_prev.alpha
     e1 = excess(u, phi_prev, unit_ball(n), spec)
     u_theta = rescale_raw(u, np.zeros(n), theta, alpha)
-    phi_tilde = fit_profile(u_theta, phi_prev.k, tau=tau, spec=spec)
+    phi_tilde = fit_profile(u_theta, phi_prev.k, spec=spec)
     e_theta = excess(u_theta, phi_tilde, unit_ball(n), spec)
     ratio = e_theta / e1 if e1 > 0 else 0.0
     return phi_tilde, float(ratio), float(e_theta)
@@ -271,7 +264,7 @@ class DecayRun:
 
 
 def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
-            probe_gaps=True, min_scale=0.0, tau=0.05, eps0=None):
+            probe_gaps=True, min_scale=0.0, eps0=None):
     """Run the per-scale gap-probe / decay-step loop about Z.
 
     Stops on a gap witness, a fit failure, exhaustion of j_max, or when the
@@ -286,7 +279,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     alpha = k / 2.0
     delta0 = delta0 if delta0 is not None else theta / 2.0
     u0 = rescale_raw(u, Z, 1.0, alpha) if np.any(Z != 0) else u
-    phi = fit_profile(u0, k, tau=tau, spec=spec)
+    phi = fit_profile(u0, k, spec=spec)
     e0 = excess(u0, phi, unit_ball(n), spec)
     if eps0 is not None and e0 > eps0 ** 2:
         return DecayRun(Z, float(theta), int(k),
@@ -315,7 +308,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
                 outcome = "gap"
                 break
         try:
-            phi_new, ratio, e_new = decay_step(uj, phi, theta, spec=spec, tau=tau)
+            phi_new, ratio, e_new = decay_step(uj, phi, theta, spec=spec)
         except (FitError, DegenerateRescaleError):
             steps.append(DecayStep(j, None, float("nan"), float("nan"), "fit-failure"))
             outcome = "fit-failure"
@@ -329,27 +322,32 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     # what the step records carry; its log-log slope against the scale
     # estimates 2*mu
     if scales.shape[0] >= 3 and np.all(exc_sq > 1e-300):
-        lo = max(0, scales.shape[0] // 6)
-        hi = scales.shape[0] - max(1, scales.shape[0] // 6)
-        hi = max(hi, lo + 2)
-        slope = loglog_slope(scales[lo:hi], exc_sq[lo:hi])
+        slope = _middle_slope(scales, exc_sq)
     else:
         slope = float("nan")
     return DecayRun(Z, float(theta), int(k), steps, outcome, phi, float(slope),
                     [float(v) for v in drift], truncated)
 
 
+def _middle_slope(x, y):
+    """loglog_slope of y against x over the middle two-thirds of the scales."""
+    lo = max(0, x.shape[0] // 6)
+    hi = max(x.shape[0] - max(1, x.shape[0] // 6), lo + 2)
+    return loglog_slope(x[lo:hi], y[lo:hi])
+
+
 # ---------------------------------------------------------------------------
 # Tangent expansion
 
 
-def fit_harmonic_average(u, Z, rho=0.9, degree=4, npts=14):
-    """Least-squares harmonic polynomial fit of the average part on a ball."""
+def fit_harmonic_average(u, Z):
+    """Least-squares fit of the average part by harmonic polynomials of degree
+    <= 4, on a 14^n lattice in the cube inscribed in B_0.9(Z)."""
     if u.is_symmetric:
         return None
     n = u.n
-    basis = harmonic_polynomial_basis(n, degree)
-    pts, _ = _lattice(rho / np.sqrt(n), npts, n)
+    basis = harmonic_polynomial_basis(n, 4)
+    pts, _ = _lattice(0.9 / np.sqrt(n), 14, n)
     pts = pts + Z[None, :]
     h = u.average_values(pts)
     A = np.stack([b.value(pts - Z[None, :])[:, 0] for b in basis], axis=1)
@@ -424,10 +422,8 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
         # |eps|^2 per selection = G^2 / 2
         l2[i] = s ** (-n) * rule.integrate_values(g2 / 2.0)
         sup[i] = float(np.max(g2 / 2.0))
-    lo = max(0, sigmas.shape[0] // 6)
-    hi = max(sigmas.shape[0] - max(1, sigmas.shape[0] // 6), lo + 2)
-    l2_slope = loglog_slope(sigmas[lo:hi], np.maximum(l2[lo:hi], 1e-300))
-    sup_slope = loglog_slope(sigmas[lo:hi], np.maximum(sup[lo:hi], 1e-300))
+    l2_slope = _middle_slope(sigmas, np.maximum(l2, 1e-300))
+    sup_slope = _middle_slope(sigmas, np.maximum(sup, 1e-300))
     gamma_l2 = l2_slope - run.k
     gamma_sup = sup_slope - run.k
     consts = l2 / sigmas ** (run.k + gamma_l2) if np.isfinite(gamma_l2) else l2
@@ -457,7 +453,7 @@ class PinchReport:
         return self.max_over < self.eps ** 2 and self.min_over > -1e-8
 
 
-def frequency_pinch_check(u, X1, alpha, eps, R_domain=2.0, nradii=12, spec=None):
+def frequency_pinch_check(u, X1, alpha, eps, R_domain=2.0, spec=None):
     """N_{u,X1}(rho) - alpha over the admissible radius range."""
     from .frequency import frequency_profile
 
@@ -467,7 +463,7 @@ def frequency_pinch_check(u, X1, alpha, eps, R_domain=2.0, nradii=12, spec=None)
         raise ValueError(
             f"domain radius {u.domain.radius} too small for R = {R_domain}"
         )
-    radii = np.geomspace(0.05, R_domain - 1.0 - float(np.linalg.norm(X1)), nradii)
+    radii = np.geomspace(0.05, R_domain - 1.0 - float(np.linalg.norm(X1)), 12)
     prof = frequency_profile(u, X1, radii, spec)
     over = prof.N - alpha
     dN = np.diff(prof.N)
@@ -475,13 +471,14 @@ def frequency_pinch_check(u, X1, alpha, eps, R_domain=2.0, nradii=12, spec=None)
                        float(np.min(over)), bool(np.all(dN >= -1e-8)))
 
 
-def stratify(report, blowups, spec=None, axis_probe=0.35):
+def stratify(report, blowups, spec=None):
     """Label candidates by the translation invariance of their blow-ups.
 
     blowups maps candidate index -> CylindricalProfile.  At desk scale the
     labels are stratum 0 (isolated, n = 2) and stratum 1 (cylindrical,
-    n = 3 axis-invariant); n = 3 candidates without axis neighbors on both
-    sides are flagged ambiguous.
+    n = 3 axis-invariant, compared at the axis point y = 0.35 of the profile
+    frame); n = 3 candidates without axis neighbors on both sides are flagged
+    ambiguous.
     """
     spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=10, nsphere=96)
     for idx, cand in enumerate(report.candidates):
@@ -494,7 +491,7 @@ def stratify(report, blowups, spec=None, axis_probe=0.35):
             cand.stratum = 0
             cand.stratum_label = "isolated"
             continue
-        axis_pt = prof.from_frame(np.array([[0.0, 0.0, axis_probe]]))[0]
+        axis_pt = prof.from_frame(np.array([[0.0, 0.0, 0.35]]))[0]
         est_axis = frequency_at_point(prof, axis_pt, rho_max=0.2, spec=spec)
         est_zero = frequency_at_point(prof, prof.center, rho_max=0.2, spec=spec)
         invariant = abs(est_axis.value - est_zero.value) <= 0.05 + 3 * (

@@ -138,16 +138,13 @@ class CylindricalModeField(Field):
         self.domain = domain if domain is not None else unit_ball(self.n)
 
     @classmethod
-    def power_sum(cls, terms, n=2, m=None, average=None, domain=None):
+    def power_sum(cls, terms, n=2, average=None, domain=None):
         """Harmonic field {+-Re(sum_j c_j z^(k_j/2))}; terms = [(c, k), ...]."""
         modes = []
         for c, k in terms:
             c = np.atleast_1d(np.asarray(c, dtype=complex))
             modes.append(CylindricalMode(k / 2.0, k / 2.0, c.real, -c.imag))
-        f = cls(modes, n=n, average=average, domain=domain)
-        if m is not None and f.m != m:
-            raise DimensionMismatchError(f"terms have m={f.m}, expected {m}")
-        return f
+        return cls(modes, n=n, average=average, domain=domain)
 
     def power_terms(self):
         """Back out (c, k) pairs for harmonic modes; None if a mode is not one."""
@@ -468,7 +465,17 @@ def norm_sq(field, ball, spec=None):
     return spec.integrate_ball(ball, integrand, planar=field.planar)
 
 
-def rescale(field, Y, rho, spec=None, exact=True):
+def _rescaled(field, Y, rho, scale):
+    """u(Y + rho X) / scale: the field's exact reparameterization when it has
+    one, else a RescaledField view."""
+    if hasattr(field, "rescaled_exact"):
+        ex = field.rescaled_exact(Y, rho, scale)
+        if ex is not None:
+            return ex
+    return RescaledField(field, Y, rho, scale)
+
+
+def rescale(field, Y, rho, spec=None):
     """L2-normalized rescaling u(Y + rho X) / (rho^(-n/2) ||u||_{L2(B_rho(Y))}).
 
     Returns an analytically evaluable field on the unit ball; use
@@ -482,11 +489,7 @@ def rescale(field, Y, rho, spec=None, exact=True):
     if not nsq > 0 or nsq < 1e-28:
         raise DegenerateRescaleError(f"zero L2 norm on ball radius {rho} about {Y.tolist()}")
     scale = rho ** (-field.n / 2.0) * np.sqrt(nsq)
-    if exact and hasattr(field, "rescaled_exact"):
-        ex = field.rescaled_exact(Y, rho, scale)
-        if ex is not None:
-            return ex
-    return RescaledField(field, Y, rho, scale)
+    return _rescaled(field, Y, rho, scale)
 
 
 def l2_distance_sq(u, v, ball, spec=None):
@@ -507,9 +510,9 @@ def l2_distance_sq(u, v, ball, spec=None):
 # Sampled fields on structured polar grids
 
 
-def graded_radii(nr, radius, grading=2.0, inner=0.0):
+def graded_radii(nr, radius, grading=2.0):
     s = (np.arange(1, nr + 1)) / float(nr)
-    return inner + (radius - inner) * s ** grading
+    return radius * s ** grading
 
 
 class PolarGrid:
@@ -734,16 +737,16 @@ class SampledField(Field):
         return cls(grid, grid.on_grid(s), average=avg, symmetric=symmetric, hol=hol)
 
 
-def propagate_signs(svals, seed_ring=-1):
+def propagate_signs(svals):
     """Continuous lift of a polar value array, swept ring by ring.
 
     svals has shape (nr, nt, m), or (nr, nt, ny, m) for a stack of ny axis
     slabs.  Returns (signs, holonomy): signs (nr, nt), or (nr, nt, ny), make
     sign * svals one locally continuous lift, and holonomy is the float sign
     picked up around a theta loop.  Column 0 is continued from ring to ring,
-    sweeping inward from the outermost annulus (or outward for seed_ring=0);
-    each ring is then continued along theta.  A slab whose rings disagree on
-    the holonomy raises a PairingError, the first such slab for a stack.
+    sweeping inward from the outermost annulus; each ring is then continued
+    along theta.  A slab whose rings disagree on the holonomy raises a
+    PairingError, the first such slab for a stack.
 
     A stack is one lift: a slab whose holonomy differs from slab 0's raises a
     PairingError naming it, and each slab is aligned to the aligned slab
@@ -763,7 +766,7 @@ def propagate_signs(svals, seed_ring=-1):
 
     signs = np.ones(x.shape[:-1])
     prev = None
-    for ri in (range(nr - 1, -1, -1) if seed_ring == -1 else range(nr)):
+    for ri in range(nr - 1, -1, -1):
         if prev is not None:
             signs[ri, 0] = nearer(x[ri, 0], prev)
         prev = signs[ri, 0][:, None] * x[ri, 0]
@@ -818,30 +821,27 @@ def non_stationary_control(m=1):
     return CylindricalModeField(modes, n=2)
 
 
-def random_stationary_power_sum(rng, n=2, m=2, max_terms=3):
-    """Random harmonic power sum satisfying the stationarity identities.
+def random_stationary_power_sum(rng, n=2):
+    """Random harmonic power sum of one to three terms, m = 2, satisfying the
+    stationarity identities.
 
     Any term with k = 1 gets a coefficient with c . c = 0 (the residue-free
     condition at the branch point); terms with k >= 2 carry free coefficients.
     Exponent parities are kept consistent so the pair is well defined.
     """
     parity = int(rng.integers(0, 2))
-    ks = sorted(rng.choice(np.arange(1 if parity else 2, 10, 2), size=rng.integers(1, max_terms + 1), replace=False).tolist())
+    ks = sorted(rng.choice(np.arange(1 if parity else 2, 10, 2), size=rng.integers(1, 4), replace=False).tolist())
     terms = []
     for idx, k in enumerate(ks):
         scale = 0.2 ** idx
         if k == 1:
-            if m < 2:
-                k = 3
-                c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * scale
-            else:
-                # c = a + i b with |a| = |b|, a.b = 0  =>  c.c = 0
-                a = rng.standard_normal(m)
-                b = rng.standard_normal(m)
-                b = b - (a @ b) / (a @ a) * a
-                b = b * (np.linalg.norm(a) / np.linalg.norm(b))
-                c = (a + 1j * b) * (scale / np.linalg.norm(a))
+            # c = a + i b with |a| = |b|, a.b = 0  =>  c.c = 0
+            a = rng.standard_normal(2)
+            b = rng.standard_normal(2)
+            b = b - (a @ b) / (a @ a) * a
+            b = b * (np.linalg.norm(a) / np.linalg.norm(b))
+            c = (a + 1j * b) * (scale / np.linalg.norm(a))
         else:
-            c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * scale
+            c = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * scale
         terms.append((c, int(k)))
     return CylindricalModeField.power_sum(terms, n=n)

@@ -125,16 +125,17 @@ class FrequencyEstimate:
     low_confidence: bool
 
 
-def frequency_at_point(u, Y, rho_max=0.3, nradii=6, ratio=0.7, spec=None, slack=1e-6):
+def frequency_at_point(u, Y, rho_max=0.3, nradii=6, spec=None):
     """Extrapolate N_{u,Y}(rho) to rho -> 0.
 
-    Radii shrink geometrically; an Aitken step on the last three values
+    Radii shrink geometrically by 0.7; an Aitken step on the last three values
     removes the leading power correction.  The spread between the raw value at the
     smallest radius and the extrapolants is reported as the uncertainty, and
-    a non-monotone tail (beyond slack) sets the low-confidence flag.
+    a non-monotone tail (N rising by more than 1e-6 toward rho -> 0) sets the
+    low-confidence flag.
     """
     spec = spec or QuadratureSpec()
-    radii = rho_max * ratio ** np.arange(nradii)
+    radii = rho_max * 0.7 ** np.arange(nradii)
     prof = frequency_profile(u, Y, radii[::-1], spec)
     N = prof.N[::-1]  # N at decreasing radii
 
@@ -149,7 +150,7 @@ def frequency_at_point(u, Y, rho_max=0.3, nradii=6, ratio=0.7, spec=None, slack=
     # quadrature bias keeps the uncertainty away from zero even when the
     # sampled values are constant; the floor covers desk-scale node counts
     unc = abs(est - N[-1]) + abs(est - prev) + 1e-6 * max(1.0, abs(est))
-    increasing_tail = np.all(np.diff(N) <= slack)
+    increasing_tail = np.all(np.diff(N) <= 1e-6)
     return FrequencyEstimate(float(est), float(unc), radii, N, not bool(increasing_tail))
 
 
@@ -160,7 +161,7 @@ class DoublingReport:
     values: dict
 
 
-def doubling_check(u, Y, sigma, rho, spec=None, rel_slack=1e-8):
+def doubling_check(u, Y, sigma, rho, spec=None):
     """Both inequalities of the solid doubling estimate, with margins."""
     if not 0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
@@ -176,7 +177,7 @@ def doubling_check(u, Y, sigma, rho, spec=None, rel_slack=1e-8):
     est = frequency_at_point(u, Y, rho_max=min(0.3 * rho, sigma), spec=spec)
     lower = (sigma / rho) ** (2 * prof.N[1]) * mean_r
     upper = (sigma / rho) ** (2 * est.value) * mean_r
-    tol = rel_slack * max(mean_s, mean_r)
+    tol = 1e-8 * max(mean_s, mean_r)
     return DoublingReport(
         lower_ok=bool(lower <= mean_s + tol),
         upper_ok=bool(mean_s <= upper + tol),
@@ -232,11 +233,11 @@ class StationarityReport:
     details: dict
 
 
-def default_test_functions(n, radius=0.85):
+def default_test_functions(n):
     center = np.zeros(n)
     off = np.zeros(n)
     off[0] = 0.25
-    return [BumpTestFunction(center, radius), BumpTestFunction(off, radius / 2)]
+    return [BumpTestFunction(center, 0.85), BumpTestFunction(off, 0.85 / 2)]
 
 
 def _sphere_radial(u, Y, rho, spec):
@@ -251,7 +252,7 @@ def _sphere_radial(u, Y, rho, spec):
 
 
 def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
-                           spec=None, domain=None):
+                           spec=None):
     """Residuals of the squash, squeeze and radial variational identities.
 
     squash:  int |Du|^2 zeta + int u . Du . grad(zeta) = 0
@@ -260,7 +261,7 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
     radial:  int_{B_rho} |Du|^2 - int_{bdry} u . D_R u = 0 per radius
     """
     spec = spec or QuadratureSpec()
-    domain = domain or (u.domain if u.domain is not None else unit_ball(u.n))
+    domain = u.domain if u.domain is not None else unit_ball(u.n)
     tfs = test_functions or default_test_functions(u.n)
     for tf in tfs:
         if not domain.contains_ball(tf.support_ball()):

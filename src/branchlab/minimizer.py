@@ -60,24 +60,16 @@ class BoundaryTrace:
             vals = signs[0][:, None] * s
         return cls(thetas, vals, radius)
 
-    @classmethod
-    def from_csv(cls, path, radius):
-        with open(path) as fh:
-            rows = [line for line in map(str.strip, fh)
-                    if line and not line.startswith("#") and not line[0].isalpha()]
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        order = np.argsort(data[:, 0])
-        return cls(data[order, 0], data[order, 1:], radius)
-
-    def parity(self, tol=1e-8):
-        """+1 if g(theta + 2pi) = g(theta), -1 if = -g(theta); else error."""
+    def parity(self):
+        """+1 if g(theta + 2pi) = g(theta), -1 if = -g(theta), to 1e-8 of the
+        data's scale; else error."""
         half = self.thetas < 2.0 * np.pi
         g0 = self._interp(self.thetas[half])
         g1 = self._interp(self.thetas[half] + 2.0 * np.pi)
         scale = max(float(np.max(np.abs(self.values))), 1e-300)
-        if np.max(np.abs(g1 + g0)) <= tol * scale:
+        if np.max(np.abs(g1 + g0)) <= 1e-8 * scale:
             return -1
-        if np.max(np.abs(g1 - g0)) <= tol * scale:
+        if np.max(np.abs(g1 - g0)) <= 1e-8 * scale:
             return 1
         raise BoundaryLiftError(
             "boundary data is neither periodic nor anti-periodic over 2pi "
@@ -99,13 +91,6 @@ class BoundaryTrace:
         th = np.arange(M) * (2.0 * np.pi / M)
         return self._interp(th)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("theta," + ",".join(f"v{k+1}" for k in range(self.m)) + "\n")
-            row = ",".join(["%r"] * (1 + self.m)) + "\n"
-            table = np.column_stack([self.thetas, self.values]).tolist()
-            fh.writelines(row % tuple(values) for values in table)
-
 
 @dataclass
 class BranchConfiguration:
@@ -122,8 +107,8 @@ class BranchConfiguration:
                 if np.allclose(self.points[i], self.points[j]):
                     raise ValueError("branch points must be pairwise distinct")
 
-    def is_centered_single(self, tol=1e-12):
-        return len(self.points) == 1 and float(np.linalg.norm(self.points[0])) <= tol
+    def is_centered_single(self):
+        return len(self.points) == 1 and float(np.linalg.norm(self.points[0])) <= 1e-12
 
     def cuts(self, radius, boundary_anchor=None):
         """Cut segments: point-to-point for two points, point-to-boundary else."""
@@ -332,11 +317,11 @@ class CoverField:
     def m(self):
         return self.values.shape[2]
 
-    def anti_periodicity_defect(self, nprobe=64):
-        """Max |v(r, theta + 2pi) + v(r, theta)| over probe points."""
+    def anti_periodicity_defect(self):
+        """Max |v(r, theta + 2pi) + v(r, theta)| over 64 random probe points."""
         rng = np.random.default_rng(7)
-        r = self.rs[0] + (self.rs[-1] - self.rs[0]) * rng.random(nprobe)
-        th = 2.0 * np.pi * rng.random(nprobe)
+        r = self.rs[0] + (self.rs[-1] - self.rs[0]) * rng.random(64)
+        th = 2.0 * np.pi * rng.random(64)
         return float(np.max(np.abs(self.value_at(r, th + 2.0 * np.pi) + self.value_at(r, th))))
 
     def value_at(self, r, theta):
@@ -630,11 +615,13 @@ class BranchSearchResult:
 
 
 def optimize_branch_points(boundary, initial, budget=40, step=None,
-                           grid=CoverGridSpec(nr=48, ntheta=96), min_step=None):
+                           grid=CoverGridSpec(nr=48, ntheta=96)):
     """Pattern search over branch-point coordinates minimizing solved energy.
 
     Moves one coordinate of one point at a time (best-improvement over the
-    2 * 2 * npoints candidate moves); the step halves when no move improves.
+    2 * 2 * npoints candidate moves); the step halves when no move improves,
+    and the search stops once the step is at most R / (4 nr) or the budget of
+    solves is spent.
     The energy trace is nonincreasing by construction.  A configuration is
     flagged degenerate when the solution stays bounded away from zero near
     every branch point (no genuine branching in the data).
@@ -642,7 +629,7 @@ def optimize_branch_points(boundary, initial, budget=40, step=None,
     R = boundary.radius
     pts = [np.asarray(p, dtype=float).copy() for p in initial.points]
     step = step if step is not None else 0.1 * R
-    min_step = min_step if min_step is not None else R / (4.0 * grid.nr)
+    min_step = R / (4.0 * grid.nr)
 
     def solve_for(points):
         cfg = BranchConfiguration([p.copy() for p in points])
@@ -693,14 +680,14 @@ def optimize_branch_points(boundary, initial, budget=40, step=None,
     return BranchSearchResult(cfg, cov, e, trace, degenerate)
 
 
-def local_growth_exponent(cov, Z, nsamp=128):
-    """Growth exponent of |v| on two circles around Z (1/2 = branching)."""
+def local_growth_exponent(cov, Z):
+    """Growth exponent of |v| on two circles of 128 points around Z (1/2 = branching)."""
     R = float(cov.rs[-1])
     rz = float(np.linalg.norm(Z))
     cell = 2.0 * np.sqrt(max(rz, 0.05) * R) / cov.rs.shape[0]
     rho1 = max(3.0 * cell, 0.04 * R)
     rho2 = min(2.0 * rho1, 0.45 * (R - rz) + rho1)
-    th = (np.arange(nsamp) + 0.5) * (2.0 * np.pi / nsamp)
+    th = (np.arange(128) + 0.5) * (2.0 * np.pi / 128)
     means = []
     for rho in (rho1, rho2):
         pts = Z[None, :] + rho * np.stack([np.cos(th), np.sin(th)], axis=-1)

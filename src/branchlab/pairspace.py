@@ -53,8 +53,9 @@ class UnorderedPair:
         """|a| = G(a, {0,0}) = sqrt(|a1|^2 + |a2|^2), pairing-invariant."""
         return float(np.sqrt(np.dot(self.a1, self.a1) + np.dot(self.a2, self.a2)))
 
-    def is_symmetric(self, tol=0.0):
-        return float(np.max(np.abs(self.a1 + self.a2), initial=0.0)) <= tol
+    def is_symmetric(self):
+        """Whether a2 = -a1 exactly."""
+        return float(np.max(np.abs(self.a1 + self.a2), initial=0.0)) <= 0.0
 
     def swapped(self):
         return UnorderedPair(self.a2, self.a1)

@@ -19,6 +19,12 @@ from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import Ball, QuadratureSpec, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
+ROTATION_BOUND = 0.35  # fit_rotation keeps the skew generator within |A| <= this
+# The gamma, sigma and delta of the section-6 estimates in corollary_checks
+GAMMA = 0.5   # radius of the ball of the R-weighted excess and a priori integrals
+SIGMA = 0.5   # power the weighted excesses gain over the plain excess
+DELTA = 0.05  # the tube weight is max(|x|, DELTA)
+
 
 def skew_from_params(params, n):
     """Assemble A in the admissible skew space from its 2(n-2) free entries."""
@@ -35,13 +41,13 @@ def skew_params(A):
     return A[0:2, 2:].reshape(-1) if n > 2 else np.zeros(0)
 
 
-def is_admissible_skew(A, tol=1e-12):
+def is_admissible_skew(A):
     n = A.shape[0]
-    if not np.allclose(A, -A.T, atol=tol):
+    if not np.allclose(A, -A.T, atol=1e-12):
         return False
-    if np.max(np.abs(A[0:2, 0:2])) > tol:
+    if np.max(np.abs(A[0:2, 0:2])) > 1e-12:
         return False
-    if n > 2 and np.max(np.abs(A[2:, 2:])) > tol:
+    if n > 2 and np.max(np.abs(A[2:, 2:])) > 1e-12:
         return False
     return True
 
@@ -214,19 +220,19 @@ def lift_against_profile(u, prof, grid):
     return u_lift, phi, signs, grid.shape
 
 
-def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
-          ny=12, cond_max=1e12):
+def fit_c(u, k, A=None, ntheta=128):
     """Least-squares fit of c against the degree-alpha modes on the cover.
 
     The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
-    component; the pairing of u against the current profile frame is taken
-    outside the tube r <= tau.  The u-lift is one propagate_signs lift over
+    component; the pairing of u against the current profile frame (centered
+    at the origin) is taken on the cover grid for 0.05 <= r <= 0.95, outside
+    the tube about the axis.  The u-lift is one propagate_signs lift over
     all axis slabs, so every representative of the pair u fits the same c up
     to a global sign.  Returns (c, weighted residual).
     """
     n, m = u.n, u.m
-    probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, center=center, n=n)
-    grid = cover_grid(tau, rmax, nr=nr, ntheta=ntheta, n=n, ny=ny)
+    probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, n=n)
+    grid = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
     alpha = k / 2.0
     # one lane per axis slab; the plane (n = 2) is one slab
     lanes = grid.shape[:2] + (-1,)
@@ -253,7 +259,7 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
         rhs[1] += np.einsum("rt,rtk->k", w * b2, lift)
     G[1, 0] = G[0, 1]
     condition = np.linalg.cond(G)
-    if not np.isfinite(condition) or condition > cond_max:
+    if not np.isfinite(condition) or condition > 1e12:
         raise FitError(f"normal equations ill-conditioned (cond={condition:.2e})")
     coef = np.linalg.solve(G, rhs)  # rows: [cos part; sin part] per component
     c = coef[0] - 1j * coef[1]
@@ -264,10 +270,11 @@ def fit_c(u, k, A=None, center=None, tau=0.05, rmax=0.95, nr=24, ntheta=128,
     return c, float(np.sqrt(max(resid_sq, 0.0)))
 
 
-def fit_rotation(u, prof, bound=0.35, max_steps=12, backtracks=20, spec=None,
-                 tol=1e-12):
+def fit_rotation(u, prof, spec=None):
     """Gauss-Newton over the free skew entries minimizing the excess.
 
+    The fit takes at most 12 steps, each backtracking by at most 20 halvings,
+    and stops early once the gradient norm or the objective is below 1e-12.
     Returns (A, converged flag).  For n = 2 the admissible space is trivial
     and zero is returned immediately.
     """
@@ -290,7 +297,7 @@ def fit_rotation(u, prof, bound=0.35, max_steps=12, backtracks=20, spec=None,
     obj = float(r @ r)
     dim = params.shape[0]
     converged = False
-    for _ in range(max_steps):
+    for _ in range(12):
         J = np.zeros((r.shape[0], dim))
         eps = 1e-6
         for d in range(dim):
@@ -298,19 +305,19 @@ def fit_rotation(u, prof, bound=0.35, max_steps=12, backtracks=20, spec=None,
             e[d] = eps
             J[:, d] = (residuals(params + e) - residuals(params - e)) / (2 * eps)
         g = J.T @ r
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < 1e-12:
             converged = True
             break
         H = J.T @ J + 1e-14 * np.eye(dim)
         step = -np.linalg.solve(H, g)
         ok = False
         t = 1.0
-        for _ in range(backtracks):
+        for _ in range(20):
             trial = params + t * step
             A_trial = skew_from_params(trial, n)
             nrm = np.linalg.norm(A_trial)
-            if nrm > bound:
-                trial = trial * (bound / nrm)
+            if nrm > ROTATION_BOUND:
+                trial = trial * (ROTATION_BOUND / nrm)
             r_trial = residuals(trial)
             obj_trial = float(r_trial @ r_trial)
             if obj_trial < obj:
@@ -320,7 +327,7 @@ def fit_rotation(u, prof, bound=0.35, max_steps=12, backtracks=20, spec=None,
             t *= 0.5
         if not ok:
             break
-        if obj < tol:
+        if obj < 1e-12:
             converged = True
             break
     else:
@@ -328,26 +335,24 @@ def fit_rotation(u, prof, bound=0.35, max_steps=12, backtracks=20, spec=None,
     return skew_from_params(params, n), converged
 
 
-def fit_profile(u, k, center=None, tau=0.05, with_rotation=True, spec=None,
-                rounds=2):
+def fit_profile(u, k, spec=None):
     """Fit c (linear) and the axis tilt A (Gauss-Newton) for a known k.
 
-    Degenerate c = 0 fits are rejected: a zero profile has no frequency and
-    does not belong to the admissible profile family.
+    The profile is centered at the origin.  At n > 2 the fit alternates two
+    rounds of c, then A.  Degenerate c = 0 fits are rejected: a zero profile
+    has no frequency and does not belong to the admissible profile family.
     """
     n = u.n
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     A = np.zeros((n, n))
-    c = None
-    for _ in range(max(1, rounds if (with_rotation and n > 2) else 1)):
-        c, _resid = fit_c(u, k, A=A, center=center, tau=tau)
+    for _ in range(2):
+        c, _resid = fit_c(u, k, A=A)
         if not float(np.linalg.norm(c)) > 0.0:
             raise FitError("degenerate fit: c = 0 is not an admissible profile")
-        prof = CylindricalProfile(c, k, A=A, center=center, n=n)
-        if not (with_rotation and n > 2):
+        prof = CylindricalProfile(c, k, A=A, n=n)
+        if n <= 2:
             return prof
         A, _ok = fit_rotation(u, prof, spec=spec)
-    return CylindricalProfile(c, k, A=A, center=center, n=n)
+    return CylindricalProfile(c, k, A=A, n=n)
 
 
 @dataclass
@@ -467,12 +472,11 @@ class CorollaryRow:
         return self.lhs / self.rhs if self.rhs > 0 else float("inf")
 
 
-def corollary_checks(u, prof, Z=None, gamma=0.5, sigma=0.5, delta=0.05,
-                     spec=None):
+def corollary_checks(u, prof, Z=None, spec=None):
     """Left/right sides and ratios of the key section-6 integral estimates.
 
-    Rows: weighted-excess (R^(sigma-n-2alpha) weight), shifted-center excess
-    with dist^2 term, the max(|x|, delta)-weighted excess, and the two
+    Rows: weighted-excess (R^(SIGMA-n-2alpha) weight), shifted-center excess
+    with dist^2 term, the max(|x|, DELTA)-weighted excess, and the two
     a priori integrals (radial frequency deviation and axis energy).
     """
     spec = spec or QuadratureSpec()
@@ -482,14 +486,14 @@ def corollary_checks(u, prof, Z=None, gamma=0.5, sigma=0.5, delta=0.05,
     rhs = excess(u, prof, unit_ball(n), spec)
     rows = []
 
-    ball_g = Ball((0.0,) * n, gamma)
+    ball_g = Ball((0.0,) * n, GAMMA)
     rule = spec.ball(ball_g)
     X = rule.points
     g2 = metric_sq_symmetric(u.symmetric_values(X), prof.symmetric_values(X))
     R = np.linalg.norm(X, axis=1)
-    lhs_63 = rule.integrate_values(R ** (-n + sigma - 2 * alpha) * g2)
+    lhs_63 = rule.integrate_values(R ** (-n + SIGMA - 2 * alpha) * g2)
     rows.append(CorollaryRow("weighted_excess_R", float(lhs_63), float(rhs),
-                             {"gamma": gamma, "sigma": sigma}))
+                             {"gamma": GAMMA, "sigma": SIGMA}))
 
     shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=prof.center + Z, n=n)
     dist_sq = float(np.sum(Z[:2] ** 2))
@@ -501,16 +505,16 @@ def corollary_checks(u, prof, Z=None, gamma=0.5, sigma=0.5, delta=0.05,
     rule_h = spec.ball(ball_h)
     Xh = rule_h.points
     g2h = metric_sq_symmetric(u.symmetric_values(Xh), prof.symmetric_values(Xh))
-    r_delta = np.maximum(np.hypot(Xh[:, 0], Xh[:, 1]), delta)
-    lhs_66 = rule_h.integrate_values(g2h / r_delta ** (1 - sigma))
+    r_delta = np.maximum(np.hypot(Xh[:, 0], Xh[:, 1]), DELTA)
+    lhs_66 = rule_h.integrate_values(g2h / r_delta ** (1 - SIGMA))
     rows.append(CorollaryRow("tube_weighted_excess", float(lhs_66), float(rhs),
-                             {"delta": delta, "sigma": sigma}))
+                             {"delta": DELTA, "sigma": SIGMA}))
 
     lhs_62a = radial_frequency_deviation(u, np.zeros(n), alpha, ball_g, spec)
     rows.append(CorollaryRow("radial_deviation", float(lhs_62a), float(rhs),
-                             {"gamma": gamma}))
+                             {"gamma": GAMMA}))
     if n > 2:
         lhs_62b = axis_energy_integral(u, ball_g, spec)
         rows.append(CorollaryRow("axis_energy", float(lhs_62b), float(rhs),
-                                 {"gamma": gamma}))
+                                 {"gamma": GAMMA}))
     return rows

@@ -65,9 +65,10 @@ class Ball:
     def center_array(self):
         return np.asarray(self.center, dtype=float)
 
-    def contains_ball(self, other, slack=1e-12):
+    def contains_ball(self, other):
+        """Whether other lies inside this ball, up to a slack of 1e-12."""
         d = float(np.linalg.norm(self.center_array - other.center_array))
-        return d + other.radius <= self.radius + slack
+        return d + other.radius <= self.radius + 1e-12
 
 
 def unit_ball(n):

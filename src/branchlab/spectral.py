@@ -22,6 +22,8 @@ from .profiles import profile_plane_gradient_lift
 from .quadrature import Ball, _polar_slabs
 
 FOUR_PI = 4.0 * np.pi
+BETA2 = 10.0  # the beta_2 of the radial-derivative hypothesis (remainder_decay_check)
+RADIAL_FD_EPS = 1e-4  # step of the central difference in the scaling parameter
 
 
 class CoverFunction:
@@ -123,7 +125,7 @@ class SpectralProjection:
         )
 
 
-def project_L(w, rho, c0, alpha, cond_max=1e12):
+def project_L(w, rho, c0, alpha):
     """Least-squares projection of w onto L over graph phi0 restricted to B_rho.
 
     Returns the projection psi_rho and remainder w_rho = w - psi_rho; the
@@ -139,7 +141,7 @@ def project_L(w, rho, c0, alpha, cond_max=1e12):
     G = np.trace((X.T @ (wt[:, None] * X)).reshape(K, m, K, m), axis1=1, axis2=3)
     rhs = np.einsum("pak,pk->a", E, wt[:, None] * Wv)
     condition = np.linalg.cond(G)
-    if not np.isfinite(condition) or condition > cond_max:
+    if not np.isfinite(condition) or condition > 1e12:
         raise FitError(f"Gram matrix of L is singular (cond={condition:.2e})")
     coef = np.linalg.solve(G, rhs)
     Pv = coef @ E
@@ -153,7 +155,7 @@ def project_L(w, rho, c0, alpha, cond_max=1e12):
     return SpectralProjection(rho, coef, psi, rem, nw, npsi, nrem)
 
 
-def radial_deviation_integral(w, alpha, rho, fd_eps=1e-4):
+def radial_deviation_integral(w, alpha, rho):
     """int over the cover ball of R^(2-n) |d/dR (w/R^alpha)|^2.
 
     The radial derivative acts along rays of (x, y)-space; it is computed by
@@ -162,29 +164,30 @@ def radial_deviation_integral(w, alpha, rho, fd_eps=1e-4):
     n = w.n
     r, th, y, wt = cover_ball_rule(rho, n)
     R = r if y is None else np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
-    lp, lm = 1.0 + fd_eps, 1.0 - fd_eps
+    lp, lm = 1.0 + RADIAL_FD_EPS, 1.0 - RADIAL_FD_EPS
     wp = _eval_cover(w, r * lp, th, None if y is None else y * lp) / (lp * R[:, None]) ** alpha
     wm = _eval_cover(w, r * lm, th, None if y is None else y * lm) / (lm * R[:, None]) ** alpha
-    dR = (wp - wm) / (2.0 * fd_eps * R[:, None])
+    dR = (wp - wm) / (2.0 * RADIAL_FD_EPS * R[:, None])
     vals = np.sum(dR * dR, axis=1)
     return float(np.sum(wt * R ** (2 - n) * vals))
 
 
-def half_case_boundary_term(w, p=0, r_sequence=(0.08, 0.04, 0.02, 0.01),
-                            ntheta=256, *, c0, alpha=0.5, fd=1e-3):
+def half_case_boundary_term(w, p=0, *, c0, alpha=0.5):
     """Small-r limit of d^2/dr dy_p of r * int w . D_i phi0 dtheta, i = 1, 2.
 
-    Returns ((limit_1, limit_2), uncertainty, table); the limits vanish for
-    blow-ups of minimizers in the half-degree case.
+    The mixed derivative is a central difference with steps 1e-3 r and 1e-3
+    at r = 0.08, 0.04, 0.02, 0.01, the theta integral a 256-node midpoint
+    rule on the cover.  Returns ((limit_1, limit_2), uncertainty, table); the
+    limits vanish for blow-ups of minimizers in the half-degree case.
     """
     if w.n < 3:
         raise ValueError("the boundary term involves an axis variable (n >= 3)")
-    theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
-    dth = FOUR_PI / ntheta
+    theta = (np.arange(256) + 0.5) * (FOUR_PI / 256)
+    dth = FOUR_PI / 256
 
     def F(r, ypt):
-        rr = np.full(ntheta, r)
-        yy = np.broadcast_to(ypt, (ntheta, w.n - 2))
+        rr = np.full(256, r)
+        yy = np.broadcast_to(ypt, (256, w.n - 2))
         vals = np.asarray(w(rr, theta, yy), dtype=float)
         d1, d2 = profile_plane_gradient_lift(c0, alpha, rr, theta)
         f1 = r * float(np.sum(vals * d1) * dth)
@@ -192,17 +195,17 @@ def half_case_boundary_term(w, p=0, r_sequence=(0.08, 0.04, 0.02, 0.01),
         return np.array([f1, f2])
 
     rows = []
-    for r in r_sequence:
-        hr = fd * r
-        hy = fd
+    for r in (0.08, 0.04, 0.02, 0.01):
+        hr = 1e-3 * r
+        hy = 1e-3
         ep = np.zeros(w.n - 2)
         ep[p] = hy
         mixed = (F(r + hr, ep) - F(r + hr, -ep) - F(r - hr, ep) + F(r - hr, -ep)) / (4 * hr * hy)
         rows.append((float(r), mixed))
     vals = np.stack([row[1] for row in rows])
     limit = vals[-1]
-    unc = float(np.max(np.abs(vals[-1] - vals[-2]))) if len(rows) >= 2 else float("inf")
-    low_confidence = len(rows) < 3 or unc > 10 * max(np.max(np.abs(limit)), 1e-14)
+    unc = float(np.max(np.abs(vals[-1] - vals[-2])))
+    low_confidence = unc > 10 * max(np.max(np.abs(limit)), 1e-14)
     return limit, unc, {"radii": [row[0] for row in rows],
                         "values": vals.tolist(),
                         "low_confidence": low_confidence}
@@ -234,12 +237,11 @@ class DecayReport:
         return [row.contraction for row in self.rows if np.isfinite(row.contraction)]
 
 
-def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), beta2=10.0,
-                          *, c0, alpha=0.5):
+def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), *, c0, alpha=0.5):
     """Per-scale decay data for the cover function w.
 
     For each scale rho: the L-remainder norm, the radial-derivative integral
-    over B_{rho/4} against the beta2-shaped bound, and the one-step
+    over B_{rho/4} against the BETA2-shaped bound, and the one-step
     contraction of radial-derivative integrals.  The headline comparison is
     theta^(-n-2a) int_{B_theta} |w_theta|^2 against int_{B_1} |w_1|^2, with
     the decay exponent fitted from the per-scale normalized remainders.
@@ -255,7 +257,7 @@ def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), beta2=10
         rem_sq = proj[rho].norm_sq_remainder
         i_quarter = radial[rho / 4.0]
         i_full = radial[rho]
-        bound = beta2 * rho ** (-n - 2 * alpha) * rem_sq
+        bound = BETA2 * rho ** (-n - 2 * alpha) * rem_sq
         ok = i_quarter <= bound + 1e-14
         hyp_ok = hyp_ok and ok
         contraction = i_quarter / i_full if i_full > 0 else float("nan")

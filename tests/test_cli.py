@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import pytest
 
@@ -301,27 +302,27 @@ def test_centers_checked_against_field_dimension(tmp_path, capsys, n, centers, c
         assert not (tmp_path / "out").exists()
 
 
-def test_threads_env(monkeypatch):
+def test_family_sweeps_start_no_thread(tmp_path, monkeypatch):
+    # family sweeps run in order in one thread, whatever the environment and
+    # the CPU count say
     monkeypatch.setenv("BRANCHLAB_THREADS", "4")
-    assert cli.thread_count() == 4
-    monkeypatch.setenv("BRANCHLAB_THREADS", "bogus")
-    assert cli.thread_count() == 1
-    out = cli._pmap(lambda x: x * x, [1, 2, 3])
-    assert out == [1, 4, 9]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
+    def no_thread(self):
+        raise RuntimeError("a family sweep started a thread")
 
-def test_worker_count_capped(monkeypatch):
-    # only the computed count is checked; no pool is started
-    monkeypatch.setenv("BRANCHLAB_THREADS", "100000")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._worker_count(3) == 3
-    assert cli._worker_count(1000) == 4
-    assert cli._worker_count(0) == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._worker_count(1000) == 1
-    monkeypatch.setenv("BRANCHLAB_THREADS", "2")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._worker_count(1000) == 2
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    field = {"type": "power_sum", "n": 2,
+             "terms": [{"k": 1, "c": [[C_RE, 0.0], [0.0, C_RE]]},
+                       {"k": 3, "c": [[0.05, 0.0], [0.0, 0.05]]}]}
+    quad = {"nr": 16, "ntheta": 32, "nsphere": 64}
+    for kind, params in (("monotonicity", {"nradii": 6, "n_random": 3, "quadrature": quad}),
+                         ("corollaries", {"quadrature": quad})):
+        cfg = {"schema_version": 1, "kind": kind, "field": field, "params": params,
+               "output_dir": "out_" + kind, "seed": 5}
+        assert cli.main(["run", write_config(tmp_path, cfg, kind + ".json")]) == cli.EXIT_OK
+    rows = (tmp_path / "out_monotonicity" / "monotonicity.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[2:]] == ["random-0", "random-1", "random-2"]
 
 
 def test_build_field_types(tmp_path):

@@ -217,17 +217,6 @@ def test_stationarity_transfer(half_trace):
     assert rep_bad.squeeze > 1.0
 
 
-def test_boundary_csv_roundtrip(tmp_path, half_trace):
-    u, btr = half_trace
-    path = tmp_path / "boundary.csv"
-    btr.to_csv(path)
-    back = BoundaryTrace.from_csv(path, 1.0)
-    assert back.parity() == -1
-    g1 = btr.sample_half(32)
-    g2 = back.sample_half(32)
-    assert np.max(np.abs(g1 - g2)) < 1e-12
-
-
 def _continuation_reference(s):
     """Sample-by-sample predictor continuation, the reference for from_field."""
     vals = np.empty_like(s)
@@ -252,23 +241,6 @@ def test_from_field_continuation_matches_reference(coeffs):
     ref = _continuation_reference(u.symmetric_values(np.stack([np.cos(th), np.sin(th)], -1)))
     assert np.array_equal(btr.values, ref)
     assert np.array_equal(np.signbit(btr.values), np.signbit(ref))
-
-
-def test_boundary_csv_bytes_match_row_writer(tmp_path, half_trace):
-    values = half_trace[1].values.copy()
-    values[:3] = [[0.0, -0.0], [1e-320, -1e300], [np.pi, -1.0 / 3.0]]
-    btr = BoundaryTrace(half_trace[1].thetas, values, 1.0)
-    btr.to_csv(tmp_path / "new.csv")
-    with open(tmp_path / "ref.csv", "w") as fh:
-        fh.write("theta," + ",".join(f"v{k+1}" for k in range(btr.m)) + "\n")
-        for j in range(btr.thetas.shape[0]):
-            row = [repr(float(btr.thetas[j]))] + [repr(float(v)) for v in btr.values[j]]
-            fh.write(",".join(row) + "\n")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    back = BoundaryTrace.from_csv(tmp_path / "new.csv", 1.0)
-    assert np.array_equal(back.thetas, btr.thetas)
-    assert np.array_equal(back.values, btr.values)
-    assert np.array_equal(np.signbit(back.values), np.signbit(btr.values))
 
 
 def test_two_point_solve_and_search():
