@@ -460,7 +460,7 @@ def stage_spectral(cfg, u, out, prefix=""):
                    "radial_quarter", "radial_full", "contraction"], rows)
     values = {"exponent": rep.exponent_estimate, "lhs": rep.lhs, "rhs": rep.rhs_norm}
     if u.n >= 3:
-        limit, unc, table = smod.half_case_boundary_term(w, 0, c0=prof.c, alpha=alpha)
+        limit, unc, _ = smod.half_case_boundary_term(w, 0, c0=prof.c, alpha=alpha)
         ok = bool(np.max(np.abs(limit)) <= max(10 * unc, 1e-6))
         checks.append(check("half_case_limit_zero", ok,
                             f"limit {limit.tolist()} unc {unc:.2e}"))

@@ -235,7 +235,7 @@ class CylindricalModeField(Field):
                 y0 = md.y0 + float(md.ylin @ Y[2:])
                 ylin = md.ylin * rho
             modes.append(CylindricalMode(md.beta, md.freq, md.a * fac, md.b * fac, y0, ylin))
-        return CylindricalModeField(modes, n=self.n, domain=unit_ball(self.n))
+        return CylindricalModeField(modes, n=self.n)
 
 
 class BranchPolynomialField(Field):
@@ -247,7 +247,7 @@ class BranchPolynomialField(Field):
     unordered pair is exposed, so branch cuts never leak.
     """
 
-    def __init__(self, coeffs, c=None, n=2, qfun=None, qgrad=None, average=None, domain=None):
+    def __init__(self, coeffs, c=None, n=2, qfun=None, qgrad=None, average=None):
         self.coeffs = np.asarray(coeffs, dtype=complex)  # ascending powers of z
         if c is None:
             c = np.array([1.0, -1.0j])
@@ -260,7 +260,7 @@ class BranchPolynomialField(Field):
             raise DimensionMismatchError("y-dependent shift needs n >= 3")
         self.average = average
         self.planar = qfun is None and average is None
-        self.domain = domain if domain is not None else unit_ball(self.n)
+        self.domain = unit_ball(self.n)
 
     def _P(self, z, y):
         p = np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -315,9 +315,7 @@ class BranchPolynomialField(Field):
         shifted = _shift_poly(self.coeffs, z0)
         deg = len(shifted) - 1
         scaled = shifted * (rho ** np.arange(deg + 1))
-        return BranchPolynomialField(
-            scaled / (scale * scale), c=self.c, n=self.n, domain=unit_ball(self.n)
-        )
+        return BranchPolynomialField(scaled / (scale * scale), c=self.c, n=self.n)
 
 
 def _shift_poly(coeffs, z0):
@@ -570,7 +568,8 @@ class SampledField(Field):
     The lift stores one branch s_lift of the symmetric part chosen
     continuously along the grid by propagate_signs, seeded on the outermost
     annulus; hol records the pairing holonomy of each annular loop (-1 on
-    genuinely branched data with odd k).
+    genuinely branched data with odd k).  The field is symmetric exactly
+    when it has no average part.
 
     to_csv writes the v2 layout: a version line, a header with n, m,
     symmetric, hol, shape and the rs/thetas[/ys] lists, a line of column
@@ -582,19 +581,18 @@ class SampledField(Field):
     always hold h + s, h - s (h = 0 for a symmetric field).
     """
 
-    def __init__(self, grid, s_lift, average=None, symmetric=True, hol=None, domain=None):
+    def __init__(self, grid, s_lift, average=None, hol=None, domain=None):
         self.grid = grid
         self.n = grid.n
         self.s_lift = np.asarray(s_lift, dtype=float)  # shape (*grid.shape, m)
         self.m = self.s_lift.shape[-1]
         self.avg = None if average is None else np.asarray(average, dtype=float)
-        self.symmetric = bool(symmetric)
         self.hol = hol
         self.domain = domain if domain is not None else unit_ball(self.n)
 
     @property
     def is_symmetric(self):
-        return self.symmetric
+        return self.avg is None
 
     # -- interpolation ------------------------------------------------------
 
@@ -666,16 +664,16 @@ class SampledField(Field):
 
     def to_csv(self, path):
         s = self.grid.node_rows(self.s_lift)
-        if self.symmetric:
+        if self.is_symmetric:
             cols, table = [f"s_{k+1}" for k in range(self.m)], s
         else:
-            h = np.zeros_like(s) if self.avg is None else self.grid.node_rows(self.avg)
+            h = self.grid.node_rows(self.avg)
             cols = [f"a1_{k+1}" for k in range(self.m)] + [f"a2_{k+1}" for k in range(self.m)]
             table = np.concatenate([h + s, h - s], axis=1)
         with open(path, "w") as fh:
             fh.write(SAMPLED_CSV_V2 + "\n")
             fh.write(
-                f"# n={self.n} m={self.m} symmetric={int(self.symmetric)} "
+                f"# n={self.n} m={self.m} symmetric={int(self.is_symmetric)} "
                 f"hol={int(self.hol) if self.hol is not None else 0}\n"
             )
             fh.write(f"# shape={','.join(str(k) for k in self.grid.shape)}\n")
@@ -734,7 +732,7 @@ class SampledField(Field):
             a1, a2 = data[:, first:first + m], data[:, first + m:]
             s = (a1 - a2) / 2.0
             avg = None if symmetric else grid.on_grid((a1 + a2) / 2.0)
-        return cls(grid, grid.on_grid(s), average=avg, symmetric=symmetric, hol=hol)
+        return cls(grid, grid.on_grid(s), average=avg, hol=hol)
 
 
 def propagate_signs(svals):
@@ -807,8 +805,7 @@ def sample(field, grid):
     lift = np.empty_like(svals)  # keeps the node layout of svals
     np.multiply(signs[..., None], svals, out=lift)
     avg = None if field.is_symmetric else grid.on_grid(field.average_values(nodes))
-    return SampledField(grid, lift, average=avg, symmetric=field.is_symmetric,
-                        hol=hol, domain=field.domain)
+    return SampledField(grid, lift, average=avg, hol=hol, domain=field.domain)
 
 
 def non_stationary_control(m=1):

@@ -375,7 +375,6 @@ def frequency_derivative_identity(u, Y, rho_grid, spec=None):
     n = u.n
     prof = frequency_profile(u, Y, rho_grid, spec)
     rows = []
-    h = rho_grid[1] - rho_grid[0]
     for i in range(1, rho_grid.shape[0] - 1):
         rho = float(rho_grid[i])
         lhs = (prof.N[i + 1] - prof.N[i - 1]) / (rho_grid[i + 1] - rho_grid[i - 1])

@@ -12,10 +12,13 @@ A branch point at the center keeps the operator separable, so it solves
 directly: Fourier modes in theta, then one tridiagonal radial solve per mode.
 Off-center and two-point branch configurations are handled by cut-based
 sign bookkeeping (edges crossing the cut arcs couple with a -1 sign) and
-solve by Jacobi-preconditioned CG.
+solve by Jacobi-preconditioned CG.  The edge list of _cover_edges is the one
+description of the operator: energy(), the right-hand side and the residual
+are sums over it, and only CG builds a sparse matrix from it.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
@@ -262,16 +265,14 @@ def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     return a, b, g, sigma
 
 
-def _assemble(rs, M, wrap_sign, center_mode, cut_segments, bvals):
-    """Sparse operator A and right-hand side of the cover problem.
+def _edge_matrix(edges, n):
+    """Sparse operator A of the cover problem, for the CG path.
 
-    An edge between two unknowns adds the 2x2 block g [[1, -sigma],
-    [-sigma, 1]]; an edge with one Dirichlet end adds g to the diagonal and
-    g sigma d to the right-hand side, d the Dirichlet value.  The COO entries
-    are laid out edge by edge, so duplicate sums come out in edge order.
+    An edge between two unknowns adds the 2x2 block g [[1, -sigma], [-sigma,
+    1]]; an edge with one Dirichlet end adds g to the diagonal.  COO entries
+    are laid out edge by edge, so duplicates sum in edge order.
     """
-    a, b, g, sigma = _cover_edges(rs, M, wrap_sign, center_mode, cut_segments)
-    n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
+    a, b, g, sigma = edges
     a_unk, b_unk = a >= 0, b >= 0
     both = a_unk & b_unk
     diag = np.where(a_unk, a, b)
@@ -280,13 +281,27 @@ def _assemble(rs, M, wrap_sign, center_mode, cut_segments, bvals):
     cols = np.stack([diag, b, b, a], axis=1)
     vals = np.stack([g, g, gs, gs], axis=1)
     keep = np.stack([a_unk | b_unk, both, both, both], axis=1)
-    A = coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    dirichlet = _dirichlet_slots(bvals)
-    one = a_unk ^ b_unk
-    slot = np.where(a_unk, b, a)[one]
-    rhs = np.zeros((n, bvals.shape[1]))
-    np.add.at(rhs, diag[one], (g * sigma)[one, None] * dirichlet[slot])
-    return A, rhs
+    return coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+
+def _edge_residual(edges, x, dirichlet):
+    """rhs - A x of the cover problem for unknowns x, as an edge sum.
+
+    v = [x; Dirichlet slots] is energy()'s layout.  With d = sigma v[b] - v[a],
+    edge k adds g d to row a if a is unknown and -g sigma d to row b if b is
+    (sigma is then +-1), one np.bincount per end in edge order.  At x = 0
+    every b-end term is +-0: the right-hand side, untouched entries +0.0.
+    """
+    a, b, g, sigma = edges
+    v = np.concatenate([x, dirichlet])
+    ka, kb = a >= 0, b >= 0
+    ra, rb, ga, gb = a[ka], b[kb], g[ka], (-g * sigma)[kb]
+    out = np.empty(x.shape)
+    for k in range(x.shape[1]):
+        diff = sigma * v[b, k] - v[a, k]
+        out[:, k] = np.bincount(ra, weights=ga * diff[ka], minlength=x.shape[0])
+        out[:, k] += np.bincount(rb, weights=gb * diff[kb], minlength=x.shape[0])
+    return out
 
 
 def _dirichlet_slots(bvals):
@@ -299,16 +314,14 @@ def _dirichlet_slots(bvals):
 
 @dataclass
 class CoverField:
-    """Single-valued data on the branched cover, stored on one sheet."""
+    """Single-valued data on the branched cover of a disk about the origin,
+    stored on one sheet; to_two_valued() reads it between the grid nodes."""
 
     rs: np.ndarray            # ring radii, rs[-1] = outer radius
     thetas: np.ndarray        # M angles on [0, 2pi)
     values: np.ndarray        # (NR, M, m) including the boundary ring
     wrap_sign: int            # theta-wraparound coupling (-1 = anti-periodic)
-    center: np.ndarray        # branch center (grid center)
     center_value: np.ndarray  # value at r = 0
-    config: BranchConfiguration = None
-    boundary: BoundaryTrace = None
     cuts: tuple = ()
     center_mode: str = "zero"
     solve_residual: float = 0.0
@@ -317,45 +330,16 @@ class CoverField:
     def m(self):
         return self.values.shape[2]
 
-    def anti_periodicity_defect(self):
-        """Max |v(r, theta + 2pi) + v(r, theta)| over 64 random probe points."""
-        rng = np.random.default_rng(7)
-        r = self.rs[0] + (self.rs[-1] - self.rs[0]) * rng.random(64)
-        th = 2.0 * np.pi * rng.random(64)
-        return float(np.max(np.abs(self.value_at(r, th + 2.0 * np.pi) + self.value_at(r, th))))
-
-    def value_at(self, r, theta):
-        """Interpolated lift at (r, theta) with theta in [0, 4pi)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        sheet = np.floor_divide(theta, 2.0 * np.pi).astype(int) % 2
-        sign = np.where(sheet == 1, -1.0, 1.0)
-        th = np.mod(theta, 2.0 * np.pi)
-        M = self.thetas.shape[0]
-        dth = 2.0 * np.pi / M
-        j0 = np.floor(th / dth).astype(int) % M
-        tt = th / dth - np.floor(th / dth)
-        j1 = (j0 + 1) % M
-        wrap = (j0 + 1) >= M
-        tw = np.where(wrap, float(self.wrap_sign), 1.0)
-        col0 = self._radial_interp(r, j0)
-        col1 = self._radial_interp(r, j1) * tw[:, None]
-        return sign[:, None] * ((1 - tt[:, None]) * col0 + tt[:, None] * col1)
-
-    def _radial_interp(self, r, j):
-        """Linear interpolation in r, toward center_value inside rs[0].
-
-        r is one radius (j an index or a slice) or an array of radii paired
-        with an array of angle indices j.
-        """
+    def _radial_interp(self, r):
+        """Every angle column at one radius r: linear in r, toward
+        center_value inside rs[0]."""
         rs = self.rs
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(rs, r) - 1, 0, rs.shape[0] - 2)
-        t = ((r - rs[i]) / (rs[i + 1] - rs[i]))[..., None]
-        t0 = (r / rs[0])[..., None]
-        return np.where(r[..., None] <= rs[0],
-                        (1 - t0) * self.center_value + t0 * self.values[0, j],
-                        (1 - t) * self.values[i, j] + t * self.values[i + 1, j])
+        if r <= rs[0]:
+            t = r / rs[0]
+            return (1 - t) * self.center_value + t * self.values[0]
+        i = min(int(np.searchsorted(rs, r)) - 1, rs.shape[0] - 2)
+        t = (r - rs[i]) / (rs[i + 1] - rs[i])
+        return (1 - t) * self.values[i] + t * self.values[i + 1]
 
     def _radial_derivative(self, r, j):
         """d/dr of the quadratic through the three rings around r."""
@@ -372,8 +356,7 @@ class CoverField:
 
     def to_two_valued(self):
         grid = PolarGrid(self.rs, self.thetas)
-        return SampledField(grid, self.values.copy(), symmetric=True,
-                            hol=self.wrap_sign,
+        return SampledField(grid, self.values.copy(), hol=self.wrap_sign,
                             domain=Ball((0.0, 0.0), float(self.rs[-1])))
 
 
@@ -481,7 +464,7 @@ def _thomas(off, diag, f):
 
 
 def solve_separable(rs, M, wrap_sign, center_mode, rhs):
-    """Direct solve of the centred cover system, in _assemble's unknown layout.
+    """Direct solve of the centred cover system, in _cover_edges' unknown layout.
 
     Every ring carries the same angular operator, so Fourier modes in theta
     diagonalize it: mode k of ring i has the angular eigenvalue
@@ -535,8 +518,9 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     to a single branch point at the disk center.  Centred configurations
     solve directly (solve_separable): anti-periodic data on the twisted
     polar grid, periodic data as the decoupled single-valued harmonic
-    extension.  A relative residual above SEPARABLE_RTOL raises SolverError.
-    Configurations with cuts solve by Jacobi-CG (_solve_cg).
+    extension.  The right-hand side and the relative residual are edge sums
+    (_edge_residual); a residual above SEPARABLE_RTOL raises SolverError.
+    Configurations with cuts solve by Jacobi-CG (_solve_cg) on _edge_matrix.
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -557,9 +541,14 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
         wrap = 1
         center_mode = "unknown"
         bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
-    A, rhs = _assemble(rs, M, wrap, center_mode, cuts, bvals)
+    edges = _cover_edges(rs, M, wrap, center_mode, cuts)
+    n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
+    A = _edge_matrix(edges, n) if cuts else None  # before rhs: a lower peak
+    dirichlet = _dirichlet_slots(bvals)
+    rhs = _edge_residual(edges, np.zeros((n, m)), dirichlet)
     sol = _solve_cg(A, rhs) if cuts else solve_separable(rs, M, wrap, center_mode, rhs)
-    res_total = float(np.linalg.norm(A @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    res_total = float(np.linalg.norm(_edge_residual(edges, sol, dirichlet))
+                      / max(np.linalg.norm(rhs), 1e-300))
     if not cuts and not res_total <= SEPARABLE_RTOL:
         raise SolverError(f"direct solve residual {res_total:.3e} above {SEPARABLE_RTOL:.0e}",
                           residual=res_total)
@@ -568,10 +557,8 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     values[:-1] = sol[: (NR - 1) * M].reshape(NR - 1, M, m)
     values[-1] = bvals
     center_value = sol[-1] if center_mode == "unknown" else np.zeros(m)
-    return CoverField(rs, np.arange(M) * (2.0 * np.pi / M), values, wrap, np.zeros(2),
-                      center_value, config=config, boundary=boundary,
-                      cuts=cuts, center_mode=center_mode,
-                      solve_residual=res_total)
+    return CoverField(rs, np.arange(M) * (2.0 * np.pi / M), values, wrap, center_value,
+                      cuts=cuts, center_mode=center_mode, solve_residual=res_total)
 
 
 def cover_frequency(cf, radii):
@@ -587,7 +574,7 @@ def cover_frequency(cf, radii):
     D = np.zeros_like(radii)
     H = np.zeros_like(radii)
     for idx, rho in enumerate(radii):
-        vals = cf._radial_interp(rho, slice(None))
+        vals = cf._radial_interp(rho)
         ders = cf._radial_derivative(rho, slice(None))
         # base-ring integrals carry the pair factor 2; n = 2 scalings
         H[idx] = (1.0 / rho) * 2.0 * float(np.sum(vals * vals)) * dth * rho
@@ -641,29 +628,23 @@ def optimize_branch_points(boundary, initial, budget=40, step=None,
     evals = 1
     while evals < budget and step > min_step:
         best = None
-        for ip in range(len(pts)):
-            for axis in range(2):
-                for sgn in (+1.0, -1.0):
-                    cand = [p.copy() for p in pts]
-                    cand[ip][axis] += sgn * step
-                    if np.linalg.norm(cand[ip]) >= 0.9 * R:
-                        continue
-                    if len(cand) == 2 and np.linalg.norm(cand[0] - cand[1]) < 1e-9:
-                        continue
-                    try:
-                        trial = solve_for(cand)
-                    except BoundaryLiftError:
-                        continue
-                    evals += 1
-                    # relative margin: summation noise scales with the energy
-                    if trial[2] < e - 1e-12 * abs(e) and (best is None or trial[2] < best[2]):
-                        best = trial + (cand,)
-                    if evals >= budget:
-                        break
-                if evals >= budget:
-                    break
+        for ip, axis, sgn in itertools.product(range(len(pts)), range(2), (+1.0, -1.0)):
             if evals >= budget:
                 break
+            cand = [p.copy() for p in pts]
+            cand[ip][axis] += sgn * step
+            if np.linalg.norm(cand[ip]) >= 0.9 * R:
+                continue
+            if len(cand) == 2 and np.linalg.norm(cand[0] - cand[1]) < 1e-9:
+                continue
+            try:
+                trial = solve_for(cand)
+            except BoundaryLiftError:
+                continue
+            evals += 1
+            # relative margin: summation noise scales with the energy
+            if trial[2] < e - 1e-12 * abs(e) and (best is None or trial[2] < best[2]):
+                best = trial + (cand,)
         if best is None:
             step *= 0.5
         else:
@@ -688,12 +669,11 @@ def local_growth_exponent(cov, Z):
     rho1 = max(3.0 * cell, 0.04 * R)
     rho2 = min(2.0 * rho1, 0.45 * (R - rz) + rho1)
     th = (np.arange(128) + 0.5) * (2.0 * np.pi / 128)
+    sf = cov.to_two_valued()
     means = []
     for rho in (rho1, rho2):
         pts = Z[None, :] + rho * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        rr = np.linalg.norm(pts, axis=1)
-        tt = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-        vals = cov.value_at(rr, tt)
+        vals = sf.symmetric_values(pts)  # |v|^2 does not depend on the sheet
         means.append(float(np.mean(np.sum(vals * vals, axis=1))))
     if means[0] <= 0 or means[1] <= 0:
         return float("inf")

@@ -8,7 +8,7 @@ Gauss-Newton in the 2(n-2) free entries of A.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

@@ -461,7 +461,7 @@ def test_sampled_n3_roundtrip_and_interp(tmp_path):
 
 def _sampled_csv_header(sf, fh, version):
     fh.write(f"# branchlab sampled-field {version}\n")
-    fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.symmetric)} "
+    fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.is_symmetric)} "
              f"hol={int(sf.hol) if sf.hol is not None else 0}\n")
     fh.write(f"# shape={','.join(str(s) for s in sf.grid.shape)}\n")
     fh.write("# rs=" + ",".join(repr(float(v)) for v in sf.grid.rs) + "\n")
@@ -502,7 +502,7 @@ def _sampled_csv_v2_reference(sf, path):
     with open(path, "w") as fh:
         _sampled_csv_header(sf, fh, "v2")
         s, h = _node_rows(sf)
-        if sf.symmetric:
+        if sf.is_symmetric:
             fh.write(",".join(f"s_{k+1}" for k in range(sf.m)) + "\n")
             table = s
         else:
@@ -521,7 +521,7 @@ def _extreme_sampled_fields(n):
     lift = rng.standard_normal(grid.shape + (2,)) * 10.0 ** rng.integers(-300, 300, grid.shape + (2,))
     lift.flat[:5] = [0.0, -0.0, 1e-320, 1e300, -1e-300]
     avg = rng.standard_normal(grid.shape + (2,))
-    return (SampledField(grid, lift, average=avg, symmetric=False),
+    return (SampledField(grid, lift, average=avg),
             SampledField(grid, lift, hol=-1.0))
 
 
@@ -531,7 +531,7 @@ def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
         sf.to_csv(tmp_path / "new.csv")
         _sampled_csv_v2_reference(sf, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        if sf.symmetric:  # s parses back exactly, so it rewrites the same bytes
+        if sf.is_symmetric:  # s parses back exactly, so it rewrites the same bytes
             SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
             assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         # a v1 file reads as it always has: s = (a1 - a2)/2, h = (a1 + a2)/2
@@ -540,10 +540,10 @@ def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
         h = np.zeros_like(sf.s_lift) if sf.avg is None else sf.avg
         a1, a2 = h + sf.s_lift, h - sf.s_lift
         assert np.array_equal(back.s_lift, (a1 - a2) / 2.0)
-        assert (back.avg is None) == sf.symmetric
-        if not sf.symmetric:
+        assert (back.avg is None) == sf.is_symmetric
+        if not sf.is_symmetric:
             assert np.array_equal(back.avg, (a1 + a2) / 2.0)
-        assert back.hol == sf.hol and back.symmetric == sf.symmetric
+        assert back.hol == sf.hol and back.is_symmetric == sf.is_symmetric
         assert np.array_equal(back.grid.rs, sf.grid.rs)
         assert np.array_equal(back.grid.thetas, sf.grid.thetas)
         assert (back.grid.ys is None) == (n == 2)

@@ -11,8 +11,9 @@ from branchlab.errors import BoundaryLiftError, SolverError
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
-                                 CoverGridSpec, _assemble, _cover_edges,
-                                 _deflect_cuts, solve_separable, cover_frequency,
+                                 CoverGridSpec, _cover_edges, _deflect_cuts,
+                                 _dirichlet_slots, _edge_matrix, _edge_residual,
+                                 solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -60,18 +61,33 @@ def test_solve_convergence_and_energy(half_trace):
 def test_anti_periodicity_and_roundtrip(half_trace):
     u, btr = half_trace
     cov = solve_branched_laplace(btr, grid=GRID_COARSE)
-    assert cov.anti_periodicity_defect() < 1e-12
     sf = cov.to_two_valued()
     assert sf.hol == -1
-    # round trip cover -> base -> values preserves the pair
-    rng = np.random.default_rng(0)
-    r = rng.uniform(0.2, 0.8, 20)
-    th = rng.uniform(0, 2 * np.pi, 20)
-    X = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-    sv = sf.symmetric_values(X)
-    cv = cov.value_at(r, th)
-    err = np.minimum(np.max(np.abs(sv - cv), axis=1), np.max(np.abs(sv + cv), axis=1))
-    assert np.max(err) < 1e-10
+    # round trip cover -> base -> values: the reader returns the solution at
+    # the cover grid's nodes
+    X = sf.grid.nodes()
+    assert np.allclose(sf.symmetric_values(X), cov.values.reshape(-1, cov.m),
+                       rtol=0.0, atol=1e-12)
+    # off the nodes (local_growth_exponent reads |v|^2 there): bilinear in
+    # (r, theta), the wrap sign on the column past the seam, clamped to ring 0
+    # inside rs[0]
+    v, rs, th = cov.values, cov.rs, cov.thetas
+    dth, last = th[1] - th[0], th.shape[0] - 1
+
+    def read(r, theta):
+        return sf.symmetric_values(np.array([[r * np.cos(theta), r * np.sin(theta)]]))[0]
+
+    cases = [
+        (0.75 * rs[5] + 0.25 * rs[6], th[7] + 0.625 * dth,
+         0.75 * (0.375 * v[5, 7] + 0.625 * v[5, 8])
+         + 0.25 * (0.375 * v[6, 7] + 0.625 * v[6, 8])),
+        (0.5 * rs[3] + 0.5 * rs[4], th[last] + 0.25 * dth,
+         0.5 * (0.75 * v[3, last] - 0.25 * v[3, 0])
+         + 0.5 * (0.75 * v[4, last] - 0.25 * v[4, 0])),
+        (0.5 * rs[0], th[3] + 0.5 * dth, 0.5 * v[0, 3] + 0.5 * v[0, 4]),
+    ]
+    for r, theta, want in cases:
+        assert np.allclose(read(r, theta), want, rtol=0.0, atol=1e-12)
 
 
 def test_even_data_decouples():
@@ -104,10 +120,7 @@ def test_solution_beats_competitors(half_trace):
         competitor = cov.values.copy()
         bump = 0.3 * rng.standard_normal(competitor[:-1].shape)
         competitor[:-1] += bump
-        alt = type(cov)(cov.rs, cov.thetas, competitor, cov.wrap_sign, cov.center,
-                        cov.center_value, config=cov.config, boundary=cov.boundary,
-                        cuts=cov.cuts, center_mode=cov.center_mode)
-        assert energy(alt) > e_min
+        assert energy(dataclasses.replace(cov, values=competitor)) > e_min
 
 
 def test_maximum_principle_sanity(half_trace):
@@ -144,27 +157,6 @@ def _radial_interp_reference(cf, r, j):
     return (1 - t) * cf.values[i, j] + t * cf.values[i + 1, j]
 
 
-def _value_at_reference(cf, r, theta):
-    """The former per-point loop of CoverField.value_at."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    sheet = np.floor_divide(theta, 2.0 * np.pi).astype(int) % 2
-    sign = np.where(sheet == 1, -1.0, 1.0)
-    th = np.mod(theta, 2.0 * np.pi)
-    M = cf.thetas.shape[0]
-    dth = 2.0 * np.pi / M
-    j0 = np.floor(th / dth).astype(int) % M
-    tt = th / dth - np.floor(th / dth)
-    j1 = (j0 + 1) % M
-    tw = np.where((j0 + 1) >= M, float(cf.wrap_sign), 1.0)
-    out = np.empty((r.shape[0], cf.m))
-    for p in range(r.shape[0]):
-        col0 = _radial_interp_reference(cf, r[p], j0[p])
-        col1 = _radial_interp_reference(cf, r[p], j1[p]) * tw[p]
-        out[p] = sign[p] * ((1 - tt[p]) * col0 + tt[p] * col1)
-    return out
-
-
 def _cover_frequency_reference(cf, radii):
     """The former per-angle loop of cover_frequency, as (D, H)."""
     M = cf.thetas.shape[0]
@@ -186,13 +178,9 @@ def test_cover_field_interpolation_matches_per_angle_loop(wrap_sign, m):
     rs = np.sort(rng.uniform(0.05, 1.0, 12))
     M = 16
     cf = CoverField(rs, np.arange(M) * (2.0 * np.pi / M), rng.standard_normal((12, M, m)),
-                    wrap_sign, np.zeros(2), rng.standard_normal(m))
-    # radii inside the first ring, on rings, between them and past the last
-    r = np.concatenate([rng.uniform(0.0, 1.1, 200), rs, [0.0, rs[0] / 2]])
-    theta = rng.uniform(0.0, 4.0 * np.pi, r.shape[0])
-    theta[:3] = [0.0, 2.0 * np.pi, 4.0 * np.pi - 1e-9]
-    assert np.array_equal(cf.value_at(r, theta), _value_at_reference(cf, r, theta))
-    radii = np.concatenate([rng.uniform(0.01, 1.0, 6), rs[[0, 5, -1]]])
+                    wrap_sign, rng.standard_normal(m))
+    # radii inside the first ring, on rings and between them
+    radii = np.concatenate([rng.uniform(0.01, 1.0, 6), rs[[0, 5, -1]], [rs[0] / 2]])
     prof = cover_frequency(cf, radii)
     D, H = _cover_frequency_reference(cf, radii)
     assert np.array_equal(prof.D, D) and np.array_equal(prof.H, H)
@@ -451,14 +439,23 @@ def cut_configurations(draw):
 def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
     rng = np.random.default_rng(seed)
     bvals = rng.standard_normal((M, 2))
-    A, rhs = _assemble(rs, M, wrap_sign, center_mode, cuts, bvals)
     A_ref, rhs_ref = _reference_assembly(rs, M, wrap_sign, center_mode, cuts, bvals)
+    n = A_ref.shape[0]
+    edges = _cover_edges(rs, M, wrap_sign, center_mode, cuts)
+    A = _edge_matrix(edges, n)
     assert np.array_equal(A.indptr, A_ref.indptr)
     assert np.array_equal(A.indices, A_ref.indices)
     assert np.array_equal(A.data, A_ref.data)
+    # the right-hand side is the edge sum at x = 0, bit for bit and sign of zero
+    rhs = _edge_residual(edges, np.zeros((n, 2)), _dirichlet_slots(bvals))
     assert np.array_equal(rhs, rhs_ref)
+    assert np.array_equal(np.signbit(rhs), np.signbit(rhs_ref))
+    x = rng.standard_normal((n, 2))
+    res = -_edge_residual(edges, x, _dirichlet_slots(bvals))
+    ref = A_ref @ x - rhs_ref
+    assert np.linalg.norm(res - ref) <= 1e-13 * np.linalg.norm(ref)
     cf = CoverField(rs, np.arange(M) * (2.0 * np.pi / M),
-                    rng.standard_normal((rs.shape[0], M, 2)), wrap_sign, np.zeros(2),
+                    rng.standard_normal((rs.shape[0], M, 2)), wrap_sign,
                     rng.standard_normal(2), cuts=cuts, center_mode=center_mode)
     assert energy(cf) == pytest.approx(_reference_energy(cf), rel=1e-12)
 
@@ -540,7 +537,8 @@ def test_separable_solve_matches_spsolve(wrap_sign, center_mode, nr):
     for M in (1, 2, 3, 5, 64):
         rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
         for m in (1, 2, 3):
-            A, rhs = _assemble(rs, M, wrap_sign, center_mode, (), rng.standard_normal((M, m)))
+            A, rhs = _reference_assembly(rs, M, wrap_sign, center_mode, (),
+                                         rng.standard_normal((M, m)))
             x = solve_separable(rs, M, wrap_sign, center_mode, rhs)
             assert x.shape == rhs.shape
             if A.shape[0] == 0:
@@ -567,10 +565,11 @@ def test_separable_energy_matches_cg(grid):
     for btr in (BoundaryTrace.from_field(u, 1.0), _periodic_trace()):
         cov = solve_branched_laplace(btr, grid=grid)
         assert cov.solve_residual < 1e-13
-        A, rhs = _assemble(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, (),
-                           cov.values[-1])
-        sol = _cg_reference(A, rhs)
+        edges = _cover_edges(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode)
         n_ring_unknowns = (cov.rs.shape[0] - 1) * grid.ntheta
+        n = n_ring_unknowns + (cov.center_mode == "unknown")
+        rhs = _edge_residual(edges, np.zeros((n, cov.m)), _dirichlet_slots(cov.values[-1]))
+        sol = _cg_reference(_edge_matrix(edges, n), rhs)
         values = cov.values.copy()
         values[:-1] = sol[:n_ring_unknowns].reshape(values[:-1].shape)
         center = sol[-1] if cov.center_mode == "unknown" else cov.center_value
@@ -588,3 +587,26 @@ def test_separable_residual_check_raises(monkeypatch, half_trace):
     with pytest.raises(SolverError) as info:
         solve_branched_laplace(half_trace[1], grid=GRID_COARSE)
     assert 1e-10 < info.value.residual < 1e-3
+
+
+@pytest.mark.parametrize("trace", ["anti-periodic", "periodic"])
+def test_centered_solve_assembles_no_matrix(monkeypatch, half_trace, trace):
+    # the centred path takes its right-hand side and residual as edge sums;
+    # its values are those of the reference assembly's rhs, bit for bit
+    from branchlab import minimizer as mmod
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("centred solve built a sparse matrix")
+
+    monkeypatch.setattr(mmod, "coo_matrix", no_matrix)
+    btr = half_trace[1] if trace == "anti-periodic" else _periodic_trace()
+    grid = CoverGridSpec(nr=32, ntheta=64)
+    cov = solve_branched_laplace(btr, grid=grid)
+    assert cov.solve_residual < 1e-13
+    _, rhs = _reference_assembly(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, (),
+                                 cov.values[-1])
+    sol = solve_separable(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, rhs)
+    n_ring_unknowns = (cov.rs.shape[0] - 1) * grid.ntheta
+    assert np.array_equal(cov.values[:-1].reshape(n_ring_unknowns, -1), sol[:n_ring_unknowns])
+    if cov.center_mode == "unknown":
+        assert np.array_equal(cov.center_value, sol[-1])
