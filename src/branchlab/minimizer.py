@@ -11,10 +11,13 @@ near the branch point), and the minimizer solves its normal equations.
 A branch point at the center keeps the operator separable, so it solves
 directly: Fourier modes in theta, then one tridiagonal radial solve per mode.
 Off-center and two-point branch configurations are handled by cut-based
-sign bookkeeping (edges crossing the cut arcs couple with a -1 sign) and
-solve by Jacobi-preconditioned CG.  The edge list of _cover_edges is the one
+sign bookkeeping (edges crossing the cut arcs couple with a -1 sign).  Their
+operator is the cut-free separable one plus a low-rank change on the flipped
+edges, so they too solve directly, by the capacitance-matrix method on the
+separable solver (_solve_capacitance); Jacobi-preconditioned CG started from
+that solution only confirms it.  The edge list of _cover_edges is the one
 description of the operator: energy(), the right-hand side and the residual
-are sums over it, and only CG builds a sparse matrix from it.
+are sums over it, and only the CG check builds a sparse matrix from it.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
 from .frequency import FrequencyProfile
 from .pairspace import metric_sq_symmetric
-from .quadrature import Ball
+from .quadrature import SOLVE_BLOCK_NODES, Ball
 
 CG_RTOL = 1e-10
 SEPARABLE_RTOL = 1e-10
@@ -113,19 +116,14 @@ class BranchConfiguration:
     def is_centered_single(self):
         return len(self.points) == 1 and float(np.linalg.norm(self.points[0])) <= 1e-12
 
-    def cuts(self, radius, boundary_anchor=None):
-        """Cut segments: point-to-point for two points, point-to-boundary else."""
+    def cuts(self, anchor):
+        """Cut segments: point-to-point for two points, else from the point
+        to the boundary anchor (unused for two points)."""
         if len(self.points) == 2:
             return [(self.points[0], self.points[1])]
         if self.is_centered_single():
             return []
-        p = self.points[0]
-        if boundary_anchor is None:
-            direction = p / max(np.linalg.norm(p), 1e-30)
-            anchor = direction * (1.5 * radius)
-        else:
-            anchor = np.asarray(boundary_anchor, dtype=float)
-        return [(p, anchor)]
+        return [(self.points[0], np.asarray(anchor, dtype=float))]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,24 @@ def _ring_weights(rs, M):
     return g_c, g_r, g_a
 
 
-def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
+def _edge_segments(rs, M):
+    """End points (p, q) of every edge of the polar cover grid, in
+    _cover_edges' order; a center spoke starts at the origin."""
+    jn = (np.arange(M) + 1) % M
+    thetas = np.arange(M) * (2.0 * np.pi / M)
+    xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
+    p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
+    q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
+    return p, q
+
+
+def _cut_flips(rs, M, cuts):
+    """Indices, in _cover_edges' order, of the edges that cross the cuts an
+    odd number of times: the edges whose coupling the cuts flip."""
+    return np.flatnonzero(_crossing_signs(*_edge_segments(rs, M), cuts) < 0)
+
+
+def _cover_edges(rs, M, wrap_sign, center_mode, flipped=()):
     """Edges (a, b, g, sigma) of the polar cover grid, as arrays.
 
     Edge k carries the energy term g[k] (sigma[k] v[b[k]] - v[a[k]])^2.
@@ -236,7 +251,8 @@ def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     center_mode: 'zero' pins v(0) = 0 (branch point at the center) through
     the Dirichlet slot -1 - M, 'unknown' makes the center value one extra
     unknown (regular point).  Order: center spokes, radial edges, angular
-    edges, each ring by ring.
+    edges, each ring by ring.  flipped (from _cut_flips) lists the edges
+    whose sign the cuts flip.
     """
     NR = rs.shape[0]
     n_ring_unknowns = (NR - 1) * M
@@ -256,17 +272,12 @@ def _cover_edges(rs, M, wrap_sign, center_mode, cut_segments=()):
     b = np.concatenate([b_c, ids[1:].ravel(), ids[:, jn].ravel()])
     g = np.concatenate([np.full(M, g_c), np.repeat(g_r, M), np.repeat(g_a, M)])
     sigma = np.concatenate([s_c, np.ones((NR - 1) * M), np.tile(s_a, NR)])
-    if cut_segments:
-        thetas = np.arange(M) * (2.0 * np.pi / M)
-        xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
-        p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
-        q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
-        sigma *= _crossing_signs(p, q, cut_segments)
+    sigma[np.asarray(flipped, dtype=np.intp)] *= -1.0
     return a, b, g, sigma
 
 
 def _edge_matrix(edges, n):
-    """Sparse operator A of the cover problem, for the CG path.
+    """Sparse operator A of the cover problem, for the CG check.
 
     An edge between two unknowns adds the 2x2 block g [[1, -sigma], [-sigma,
     1]]; an edge with one Dirichlet end adds g to the diagonal.  COO entries
@@ -322,7 +333,7 @@ class CoverField:
     values: np.ndarray        # (NR, M, m) including the boundary ring
     wrap_sign: int            # theta-wraparound coupling (-1 = anti-periodic)
     center_value: np.ndarray  # value at r = 0
-    cuts: tuple = ()
+    flipped: tuple = ()       # edges whose sign the cuts flip (_cut_flips)
     center_mode: str = "zero"
     solve_residual: float = 0.0
 
@@ -363,7 +374,7 @@ class CoverField:
 def energy(cf):
     """Discrete two-valued Dirichlet energy (both selections on the base)."""
     a, b, g, sigma = _cover_edges(cf.rs, cf.thetas.shape[0], cf.wrap_sign,
-                                  cf.center_mode, cf.cuts)
+                                  cf.center_mode, cf.flipped)
     parts = [cf.values[:-1].reshape(-1, cf.m)]
     if cf.center_mode == "unknown":
         parts.append(cf.center_value[None, :])
@@ -441,26 +452,68 @@ def _anchor_for_single_point(boundary, point, R, parity):
     return np.array([np.cos(th), np.sin(th)]) * (1.5 * R)
 
 
-def _thomas(off, diag, f):
-    """Solve the symmetric tridiagonal systems T_k x[:, k] = f[:, k] in place.
+def _batch_columns(nring, M):
+    """Right-hand sides per batch of a separable solve: SOLVE_BLOCK_NODES
+    over the unknown ring nodes, at least one."""
+    return max(1, SOLVE_BLOCK_NODES // max(nring * M, 1))
 
-    diag is (n, K), column k the diagonal of T_k; off (n - 1,) couples row
-    i to row i + 1 in every T_k; f is (n, K) and is overwritten by x.
+
+def _separable_solver(rs, M, wrap_sign, center_mode):
+    """solve_separable for one operator, factored once: returns solve(rhs).
+
+    The forward sweep's ratios and pivots of every mode's tridiagonal system
+    are computed here, once for all columns; solve(rhs) runs the FFTs and the
+    substitutions on batches of _batch_columns columns, one FFT over
+    (rings, M, batch) and one radial sweep per batch.  Each column's
+    arithmetic is that of a lone column, so the result does not depend on
+    the batching, and the complex work arrays stay within SOLVE_BLOCK_NODES
+    nodes unless one column is larger.
     """
-    n = diag.shape[0]
-    if n == 0:
-        return f
-    ratio = np.empty_like(diag)
-    piv = diag[0]
-    f[0] /= piv
-    for i in range(1, n):
-        ratio[i - 1] = off[i - 1] / piv
-        piv = diag[i] - off[i - 1] * ratio[i - 1]
-        f[i] -= off[i - 1] * f[i - 1]
-        f[i] /= piv
-    for i in range(n - 2, -1, -1):
-        f[i] -= ratio[i] * f[i + 1]
-    return f
+    g_c, g_r, g_a = _ring_weights(rs, M)
+    nring = rs.shape[0] - 1
+    h = 0.5 if wrap_sign == -1 else 0.0
+    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)[:, None]
+    lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
+    inner = np.concatenate([[g_c], g_r[:-1]])  # weight towards the center
+    diag = (inner + g_r)[:, None] + g_a[:nring, None] * lam
+    if center_mode == "unknown" and nring:
+        diag[0, 0] -= g_c
+    # symmetric tridiagonal: -g_r[i] couples ring i to ring i + 1; the
+    # forward sweep turns diag into its pivots in place
+    off = -g_r[:-1]
+    piv = diag[:, :, None]
+    ratio = np.empty_like(piv)
+    for i in range(1, nring):
+        ratio[i - 1] = off[i - 1] / piv[i - 1]
+        piv[i] -= off[i - 1] * ratio[i - 1]
+    step = _batch_columns(nring, M)
+
+    def solve(rhs):
+        sol = np.empty(rhs.shape)
+        ncol = rhs.shape[1]
+        for k0 in range(0, ncol, step):
+            cols = slice(k0, min(k0 + step, ncol))
+            K = cols.stop - k0
+            f = twist * rhs[: nring * M, cols].reshape(nring, M, K)
+            if center_mode == "unknown" and nring:
+                f[0] += rhs[-1, cols] / M  # the eliminated center row's f_c
+            f = np.fft.fft(f, axis=1)
+            if nring:
+                f[0] /= piv[0]
+            for i in range(1, nring):
+                f[i] -= off[i - 1] * f[i - 1]
+                f[i] /= piv[i]
+            for i in range(nring - 2, -1, -1):
+                f[i] -= ratio[i] * f[i + 1]
+            u = np.fft.ifft(f, axis=1)
+            u *= np.conj(twist)
+            sol[: nring * M, cols] = u.real.reshape(nring * M, K)
+        if center_mode == "unknown":
+            ring0 = sol[: M * min(nring, 1)]  # empty when ring 0 is the boundary
+            sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
+        return sol
+
+    return solve
 
 
 def solve_separable(rs, M, wrap_sign, center_mode, rhs):
@@ -472,37 +525,96 @@ def solve_separable(rs, M, wrap_sign, center_mode, rhs):
     e^{-i pi j / M} that makes anti-periodic data periodic, else h = 0.  Each
     mode leaves one tridiagonal radial system over the unknown rings.  The
     'unknown' center couples only to mode 0 of ring 0, through its row
-    M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it; f_c is 0
-    unless ring 0 is the boundary.  Columns solve one at a time, which keeps
-    the complex work arrays small.
+    M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it: f_c / M
+    joins every ring-0 row (f_c is +0.0 in a centred right-hand side, so this
+    changes none of its bits).  Columns solve in batches within
+    SOLVE_BLOCK_NODES nodes (_separable_solver); the result is bit for bit
+    that of solving one column at a time.
     """
-    g_c, g_r, g_a = _ring_weights(rs, M)
+    return _separable_solver(rs, M, wrap_sign, center_mode)(rhs)
+
+
+def _green_block(solve0, rs, M, idx):
+    """G = P A0^-1 P^T for the unknowns idx, A0 the cut-free operator that
+    solve0 (a _separable_solver) solves.
+
+    A0 (wrap +1, 'unknown' center) commutes with rotation by 2 pi / M, so
+    column (i', j') of A0^-1 is the Green's function g_i' of the delta at
+    (i', 0), turned by j': G[(i, j), (i', j')] = g_i'(i, j - j'), and the
+    center row reads g_i' at the center.  The center, fixed by rotation, has
+    its own Green's function as source 'ring' nring at j = 0.  Sources solve
+    in batches of _batch_columns, so no (n x rings) block is ever held.
+    """
     nring = rs.shape[0] - 1
-    h = 0.5 if wrap_sign == -1 else 0.0
-    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)
-    lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
-    inner = np.concatenate([[g_c], g_r[:-1]])  # weight towards the center
-    diag = (inner + g_r)[:, None] + g_a[:nring, None] * lam
-    if center_mode == "unknown" and nring:
-        diag[0, 0] -= g_c
-    sol = np.empty(rhs.shape)
-    for k in range(rhs.shape[1]):
-        f = np.fft.fft(twist * rhs[: nring * M, k].reshape(nring, M), axis=1)
-        u = np.fft.ifft(_thomas(-g_r[:-1], diag, f), axis=1)
-        u *= np.conj(twist)
-        sol[: nring * M, k] = u.real.ravel()
-    if center_mode == "unknown":
-        ring0 = sol[: M * min(nring, 1)]  # empty when ring 0 is the boundary
-        sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
-    return sol
+    n = nring * M + 1
+    ring, col = np.divmod(idx, M)  # the center, id nring * M, is (nring, 0)
+    rows = ring[:, None] * M + (col[:, None] - col[None, :]) % M
+    rows[ring == nring] = n - 1
+    sources, source = np.unique(ring, return_inverse=True)
+    step = _batch_columns(nring, M)
+    G = np.empty((idx.shape[0], idx.shape[0]))
+    for s0 in range(0, sources.shape[0], step):
+        batch = sources[s0:s0 + step]
+        delta = np.zeros((n, batch.shape[0]))
+        delta[batch * M, np.arange(batch.shape[0])] = 1.0
+        green = solve0(delta)
+        cols = np.flatnonzero((source >= s0) & (source < s0 + step))
+        G[:, cols] = green[rows[:, cols], source[cols] - s0]
+    return G
 
 
-def _solve_cg(A, rhs):
-    """Jacobi-preconditioned CG, column by column, to relative residual CG_RTOL."""
+def _solve_capacitance(rs, M, edges, rhs):
+    """Direct solve of a cut configuration by the capacitance-matrix method.
+
+    The operator is A = A0 + dA: A0 the cut-free one (wrap +1, 'unknown'
+    center) that solve_separable solves, and dA = P^T dA_k P the change on
+    the flipped edges between two unknowns, +2g at (a, b) and (b, a), over
+    the k unknowns idx they touch.  With G = P A0^-1 P^T (_green_block):
+    y0 = A0^-1 b, (I + G dA_k) z = y0[idx], x = A0^-1 (b - P^T dA_k z)
+    (Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976).
+    The rounding error of G, times dA_k, can leave a residual far above
+    that of a sparse LU solve, so one step of iterative refinement on the
+    edge-sum residual follows.  Nothing is cached across calls.  A singular
+    capacitance system raises SolverError.
+    """
+    a, b, g, sigma = edges
+    cut = (sigma < 0) & (a >= 0) & (b >= 0)
+    idx, local = np.unique(np.concatenate([a[cut], b[cut]]), return_inverse=True)
+    k = idx.shape[0]
+    solve0 = _separable_solver(rs, M, 1, "unknown")
+    if k == 0:
+        return solve0(rhs)
+    la, lb = np.split(local, 2)
+    w = 2.0 * g[cut]
+    dA = np.zeros((k, k))
+    np.add.at(dA, (la, lb), w)
+    np.add.at(dA, (lb, la), w)
+    C = np.eye(k) + _green_block(solve0, rs, M, idx) @ dA
+
+    def solve(f):
+        try:
+            z = np.linalg.solve(C, solve0(f)[idx])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"capacitance system of rank k = {k} is singular ({exc})") from exc
+        f = f.copy()
+        f[idx] -= dA @ z
+        return solve0(f)
+
+    x = solve(rhs)
+    return x + solve(rhs + _edge_residual(edges, x, np.zeros((M + 1, rhs.shape[1]))))
+
+
+def _solve_cg(A, rhs, x0):
+    """Jacobi-preconditioned CG from x0, column by column, to relative
+    residual CG_RTOL; SolverError if it does not converge.
+
+    Started from a direct solution it returns at iteration 0, so it only
+    confirms that solution; otherwise it finishes the solve.
+    """
     sol = np.zeros(rhs.shape)
     precond = diags(1.0 / np.maximum(A.diagonal(), 1e-300))
     for k in range(rhs.shape[1]):
-        x, info = cg(A, rhs[:, k], rtol=CG_RTOL, atol=0.0, M=precond)
+        x, info = cg(A, rhs[:, k], x0=x0[:, k], rtol=CG_RTOL, atol=0.0, M=precond)
         if info != 0:
             res = float(np.linalg.norm(A @ x - rhs[:, k])
                         / max(np.linalg.norm(rhs[:, k]), 1e-300))
@@ -520,7 +632,9 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     polar grid, periodic data as the decoupled single-valued harmonic
     extension.  The right-hand side and the relative residual are edge sums
     (_edge_residual); a residual above SEPARABLE_RTOL raises SolverError.
-    Configurations with cuts solve by Jacobi-CG (_solve_cg) on _edge_matrix.
+    Configurations with cuts solve directly too (_solve_capacitance), and
+    Jacobi-CG on _edge_matrix (_solve_cg) started from that solution checks
+    it to CG_RTOL.  Both raise SolverError on failure.
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -531,22 +645,27 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     if config.is_centered_single():
         wrap = -1 if parity == -1 else 1
         cuts = ()
+        flipped = ()
         center_mode = "zero" if parity == -1 else "unknown"
         bvals = boundary.sample_half(M)
     else:
         anchor = None
         if len(config.points) == 1:
             anchor = _anchor_for_single_point(boundary, config.points[0], R, parity)
-        cuts = _deflect_cuts(config.cuts(R, boundary_anchor=anchor), rs)
+        cuts = _deflect_cuts(config.cuts(anchor), rs)
+        flipped = _cut_flips(rs, M, cuts)
         wrap = 1
         center_mode = "unknown"
         bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
-    edges = _cover_edges(rs, M, wrap, center_mode, cuts)
+    edges = _cover_edges(rs, M, wrap, center_mode, flipped)
     n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
     A = _edge_matrix(edges, n) if cuts else None  # before rhs: a lower peak
     dirichlet = _dirichlet_slots(bvals)
     rhs = _edge_residual(edges, np.zeros((n, m)), dirichlet)
-    sol = _solve_cg(A, rhs) if cuts else solve_separable(rs, M, wrap, center_mode, rhs)
+    if cuts:
+        sol = _solve_cg(A, rhs, _solve_capacitance(rs, M, edges, rhs))
+    else:
+        sol = solve_separable(rs, M, wrap, center_mode, rhs)
     res_total = float(np.linalg.norm(_edge_residual(edges, sol, dirichlet))
                       / max(np.linalg.norm(rhs), 1e-300))
     if not cuts and not res_total <= SEPARABLE_RTOL:
@@ -558,7 +677,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     values[-1] = bvals
     center_value = sol[-1] if center_mode == "unknown" else np.zeros(m)
     return CoverField(rs, np.arange(M) * (2.0 * np.pi / M), values, wrap, center_value,
-                      cuts=cuts, center_mode=center_mode, solve_residual=res_total)
+                      flipped=flipped, center_mode=center_mode, solve_residual=res_total)
 
 
 def cover_frequency(cf, radii):

@@ -26,6 +26,11 @@ import numpy as np
 
 # Node budget of one block; a single slab or row larger than this is a block.
 BLOCK_NODES = 2 ** 17
+# Node budget of one batch of right-hand sides in the separable cover solve
+# (unknown ring nodes times columns); a column larger than this is a batch.
+# Its complex work arrays take 16 bytes a node, so it is kept below
+# BLOCK_NODES: the cover solver's peak memory is small.
+SOLVE_BLOCK_NODES = 2 ** 15
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,9 +11,11 @@ from branchlab.errors import BoundaryLiftError, SolverError
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
-                                 CoverGridSpec, _cover_edges, _deflect_cuts,
+                                 CoverGridSpec, _batch_columns, _cover_edges,
+                                 _crossing_signs, _cut_flips, _deflect_cuts,
                                  _dirichlet_slots, _edge_matrix, _edge_residual,
-                                 solve_separable, cover_frequency,
+                                 _edge_segments, _ring_weights, _solve_capacitance,
+                                 _solve_cg, solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -391,10 +393,10 @@ def _reference_assembly(rs, M, wrap_sign, center_mode, cuts, bvals):
     return A, rhs
 
 
-def _reference_energy(cf):
+def _reference_energy(cf, cuts):
     NR, M, m = cf.values.shape
     total = 0.0
-    for a, b, g, s in _reference_edges(cf.rs, M, cf.wrap_sign, cf.center_mode, cf.cuts):
+    for a, b, g, s in _reference_edges(cf.rs, M, cf.wrap_sign, cf.center_mode, cuts):
         def val(k):
             if k >= 0:
                 return cf.center_value if k == (NR - 1) * M else cf.values[k // M, k % M]
@@ -433,7 +435,7 @@ def cut_configurations(draw):
     cfg = BranchConfiguration(points)
     t = draw(st.floats(0.0, 2.0 * np.pi))
     anchor = 1.5 * np.array([np.cos(t), np.sin(t)])
-    return rs, M, _deflect_cuts(cfg.cuts(1.0, boundary_anchor=anchor), rs)
+    return rs, M, _deflect_cuts(cfg.cuts(anchor), rs)
 
 
 def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
@@ -441,7 +443,13 @@ def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
     bvals = rng.standard_normal((M, 2))
     A_ref, rhs_ref = _reference_assembly(rs, M, wrap_sign, center_mode, cuts, bvals)
     n = A_ref.shape[0]
-    edges = _cover_edges(rs, M, wrap_sign, center_mode, cuts)
+    flipped = _cut_flips(rs, M, cuts)
+    edges = _cover_edges(rs, M, wrap_sign, center_mode, flipped)
+    # the flipped edges carry the signs of a full crossing test, sign of zero too
+    sigma = _cover_edges(rs, M, wrap_sign, center_mode)[3]
+    sigma = sigma * _crossing_signs(*_edge_segments(rs, M), cuts)
+    assert np.array_equal(edges[3], sigma) and np.array_equal(np.signbit(edges[3]),
+                                                              np.signbit(sigma))
     A = _edge_matrix(edges, n)
     assert np.array_equal(A.indptr, A_ref.indptr)
     assert np.array_equal(A.indices, A_ref.indices)
@@ -456,8 +464,8 @@ def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
     assert np.linalg.norm(res - ref) <= 1e-13 * np.linalg.norm(ref)
     cf = CoverField(rs, np.arange(M) * (2.0 * np.pi / M),
                     rng.standard_normal((rs.shape[0], M, 2)), wrap_sign,
-                    rng.standard_normal(2), cuts=cuts, center_mode=center_mode)
-    assert energy(cf) == pytest.approx(_reference_energy(cf), rel=1e-12)
+                    rng.standard_normal(2), flipped=flipped, center_mode=center_mode)
+    assert energy(cf) == pytest.approx(_reference_energy(cf, cuts), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,7 +501,7 @@ def test_crossing_parity_of_grid_loops(case):
     # cancels
     rs, M, cuts = case
     NR = rs.shape[0]
-    sigma = _cover_edges(rs, M, 1, "unknown", cuts)[3]
+    sigma = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))[3]
     spoke = sigma[:M]
     radial = sigma[M:NR * M].reshape(NR - 1, M)
     angular = sigma[NR * M:].reshape(NR, M)
@@ -539,12 +547,14 @@ def test_separable_solve_matches_spsolve(wrap_sign, center_mode, nr):
         for m in (1, 2, 3):
             A, rhs = _reference_assembly(rs, M, wrap_sign, center_mode, (),
                                          rng.standard_normal((M, m)))
-            x = solve_separable(rs, M, wrap_sign, center_mode, rhs)
-            assert x.shape == rhs.shape
-            if A.shape[0] == 0:
-                continue
-            ref = spsolve(A.tocsc(), rhs).reshape(rhs.shape)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            # a cut solve's right-hand sides also load the center row
+            for b in (rhs, rng.standard_normal(rhs.shape)):
+                x = solve_separable(rs, M, wrap_sign, center_mode, b)
+                assert x.shape == b.shape
+                if A.shape[0] == 0:
+                    continue
+                ref = spsolve(A.tocsc(), b).reshape(b.shape)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("c, k, M, expected", [
@@ -610,3 +620,159 @@ def test_centered_solve_assembles_no_matrix(monkeypatch, half_trace, trace):
     assert np.array_equal(cov.values[:-1].reshape(n_ring_unknowns, -1), sol[:n_ring_unknowns])
     if cov.center_mode == "unknown":
         assert np.array_equal(cov.center_value, sol[-1])
+
+
+def _separable_column_loop(rs, M, wrap_sign, center_mode, rhs):
+    """The separable solve one column at a time, each with its own sweep."""
+    g_c, g_r, g_a = _ring_weights(rs, M)
+    nring = rs.shape[0] - 1
+    h = 0.5 if wrap_sign == -1 else 0.0
+    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)
+    lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
+    diag = (np.concatenate([[g_c], g_r[:-1]]) + g_r)[:, None] + g_a[:nring, None] * lam
+    if center_mode == "unknown" and nring:
+        diag[0, 0] -= g_c
+    off = -g_r[:-1]
+    sol = np.empty(rhs.shape)
+    for k in range(rhs.shape[1]):
+        f = twist * rhs[: nring * M, k].reshape(nring, M)
+        if center_mode == "unknown" and nring:
+            f[0] += rhs[-1, k] / M
+        f = np.fft.fft(f, axis=1)
+        ratio = np.empty_like(diag)
+        piv = diag[0] if nring else None
+        if nring:
+            f[0] /= piv
+        for i in range(1, nring):
+            ratio[i - 1] = off[i - 1] / piv
+            piv = diag[i] - off[i - 1] * ratio[i - 1]
+            f[i] -= off[i - 1] * f[i - 1]
+            f[i] /= piv
+        for i in range(nring - 2, -1, -1):
+            f[i] -= ratio[i] * f[i + 1]
+        sol[: nring * M, k] = (np.fft.ifft(f, axis=1) * np.conj(twist)).real.ravel()
+    if center_mode == "unknown":
+        ring0 = sol[: M * min(nring, 1)]
+        sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
+    return sol
+
+
+@pytest.mark.parametrize("nr", [1, 2, 3, 17, 48])
+@pytest.mark.parametrize("wrap_sign,center_mode", [(-1, "zero"), (1, "unknown")])
+def test_batched_separable_solve_is_the_column_loop(monkeypatch, wrap_sign, center_mode, nr):
+    # batching the columns changes no bit: at the node budget (whole batches
+    # and a partial one where a batch holds several columns) and at a budget
+    # of two columns a batch
+    from branchlab import minimizer as mmod
+
+    rng = np.random.default_rng(nr)
+    for M in (1, 2, 3, 5, 64):
+        rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
+        nodes = (nr - 1) * M
+        n = nodes + (center_mode == "unknown")
+        for budget in (mmod.SOLVE_BLOCK_NODES, 2 * max(nodes, 1)):
+            monkeypatch.setattr(mmod, "SOLVE_BLOCK_NODES", budget)
+            batch = _batch_columns(nr - 1, M)
+            ncol = 2 * batch + 1 if batch <= 64 else 3
+            rhs = rng.standard_normal((n, ncol))
+            x = solve_separable(rs, M, wrap_sign, center_mode, rhs)
+            assert np.array_equal(x, _separable_column_loop(rs, M, wrap_sign, center_mode, rhs))
+
+
+def _two_point_trace():
+    t = 0.3
+    u = BranchPolynomialField([-t * t, 0.0, 1.0], c=np.array([1.0, -1.0j]))
+    return BoundaryTrace.from_field(u, 1.0), BranchConfiguration(
+        [np.array([t, 0.0]), np.array([-t, 0.0])])
+
+
+def test_two_point_solve_memory_peak():
+    # the Green's functions go through the separable solve in batches, and
+    # the CG check's matrix is built before the right-hand side
+    import tracemalloc
+
+    btr, cfg = _two_point_trace()
+    grid = CoverGridSpec(nr=96, ntheta=192)
+    solve_branched_laplace(btr, cfg, grid=grid)
+    tracemalloc.start()
+    try:
+        solve_branched_laplace(btr, cfg, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2 ** 20
+
+
+def test_singular_capacitance_system_raises_solver_error(monkeypatch):
+    # the CLI maps SolverError to exit 3; a bare LinAlgError would exit 1
+    from branchlab import minimizer as mmod
+
+    btr, cfg = _two_point_trace()
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(mmod.np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match=r"rank k = \d+"):
+        solve_branched_laplace(btr, cfg, grid=GRID_COARSE)
+
+
+@st.composite
+def cut_solve_cases(draw):
+    """Small grid, m, and the deflected cuts of a one- or two-point configuration.
+
+    Points sit anywhere in the disk, on a grid ray, on a ring, or within 0.02
+    of the center; a second point is free or the first one mirrored through
+    the origin (up to 0.02), so its cut passes near the center.
+    """
+    nr = draw(st.integers(2, 17))
+    M = draw(st.integers(1, 64))
+    rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
+    angle = st.floats(0.0, 2.0 * np.pi)
+
+    def at(r, t):
+        return np.array([r * np.cos(t), r * np.sin(t)])
+
+    point = st.one_of(
+        st.builds(at, st.floats(0.0, 0.85), angle),
+        st.builds(lambda r, j: at(r, j * (2.0 * np.pi / M)),
+                  st.floats(0.0, 0.85), st.integers(0, M - 1)),
+        st.builds(lambda i, t: at(rs[i], t), st.integers(0, nr - 2), angle),
+        st.builds(at, st.floats(0.0, 0.02), angle))
+    p = draw(point)
+    second = draw(st.one_of(st.none(), point,
+                            st.builds(lambda d: -p + d, st.builds(at, st.floats(0.0, 0.02),
+                                                                  angle))))
+    points = [p] if second is None or np.allclose(p, second) else [p, second]
+    anchor = 1.5 * at(1.0, draw(angle))
+    cuts = _deflect_cuts(BranchConfiguration(points).cuts(anchor), rs)
+    return rs, M, draw(st.sampled_from([1, 2, 3])), cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_solve_cases(), st.integers(0, 2 ** 16))
+def test_capacitance_solve_matches_spsolve(case, seed):
+    # the direct cut solve is sparse LU's solution; started from it, CG takes
+    # no iteration and returns it unchanged
+    from unittest import mock
+
+    from branchlab import minimizer as mmod
+
+    rs, M, m, cuts = case
+    bvals = np.random.default_rng(seed).standard_normal((M, m))
+    A_ref, rhs = _reference_assembly(rs, M, 1, "unknown", cuts, bvals)
+    edges = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))
+    x = _solve_capacitance(rs, M, edges, rhs)
+    ref = spsolve(A_ref.tocsc(), rhs).reshape(rhs.shape)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    residual = _edge_residual(edges, x, _dirichlet_slots(bvals))
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
+    iters = []
+
+    def counted(*args, **kwargs):
+        return cg(*args, callback=lambda xk: iters.append(1), **kwargs)
+
+    with mock.patch.object(mmod, "cg", counted):
+        sol = _solve_cg(_edge_matrix(edges, A_ref.shape[0]), rhs, x)
+    assert not iters
+    assert np.array_equal(sol, x)
