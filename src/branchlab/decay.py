@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRescaleError, FitError
+from .errors import FitError
 from .fields import _rescaled, harmonic_polynomial_basis, Polynomial, propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
@@ -38,9 +38,6 @@ class SingularCandidate:
     in_zero_set: bool
     in_coincidence_set: bool
     branch_evidence: bool
-    stratum: int = None
-    stratum_label: str = ""
-    ambiguous: bool = False
 
 
 @dataclass
@@ -309,7 +306,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
                 break
         try:
             phi_new, ratio, e_new = decay_step(uj, phi, theta, spec=spec)
-        except (FitError, DegenerateRescaleError):
+        except FitError:
             steps.append(DecayStep(j, None, float("nan"), float("nan"), "fit-failure"))
             outcome = "fit-failure"
             break
@@ -432,80 +429,3 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
         gamma_sup=float(gamma_sup), constant=float(np.max(consts)),
         sigmas=sigmas, l2_table=l2, sup_table=sup,
     )
-
-
-# ---------------------------------------------------------------------------
-# Frequency pinching at nearby centers, and stratification
-
-
-@dataclass
-class PinchReport:
-    radii: np.ndarray
-    N: np.ndarray
-    alpha: float
-    eps: float
-    max_over: float
-    min_over: float
-    monotone: bool
-
-    @property
-    def passes(self):
-        return self.max_over < self.eps ** 2 and self.min_over > -1e-8
-
-
-def frequency_pinch_check(u, X1, alpha, eps, R_domain=2.0, spec=None):
-    """N_{u,X1}(rho) - alpha over the admissible radius range."""
-    from .frequency import frequency_profile
-
-    spec = spec or QuadratureSpec()
-    X1 = np.asarray(X1, dtype=float)
-    if u.domain is not None and u.domain.radius < R_domain - 1e-12:
-        raise ValueError(
-            f"domain radius {u.domain.radius} too small for R = {R_domain}"
-        )
-    radii = np.geomspace(0.05, R_domain - 1.0 - float(np.linalg.norm(X1)), 12)
-    prof = frequency_profile(u, X1, radii, spec)
-    over = prof.N - alpha
-    dN = np.diff(prof.N)
-    return PinchReport(radii, prof.N, alpha, eps, float(np.max(over)),
-                       float(np.min(over)), bool(np.all(dN >= -1e-8)))
-
-
-def stratify(report, blowups, spec=None):
-    """Label candidates by the translation invariance of their blow-ups.
-
-    blowups maps candidate index -> CylindricalProfile.  At desk scale the
-    labels are stratum 0 (isolated, n = 2) and stratum 1 (cylindrical,
-    n = 3 axis-invariant, compared at the axis point y = 0.35 of the profile
-    frame); n = 3 candidates without axis neighbors on both sides are flagged
-    ambiguous.
-    """
-    spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=10, nsphere=96)
-    for idx, cand in enumerate(report.candidates):
-        prof = blowups.get(idx)
-        if prof is None:
-            cand.stratum_label = "unclassified"
-            continue
-        n = prof.n
-        if n == 2:
-            cand.stratum = 0
-            cand.stratum_label = "isolated"
-            continue
-        axis_pt = prof.from_frame(np.array([[0.0, 0.0, 0.35]]))[0]
-        est_axis = frequency_at_point(prof, axis_pt, rho_max=0.2, spec=spec)
-        est_zero = frequency_at_point(prof, prof.center, rho_max=0.2, spec=spec)
-        invariant = abs(est_axis.value - est_zero.value) <= 0.05 + 3 * (
-            est_axis.uncertainty + est_zero.uncertainty
-        )
-        cand.stratum = 1 if invariant else 0
-        cand.stratum_label = "cylindrical" if invariant else "isolated"
-        others = [c.location for j, c in enumerate(report.candidates) if j != idx]
-        if others:
-            ys = np.array([o[2] - cand.location[2] for o in others
-                           if np.linalg.norm(o[:2] - cand.location[:2]) < 0.2])
-            has_above = np.any(ys > 0.01)
-            has_below = np.any(ys < -0.01)
-            cand.ambiguous = not (has_above and has_below)
-        else:
-            cand.ambiguous = True
-    return report

@@ -9,14 +9,6 @@ class DimensionMismatchError(BranchLabError, ValueError):
     """Operands live in different ambient or value dimensions."""
 
 
-class SingularEvaluationError(BranchLabError):
-    """Gradient (or other derivative data) requested at a branch point."""
-
-
-class DegenerateRescaleError(BranchLabError):
-    """Rescaling requested about a ball where the field has zero L2 norm."""
-
-
 class DegenerateHeightError(BranchLabError):
     """Boundary height integral H fell below the floor at some radius."""
 

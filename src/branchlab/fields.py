@@ -11,14 +11,9 @@ explicit cover coordinates instead.
 import itertools
 import numpy as np
 
-from .errors import (
-    DegenerateRescaleError,
-    DimensionMismatchError,
-    PairingError,
-    SingularEvaluationError,
-)
-from .pairspace import UnorderedPair, metric_sq_arrays, metric_sq_symmetric, selection_costs
-from .quadrature import Ball, QuadratureSpec, unit_ball
+from .errors import DimensionMismatchError, PairingError
+from .pairspace import metric_sq_arrays, metric_sq_symmetric, selection_costs
+from .quadrature import QuadratureSpec, unit_ball
 
 
 def _as_points(X, n):
@@ -66,20 +61,6 @@ class Field:
         h = self.average_values(X)
         s = self.symmetric_values(X)
         return h + s, h - s
-
-    def eval(self, X):
-        X, _ = _as_points(X, self.n)
-        a1, a2 = self.pair_values(X)
-        return UnorderedPair(a1[0], a2[0])
-
-    def eval_gradient(self, X):
-        """Pair of m x n matrices, ordered consistently with eval."""
-        X, _ = _as_points(X, self.n)
-        dh = self.average_gradient(X)
-        ds = self.symmetric_gradient(X)
-        if not np.all(np.isfinite(ds)):
-            raise SingularEvaluationError(f"gradient singular at {X[0].tolist()}")
-        return dh[0] + ds[0], dh[0] - ds[0]
 
 
 def _xy_split(X, n):
@@ -298,13 +279,6 @@ class BranchPolynomialField(Field):
             out[:, :, 2:] = np.real(dwdy[:, None, :] * self.c[None, :, None])
         return out
 
-    def branch_points(self):
-        """Zeros of P inside the domain (constant-coefficient case only)."""
-        if self.qfun is not None:
-            return None
-        roots = np.polynomial.polynomial.polyroots(self.coeffs)
-        return [np.array([zr.real, zr.imag]) for zr in roots]
-
     def rescaled_exact(self, Y, rho, scale):
         if self.qfun is not None or self.average is not None:
             return None
@@ -449,20 +423,6 @@ class RescaledField(Field):
         return self.base.is_symmetric
 
 
-def norm_sq(field, ball, spec=None):
-    """integral over the ball of |u|^2 = |u1|^2 + |u2|^2."""
-    spec = spec or QuadratureSpec()
-
-    def integrand(X):
-        if field.is_symmetric:
-            s = field.symmetric_values(X)
-            return 2.0 * np.sum(s * s, axis=-1)
-        a1, a2 = field.pair_values(X)
-        return np.sum(a1 * a1, axis=-1) + np.sum(a2 * a2, axis=-1)
-
-    return spec.integrate_ball(ball, integrand, planar=field.planar)
-
-
 def _rescaled(field, Y, rho, scale):
     """u(Y + rho X) / scale: the field's exact reparameterization when it has
     one, else a RescaledField view."""
@@ -471,23 +431,6 @@ def _rescaled(field, Y, rho, scale):
         if ex is not None:
             return ex
     return RescaledField(field, Y, rho, scale)
-
-
-def rescale(field, Y, rho, spec=None):
-    """L2-normalized rescaling u(Y + rho X) / (rho^(-n/2) ||u||_{L2(B_rho(Y))}).
-
-    Returns an analytically evaluable field on the unit ball; use
-    sample(...) to materialize it on a grid.
-    """
-    Y = np.asarray(Y, dtype=float)
-    ball = Ball(tuple(Y), rho)
-    if field.domain is not None and not field.domain.contains_ball(ball):
-        raise ValueError("rescale ball leaves the field domain")
-    nsq = norm_sq(field, ball, spec)
-    if not nsq > 0 or nsq < 1e-28:
-        raise DegenerateRescaleError(f"zero L2 norm on ball radius {rho} about {Y.tolist()}")
-    scale = rho ** (-field.n / 2.0) * np.sqrt(nsq)
-    return _rescaled(field, Y, rho, scale)
 
 
 def l2_distance_sq(u, v, ball, spec=None):
@@ -791,21 +734,6 @@ def propagate_signs(svals):
         if swap < keep:
             signs[:, :, iy] = -signs[:, :, iy]
     return (signs if svals.ndim == 4 else signs[:, :, 0]), float(hols[-1, 0])
-
-
-def sample(field, grid):
-    """Materialize a field on a polar grid as one continuous lift.
-
-    The lift is propagate_signs over the grid values, so at n = 3 the axis
-    slabs are aligned into one lift and must share one holonomy.
-    """
-    nodes = grid.nodes()
-    svals = grid.on_grid(field.symmetric_values(nodes))
-    signs, hol = propagate_signs(svals)
-    lift = np.empty_like(svals)  # keeps the node layout of svals
-    np.multiply(signs[..., None], svals, out=lift)
-    avg = None if field.is_symmetric else grid.on_grid(field.average_values(nodes))
-    return SampledField(grid, lift, average=avg, hol=hol, domain=field.domain)
 
 
 def non_stationary_control(m=1):

@@ -154,45 +154,6 @@ def frequency_at_point(u, Y, rho_max=0.3, nradii=6, spec=None):
     return FrequencyEstimate(float(est), float(unc), radii, N, not bool(increasing_tail))
 
 
-@dataclass
-class DoublingReport:
-    lower_ok: bool
-    upper_ok: bool
-    values: dict
-
-
-def doubling_check(u, Y, sigma, rho, spec=None):
-    """Both inequalities of the solid doubling estimate, with margins."""
-    if not 0 < sigma <= rho:
-        raise ValueError("need 0 < sigma <= rho")
-    spec = spec or QuadratureSpec()
-    Y = np.asarray(Y, dtype=float)
-    n = u.n
-    prof = frequency_profile(u, Y, np.array([sigma, rho]), spec)
-    ball_s, ball_r = Ball(tuple(Y), float(sigma)), Ball(tuple(Y), float(rho))
-    from .fields import norm_sq
-
-    mean_s = sigma ** (-n) * norm_sq(u, ball_s, spec)
-    mean_r = rho ** (-n) * norm_sq(u, ball_r, spec)
-    est = frequency_at_point(u, Y, rho_max=min(0.3 * rho, sigma), spec=spec)
-    lower = (sigma / rho) ** (2 * prof.N[1]) * mean_r
-    upper = (sigma / rho) ** (2 * est.value) * mean_r
-    tol = 1e-8 * max(mean_s, mean_r)
-    return DoublingReport(
-        lower_ok=bool(lower <= mean_s + tol),
-        upper_ok=bool(mean_s <= upper + tol),
-        values={
-            "lower": float(lower),
-            "middle": float(mean_s),
-            "upper": float(upper),
-            "N_rho": float(prof.N[1]),
-            "freq_estimate": float(est.value),
-            "H_sigma": float(prof.H[0]),
-            "H_rho": float(prof.H[1]),
-        },
-    )
-
-
 class BumpTestFunction:
     """Smooth bump exp(1 - 1/(1 - |X-c|^2/r^2)) supported in B_r(c)."""
 

@@ -384,17 +384,19 @@ def energy(cf):
     return 2.0 * float(np.sum(g * np.sum(diff * diff, axis=1)))
 
 
-def _boundary_values_with_cuts(btr, M, cuts, R):
+def _boundary_values_with_cuts(btr, M, flipped, n_edges):
     """Dirichlet values at the boundary angles, with sign flips at cut crossings.
 
-    The lifted values must be continuous along the circle away from the cut
-    crossings (a flip is legal at a zero of the data); a large jump anywhere
-    else means the cut layout cannot carry the data and is rejected.
+    The crossings are the solve's own: the angular edges of the boundary
+    ring are the last M of the n_edges edges in _cover_edges' order, so the
+    flipped indices at or above n_edges - M mark them.  The lifted values
+    must be continuous along the circle away from the cut crossings (a flip
+    is legal at a zero of the data); a large jump anywhere else means the
+    cut layout cannot carry the data and is rejected.
     """
     g = btr.sample_half(M)
-    thetas = np.arange(M) * (2.0 * np.pi / M)
-    pts = np.stack([R * np.cos(thetas), R * np.sin(thetas)], axis=-1)
-    cut_edge = _crossing_signs(pts, np.roll(pts, -1, axis=0), cuts) < 0
+    cut_edge = np.zeros(M, dtype=bool)
+    cut_edge[flipped[flipped >= n_edges - M] - (n_edges - M)] = True
     # one flip per cut edge passed on the way from node 0 to node j
     flips = np.concatenate([[0], np.cumsum(cut_edge[:-1])])
     sigma = np.where(flips % 2 == 1, -1.0, 1.0)
@@ -656,8 +658,9 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
         flipped = _cut_flips(rs, M, cuts)
         wrap = 1
         center_mode = "unknown"
-        bvals = _boundary_values_with_cuts(boundary, M, cuts, R)
     edges = _cover_edges(rs, M, wrap, center_mode, flipped)
+    if cuts:
+        bvals = _boundary_values_with_cuts(boundary, M, flipped, edges[0].shape[0])
     n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
     A = _edge_matrix(edges, n) if cuts else None  # before rhs: a lower peak
     dirichlet = _dirichlet_slots(bvals)

@@ -7,7 +7,6 @@ axis plane.  Fitting is linear least squares in c on the branched cover and
 Gauss-Newton in the 2(n-2) free entries of A.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,23 +113,6 @@ class CylindricalProfile(Field):
             "A_entries": [float(v) for v in skew_params(self.A)],
             "center": [float(v) for v in self.center],
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, d):
-        c = np.asarray(d["c_re"], dtype=float) + 1j * np.asarray(d["c_im"], dtype=float)
-        n = int(d["n"])
-        A = skew_from_params(np.asarray(d.get("A_entries", []), dtype=float), n)
-        return cls(c, int(d["k"]), A=A, center=np.asarray(d["center"], dtype=float), n=n)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def profile_plane_gradient_lift(c, alpha, r, theta):
@@ -372,14 +354,6 @@ class GraphRepresentation:
     integral_in: float           # int_U (|v|^2 + r^2 |Dv|^2), pair-summed
     integral_out: float          # int_{B_gamma \ U} (|u|^2 + r^2 |Du|^2)
     excess_sq: float
-
-    @property
-    def bound_ok(self):
-        return self.sup_v <= self.beta and self.sup_dv <= self.beta
-
-    @property
-    def ratio_in(self):
-        return self.integral_in / self.excess_sq if self.excess_sq > 0 else 0.0
 
 
 def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,

@@ -91,11 +91,6 @@ class Rule:
     def size(self):
         return self.weights.shape[0]
 
-    def integrate(self, f):
-        """Integrate a vectorized scalar integrand f(points) -> (N,)."""
-        vals = np.asarray(f(self.points), dtype=float)
-        return float(np.sum(self.weights * vals))
-
     def integrate_values(self, vals):
         vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:

@@ -3,11 +3,12 @@ import pytest
 
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.decay import (DecayRun, detect_branch_set, decay_step, gap_probe,
-                             iterate, frequency_pinch_check, rescale_raw, stratify,
-                             tangent_expansion, fit_harmonic_average)
+                             iterate, rescale_raw, tangent_expansion,
+                             fit_harmonic_average)
+from branchlab.frequency import frequency_profile
 from branchlab.fields import Polynomial
 from branchlab.profiles import CylindricalProfile, profile_distance_sq
-from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
+from branchlab.quadrature import QuadratureSpec, unit_ball
 
 from conftest import C_NULL
 
@@ -208,56 +209,34 @@ def test_not_a_branch_point_result():
     assert not tr.is_branch_point
 
 
-# -- frequency pinching and stratification ---------------------------------------
+# -- frequency pinching -----------------------------------------------------------
+
+def _pinch_profile(u, X1, spec):
+    """N_{u,X1} over the radii that a domain of radius 2 admits about X1 (R = 2)."""
+    radii = np.geomspace(0.05, 1.0 - float(np.linalg.norm(X1)), 12)
+    return frequency_profile(u, X1, radii, spec)
+
 
 def test_frequency_pinch_homogeneous_center():
-    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2,
-                                       domain=Ball((0.0, 0.0), 2.0))
-    rep = frequency_pinch_check(u, np.zeros(2), 0.5, 0.1, R_domain=2.0, spec=SPEC)
-    assert abs(rep.max_over) < 1e-10 and abs(rep.min_over) < 1e-10
-    assert rep.passes
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
+    over = _pinch_profile(u, np.zeros(2), SPEC).N - 0.5
+    assert abs(np.max(over)) < 1e-10 and abs(np.min(over)) < 1e-10
 
 
 def test_frequency_pinch_translated_center():
-    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=3,
-                                       domain=Ball((0.0, 0.0, 0.0), 2.0))
-    X1 = np.array([0.0, 0.0, 0.3])
-    rep = frequency_pinch_check(u, X1, 0.5, 0.5, R_domain=2.0, spec=SPEC3)
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=3)
+    prof = _pinch_profile(u, np.array([0.0, 0.0, 0.3]), SPEC3)
     # N_{u,X1}(rho) <= alpha with -> alpha as rho grows, monotonically
-    assert rep.max_over < 1e-6
-    assert rep.monotone
-    assert rep.N[-1] > rep.N[0] - 1e-9
-
-
-def test_frequency_pinch_domain_too_small():
-    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
-    with pytest.raises(ValueError):
-        frequency_pinch_check(u, np.zeros(2), 0.5, 0.1, R_domain=2.0)
+    assert np.max(prof.N - 0.5) < 1e-6
+    assert np.all(np.diff(prof.N) >= -1e-8)
+    assert prof.N[-1] > prof.N[0] - 1e-9
 
 
 def test_frequency_pinch_perturbed_sweep():
-    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 3)], n=2,
-                                       domain=Ball((0.0, 0.0), 2.0))
-    rep = frequency_pinch_check(u, np.zeros(2), 0.5, 0.2, R_domain=2.0, spec=SPEC)
-    assert rep.passes
-
-
-def test_stratify_labels():
-    u = BranchPolynomialField([-0.09, 0.0, 1.0])
-    rep = detect_branch_set(u, extent=0.8, npts=81)
-    blow = {i: CylindricalProfile(np.array([1.0, -1.0j]) / np.sqrt(2), 1, n=2)
-            for i in range(len(rep.candidates))}
-    rep = stratify(rep, blow)
-    assert all(c.stratum == 0 and c.stratum_label == "isolated" for c in rep.candidates)
-    phi3 = CylindricalModeField.power_sum([(C_NULL, 1)], n=3)
-    rep3 = detect_branch_set(phi3, extent=0.7, npts=21, spec=SPEC3)
-    blow3 = {i: CylindricalProfile(C_NULL, 1, n=3) for i in range(len(rep3.candidates))}
-    rep3 = stratify(rep3, blow3, spec=SPEC3)
-    mids = [c for c in rep3.candidates if abs(c.location[2]) < 0.3]
-    ends = [c for c in rep3.candidates if abs(c.location[2]) > 0.65]
-    assert all(c.stratum == 1 and c.stratum_label == "cylindrical" for c in mids)
-    assert all(not c.ambiguous for c in mids)
-    assert all(c.ambiguous for c in ends)
+    # pinched within eps^2 = 0.04 above alpha, and never below it
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 3)], n=2)
+    over = _pinch_profile(u, np.zeros(2), SPEC).N - 0.5
+    assert np.max(over) < 0.2 ** 2 and np.min(over) > -1e-8
 
 
 def test_minimal_degree_regime_both_branch_points():

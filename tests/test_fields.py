@@ -8,14 +8,13 @@ import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
 from branchlab import cli
-from branchlab.errors import (DegenerateRescaleError, PairingError,
-                              SingularEvaluationError)
+from branchlab.errors import PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid, Polynomial,
-                              RescaledField, SampledField, graded_radii,
+                              RescaledField, SampledField, _rescaled, graded_radii,
                               harmonic_polynomial_basis, l2_distance_sq,
-                              norm_sq, propagate_signs, rescale, sample)
-from branchlab.pairspace import UnorderedPair, metric_sq_symmetric
+                              propagate_signs)
+from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import fit_c, fit_profile
 from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
 
@@ -26,14 +25,15 @@ from conftest import C_NULL, power_sum_norm_sq
 
 def test_eval_half_power_real_axis():
     u = CylindricalModeField.power_sum([(np.array([1.0 + 0j]), 1)], n=2)
-    assert u.eval([1.0, 0.0]) == UnorderedPair([1.0], [-1.0])
+    a1, a2 = u.pair_values(np.array([[1.0, 0.0]]))
+    assert {a1[0, 0], a2[0, 0]} == {1.0, -1.0}
 
 
 def test_eval_half_power_imag_axis():
     # z = i, z^(1/2) = e^(i pi/4), Re = sqrt(2)/2 (complex arithmetic oracle)
     u = CylindricalModeField.power_sum([(np.array([1.0 + 0j]), 1)], n=2)
-    pair = u.eval([0.0, 1.0])
-    assert abs(pair.a1[0]) == pytest.approx(0.7071067811865476, abs=1e-15)
+    a1, _ = u.pair_values(np.array([[0.0, 1.0]]))
+    assert abs(a1[0, 0]) == pytest.approx(0.7071067811865476, abs=1e-15)
 
 
 def test_branch_polynomial_zero_set():
@@ -47,10 +47,17 @@ def test_branch_polynomial_zero_set():
     assert np.linalg.norm(off) > 0.1
 
 
+def _pair_gradient(u, x):
+    """The gradients of the two values at one point, in pair_values' order."""
+    X = np.array([x])
+    dh, ds = u.average_gradient(X)[0], u.symmetric_gradient(X)[0]
+    return dh + ds, dh - ds
+
+
 def test_gradient_linear_field():
     # gradient of Re(c z), c = (1, i): rows (1, 0) and (0, -1)
     u = CylindricalModeField.power_sum([(np.array([1.0, 1.0j]), 2)], n=2)
-    g1, g2 = u.eval_gradient([0.3, 0.1])
+    g1, g2 = _pair_gradient(u, [0.3, 0.1])
     expected = np.array([[1.0, 0.0], [0.0, -1.0]])
     assert np.allclose(g1, expected, atol=1e-13)
     assert np.allclose(g2, -expected, atol=1e-13)
@@ -59,16 +66,15 @@ def test_gradient_linear_field():
 def test_gradient_constant_average():
     avg = Polynomial([(0, 0)], [np.array([2.0])], 2)
     u = CylindricalModeField([CylindricalMode(2.0, 2.0, [0.0], [0.0])], n=2, average=avg)
-    g1, g2 = u.eval_gradient([0.4, 0.1])
+    g1, g2 = _pair_gradient(u, [0.4, 0.1])
     assert np.allclose(g1, 0.0, atol=1e-14) and np.allclose(g2, 0.0, atol=1e-14)
-    pair = u.eval([0.4, 0.1])
-    assert pair.a1[0] == pytest.approx(2.0)
+    a1, _ = u.pair_values(np.array([[0.4, 0.1]]))
+    assert a1[0, 0] == pytest.approx(2.0)
 
 
 def test_gradient_singular_at_branch_point():
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
-    with pytest.raises(SingularEvaluationError):
-        u.eval_gradient([0.0, 0.0])
+    assert not np.all(np.isfinite(u.symmetric_gradient(np.zeros((1, 2)))))
 
 
 def test_gradient_fd_cross_check():
@@ -229,10 +235,15 @@ def _power_sums_and_cut_points(draw):
 @given(_power_sums_and_cut_points())
 @example((CylindricalModeField.power_sum([(5e-324 + 0j, 1)], n=2),
           np.array([[-0.5, 0.0], [-0.5, -0.0]])))
+@example((CylindricalModeField.power_sum([(1j, 7), (2j, 1)], n=2),
+          np.array([[-0.65625, 0.0], [-0.65625, -0.0]])))
+@example((CylindricalModeField.power_sum([(-4.8e-112 - 0.5j, 4), (-4.8e-112 + 0.5j, 4)], n=2),
+          np.array([[-0.5, 0.0], [-0.5, -0.0]])))
 def test_power_sum_gradient_matches_trig_reference(case):
     u, X = case
     base, Xb, factor = _unwrap(u, X)
-    assert base.power_terms() is not None
+    terms = base.power_terms()
+    assert terms is not None
     got, ref = u.symmetric_gradient(X), _symmetric_gradient_reference(base, Xb) * factor
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -241,11 +252,18 @@ def test_power_sum_gradient_matches_trig_reference(case):
     # evaluation, where sqrt(z) is within 2e-16); compare values at r = 0 or normal r.
     r = np.hypot(Xb[:, 0], Xb[:, 1])
     check = finite & ((r == 0) | (r >= np.finfo(float).tiny))[:, None, None]
-    # Where every reference value is subnormal or zero, 1e-14 relative is below one
-    # subnormal ulp: the complex path's correctly rounded +-5e-324 must pass where
-    # the trigonometric reference underflows to 0, so the scale is floored at tiny.
-    scale = max(np.max(np.abs(ref[check]), initial=0.0), np.finfo(float).tiny)
-    np.testing.assert_allclose(got[check], ref[check], rtol=0, atol=1e-14 * scale)
+    # Both sides round to ulps of the largest term, not of the sum, where the terms
+    # cancel, so the scale is per point and value component: the term sizes
+    # sum_k |c_k| (k/2) r^(k/2 - 1).  It is floored at tiny: where it is subnormal,
+    # 1e-14 relative is below one subnormal ulp, and the complex path's correctly
+    # rounded +-5e-324 must pass where the trigonometric reference underflows to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sizes = sum(np.where(c != 0, np.abs(c) * (k / 2) * r[:, None] ** (k / 2 - 1), 0.0)
+                    for c, k in terms)
+    scale = np.broadcast_to(np.maximum(sizes * factor, np.finfo(float).tiny)[:, :, None],
+                            got.shape)
+    err = np.abs(got[check] - ref[check])
+    assert np.all(err <= 1e-14 * scale[check]), np.max(err / scale[check])
     if u.n > 2:
         assert not np.any(got[finite.all(axis=(1, 2)), :, 2:])
 
@@ -269,7 +287,7 @@ def test_power_sum_values_stay_trigonometric(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_power_sum_gradient_on_the_cut_matches_values_branch(data):
-    # eval_gradient pairs ds with s, so the gradient must take the values' branch
+    # a pair's gradients pair ds with s, so the gradient must take the values' branch
     # on the cut: theta = +pi at x2 = +0.0 and -pi at x2 = -0.0.
     u = data.draw(_power_sum_fields(rescaled=False))
     X = np.zeros((2, u.n))
@@ -333,37 +351,34 @@ def test_planar_fields_ignore_axis_variables(data):
 # -- rescaling ----------------------------------------------------------------
 
 def test_rescale_unit_norm(spec_fast):
-    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.2 * C_NULL, 3)], n=2)
-    rs = rescale(u, np.zeros(2), 0.37, spec_fast)
-    assert norm_sq(rs, unit_ball(2), spec_fast) == pytest.approx(1.0, abs=1e-8)
+    # u(rho X) / scale with scale = rho^(-n/2) ||u||_{L2(B_rho)} has unit norm
+    terms = [(C_NULL, 1), (0.2 * C_NULL, 3)]
+    u = CylindricalModeField.power_sum(terms, n=2)
+    rho = 0.37
+    rs = _rescaled(u, np.zeros(2), rho, np.sqrt(power_sum_norm_sq(terms, rho)) / rho)
+    zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=2)
+    assert l2_distance_sq(rs, zero, unit_ball(2), spec_fast) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_rescale_homogeneous_reproduces_itself(spec_fast):
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     nrm = np.sqrt(power_sum_norm_sq([(C_NULL, 1)]))
     for rho in (0.5, 0.25):
-        rs = rescale(u, np.zeros(2), rho, spec_fast)
+        rs = _rescaled(u, np.zeros(2), rho, rho ** 0.5 * nrm)
         d = l2_distance_sq(rs, CylindricalModeField.power_sum([(C_NULL / nrm, 1)], n=2),
                            unit_ball(2), spec_fast)
         assert d < 1e-20
 
 
 def test_rescalings_converge_to_profile(spec_fast):
-    # u = phi + higher term: u_{0,rho} -> normalized phi at rate rho^2 in L2
+    # u = phi + higher term: rho^(-1/2) u(rho X) -> phi at rate rho^2 in L2
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 5)], n=2)
-    nrm = np.sqrt(power_sum_norm_sq([(C_NULL, 1)]))
-    target = CylindricalModeField.power_sum([(C_NULL / nrm, 1)], n=2)
+    target = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     ds = []
     for rho in (0.4, 0.2, 0.1):
-        rs = rescale(u, np.zeros(2), rho, spec_fast)
+        rs = _rescaled(u, np.zeros(2), rho, rho ** 0.5)
         ds.append(np.sqrt(l2_distance_sq(rs, target, unit_ball(2), spec_fast)))
     assert ds[1] < 0.3 * ds[0] and ds[2] < 0.3 * ds[1]
-
-
-def test_rescale_zero_field_degenerate(spec_fast):
-    zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0], [0.0])], n=2)
-    with pytest.raises(DegenerateRescaleError):
-        rescale(zero, np.zeros(2), 0.5, spec_fast)
 
 
 # -- L2 distances -------------------------------------------------------------
@@ -387,25 +402,24 @@ def test_l2_distance_to_zero_is_norm(spec_fast):
     u = CylindricalModeField.power_sum([(C_NULL, 3)], n=2)
     zero = CylindricalModeField([CylindricalMode(1.5, 1.5, [0.0, 0.0], [0.0, 0.0])], n=2)
     d = l2_distance_sq(u, zero, unit_ball(2), spec_fast)
-    assert d == pytest.approx(norm_sq(u, unit_ball(2), spec_fast), rel=1e-13)
+    assert d == pytest.approx(power_sum_norm_sq([(C_NULL, 3)]), rel=1e-13)
 
 
 def test_n4_norm_and_distance_collapse_only_planar_integrands():
     # the n = 4 axis angle is collapsed only when every field in the
-    # integrand is planar; each result matches the full rule either way
+    # integrand is planar; each result matches the full rule either way.  The
+    # distance to the zero field is the norm.
     spec = QuadratureSpec(nr=12, ntheta=24, naxis=6, nsphere=32, npolar=16)
     ball = Ball((0.1, -0.05, 0.2, 0.0), 0.5)
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
     w = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 3)], n=4)
     v = CylindricalModeField([CylindricalMode(0.5, 0.5, C_NULL.real, -C_NULL.imag, 1.0,
                                               [0.3, -0.2])], n=4)
+    zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=4)
     rule = spec.ball(ball)
-    for a in (u, v):
-        full = rule.integrate(lambda X: 2.0 * np.sum(a.symmetric_values(X) ** 2, axis=1))
-        assert norm_sq(a, ball, spec) == pytest.approx(full, rel=1e-13)
-    for a, b in ((u, w), (u, v), (v, u)):
-        full = rule.integrate(
-            lambda X: metric_sq_symmetric(a.symmetric_values(X), b.symmetric_values(X)))
+    for a, b in ((u, zero), (v, zero), (u, w), (u, v), (v, u)):
+        full = rule.integrate_values(
+            metric_sq_symmetric(a.symmetric_values(rule.points), b.symmetric_values(rule.points)))
         assert l2_distance_sq(a, b, ball, spec) == pytest.approx(full, rel=1e-13)
 
 
@@ -422,6 +436,15 @@ def test_quadrature_convergence_order():
 
 
 # -- sampled fields -----------------------------------------------------------
+
+def sample(u, grid):
+    """u on a polar grid as one continuous lift: propagate_signs over its values."""
+    nodes = grid.nodes()
+    svals = grid.on_grid(u.symmetric_values(nodes))
+    signs, hol = propagate_signs(svals)
+    avg = None if u.is_symmetric else grid.on_grid(u.average_values(nodes))
+    return SampledField(grid, signs[..., None] * svals, average=avg, hol=hol, domain=u.domain)
+
 
 def _sample_field(u, nr=24, nt=48):
     grid = PolarGrid(graded_radii(nr, 0.9), np.arange(nt) * (2 * np.pi / nt))

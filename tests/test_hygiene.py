@@ -1,18 +1,32 @@
 """Static checks on src/branchlab in place of a linter.
 
-Every import a module makes is used in that module, and every module-level
-private function or class is referenced somewhere in src/branchlab, so a
-helper that only tests call does not survive as library code.
+Every import a module makes is used in that module, every module-level
+private function or class is referenced somewhere in src/branchlab, and
+every public function, class and method is reached from outside its own
+definition by the library, the benchmark, the acceptance suite or the
+console script.  A name that only unit tests call does not survive as
+library code.
 """
 
 import ast
 import glob
 import os
+from collections import Counter
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "branchlab")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "branchlab")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+BENCH = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
+ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
+
+# Public names kept although nothing reaches them, each with its reason.
+EXEMPT = {
+    # the n = 4 ball-rule fix checks the new rule with it (ROADMAP item 1)
+    "frequency.frequency_derivative_identity",
+}
 
 
 def _tree(path):
@@ -20,15 +34,17 @@ def _tree(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def _used_names(tree):
-    """Names read as variables, attribute names, and names imported by name."""
-    used = set()
+def _reads(tree):
+    """How often each name is read: as a variable, an attribute, or by import."""
+    reads = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
 
 
 def unused_imports(tree):
@@ -46,12 +62,9 @@ def unused_imports(tree):
 
 def unreferenced_private(trees):
     """Module-level _names (functions, classes) no module in the package uses."""
-    used = set()
+    used = Counter()
     for tree in trees.values():
-        used |= _used_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                used |= {alias.name for alias in node.names}
+        used.update(_reads(tree))
     dead = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -59,6 +72,48 @@ def unreferenced_private(trees):
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in used):
                 dead.append(f"{os.path.basename(path)}:{node.name}")
+    return dead
+
+
+def public_definitions(tree):
+    """Public module-level functions and classes and their public methods,
+    by qualified name."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+    return defs
+
+
+def unreached_public(src, callers, bench):
+    """Public names of `src` (module name -> tree) that nothing reaches.
+
+    A name is reached by a read elsewhere in `src`, outside its own
+    definition; by a read in a tree of `callers` or `bench`; by a dotted
+    string literal `module.name` or `module.Class.method` in `bench`, as
+    the benchmark names the functions it wraps; or as an entry point.
+    Methods match by name alone, whatever the object they are read from.
+    """
+    in_src = Counter()
+    for tree in src.values():
+        in_src.update(_reads(tree))
+    outside = set()
+    for tree in (*callers, *bench):
+        outside |= set(_reads(tree))
+    literals = {node.value for tree in bench for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    dead = []
+    for module, tree in src.items():
+        for qualname, node in public_definitions(tree).items():
+            name = qualname.rsplit(".", 1)[-1]
+            key = f"{module}.{qualname}"
+            if not (in_src[name] > _reads(node)[name] or name in outside
+                    or key in literals or key in ENTRY_POINTS):
+                dead.append(key)
     return dead
 
 
@@ -71,9 +126,27 @@ def test_every_private_helper_has_a_caller():
     assert unreferenced_private({p: _tree(p) for p in MODULES}) == []
 
 
+def test_every_public_name_has_a_caller():
+    src = {os.path.basename(p)[:-3]: _tree(p) for p in MODULES}
+    dead = unreached_public(src, [_tree(ACCEPTANCE)], [_tree(p) for p in BENCH])
+    assert sorted(dead) == sorted(EXEMPT)
+
+
 def test_checks_catch_their_faults():
     tree = ast.parse("import os\nfrom math import pi, tau\n\ndef _helper():\n    return pi\n")
     assert unused_imports(tree) == ["os", "tau"]
     assert unreferenced_private({"m.py": tree}) == ["m.py:_helper"]
     called = ast.parse("def _helper():\n    return 1\n\nVALUE = _helper()\n")
     assert unreferenced_private({"m.py": tree, "n.py": called}) == []
+    # a public function that calls itself, and is called only from a unit
+    # test, which the check does not read
+    lib = ast.parse("class Field:\n    def eval(self):\n        return 1\n\n"
+                    "def helper(k):\n    return helper(k - 1) if k else Field\n")
+    assert unreached_public({"m": lib}, [], []) == ["m.Field.eval", "m.helper"]
+    test = ast.parse("from m import helper\n\ndef test_helper():\n    assert helper(2)\n")
+    assert unreached_public({"m": lib}, [test], []) == ["m.Field.eval"]
+    # a benchmark literal reaches the module-level function it names, and a
+    # span name of the benchmark's own reaches no method
+    bench = ast.parse('RULES = ("m.helper",)\nSPAN = "m.eval"\n')
+    assert unreached_public({"m": lib}, [], [bench]) == ["m.Field.eval"]
+    assert unreached_public({"m": lib}, [bench], []) == ["m.Field.eval", "m.helper"]

@@ -3,7 +3,7 @@ import dataclasses
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import cg, spsolve
 
@@ -479,6 +479,30 @@ def test_assembly_matches_reference(case, seed):
 def test_centered_assembly_matches_reference(wrap_sign, center_mode):
     rs = GRID_COARSE.radii(1.0)
     _check_against_reference(rs, GRID_COARSE.ntheta, wrap_sign, center_mode, (), 0)
+
+
+def _example_cuts(points, anchor, nr=12):
+    rs = CoverGridSpec(nr=nr, ntheta=2 * nr).radii(1.0)
+    cuts = _deflect_cuts(BranchConfiguration([np.array(p) for p in points]).cuts(anchor), rs)
+    return rs, 2 * nr, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_configurations())
+@example(_example_cuts([(0.3, 0.1)], np.array([1.2, 0.9])))
+@example(_example_cuts([(0.4, 0.0), (-0.2, 0.35)], None))
+def test_boundary_cut_edges_are_the_solves_flips(case):
+    # the boundary values read their cut crossings from the solve's flipped
+    # edges; a crossing test on the boundary circle itself is the reference
+    rs, M, cuts = case
+    R = rs[-1]
+    assert R == 1.0  # graded_radii ends exactly at the radius
+    flipped = _cut_flips(rs, M, cuts)
+    n_edges = _cover_edges(rs, M, 1, "unknown", flipped)[0].shape[0]
+    thetas = np.arange(M) * (2.0 * np.pi / M)
+    pts = np.stack([R * np.cos(thetas), R * np.sin(thetas)], axis=-1)
+    ref = np.flatnonzero(_crossing_signs(pts, np.roll(pts, -1, axis=0), cuts) < 0)
+    assert np.array_equal(flipped[flipped >= n_edges - M] - (n_edges - M), ref)
 
 
 def _inside_convex(poly, pts):

@@ -2,133 +2,128 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from branchlab.errors import DimensionMismatchError
-from branchlab.pairspace import (IDENTITY, SWAP, UnorderedPair, decompose,
-                                 metric_g, metric_sq_arrays, metric_sq_symmetric,
-                                 optimal_pairing, pairing_costs, recompose,
-                                 zero_pair)
+from branchlab.fields import CylindricalModeField, l2_distance_sq
+from branchlab.pairspace import metric_sq_arrays, metric_sq_symmetric, selection_costs
+from branchlab.quadrature import unit_ball
+
+from conftest import C_NULL
 
 
-def brute_force_metric(a, b):
-    keep = np.sum((a.a1 - b.a1) ** 2) + np.sum((a.a2 - b.a2) ** 2)
-    swap = np.sum((a.a1 - b.a2) ** 2) + np.sum((a.a2 - b.a1) ** 2)
-    return np.sqrt(min(keep, swap))
+def brute_force_metric_sq(a1, a2, b1, b2):
+    """G(a, b)^2 for one pair of pairs, by enumerating both pairings."""
+    keep = np.sum((a1 - b1) ** 2) + np.sum((a2 - b2) ** 2)
+    swap = np.sum((a1 - b2) ** 2) + np.sum((a2 - b1) ** 2)
+    return min(keep, swap)
 
 
-vectors = st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=4)
-
-
-def pairs(m):
+@st.composite
+def batches(draw, count, m):
+    """count arrays of shape (N, m): the members of N pairs each, batched."""
+    N = draw(st.integers(1, 8))
     comp = st.floats(-10, 10, allow_nan=False)
-    vec = st.lists(comp, min_size=m, max_size=m)
-    return st.builds(lambda v1, v2: UnorderedPair(v1, v2), vec, vec)
+    return [draw(arrays(np.float64, (N, m), elements=comp)) for _ in range(count)]
 
 
 def test_metric_identical_pairs_zero():
-    p = UnorderedPair([1.0, 2.0], [1.0, 2.0])
-    assert metric_g(p, p) == 0.0
+    p = np.array([1.0, 2.0])
+    assert metric_sq_arrays(p, p, p, p) == 0.0
 
 
 def test_metric_symmetric_vs_zero():
     v = np.array([3.0, 4.0])
-    a = UnorderedPair(v, -v)
-    b = zero_pair(2)
+    zero = np.zeros(2)
     # both pairings give the same value sqrt(2)|v|
-    assert metric_g(a, b) == pytest.approx(np.sqrt(2) * 5.0, rel=1e-15)
+    assert np.sqrt(metric_sq_arrays(v, -v, zero, zero)) == pytest.approx(np.sqrt(2) * 5.0,
+                                                                          rel=1e-15)
+    assert np.sqrt(metric_sq_symmetric(v, zero)) == pytest.approx(np.sqrt(2) * 5.0, rel=1e-15)
 
 
 def test_metric_frozen_example():
     # computed by enumerating both pairings: min(7, 1) = 1
-    a = UnorderedPair([1.0, 0.0], [0.0, 1.0])
-    b = UnorderedPair([0.0, 1.0], [2.0, 0.0])
-    assert pairing_costs(a, b) == (7.0, 1.0)
-    assert metric_g(a, b) == 1.0
+    a1, a2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    b1, b2 = np.array([0.0, 1.0]), np.array([2.0, 0.0])
+    assert metric_sq_arrays(a1, a2, b1, b2) == 1.0
 
 
-def test_metric_dimension_mismatch():
+def test_metric_dimension_mismatch(spec_fast):
+    # the pair metric between fields refuses values of different m
+    u = CylindricalModeField.power_sum([(np.array([1.0 + 0j]), 1)], n=2)
+    v = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     with pytest.raises(DimensionMismatchError):
-        metric_g(UnorderedPair([1.0], [2.0]), UnorderedPair([1.0, 0.0], [0.0, 1.0]))
+        l2_distance_sq(u, v, unit_ball(2), spec_fast)
 
 
 def test_optimal_pairing_trivial_and_swap():
+    # the nearest selection between symmetric pairs: keep against itself,
+    # negate against its negative, and a tie (against zero) keeps the sign
     v = np.array([1.0, -2.0])
-    a = UnorderedPair(v, -v)
-    assert optimal_pairing(a, a) == IDENTITY
-    swapped = UnorderedPair(-v, v)
-    assert optimal_pairing(a, swapped) == SWAP
-    # ties resolve to identity
-    assert optimal_pairing(a, zero_pair(2)) == IDENTITY
+    keep, swap = selection_costs(v, v)
+    assert keep == 0.0 < swap
+    keep, swap = selection_costs(-v, v)
+    assert swap == 0.0 < keep
+    keep, swap = selection_costs(v, np.zeros(2))
+    assert keep == swap
 
 
 @settings(max_examples=150, deadline=None)
-@given(pairs(3), pairs(3))
-def test_optimal_pairing_matches_brute_force(a, b):
-    keep, swap = pairing_costs(a, b)
-    flag = optimal_pairing(a, b)
-    assert flag == (IDENTITY if keep <= swap else SWAP)
-    assert metric_g(a, b) == pytest.approx(brute_force_metric(a, b), abs=1e-12)
+@given(batches(4, 3))
+def test_optimal_pairing_matches_brute_force(pairs):
+    a1, a2, b1, b2 = pairs
+    vals = metric_sq_arrays(a1, a2, b1, b2)
+    for i in range(a1.shape[0]):
+        ref = brute_force_metric_sq(a1[i], a2[i], b1[i], b2[i])
+        assert np.sqrt(vals[i]) == pytest.approx(np.sqrt(ref), abs=1e-12)
+    # between symmetric pairs the optimal pairing is the nearer sign
+    keep, swap = selection_costs(a1, b1)
+    sym = metric_sq_arrays(a1, -a1, b1, -b1)
+    np.testing.assert_array_equal(sym, 2.0 * np.minimum(keep, swap))
 
 
 @settings(max_examples=150, deadline=None)
-@given(pairs(2), pairs(2), pairs(2))
-def test_metric_axioms(a, b, c):
-    assert metric_g(a, b) == pytest.approx(metric_g(b, a), abs=1e-12)
-    assert metric_g(a, c) <= metric_g(a, b) + metric_g(b, c) + 1e-9
+@given(batches(6, 2))
+def test_metric_axioms(pairs):
+    a1, a2, b1, b2, c1, c2 = pairs
+    ab = np.sqrt(metric_sq_arrays(a1, a2, b1, b2))
+    ba = np.sqrt(metric_sq_arrays(b1, b2, a1, a2))
+    bc = np.sqrt(metric_sq_arrays(b1, b2, c1, c2))
+    ac = np.sqrt(metric_sq_arrays(a1, a2, c1, c2))
+    np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
+    assert np.all(ac <= ab + bc + 1e-9)
+    # the same on symmetric pairs {+-a1}, {+-b1}, {+-c1}
+    ab = np.sqrt(metric_sq_symmetric(a1, b1))
+    ba = np.sqrt(metric_sq_symmetric(b1, a1))
+    bc = np.sqrt(metric_sq_symmetric(b1, c1))
+    ac = np.sqrt(metric_sq_symmetric(a1, c1))
+    np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
+    assert np.all(ac <= ab + bc + 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs(2))
-def test_metric_zero_iff_equal(a):
-    assert metric_g(a, a.swapped()) == 0.0
-    assert a == a.swapped()
-    shifted = UnorderedPair(a.a1 + 1.0, a.a2)
-    assert metric_g(a, shifted) > 0.0
+@given(batches(2, 2))
+def test_metric_zero_iff_equal(pairs):
+    a1, a2 = pairs
+    # the stored order of a pair never matters
+    assert np.all(metric_sq_arrays(a1, a2, a2, a1) == 0.0)
+    assert np.all(metric_sq_symmetric(a1, -a1) == 0.0)
+    assert np.all(metric_sq_arrays(a1, a2, a1 + 1.0, a2) > 0.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs(3))
-def test_norm_is_distance_to_zero(a):
-    assert a.norm == pytest.approx(metric_g(a, zero_pair(3)), abs=0.0)
+@given(batches(2, 3))
+def test_norm_is_distance_to_zero(pairs):
+    a1, a2 = pairs
+    zero = np.zeros_like(a1)
+    norm_sq = np.sum(a1 ** 2, axis=-1) + np.sum(a2 ** 2, axis=-1)
+    np.testing.assert_array_equal(metric_sq_arrays(a1, a2, zero, zero), norm_sq)
 
 
 def test_pairing_invariance_of_norm_sq():
-    a = UnorderedPair([1.0, 2.0], [3.0, -1.0])
-    assert a.norm == a.swapped().norm
-
-
-def test_decompose_trivial_cases():
-    v = np.array([2.0, -1.0])
-    avg, sym = decompose(UnorderedPair(v, v))
-    assert np.array_equal(avg, v)
-    assert np.array_equal(sym.a1, np.zeros(2))
-    avg2, sym2 = decompose(UnorderedPair(v, -v))
-    assert np.array_equal(avg2, np.zeros(2))
-    assert sym2 == UnorderedPair(v, -v)
-
-
-def test_decompose_frozen_example():
-    avg, sym = decompose(UnorderedPair([3.0, 1.0], [1.0, 1.0]))
-    assert np.array_equal(avg, np.array([2.0, 1.0]))
-    assert sym == UnorderedPair([1.0, 0.0], [-1.0, 0.0])
-
-
-dyadics = st.integers(-1024, 1024).map(lambda k: k / 16.0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(dyadics, min_size=2, max_size=2), st.lists(dyadics, min_size=2, max_size=2))
-def test_decompose_recompose_bit_for_bit(v1, v2):
-    a = UnorderedPair(v1, v2)
-    avg, sym = decompose(a)
-    assert recompose(avg, sym) == a  # exact equality on representable values
-    # symmetric part is symmetric
-    assert sym.is_symmetric()
-
-
-def test_recompose_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        recompose(np.zeros(3), UnorderedPair([1.0], [-1.0]))
+    a1, a2 = np.array([1.0, 2.0]), np.array([3.0, -1.0])
+    zero = np.zeros(2)
+    assert metric_sq_arrays(a1, a2, zero, zero) == metric_sq_arrays(a2, a1, zero, zero)
 
 
 def test_vectorized_metric_matches_scalar():
@@ -136,10 +131,10 @@ def test_vectorized_metric_matches_scalar():
     a1, a2, b1, b2 = rng.standard_normal((4, 20, 3))
     vals = metric_sq_arrays(a1, a2, b1, b2)
     for i in range(20):
-        ref = metric_g(UnorderedPair(a1[i], a2[i]), UnorderedPair(b1[i], b2[i])) ** 2
+        ref = brute_force_metric_sq(a1[i], a2[i], b1[i], b2[i])
         assert vals[i] == pytest.approx(ref, rel=1e-12)
     s, t = rng.standard_normal((2, 20, 3))
     vals_s = metric_sq_symmetric(s, t)
     for i in range(20):
-        ref = metric_g(UnorderedPair(s[i], -s[i]), UnorderedPair(t[i], -t[i])) ** 2
+        ref = brute_force_metric_sq(s[i], -s[i], t[i], -t[i])
         assert vals_s[i] == pytest.approx(ref, rel=1e-12, abs=1e-14)

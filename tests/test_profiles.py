@@ -179,8 +179,8 @@ def test_graphical_decompose_perturbation_pointwise(spec_fast):
     mask = gr.grid.rs > 0.1
     err = np.abs(gr.v_hat - pert)[mask]
     assert np.max(err) < 10 * t ** 2 + 1e-12
-    assert gr.bound_ok
-    assert gr.ratio_in < 10.0
+    assert gr.sup_v <= gr.beta and gr.sup_dv <= gr.beta
+    assert gr.integral_in < 10.0 * gr.excess_sq
 
 
 def test_graphical_decompose_displaced_branch_excluded():
@@ -232,12 +232,14 @@ def test_corollary_displaced_branch(spec_fast):
     assert shifted.lhs < 2.0 * shifted.rhs
 
 
-def test_profile_json_roundtrip(tmp_path):
+def test_profile_json_roundtrip():
+    # the decay artifacts record profiles by to_json_dict; the record rebuilds them
     prof = CylindricalProfile(C_NULL, 3, A=skew_from_params([0.02, 0.01], 3),
                               center=np.array([0.1, 0.0, -0.2]), n=3)
-    path = tmp_path / "profile.json"
-    prof.save(path)
-    back = CylindricalProfile.load(path)
+    d = json.loads(json.dumps(prof.to_json_dict()))
+    back = CylindricalProfile(np.asarray(d["c_re"]) + 1j * np.asarray(d["c_im"]), d["k"],
+                              A=skew_from_params(d["A_entries"], d["n"]),
+                              center=np.asarray(d["center"]), n=d["n"])
     assert back.k == prof.k
     assert np.allclose(back.c, prof.c)
     assert np.allclose(back.A, prof.A)
