@@ -279,6 +279,40 @@ class BranchPolynomialField(Field):
             out[:, :, 2:] = np.real(dwdy[:, None, :] * self.c[None, :, None])
         return out
 
+    def lift(self, r, theta, y=None):
+        """Continuous lift of the symmetric part along the sampled curve
+        (r[k], theta[k]), continued from the representative at k = 0.
+
+        y holds the axis coordinates, shape r.shape + (n - 2,), or None for
+        y = 0.  The continuous branch of (P - q)^(1/2) along the curve is
+        |P - q|^(1/2) e^(i unwrap(arg(P - q)) / 2): numpy's principal root
+        times (-1)^t, t the number of 2 pi turns unwrap added, so the lift is
+        symmetric_values with those signs.  A step of log(P - q) between
+        samples, arg and modulus together, above pi/4 means a zero within
+        about a sample spacing of the curve, where neither the unwrap nor
+        the continuation can be trusted to resolve the branch; there (and at
+        an exact zero) the signs are propagate_signs' continuation of the
+        values, as for a field without a lift.
+        """
+        r = np.asarray(r, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        if self.n > 2:
+            X = np.concatenate([X, np.zeros(r.shape + (self.n - 2,)) if y is None else y],
+                               axis=-1)
+        s = self.symmetric_values(X)
+        p = self._P(X[:, 0] + 1j * X[:, 1], X[:, 2:] if self.n > 2 else None)
+        arg = np.angle(p)
+        unwrapped = np.unwrap(arg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_steps = np.hypot(np.diff(np.log(np.abs(p))), np.diff(unwrapped))
+        if np.all(log_steps <= np.pi / 4):
+            turns = np.rint((unwrapped - arg) / (2.0 * np.pi))
+            signs = np.where(turns % 2 == 0, 1.0, -1.0)
+        else:
+            signs = propagate_signs(s[None])[0][0]
+        return signs[:, None] * s
+
     def rescaled_exact(self, Y, rho, scale):
         if self.qfun is not None or self.average is not None:
             return None

@@ -14,7 +14,9 @@ Off-center and two-point branch configurations are handled by cut-based
 sign bookkeeping (edges crossing the cut arcs couple with a -1 sign).  Their
 operator is the cut-free separable one plus a low-rank change on the flipped
 edges, so they too solve directly, by the capacitance-matrix method on the
-separable solver (_solve_capacitance); Jacobi-preconditioned CG started from
+separable solver (_solve_capacitance).  Its Green's functions are read from
+the closed-form inverse of each Fourier mode's tridiagonal radial system,
+with no per-ring solve (_green_block); Jacobi-preconditioned CG started from
 that solution only confirms it.  The edge list of _cover_edges is the one
 description of the operator: energy(), the right-hand side and the residual
 are sums over it, and only the CG check builds a sparse matrix from it.
@@ -51,6 +53,7 @@ class BoundaryTrace:
             self.values = self.values.T
         self.radius = float(radius)
         self.m = self.values.shape[1]
+        self._parity = None
 
     @classmethod
     def from_field(cls, fld, radius, nsamples=4096):
@@ -68,19 +71,24 @@ class BoundaryTrace:
 
     def parity(self):
         """+1 if g(theta + 2pi) = g(theta), -1 if = -g(theta), to 1e-8 of the
-        data's scale; else error."""
-        half = self.thetas < 2.0 * np.pi
-        g0 = self._interp(self.thetas[half])
-        g1 = self._interp(self.thetas[half] + 2.0 * np.pi)
-        scale = max(float(np.max(np.abs(self.values))), 1e-300)
-        if np.max(np.abs(g1 + g0)) <= 1e-8 * scale:
-            return -1
-        if np.max(np.abs(g1 - g0)) <= 1e-8 * scale:
-            return 1
-        raise BoundaryLiftError(
-            "boundary data is neither periodic nor anti-periodic over 2pi "
-            f"(defects {np.max(np.abs(g1 - g0)):.2e} / {np.max(np.abs(g1 + g0)):.2e})"
-        )
+        data's scale; else error.  Read from the trace on the first call and
+        kept, since every solve on the trace asks for it; a trace that is
+        neither raises at every call."""
+        if self._parity is None:
+            half = self.thetas < 2.0 * np.pi
+            g0 = self._interp(self.thetas[half])
+            g1 = self._interp(self.thetas[half] + 2.0 * np.pi)
+            scale = max(float(np.max(np.abs(self.values))), 1e-300)
+            if np.max(np.abs(g1 + g0)) <= 1e-8 * scale:
+                self._parity = -1
+            elif np.max(np.abs(g1 - g0)) <= 1e-8 * scale:
+                self._parity = 1
+            else:
+                raise BoundaryLiftError(
+                    "boundary data is neither periodic nor anti-periodic over 2pi "
+                    f"(defects {np.max(np.abs(g1 - g0)):.2e} / {np.max(np.abs(g1 + g0)):.2e})"
+                )
+        return self._parity
 
     def _interp(self, th):
         th = np.mod(th, 4.0 * np.pi)
@@ -455,39 +463,56 @@ def _anchor_for_single_point(boundary, point, R, parity):
 
 
 def _batch_columns(nring, M):
-    """Right-hand sides per batch of a separable solve: SOLVE_BLOCK_NODES
-    over the unknown ring nodes, at least one."""
+    """Columns of nring x M nodes per batch: SOLVE_BLOCK_NODES over the
+    nodes of one column, at least one.  A separable solve batches its
+    right-hand sides by it, _green_block its source rings."""
     return max(1, SOLVE_BLOCK_NODES // max(nring * M, 1))
 
 
-def _separable_solver(rs, M, wrap_sign, center_mode):
-    """solve_separable for one operator, factored once: returns solve(rhs).
+def _radial_sweep(rs, M, wrap_sign, center_mode):
+    """The forward sweep of every Fourier mode's symmetric tridiagonal
+    radial system: (piv, ratio), shape (nring, M, 1).
 
-    The forward sweep's ratios and pivots of every mode's tridiagonal system
-    are computed here, once for all columns; solve(rhs) runs the FFTs and the
-    substitutions on batches of _batch_columns columns, one FFT over
-    (rings, M, batch) and one radial sweep per batch.  Each column's
-    arithmetic is that of a lone column, so the result does not depend on
-    the batching, and the complex work arrays stay within SOLVE_BLOCK_NODES
-    nodes unless one column is larger.
+    Mode k's diagonal is the radial weights plus the angular eigenvalue
+    2 (1 - cos(2 pi (k + h) / M)) g_a[i] (see solve_separable), less the
+    eliminated 'unknown' center's g_c at mode 0 of ring 0; -g_r[i] couples
+    ring i to ring i + 1.  The sweep turns the diagonal into its pivots in
+    place, piv[i] = diag[i] - g_r[i-1]^2 / piv[i-1], and ratio[i] is
+    -g_r[i] / piv[i]; no second (nring, M) array is held.
     """
     g_c, g_r, g_a = _ring_weights(rs, M)
     nring = rs.shape[0] - 1
     h = 0.5 if wrap_sign == -1 else 0.0
-    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)[:, None]
     lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
     inner = np.concatenate([[g_c], g_r[:-1]])  # weight towards the center
     diag = (inner + g_r)[:, None] + g_a[:nring, None] * lam
     if center_mode == "unknown" and nring:
         diag[0, 0] -= g_c
-    # symmetric tridiagonal: -g_r[i] couples ring i to ring i + 1; the
-    # forward sweep turns diag into its pivots in place
     off = -g_r[:-1]
     piv = diag[:, :, None]
     ratio = np.empty_like(piv)
     for i in range(1, nring):
         ratio[i - 1] = off[i - 1] / piv[i - 1]
         piv[i] -= off[i - 1] * ratio[i - 1]
+    return piv, ratio
+
+
+def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
+    """solve_separable for one operator, factored once: returns solve(rhs).
+
+    sweep is the operator's _radial_sweep, which serves every column.
+    solve(rhs) runs the FFTs and the substitutions on batches
+    of _batch_columns columns, one FFT over (rings, M, batch) and one radial
+    sweep per batch.  Each column's arithmetic is that of a lone column, so
+    the result does not depend on the batching, and the complex work arrays
+    stay within SOLVE_BLOCK_NODES nodes unless one column is larger.
+    """
+    g_c, g_r, _ = _ring_weights(rs, M)
+    nring = rs.shape[0] - 1
+    h = 0.5 if wrap_sign == -1 else 0.0
+    twist = np.exp(-2j * np.pi * h * np.arange(M) / M)[:, None]
+    off = -g_r[:-1]
+    piv, ratio = sweep
     step = _batch_columns(nring, M)
 
     def solve(rhs):
@@ -533,35 +558,65 @@ def solve_separable(rs, M, wrap_sign, center_mode, rhs):
     SOLVE_BLOCK_NODES nodes (_separable_solver); the result is bit for bit
     that of solving one column at a time.
     """
-    return _separable_solver(rs, M, wrap_sign, center_mode)(rhs)
+    sweep = _radial_sweep(rs, M, wrap_sign, center_mode)
+    return _separable_solver(rs, M, wrap_sign, center_mode, sweep)(rhs)
 
 
-def _green_block(solve0, rs, M, idx):
-    """G = P A0^-1 P^T for the unknowns idx, A0 the cut-free operator that
-    solve0 (a _separable_solver) solves.
+def _green_block(rs, M, sweep, idx):
+    """G = P A0^-1 P^T for the unknowns idx, read from the inverses of A0's
+    tridiagonal radial systems with no solve; A0 is the cut-free operator
+    (wrap +1, 'unknown' center) and sweep its _radial_sweep.
 
-    A0 (wrap +1, 'unknown' center) commutes with rotation by 2 pi / M, so
-    column (i', j') of A0^-1 is the Green's function g_i' of the delta at
-    (i', 0), turned by j': G[(i, j), (i', j')] = g_i'(i, j - j'), and the
-    center row reads g_i' at the center.  The center, fixed by rotation, has
-    its own Green's function as source 'ring' nring at j = 0.  Sources solve
-    in batches of _batch_columns, so no (n x rings) block is ever held.
+    A0 commutes with rotation by 2 pi / M, so column (i', j') of A0^-1 is
+    the Green's function g_i' of the delta at (i', 0), turned by j':
+    G[(i, j), (i', j')] = g_i'(i, j - j').  The delta is e_i' in every
+    Fourier mode, so g_i'(i, .) is the inverse FFT over the modes k of
+    (T_k^-1)_{i i'}, T_k mode k's radial system; T_k = T_{M-k}, so g_i' is
+    real and modes 0..M/2 give it (irfft).  With d the forward pivots and e
+    the backward ones, (T^-1)_jj = 1 / (d_j + e_j - T_jj), T_jj taken back
+    from d_j = T_jj - g_r[j-1]^2 / d_{j-1}, and, for i < j,
+    (T^-1)_ij = (T^-1)_jj prod_{l=i}^{j-1} g_r[l] / d_l, T^-1 symmetric
+    (Meurant 1992).  Each product is the exponential of a difference of
+    cumulative log sums, so distant entries underflow to 0 and never
+    overflow.  The center couples to mode 0 of ring 0 alone: its row and
+    column are column 0 of T_0^-1 over M, and its own entry is
+    (1 + g_c (T_0^-1)_00) / (M g_c).  Source rings go in chunks of at most
+    SOLVE_BLOCK_NODES (touched rings x chunk x M) nodes, at least one ring.
     """
+    g_c, g_r, _ = _ring_weights(rs, M)
     nring = rs.shape[0] - 1
-    n = nring * M + 1
+    nk = M // 2 + 1
+    d = sweep[0][:, :nk, 0]
+    a_less_d = np.zeros_like(d)
+    a_less_d[1:] = g_r[:-1, None] ** 2 / d[:-1]
+    e = d + a_less_d
+    for i in range(nring - 2, -1, -1):
+        e[i] -= g_r[i] ** 2 / e[i + 1]
+    inv_diag = 1.0 / (e - a_less_d)
+    log_prod = np.zeros((nring, nk))
+    np.cumsum(np.log(g_r[:-1, None] / d[:-1]), axis=0, out=log_prod[1:])
+    col0 = inv_diag[:, 0] * np.exp(log_prod[:, 0])  # column 0 of T_0^-1
+
     ring, col = np.divmod(idx, M)  # the center, id nring * M, is (nring, 0)
-    rows = ring[:, None] * M + (col[:, None] - col[None, :]) % M
-    rows[ring == nring] = n - 1
-    sources, source = np.unique(ring, return_inverse=True)
-    step = _batch_columns(nring, M)
+    rings, pos = np.unique(ring, return_inverse=True)
+    sources = rings[rings < nring]  # rings[-1] is nring when the center is touched
+    step = _batch_columns(rings.shape[0], M)
     G = np.empty((idx.shape[0], idx.shape[0]))
     for s0 in range(0, sources.shape[0], step):
         batch = sources[s0:s0 + step]
-        delta = np.zeros((n, batch.shape[0]))
-        delta[batch * M, np.arange(batch.shape[0])] = 1.0
-        green = solve0(delta)
-        cols = np.flatnonzero((source >= s0) & (source < s0 + step))
-        G[:, cols] = green[rows[:, cols], source[cols] - s0]
+        hi = np.maximum(sources[:, None], batch)
+        lo = np.minimum(sources[:, None], batch)
+        green = np.empty((rings.shape[0], batch.shape[0], M))
+        green[:sources.shape[0]] = np.fft.irfft(
+            inv_diag[hi] * np.exp(log_prod[hi] - log_prod[lo]), n=M, axis=-1)
+        green[sources.shape[0]:] = col0[batch, None] / M  # the center's row
+        cols = np.flatnonzero((pos >= s0) & (pos < s0 + batch.shape[0]))
+        G[:, cols] = green[pos[:, None], pos[cols] - s0, (col[:, None] - col[cols]) % M]
+    on_ring = ring < nring
+    if not np.all(on_ring):
+        center = np.flatnonzero(~on_ring)
+        G[np.ix_(on_ring, center)] = col0[ring[on_ring], None] / M
+        G[np.ix_(center, center)] = (1.0 + g_c * (col0[0] if nring else 0.0)) / (M * g_c)
     return G
 
 
@@ -571,7 +626,9 @@ def _solve_capacitance(rs, M, edges, rhs):
     The operator is A = A0 + dA: A0 the cut-free one (wrap +1, 'unknown'
     center) that solve_separable solves, and dA = P^T dA_k P the change on
     the flipped edges between two unknowns, +2g at (a, b) and (b, a), over
-    the k unknowns idx they touch.  With G = P A0^-1 P^T (_green_block):
+    the k unknowns idx they touch.  With G = P A0^-1 P^T, read in closed
+    form from the inverses of A0's tridiagonal radial systems with no
+    per-ring solve (_green_block):
     y0 = A0^-1 b, (I + G dA_k) z = y0[idx], x = A0^-1 (b - P^T dA_k z)
     (Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976).
     The rounding error of G, times dA_k, can leave a residual far above
@@ -583,7 +640,8 @@ def _solve_capacitance(rs, M, edges, rhs):
     cut = (sigma < 0) & (a >= 0) & (b >= 0)
     idx, local = np.unique(np.concatenate([a[cut], b[cut]]), return_inverse=True)
     k = idx.shape[0]
-    solve0 = _separable_solver(rs, M, 1, "unknown")
+    sweep = _radial_sweep(rs, M, 1, "unknown")
+    solve0 = _separable_solver(rs, M, 1, "unknown", sweep)
     if k == 0:
         return solve0(rhs)
     la, lb = np.split(local, 2)
@@ -591,7 +649,7 @@ def _solve_capacitance(rs, M, edges, rhs):
     dA = np.zeros((k, k))
     np.add.at(dA, (la, lb), w)
     np.add.at(dA, (lb, la), w)
-    C = np.eye(k) + _green_block(solve0, rs, M, idx) @ dA
+    C = np.eye(k) + _green_block(rs, M, sweep, idx) @ dA
 
     def solve(f):
         try:

@@ -8,13 +8,15 @@ from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import cg, spsolve
 
 from branchlab.errors import BoundaryLiftError, SolverError
-from branchlab.fields import BranchPolynomialField, CylindricalModeField
+from branchlab import fields
+from branchlab.fields import BranchPolynomialField, CylindricalModeField, RescaledField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
                                  CoverGridSpec, _batch_columns, _cover_edges,
                                  _crossing_signs, _cut_flips, _deflect_cuts,
                                  _dirichlet_slots, _edge_matrix, _edge_residual,
-                                 _edge_segments, _ring_weights, _solve_capacitance,
+                                 _edge_segments, _green_block, _radial_sweep,
+                                 _ring_weights, _separable_solver, _solve_capacitance,
                                  _solve_cg, solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
@@ -221,16 +223,80 @@ def _continuation_reference(s):
     return vals
 
 
-@pytest.mark.parametrize("coeffs", [[-0.09, 0.0, 1.0], [-0.2, 1.0], [0.0, 0.0, 1.0]])
-def test_from_field_continuation_matches_reference(coeffs):
-    # branch polynomial fields have no exact lift, so from_field continues
-    u = BranchPolynomialField(coeffs)
-    nsamples = 512
-    btr = BoundaryTrace.from_field(u, 1.0, nsamples=nsamples)
+def _circle_trace_reference(fld, nsamples):
     th = np.arange(nsamples) * (4.0 * np.pi / nsamples)
-    ref = _continuation_reference(u.symmetric_values(np.stack([np.cos(th), np.sin(th)], -1)))
-    assert np.array_equal(btr.values, ref)
-    assert np.array_equal(np.signbit(btr.values), np.signbit(ref))
+    return _continuation_reference(fld.symmetric_values(np.stack([np.cos(th), np.sin(th)], -1)))
+
+
+def _assert_same_bits(values, ref):
+    assert np.array_equal(values, ref)
+    assert np.array_equal(np.signbit(values), np.signbit(ref))
+
+
+BRANCH_COEFFS = [[-0.09, 0.0, 1.0], [-0.2, 1.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("coeffs", BRANCH_COEFFS)
+def test_from_field_continuation_matches_reference(coeffs):
+    # a rescaled view has no exact lift, so from_field continues
+    u = RescaledField(BranchPolynomialField(coeffs), np.zeros(2), 1.0, 1.0)
+    assert not hasattr(u, "lift")
+    btr = BoundaryTrace.from_field(u, 1.0, nsamples=512)
+    _assert_same_bits(btr.values, _circle_trace_reference(u, 512))
+
+
+@st.composite
+def branch_polynomials(draw):
+    """Coefficients of a monic polynomial of degree 1-4, roots in [-0.8, 0.8]^2."""
+    coord = st.floats(-0.8, 0.8)
+    roots = draw(st.lists(st.builds(complex, coord, coord), min_size=1, max_size=4))
+    return np.polynomial.polynomial.polyfromroots(roots)
+
+
+@pytest.mark.parametrize("coeffs", BRANCH_COEFFS)
+def test_branch_polynomial_lift_is_the_continuation(coeffs):
+    # the exact lift only picks signs, so the trace keeps every bit of the
+    # continuation's, signs of zeros included
+    u = BranchPolynomialField(coeffs)
+    for nsamples in (512, 4096):
+        btr = BoundaryTrace.from_field(u, 1.0, nsamples=nsamples)
+        _assert_same_bits(btr.values, _circle_trace_reference(u, nsamples))
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_polynomials())
+def test_branch_polynomial_lift_matches_continuation(coeffs):
+    u = BranchPolynomialField(coeffs)
+    _assert_same_bits(BoundaryTrace.from_field(u, 1.0).values, _circle_trace_reference(u, 4096))
+
+
+def test_branch_polynomial_lift_falls_back_near_a_boundary_root(monkeypatch):
+    # a root 3e-6 outside the circle, at a sample spacing of 3e-3: arg P
+    # steps by nearly pi there, and the unwrapped branch disagrees with the
+    # continuation on one sheet, so the lift hands over to the continuation
+    calls = []
+    propagate = fields.propagate_signs
+
+    def counted(svals):
+        calls.append(svals.shape)
+        return propagate(svals)
+
+    monkeypatch.setattr(fields, "propagate_signs", counted)
+    u = BranchPolynomialField(np.polynomial.polynomial.polyfromroots(
+        [(1.0 + 3e-6) * np.exp(0.7j), -0.3j]))
+    th = np.arange(4096) * (4.0 * np.pi / 4096)
+    p = np.polynomial.polynomial.polyval(np.exp(1j * th), u.coeffs)
+    branch = np.sqrt(np.abs(p)) * np.exp(0.5j * np.unwrap(np.angle(p)))
+    unwrapped_signs = np.where(np.real(np.conj(np.sqrt(p)) * branch) >= 0.0, 1.0, -1.0)
+    btr = BoundaryTrace.from_field(u, 1.0)
+    assert calls == [(1, 4096, 2)]
+    ref = _circle_trace_reference(u, 4096)
+    _assert_same_bits(btr.values, ref)
+    assert np.count_nonzero(unwrapped_signs[:, None] * u.symmetric_values(
+        np.stack([np.cos(th), np.sin(th)], -1)) != ref) > 0
+    calls.clear()
+    BoundaryTrace.from_field(BranchPolynomialField([-0.2, 1.0]), 1.0)
+    assert not calls
 
 
 def test_two_point_solve_and_search():
@@ -711,8 +777,8 @@ def _two_point_trace():
 
 
 def test_two_point_solve_memory_peak():
-    # the Green's functions go through the separable solve in batches, and
-    # the CG check's matrix is built before the right-hand side
+    # the Green's block is built in chunks of source rings within the node
+    # budget, and the CG check's matrix is built before the right-hand side
     import tracemalloc
 
     btr, cfg = _two_point_trace()
@@ -742,14 +808,14 @@ def test_singular_capacitance_system_raises_solver_error(monkeypatch):
 
 
 @st.composite
-def cut_solve_cases(draw):
+def cut_solve_cases(draw, nrs=st.integers(2, 17)):
     """Small grid, m, and the deflected cuts of a one- or two-point configuration.
 
     Points sit anywhere in the disk, on a grid ray, on a ring, or within 0.02
     of the center; a second point is free or the first one mirrored through
     the origin (up to 0.02), so its cut passes near the center.
     """
-    nr = draw(st.integers(2, 17))
+    nr = draw(nrs)
     M = draw(st.integers(1, 64))
     rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
     angle = st.floats(0.0, 2.0 * np.pi)
@@ -761,7 +827,7 @@ def cut_solve_cases(draw):
         st.builds(at, st.floats(0.0, 0.85), angle),
         st.builds(lambda r, j: at(r, j * (2.0 * np.pi / M)),
                   st.floats(0.0, 0.85), st.integers(0, M - 1)),
-        st.builds(lambda i, t: at(rs[i], t), st.integers(0, nr - 2), angle),
+        st.builds(lambda i, t: at(rs[i], t), st.integers(0, max(nr - 2, 0)), angle),
         st.builds(at, st.floats(0.0, 0.02), angle))
     p = draw(point)
     second = draw(st.one_of(st.none(), point,
@@ -800,3 +866,49 @@ def test_capacitance_solve_matches_spsolve(case, seed):
         sol = _solve_cg(_edge_matrix(edges, A_ref.shape[0]), rhs, x)
     assert not iters
     assert np.array_equal(sol, x)
+
+
+def _green_block_by_solves(solve0, rs, M, idx):
+    """G = P A0^-1 P^T for the unknowns idx by one separable solve per
+    source ring, the reference for _green_block.
+
+    Column (i', j') of A0^-1 is the Green's function g_i' of the delta at
+    (i', 0), turned by j': G[(i, j), (i', j')] = g_i'(i, j - j'), and the
+    center row reads g_i' at the center.  The center, fixed by rotation, has
+    its own Green's function as source 'ring' nring at j = 0.
+    """
+    nring = rs.shape[0] - 1
+    n = nring * M + 1
+    ring, col = np.divmod(idx, M)
+    rows = ring[:, None] * M + (col[:, None] - col[None, :]) % M
+    rows[ring == nring] = n - 1
+    sources, source = np.unique(ring, return_inverse=True)
+    step = _batch_columns(nring, M)
+    G = np.empty((idx.shape[0], idx.shape[0]))
+    for s0 in range(0, sources.shape[0], step):
+        batch = sources[s0:s0 + step]
+        delta = np.zeros((n, batch.shape[0]))
+        delta[batch * M, np.arange(batch.shape[0])] = 1.0
+        green = solve0(delta)
+        cols = np.flatnonzero((source >= s0) & (source < s0 + step))
+        G[:, cols] = green[rows[:, cols], source[cols] - s0]
+    return G
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_solve_cases(nrs=st.sampled_from([1, 2, 3, 17, 48, 128])), st.booleans())
+def test_green_block_matches_per_ring_solves(case, with_center):
+    # the closed form against one separable solve per source ring, on the
+    # unknowns a cut configuration touches, with and without the center
+    rs, M, _, cuts = case
+    a, b, _, sigma = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))
+    cut = (sigma < 0) & (a >= 0) & (b >= 0)
+    center = (rs.shape[0] - 1) * M
+    idx = np.union1d(np.concatenate([a[cut], b[cut]]), [center] if with_center else [])
+    idx = idx[(idx != center) | with_center].astype(np.intp)
+    sweep = _radial_sweep(rs, M, 1, "unknown")
+    G = _green_block(rs, M, sweep, idx)
+    ref = _green_block_by_solves(_separable_solver(rs, M, 1, "unknown", sweep), rs, M, idx)
+    assert G.shape == ref.shape == (idx.shape[0],) * 2
+    if idx.shape[0]:
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
