@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import DegenerateHeightError, FitError
 from .fields import _rescaled, harmonic_polynomial_basis, Polynomial, propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
@@ -153,7 +153,7 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True):
     for gi in ref_ids:
         try:
             ests[gi] = frequency_at_point(u, kept[gi], rho_max=rmax, nradii=5, spec=spec)
-        except Exception:
+        except DegenerateHeightError:
             ests[gi] = FrequencyEstimate(float("nan"), float("inf"),
                                          np.zeros(0), np.zeros(0), True)
     for gi, Z in enumerate(kept):

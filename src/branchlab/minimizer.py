@@ -18,16 +18,15 @@ separable solver (_solve_capacitance).  Its Green's functions are read from
 the closed-form inverse of each Fourier mode's tridiagonal radial system,
 with no per-ring solve (_green_block); Jacobi-preconditioned CG started from
 that solution only confirms it.  The edge list of _cover_edges is the one
-description of the operator: energy(), the right-hand side and the residual
-are sums over it, and only the CG check builds a sparse matrix from it.
+description of the operator: energy(), the right-hand side, the residual and
+the CG check's products are sums over it, and no sparse matrix is built.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
@@ -282,25 +281,6 @@ def _cover_edges(rs, M, wrap_sign, center_mode, flipped=()):
     sigma = np.concatenate([s_c, np.ones((NR - 1) * M), np.tile(s_a, NR)])
     sigma[np.asarray(flipped, dtype=np.intp)] *= -1.0
     return a, b, g, sigma
-
-
-def _edge_matrix(edges, n):
-    """Sparse operator A of the cover problem, for the CG check.
-
-    An edge between two unknowns adds the 2x2 block g [[1, -sigma], [-sigma,
-    1]]; an edge with one Dirichlet end adds g to the diagonal.  COO entries
-    are laid out edge by edge, so duplicates sum in edge order.
-    """
-    a, b, g, sigma = edges
-    a_unk, b_unk = a >= 0, b >= 0
-    both = a_unk & b_unk
-    diag = np.where(a_unk, a, b)
-    gs = -g * sigma
-    rows = np.stack([diag, b, a, b], axis=1)
-    cols = np.stack([diag, b, b, a], axis=1)
-    vals = np.stack([g, g, gs, gs], axis=1)
-    keep = np.stack([a_unk | b_unk, both, both, both], axis=1)
-    return coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def _edge_residual(edges, x, dirichlet):
@@ -664,15 +644,29 @@ def _solve_capacitance(rs, M, edges, rhs):
     return x + solve(rhs + _edge_residual(edges, x, np.zeros((M + 1, rhs.shape[1]))))
 
 
-def _solve_cg(A, rhs, x0):
+def _solve_cg(edges, rhs, x0):
     """Jacobi-preconditioned CG from x0, column by column, to relative
     residual CG_RTOL; SolverError if it does not converge.
 
-    Started from a direct solution it returns at iteration 0, so it only
-    confirms that solution; otherwise it finishes the solve.
+    The operator is the edge list itself: A v is -_edge_residual with zero
+    Dirichlet values, and the Jacobi diagonal is each unknown's sum of g
+    over the ends of its edges, less 2 g sigma for an edge from a node to
+    itself (the angular edge of a one-angle grid).  Started from a direct
+    solution it returns at iteration 0, so it only confirms that solution;
+    otherwise it finishes the solve.
     """
+    a, b, g, sigma = edges
+    n = rhs.shape[0]
+    zeros = np.zeros((-min(a.min(), b.min()), 1))
+    ka, kb = a >= 0, b >= 0
+    w = g * (1.0 - sigma * (a == b))
+    diag = (np.bincount(a[ka], weights=w[ka], minlength=n)
+            + np.bincount(b[kb], weights=w[kb], minlength=n))
+    inv_diag = 1.0 / np.maximum(diag, 1e-300)
+    A = LinearOperator((n, n), dtype=float,
+                       matvec=lambda v: -_edge_residual(edges, v.reshape(n, 1), zeros)[:, 0])
+    precond = LinearOperator((n, n), dtype=float, matvec=lambda v: inv_diag * v.reshape(n))
     sol = np.zeros(rhs.shape)
-    precond = diags(1.0 / np.maximum(A.diagonal(), 1e-300))
     for k in range(rhs.shape[1]):
         x, info = cg(A, rhs[:, k], x0=x0[:, k], rtol=CG_RTOL, atol=0.0, M=precond)
         if info != 0:
@@ -693,8 +687,8 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     extension.  The right-hand side and the relative residual are edge sums
     (_edge_residual); a residual above SEPARABLE_RTOL raises SolverError.
     Configurations with cuts solve directly too (_solve_capacitance), and
-    Jacobi-CG on _edge_matrix (_solve_cg) started from that solution checks
-    it to CG_RTOL.  Both raise SolverError on failure.
+    Jacobi-CG (_solve_cg), matrix-free on the same edge list, started from
+    that solution checks it to CG_RTOL.  Both raise SolverError on failure.
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -720,11 +714,10 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     if cuts:
         bvals = _boundary_values_with_cuts(boundary, M, flipped, edges[0].shape[0])
     n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
-    A = _edge_matrix(edges, n) if cuts else None  # before rhs: a lower peak
     dirichlet = _dirichlet_slots(bvals)
     rhs = _edge_residual(edges, np.zeros((n, m)), dirichlet)
     if cuts:
-        sol = _solve_cg(A, rhs, _solve_capacitance(rs, M, edges, rhs))
+        sol = _solve_cg(edges, rhs, _solve_capacitance(rs, M, edges, rhs))
     else:
         sol = solve_separable(rs, M, wrap, center_mode, rhs)
     res_total = float(np.linalg.norm(_edge_residual(edges, sol, dirichlet))

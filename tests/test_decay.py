@@ -301,3 +301,48 @@ def test_decay_run_json(tmp_path):
 
     text = json.dumps(d, sort_keys=True)
     assert "limit_profile" in text
+
+
+class _FailingField:
+    """u, except that symmetric_values raises TypeError ('error') or gives
+    zeros ('zero') while mode is set."""
+
+    def __init__(self, u):
+        self.u = u
+        self.mode = None
+
+    def __getattr__(self, name):
+        return getattr(self.u, name)
+
+    def symmetric_values(self, X):
+        if self.mode == "error":
+            raise TypeError("a fault in the field")
+        s = self.u.symmetric_values(X)
+        return 0.0 * s if self.mode == "zero" else s
+
+
+@pytest.mark.parametrize("mode", ["error", "zero"])
+def test_detect_frequency_failure(monkeypatch, mode):
+    # the frequency estimate of a candidate becomes NaN on a degenerate
+    # height only; any other error of the field propagates
+    from branchlab import decay
+
+    fld = _FailingField(CylindricalModeField.power_sum([(C_NULL, 1)], n=2))
+    frequency_at_point = decay.frequency_at_point
+
+    def failing(u, *args, **kwargs):
+        u.mode = mode
+        try:
+            return frequency_at_point(u, *args, **kwargs)
+        finally:
+            u.mode = None
+
+    monkeypatch.setattr(decay, "frequency_at_point", failing)
+    if mode == "error":
+        with pytest.raises(TypeError, match="a fault in the field"):
+            detect_branch_set(fld, extent=0.8, npts=21)
+        return
+    rep = detect_branch_set(fld, extent=0.8, npts=21)
+    assert rep.candidates
+    assert all(np.isnan(c.frequency.value) and c.frequency.uncertainty == np.inf
+               for c in rep.candidates)

@@ -34,13 +34,21 @@ def _tree(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def _reads(tree):
-    """How often each name is read: as a variable, an attribute, or by import."""
+def _reads(tree, methods=False):
+    """How often each name is read: as a variable, an attribute, or by import.
+
+    With methods=True, only the reads that can reach a method: an attribute
+    of a module bound by `import x` or `import x as y` (json.load,
+    np.interp) is not one.
+    """
+    modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+               if methods and isinstance(node, ast.Import) for alias in node.names}
     reads = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
             reads[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             reads.update(alias.name for alias in node.names)
@@ -96,14 +104,17 @@ def unreached_public(src, callers, bench):
     definition; by a read in a tree of `callers` or `bench`; by a dotted
     string literal `module.name` or `module.Class.method` in `bench`, as
     the benchmark names the functions it wraps; or as an entry point.
-    Methods match by name alone, whatever the object they are read from.
+    Methods match by name, whatever the object they are read from, except
+    a module bound by `import x` or `import x as y` (_reads).
     """
-    in_src = Counter()
-    for tree in src.values():
-        in_src.update(_reads(tree))
-    outside = set()
-    for tree in (*callers, *bench):
-        outside |= set(_reads(tree))
+    in_src, outside = {}, {}
+    for methods in (False, True):
+        in_src[methods] = Counter()
+        for tree in src.values():
+            in_src[methods].update(_reads(tree, methods))
+        outside[methods] = set()
+        for tree in (*callers, *bench):
+            outside[methods] |= set(_reads(tree, methods))
     literals = {node.value for tree in bench for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     dead = []
@@ -111,7 +122,9 @@ def unreached_public(src, callers, bench):
         for qualname, node in public_definitions(tree).items():
             name = qualname.rsplit(".", 1)[-1]
             key = f"{module}.{qualname}"
-            if not (in_src[name] > _reads(node)[name] or name in outside
+            method = "." in qualname
+            if not (in_src[method][name] > _reads(node, method)[name]
+                    or name in outside[method]
                     or key in literals or key in ENTRY_POINTS):
                 dead.append(key)
     return dead
@@ -150,3 +163,10 @@ def test_checks_catch_their_faults():
     bench = ast.parse('RULES = ("m.helper",)\nSPAN = "m.eval"\n')
     assert unreached_public({"m": lib}, [], [bench]) == ["m.Field.eval"]
     assert unreached_public({"m": lib}, [bench], []) == ["m.Field.eval", "m.helper"]
+    # an attribute of a module bound by an import reaches the module-level
+    # function of that name but no method, as json.load is not a .load method
+    modules = ast.parse("import json\nimport m\nimport numpy as np\n\n"
+                        "DATA = json.eval, np.eval, m.helper\n")
+    assert unreached_public({"m": lib}, [modules], []) == ["m.Field.eval"]
+    reader = ast.parse("from m import Field\n\nVALUE = Field().eval()\n")
+    assert unreached_public({"m": lib}, [modules, reader], []) == []

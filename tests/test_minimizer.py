@@ -14,7 +14,7 @@ from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
                                  CoverGridSpec, _batch_columns, _cover_edges,
                                  _crossing_signs, _cut_flips, _deflect_cuts,
-                                 _dirichlet_slots, _edge_matrix, _edge_residual,
+                                 _dirichlet_slots, _edge_residual,
                                  _edge_segments, _green_block, _radial_sweep,
                                  _ring_weights, _separable_solver, _solve_capacitance,
                                  _solve_cg, solve_separable, cover_frequency,
@@ -516,10 +516,6 @@ def _check_against_reference(rs, M, wrap_sign, center_mode, cuts, seed):
     sigma = sigma * _crossing_signs(*_edge_segments(rs, M), cuts)
     assert np.array_equal(edges[3], sigma) and np.array_equal(np.signbit(edges[3]),
                                                               np.signbit(sigma))
-    A = _edge_matrix(edges, n)
-    assert np.array_equal(A.indptr, A_ref.indptr)
-    assert np.array_equal(A.indices, A_ref.indices)
-    assert np.array_equal(A.data, A_ref.data)
     # the right-hand side is the edge sum at x = 0, bit for bit and sign of zero
     rhs = _edge_residual(edges, np.zeros((n, 2)), _dirichlet_slots(bvals))
     assert np.array_equal(rhs, rhs_ref)
@@ -665,11 +661,9 @@ def test_separable_energy_matches_cg(grid):
     for btr in (BoundaryTrace.from_field(u, 1.0), _periodic_trace()):
         cov = solve_branched_laplace(btr, grid=grid)
         assert cov.solve_residual < 1e-13
-        edges = _cover_edges(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode)
         n_ring_unknowns = (cov.rs.shape[0] - 1) * grid.ntheta
-        n = n_ring_unknowns + (cov.center_mode == "unknown")
-        rhs = _edge_residual(edges, np.zeros((n, cov.m)), _dirichlet_slots(cov.values[-1]))
-        sol = _cg_reference(_edge_matrix(edges, n), rhs)
+        sol = _cg_reference(*_reference_assembly(cov.rs, grid.ntheta, cov.wrap_sign,
+                                                 cov.center_mode, (), cov.values[-1]))
         values = cov.values.copy()
         values[:-1] = sol[:n_ring_unknowns].reshape(values[:-1].shape)
         center = sol[-1] if cov.center_mode == "unknown" else cov.center_value
@@ -689,20 +683,29 @@ def test_separable_residual_check_raises(monkeypatch, half_trace):
     assert 1e-10 < info.value.residual < 1e-3
 
 
-@pytest.mark.parametrize("trace", ["anti-periodic", "periodic"])
-def test_centered_solve_assembles_no_matrix(monkeypatch, half_trace, trace):
-    # the centred path takes its right-hand side and residual as edge sums;
-    # its values are those of the reference assembly's rhs, bit for bit
-    from branchlab import minimizer as mmod
+@pytest.mark.parametrize("case", ["anti-periodic", "periodic", "two-point"])
+def test_solves_build_no_sparse_matrix(monkeypatch, half_trace, case):
+    # the edge list is the only operator: the right-hand side, the residual
+    # and the CG check's products are edge sums, so neither a centred nor a
+    # cut solve constructs a scipy sparse matrix; a centred solve gives the
+    # values of the reference assembly's rhs, bit for bit
+    from scipy.sparse._base import _spbase
 
     def no_matrix(*args, **kwargs):
-        raise AssertionError("centred solve built a sparse matrix")
+        raise AssertionError("the solve built a sparse matrix")
 
-    monkeypatch.setattr(mmod, "coo_matrix", no_matrix)
-    btr = half_trace[1] if trace == "anti-periodic" else _periodic_trace()
+    btr, cfg = {"anti-periodic": (half_trace[1], None), "periodic": (_periodic_trace(), None),
+                "two-point": _two_point_trace()}[case]
     grid = CoverGridSpec(nr=32, ntheta=64)
-    cov = solve_branched_laplace(btr, grid=grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(_spbase, "__init__", no_matrix)
+        with pytest.raises(AssertionError, match="sparse matrix"):
+            coo_matrix(np.eye(2))
+        cov = solve_branched_laplace(btr, cfg, grid=grid)
     assert cov.solve_residual < 1e-13
+    if cfg is not None:
+        assert len(cov.flipped)
+        return
     _, rhs = _reference_assembly(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, (),
                                  cov.values[-1])
     sol = solve_separable(cov.rs, grid.ntheta, cov.wrap_sign, cov.center_mode, rhs)
@@ -778,7 +781,7 @@ def _two_point_trace():
 
 def test_two_point_solve_memory_peak():
     # the Green's block is built in chunks of source rings within the node
-    # budget, and the CG check's matrix is built before the right-hand side
+    # budget, and the CG check runs on the edge list with no sparse matrix
     import tracemalloc
 
     btr, cfg = _two_point_trace()
@@ -790,7 +793,7 @@ def test_two_point_solve_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5 * 2 ** 20
+    assert peak <= 7.5 * 2 ** 20
 
 
 def test_singular_capacitance_system_raises_solver_error(monkeypatch):
@@ -863,9 +866,61 @@ def test_capacitance_solve_matches_spsolve(case, seed):
         return cg(*args, callback=lambda xk: iters.append(1), **kwargs)
 
     with mock.patch.object(mmod, "cg", counted):
-        sol = _solve_cg(_edge_matrix(edges, A_ref.shape[0]), rhs, x)
+        sol = _solve_cg(edges, rhs, x)
     assert not iters
     assert np.array_equal(sol, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_solve_cases(), st.integers(0, 2 ** 16))
+def test_cg_from_zero_iterates_to_its_tolerance(case, seed):
+    # from x0 = 0 the matrix-free CG iterates; its operator is the reference
+    # matrix, its Jacobi diagonal the reference diagonal, and each column's
+    # edge-sum residual ends within CG_RTOL of its right-hand side
+    from unittest import mock
+
+    from branchlab import minimizer as mmod
+
+    rs, M, m, cuts = case
+    rng = np.random.default_rng(seed)
+    bvals = rng.standard_normal((M, m))
+    A_ref, rhs = _reference_assembly(rs, M, 1, "unknown", cuts, bvals)
+    edges = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))
+    calls = []
+
+    def counted(A, b, **kwargs):
+        calls.append({"A": A, "M": kwargs["M"], "iters": 0})
+
+        def callback(xk):
+            calls[-1]["iters"] += 1
+
+        return cg(A, b, callback=callback, **kwargs)
+
+    with mock.patch.object(mmod, "cg", counted):
+        sol = _solve_cg(edges, rhs, np.zeros(rhs.shape))
+    assert len(calls) == m and all(call["iters"] >= 1 for call in calls)
+    residual = _edge_residual(edges, sol, _dirichlet_slots(bvals))
+    assert np.all(np.linalg.norm(residual, axis=0)
+                  <= mmod.CG_RTOL * np.linalg.norm(rhs, axis=0))
+    n = A_ref.shape[0]
+    v = rng.standard_normal(n)
+    ref = A_ref @ v
+    assert np.linalg.norm(calls[0]["A"].matvec(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+    jacobi = 1.0 / calls[0]["M"].matvec(np.ones(n))
+    assert np.all(np.abs(jacobi - A_ref.diagonal()) <= 1e-15 * A_ref.diagonal())
+
+
+def test_cg_failure_raises_solver_error(monkeypatch):
+    # a CG that does not converge raises SolverError (exit 3 in the CLI)
+    # with the relative residual of what it returned: 1 for x = 0
+    from branchlab import minimizer as mmod
+
+    btr, cfg = _two_point_trace()
+    monkeypatch.setattr(mmod, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+    with pytest.raises(SolverError, match=r"info=1") as info:
+        solve_branched_laplace(btr, cfg, grid=GRID_COARSE)
+    assert np.isfinite(info.value.residual)
+    assert info.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
 def _green_block_by_solves(solve0, rs, M, idx):
