@@ -16,17 +16,17 @@ operator is the cut-free separable one plus a low-rank change on the flipped
 edges, so they too solve directly, by the capacitance-matrix method on the
 separable solver (_solve_capacitance).  Its Green's functions are read from
 the closed-form inverse of each Fourier mode's tridiagonal radial system,
-with no per-ring solve (_green_block); Jacobi-preconditioned CG started from
-that solution only confirms it.  The edge list of _cover_edges is the one
-description of the operator: energy(), the right-hand side, the residual and
-the CG check's products are sums over it, and no sparse matrix is built.
+with no per-ring solve (_green_block); the module's own Jacobi-preconditioned
+CG (cg), started from that solution, only confirms it.  The edge list of
+_cover_edges is the one description of the operator: energy(), the
+right-hand side, the residual and the CG check's products are sums over it,
+no sparse matrix is built, and the module needs numpy alone.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
@@ -644,14 +644,51 @@ def _solve_capacitance(rs, M, edges, rhs):
     return x + solve(rhs + _edge_residual(edges, x, np.zeros((M + 1, rhs.shape[1]))))
 
 
+def cg(matvec, b, x0, inv_diag, callback=None):
+    """Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel 1952)
+    for A x = b from x0, with A v = matvec(v) symmetric positive definite
+    and inv_diag the inverse of its diagonal.
+
+    Returns (x, info) on the protocol of scipy.sparse.linalg.cg with rtol
+    CG_RTOL and atol 0: info = 0 once |b - A x| < CG_RTOL |b| (x = 0 for
+    b = 0), else the 10 n steps taken.  callback(x) follows each step.
+    """
+    b = np.ascontiguousarray(b, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return np.zeros_like(b), 0
+    tol = CG_RTOL * bnorm
+    x = np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    steps = 10 * b.shape[0]
+    for step in range(steps):
+        if np.linalg.norm(r) < tol:
+            return x, 0
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if step:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, steps
+
+
 def _solve_cg(edges, rhs, x0):
-    """Jacobi-preconditioned CG from x0, column by column, to relative
+    """Jacobi-preconditioned CG (cg) from x0, column by column, to relative
     residual CG_RTOL; SolverError if it does not converge.
 
-    The operator is the edge list itself: A v is -_edge_residual with zero
-    Dirichlet values, and the Jacobi diagonal is each unknown's sum of g
-    over the ends of its edges, less 2 g sigma for an edge from a node to
-    itself (the angular edge of a one-angle grid).  Started from a direct
+    The operator is the edge list itself: cg's matvec(v) is -_edge_residual
+    with zero Dirichlet values, and the Jacobi diagonal is each unknown's sum
+    of g over the ends of its edges, less 2 g sigma for an edge from a node
+    to itself (the angular edge of a one-angle grid).  Started from a direct
     solution it returns at iteration 0, so it only confirms that solution;
     otherwise it finishes the solve.
     """
@@ -663,14 +700,15 @@ def _solve_cg(edges, rhs, x0):
     diag = (np.bincount(a[ka], weights=w[ka], minlength=n)
             + np.bincount(b[kb], weights=w[kb], minlength=n))
     inv_diag = 1.0 / np.maximum(diag, 1e-300)
-    A = LinearOperator((n, n), dtype=float,
-                       matvec=lambda v: -_edge_residual(edges, v.reshape(n, 1), zeros)[:, 0])
-    precond = LinearOperator((n, n), dtype=float, matvec=lambda v: inv_diag * v.reshape(n))
+
+    def matvec(v):
+        return -_edge_residual(edges, v.reshape(n, 1), zeros)[:, 0]
+
     sol = np.zeros(rhs.shape)
     for k in range(rhs.shape[1]):
-        x, info = cg(A, rhs[:, k], x0=x0[:, k], rtol=CG_RTOL, atol=0.0, M=precond)
+        x, info = cg(matvec, rhs[:, k], x0[:, k], inv_diag)
         if info != 0:
-            res = float(np.linalg.norm(A @ x - rhs[:, k])
+            res = float(np.linalg.norm(matvec(x) - rhs[:, k])
                         / max(np.linalg.norm(rhs[:, k]), 1e-300))
             raise SolverError(f"CG did not converge (info={info})", residual=res)
         sol[:, k] = x

@@ -3,14 +3,15 @@
 The rotation parameter A lives in the skew space with zero diagonal blocks
 (entries vanish when both indices are <= 2 or both are >= 3), so e^A tilts
 the branch axis without rotating within the (x1,x2)-plane or within the
-axis plane.  Fitting is linear least squares in c on the branched cover and
-Gauss-Newton in the 2(n-2) free entries of A.
+axis plane.  Such an A is [[0, B], [-B^T, 0]], and with B = U diag(s) V^T
+e^A = I + [[U (cos s - 1) U^T, U sin s V^T], [-V sin s U^T, V (cos s - 1) V^T]]
+in closed form (_rotation).  Fitting is linear least squares in c on the
+branched cover and Gauss-Newton in the 2(n-2) free entries of A.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
@@ -42,13 +43,31 @@ def skew_params(A):
 
 def is_admissible_skew(A):
     n = A.shape[0]
-    if not np.allclose(A, -A.T, atol=1e-12):
+    if not np.allclose(A, -A.T, rtol=0.0, atol=1e-12):
         return False
     if np.max(np.abs(A[0:2, 0:2])) > 1e-12:
         return False
     if n > 2 and np.max(np.abs(A[2:, 2:])) > 1e-12:
         return False
     return True
+
+
+def _rotation(A):
+    """e^A of an admissible A = [[0, B], [-B^T, 0]] in closed form.
+
+    With B = U diag(s) V^T (thin SVD), A^2 = -diag(B B^T, B^T B) and
+    e^A = I + [[U (cos s - 1) U^T, U sin s V^T], [-V sin s U^T, V (cos s - 1) V^T]]
+    (Gallier & Xu 2002).  Each block is added to the identity, so at A = 0,
+    and for every A at n = 2, Q is np.eye(n) bit for bit.
+    """
+    U, s, Vt = np.linalg.svd(A[0:2, 2:], full_matrices=False)
+    cos1, S = np.cos(s) - 1.0, (U * np.sin(s)) @ Vt
+    Q = np.eye(A.shape[0])
+    Q[0:2, 0:2] += (U * cos1) @ U.T
+    Q[0:2, 2:] += S
+    Q[2:, 0:2] -= S.T
+    Q[2:, 2:] += (Vt.T * cos1) @ Vt
+    return Q
 
 
 class CylindricalProfile(Field):
@@ -65,7 +84,7 @@ class CylindricalProfile(Field):
         if self.A.shape != (self.n, self.n) or not is_admissible_skew(self.A):
             raise ValueError("A must lie in the admissible skew space")
         self.center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
-        self.Q = expm(self.A)
+        self.Q = _rotation(self.A)
         self.domain = None  # defined on all of R^n
 
     @property

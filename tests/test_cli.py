@@ -613,3 +613,52 @@ def test_readme_config_and_params_table(tmp_path):
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK
     rows = [line.split("`")[1] for line in text.splitlines() if line.startswith("| `")]
     assert sorted(rows) == sorted(cli.PARAMS)
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+
+import numpy as np
+
+from branchlab import cli
+from branchlab.fields import BranchPolynomialField
+from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverGridSpec,
+                                 solve_branched_laplace)
+
+for path in sys.argv[1:]:
+    assert cli.main(["run", path]) == cli.EXIT_OK, path
+u = BranchPolynomialField([-0.09, 0.0, 1.0], c=np.array([1.0, -1.0j]))
+points = [np.array([0.3, 0.0]), np.array([-0.3, 0.0])]
+cov = solve_branched_laplace(BoundaryTrace.from_field(u, 1.0), BranchConfiguration(points),
+                             grid=CoverGridSpec(nr=12, ntheta=24))
+assert len(cov.flipped)
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # the lab runs on numpy alone: a fresh interpreter that runs the
+    # frequency, minimize, decay and spectral stages and a two-point cut
+    # solve has loaded no scipy module (the tests themselves import scipy,
+    # hence the subprocess)
+    import subprocess
+    import sys
+
+    quad = {"nr": 16, "ntheta": 32, "nsphere": 64}
+    minimize = minimize_config("out_min", [[12, 24]])
+    decay = {"schema_version": 1, "kind": "decay",
+             "field": {"type": "sampled", "n": 2, "path": "out_min/minimizer_solution.csv"},
+             "params": {"j_max": 1, "quadrature": quad},
+             "output_dir": "out_decay", "seed": 0}
+    pipeline = dict(freq_config("out_pipe"), kind="full-pipeline",
+                    params={"stages": ["frequency", "decay", "spectral"], "radii": [0.5, 1.0],
+                            "j_max": 1, "quadrature": quad})
+    paths = [write_config(tmp_path, cfg, name) for cfg, name in
+             ((minimize, "minimize.json"), (decay, "decay.json"), (pipeline, "pipeline.json"))]
+    src = os.path.join(os.path.dirname(os.path.abspath(cli.__file__)), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *paths], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

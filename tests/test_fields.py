@@ -239,6 +239,8 @@ def _power_sums_and_cut_points(draw):
           np.array([[-0.65625, 0.0], [-0.65625, -0.0]])))
 @example((CylindricalModeField.power_sum([(-4.8e-112 - 0.5j, 4), (-4.8e-112 + 0.5j, 4)], n=2),
           np.array([[-0.5, 0.0], [-0.5, -0.0]])))
+@example((CylindricalModeField.power_sum([(5e-324j, 1)], n=3),
+          np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0]])))
 def test_power_sum_gradient_matches_trig_reference(case):
     u, X = case
     base, Xb, factor = _unwrap(u, X)
@@ -257,10 +259,12 @@ def test_power_sum_gradient_matches_trig_reference(case):
     # sum_k |c_k| (k/2) r^(k/2 - 1).  It is floored at tiny: where it is subnormal,
     # 1e-14 relative is below one subnormal ulp, and the complex path's correctly
     # rounded +-5e-324 must pass where the trigonometric reference underflows to 0.
+    # At r = 0 a term with k = 1 and |c| (k/2) underflowing to 0 sizes as 0 inf =
+    # nan; fmax floors that at tiny too, where the finite x3 components are 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         sizes = sum(np.where(c != 0, np.abs(c) * (k / 2) * r[:, None] ** (k / 2 - 1), 0.0)
                     for c, k in terms)
-    scale = np.broadcast_to(np.maximum(sizes * factor, np.finfo(float).tiny)[:, :, None],
+    scale = np.broadcast_to(np.fmax(sizes * factor, np.finfo(float).tiny)[:, :, None],
                             got.shape)
     err = np.abs(got[check] - ref[check])
     assert np.all(err <= 1e-14 * scale[check]), np.max(err / scale[check])

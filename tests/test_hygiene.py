@@ -1,11 +1,12 @@
 """Static checks on src/branchlab in place of a linter.
 
-Every import a module makes is used in that module, every module-level
-private function or class is referenced somewhere in src/branchlab, and
-every public function, class and method is reached from outside its own
-definition by the library, the benchmark, the acceptance suite or the
-console script.  A name that only unit tests call does not survive as
-library code.
+Every import a module makes is used in that module, no module imports
+scipy (the runtime is numpy alone; scipy is a test dependency), every
+module-level private function or class is referenced somewhere in
+src/branchlab, and every public function, class and method is reached
+from outside its own definition by the library, the benchmark, the
+acceptance suite or the console script.  A name that only unit tests call
+does not survive as library code.
 """
 
 import ast
@@ -66,6 +67,17 @@ def unused_imports(tree):
                 if bound not in read:
                     unused.append(bound)
     return unused
+
+
+def scipy_imports(tree):
+    """The scipy modules a module imports, at any depth of its code."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] == "scipy"]
 
 
 def unreferenced_private(trees):
@@ -135,6 +147,11 @@ def test_every_import_is_used(path):
     assert unused_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(_tree(path)) == []
+
+
 def test_every_private_helper_has_a_caller():
     assert unreferenced_private({p: _tree(p) for p in MODULES}) == []
 
@@ -148,6 +165,11 @@ def test_every_public_name_has_a_caller():
 def test_checks_catch_their_faults():
     tree = ast.parse("import os\nfrom math import pi, tau\n\ndef _helper():\n    return pi\n")
     assert unused_imports(tree) == ["os", "tau"]
+    assert scipy_imports(tree) == []
+    solver = ast.parse("import scipy.linalg\nimport scipyx\nfrom .scipy import cg\n"
+                       "from scipy.sparse.linalg import cg\n\n"
+                       "def expm(A):\n    import scipy as sp\n    return sp\n")
+    assert scipy_imports(solver) == ["scipy.linalg", "scipy.sparse.linalg", "scipy"]
     assert unreferenced_private({"m.py": tree}) == ["m.py:_helper"]
     called = ast.parse("def _helper():\n    return 1\n\nVALUE = _helper()\n")
     assert unreferenced_private({"m.py": tree, "n.py": called}) == []

@@ -11,13 +11,13 @@ from branchlab.errors import BoundaryLiftError, SolverError
 from branchlab import fields
 from branchlab.fields import BranchPolynomialField, CylindricalModeField, RescaledField
 from branchlab.frequency import stationarity_residuals
-from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverField,
+from branchlab.minimizer import (CG_RTOL, BoundaryTrace, BranchConfiguration, CoverField,
                                  CoverGridSpec, _batch_columns, _cover_edges,
                                  _crossing_signs, _cut_flips, _deflect_cuts,
                                  _dirichlet_slots, _edge_residual,
                                  _edge_segments, _green_block, _radial_sweep,
                                  _ring_weights, _separable_solver, _solve_capacitance,
-                                 _solve_cg, solve_separable, cover_frequency,
+                                 _solve_cg, cg as cg_numpy, solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -863,7 +863,7 @@ def test_capacitance_solve_matches_spsolve(case, seed):
     iters = []
 
     def counted(*args, **kwargs):
-        return cg(*args, callback=lambda xk: iters.append(1), **kwargs)
+        return cg_numpy(*args, callback=lambda xk: iters.append(1), **kwargs)
 
     with mock.patch.object(mmod, "cg", counted):
         sol = _solve_cg(edges, rhs, x)
@@ -888,13 +888,13 @@ def test_cg_from_zero_iterates_to_its_tolerance(case, seed):
     edges = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))
     calls = []
 
-    def counted(A, b, **kwargs):
-        calls.append({"A": A, "M": kwargs["M"], "iters": 0})
+    def counted(matvec, b, x0, inv_diag, callback=None):
+        calls.append({"matvec": matvec, "inv_diag": inv_diag, "iters": 0})
 
-        def callback(xk):
+        def count(xk):
             calls[-1]["iters"] += 1
 
-        return cg(A, b, callback=callback, **kwargs)
+        return cg_numpy(matvec, b, x0, inv_diag, callback=count)
 
     with mock.patch.object(mmod, "cg", counted):
         sol = _solve_cg(edges, rhs, np.zeros(rhs.shape))
@@ -905,9 +905,33 @@ def test_cg_from_zero_iterates_to_its_tolerance(case, seed):
     n = A_ref.shape[0]
     v = rng.standard_normal(n)
     ref = A_ref @ v
-    assert np.linalg.norm(calls[0]["A"].matvec(v) - ref) <= 1e-13 * np.linalg.norm(ref)
-    jacobi = 1.0 / calls[0]["M"].matvec(np.ones(n))
+    assert np.linalg.norm(calls[0]["matvec"](v) - ref) <= 1e-13 * np.linalg.norm(ref)
+    jacobi = 1.0 / calls[0]["inv_diag"]
     assert np.all(np.abs(jacobi - A_ref.diagonal()) <= 1e-15 * A_ref.diagonal())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_solve_cases(), st.integers(0, 2 ** 16))
+def test_cg_follows_scipy_cg(case, seed):
+    # the lab's CG against scipy's on the reference matrix and its Jacobi
+    # preconditioner from x0 = 0: the same info, the same number of steps,
+    # the same x to 1e-12 relative; b = 0 gives x = 0 at once
+    rs, M, m, cuts = case
+    A, rhs = _reference_assembly(rs, M, 1, "unknown", cuts,
+                                 np.random.default_rng(seed).standard_normal((M, m)))
+    n = A.shape[0]
+    inv_diag = 1.0 / np.maximum(A.diagonal(), 1e-300)
+    for k in range(m):
+        steps, ref_steps = [], []
+        x, info = cg_numpy(lambda v: A @ v, rhs[:, k], np.zeros(n), inv_diag,
+                           callback=lambda xk: steps.append(1))
+        ref, ref_info = cg(A, rhs[:, k], x0=np.zeros(n), rtol=CG_RTOL, atol=0.0,
+                           M=diags(inv_diag), callback=lambda xk: ref_steps.append(1))
+        assert info == ref_info == 0
+        assert len(steps) == len(ref_steps) >= 1
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    x, info = cg_numpy(lambda v: A @ v, np.zeros(n), np.ones(n), inv_diag)
+    assert info == 0 and np.array_equal(x, np.zeros(n))
 
 
 def test_cg_failure_raises_solver_error(monkeypatch):
@@ -916,7 +940,8 @@ def test_cg_failure_raises_solver_error(monkeypatch):
     from branchlab import minimizer as mmod
 
     btr, cfg = _two_point_trace()
-    monkeypatch.setattr(mmod, "cg", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+    monkeypatch.setattr(mmod, "cg", lambda matvec, b, x0, inv_diag, **kwargs:
+                        (np.zeros(b.shape), 1))
     with pytest.raises(SolverError, match=r"info=1") as info:
         solve_branched_laplace(btr, cfg, grid=GRID_COARSE)
     assert np.isfinite(info.value.residual)

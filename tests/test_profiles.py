@@ -6,7 +6,7 @@ import pytest
 from branchlab import cli
 from branchlab.errors import FitError
 from branchlab.fields import BranchPolynomialField, CylindricalMode, CylindricalModeField
-from branchlab.profiles import (CylindricalProfile, corollary_checks,
+from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
                                 cover_grid, excess, fit_c, fit_profile,
                                 fit_rotation, graphical_decompose,
                                 is_admissible_skew, lift_against_profile,
@@ -31,6 +31,35 @@ def test_skew_space_structure():
     assert not is_admissible_skew(bad)
     with pytest.raises(ValueError):
         CylindricalProfile(C_NULL, 1, A=bad, n=3)
+    # a lower block off by 1e-6 relative: an antisymmetry defect of 3e-7,
+    # far above the absolute 1e-12 the check allows
+    skewed = skew_from_params([0.3, -0.2], 3)
+    skewed[2:, 0:2] *= 1.0 + 1e-6
+    assert not is_admissible_skew(skewed)
+    with pytest.raises(ValueError):
+        CylindricalProfile(C_NULL, 1, A=skewed, n=3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rotation_matches_expm(n):
+    # the closed form against scipy's expm over random admissible A with
+    # |B| from 1e-6 to about 10; Q is orthogonal
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(n)
+    for scale in np.geomspace(1e-6, 10.0, 200):
+        params = rng.standard_normal(2 * (n - 2))
+        A = skew_from_params(scale * params / np.linalg.norm(params), n)
+        Q = _rotation(A)
+        assert np.max(np.abs(Q - expm(A))) <= 1e-12
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rotation_is_the_identity_at_zero(n):
+    # exact, so that a profile with A = 0 keeps its frame bit for bit
+    assert np.array_equal(_rotation(np.zeros((n, n))), np.eye(n))
+    assert np.array_equal(CylindricalProfile(C_NULL, 1, n=n).Q, np.eye(n))
 
 
 def test_profile_evaluation_matches_power_sum():
