@@ -31,20 +31,15 @@ def rescale_raw(u, Z, rho, homogeneity):
 @dataclass
 class SingularCandidate:
     location: np.ndarray
-    s_norm: float
-    ds_norm: float
     frequency: FrequencyEstimate
     holonomy: float
-    in_zero_set: bool
     in_coincidence_set: bool
-    branch_evidence: bool
 
 
 @dataclass
 class SingularReport:
     candidates: list
     grid_spacing: float
-    thresholds: dict
 
     def high_frequency(self, alpha):
         """Candidates whose frequency is within three estimator sigmas of alpha, or above."""
@@ -108,7 +103,7 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True):
     svals = np.linalg.norm(u.symmetric_values(pts), axis=1).reshape([npts] * n)
     smax = float(np.max(svals))
     if smax <= 1e-14:
-        return SingularReport([], h, {"s": 0.0, "note": "symmetric part vanishes identically"})
+        return SingularReport([], h)
     tau_s = smax * (4.0 * h / extent) ** 0.5
     # seeds: lattice local minima of |s| below the resolution-scaled gate
     # (a saddle between two nearby zeros is not a local minimum, so close
@@ -164,21 +159,17 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True):
         hol = _loop_holonomy(u, Z, max(2 * h, 0.02))
         cand = SingularCandidate(
             location=Z,
-            s_norm=s_norm,
-            ds_norm=ds_norm,
             frequency=est,
             holonomy=float(hol),
-            in_zero_set=s_norm <= tau_s,
             in_coincidence_set=bool(
                 s_norm <= tau_s
                 and (not np.isfinite(ds_norm) or ds_norm <= tau_ds or hol < 0)
             ),
-            branch_evidence=bool(hol < 0),
         )
         if minimizing and np.isfinite(est.value) and est.value < 0.5 - 3 * max(est.uncertainty, 1e-12) - 0.02:
             continue
         candidates.append(cand)
-    return SingularReport(candidates, h, {"s": tau_s})
+    return SingularReport(candidates, h)
 
 
 def gap_probe(report, delta0, alpha, n):
@@ -235,7 +226,6 @@ class DecayRun:
     limit_profile: CylindricalProfile
     exponent_estimate: float   # fitted 2*mu
     drift: list                # per-step profile drift excesses
-    truncated: bool = False
 
     def to_json_dict(self):
         return {
@@ -285,12 +275,10 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     steps = [DecayStep(0, phi, float(e0), 1.0, "decay")]
     drift = []
     outcome = "decay"
-    truncated = False
     probe_spec = QuadratureSpec(nr=16, ntheta=48, naxis=8, nsphere=96)
     for j in range(1, j_max + 1):
         scale = theta ** j
         if scale < min_scale:
-            truncated = True
             outcome = "truncated"
             break
         uj = rescale_raw(u, Z, theta ** (j - 1), alpha)
@@ -323,7 +311,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     else:
         slope = float("nan")
     return DecayRun(Z, float(theta), int(k), steps, outcome, phi, float(slope),
-                    [float(v) for v in drift], truncated)
+                    [float(v) for v in drift])
 
 
 def _middle_slope(x, y):
@@ -362,10 +350,8 @@ def fit_harmonic_average(u, Z):
 class TangentResult:
     k: int
     c: np.ndarray
-    rotation: np.ndarray
     gamma_l2: float
     gamma_sup: float
-    constant: float
     sigmas: np.ndarray
     l2_table: np.ndarray
     sup_table: np.ndarray
@@ -393,7 +379,7 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
     n = u.n
     if prof is None or float(np.linalg.norm(prof.c)) < 1e-10:
         return TangentResult(run.k, prof.c if prof is not None else np.zeros(u.m),
-                             np.eye(n), float("nan"), float("nan"), float("nan"),
+                             float("nan"), float("nan"),
                              np.zeros(0), np.zeros(0), np.zeros(0),
                              is_branch_point=False)
     if sigmas is None:
@@ -423,9 +409,7 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
     sup_slope = _middle_slope(sigmas, np.maximum(sup, 1e-300))
     gamma_l2 = l2_slope - run.k
     gamma_sup = sup_slope - run.k
-    consts = l2 / sigmas ** (run.k + gamma_l2) if np.isfinite(gamma_l2) else l2
     return TangentResult(
-        k=run.k, c=prof.c, rotation=prof.Q, gamma_l2=float(gamma_l2),
-        gamma_sup=float(gamma_sup), constant=float(np.max(consts)),
+        k=run.k, c=prof.c, gamma_l2=float(gamma_l2), gamma_sup=float(gamma_sup),
         sigmas=sigmas, l2_table=l2, sup_table=sup,
     )

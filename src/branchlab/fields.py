@@ -13,17 +13,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PairingError
 from .pairspace import metric_sq_arrays, metric_sq_symmetric, selection_costs
-from .quadrature import QuadratureSpec, unit_ball
+from .quadrature import GRADING, QuadratureSpec, unit_ball
 
 
 def _as_points(X, n):
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if single:
+    if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != n:
         raise DimensionMismatchError(f"points have dimension {X.shape[1]}, field has n={n}")
-    return X, single
+    return X
 
 
 class Field:
@@ -36,13 +35,13 @@ class Field:
     planar = False  # True when values and gradients depend on (x1, x2) alone
 
     def average_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         if self.average is None:
             return np.zeros((X.shape[0], self.m))
         return self.average.value(X)
 
     def average_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         if self.average is None:
             return np.zeros((X.shape[0], self.m, self.n))
         return self.average.gradient(X)
@@ -95,7 +94,7 @@ class CylindricalModeField(Field):
     integers); the constructor enforces this.
     """
 
-    def __init__(self, modes, n=2, average=None, domain=None):
+    def __init__(self, modes, n=2, average=None):
         self.modes = list(modes)
         if not self.modes:
             raise ValueError("need at least one mode")
@@ -116,16 +115,16 @@ class CylindricalModeField(Field):
         self.parity = parities.pop()
         self.average = average
         self.planar = average is None and all(md.ylin is None for md in self.modes)
-        self.domain = domain if domain is not None else unit_ball(self.n)
+        self.domain = unit_ball(self.n)
 
     @classmethod
-    def power_sum(cls, terms, n=2, average=None, domain=None):
+    def power_sum(cls, terms, n=2, average=None):
         """Harmonic field {+-Re(sum_j c_j z^(k_j/2))}; terms = [(c, k), ...]."""
         modes = []
         for c, k in terms:
             c = np.atleast_1d(np.asarray(c, dtype=complex))
             modes.append(CylindricalMode(k / 2.0, k / 2.0, c.real, -c.imag))
-        return cls(modes, n=n, average=average, domain=domain)
+        return cls(modes, n=n, average=average)
 
     def power_terms(self):
         """Back out (c, k) pairs for harmonic modes; None if a mode is not one."""
@@ -143,11 +142,11 @@ class CylindricalModeField(Field):
         return md.y0 + y @ md.ylin
 
     def symmetric_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         return self.lift(*_xy_split(X, self.n))
 
     def symmetric_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         N = X.shape[0]
         out = np.zeros((N, self.m, self.n))
         terms = self.power_terms()
@@ -259,12 +258,12 @@ class BranchPolynomialField(Field):
         return np.sqrt(self._P(z, y)), z, y
 
     def symmetric_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         w, _, _ = self._w(X)
         return np.real(w[:, None] * self.c[None, :])
 
     def symmetric_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         w, z, y = self._w(X)
         with np.errstate(divide="ignore", invalid="ignore"):
             dwdz = self._dP(z) / (2.0 * w)
@@ -437,19 +436,19 @@ class RescaledField(Field):
         return self.Y[None, :] + self.rho * X
 
     def symmetric_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         return self.base.symmetric_values(self._map(X)) / self.scale
 
     def symmetric_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         return self.base.symmetric_gradient(self._map(X)) * (self.rho / self.scale)
 
     def average_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         return self.base.average_values(self._map(X)) / self.scale
 
     def average_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         return self.base.average_gradient(self._map(X)) * (self.rho / self.scale)
 
     @property
@@ -485,9 +484,9 @@ def l2_distance_sq(u, v, ball, spec=None):
 # Sampled fields on structured polar grids
 
 
-def graded_radii(nr, radius, grading=2.0):
+def graded_radii(nr, radius):
     s = (np.arange(1, nr + 1)) / float(nr)
-    return radius * s ** grading
+    return radius * s ** GRADING
 
 
 class PolarGrid:
@@ -580,7 +579,7 @@ class SampledField(Field):
         return idx, np.clip(t, 0.0, 1.0)
 
     def _interp_lift(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         r = np.hypot(X[:, 0], X[:, 1])
         theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
         ir, tr = self._locate(r, self.grid.rs)
@@ -619,14 +618,14 @@ class SampledField(Field):
         return s
 
     def average_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         if self.avg is None:
             return np.zeros((X.shape[0], self.m))
         _, h = self._interp_lift(X)
         return h
 
     def symmetric_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         eps = 1e-5 * self.domain.radius
         out = np.zeros((X.shape[0], self.m, self.n))
         for axis in range(self.n):

@@ -9,7 +9,7 @@ to |u|^2 = 2(|h|^2 + |s|^2) and |Du|^2 = 2(|Dh|^2 + |Ds|^2), so one branch
 representative of s suffices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class FrequencyProfile:
     D: np.ndarray
     H: np.ndarray
     N: np.ndarray
-    quadrature: QuadratureSpec = field(default=None, repr=False)
 
     def slopes(self):
         """dN/drho by central differences (one-sided at the ends)."""
@@ -88,14 +87,13 @@ def frequency_profile(u, Y, radii, spec=None):
         H[i] = rho ** (1 - n) * h
         if H[i] <= floor * rho ** (1 - n):
             raise DegenerateHeightError(float(rho), float(H[i]), floor)
-    return FrequencyProfile(Y, radii, D, H, D / H, spec)
+    return FrequencyProfile(Y, radii, D, H, D / H)
 
 
 @dataclass
 class MonotonicityReport:
     radii: np.ndarray
     slopes: np.ndarray
-    slack: float
     violations: list
 
     @property
@@ -113,7 +111,7 @@ def check_monotonicity(profile, slack=1e-8):
         for i in range(slopes.shape[0])
         if slopes[i] < -slack
     ]
-    return MonotonicityReport(profile.radii, slopes, slack, violations)
+    return MonotonicityReport(profile.radii, slopes, violations)
 
 
 @dataclass
@@ -191,7 +189,6 @@ class StationarityReport:
     squash: float
     squeeze: float
     radial: np.ndarray
-    details: dict
 
 
 def default_test_functions(n):
@@ -267,8 +264,6 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
         squash=float(np.max(np.abs(squash_vals))),
         squeeze=float(np.max(np.abs(squeeze_vals))),
         radial=np.abs(np.asarray(radial)),
-        details={"squash": squash_vals, "squeeze": squeeze_vals,
-                 "radial_radii": list(radial_radii)},
     )
 
 

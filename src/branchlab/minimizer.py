@@ -14,13 +14,15 @@ Off-center and two-point branch configurations are handled by cut-based
 sign bookkeeping (edges crossing the cut arcs couple with a -1 sign).  Their
 operator is the cut-free separable one plus a low-rank change on the flipped
 edges, so they too solve directly, by the capacitance-matrix method on the
-separable solver (_solve_capacitance).  Its Green's functions are read from
-the closed-form inverse of each Fourier mode's tridiagonal radial system,
-with no per-ring solve (_green_block); the module's own Jacobi-preconditioned
-CG (cg), started from that solution, only confirms it.  The edge list of
-_cover_edges is the one description of the operator: energy(), the
-right-hand side, the residual and the CG check's products are sums over it,
-no sparse matrix is built, and the module needs numpy alone.
+separable solver (solve_cut; public, so a benchmark tracer that wraps the
+public functions times it apart from the rest of the solve).  Its Green's
+functions are read from the closed-form inverse of each Fourier mode's
+tridiagonal radial system, with no per-ring solve (_green_block); the
+module's own Jacobi-preconditioned CG (cg), started from that solution, only
+confirms it.  The edge list of _cover_edges is the one description of the
+operator: energy(), the right-hand side, the residual and the CG check's
+products are sums over it, no sparse matrix is built, and the module needs
+numpy alone.
 """
 
 import itertools
@@ -141,14 +143,9 @@ class BranchConfiguration:
 class CoverGridSpec:
     nr: int = 96
     ntheta: int = 192
-    grading: float = 2.0
 
     def radii(self, R):
-        return graded_radii(self.nr, R, grading=self.grading)
-
-    def refined(self, level):
-        f = 2 ** int(level)
-        return CoverGridSpec(self.nr * f, self.ntheta * f, self.grading)
+        return graded_radii(self.nr, R)
 
 
 def _deflect_cuts(cuts, rs):
@@ -516,8 +513,10 @@ def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
             u *= np.conj(twist)
             sol[: nring * M, cols] = u.real.reshape(nring * M, K)
         if center_mode == "unknown":
-            ring0 = sol[: M * min(nring, 1)]  # empty when ring 0 is the boundary
-            sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
+            # ring 0's sum in row order for any column count (a lone column's
+            # sum would go pairwise); none when ring 0 is the boundary
+            ring0 = np.cumsum(sol[:M], axis=0)[-1] if nring else 0.0
+            sol[-1] = (rhs[-1] + g_c * ring0) / (M * g_c)
         return sol
 
     return solve
@@ -600,7 +599,7 @@ def _green_block(rs, M, sweep, idx):
     return G
 
 
-def _solve_capacitance(rs, M, edges, rhs):
+def solve_cut(rs, M, edges, rhs):
     """Direct solve of a cut configuration by the capacitance-matrix method.
 
     The operator is A = A0 + dA: A0 the cut-free one (wrap +1, 'unknown'
@@ -724,7 +723,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     polar grid, periodic data as the decoupled single-valued harmonic
     extension.  The right-hand side and the relative residual are edge sums
     (_edge_residual); a residual above SEPARABLE_RTOL raises SolverError.
-    Configurations with cuts solve directly too (_solve_capacitance), and
+    Configurations with cuts solve directly too (solve_cut), and
     Jacobi-CG (_solve_cg), matrix-free on the same edge list, started from
     that solution checks it to CG_RTOL.  Both raise SolverError on failure.
     """
@@ -755,7 +754,7 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     dirichlet = _dirichlet_slots(bvals)
     rhs = _edge_residual(edges, np.zeros((n, m)), dirichlet)
     if cuts:
-        sol = _solve_cg(edges, rhs, _solve_capacitance(rs, M, edges, rhs))
+        sol = _solve_cg(edges, rhs, solve_cut(rs, M, edges, rhs))
     else:
         sol = solve_separable(rs, M, wrap, center_mode, rhs)
     res_total = float(np.linalg.norm(_edge_residual(edges, sol, dirichlet))

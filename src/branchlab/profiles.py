@@ -99,14 +99,14 @@ class CylindricalProfile(Field):
         return Xp @ self.Q + self.center[None, :]
 
     def symmetric_values(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         Xp = self.to_frame(X)
         z = Xp[:, 0] + 1j * Xp[:, 1]
         w = z ** self.alpha
         return np.real(w[:, None] * self.c[None, :])
 
     def symmetric_gradient(self, X):
-        X, _ = _as_points(X, self.n)
+        X = _as_points(X, self.n)
         Xp = self.to_frame(X)
         z = Xp[:, 0] + 1j * Xp[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,7 +365,6 @@ class GraphRepresentation:
     admissible: np.ndarray       # per (ring[, y]) admissibility mask
     v_hat: np.ndarray            # lifted graph values on the cover grid
     dv_hat: np.ndarray           # plane gradient of the lift (finite differences)
-    tau: float
     beta: float
     sup_v: float                 # sup r^-alpha |v_hat|
     sup_dv: float                # sup r^(1-alpha) |Dv_hat|
@@ -447,7 +446,7 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     return GraphRepresentation(
         grid=grid, shape=shape, admissible=filled.reshape(shape[:1] + shape[2:]),
         v_hat=v_hat.reshape(shape + (m,)), dv_hat=dv_hat.reshape(shape + (m, 2)),
-        tau=tau, beta=beta, sup_v=sup_v, sup_dv=sup_dv,
+        beta=beta, sup_v=sup_v, sup_dv=sup_dv,
         tube_condition_met=tube_ok, integral_in=integral_in,
         integral_out=integral_out, excess_sq=float(exc),
     )

@@ -7,7 +7,7 @@ angle (trapezoid-equivalent for periodic integrands, spectrally accurate and
 exact for trigonometric polynomials of moderate degree), and Gauss-Legendre
 with a sine substitution along the axis variables.
 
-With the default grading exponent 2, every integrand that is a finite sum of
+With the grading exponent GRADING = 2, every integrand that is a finite sum of
 half-integer powers r^(k/2) times trigonometric factors becomes a polynomial
 in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
@@ -31,6 +31,9 @@ BLOCK_NODES = 2 ** 17
 # Its complex work arrays take 16 bytes a node, so it is kept below
 # BLOCK_NODES: the cover solver's peak memory is small.
 SOLVE_BLOCK_NODES = 2 ** 15
+# Radial grading exponent: radial nodes r = s^GRADING for Gauss-Legendre s in
+# [0, 1], on the quadrature rules and on the cover solver's grid alike.
+GRADING = 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -98,18 +101,18 @@ class Rule:
         return np.sum(self.weights[:, None] * vals.reshape(vals.shape[0], -1), axis=0)
 
 
-def _polar_nodes(nr, ntheta, grading, period=2.0 * np.pi):
+def _polar_nodes(nr, ntheta, period=2.0 * np.pi):
     s, ws = gauss_legendre_01(nr)
-    r01 = s ** grading
-    wr01 = ws * grading * s ** (grading - 1.0)
+    r01 = s ** GRADING
+    wr01 = ws * GRADING * s ** (GRADING - 1.0)
     theta = (np.arange(ntheta) + 0.5) * (period / ntheta)
     wt = period / ntheta
     return r01, wr01, theta, wt
 
 
-def disk_rule(center, radius, nr=48, ntheta=96, grading=2.0):
+def disk_rule(center, radius, nr=48, ntheta=96):
     """Rule for the disk of given radius about center (a 2-vector)."""
-    return ball_rule(Ball(tuple(center), radius), nr=nr, ntheta=ntheta, grading=grading)
+    return ball_rule(Ball(tuple(center), radius), nr=nr, ntheta=ntheta)
 
 
 def _axis_angles(n, planar, full):
@@ -121,9 +124,9 @@ def _axis_angles(n, planar, full):
     return full if n == 4 and not planar else 1
 
 
-def _polar_slabs(ball, nr, ntheta, naxis, grading, slabs=slice(None), planar=False,
+def _polar_slabs(ball, nr, ntheta, naxis, slabs=slice(None), planar=False,
                  period=2.0 * np.pi):
-    """Graded disks stacked along the axis variables of a ball; a disk is one slab.
+    """Disks graded by GRADING, stacked along a ball's axis variables; a disk is one slab.
 
     Returns the disk radii (slab, nr), the angles (ntheta,) over [0, period),
     the axis offsets of the slabs from the center (slab, phi, n - 2) and the
@@ -131,7 +134,7 @@ def _polar_slabs(ball, nr, ntheta, naxis, grading, slabs=slice(None), planar=Fal
     ball_rule; period 4 pi gives the same slabs on the double cover.
     """
     n, rho = ball.n, ball.radius
-    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, grading, period)
+    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, period)
     if n == 2:
         y, wy, axis = np.zeros(1), np.ones(1), np.zeros((1, 1, 0))
     elif n == 3:
@@ -162,8 +165,8 @@ def _polar_slabs(ball, nr, ntheta, naxis, grading, slabs=slice(None), planar=Fal
     return r, theta, axis, w
 
 
-def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), planar=False):
-    """Rule for a ball in R^n; axis variables handled by slabs of graded disks.
+def ball_rule(ball, nr=48, ntheta=96, naxis=24, slabs=slice(None), planar=False):
+    """Rule for a ball in R^n; axis variables handled by slabs of disks graded by GRADING.
 
     slabs selects a run of the axis slabs (all by default; ignored for the
     disk, which is one slab); the nodes of each slab come out in the same
@@ -174,7 +177,7 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, grading=2.0, slabs=slice(None), 
     c = ball.center_array
     if n not in (2, 3, 4):
         raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
-    r, theta, axis, wslab = _polar_slabs(ball, nr, ntheta, naxis, grading, slabs, planar)
+    r, theta, axis, wslab = _polar_slabs(ball, nr, ntheta, naxis, slabs, planar)
     # nodes ordered (slab, phi, r, theta)
     shape = axis.shape[:2] + (nr, ntheta)
     pts = np.empty(shape + (n,))
@@ -237,12 +240,12 @@ def _blocks(count, per_slab):
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def ball_blocks(ball, nr=48, ntheta=96, naxis=24, grading=2.0, planar=False):
+def ball_blocks(ball, nr=48, ntheta=96, naxis=24, planar=False):
     """The ball rule as a fixed sequence of node blocks; a disk is one slab."""
     count = 1 if ball.n == 2 else int(naxis)
     per_slab = nr * ntheta * _axis_angles(ball.n, planar, max(8, naxis))
     for slabs in _blocks(count, per_slab):
-        yield ball_rule(ball, nr, ntheta, naxis, grading, slabs=slabs, planar=planar)
+        yield ball_rule(ball, nr, ntheta, naxis, slabs=slabs, planar=planar)
 
 
 def sphere_blocks(ball, nang=256, npolar=128, planar=False):
@@ -271,7 +274,6 @@ class QuadratureSpec:
     naxis: int = 24
     nsphere: int = 256
     npolar: int = 128
-    grading: float = 2.0
 
     def refined(self, level):
         f = 2 ** int(level)
@@ -281,21 +283,18 @@ class QuadratureSpec:
             naxis=self.naxis * f,
             nsphere=self.nsphere * f,
             npolar=self.npolar * f,
-            grading=self.grading,
         )
 
     def ball(self, ball):
-        return ball_rule(
-            ball, nr=self.nr, ntheta=self.ntheta, naxis=self.naxis, grading=self.grading
-        )
+        return ball_rule(ball, nr=self.nr, ntheta=self.ntheta, naxis=self.naxis)
 
     def sphere(self, ball):
         return sphere_rule(ball, nang=self.nsphere, npolar=self.npolar)
 
     def integrate_ball(self, ball, integrand, planar=False):
         """Integral of integrand(points) -> (N,) over the ball, block by block."""
-        return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, self.grading,
-                                       planar), integrand)
+        return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, planar),
+                           integrand)
 
     def integrate_sphere(self, ball, integrand, planar=False):
         """Integral of integrand(points) -> (N,) over the boundary sphere, block by block."""

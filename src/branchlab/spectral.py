@@ -89,13 +89,12 @@ def l_span(c0, alpha, r, theta, y=None):
     return span
 
 
-def cover_ball_rule(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
+def cover_ball_rule(rho, n, nr=32, ntheta=128, ny=16):
     """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover.
 
     These are the slabs of the ball rule, with theta over the double cover.
     """
-    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), nr, ntheta, ny, grading,
-                                     period=FOUR_PI)
+    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), nr, ntheta, ny, period=FOUR_PI)
     shape = axis.shape[:2] + (nr, ntheta)  # (slab, 1, r, theta)
     R, W = (np.broadcast_to(a[:, None, :, None], shape).ravel() for a in (r, w))
     Y = None if n == 2 else np.broadcast_to(axis[:, :, None, None, :],
@@ -218,7 +217,6 @@ class DecayScaleRow:
     normalized_remainder: float
     radial_integral_quarter: float
     radial_integral_full: float
-    hypothesis_radial_ok: bool
     contraction: float
 
 
@@ -258,8 +256,7 @@ def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), *, c0, a
         i_quarter = radial[rho / 4.0]
         i_full = radial[rho]
         bound = BETA2 * rho ** (-n - 2 * alpha) * rem_sq
-        ok = i_quarter <= bound + 1e-14
-        hyp_ok = hyp_ok and ok
+        hyp_ok = hyp_ok and i_quarter <= bound + 1e-14
         contraction = i_quarter / i_full if i_full > 0 else float("nan")
         rows.append(DecayScaleRow(
             rho=float(rho),
@@ -267,7 +264,6 @@ def remainder_decay_check(w, theta=0.125, scales=(0.25, 0.125, 0.0625), *, c0, a
             normalized_remainder=float(rho ** (-n - 2 * alpha) * rem_sq),
             radial_integral_quarter=float(i_quarter),
             radial_integral_full=float(i_full),
-            hypothesis_radial_ok=bool(ok),
             contraction=float(contraction),
         ))
     lhs = theta ** (-n - 2 * alpha) * proj[theta].norm_sq_remainder

@@ -18,7 +18,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PROBE = """
 import importlib, json, spans
 spans.Tracer().install()
-names = list(spans.RULES) + ["minimizer.cg"]
+names = list(spans.RULES) + ["minimizer.cg", "minimizer.solve_cut"]
 wrapped = {}
 for name in names:
     module, attr = name.split(".")

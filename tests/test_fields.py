@@ -115,8 +115,14 @@ def test_cylindrical_invariance(x1, x2, y):
     assert np.allclose(a, b, atol=1e-14)
 
 
-def _symmetric_gradient_reference(u, X):
-    """CylindricalModeField.symmetric_gradient as written with two powers per mode."""
+def _symmetric_gradient_reference(u, X, scale_first=False):
+    """CylindricalModeField.symmetric_gradient as written with two powers per mode.
+
+    scale_first multiplies a and b by r^(beta - 1) before the angular
+    products, for modes without ylin.  As written, a subnormal coefficient
+    times cos or sin rounds to an absolute 2^-1074 before r^(beta - 1)
+    scales it up; scaled first, the products are normal and round relatively.
+    """
     r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
     y = X[:, 2:] if u.n > 2 else None
     N = X.shape[0]
@@ -126,12 +132,16 @@ def _symmetric_gradient_reference(u, X):
         for md in u.modes:
             cf = np.cos(md.freq * theta)
             sf = np.sin(md.freq * theta)
-            ang = cf[:, None] * md.a + sf[:, None] * md.b
-            dang = md.freq * (-sf[:, None] * md.a + cf[:, None] * md.b)
+            rad1, a, b = r[:, None] ** (md.beta - 1.0), md.a, md.b
+            if scale_first:
+                assert md.ylin is None
+                rad1, a, b = 1.0, rad1 * a, rad1 * b
+            ang = cf[:, None] * a + sf[:, None] * b
+            dang = md.freq * (-sf[:, None] * a + cf[:, None] * b)
             yf = u._yfactor(md, y)
             yf = yf[:, None] if np.ndim(yf) == 1 else np.full((N, 1), yf)
-            ds_dr = md.beta * r[:, None] ** (md.beta - 1.0) * ang * yf
-            ds_dt_over_r = r[:, None] ** (md.beta - 1.0) * dang * yf
+            ds_dr = md.beta * rad1 * ang * yf
+            ds_dt_over_r = rad1 * dang * yf
             out[:, :, 0] += ct[:, None] * ds_dr - st_[:, None] * ds_dt_over_r
             out[:, :, 1] += st_[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
             if u.n > 2 and md.ylin is not None:
@@ -241,12 +251,15 @@ def _power_sums_and_cut_points(draw):
           np.array([[-0.5, 0.0], [-0.5, -0.0]])))
 @example((CylindricalModeField.power_sum([(5e-324j, 1)], n=3),
           np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0]])))
+@example((CylindricalModeField.power_sum([(2.2e-311j, 1)], n=2),
+          np.array([[2.0 ** -126, 2.0 ** -126], [-0.5, 0.0], [-0.5, -0.0]])))
 def test_power_sum_gradient_matches_trig_reference(case):
     u, X = case
     base, Xb, factor = _unwrap(u, X)
     terms = base.power_terms()
     assert terms is not None
-    got, ref = u.symmetric_gradient(X), _symmetric_gradient_reference(base, Xb) * factor
+    ref = _symmetric_gradient_reference(base, Xb, scale_first=True) * factor
+    got = u.symmetric_gradient(X)
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(got), finite)
     # A subnormal r = hypot(x1, x2) keeps only a few digits, so there the reference

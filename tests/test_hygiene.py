@@ -6,7 +6,9 @@ module-level private function or class is referenced somewhere in
 src/branchlab, and every public function, class and method is reached
 from outside its own definition by the library, the benchmark, the
 acceptance suite or the console script.  A name that only unit tests call
-does not survive as library code.
+does not survive as library code.  Every field of a dataclass is read as
+an attribute somewhere in the library, the tests or the benchmark: a field
+a test asserts on is a result, but one nothing reads is dead weight.
 """
 
 import ast
@@ -20,6 +22,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "branchlab")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 BENCH = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+TESTS = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
 ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
 
@@ -142,6 +145,32 @@ def unreached_public(src, callers, bench):
     return dead
 
 
+def record_fields(tree):
+    """Fields of the module-level dataclasses, as (class, field) pairs."""
+    def is_dataclass(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass"
+
+    return [(node.name, item.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def unread_fields(src, readers):
+    """Dataclass fields of `src` (module name -> tree) that no tree of
+    `readers` reads as an attribute.
+
+    A constructor keyword is not a read.  Fields match by name, whatever
+    the object read, so a field that shares its name with an attribute read
+    elsewhere passes.
+    """
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls}.{name}" for module, tree in src.items()
+            for cls, name in record_fields(tree) if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_import_is_used(path):
     assert unused_imports(_tree(path)) == []
@@ -160,6 +189,13 @@ def test_every_public_name_has_a_caller():
     src = {os.path.basename(p)[:-3]: _tree(p) for p in MODULES}
     dead = unreached_public(src, [_tree(ACCEPTANCE)], [_tree(p) for p in BENCH])
     assert sorted(dead) == sorted(EXEMPT)
+
+
+def test_every_record_field_is_read():
+    src = {os.path.basename(p)[:-3]: _tree(p) for p in MODULES}
+    readers = [_tree(p) for p in (*MODULES, *TESTS, *BENCH)]
+    assert any(record_fields(tree) for tree in src.values())
+    assert unread_fields(src, readers) == []
 
 
 def test_checks_catch_their_faults():
@@ -192,3 +228,15 @@ def test_checks_catch_their_faults():
     assert unreached_public({"m": lib}, [modules], []) == ["m.Field.eval"]
     reader = ast.parse("from m import Field\n\nVALUE = Field().eval()\n")
     assert unreached_public({"m": lib}, [modules, reader], []) == []
+    # a record field that is only filled in, by default or by keyword, is
+    # unread; a class without the decorator holds no record fields
+    record = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n\n"
+                       "@dataclass(frozen=True)\nclass Report:\n    value: float\n"
+                       "    slack: float = 0.0\n\n"
+                       "@dataclasses.dataclass\nclass Row:\n    rho: float\n\n"
+                       "class Plain:\n    note: str = ''\n\n"
+                       "def report(rows):\n    return Report(value=rows[0].rho, slack=1.0)\n")
+    assert record_fields(record) == [("Report", "value"), ("Report", "slack"), ("Row", "rho")]
+    assert unread_fields({"m": record}, [record]) == ["m.Report.value", "m.Report.slack"]
+    asserts = ast.parse("def test_report(rep):\n    assert rep.value and not rep.slack\n")
+    assert unread_fields({"m": record}, [record, asserts]) == []

@@ -16,8 +16,8 @@ from branchlab.minimizer import (CG_RTOL, BoundaryTrace, BranchConfiguration, Co
                                  _crossing_signs, _cut_flips, _deflect_cuts,
                                  _dirichlet_slots, _edge_residual,
                                  _edge_segments, _green_block, _radial_sweep,
-                                 _ring_weights, _separable_solver, _solve_capacitance,
-                                 _solve_cg, cg as cg_numpy, solve_separable, cover_frequency,
+                                 _ring_weights, _separable_solver, _solve_cg,
+                                 cg as cg_numpy, solve_cut, solve_separable, cover_frequency,
                                  energy, l2_error_vs_field, local_growth_exponent,
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
@@ -745,8 +745,12 @@ def _separable_column_loop(rs, M, wrap_sign, center_mode, rhs):
             f[i] -= ratio[i] * f[i + 1]
         sol[: nring * M, k] = (np.fft.ifft(f, axis=1) * np.conj(twist)).real.ravel()
     if center_mode == "unknown":
-        ring0 = sol[: M * min(nring, 1)]
-        sol[-1] = (rhs[-1] + g_c * ring0.sum(axis=0)) / (M * g_c)
+        for k in range(rhs.shape[1]):
+            # this column's ring-0 sum on its own, in row order
+            ring0 = 0.0
+            for v in sol[: M * min(nring, 1), k]:
+                ring0 += v
+            sol[-1, k] = (rhs[-1, k] + g_c * ring0) / (M * g_c)
     return sol
 
 
@@ -770,6 +774,9 @@ def test_batched_separable_solve_is_the_column_loop(monkeypatch, wrap_sign, cent
             rhs = rng.standard_normal((n, ncol))
             x = solve_separable(rs, M, wrap_sign, center_mode, rhs)
             assert np.array_equal(x, _separable_column_loop(rs, M, wrap_sign, center_mode, rhs))
+            # a lone column solves as it does inside a batch
+            one = solve_separable(rs, M, wrap_sign, center_mode, rhs[:, :1])
+            assert np.array_equal(one, x[:, :1])
 
 
 def _two_point_trace():
@@ -855,7 +862,7 @@ def test_capacitance_solve_matches_spsolve(case, seed):
     bvals = np.random.default_rng(seed).standard_normal((M, m))
     A_ref, rhs = _reference_assembly(rs, M, 1, "unknown", cuts, bvals)
     edges = _cover_edges(rs, M, 1, "unknown", _cut_flips(rs, M, cuts))
-    x = _solve_capacitance(rs, M, edges, rhs)
+    x = solve_cut(rs, M, edges, rhs)
     ref = spsolve(A_ref.tocsc(), rhs).reshape(rhs.shape)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     residual = _edge_residual(edges, x, _dirichlet_slots(bvals))

@@ -84,15 +84,15 @@ def test_gauss_legendre_cached_per_order():
 # give the same nodes and weights, bit for bit.
 
 
-def _ball_rule_reference(ball, nr, ntheta, naxis, grading=2.0):
+def _ball_rule_reference(ball, nr, ntheta, naxis):
     n = ball.n
     c = ball.center_array
     rho = ball.radius
     if n == 2:
-        return disk_rule(c, rho, nr=nr, ntheta=ntheta, grading=grading)
+        return disk_rule(c, rho, nr=nr, ntheta=ntheta)
     s, ws = gauss_legendre_01(nr)
-    r01 = s ** grading
-    wr01 = ws * grading * s ** (grading - 1.0)
+    r01 = s ** 2.0
+    wr01 = ws * 2.0 * s
     theta = (np.arange(ntheta) + 0.5) * (2.0 * np.pi / ntheta)
     wt = 2.0 * np.pi / ntheta
     cs, ct = np.cos(theta), np.sin(theta)

@@ -133,14 +133,14 @@ def test_classification_consistency():
         assert proj.norm_sq_remainder <= 1e-10 * max(proj.norm_sq_w, 1e-30)
 
 
-def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
+def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16):
     """The former per-slab body of cover_ball_rule, the reference for the slab rule."""
     s, ws = gauss_legendre_01(nr)
     theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
     dth = FOUR_PI / ntheta
     if n == 2:
-        r = rho * s ** grading
-        wr = rho * grading * s ** (grading - 1.0) * ws
+        r = rho * s ** 2.0
+        wr = rho * 2.0 * s * ws
         R, T = np.meshgrid(r, theta, indexing="ij")
         W = (wr * r)[:, None] * dth * np.ones_like(T)
         return R.ravel(), T.ravel(), None, W.ravel()
@@ -154,8 +154,8 @@ def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16, grading=2.0):
         rho_l = np.sqrt(max(rho * rho - yl * yl, 0.0))
         if rho_l <= 0:
             continue
-        r = rho_l * s ** grading
-        wr = rho_l * grading * s ** (grading - 1.0) * ws
+        r = rho_l * s ** 2.0
+        wr = rho_l * 2.0 * s * ws
         R, T = np.meshgrid(r, theta, indexing="ij")
         W = (wr * r)[:, None] * dth * wl * np.ones_like(T)
         rs_list.append(R.ravel())
