@@ -175,8 +175,9 @@ PARAMS = {
     "include_control": (False, lambda x, *_: type(x) is bool, "true or false"),
     "radius": (1.0, _is_positive, POSITIVE),
     "levels": ([[32, 64], [64, 128], [128, 256]],
-               lambda v, *_: _is_list(v, lambda lv: _is_list(lv, _is_int) and len(lv) == 2),
-               "a non-empty list of [nr, ntheta] pairs of positive integers"),
+               lambda v, *_: _is_list(v, lambda lv: _is_list(lv, _is_int) and len(lv) == 2
+                                      and lv[0] >= 3),
+               "a non-empty list of [nr, ntheta] pairs of positive integers, nr >= 3"),
     "freq_radii": ([0.25, 0.5], lambda r, p, u: _is_list(r) and max(r) <= p["radius"],
                    "a non-empty list of positive numbers, each <= radius"),
     "theta": (0.125, lambda x, *_: _is_finite(x) and 0 < x < 0.25, "a number in (0, 1/4)"),

@@ -687,7 +687,7 @@ class SampledField(Field):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         n = int(meta["n"])
         m = int(meta["m"])
-        hol = int(meta.get("hol", "0")) or None
+        hol = int(meta.get("hol", "0"))
         shape = tuple(int(s) for s in meta["shape"].split(","))
         rs = np.array([float(v) for v in meta["rs"].split(",")])
         thetas = np.array([float(v) for v in meta["thetas"].split(",")])
@@ -696,6 +696,7 @@ class SampledField(Field):
         grid = PolarGrid(rs, thetas, ys)
         if (n, shape) != (grid.n, grid.shape):
             raise ValueError(f"n={n} shape={meta['shape']} disagree with the rs/thetas/ys lists")
+        _check_sampled_grid(grid, data, hol)
         first = n if version == SAMPLED_CSV_V1 else 0  # v1 rows start with the node
         s_only = symmetric and version == SAMPLED_CSV_V2  # v2 stores a symmetric s as is
         expect = (int(np.prod(shape)), first + (m if s_only else 2 * m))
@@ -708,7 +709,30 @@ class SampledField(Field):
             a1, a2 = data[:, first:first + m], data[:, first + m:]
             s = (a1 - a2) / 2.0
             avg = None if symmetric else grid.on_grid((a1 + a2) / 2.0)
-        return cls(grid, grid.on_grid(s), average=avg, hol=hol)
+        return cls(grid, grid.on_grid(s), average=avg, hol=hol or None)
+
+
+def _check_sampled_grid(grid, data, hol):
+    """ValueError unless a read sampled field can be interpolated: at least
+    two radii and angles, positive strictly increasing radii, angles spaced
+    by 2pi / nt to 1e-9 relative (the only spacing _interp_lift reads
+    right), strictly increasing axis values, finite numbers throughout, and
+    a holonomy in {-1, 0, 1}."""
+    rs, thetas, ys = grid.rs, grid.thetas, grid.ys
+    lists = (rs, thetas) if ys is None else (rs, thetas, ys)
+    if min(v.shape[0] for v in lists) < 2:
+        raise ValueError(f"the grid shape {grid.shape} needs at least two nodes on each axis")
+    if not all(np.all(np.isfinite(v)) for v in lists + (data,)):
+        raise ValueError("the grid lists or the data block hold a non-finite number")
+    if not (rs[0] > 0 and np.all(np.diff(rs) > 0)):
+        raise ValueError("rs must be positive and strictly increasing")
+    step = 2.0 * np.pi / thetas.shape[0]
+    if not np.all(np.abs(np.diff(thetas) - step) <= 1e-9 * step):
+        raise ValueError(f"thetas must be spaced by 2pi/{thetas.shape[0]}")
+    if ys is not None and not np.all(np.diff(ys) > 0):
+        raise ValueError("ys must be strictly increasing")
+    if hol not in (-1, 0, 1):
+        raise ValueError(f"hol={hol} is not -1, 0 or 1")
 
 
 def propagate_signs(svals):

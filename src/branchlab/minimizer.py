@@ -17,13 +17,12 @@ edges, so they too solve directly, by the capacitance-matrix method on the
 separable solver (solve_cut; public, so a benchmark tracer that wraps the
 public functions times it apart from the rest of the solve).  Its Green's
 functions are read from the closed-form inverse of each Fourier mode's
-tridiagonal radial system, with no per-ring solve (_green_block); the
-module's own Jacobi-preconditioned CG (cg), started from that solution, only
-confirms it.  The edge list of _cover_edges is the one description of the
-operator: energy(), the right-hand side, the residual and the CG check's
-products are sums over it, no sparse matrix is built, and the module needs
-numpy alone.
-"""
+tridiagonal radial system, with no per-ring solve (_green_block).  Every
+configuration takes one check: each column's edge-sum residual within
+SOLVE_RTOL of its right-hand side.  The edge list of _cover_edges is the one
+description of the operator: energy(), the right-hand side and the residual
+are sums over it, no sparse matrix is built, and the module needs numpy
+alone."""
 
 import itertools
 from dataclasses import dataclass
@@ -36,8 +35,7 @@ from .frequency import FrequencyProfile
 from .pairspace import metric_sq_symmetric
 from .quadrature import SOLVE_BLOCK_NODES, Ball
 
-CG_RTOL = 1e-10
-SEPARABLE_RTOL = 1e-10
+SOLVE_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +244,18 @@ def _cut_flips(rs, M, cuts):
     return np.flatnonzero(_crossing_signs(*_edge_segments(rs, M), cuts) < 0)
 
 
-def _cover_edges(rs, M, wrap_sign, center_mode, flipped=()):
+def _cover_edges(rs, M, wrap_sign, flipped=()):
     """Edges (a, b, g, sigma) of the polar cover grid, as arrays.
 
     Edge k carries the energy term g[k] (sigma[k] v[b[k]] - v[a[k]])^2.
     Rings 0..NR-2 are unknown (node (i, j) has id i * M + j) and ring NR-1
     is Dirichlet, encoded by negative ids: boundary node j -> -1 - j.
-    center_mode: 'zero' pins v(0) = 0 (branch point at the center) through
-    the Dirichlet slot -1 - M, 'unknown' makes the center value one extra
-    unknown (regular point).  Order: center spokes, radial edges, angular
-    edges, each ring by ring.  flipped (from _cut_flips) lists the edges
-    whose sign the cuts flip.
+    The wrap sign sets the center: anti-periodic data (wrap_sign -1, a
+    branch point at the center) pin v(0) = 0 through the Dirichlet slot
+    -1 - M; periodic data (+1) make the center value one extra unknown, the
+    last.  Order: center spokes, radial edges, angular edges, each ring by
+    ring.  flipped (from _cut_flips) lists the edges whose sign the cuts
+    flip.
     """
     NR = rs.shape[0]
     n_ring_unknowns = (NR - 1) * M
@@ -265,7 +264,7 @@ def _cover_edges(rs, M, wrap_sign, center_mode, flipped=()):
     jn = (np.arange(M) + 1) % M
     g_c, g_r, g_a = _ring_weights(rs, M)
 
-    if center_mode == "unknown":
+    if wrap_sign == 1:
         a_c, b_c, s_c = np.full(M, n_ring_unknowns), ids[0], np.ones(M)
     else:
         # (v_{0j} - 0)^2: sigma 0 couples to the pinned value 0
@@ -303,7 +302,7 @@ def _edge_residual(edges, x, dirichlet):
 def _dirichlet_slots(bvals):
     """Dirichlet values indexed by their negative ids: row -1 - j is node j.
 
-    Slot -1 - M holds the pinned zero for the center in 'zero' mode.
+    Slot -1 - M holds the pinned zero of an anti-periodic solve's center.
     """
     return np.concatenate([np.zeros((1, bvals.shape[1])), bvals[::-1]])
 
@@ -319,7 +318,6 @@ class CoverField:
     wrap_sign: int            # theta-wraparound coupling (-1 = anti-periodic)
     center_value: np.ndarray  # value at r = 0
     flipped: tuple = ()       # edges whose sign the cuts flip (_cut_flips)
-    center_mode: str = "zero"
     solve_residual: float = 0.0
 
     @property
@@ -358,10 +356,9 @@ class CoverField:
 
 def energy(cf):
     """Discrete two-valued Dirichlet energy (both selections on the base)."""
-    a, b, g, sigma = _cover_edges(cf.rs, cf.thetas.shape[0], cf.wrap_sign,
-                                  cf.center_mode, cf.flipped)
+    a, b, g, sigma = _cover_edges(cf.rs, cf.thetas.shape[0], cf.wrap_sign, cf.flipped)
     parts = [cf.values[:-1].reshape(-1, cf.m)]
-    if cf.center_mode == "unknown":
+    if cf.wrap_sign == 1:
         parts.append(cf.center_value[None, :])
     # negative ids count from the end, into the Dirichlet slots
     v = np.concatenate(parts + [_dirichlet_slots(cf.values[-1])])
@@ -446,16 +443,16 @@ def _batch_columns(nring, M):
     return max(1, SOLVE_BLOCK_NODES // max(nring * M, 1))
 
 
-def _radial_sweep(rs, M, wrap_sign, center_mode):
+def _radial_sweep(rs, M, wrap_sign):
     """The forward sweep of every Fourier mode's symmetric tridiagonal
     radial system: (piv, ratio), shape (nring, M, 1).
 
     Mode k's diagonal is the radial weights plus the angular eigenvalue
     2 (1 - cos(2 pi (k + h) / M)) g_a[i] (see solve_separable), less the
-    eliminated 'unknown' center's g_c at mode 0 of ring 0; -g_r[i] couples
-    ring i to ring i + 1.  The sweep turns the diagonal into its pivots in
-    place, piv[i] = diag[i] - g_r[i-1]^2 / piv[i-1], and ratio[i] is
-    -g_r[i] / piv[i]; no second (nring, M) array is held.
+    eliminated center unknown's g_c at mode 0 of ring 0 when wrap_sign is
+    +1; -g_r[i] couples ring i to ring i + 1.  The sweep turns the diagonal
+    into its pivots in place, piv[i] = diag[i] - g_r[i-1]^2 / piv[i-1], and
+    ratio[i] is -g_r[i] / piv[i]; no second (nring, M) array is held.
     """
     g_c, g_r, g_a = _ring_weights(rs, M)
     nring = rs.shape[0] - 1
@@ -463,7 +460,7 @@ def _radial_sweep(rs, M, wrap_sign, center_mode):
     lam = 2.0 * (1.0 - np.cos(2.0 * np.pi * (np.arange(M) + h) / M))
     inner = np.concatenate([[g_c], g_r[:-1]])  # weight towards the center
     diag = (inner + g_r)[:, None] + g_a[:nring, None] * lam
-    if center_mode == "unknown" and nring:
+    if wrap_sign == 1 and nring:
         diag[0, 0] -= g_c
     off = -g_r[:-1]
     piv = diag[:, :, None]
@@ -474,7 +471,7 @@ def _radial_sweep(rs, M, wrap_sign, center_mode):
     return piv, ratio
 
 
-def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
+def _separable_solver(rs, M, wrap_sign, sweep):
     """solve_separable for one operator, factored once: returns solve(rhs).
 
     sweep is the operator's _radial_sweep, which serves every column.
@@ -499,7 +496,7 @@ def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
             cols = slice(k0, min(k0 + step, ncol))
             K = cols.stop - k0
             f = twist * rhs[: nring * M, cols].reshape(nring, M, K)
-            if center_mode == "unknown" and nring:
+            if wrap_sign == 1 and nring:
                 f[0] += rhs[-1, cols] / M  # the eliminated center row's f_c
             f = np.fft.fft(f, axis=1)
             if nring:
@@ -512,7 +509,7 @@ def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
             u = np.fft.ifft(f, axis=1)
             u *= np.conj(twist)
             sol[: nring * M, cols] = u.real.reshape(nring * M, K)
-        if center_mode == "unknown":
+        if wrap_sign == 1:
             # ring 0's sum in row order for any column count (a lone column's
             # sum would go pairwise); none when ring 0 is the boundary
             ring0 = np.cumsum(sol[:M], axis=0)[-1] if nring else 0.0
@@ -522,29 +519,30 @@ def _separable_solver(rs, M, wrap_sign, center_mode, sweep):
     return solve
 
 
-def solve_separable(rs, M, wrap_sign, center_mode, rhs):
+def solve_separable(rs, M, wrap_sign, rhs):
     """Direct solve of the centred cover system, in _cover_edges' unknown layout.
 
     Every ring carries the same angular operator, so Fourier modes in theta
     diagonalize it: mode k of ring i has the angular eigenvalue
     2 (1 - cos(2 pi (k + h) / M)) g_a[i], with h = 1/2 after the twist
     e^{-i pi j / M} that makes anti-periodic data periodic, else h = 0.  Each
-    mode leaves one tridiagonal radial system over the unknown rings.  The
-    'unknown' center couples only to mode 0 of ring 0, through its row
-    M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it: f_c / M
+    mode leaves one tridiagonal radial system over the unknown rings.  An
+    anti-periodic solve (wrap_sign -1) pins the center to 0.  A periodic one
+    makes it an unknown, which couples only to mode 0 of ring 0, through its
+    row M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it: f_c / M
     joins every ring-0 row (f_c is +0.0 in a centred right-hand side, so this
     changes none of its bits).  Columns solve in batches within
     SOLVE_BLOCK_NODES nodes (_separable_solver); the result is bit for bit
     that of solving one column at a time.
     """
-    sweep = _radial_sweep(rs, M, wrap_sign, center_mode)
-    return _separable_solver(rs, M, wrap_sign, center_mode, sweep)(rhs)
+    sweep = _radial_sweep(rs, M, wrap_sign)
+    return _separable_solver(rs, M, wrap_sign, sweep)(rhs)
 
 
 def _green_block(rs, M, sweep, idx):
     """G = P A0^-1 P^T for the unknowns idx, read from the inverses of A0's
     tridiagonal radial systems with no solve; A0 is the cut-free operator
-    (wrap +1, 'unknown' center) and sweep its _radial_sweep.
+    (wrap +1, the center unknown) and sweep its _radial_sweep.
 
     A0 commutes with rotation by 2 pi / M, so column (i', j') of A0^-1 is
     the Green's function g_i' of the delta at (i', 0), turned by j':
@@ -602,8 +600,8 @@ def _green_block(rs, M, sweep, idx):
 def solve_cut(rs, M, edges, rhs):
     """Direct solve of a cut configuration by the capacitance-matrix method.
 
-    The operator is A = A0 + dA: A0 the cut-free one (wrap +1, 'unknown'
-    center) that solve_separable solves, and dA = P^T dA_k P the change on
+    The operator is A = A0 + dA: A0 the cut-free one (wrap +1, the center
+    unknown) that solve_separable solves, and dA = P^T dA_k P the change on
     the flipped edges between two unknowns, +2g at (a, b) and (b, a), over
     the k unknowns idx they touch.  With G = P A0^-1 P^T, read in closed
     form from the inverses of A0's tridiagonal radial systems with no
@@ -619,8 +617,8 @@ def solve_cut(rs, M, edges, rhs):
     cut = (sigma < 0) & (a >= 0) & (b >= 0)
     idx, local = np.unique(np.concatenate([a[cut], b[cut]]), return_inverse=True)
     k = idx.shape[0]
-    sweep = _radial_sweep(rs, M, 1, "unknown")
-    solve0 = _separable_solver(rs, M, 1, "unknown", sweep)
+    sweep = _radial_sweep(rs, M, 1)
+    solve0 = _separable_solver(rs, M, 1, sweep)
     if k == 0:
         return solve0(rhs)
     la, lb = np.split(local, 2)
@@ -649,14 +647,16 @@ def cg(matvec, b, x0, inv_diag, callback=None):
     and inv_diag the inverse of its diagonal.
 
     Returns (x, info) on the protocol of scipy.sparse.linalg.cg with rtol
-    CG_RTOL and atol 0: info = 0 once |b - A x| < CG_RTOL |b| (x = 0 for
-    b = 0), else the 10 n steps taken.  callback(x) follows each step.
+    SOLVE_RTOL and atol 0: info = 0 once |b - A x| < SOLVE_RTOL |b| (x = 0
+    for b = 0), else the 10 n steps taken.  callback(x) follows each step.
+    No solve in the lab calls it: every configuration solves directly.  It
+    stays while the benchmark tracer (perfbench/spans.py) wraps it by name.
     """
     b = np.ascontiguousarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return np.zeros_like(b), 0
-    tol = CG_RTOL * bnorm
+    tol = SOLVE_RTOL * bnorm
     x = np.array(x0, dtype=float)
     r = b - matvec(x) if x.any() else b.copy()
     steps = 10 * b.shape[0]
@@ -680,52 +680,21 @@ def cg(matvec, b, x0, inv_diag, callback=None):
     return x, steps
 
 
-def _solve_cg(edges, rhs, x0):
-    """Jacobi-preconditioned CG (cg) from x0, column by column, to relative
-    residual CG_RTOL; SolverError if it does not converge.
-
-    The operator is the edge list itself: cg's matvec(v) is -_edge_residual
-    with zero Dirichlet values, and the Jacobi diagonal is each unknown's sum
-    of g over the ends of its edges, less 2 g sigma for an edge from a node
-    to itself (the angular edge of a one-angle grid).  Started from a direct
-    solution it returns at iteration 0, so it only confirms that solution;
-    otherwise it finishes the solve.
-    """
-    a, b, g, sigma = edges
-    n = rhs.shape[0]
-    zeros = np.zeros((-min(a.min(), b.min()), 1))
-    ka, kb = a >= 0, b >= 0
-    w = g * (1.0 - sigma * (a == b))
-    diag = (np.bincount(a[ka], weights=w[ka], minlength=n)
-            + np.bincount(b[kb], weights=w[kb], minlength=n))
-    inv_diag = 1.0 / np.maximum(diag, 1e-300)
-
-    def matvec(v):
-        return -_edge_residual(edges, v.reshape(n, 1), zeros)[:, 0]
-
-    sol = np.zeros(rhs.shape)
-    for k in range(rhs.shape[1]):
-        x, info = cg(matvec, rhs[:, k], x0[:, k], inv_diag)
-        if info != 0:
-            res = float(np.linalg.norm(matvec(x) - rhs[:, k])
-                        / max(np.linalg.norm(rhs[:, k]), 1e-300))
-            raise SolverError(f"CG did not converge (info={info})", residual=res)
-        sol[:, k] = x
-    return sol
-
-
 def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     """Discrete energy minimizer on the cover with the prescribed branch set.
 
     boundary is a BoundaryTrace (lifted values on [0, 4pi)); config defaults
-    to a single branch point at the disk center.  Centred configurations
-    solve directly (solve_separable): anti-periodic data on the twisted
-    polar grid, periodic data as the decoupled single-valued harmonic
-    extension.  The right-hand side and the relative residual are edge sums
-    (_edge_residual); a residual above SEPARABLE_RTOL raises SolverError.
-    Configurations with cuts solve directly too (solve_cut), and
-    Jacobi-CG (_solve_cg), matrix-free on the same edge list, started from
-    that solution checks it to CG_RTOL.  Both raise SolverError on failure.
+    to a single branch point at the disk center.  The trace's parity is read
+    first, so data that are neither periodic nor anti-periodic raise
+    BoundaryLiftError for every configuration.  A centred configuration
+    solves directly on the polar grid of the parity's wrap sign
+    (solve_separable): anti-periodic data with the center pinned to 0,
+    periodic data as the decoupled single-valued harmonic extension.  A
+    configuration with cuts solves on the periodic grid with its flipped
+    edges (solve_cut).  The right-hand side and the residual are edge sums
+    (_edge_residual); a column whose residual exceeds SOLVE_RTOL times its
+    right-hand side raises SolverError with that column's relative
+    residual.  solve_residual is the relative residual of all columns.
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -733,42 +702,34 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     rs = grid.radii(R)
     M = grid.ntheta
     m = boundary.m
-    if config.is_centered_single():
-        wrap = -1 if parity == -1 else 1
-        cuts = ()
-        flipped = ()
-        center_mode = "zero" if parity == -1 else "unknown"
-        bvals = boundary.sample_half(M)
-    else:
+    centred = config.is_centered_single()
+    flipped = ()
+    if not centred:
         anchor = None
         if len(config.points) == 1:
             anchor = _anchor_for_single_point(boundary, config.points[0], R, parity)
-        cuts = _deflect_cuts(config.cuts(anchor), rs)
-        flipped = _cut_flips(rs, M, cuts)
-        wrap = 1
-        center_mode = "unknown"
-    edges = _cover_edges(rs, M, wrap, center_mode, flipped)
-    if cuts:
-        bvals = _boundary_values_with_cuts(boundary, M, flipped, edges[0].shape[0])
-    n = (rs.shape[0] - 1) * M + (1 if center_mode == "unknown" else 0)
-    dirichlet = _dirichlet_slots(bvals)
-    rhs = _edge_residual(edges, np.zeros((n, m)), dirichlet)
-    if cuts:
-        sol = _solve_cg(edges, rhs, solve_cut(rs, M, edges, rhs))
-    else:
-        sol = solve_separable(rs, M, wrap, center_mode, rhs)
-    res_total = float(np.linalg.norm(_edge_residual(edges, sol, dirichlet))
-                      / max(np.linalg.norm(rhs), 1e-300))
-    if not cuts and not res_total <= SEPARABLE_RTOL:
-        raise SolverError(f"direct solve residual {res_total:.3e} above {SEPARABLE_RTOL:.0e}",
-                          residual=res_total)
+        flipped = _cut_flips(rs, M, _deflect_cuts(config.cuts(anchor), rs))
+    wrap = parity if centred else 1
+    edges = _cover_edges(rs, M, wrap, flipped)
+    bvals = (boundary.sample_half(M) if centred
+             else _boundary_values_with_cuts(boundary, M, flipped, edges[0].shape[0]))
     NR = rs.shape[0]
+    dirichlet = _dirichlet_slots(bvals)
+    rhs = _edge_residual(edges, np.zeros(((NR - 1) * M + (wrap == 1), m)), dirichlet)
+    sol = solve_separable(rs, M, wrap, rhs) if centred else solve_cut(rs, M, edges, rhs)
+    r = _edge_residual(edges, sol, dirichlet)
+    res_total = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
+    worst = float(np.max(np.linalg.norm(r, axis=0)
+                         / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)))
+    if not worst <= SOLVE_RTOL:
+        raise SolverError(f"direct solve residual {worst:.3e} above {SOLVE_RTOL:.0e}",
+                          residual=worst)
     values = np.zeros((NR, M, m))
     values[:-1] = sol[: (NR - 1) * M].reshape(NR - 1, M, m)
     values[-1] = bvals
-    center_value = sol[-1] if center_mode == "unknown" else np.zeros(m)
+    center_value = sol[-1] if wrap == 1 else np.zeros(m)
     return CoverField(rs, np.arange(M) * (2.0 * np.pi / M), values, wrap, center_value,
-                      flipped=flipped, center_mode=center_mode, solve_residual=res_total)
+                      flipped=flipped, solve_residual=res_total)
 
 
 def cover_frequency(cf, radii):

@@ -358,7 +358,7 @@ def test_single_kind_run_exit_ok(tmp_path):
 
 
 @pytest.mark.parametrize("levels", [[[4]], [], [[0, 8]], [[8, 16.5]], "8x16", [[True, 8]],
-                                    [[8, 16, 32]]])
+                                    [[8, 16, 32]], [[1, 8]], [[2, 8]]])
 def test_malformed_levels_exit_config(tmp_path, capsys, levels):
     path = write_config(tmp_path, minimize_config("out", levels))
     for verb in ("validate", "run"):
@@ -520,11 +520,11 @@ def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
 
 
 SAMPLED_HEADER = ("# branchlab sampled-field v1\n# n=2 m=1 symmetric=1 hol=0\n# shape=2,2\n"
-                  "# rs=0.5,1.0\n# thetas=0.0,3.0\nx1,x2,a1_1,a2_1\n")
+                  "# rs=0.5,1.0\n# thetas=0.0,3.141592653589793\nx1,x2,a1_1,a2_1\n")
 SAMPLED_V2_HEADER = ("# branchlab sampled-field v2\n# n=2 m=1 symmetric=1 hol=0\n# shape=2,2\n"
-                     "# rs=0.5,1.0\n# thetas=0.0,3.0\ns_1\n")
+                     "# rs=0.5,1.0\n# thetas=0.0,3.141592653589793\ns_1\n")
 SAMPLED_V2_N3_HEADER = ("# branchlab sampled-field v2\n# n=3 m=1 symmetric=1 hol=0\n"
-                        "# shape=2,2,2\n# rs=0.5,1.0\n# thetas=0.0,3.0\n# ys=-0.5,0.5\ns_1\n")
+                        "# shape=2,2,2\n# rs=0.5,1.0\n# thetas=0.0,3.141592653589793\n# ys=-0.5,0.5\ns_1\n")
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt")
@@ -548,6 +548,29 @@ SAMPLED_V2_N3_HEADER = ("# branchlab sampled-field v2\n# n=3 m=1 symmetric=1 hol
                  id="v2-shape-disagrees"),
     pytest.param(SAMPLED_V2_HEADER.replace("n=2", "n=3") + "1.0\n" * 4, id="v2-n-disagrees"),
     pytest.param(SAMPLED_V2_N3_HEADER.replace("n=3", "n=2") + "1.0\n" * 8, id="v2-n3-lists-n2"),
+    # grids that read but interpolate wrongly: swapped radii, a finer angle
+    # spacing than the angle count, a nan sample
+    pytest.param(SAMPLED_V2_HEADER.replace("shape=2,2", "shape=1,2").replace("rs=0.5,1.0", "rs=1.0")
+                 + "1.0\n" * 2, id="v2-one-radius"),
+    pytest.param(SAMPLED_V2_HEADER.replace("shape=2,2", "shape=2,1")
+                 .replace("thetas=0.0,3.141592653589793", "thetas=0.0") + "1.0\n" * 2,
+                 id="v2-one-angle"),
+    pytest.param(SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=1.0,0.5") + "1.0\n" * 4,
+                 id="v2-radii-swapped"),
+    pytest.param(SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=0.0,1.0") + "1.0\n" * 4,
+                 id="v2-radius-zero"),
+    pytest.param(SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=0.5,inf") + "1.0\n" * 4,
+                 id="v2-radius-inf"),
+    pytest.param(SAMPLED_V2_HEADER.replace("3.141592653589793", "1.5707963267948966")
+                 + "1.0\n" * 4, id="v2-thetas-half-spacing"),
+    pytest.param(SAMPLED_V2_N3_HEADER.replace("ys=-0.5,0.5", "ys=0.5,-0.5") + "1.0\n" * 8,
+                 id="v2-ys-decreasing"),
+    pytest.param(SAMPLED_V2_HEADER + "1.0\n" * 3 + "nan\n", id="v2-nan-value"),
+    pytest.param(SAMPLED_V2_HEADER.replace("hol=0", "hol=2") + "1.0\n" * 4, id="v2-hol-2"),
+    pytest.param(SAMPLED_HEADER.replace("rs=0.5,1.0", "rs=1.0,0.5") + "0.5,0.0,1.0,-1.0\n" * 4,
+                 id="v1-radii-swapped"),
+    pytest.param(SAMPLED_HEADER + "0.5,0.0,1.0,-1.0\n" * 3 + "0.5,0.0,nan,-1.0\n",
+                 id="v1-nan-value"),
 ])
 def test_corrupt_sampled_csv_exit_config(tmp_path, capsys, content):
     (tmp_path / "field.csv").write_text(content)
