@@ -176,8 +176,9 @@ PARAMS = {
     "radius": (1.0, _is_positive, POSITIVE),
     "levels": ([[32, 64], [64, 128], [128, 256]],
                lambda v, *_: _is_list(v, lambda lv: _is_list(lv, _is_int) and len(lv) == 2
-                                      and lv[0] >= 3),
-               "a non-empty list of [nr, ntheta] pairs of positive integers, nr >= 3"),
+                                      and lv[0] >= 3 and lv[1] >= 2),
+               "a non-empty list of [nr, ntheta] pairs of positive integers, nr >= 3, "
+               "ntheta >= 2"),
     "freq_radii": ([0.25, 0.5], lambda r, p, u: _is_list(r) and max(r) <= p["radius"],
                    "a non-empty list of positive numbers, each <= radius"),
     "theta": (0.125, lambda x, *_: _is_finite(x) and 0 < x < 0.25, "a number in (0, 1/4)"),
@@ -538,22 +539,31 @@ def run(cfg):
     return (EXIT_NUMERICAL if failed_stage else EXIT_OK), outdir
 
 
+def _read_artifact_json(outdir, name):
+    """The JSON in an artifact directory's file, else BranchLabError naming it."""
+    path = os.path.join(outdir, name)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BranchLabError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def report(outdir):
-    manifest_path = os.path.join(outdir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise BranchLabError(f"no manifest in {outdir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    with open(os.path.join(outdir, "summary.json")) as fh:
-        summary = json.load(fh)
-    lines = [f"experiment: {summary.get('kind')}  status: {summary.get('status')}"]
-    lines.append(f"{'check':44s} {'status':14s} detail")
-    for c in summary.get("checks", []):
-        lines.append(f"{c['name']:44s} {c['status']:14s} {c.get('detail', '')}")
-    for name, st in sorted(summary.get("stages", {}).items()):
-        if st.get("status") == "error":
-            lines.append(f"stage {name}: ERROR {st.get('error')}")
-    lines.append(f"files: {len(manifest.get('files', []))} listed in manifest")
+    manifest = _read_artifact_json(outdir, "manifest.json")
+    summary = _read_artifact_json(outdir, "summary.json")
+    try:
+        lines = [f"experiment: {summary.get('kind')}  status: {summary.get('status')}"]
+        lines.append(f"{'check':44s} {'status':14s} detail")
+        for c in summary.get("checks", []):
+            lines.append(f"{c['name']:44s} {c['status']:14s} {c.get('detail', '')}")
+        for name, st in sorted(summary.get("stages", {}).items()):
+            if st.get("status") == "error":
+                lines.append(f"stage {name}: ERROR {st.get('error')}")
+        lines.append(f"files: {len(manifest.get('files', []))} listed in manifest")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BranchLabError(f"malformed manifest.json or summary.json in {outdir}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     return "\n".join(lines)
 
 

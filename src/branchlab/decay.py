@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHeightError, FitError
-from .fields import _rescaled, harmonic_polynomial_basis, Polynomial, propagate_signs
+from .fields import _rescaled, propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
 from .quadrature import Ball, QuadratureSpec, loglog_slope, unit_ball
@@ -325,27 +325,6 @@ def _middle_slope(x, y):
 # Tangent expansion
 
 
-def fit_harmonic_average(u, Z):
-    """Least-squares fit of the average part by harmonic polynomials of degree
-    <= 4, on a 14^n lattice in the cube inscribed in B_0.9(Z)."""
-    if u.is_symmetric:
-        return None
-    n = u.n
-    basis = harmonic_polynomial_basis(n, 4)
-    pts, _ = _lattice(0.9 / np.sqrt(n), 14, n)
-    pts = pts + Z[None, :]
-    h = u.average_values(pts)
-    A = np.stack([b.value(pts - Z[None, :])[:, 0] for b in basis], axis=1)
-    coef, *_ = np.linalg.lstsq(A, h, rcond=None)
-    exps = []
-    coeffs = []
-    for i, b in enumerate(basis):
-        for ex, cvec in zip(b.exponents, b.coeffs):
-            exps.append(ex)
-            coeffs.append(np.asarray(coef[i]) * cvec[0])
-    return Polynomial(exps, coeffs, n)
-
-
 @dataclass
 class TangentResult:
     k: int
@@ -385,7 +364,6 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
     if sigmas is None:
         sigmas = run.theta ** np.arange(0, max(3, len(run.steps)))
     sigmas = np.asarray(sigmas, dtype=float)
-    havg = fit_harmonic_average(u, Z)
     shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=Z, n=n)
     l2 = np.zeros_like(sigmas)
     sup = np.zeros_like(sigmas)
@@ -393,15 +371,7 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
         ball = Ball(tuple(Z), float(s))
         rule = spec.ball(ball)
         X = rule.points
-        sv = u.symmetric_values(X)
-        if havg is not None:
-            res = u.average_values(X) - havg.value(X - Z[None, :])
-        else:
-            res = 0.0
-        pv = shifted.symmetric_values(X)
-        g2 = metric_sq_symmetric(sv, pv)
-        if havg is not None:
-            g2 = g2 + 2.0 * np.sum(np.atleast_2d(res) ** 2, axis=-1)
+        g2 = metric_sq_symmetric(u.symmetric_values(X), shifted.symmetric_values(X))
         # |eps|^2 per selection = G^2 / 2
         l2[i] = s ** (-n) * rule.integrate_values(g2 / 2.0)
         sup[i] = float(np.max(g2 / 2.0))

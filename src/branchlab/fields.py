@@ -1,18 +1,22 @@
 """Two-valued fields on balls: analytic model families and sampled data.
 
-Analytic fields expose vectorized evaluation of one branch representative of
-the symmetric part together with the matching gradient; all quadrature
-integrands used by the lab (|u|^2, |Du|^2, pair metrics) are invariant under
-the branch choice, so a per-point representative is exact for integration.
-Lift-sensitive operations (profile fits, graphical decomposition) work in
-explicit cover coordinates instead.
+Every field is a symmetric pair {+-s}.  A two-valued harmonic or
+Dir-minimizing u = {h +- s} has a single-valued harmonic part
+h = (u1 + u2)/2, so its branch set is the branch set of {+-s}; the lab
+studies s alone.
+
+Fields expose vectorized evaluation of one branch representative of s
+together with the matching gradient; all quadrature integrands used by the
+lab (|u|^2, |Du|^2, pair metrics) are invariant under the branch choice, so a
+per-point representative is exact for integration.  Lift-sensitive
+operations (profile fits, graphical decomposition) work in explicit cover
+coordinates instead.
 """
 
-import itertools
 import numpy as np
 
 from .errors import DimensionMismatchError, PairingError
-from .pairspace import metric_sq_arrays, metric_sq_symmetric, selection_costs
+from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import GRADING, QuadratureSpec, unit_ball
 
 
@@ -26,40 +30,19 @@ def _as_points(X, n):
 
 
 class Field:
-    """Base class; subclasses fill in symmetric/average values and gradients."""
+    """Base class of a symmetric pair {+-s}; subclasses fill in the values and
+    gradient of one representative s."""
 
     n = None
     m = None
     domain = None
-    average = None  # optional single-valued part h, with value(X) and gradient(X)
     planar = False  # True when values and gradients depend on (x1, x2) alone
-
-    def average_values(self, X):
-        X = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m))
-        return self.average.value(X)
-
-    def average_gradient(self, X):
-        X = _as_points(X, self.n)
-        if self.average is None:
-            return np.zeros((X.shape[0], self.m, self.n))
-        return self.average.gradient(X)
-
-    @property
-    def is_symmetric(self):
-        return self.average is None
 
     def symmetric_values(self, X):
         raise NotImplementedError
 
     def symmetric_gradient(self, X):
         raise NotImplementedError
-
-    def pair_values(self, X):
-        h = self.average_values(X)
-        s = self.symmetric_values(X)
-        return h + s, h - s
 
 
 def _xy_split(X, n):
@@ -94,7 +77,7 @@ class CylindricalModeField(Field):
     integers); the constructor enforces this.
     """
 
-    def __init__(self, modes, n=2, average=None):
+    def __init__(self, modes, n=2):
         self.modes = list(modes)
         if not self.modes:
             raise ValueError("need at least one mode")
@@ -113,18 +96,17 @@ class CylindricalModeField(Field):
         if len(parities) > 1:
             raise ValueError("mixed angular parities give an ill-defined unordered pair")
         self.parity = parities.pop()
-        self.average = average
-        self.planar = average is None and all(md.ylin is None for md in self.modes)
+        self.planar = all(md.ylin is None for md in self.modes)
         self.domain = unit_ball(self.n)
 
     @classmethod
-    def power_sum(cls, terms, n=2, average=None):
+    def power_sum(cls, terms, n=2):
         """Harmonic field {+-Re(sum_j c_j z^(k_j/2))}; terms = [(c, k), ...]."""
         modes = []
         for c, k in terms:
             c = np.atleast_1d(np.asarray(c, dtype=complex))
             modes.append(CylindricalMode(k / 2.0, k / 2.0, c.real, -c.imag))
-        return cls(modes, n=n, average=average)
+        return cls(modes, n=n)
 
     def power_terms(self):
         """Back out (c, k) pairs for harmonic modes; None if a mode is not one."""
@@ -204,8 +186,6 @@ class CylindricalModeField(Field):
         Y = np.asarray(Y, dtype=float)
         if np.hypot(Y[0], Y[1]) > 0:
             return None
-        if self.average is not None:
-            return None
         modes = []
         for md in self.modes:
             fac = rho ** md.beta / scale
@@ -227,7 +207,7 @@ class BranchPolynomialField(Field):
     unordered pair is exposed, so branch cuts never leak.
     """
 
-    def __init__(self, coeffs, c=None, n=2, qfun=None, qgrad=None, average=None):
+    def __init__(self, coeffs, c=None, n=2, qfun=None, qgrad=None):
         self.coeffs = np.asarray(coeffs, dtype=complex)  # ascending powers of z
         if c is None:
             c = np.array([1.0, -1.0j])
@@ -238,8 +218,7 @@ class BranchPolynomialField(Field):
         self.qgrad = qgrad
         if qfun is not None and self.n < 3:
             raise DimensionMismatchError("y-dependent shift needs n >= 3")
-        self.average = average
-        self.planar = qfun is None and average is None
+        self.planar = qfun is None
         self.domain = unit_ball(self.n)
 
     def _P(self, z, y):
@@ -313,7 +292,7 @@ class BranchPolynomialField(Field):
         return signs[:, None] * s
 
     def rescaled_exact(self, Y, rho, scale):
-        if self.qfun is not None or self.average is not None:
+        if self.qfun is not None:
             return None
         Y = np.asarray(Y, dtype=float)
         if self.n > 2 and np.any(Y[2:] != 0.0):
@@ -335,88 +314,6 @@ def _shift_poly(coeffs, z0):
             out[j] += a * binom * z0 ** (k - j)
             binom = binom * (k - j) / (j + 1)
     return out
-
-
-class Polynomial:
-    """Vector-valued polynomial, stored as monomial exponents and coefficients."""
-
-    def __init__(self, exponents, coeffs, n):
-        self.exponents = [tuple(int(e) for e in ex) for ex in exponents]
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-        self.n = int(n)
-        self.m = self.coeffs[0].shape[0] if self.coeffs else 1
-
-    def value(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((X.shape[0], self.m))
-        for ex, c in zip(self.exponents, self.coeffs):
-            mono = np.ones(X.shape[0])
-            for axis, e in enumerate(ex):
-                if e:
-                    mono = mono * X[:, axis] ** e
-            out += mono[:, None] * c
-        return out
-
-    def gradient(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((X.shape[0], self.m, self.n))
-        for ex, c in zip(self.exponents, self.coeffs):
-            for axis, e in enumerate(ex):
-                if not e:
-                    continue
-                mono = np.full(X.shape[0], float(e))
-                for ax2, e2 in enumerate(ex):
-                    p = e2 - 1 if ax2 == axis else e2
-                    if p:
-                        mono = mono * X[:, ax2] ** p
-                out[:, :, axis] += mono[:, None] * c
-        return out
-
-
-def monomial_exponents(n, degree):
-    out = []
-    for total in range(degree + 1):
-        for ex in itertools.combinations_with_replacement(range(n), total):
-            e = [0] * n
-            for axis in ex:
-                e[axis] += 1
-            out.append(tuple(e))
-    return out
-
-
-def harmonic_polynomial_basis(n, degree):
-    """Basis of harmonic polynomials of degree <= degree on R^n.
-
-    Computed as the nullspace of the Laplacian acting on monomial
-    coefficients; returns a list of scalar Polynomial objects.
-    """
-    exps = monomial_exponents(n, degree)
-    index = {e: i for i, e in enumerate(exps)}
-    # Laplacian as a matrix on monomial coefficients: L[target_exp, source_exp]
-    L = np.zeros((len(exps), len(exps)))
-    for e in exps:
-        j = index[e]
-        for axis in range(n):
-            k = e[axis]
-            if k >= 2:
-                tgt = list(e)
-                tgt[axis] -= 2
-                L[index[tuple(tgt)], j] += k * (k - 1)
-    _, s, vt = np.linalg.svd(L)
-    tol = max(L.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    null = vt[np.sum(s > tol):].T if s.size else np.eye(len(exps))
-    basis = []
-    for col in range(null.shape[1]):
-        vec = null[:, col]
-        keep = np.abs(vec) > 1e-13
-        basis.append(
-            Polynomial(
-                [exps[i] for i in range(len(exps)) if keep[i]],
-                [np.array([vec[i]]) for i in range(len(exps)) if keep[i]],
-                n,
-            )
-        )
-    return basis
 
 
 class RescaledField(Field):
@@ -443,18 +340,6 @@ class RescaledField(Field):
         X = _as_points(X, self.n)
         return self.base.symmetric_gradient(self._map(X)) * (self.rho / self.scale)
 
-    def average_values(self, X):
-        X = _as_points(X, self.n)
-        return self.base.average_values(self._map(X)) / self.scale
-
-    def average_gradient(self, X):
-        X = _as_points(X, self.n)
-        return self.base.average_gradient(self._map(X)) * (self.rho / self.scale)
-
-    @property
-    def is_symmetric(self):
-        return self.base.is_symmetric
-
 
 def _rescaled(field, Y, rho, scale):
     """u(Y + rho X) / scale: the field's exact reparameterization when it has
@@ -473,9 +358,7 @@ def l2_distance_sq(u, v, ball, spec=None):
     spec = spec or QuadratureSpec()
 
     def integrand(X):
-        if u.is_symmetric and v.is_symmetric:
-            return metric_sq_symmetric(u.symmetric_values(X), v.symmetric_values(X))
-        return metric_sq_arrays(*u.pair_values(X), *v.pair_values(X))
+        return metric_sq_symmetric(u.symmetric_values(X), v.symmetric_values(X))
 
     return spec.integrate_ball(ball, integrand, planar=u.planar and v.planar)
 
@@ -539,36 +422,30 @@ SAMPLED_CSV_V2 = "# branchlab sampled-field v2"
 
 
 class SampledField(Field):
-    """Two-valued samples on a polar grid, with a propagated local lift.
+    """Samples of a symmetric pair {+-s} on a polar grid, with a propagated
+    local lift.
 
-    The lift stores one branch s_lift of the symmetric part chosen
-    continuously along the grid by propagate_signs, seeded on the outermost
-    annulus; hol records the pairing holonomy of each annular loop (-1 on
-    genuinely branched data with odd k).  The field is symmetric exactly
-    when it has no average part.
+    The lift stores one branch s_lift of s chosen continuously along the grid
+    by propagate_signs, seeded on the outermost annulus; hol records the
+    pairing holonomy of each annular loop (-1 on genuinely branched data with
+    odd k).
 
     to_csv writes the v2 layout: a version line, a header with n, m,
-    symmetric, hol, shape and the rs/thetas[/ys] lists, a line of column
-    names, then one row per node in PolarGrid.nodes() order.  The node
-    coordinates are in the header only.  A symmetric field's row is its m
-    lift values s; any other field's row is h + s, then h - s.  Values are
-    float reprs, so a symmetric field reads back bit for bit, -0.0 included.
-    from_csv also reads v1, whose rows carry the node coordinates first and
-    always hold h + s, h - s (h = 0 for a symmetric field).
+    symmetric=1, hol, shape and the rs/thetas[/ys] lists, a line of column
+    names, then one row per node in PolarGrid.nodes() order: its m lift
+    values s.  The node coordinates are in the header only.  Values are
+    float reprs, so a field reads back bit for bit, -0.0 included.  from_csv
+    also reads v1, whose rows carry the node coordinates first and then two
+    values a1, a2; s is (a1 - a2)/2.  A file with symmetric=0 is refused.
     """
 
-    def __init__(self, grid, s_lift, average=None, hol=None, domain=None):
+    def __init__(self, grid, s_lift, hol=None, domain=None):
         self.grid = grid
         self.n = grid.n
         self.s_lift = np.asarray(s_lift, dtype=float)  # shape (*grid.shape, m)
         self.m = self.s_lift.shape[-1]
-        self.avg = None if average is None else np.asarray(average, dtype=float)
         self.hol = hol
         self.domain = domain if domain is not None else unit_ball(self.n)
-
-    @property
-    def is_symmetric(self):
-        return self.avg is None
 
     # -- interpolation ------------------------------------------------------
 
@@ -579,6 +456,8 @@ class SampledField(Field):
         return idx, np.clip(t, 0.0, 1.0)
 
     def _interp_lift(self, X):
+        """The lift interpolated at X: bilinear in (r, theta) with the seam
+        sign on each axis slab, linear across the slabs."""
         X = _as_points(X, self.n)
         r = np.hypot(X[:, 0], X[:, 1])
         theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
@@ -597,32 +476,20 @@ class SampledField(Field):
             iy, ty = self._locate(X[:, 2], self.grid.ys)
             slabs = [((iy,), (1 - ty)[:, None]), ((iy + 1,), ty[:, None])]
 
-        def gather(arr):
-            # arr shape (nr, nt[, ny], m) -> bilinear in (r, theta) with seam
-            # sign on each axis slab, linear across the slabs
-            parts = []
-            for iy, wy in slabs:
-                v00 = arr[(ir, jt0) + iy]
-                v01 = arr[(ir, jt1) + iy] * sgn[:, None]
-                v10 = arr[(ir + 1, jt0) + iy]
-                v11 = arr[(ir + 1, jt1) + iy] * sgn[:, None]
-                parts.append(wy * (
-                    (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
-                    + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)))
-            return sum(parts[1:], parts[0])
-
-        return gather(self.s_lift), (gather(self.avg) if self.avg is not None else None)
+        arr = self.s_lift
+        parts = []
+        for iy, wy in slabs:
+            v00 = arr[(ir, jt0) + iy]
+            v01 = arr[(ir, jt1) + iy] * sgn[:, None]
+            v10 = arr[(ir + 1, jt0) + iy]
+            v11 = arr[(ir + 1, jt1) + iy] * sgn[:, None]
+            parts.append(wy * (
+                (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
+                + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)))
+        return sum(parts[1:], parts[0])
 
     def symmetric_values(self, X):
-        s, _ = self._interp_lift(X)
-        return s
-
-    def average_values(self, X):
-        X = _as_points(X, self.n)
-        if self.avg is None:
-            return np.zeros((X.shape[0], self.m))
-        _, h = self._interp_lift(X)
-        return h
+        return self._interp_lift(X)
 
     def symmetric_gradient(self, X):
         X = _as_points(X, self.n)
@@ -631,25 +498,19 @@ class SampledField(Field):
         for axis in range(self.n):
             dX = np.zeros_like(X)
             dX[:, axis] = eps
-            sp, _ = self._interp_lift(X + dX)
-            sm, _ = self._interp_lift(X - dX)
+            sp = self._interp_lift(X + dX)
+            sm = self._interp_lift(X - dX)
             out[:, :, axis] = (sp - sm) / (2 * eps)
         return out
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path):
-        s = self.grid.node_rows(self.s_lift)
-        if self.is_symmetric:
-            cols, table = [f"s_{k+1}" for k in range(self.m)], s
-        else:
-            h = self.grid.node_rows(self.avg)
-            cols = [f"a1_{k+1}" for k in range(self.m)] + [f"a2_{k+1}" for k in range(self.m)]
-            table = np.concatenate([h + s, h - s], axis=1)
+        cols = [f"s_{k+1}" for k in range(self.m)]
         with open(path, "w") as fh:
             fh.write(SAMPLED_CSV_V2 + "\n")
             fh.write(
-                f"# n={self.n} m={self.m} symmetric={int(self.is_symmetric)} "
+                f"# n={self.n} m={self.m} symmetric=1 "
                 f"hol={int(self.hol) if self.hol is not None else 0}\n"
             )
             fh.write(f"# shape={','.join(str(k) for k in self.grid.shape)}\n")
@@ -659,7 +520,8 @@ class SampledField(Field):
                 fh.write("# ys=" + ",".join(repr(float(v)) for v in self.grid.ys) + "\n")
             fh.write(",".join(cols) + "\n")
             row = ",".join(["%r"] * len(cols)) + "\n"
-            fh.writelines(row % tuple(values) for values in table.tolist())
+            fh.writelines(row % tuple(values)
+                          for values in self.grid.node_rows(self.s_lift).tolist())
 
     @classmethod
     def from_csv(cls, path):
@@ -692,24 +554,20 @@ class SampledField(Field):
         rs = np.array([float(v) for v in meta["rs"].split(",")])
         thetas = np.array([float(v) for v in meta["thetas"].split(",")])
         ys = np.array([float(v) for v in meta["ys"].split(",")]) if "ys" in meta else None
-        symmetric = bool(int(meta.get("symmetric", "1")))
+        if meta.get("symmetric", "1") != "1":
+            raise ValueError(f"symmetric={meta['symmetric']}: a pair with an average part; "
+                             "only symmetric pairs {+-s} are read")
         grid = PolarGrid(rs, thetas, ys)
         if (n, shape) != (grid.n, grid.shape):
             raise ValueError(f"n={n} shape={meta['shape']} disagree with the rs/thetas/ys lists")
         _check_sampled_grid(grid, data, hol)
-        first = n if version == SAMPLED_CSV_V1 else 0  # v1 rows start with the node
-        s_only = symmetric and version == SAMPLED_CSV_V2  # v2 stores a symmetric s as is
-        expect = (int(np.prod(shape)), first + (m if s_only else 2 * m))
+        v1 = version == SAMPLED_CSV_V1  # v1 rows hold the node, then a1 and a2
+        expect = (int(np.prod(shape)), n + 2 * m if v1 else m)
         if data.shape != expect:
             raise ValueError(f"the data block is {data.shape[0]}x{data.shape[1]}, "
                              f"not {expect[0]}x{expect[1]}")
-        if s_only:
-            s, avg = data, None
-        else:
-            a1, a2 = data[:, first:first + m], data[:, first + m:]
-            s = (a1 - a2) / 2.0
-            avg = None if symmetric else grid.on_grid((a1 + a2) / 2.0)
-        return cls(grid, grid.on_grid(s), average=avg, hol=hol or None)
+        s = (data[:, n:n + m] - data[:, n + m:]) / 2.0 if v1 else data
+        return cls(grid, grid.on_grid(s), hol=hol or None)
 
 
 def _check_sampled_grid(grid, data, hol):

@@ -4,9 +4,9 @@ D_{u,Y}(rho) = rho^(2-n) int_{B_rho(Y)} |Du|^2
 H_{u,Y}(rho) = rho^(1-n) int_{bdry B_rho(Y)} |u|^2
 N = D / H
 
-For a two-valued u = {h + s, h - s} the pairing-invariant integrands reduce
-to |u|^2 = 2(|h|^2 + |s|^2) and |Du|^2 = 2(|Dh|^2 + |Ds|^2), so one branch
-representative of s suffices.
+For a symmetric pair u = {+-s} the pairing-invariant integrands reduce to
+|u|^2 = 2|s|^2 and |Du|^2 = 2|Ds|^2, so one branch representative of s
+suffices.
 """
 
 from dataclasses import dataclass
@@ -19,17 +19,15 @@ from .quadrature import Ball, QuadratureSpec, unit_ball
 H_FLOOR_REL = 1e-14
 
 
-def _pair_sq(vals_h, vals_s):
-    return 2.0 * (np.sum(vals_h * vals_h, axis=-1) + np.sum(vals_s * vals_s, axis=-1))
+def _pair_sq(s):
+    """|u|^2 of u = {+-s}, summed over the two selections, pointwise."""
+    return 2.0 * np.sum(s * s, axis=-1)
 
 
 def _grad_sq(u, X, axes=slice(None)):
     """|Du|^2 summed over the two selections, over the gradient components axes."""
     ds = u.symmetric_gradient(X)[:, :, axes]
-    if u.is_symmetric:
-        return 2.0 * np.sum(ds * ds, axis=(1, 2))
-    dh = u.average_gradient(X)[:, :, axes]
-    return 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
+    return 2.0 * np.sum(ds * ds, axis=(1, 2))
 
 
 def energy_integral(u, ball, spec):
@@ -39,13 +37,8 @@ def energy_integral(u, ball, spec):
 
 def height_integral(u, ball, spec):
     """int over the boundary sphere of |u|^2."""
-    def integrand(X):
-        s = u.symmetric_values(X)
-        if u.is_symmetric:
-            return 2.0 * np.sum(s * s, axis=-1)
-        return _pair_sq(u.average_values(X), s)
-
-    return spec.integrate_sphere(ball, integrand, planar=u.planar)
+    return spec.integrate_sphere(ball, lambda X: _pair_sq(u.symmetric_values(X)),
+                                 planar=u.planar)
 
 
 @dataclass
@@ -199,14 +192,13 @@ def default_test_functions(n):
 
 
 def _sphere_radial(u, Y, rho, spec):
-    """The sphere rule of B_rho(Y), with u's average h and symmetric part s on
-    it and their radial derivatives: (rule, h, s, D_R h, D_R s)."""
+    """The sphere rule of B_rho(Y), with u's representative s on it and its
+    radial derivative: (rule, s, D_R s)."""
     srule = spec.sphere(Ball(tuple(Y), rho))
     X = srule.points
     nu = (X - Y[None, :]) / rho
-    dr_h = np.einsum("pki,pi->pk", u.average_gradient(X), nu)
     dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), nu)
-    return srule, u.average_values(X), u.symmetric_values(X), dr_h, dr_s
+    return srule, u.symmetric_values(X), dr_s
 
 
 def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
@@ -236,18 +228,16 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
         X = rule.points
         zeta = tf.value(X)
         dzeta = tf.gradient(X)
-        h = u.average_values(X)
         s = u.symmetric_values(X)
-        dh = u.average_gradient(X)
         ds = u.symmetric_gradient(X)
-        du_sq = 2.0 * (np.sum(dh * dh, axis=(1, 2)) + np.sum(ds * ds, axis=(1, 2)))
-        # sum over selections of u^k D_i u^k = 2 (h . D_i h + s . D_i s)
-        u_du = 2.0 * (np.einsum("pk,pki->pi", h, dh) + np.einsum("pk,pki->pi", s, ds))
+        du_sq = 2.0 * np.sum(ds * ds, axis=(1, 2))
+        # sum over selections of u^k D_i u^k = 2 s . D_i s
+        u_du = 2.0 * np.einsum("pk,pki->pi", s, ds)
         squash_vals.append(
             rule.integrate_values(du_sq * zeta + np.sum(u_du * dzeta, axis=1))
         )
         # stress tensor T_ij = |Du|^2 delta_ij / 2 - sum_sel D_i u . D_j u
-        T = -2.0 * (np.einsum("pki,pkj->pij", dh, dh) + np.einsum("pki,pkj->pij", ds, ds))
+        T = -2.0 * np.einsum("pki,pkj->pij", ds, ds)
         T[:, np.arange(n), np.arange(n)] += 0.5 * du_sq[:, None]
         for j in range(n):
             # zeta^l = delta_{lj} * bump: residual = int T_ij D_i zeta
@@ -256,9 +246,8 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
     Y = np.zeros(n)
     for rho in radial_radii:
         lhs = energy_integral(u, Ball(tuple(Y), float(rho)), spec)
-        srule, h, s, dr_h, dr_s = _sphere_radial(u, Y, float(rho), spec)
-        u_dru = 2.0 * (np.sum(h * dr_h, axis=1) + np.sum(s * dr_s, axis=1))
-        rhs = srule.integrate_values(u_dru)
+        srule, s, dr_s = _sphere_radial(u, Y, float(rho), spec)
+        rhs = srule.integrate_values(2.0 * np.sum(s * dr_s, axis=1))
         radial.append(lhs - rhs)
     return StationarityReport(
         squash=float(np.max(np.abs(squash_vals))),
@@ -284,15 +273,10 @@ def radial_frequency_deviation(u, Y, alpha, ball, spec=None):
 
 def _radial_deviation_sq(u, X, R, nu, alpha):
     """|d/dR (u / R^alpha)|^2 summed over the two selections, pointwise."""
-    h = u.average_values(X)
     s = u.symmetric_values(X)
-    dh = u.average_gradient(X)
-    ds = u.symmetric_gradient(X)
-    dr_h = np.einsum("pki,pi->pk", dh, nu)
-    dr_s = np.einsum("pki,pi->pk", ds, nu)
-    gh = (dr_h - alpha * h / R[:, None]) / R[:, None] ** alpha
+    dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), nu)
     gs = (dr_s - alpha * s / R[:, None]) / R[:, None] ** alpha
-    return 2.0 * (np.sum(gh * gh, axis=1) + np.sum(gs * gs, axis=1))
+    return _pair_sq(gs)
 
 
 def axis_energy_integral(u, ball, spec=None):
@@ -334,13 +318,10 @@ def frequency_derivative_identity(u, Y, rho_grid, spec=None):
     for i in range(1, rho_grid.shape[0] - 1):
         rho = float(rho_grid[i])
         lhs = (prof.N[i + 1] - prof.N[i - 1]) / (rho_grid[i + 1] - rho_grid[i - 1])
-        srule, hvals, svals, dr_h, dr_s = _sphere_radial(u, Y, rho, spec)
-        u_sq = _pair_sq(hvals, svals)
-        dr_sq = _pair_sq(dr_h, dr_s)
-        u_dru = 2.0 * (np.sum(hvals * dr_h, axis=1) + np.sum(svals * dr_s, axis=1))
-        A = srule.integrate_values(u_sq)
-        B = srule.integrate_values(rho ** 2 * dr_sq)
-        C = srule.integrate_values(rho * u_dru)
+        srule, svals, dr_s = _sphere_radial(u, Y, rho, spec)
+        A = srule.integrate_values(_pair_sq(svals))
+        B = srule.integrate_values(rho ** 2 * _pair_sq(dr_s))
+        C = srule.integrate_values(rho * (2.0 * np.sum(svals * dr_s, axis=1)))
         gap = A * B - C * C
         rhs = 2.0 * gap / (rho ** (2 * n - 1) * prof.H[i] ** 2)
         rows.append(DerivativeIdentityRow(rho, float(lhs), float(rhs), float(gap)))

@@ -1,19 +1,12 @@
-"""The pair metric on unordered pairs of m-vectors, as array kernels.
+"""The pair metric on symmetric pairs of m-vectors, as array kernels.
 
-A point of the pair space is a set {a1, a2} of two vectors in R^m, not
-necessarily distinct; its metric takes the minimum over the two pairings,
-so the stored order of a pair never matters.  Arrays carry points along
-the leading axes and the m components along the last axis.
+A point of the pair space is a set {a, -a} of two vectors in R^m; its
+metric takes the minimum over the two pairings, so the sign of the stored
+representative never matters.  Arrays carry points along the leading axes
+and the m components along the last axis.
 """
 
 import numpy as np
-
-
-def metric_sq_arrays(a1, a2, b1, b2):
-    """G(a,b)^2 for batched pairs; min over the two pairings, pointwise."""
-    keep = np.sum((a1 - b1) ** 2, axis=-1) + np.sum((a2 - b2) ** 2, axis=-1)
-    swap = np.sum((a1 - b2) ** 2, axis=-1) + np.sum((a2 - b1) ** 2, axis=-1)
-    return np.minimum(keep, swap)
 
 
 def selection_costs(su, sv):

@@ -71,9 +71,26 @@ def test_run_frequency_and_report(tmp_path, capsys):
     assert "frequency_constant" in text and "pass" in text
 
 
-def test_report_missing_manifest(tmp_path):
-    os.makedirs(tmp_path / "empty", exist_ok=True)
-    assert cli.main(["report", str(tmp_path / "empty")]) == cli.EXIT_NUMERICAL
+def test_report_missing_manifest(tmp_path, capsys):
+    # an empty directory, a manifest without summary.json, a manifest that is
+    # not JSON and summaries of the wrong shape each exit 3 with a JSON error
+    # naming the file
+    cases = [("empty", {}, "manifest.json"),
+             ("no-summary", {"manifest.json": '{"files": []}'}, "summary.json"),
+             ("bad-manifest", {"manifest.json": "{bad", "summary.json": "{}"}, "manifest.json"),
+             ("list-summary", {"manifest.json": "{}", "summary.json": "[]"}, "summary.json"),
+             ("int-check", {"manifest.json": "{}", "summary.json": '{"checks": [1]}'},
+              "summary.json"),
+             ("int-files", {"manifest.json": '{"files": 5}', "summary.json": "{}"},
+              "manifest.json")]
+    for name, files, culprit in cases:
+        os.makedirs(tmp_path / name)
+        for fname, text in files.items():
+            (tmp_path / name / fname).write_text(text)
+        assert cli.main(["report", str(tmp_path / name)]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert culprit in json.loads(captured.err.strip())["error"]
+        assert captured.out == ""
 
 
 def test_manifest_complete(tmp_path):
@@ -358,7 +375,7 @@ def test_single_kind_run_exit_ok(tmp_path):
 
 
 @pytest.mark.parametrize("levels", [[[4]], [], [[0, 8]], [[8, 16.5]], "8x16", [[True, 8]],
-                                    [[8, 16, 32]], [[1, 8]], [[2, 8]]])
+                                    [[8, 16, 32]], [[1, 8]], [[2, 8]], [[3, 1]]])
 def test_malformed_levels_exit_config(tmp_path, capsys, levels):
     path = write_config(tmp_path, minimize_config("out", levels))
     for verb in ("validate", "run"):
@@ -539,6 +556,11 @@ SAMPLED_V2_N3_HEADER = ("# branchlab sampled-field v2\n# n=3 m=1 symmetric=1 hol
     pytest.param(SAMPLED_V2_HEADER + "1.0,-1.0\n" * 4, id="v2-symmetric-two-columns"),
     pytest.param(SAMPLED_V2_HEADER.replace("symmetric=1", "symmetric=0") + "1.0\n" * 4,
                  id="v2-nonsymmetric-one-column"),
+    # well-formed pairs with an average part: only symmetric pairs are read
+    pytest.param(SAMPLED_V2_HEADER.replace("symmetric=1", "symmetric=0").replace("s_1", "a1_1,a2_1")
+                 + "1.0,-1.0\n" * 4, id="v2-nonsymmetric-two-columns"),
+    pytest.param(SAMPLED_HEADER.replace("symmetric=1", "symmetric=0") + "0.5,0.0,1.0,-1.0\n" * 4,
+                 id="v1-nonsymmetric"),
     pytest.param(SAMPLED_V2_HEADER + "1.0\n" * 3, id="v2-rows-below-nr-nt"),
     pytest.param(SAMPLED_V2_HEADER + "1.0\n" * 5, id="v2-rows-above-nr-nt"),
     pytest.param(SAMPLED_V2_N3_HEADER + "1.0\n" * 4, id="v2-rows-nr-nt-not-ny"),

@@ -3,10 +3,8 @@ import pytest
 
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.decay import (DecayRun, detect_branch_set, decay_step, gap_probe,
-                             iterate, rescale_raw, tangent_expansion,
-                             fit_harmonic_average)
+                             iterate, rescale_raw, tangent_expansion)
 from branchlab.frequency import frequency_profile
-from branchlab.fields import Polynomial
 from branchlab.profiles import CylindricalProfile, profile_distance_sq
 from branchlab.quadrature import QuadratureSpec, unit_ball
 
@@ -182,19 +180,6 @@ def test_tangent_expansion_exact_profile_zero_error():
     tr = tangent_expansion(u, np.zeros(2), run, sigmas=0.5 ** np.arange(4), spec=SPEC)
     assert np.max(tr.l2_table) < 1e-22
     assert np.max(tr.sup_table) < 1e-22
-
-
-def test_tangent_with_harmonic_average():
-    avg = Polynomial([(1, 0), (2, 0), (0, 2)],
-                     [np.array([0.3, 0.0]), np.array([0.2, 0.0]), np.array([-0.2, 0.0])], 2)
-    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.02 * C_NULL, 3)], n=2,
-                                       average=avg)
-    h = fit_harmonic_average(u, np.zeros(2))
-    X = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 2))
-    assert np.max(np.abs(h.value(X) - avg.value(X))) < 1e-8
-    run = iterate(u, np.zeros(2), 1, theta=0.125, j_max=2, spec=SPEC)
-    tr = tangent_expansion(u, np.zeros(2), run, sigmas=0.5 ** np.arange(5), spec=SPEC)
-    assert tr.l2_slope == pytest.approx(run.k + 2, abs=0.15)
 
 
 def test_not_a_branch_point_result():

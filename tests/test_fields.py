@@ -10,10 +10,9 @@ from hypothesis.extra.numpy import arrays
 from branchlab import cli
 from branchlab.errors import PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
-                              CylindricalModeField, Field, PolarGrid, Polynomial,
+                              CylindricalModeField, Field, PolarGrid,
                               RescaledField, SampledField, _rescaled, graded_radii,
-                              harmonic_polynomial_basis, l2_distance_sq,
-                              propagate_signs)
+                              l2_distance_sq, propagate_signs)
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import fit_c, fit_profile
 from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
@@ -25,15 +24,15 @@ from conftest import C_NULL, power_sum_norm_sq
 
 def test_eval_half_power_real_axis():
     u = CylindricalModeField.power_sum([(np.array([1.0 + 0j]), 1)], n=2)
-    a1, a2 = u.pair_values(np.array([[1.0, 0.0]]))
-    assert {a1[0, 0], a2[0, 0]} == {1.0, -1.0}
+    s = u.symmetric_values(np.array([[1.0, 0.0]]))
+    assert {s[0, 0], -s[0, 0]} == {1.0, -1.0}
 
 
 def test_eval_half_power_imag_axis():
     # z = i, z^(1/2) = e^(i pi/4), Re = sqrt(2)/2 (complex arithmetic oracle)
     u = CylindricalModeField.power_sum([(np.array([1.0 + 0j]), 1)], n=2)
-    a1, _ = u.pair_values(np.array([[0.0, 1.0]]))
-    assert abs(a1[0, 0]) == pytest.approx(0.7071067811865476, abs=1e-15)
+    s = u.symmetric_values(np.array([[0.0, 1.0]]))
+    assert abs(s[0, 0]) == pytest.approx(0.7071067811865476, abs=1e-15)
 
 
 def test_branch_polynomial_zero_set():
@@ -47,29 +46,11 @@ def test_branch_polynomial_zero_set():
     assert np.linalg.norm(off) > 0.1
 
 
-def _pair_gradient(u, x):
-    """The gradients of the two values at one point, in pair_values' order."""
-    X = np.array([x])
-    dh, ds = u.average_gradient(X)[0], u.symmetric_gradient(X)[0]
-    return dh + ds, dh - ds
-
-
 def test_gradient_linear_field():
     # gradient of Re(c z), c = (1, i): rows (1, 0) and (0, -1)
     u = CylindricalModeField.power_sum([(np.array([1.0, 1.0j]), 2)], n=2)
-    g1, g2 = _pair_gradient(u, [0.3, 0.1])
-    expected = np.array([[1.0, 0.0], [0.0, -1.0]])
-    assert np.allclose(g1, expected, atol=1e-13)
-    assert np.allclose(g2, -expected, atol=1e-13)
-
-
-def test_gradient_constant_average():
-    avg = Polynomial([(0, 0)], [np.array([2.0])], 2)
-    u = CylindricalModeField([CylindricalMode(2.0, 2.0, [0.0], [0.0])], n=2, average=avg)
-    g1, g2 = _pair_gradient(u, [0.4, 0.1])
-    assert np.allclose(g1, 0.0, atol=1e-14) and np.allclose(g2, 0.0, atol=1e-14)
-    a1, _ = u.pair_values(np.array([[0.4, 0.1]]))
-    assert a1[0, 0] == pytest.approx(2.0)
+    g = u.symmetric_gradient(np.array([[0.3, 0.1]]))[0]
+    assert np.allclose(g, [[1.0, 0.0], [0.0, -1.0]], atol=1e-13)
 
 
 def test_gradient_singular_at_branch_point():
@@ -322,30 +303,21 @@ def test_power_sum_gradient_on_the_cut_matches_values_branch(data):
 @st.composite
 def _fields_with_planarity(draw):
     """(field, whether it depends on (x1, x2) alone) for every kind that sets planar."""
-    kind = draw(st.sampled_from(["modes", "modes_average", "poly", "poly_qfun",
-                                 "poly_average"]))
-    if kind.startswith("modes"):
+    kind = draw(st.sampled_from(["modes", "poly", "poly_qfun"]))
+    if kind == "modes":
         u = draw(_mode_fields(dims=(3, 4)))
-        n, m, planar = u.n, u.m, all(md.ylin is None for md in u.modes)
+        planar = all(md.ylin is None for md in u.modes)
     else:
-        n, m, planar = draw(st.sampled_from([3, 4])), 2, True
+        n = draw(st.sampled_from([3, 4]))
         coeffs = draw(st.lists(_coef, min_size=2, max_size=4))
         qfun = qgrad = None
         if kind == "poly_qfun":
             qfun = lambda y: 0.3 * y[:, 0] ** 2  # noqa: E731
             qgrad = lambda y: np.column_stack([0.6 * y[:, 0], np.zeros((len(y), n - 3))])  # noqa: E731
-    if kind.endswith("average"):
-        # a single-valued part that varies along x3
-        average, planar = Polynomial([(0, 0, 1) + (0,) * (n - 3)], [np.ones(m)], n), False
-    else:
-        average = None
-    if kind.startswith("modes"):
-        u = CylindricalModeField(u.modes, n=n, average=average)
-    else:
-        u = BranchPolynomialField(coeffs, n=n, qfun=qfun, qgrad=qgrad, average=average)
-        planar = planar and qfun is None
+        u = BranchPolynomialField(coeffs, n=n, qfun=qfun, qgrad=qgrad)
+        planar = qfun is None
     if draw(st.booleans()):
-        Y = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+        Y = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=u.n, max_size=u.n)))
         u = RescaledField(u, Y, draw(st.floats(0.1, 2.0)), draw(st.floats(0.5, 3.0)))
     return u, planar
 
@@ -360,8 +332,7 @@ def test_planar_fields_ignore_axis_variables(data):
     X2[:, 2:] = data.draw(arrays(np.float64, (X.shape[0], u.n - 2),
                                  elements=st.floats(-1.0, 1.0)))
     if planar:
-        for fn in (u.symmetric_values, u.symmetric_gradient, u.average_values,
-                   u.average_gradient):
+        for fn in (u.symmetric_values, u.symmetric_gradient):
             np.testing.assert_array_equal(fn(X), fn(X2))
 
 
@@ -459,8 +430,7 @@ def sample(u, grid):
     nodes = grid.nodes()
     svals = grid.on_grid(u.symmetric_values(nodes))
     signs, hol = propagate_signs(svals)
-    avg = None if u.is_symmetric else grid.on_grid(u.average_values(nodes))
-    return SampledField(grid, signs[..., None] * svals, average=avg, hol=hol, domain=u.domain)
+    return SampledField(grid, signs[..., None] * svals, hol=hol, domain=u.domain)
 
 
 def _sample_field(u, nr=24, nt=48):
@@ -501,7 +471,7 @@ def test_sampled_n3_roundtrip_and_interp(tmp_path):
 
 def _sampled_csv_header(sf, fh, version):
     fh.write(f"# branchlab sampled-field {version}\n")
-    fh.write(f"# n={sf.n} m={sf.m} symmetric={int(sf.is_symmetric)} "
+    fh.write(f"# n={sf.n} m={sf.m} symmetric=1 "
              f"hol={int(sf.hol) if sf.hol is not None else 0}\n")
     fh.write(f"# shape={','.join(str(s) for s in sf.grid.shape)}\n")
     fh.write("# rs=" + ",".join(repr(float(v)) for v in sf.grid.rs) + "\n")
@@ -511,26 +481,22 @@ def _sampled_csv_header(sf, fh, version):
 
 
 def _node_rows(sf):
-    """(s, h) as (N, m) rows in nodes() order, h = 0 for a field with no average."""
+    """s as (N, m) rows in nodes() order."""
     if sf.n == 3:
-        s = np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
-        h = None if sf.avg is None else np.moveaxis(sf.avg, 2, 0).reshape(-1, sf.m)
-    else:
-        s = sf.s_lift.reshape(-1, sf.m)
-        h = None if sf.avg is None else sf.avg.reshape(-1, sf.m)
-    return s, np.zeros_like(s) if h is None else h
+        return np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
+    return sf.s_lift.reshape(-1, sf.m)
 
 
 def _sampled_csv_reference(sf, path):
-    """Row-by-row v1 writer: node coordinates, then h + s and h - s."""
+    """Row-by-row v1 writer: node coordinates, then a1 = 0 + s and a2 = 0 - s."""
     with open(path, "w") as fh:
         _sampled_csv_header(sf, fh, "v1")
         cols = [f"x{i+1}" for i in range(sf.n)]
         cols += [f"a1_{k+1}" for k in range(sf.m)] + [f"a2_{k+1}" for k in range(sf.m)]
         fh.write(",".join(cols) + "\n")
         nodes = sf.grid.nodes()
-        s, h = _node_rows(sf)
-        a1, a2 = h + s, h - s
+        s = _node_rows(sf)
+        a1, a2 = 0.0 + s, 0.0 - s
         for i in range(nodes.shape[0]):
             row = [repr(float(v)) for v in nodes[i]]
             row += [repr(float(v)) for v in a1[i]] + [repr(float(v)) for v in a2[i]]
@@ -541,59 +507,46 @@ def _sampled_csv_v2_reference(sf, path):
     """Row-by-row v2 writer, the reference for SampledField.to_csv: values only."""
     with open(path, "w") as fh:
         _sampled_csv_header(sf, fh, "v2")
-        s, h = _node_rows(sf)
-        if sf.is_symmetric:
-            fh.write(",".join(f"s_{k+1}" for k in range(sf.m)) + "\n")
-            table = s
-        else:
-            fh.write(",".join([f"a1_{k+1}" for k in range(sf.m)]
-                              + [f"a2_{k+1}" for k in range(sf.m)]) + "\n")
-            table = np.concatenate([h + s, h - s], axis=1)
-        for values in table:
+        fh.write(",".join(f"s_{k+1}" for k in range(sf.m)) + "\n")
+        for values in _node_rows(sf):
             fh.write(",".join(repr(float(v)) for v in values) + "\n")
 
 
-def _extreme_sampled_fields(n):
-    """A non-symmetric and a symmetric field with +-0.0, a subnormal and 1e+-300 values."""
+def _extreme_sampled_field(n):
+    """A sampled field with +-0.0, a subnormal and 1e+-300 values."""
     ys = None if n == 2 else np.linspace(-0.5, 0.5, 3)
     grid = PolarGrid(graded_radii(6, 0.9), np.arange(10) * (2 * np.pi / 10), ys)
     rng = np.random.default_rng(5)
     lift = rng.standard_normal(grid.shape + (2,)) * 10.0 ** rng.integers(-300, 300, grid.shape + (2,))
     lift.flat[:5] = [0.0, -0.0, 1e-320, 1e300, -1e-300]
-    avg = rng.standard_normal(grid.shape + (2,))
-    return (SampledField(grid, lift, average=avg),
-            SampledField(grid, lift, hol=-1.0))
+    return SampledField(grid, lift, hol=-1.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampled_csv_bytes_match_row_writer(tmp_path, n):
-    for sf in _extreme_sampled_fields(n):
-        sf.to_csv(tmp_path / "new.csv")
-        _sampled_csv_v2_reference(sf, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        if sf.is_symmetric:  # s parses back exactly, so it rewrites the same bytes
-            SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
-            assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        # a v1 file reads as it always has: s = (a1 - a2)/2, h = (a1 + a2)/2
-        _sampled_csv_reference(sf, tmp_path / "v1.csv")
-        back = SampledField.from_csv(tmp_path / "v1.csv")
-        h = np.zeros_like(sf.s_lift) if sf.avg is None else sf.avg
-        a1, a2 = h + sf.s_lift, h - sf.s_lift
-        assert np.array_equal(back.s_lift, (a1 - a2) / 2.0)
-        assert (back.avg is None) == sf.is_symmetric
-        if not sf.is_symmetric:
-            assert np.array_equal(back.avg, (a1 + a2) / 2.0)
-        assert back.hol == sf.hol and back.is_symmetric == sf.is_symmetric
-        assert np.array_equal(back.grid.rs, sf.grid.rs)
-        assert np.array_equal(back.grid.thetas, sf.grid.thetas)
-        assert (back.grid.ys is None) == (n == 2)
-        if n == 3:
-            assert np.array_equal(back.grid.ys, sf.grid.ys)
+    sf = _extreme_sampled_field(n)
+    sf.to_csv(tmp_path / "new.csv")
+    _sampled_csv_v2_reference(sf, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # s parses back exactly, so it rewrites the same bytes
+    SampledField.from_csv(tmp_path / "ref.csv").to_csv(tmp_path / "back.csv")
+    assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # a v1 file reads as it always has: s = (a1 - a2)/2
+    _sampled_csv_reference(sf, tmp_path / "v1.csv")
+    back = SampledField.from_csv(tmp_path / "v1.csv")
+    a1, a2 = 0.0 + sf.s_lift, 0.0 - sf.s_lift
+    assert np.array_equal(back.s_lift, (a1 - a2) / 2.0)
+    assert back.hol == sf.hol
+    assert np.array_equal(back.grid.rs, sf.grid.rs)
+    assert np.array_equal(back.grid.thetas, sf.grid.thetas)
+    assert (back.grid.ys is None) == (n == 2)
+    if n == 3:
+        assert np.array_equal(back.grid.ys, sf.grid.ys)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sampled_v2_roundtrip_keeps_negative_zero(tmp_path, n):
-    sf = _extreme_sampled_fields(n)[1]
+    sf = _extreme_sampled_field(n)
     assert np.signbit(sf.s_lift.flat[1]) and sf.s_lift.flat[1] == 0.0
     sf.to_csv(tmp_path / "v2.csv")
     back = SampledField.from_csv(tmp_path / "v2.csv")
@@ -899,50 +852,22 @@ def _interp_lift_reference(sf, X):
                 + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11))
 
     if sf.n == 2:
-        return gather(sf.s_lift), (gather(sf.avg) if sf.avg is not None else None)
+        return gather(sf.s_lift)
     iy, ty = sf._locate(X[:, 2], sf.grid.ys)
-
-    def across(arr):
-        return (1 - ty)[:, None] * gather(arr, iy) + ty[:, None] * gather(arr, iy + 1)
-
-    return across(sf.s_lift), (across(sf.avg) if sf.avg is not None else None)
+    return (1 - ty)[:, None] * gather(sf.s_lift, iy) + ty[:, None] * gather(sf.s_lift, iy + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("with_average", [False, True])
+@pytest.mark.parametrize("even_k", [False, True])  # seam sign hol = -1, then +1
 @pytest.mark.parametrize("c", [C_NULL, np.array([1.0, 0.0]) + 0j])  # the second: signed zeros
-def test_sampled_interpolation_matches_former_gathers(n, with_average, c):
-    average = None
-    if with_average:
-        average = Polynomial([(1,) + (0,) * (n - 1), (0, 2) + (0,) * (n - 2)],
-                             [np.array([0.3, -0.1]), np.array([0.05, 0.2])], n)
-    u = CylindricalModeField.power_sum([(c, 1), (0.1 * c, 3)], n=n, average=average)
+def test_sampled_interpolation_matches_former_gathers(n, even_k, c):
+    k = 2 if even_k else 1
+    u = CylindricalModeField.power_sum([(c, k), (0.1 * c, k + 2)], n=n)
     grid = PolarGrid(graded_radii(10, 0.9), np.arange(24) * (2 * np.pi / 24),
                      None if n == 2 else np.linspace(-0.4, 0.4, 5))
     sf = sample(u, grid)
+    assert sf.hol == (1.0 if even_k else -1.0)
     X = np.random.default_rng(5).uniform(-0.6, 0.6, size=(300, n))
     X[:8, 1], X[8:16, 1] = 0.0, -0.0  # on the seam, from both sides
     X[16:24, :2] = 0.0  # at the center, where a zero sample keeps its sign
-    s, h = sf._interp_lift(X)
-    s0, h0 = _interp_lift_reference(sf, X)
-    assert s.tobytes() == s0.tobytes()
-    assert (h is None and h0 is None) or h.tobytes() == h0.tobytes()
-
-
-# -- harmonic polynomial basis -------------------------------------------------
-
-@pytest.mark.parametrize("n,degree,count", [(2, 3, 7), (3, 2, 9)])
-def test_harmonic_basis_laplacian_and_count(n, degree, count):
-    basis = harmonic_polynomial_basis(n, degree)
-    # dimension: n=2: 1 + 2*degree; n=3: sum of (2l+1)
-    assert len(basis) == count
-    rng = np.random.default_rng(2)
-    X = rng.uniform(-1, 1, size=(20, n))
-    eps = 1e-4
-    for b in basis:
-        lap = np.zeros(20)
-        for axis in range(n):
-            d = np.zeros(n)
-            d[axis] = eps
-            lap += (b.value(X + d) + b.value(X - d) - 2 * b.value(X))[:, 0] / eps ** 2
-        assert np.max(np.abs(lap)) < 1e-5
+    assert sf._interp_lift(X).tobytes() == _interp_lift_reference(sf, X).tobytes()

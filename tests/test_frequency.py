@@ -36,10 +36,8 @@ def test_frequency_constant_for_model_profiles(spec_fast):
 
 
 def test_frequency_zero_for_nonzero_constant_pair(spec_fast):
-    from branchlab.fields import Polynomial
-
-    avg = Polynomial([(0, 0)], [np.array([1.5])], 2)
-    u = CylindricalModeField([CylindricalMode(2.0, 2.0, [0.0], [0.0])], n=2, average=avg)
+    # the constant symmetric pair {+-(1.5, -0.5)}: D = 0 < H
+    u = CylindricalModeField([CylindricalMode(0.0, 0.0, [1.5, -0.5], [0.0, 0.0])], n=2)
     prof = frequency_profile(u, np.zeros(2), np.array([0.3, 0.6]), spec_fast)
     assert np.max(np.abs(prof.N)) < 1e-12
 
@@ -93,11 +91,9 @@ def test_check_monotonicity_needs_three_radii(spec_fast):
 
 
 def test_stationarity_identities_classical(spec_fast):
-    # single-valued harmonic pair {h, h}: all residuals at quadrature noise
-    from branchlab.fields import Polynomial
-
-    avg = Polynomial([(1, 0), (0, 1)], [np.array([1.0]), np.array([0.5])], 2)
-    u = CylindricalModeField([CylindricalMode(2.0, 2.0, [0.0], [0.0])], n=2, average=avg)
+    # the classical harmonic pair {+-(x1 + 0.5 x2)} = {+-Re((1 - 0.5i) z)}, an
+    # even-k power sum: all residuals at quadrature noise
+    u = CylindricalModeField.power_sum([(np.array([1.0 - 0.5j]), 2)], n=2)
     # the identity residual floor is the bump-function quadrature error,
     # which shrinks superalgebraically with the node count
     rep = stationarity_residuals(u, spec=spec_fast)

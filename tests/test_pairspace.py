@@ -6,14 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 from branchlab.errors import DimensionMismatchError
 from branchlab.fields import CylindricalModeField, l2_distance_sq
-from branchlab.pairspace import metric_sq_arrays, metric_sq_symmetric, selection_costs
+from branchlab.pairspace import metric_sq_symmetric, selection_costs
 from branchlab.quadrature import unit_ball
 
 from conftest import C_NULL
 
 
 def brute_force_metric_sq(a1, a2, b1, b2):
-    """G(a, b)^2 for one pair of pairs, by enumerating both pairings."""
+    """G({a1, a2}, {b1, b2})^2 for one pair of pairs, by enumerating both pairings."""
     keep = np.sum((a1 - b1) ** 2) + np.sum((a2 - b2) ** 2)
     swap = np.sum((a1 - b2) ** 2) + np.sum((a2 - b1) ** 2)
     return min(keep, swap)
@@ -21,7 +21,7 @@ def brute_force_metric_sq(a1, a2, b1, b2):
 
 @st.composite
 def batches(draw, count, m):
-    """count arrays of shape (N, m): the members of N pairs each, batched."""
+    """count arrays of shape (N, m): the representatives a of N pairs {+-a} each, batched."""
     N = draw(st.integers(1, 8))
     comp = st.floats(-10, 10, allow_nan=False)
     return [draw(arrays(np.float64, (N, m), elements=comp)) for _ in range(count)]
@@ -29,23 +29,24 @@ def batches(draw, count, m):
 
 def test_metric_identical_pairs_zero():
     p = np.array([1.0, 2.0])
-    assert metric_sq_arrays(p, p, p, p) == 0.0
+    assert metric_sq_symmetric(p, p) == 0.0
+    assert metric_sq_symmetric(p, -p) == 0.0
 
 
 def test_metric_symmetric_vs_zero():
     v = np.array([3.0, 4.0])
     zero = np.zeros(2)
     # both pairings give the same value sqrt(2)|v|
-    assert np.sqrt(metric_sq_arrays(v, -v, zero, zero)) == pytest.approx(np.sqrt(2) * 5.0,
-                                                                          rel=1e-15)
     assert np.sqrt(metric_sq_symmetric(v, zero)) == pytest.approx(np.sqrt(2) * 5.0, rel=1e-15)
+    assert np.sqrt(brute_force_metric_sq(v, -v, zero, zero)) == pytest.approx(np.sqrt(2) * 5.0,
+                                                                               rel=1e-15)
 
 
 def test_metric_frozen_example():
-    # computed by enumerating both pairings: min(7, 1) = 1
-    a1, a2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    b1, b2 = np.array([0.0, 1.0]), np.array([2.0, 0.0])
-    assert metric_sq_arrays(a1, a2, b1, b2) == 1.0
+    # {+-a} against {+-b}, by enumerating both pairings: min(0.5 + 0.5, 2.5 + 2.5) = 1
+    a, b = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    assert metric_sq_symmetric(a, b) == 1.0
+    assert metric_sq_symmetric(-a, b) == 1.0
 
 
 def test_metric_dimension_mismatch(spec_fast):
@@ -69,70 +70,58 @@ def test_optimal_pairing_trivial_and_swap():
 
 
 @settings(max_examples=150, deadline=None)
-@given(batches(4, 3))
+@given(batches(2, 3))
 def test_optimal_pairing_matches_brute_force(pairs):
-    a1, a2, b1, b2 = pairs
-    vals = metric_sq_arrays(a1, a2, b1, b2)
-    for i in range(a1.shape[0]):
-        ref = brute_force_metric_sq(a1[i], a2[i], b1[i], b2[i])
+    a, b = pairs
+    vals = metric_sq_symmetric(a, b)
+    for i in range(a.shape[0]):
+        ref = brute_force_metric_sq(a[i], -a[i], b[i], -b[i])
         assert np.sqrt(vals[i]) == pytest.approx(np.sqrt(ref), abs=1e-12)
-    # between symmetric pairs the optimal pairing is the nearer sign
-    keep, swap = selection_costs(a1, b1)
-    sym = metric_sq_arrays(a1, -a1, b1, -b1)
-    np.testing.assert_array_equal(sym, 2.0 * np.minimum(keep, swap))
+    # the optimal pairing is the nearer sign
+    keep, swap = selection_costs(a, b)
+    np.testing.assert_array_equal(vals, 2.0 * np.minimum(keep, swap))
 
 
 @settings(max_examples=150, deadline=None)
-@given(batches(6, 2))
+@given(batches(3, 2))
 def test_metric_axioms(pairs):
-    a1, a2, b1, b2, c1, c2 = pairs
-    ab = np.sqrt(metric_sq_arrays(a1, a2, b1, b2))
-    ba = np.sqrt(metric_sq_arrays(b1, b2, a1, a2))
-    bc = np.sqrt(metric_sq_arrays(b1, b2, c1, c2))
-    ac = np.sqrt(metric_sq_arrays(a1, a2, c1, c2))
-    np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
-    assert np.all(ac <= ab + bc + 1e-9)
-    # the same on symmetric pairs {+-a1}, {+-b1}, {+-c1}
-    ab = np.sqrt(metric_sq_symmetric(a1, b1))
-    ba = np.sqrt(metric_sq_symmetric(b1, a1))
-    bc = np.sqrt(metric_sq_symmetric(b1, c1))
-    ac = np.sqrt(metric_sq_symmetric(a1, c1))
+    a, b, c = pairs
+    ab = np.sqrt(metric_sq_symmetric(a, b))
+    ba = np.sqrt(metric_sq_symmetric(b, a))
+    bc = np.sqrt(metric_sq_symmetric(b, c))
+    ac = np.sqrt(metric_sq_symmetric(a, c))
     np.testing.assert_allclose(ab, ba, rtol=0, atol=1e-12)
     assert np.all(ac <= ab + bc + 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
-@given(batches(2, 2))
+@given(batches(1, 2))
 def test_metric_zero_iff_equal(pairs):
-    a1, a2 = pairs
-    # the stored order of a pair never matters
-    assert np.all(metric_sq_arrays(a1, a2, a2, a1) == 0.0)
-    assert np.all(metric_sq_symmetric(a1, -a1) == 0.0)
-    assert np.all(metric_sq_arrays(a1, a2, a1 + 1.0, a2) > 0.0)
+    (a,) = pairs
+    # the sign of the stored representative never matters
+    assert np.all(metric_sq_symmetric(a, a) == 0.0)
+    assert np.all(metric_sq_symmetric(a, -a) == 0.0)
+    # {+-a} = {+-b} exactly when b = a or b = -a
+    b = a + 1.0
+    same = np.all(b == a, axis=-1) | np.all(b == -a, axis=-1)
+    np.testing.assert_array_equal(metric_sq_symmetric(a, b) == 0.0, same)
 
 
 @settings(max_examples=100, deadline=None)
-@given(batches(2, 3))
+@given(batches(1, 3))
 def test_norm_is_distance_to_zero(pairs):
-    a1, a2 = pairs
-    zero = np.zeros_like(a1)
-    norm_sq = np.sum(a1 ** 2, axis=-1) + np.sum(a2 ** 2, axis=-1)
-    np.testing.assert_array_equal(metric_sq_arrays(a1, a2, zero, zero), norm_sq)
+    (a,) = pairs
+    norm_sq = 2.0 * np.sum(a ** 2, axis=-1)  # |a|^2 + |-a|^2
+    np.testing.assert_array_equal(metric_sq_symmetric(a, np.zeros_like(a)), norm_sq)
 
 
 def test_pairing_invariance_of_norm_sq():
-    a1, a2 = np.array([1.0, 2.0]), np.array([3.0, -1.0])
-    zero = np.zeros(2)
-    assert metric_sq_arrays(a1, a2, zero, zero) == metric_sq_arrays(a2, a1, zero, zero)
+    a, zero = np.array([1.0, 2.0]), np.zeros(2)
+    assert metric_sq_symmetric(a, zero) == metric_sq_symmetric(-a, zero) == 10.0
 
 
 def test_vectorized_metric_matches_scalar():
     rng = np.random.default_rng(3)
-    a1, a2, b1, b2 = rng.standard_normal((4, 20, 3))
-    vals = metric_sq_arrays(a1, a2, b1, b2)
-    for i in range(20):
-        ref = brute_force_metric_sq(a1[i], a2[i], b1[i], b2[i])
-        assert vals[i] == pytest.approx(ref, rel=1e-12)
     s, t = rng.standard_normal((2, 20, 3))
     vals_s = metric_sq_symmetric(s, t)
     for i in range(20):
