@@ -14,15 +14,15 @@ Off-center and two-point branch configurations are handled by cut-based
 sign bookkeeping (edges crossing the cut arcs couple with a -1 sign).  Their
 operator is the cut-free separable one plus a low-rank change on the flipped
 edges, so they too solve directly, by the capacitance-matrix method on the
-separable solver (solve_cut; public, so a benchmark tracer that wraps the
-public functions times it apart from the rest of the solve).  Its Green's
-functions are read from the closed-form inverse of each Fourier mode's
-tridiagonal radial system, with no per-ring solve (_green_block).  Every
-configuration takes one check: each column's edge-sum residual within
-SOLVE_RTOL of its right-hand side.  The edge list of _cover_edges is the one
-description of the operator: energy(), the right-hand side and the residual
-are sums over it, no sparse matrix is built, and the module needs numpy
-alone."""
+separable solver (solve_cut).  Both solvers factor the operator once and
+return its solve(f); every configuration runs one checked body
+(_checked_solve), which refines once only when some column's edge-sum
+residual exceeds REFINE_RTOL and raises unless each is within SOLVE_RTOL of
+its right-hand side.  solve_cut's Green's functions come in closed form
+from the inverse of each Fourier mode's tridiagonal radial system
+(_green_block).  The edge list of _cover_edges is the one description of
+the operator: energy(), the right-hand side and the residual are sums over
+it, no sparse matrix is built, and the module needs numpy alone."""
 
 import itertools
 from dataclasses import dataclass
@@ -36,6 +36,7 @@ from .pairspace import metric_sq_symmetric
 from .quadrature import SOLVE_BLOCK_NODES, Ball
 
 SOLVE_RTOL = 1e-10
+REFINE_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +284,25 @@ def _edge_residual(edges, x, dirichlet):
     """rhs - A x of the cover problem for unknowns x, as an edge sum.
 
     v = [x; Dirichlet slots] is energy()'s layout.  With d = sigma v[b] - v[a],
-    edge k adds g d to row a if a is unknown and -g sigma d to row b if b is
-    (sigma is then +-1), one np.bincount per end in edge order.  At x = 0
-    every b-end term is +-0: the right-hand side, untouched entries +0.0.
+    edge k adds g d to row a and -g sigma d to row b (sigma is then +-1),
+    one np.bincount per end in edge order; a Dirichlet end adds to an extra
+    bin, which is dropped.  At x = 0 every b-end term is +-0: the right-hand
+    side, untouched entries +0.0.
     """
     a, b, g, sigma = edges
+    n = x.shape[0]
     v = np.concatenate([x, dirichlet])
-    ka, kb = a >= 0, b >= 0
-    ra, rb, ga, gb = a[ka], b[kb], g[ka], (-g * sigma)[kb]
+    ra, rb = np.where(a >= 0, a, n), np.where(b >= 0, b, n)
     out = np.empty(x.shape)
     for k in range(x.shape[1]):
-        diff = sigma * v[b, k] - v[a, k]
-        out[:, k] = np.bincount(ra, weights=ga * diff[ka], minlength=x.shape[0])
-        out[:, k] += np.bincount(rb, weights=gb * diff[kb], minlength=x.shape[0])
+        w = v[b, k]
+        w *= sigma
+        w -= v[a, k]
+        w *= g
+        out[:, k] = np.bincount(ra, weights=w, minlength=n + 1)[:n]
+        w *= sigma
+        np.negative(w, out=w)
+        out[:, k] += np.bincount(rb, weights=w, minlength=n + 1)[:n]
     return out
 
 
@@ -471,22 +478,31 @@ def _radial_sweep(rs, M, wrap_sign):
     return piv, ratio
 
 
-def _separable_solver(rs, M, wrap_sign, sweep):
-    """solve_separable for one operator, factored once: returns solve(rhs).
+def solve_separable(rs, M, wrap_sign, sweep=None):
+    """Direct solver of the centred cover system, in _cover_edges' unknown
+    layout: factors it once and returns solve(rhs), which does not refine.
 
-    sweep is the operator's _radial_sweep, which serves every column.
-    solve(rhs) runs the FFTs and the substitutions on batches
-    of _batch_columns columns, one FFT over (rings, M, batch) and one radial
-    sweep per batch.  Each column's arithmetic is that of a lone column, so
-    the result does not depend on the batching, and the complex work arrays
-    stay within SOLVE_BLOCK_NODES nodes unless one column is larger.
+    Every ring carries the same angular operator, so Fourier modes in theta
+    diagonalize it: mode k of ring i has the angular eigenvalue
+    2 (1 - cos(2 pi (k + h) / M)) g_a[i], with h = 1/2 after the twist
+    e^{-i pi j / M} that makes anti-periodic data periodic, else h = 0.  Each
+    mode leaves one tridiagonal radial system over the unknown rings; its
+    forward sweep (_radial_sweep, or sweep) serves every column.  An
+    anti-periodic solve (wrap_sign -1) pins the center to 0.  A periodic one
+    makes it an unknown, which couples only to mode 0 of ring 0, through its
+    row M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it: f_c / M
+    joins every ring-0 row (f_c is +0.0 in a centred right-hand side, so this
+    changes none of its bits).  solve(rhs) runs batches of _batch_columns
+    columns, one FFT over (rings, M, batch) and one radial sweep each,
+    within SOLVE_BLOCK_NODES nodes unless one column is larger; the result
+    is bit for bit that of solving one column at a time.
     """
     g_c, g_r, _ = _ring_weights(rs, M)
     nring = rs.shape[0] - 1
     h = 0.5 if wrap_sign == -1 else 0.0
     twist = np.exp(-2j * np.pi * h * np.arange(M) / M)[:, None]
     off = -g_r[:-1]
-    piv, ratio = sweep
+    piv, ratio = sweep if sweep is not None else _radial_sweep(rs, M, wrap_sign)
     step = _batch_columns(nring, M)
 
     def solve(rhs):
@@ -517,26 +533,6 @@ def _separable_solver(rs, M, wrap_sign, sweep):
         return sol
 
     return solve
-
-
-def solve_separable(rs, M, wrap_sign, rhs):
-    """Direct solve of the centred cover system, in _cover_edges' unknown layout.
-
-    Every ring carries the same angular operator, so Fourier modes in theta
-    diagonalize it: mode k of ring i has the angular eigenvalue
-    2 (1 - cos(2 pi (k + h) / M)) g_a[i], with h = 1/2 after the twist
-    e^{-i pi j / M} that makes anti-periodic data periodic, else h = 0.  Each
-    mode leaves one tridiagonal radial system over the unknown rings.  An
-    anti-periodic solve (wrap_sign -1) pins the center to 0.  A periodic one
-    makes it an unknown, which couples only to mode 0 of ring 0, through its
-    row M g_c v_c - g_c sum_j v_0j = f_c, and is eliminated from it: f_c / M
-    joins every ring-0 row (f_c is +0.0 in a centred right-hand side, so this
-    changes none of its bits).  Columns solve in batches within
-    SOLVE_BLOCK_NODES nodes (_separable_solver); the result is bit for bit
-    that of solving one column at a time.
-    """
-    sweep = _radial_sweep(rs, M, wrap_sign)
-    return _separable_solver(rs, M, wrap_sign, sweep)(rhs)
 
 
 def _green_block(rs, M, sweep, idx):
@@ -597,8 +593,9 @@ def _green_block(rs, M, sweep, idx):
     return G
 
 
-def solve_cut(rs, M, edges, rhs):
-    """Direct solve of a cut configuration by the capacitance-matrix method.
+def solve_cut(rs, M, edges):
+    """Direct solver of a cut configuration by the capacitance-matrix method:
+    builds the capacitance matrix once and returns solve(f).
 
     The operator is A = A0 + dA: A0 the cut-free one (wrap +1, the center
     unknown) that solve_separable solves, and dA = P^T dA_k P the change on
@@ -606,21 +603,20 @@ def solve_cut(rs, M, edges, rhs):
     the k unknowns idx they touch.  With G = P A0^-1 P^T, read in closed
     form from the inverses of A0's tridiagonal radial systems with no
     per-ring solve (_green_block):
-    y0 = A0^-1 b, (I + G dA_k) z = y0[idx], x = A0^-1 (b - P^T dA_k z)
+    y0 = A0^-1 f, (I + G dA_k) z = y0[idx], x = A0^-1 (f - P^T dA_k z)
     (Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976).
-    The rounding error of G, times dA_k, can leave a residual far above
-    that of a sparse LU solve, so one step of iterative refinement on the
-    edge-sum residual follows.  Nothing is cached across calls.  A singular
-    capacitance system raises SolverError.
+    The rounding error of G, times dA_k, can leave a residual above that of
+    a sparse LU solve, which _checked_solve refines.  A singular capacitance
+    system makes solve raise SolverError.
     """
     a, b, g, sigma = edges
     cut = (sigma < 0) & (a >= 0) & (b >= 0)
     idx, local = np.unique(np.concatenate([a[cut], b[cut]]), return_inverse=True)
     k = idx.shape[0]
     sweep = _radial_sweep(rs, M, 1)
-    solve0 = _separable_solver(rs, M, 1, sweep)
+    solve0 = solve_separable(rs, M, 1, sweep)
     if k == 0:
-        return solve0(rhs)
+        return solve0
     la, lb = np.split(local, 2)
     w = 2.0 * g[cut]
     dA = np.zeros((k, k))
@@ -637,8 +633,25 @@ def solve_cut(rs, M, edges, rhs):
         f[idx] -= dA @ z
         return solve0(f)
 
+    return solve
+
+
+def _checked_solve(solve, edges, rhs, dirichlet):
+    """x = solve(rhs), refined once to x + solve(r) only when some column's
+    edge-sum residual r_k exceeds REFINE_RTOL |rhs_k|, and the relative
+    residual of all columns.  A column still above SOLVE_RTOL |rhs_k| raises
+    SolverError with its relative residual."""
+    norms = np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
     x = solve(rhs)
-    return x + solve(rhs + _edge_residual(edges, x, np.zeros((M + 1, rhs.shape[1]))))
+    r = _edge_residual(edges, x, dirichlet)
+    if np.max(np.linalg.norm(r, axis=0) / norms) > REFINE_RTOL:
+        x = x + solve(r)
+        r = _edge_residual(edges, x, dirichlet)
+    worst = float(np.max(np.linalg.norm(r, axis=0) / norms))
+    if not worst <= SOLVE_RTOL:
+        raise SolverError(f"direct solve residual {worst:.3e} above {SOLVE_RTOL:.0e}",
+                          residual=worst)
+    return x, float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
 
 
 def cg(matvec, b, x0, inv_diag, callback=None):
@@ -692,9 +705,10 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     periodic data as the decoupled single-valued harmonic extension.  A
     configuration with cuts solves on the periodic grid with its flipped
     edges (solve_cut).  The right-hand side and the residual are edge sums
-    (_edge_residual); a column whose residual exceeds SOLVE_RTOL times its
-    right-hand side raises SolverError with that column's relative
-    residual.  solve_residual is the relative residual of all columns.
+    (_edge_residual), refined once only when needed (_checked_solve); a
+    column whose residual exceeds SOLVE_RTOL times its right-hand side
+    raises SolverError with that column's relative residual.
+    solve_residual is the relative residual of all columns.
     """
     config = config or BranchConfiguration([np.zeros(2)])
     R = boundary.radius
@@ -716,14 +730,8 @@ def solve_branched_laplace(boundary, config=None, grid=CoverGridSpec()):
     NR = rs.shape[0]
     dirichlet = _dirichlet_slots(bvals)
     rhs = _edge_residual(edges, np.zeros(((NR - 1) * M + (wrap == 1), m)), dirichlet)
-    sol = solve_separable(rs, M, wrap, rhs) if centred else solve_cut(rs, M, edges, rhs)
-    r = _edge_residual(edges, sol, dirichlet)
-    res_total = float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
-    worst = float(np.max(np.linalg.norm(r, axis=0)
-                         / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)))
-    if not worst <= SOLVE_RTOL:
-        raise SolverError(f"direct solve residual {worst:.3e} above {SOLVE_RTOL:.0e}",
-                          residual=worst)
+    solve = solve_separable(rs, M, wrap) if centred else solve_cut(rs, M, edges)
+    sol, res_total = _checked_solve(solve, edges, rhs, dirichlet)
     values = np.zeros((NR, M, m))
     values[:-1] = sol[: (NR - 1) * M].reshape(NR - 1, M, m)
     values[-1] = bvals
