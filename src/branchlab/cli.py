@@ -99,6 +99,10 @@ class ExperimentConfig:
         _require(u.n <= 3 or not {"decay", "spectral"} & set(cfg.stages), "field.n",
                  f"decay and spectral fit profiles at n = 2 and 3 only, and the field has "
                  f"n = {u.n}")
+        for stage in cfg.stages if u.domain is not None else ():
+            for key, reach in REACH[stage](params):
+                _require(reach <= u.domain.radius * (1 + 1e-12), key, f"{stage} reads the field "
+                         f"out to {reach!r}, past its grid's domain radius {u.domain.radius!r}")
         return cfg
 
     @property
@@ -192,6 +196,18 @@ PARAMS = {
     "scales": ([0.5, 0.25, 0.125], lambda s, *_: _is_list(s), "one or more positive numbers"),
     "t_values": ([0.1, 0.01, 0.001], lambda t, *_: _is_list(t, _is_finite),
                  "a non-empty list of finite numbers"),
+}
+
+
+# How far from the origin each stage reads its field: (params key to blame, radius)
+# pairs.  corollaries needs a mode field, so it never reads a sampled one.
+REACH = {
+    "frequency": lambda p: [("radii", math.hypot(*p["center"]) + max(p["radii"]))],
+    "monotonicity": lambda p: [("radii_range", p["radii_range"][1])],
+    "minimize": lambda p: [("radius", p["radius"])],
+    "decay": lambda p: ([("centers", math.hypot(*c) + 1.0) for c in p["centers"]]
+                        if p["centers"] else [("center", math.hypot(*p["center"]) + 1.0)]),
+    "spectral": lambda p: [("field.path", 1.0)],
 }
 
 
@@ -478,10 +494,8 @@ def stage_corollaries(cfg, u, out, prefix=""):
     prof = pmod.CylindricalProfile(base_mode.a - 1j * base_mode.b, params["k"], n=u.n)
 
     def family_member(t):
-        modes = [base_mode] + [
-            fmod.CylindricalMode(md.beta, md.freq, md.a * t, md.b * t, md.y0, md.ylin)
-            for md in u.modes[1:]
-        ]
+        modes = [base_mode] + [fmod.CylindricalMode(md.beta, md.freq, md.a * t, md.b * t)
+                               for md in u.modes[1:]]
         return fmod.CylindricalModeField(modes, n=u.n)
 
     rows = []

@@ -11,13 +11,16 @@ lab (|u|^2, |Du|^2, pair metrics) are invariant under the branch choice, so a
 per-point representative is exact for integration.  Lift-sensitive
 operations (profile fits, graphical decomposition) work in explicit cover
 coordinates instead.
+
+An analytic field's domain is None, read as the unit ball; a sampled
+field's is the largest origin-centred ball its grid covers.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PairingError
 from .pairspace import metric_sq_symmetric, selection_costs
-from .quadrature import GRADING, QuadratureSpec, unit_ball
+from .quadrature import GRADING, Ball, QuadratureSpec
 
 
 def _as_points(X, n):
@@ -35,7 +38,7 @@ class Field:
 
     n = None
     m = None
-    domain = None
+    domain = None  # the unit ball
     planar = False  # True when values and gradients depend on (x1, x2) alone
 
     def symmetric_values(self, X):
@@ -45,26 +48,16 @@ class Field:
         raise NotImplementedError
 
 
-def _xy_split(X, n):
-    x1, x2 = X[:, 0], X[:, 1]
-    r = np.hypot(x1, x2)
-    theta = np.arctan2(x2, x1)
-    y = X[:, 2:] if n > 2 else None
-    return r, theta, y
-
-
 class CylindricalMode:
-    """One mode r^beta (a cos(f theta) + b sin(f theta)) (y0 + ylin . y)."""
+    """One mode r^beta (a cos(f theta) + b sin(f theta)), constant along the axis."""
 
-    __slots__ = ("beta", "freq", "a", "b", "y0", "ylin")
+    __slots__ = ("beta", "freq", "a", "b")
 
-    def __init__(self, beta, freq, a, b, y0=1.0, ylin=None):
+    def __init__(self, beta, freq, a, b):
         self.beta = float(beta)
         self.freq = float(freq)
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self.y0 = float(y0)
-        self.ylin = None if ylin is None else np.asarray(ylin, dtype=float)
         if self.a.shape != self.b.shape:
             raise DimensionMismatchError("mode coefficient shapes differ")
 
@@ -76,6 +69,8 @@ class CylindricalModeField(Field):
     frequencies 2*freq share one parity (all odd half-integers or all
     integers); the constructor enforces this.
     """
+
+    planar = True
 
     def __init__(self, modes, n=2):
         self.modes = list(modes)
@@ -91,13 +86,9 @@ class CylindricalModeField(Field):
             if abs(two_f - round(two_f)) > 1e-12:
                 raise ValueError(f"angular frequency {md.freq} is not half-integer")
             parities.add(int(round(two_f)) % 2)
-            if md.ylin is not None and md.ylin.shape[0] != self.n - 2:
-                raise DimensionMismatchError("ylin length must be n-2")
         if len(parities) > 1:
             raise ValueError("mixed angular parities give an ill-defined unordered pair")
         self.parity = parities.pop()
-        self.planar = all(md.ylin is None for md in self.modes)
-        self.domain = unit_ball(self.n)
 
     @classmethod
     def power_sum(cls, terms, n=2):
@@ -112,20 +103,14 @@ class CylindricalModeField(Field):
         """Back out (c, k) pairs for harmonic modes; None if a mode is not one."""
         out = []
         for md in self.modes:
-            if md.beta != md.freq or md.ylin is not None or md.y0 != 1.0:
+            if md.beta != md.freq:
                 return None
             out.append((md.a - 1j * md.b, int(round(2 * md.freq))))
         return out
 
-    def _yfactor(self, md, y):
-        """y0 + ylin . y over the points' axis coordinates y, or y0 alone."""
-        if y is None or y.shape[-1] == 0 or md.ylin is None:
-            return md.y0
-        return md.y0 + y @ md.ylin
-
     def symmetric_values(self, X):
         X = _as_points(X, self.n)
-        return self.lift(*_xy_split(X, self.n))
+        return self.lift(np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0]))
 
     def symmetric_gradient(self, X):
         X = _as_points(X, self.n)
@@ -144,7 +129,7 @@ class CylindricalModeField(Field):
                 fp = sum((0.5 * k * s ** (k - 2))[:, None] * c for c, k in terms)
             out[:, :, 0], out[:, :, 1] = fp.real, -fp.imag
             return out
-        r, theta, y = _xy_split(X, self.n)
+        r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
         ct, st = np.cos(theta), np.sin(theta)
         with np.errstate(divide="ignore", invalid="ignore"):
             for md in self.modes:
@@ -152,33 +137,25 @@ class CylindricalModeField(Field):
                 sf = np.sin(md.freq * theta)
                 ang = cf[:, None] * md.a + sf[:, None] * md.b
                 dang = md.freq * (-sf[:, None] * md.a + cf[:, None] * md.b)
-                yf = self._yfactor(md, y)
-                yf = yf[:, None] if np.ndim(yf) == 1 else yf
                 rad1 = r[:, None] ** (md.beta - 1.0)
-                ds_dr = md.beta * rad1 * ang * yf
-                ds_dt_over_r = rad1 * dang * yf
+                ds_dr = md.beta * rad1 * ang
+                ds_dt_over_r = rad1 * dang
                 out[:, :, 0] += ct[:, None] * ds_dr - st[:, None] * ds_dt_over_r
                 out[:, :, 1] += st[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
-                if self.n > 2 and md.ylin is not None:
-                    rad = (r ** md.beta)[:, None]
-                    out[:, :, 2:] += rad[:, :, None] * ang[:, :, None] * md.ylin[None, None, :]
         return out
 
-    def lift(self, r, theta, y=None):
+    def lift(self, r, theta):
         """Exact continuous lift of the symmetric part on the 4pi cover.
 
-        theta runs over [0, 4pi); y holds the axis coordinates, shape
-        r.shape + (n - 2,), or None for y = 0.  At theta = arctan2(x2, x1)
-        this is the representative symmetric_values gives.
+        theta runs over [0, 4pi).  At theta = arctan2(x2, x1) this is the
+        representative symmetric_values gives, at every axis coordinate.
         """
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        y = None if y is None else np.asarray(y, dtype=float)
         out = np.zeros(r.shape + (self.m,))
         for md in self.modes:
             ang = np.cos(md.freq * theta)[..., None] * md.a + np.sin(md.freq * theta)[..., None] * md.b
-            yf = self._yfactor(md, y)
-            out += (r ** md.beta)[..., None] * ang * (yf[..., None] if np.ndim(yf) else yf)
+            out += (r ** md.beta)[..., None] * ang
         return out
 
     def rescaled_exact(self, Y, rho, scale):
@@ -189,12 +166,7 @@ class CylindricalModeField(Field):
         modes = []
         for md in self.modes:
             fac = rho ** md.beta / scale
-            if md.ylin is None:
-                y0, ylin = md.y0, None
-            else:
-                y0 = md.y0 + float(md.ylin @ Y[2:])
-                ylin = md.ylin * rho
-            modes.append(CylindricalMode(md.beta, md.freq, md.a * fac, md.b * fac, y0, ylin))
+            modes.append(CylindricalMode(md.beta, md.freq, md.a * fac, md.b * fac))
         return CylindricalModeField(modes, n=self.n)
 
 
@@ -219,7 +191,6 @@ class BranchPolynomialField(Field):
         if qfun is not None and self.n < 3:
             raise DimensionMismatchError("y-dependent shift needs n >= 3")
         self.planar = qfun is None
-        self.domain = unit_ball(self.n)
 
     def _P(self, z, y):
         p = np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -257,12 +228,11 @@ class BranchPolynomialField(Field):
             out[:, :, 2:] = np.real(dwdy[:, None, :] * self.c[None, :, None])
         return out
 
-    def lift(self, r, theta, y=None):
+    def lift(self, r, theta):
         """Continuous lift of the symmetric part along the sampled curve
-        (r[k], theta[k]), continued from the representative at k = 0.
+        (r[k], theta[k]) at y = 0, continued from its value at k = 0.
 
-        y holds the axis coordinates, shape r.shape + (n - 2,), or None for
-        y = 0.  The continuous branch of (P - q)^(1/2) along the curve is
+        The continuous branch of (P - q)^(1/2) along the curve is
         |P - q|^(1/2) e^(i unwrap(arg(P - q)) / 2): numpy's principal root
         times (-1)^t, t the number of 2 pi turns unwrap added, so the lift is
         symmetric_values with those signs.  A step of log(P - q) between
@@ -276,8 +246,7 @@ class BranchPolynomialField(Field):
         theta = np.asarray(theta, dtype=float)
         X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
         if self.n > 2:
-            X = np.concatenate([X, np.zeros(r.shape + (self.n - 2,)) if y is None else y],
-                               axis=-1)
+            X = np.concatenate([X, np.zeros(r.shape + (self.n - 2,))], axis=-1)
         s = self.symmetric_values(X)
         p = self._P(X[:, 0] + 1j * X[:, 1], X[:, 2:] if self.n > 2 else None)
         arg = np.angle(p)
@@ -291,30 +260,6 @@ class BranchPolynomialField(Field):
             signs = propagate_signs(s[None])[0][0]
         return signs[:, None] * s
 
-    def rescaled_exact(self, Y, rho, scale):
-        if self.qfun is not None:
-            return None
-        Y = np.asarray(Y, dtype=float)
-        if self.n > 2 and np.any(Y[2:] != 0.0):
-            return None
-        z0 = Y[0] + 1j * Y[1]
-        shifted = _shift_poly(self.coeffs, z0)
-        deg = len(shifted) - 1
-        scaled = shifted * (rho ** np.arange(deg + 1))
-        return BranchPolynomialField(scaled / (scale * scale), c=self.c, n=self.n)
-
-
-def _shift_poly(coeffs, z0):
-    """Coefficients of P(z0 + w) in powers of w."""
-    deg = len(coeffs) - 1
-    out = np.zeros(deg + 1, dtype=complex)
-    for k, a in enumerate(coeffs):
-        binom = 1.0
-        for j in range(k + 1):
-            out[j] += a * binom * z0 ** (k - j)
-            binom = binom * (k - j) / (j + 1)
-    return out
-
 
 class RescaledField(Field):
     """View u_{Y,rho}(X) = u(Y + rho X) / scale on the unit ball."""
@@ -327,7 +272,6 @@ class RescaledField(Field):
         self.n = base.n
         self.m = base.m
         self.planar = base.planar
-        self.domain = unit_ball(self.n)
 
     def _map(self, X):
         return self.Y[None, :] + self.rho * X
@@ -342,13 +286,10 @@ class RescaledField(Field):
 
 
 def _rescaled(field, Y, rho, scale):
-    """u(Y + rho X) / scale: the field's exact reparameterization when it has
-    one, else a RescaledField view."""
-    if hasattr(field, "rescaled_exact"):
-        ex = field.rescaled_exact(Y, rho, scale)
-        if ex is not None:
-            return ex
-    return RescaledField(field, Y, rho, scale)
+    """u(Y + rho X) / scale: a cylindrical mode field's exact
+    reparameterization when Y is on its axis, else a RescaledField view."""
+    ex = field.rescaled_exact(Y, rho, scale) if hasattr(field, "rescaled_exact") else None
+    return RescaledField(field, Y, rho, scale) if ex is None else ex
 
 
 def l2_distance_sq(u, v, ball, spec=None):
@@ -428,7 +369,10 @@ class SampledField(Field):
     The lift stores one branch s_lift of s chosen continuously along the grid
     by propagate_signs, seeded on the outermost annulus; hol records the
     pairing holonomy of each annular loop (-1 on genuinely branched data with
-    odd k).
+    odd k).  The domain, past which interpolation clamps, is the largest
+    origin-centred ball the grid covers: radius rs[-1] at n = 2, and
+    max(0, min(rs[-1], -ys[0], ys[-1])) at n = 3.  Gradients are central
+    differences of step 1e-5 rs[-1].
 
     to_csv writes the v2 layout: a version line, a header with n, m,
     symmetric=1, hol, shape and the rs/thetas[/ys] lists, a line of column
@@ -439,13 +383,14 @@ class SampledField(Field):
     values a1, a2; s is (a1 - a2)/2.  A file with symmetric=0 is refused.
     """
 
-    def __init__(self, grid, s_lift, hol=None, domain=None):
+    def __init__(self, grid, s_lift, hol=None):
         self.grid = grid
         self.n = grid.n
         self.s_lift = np.asarray(s_lift, dtype=float)  # shape (*grid.shape, m)
         self.m = self.s_lift.shape[-1]
         self.hol = hol
-        self.domain = domain if domain is not None else unit_ball(self.n)
+        R = grid.rs[-1] if grid.ys is None else max(0.0, min(grid.rs[-1], -grid.ys[0], grid.ys[-1]))
+        self.domain = Ball((0.0,) * self.n, R)
 
     # -- interpolation ------------------------------------------------------
 
@@ -493,7 +438,7 @@ class SampledField(Field):
 
     def symmetric_gradient(self, X):
         X = _as_points(X, self.n)
-        eps = 1e-5 * self.domain.radius
+        eps = 1e-5 * self.grid.rs[-1]
         out = np.zeros((X.shape[0], self.m, self.n))
         for axis in range(self.n):
             dX = np.zeros_like(X)

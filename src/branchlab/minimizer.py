@@ -33,7 +33,7 @@ from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
 from .frequency import FrequencyProfile
 from .pairspace import metric_sq_symmetric
-from .quadrature import SOLVE_BLOCK_NODES, Ball
+from .quadrature import SOLVE_BLOCK_NODES
 
 SOLVE_RTOL = 1e-10
 REFINE_RTOL = 1e-13
@@ -357,8 +357,7 @@ class CoverField:
 
     def to_two_valued(self):
         grid = PolarGrid(self.rs, self.thetas)
-        return SampledField(grid, self.values.copy(), hol=self.wrap_sign,
-                            domain=Ball((0.0, 0.0), float(self.rs[-1])))
+        return SampledField(grid, self.values.copy(), hol=self.wrap_sign)
 
 
 def energy(cf):

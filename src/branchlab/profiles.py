@@ -85,7 +85,6 @@ class CylindricalProfile(Field):
             raise ValueError("A must lie in the admissible skew space")
         self.center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
         self.Q = _rotation(self.A)
-        self.domain = None  # defined on all of R^n
 
     @property
     def alpha(self):
@@ -117,7 +116,7 @@ class CylindricalProfile(Field):
         # chain rule: d/dX = Q^T d/dX'
         return np.einsum("pki,ij->pkj", g, self.Q)
 
-    def lift(self, r, theta, y=None):
+    def lift(self, r, theta):
         """Continuous lift Re(c r^alpha e^(i alpha theta)) on the cover frame."""
         w = r ** self.alpha * np.exp(1j * self.alpha * theta)
         return np.real(np.asarray(w)[..., None] * self.c)

@@ -25,8 +25,9 @@ def _decades(lo, hi):
     return out
 
 
-def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
-    """series: list of (label, xs, ys); nonpositive points are dropped."""
+def write_loglog_svg(path, series, title, xlabel, ylabel):
+    """series: list of (label, xs, ys), each label non-empty; nonpositive
+    points are dropped."""
     pts_all = []
     clean = []
     for label, xs, ys in series:
@@ -64,11 +65,10 @@ def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{pw}" height="{ph}" '
         f'fill="none" stroke="#222222" stroke-width="1"/>'
     )
-    if title:
-        lines.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="15">{title}</text>'
-        )
+    lines.append(
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
+        f'font-family="monospace" font-size="15">{title}</text>'
+    )
     for d in _decades(xlo, xhi):
         x = _fmt(X(d))
         lines.append(
@@ -89,17 +89,15 @@ def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
             f'<text x="{MARGIN_L - 8}" y="{y}" text-anchor="end" '
             f'font-family="monospace" font-size="11">1e{d}</text>'
         )
-    if xlabel:
-        lines.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12">{xlabel}</text>'
-        )
-    if ylabel:
-        lines.append(
-            f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12" '
-            f'transform="rotate(-90 16 {HEIGHT // 2})">{ylabel}</text>'
-        )
+    lines.append(
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="monospace" font-size="12">{xlabel}</text>'
+    )
+    lines.append(
+        f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
+        f'font-family="monospace" font-size="12" '
+        f'transform="rotate(-90 16 {HEIGHT // 2})">{ylabel}</text>'
+    )
     for idx, (label, pts) in enumerate(clean):
         color = PALETTE[idx % len(PALETTE)]
         if pts:
@@ -114,15 +112,14 @@ def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
                 lines.append(
                     f'<circle cx="{_fmt(X(px))}" cy="{_fmt(Y(py))}" r="2.5" fill="{color}"/>'
                 )
-        if label:
-            ytxt = MARGIN_T + 16 + 16 * idx
-            lines.append(
-                f'<rect x="{MARGIN_L + 10}" y="{ytxt - 9}" width="10" height="10" fill="{color}"/>'
-            )
-            lines.append(
-                f'<text x="{MARGIN_L + 26}" y="{ytxt}" font-family="monospace" '
-                f'font-size="12">{label}</text>'
-            )
+        ytxt = MARGIN_T + 16 + 16 * idx
+        lines.append(
+            f'<rect x="{MARGIN_L + 10}" y="{ytxt - 9}" width="10" height="10" fill="{color}"/>'
+        )
+        lines.append(
+            f'<text x="{MARGIN_L + 26}" y="{ytxt}" font-family="monospace" '
+            f'font-size="12">{label}</text>'
+        )
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -614,7 +614,63 @@ def test_sampled_v2_csv_loads(tmp_path, content):
     (tmp_path / "field.csv").write_text(content)
     cfg = freq_config("out")
     cfg["field"] = {"type": "sampled", "path": "field.csv"}
+    cfg["params"]["radii"] = [0.25, 0.5]  # inside both grids: the n = 3 one ends at |y| = 0.5
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("radii, code", [([0.25, 0.5, 1.0], cli.EXIT_CONFIG),
+                                         ([0.25, 0.5], cli.EXIT_OK)])
+def test_sampled_field_is_read_inside_its_grid(tmp_path, capsys, radii, code):
+    # a solution solved at radius 0.5 is the field on B(0, 0.5); past r = 0.5
+    # its interpolation would clamp to the outer ring, so a frequency run out
+    # to 1.0 is a config error naming radii, and one out to 0.5 runs
+    minimize = minimize_config("out_min", [[12, 24]])
+    minimize["params"].update(radius=0.5, freq_radii=[0.25])
+    assert cli.main(["run", write_config(tmp_path, minimize, "minimize.json")]) == cli.EXIT_OK
+    cfg = dict(freq_config("out"), field={"type": "sampled", "path": "out_min/minimizer_solution.csv"},
+               params={"radii": radii, "quadrature": {"nr": 16, "ntheta": 32, "nsphere": 64}})
+    path = write_config(tmp_path, cfg)
+    if code == cli.EXIT_CONFIG:
+        for verb in ("validate", "run"):
+            assert cli.main([verb, path]) == cli.EXIT_CONFIG
+            assert json.loads(capsys.readouterr().err.strip())["key"] == "radii"
+        assert not (tmp_path / "out").exists()
+        return
+    assert cli.ExperimentConfig.from_json_file(path).field.domain.radius == 0.5
+    assert cli.main(["run", path]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["status"] == "ok"
+
+
+# a v2 field on B(0, 0.5)
+SAMPLED_HALF = SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=0.25,0.5") + "1.0\n" * 4
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("frequency", {"radii": [0.25, 0.6]}, "radii"),
+    ("frequency", {"radii": [0.25, 0.4], "center": [0.0, 0.2]}, "radii"),
+    ("monotonicity", {"radii_range": [0.05, 0.6]}, "radii_range"),
+    ("minimize", {"radius": 0.6, "freq_radii": [0.25]}, "radius"),
+    ("decay", {}, "center"),
+    ("decay", {"centers": [[0.0, 0.0]]}, "centers"),
+    ("spectral", {}, "field.path"),
+    ("full-pipeline", {"stages": ["frequency", "spectral"], "radii": [0.25, 0.5]}, "field.path"),
+    ("frequency", {"radii": [0.25, 0.5]}, None),
+    ("frequency", {"radii": [0.25, 0.5 * (1 + 1e-13)]}, None),  # inside the 1e-12 slack
+    ("frequency", {"radii": [0.25, 0.3], "center": [0.0, -0.2]}, None),
+    ("monotonicity", {"radii_range": [0.05, 0.5]}, None),
+    ("minimize", {"radius": 0.5, "freq_radii": [0.25]}, None),
+])
+def test_stage_reach_stays_in_the_sampled_domain(tmp_path, capsys, kind, params, key):
+    # each stage reads the field out to a radius its params set: frequency
+    # |center| + max(radii), monotonicity radii_range[1], minimize radius,
+    # decay |center| + 1 for each center, spectral 1
+    (tmp_path / "field.csv").write_text(SAMPLED_HALF)
+    cfg = dict(freq_config("out"), kind=kind, params=params,
+               field={"type": "sampled", "path": "field.csv"})
+    if key is None:
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == cli.EXIT_OK
+    else:
+        assert_config_error(tmp_path, capsys, cfg, key)
 
 
 @pytest.mark.parametrize("n, code", [(2, cli.EXIT_OK), (3, cli.EXIT_CONFIG)])

@@ -13,8 +13,9 @@ from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid,
                               RescaledField, SampledField, _rescaled, graded_radii,
                               l2_distance_sq, propagate_signs)
+from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
 from branchlab.pairspace import metric_sq_symmetric
-from branchlab.profiles import fit_c, fit_profile
+from branchlab.profiles import CylindricalProfile, fit_c, fit_profile, skew_from_params
 from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
@@ -100,14 +101,12 @@ def _symmetric_gradient_reference(u, X, scale_first=False):
     """CylindricalModeField.symmetric_gradient as written with two powers per mode.
 
     scale_first multiplies a and b by r^(beta - 1) before the angular
-    products, for modes without ylin.  As written, a subnormal coefficient
+    products.  As written, a subnormal coefficient
     times cos or sin rounds to an absolute 2^-1074 before r^(beta - 1)
     scales it up; scaled first, the products are normal and round relatively.
     """
     r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
-    y = X[:, 2:] if u.n > 2 else None
-    N = X.shape[0]
-    out = np.zeros((N, u.m, u.n))
+    out = np.zeros((X.shape[0], u.m, u.n))
     ct, st_ = np.cos(theta), np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         for md in u.modes:
@@ -115,19 +114,13 @@ def _symmetric_gradient_reference(u, X, scale_first=False):
             sf = np.sin(md.freq * theta)
             rad1, a, b = r[:, None] ** (md.beta - 1.0), md.a, md.b
             if scale_first:
-                assert md.ylin is None
                 rad1, a, b = 1.0, rad1 * a, rad1 * b
             ang = cf[:, None] * a + sf[:, None] * b
             dang = md.freq * (-sf[:, None] * a + cf[:, None] * b)
-            yf = u._yfactor(md, y)
-            yf = yf[:, None] if np.ndim(yf) == 1 else np.full((N, 1), yf)
-            ds_dr = md.beta * rad1 * ang * yf
-            ds_dt_over_r = rad1 * dang * yf
+            ds_dr = md.beta * rad1 * ang
+            ds_dt_over_r = rad1 * dang
             out[:, :, 0] += ct[:, None] * ds_dr - st_[:, None] * ds_dt_over_r
             out[:, :, 1] += st_[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
-            if u.n > 2 and md.ylin is not None:
-                rad = (r ** md.beta)[:, None]
-                out[:, :, 2:] += rad[:, :, None] * ang[:, :, None] * md.ylin[None, None, :]
     return out
 
 
@@ -136,20 +129,16 @@ _coef = st.floats(-2.0, 2.0, allow_nan=False)
 
 @st.composite
 def _mode_fields(draw, dims=(2, 3, 4)):
-    """Mode fields of one angular parity; at n >= 3 each mode may carry ylin."""
+    """Mode fields of one angular parity."""
     n = draw(st.sampled_from(dims))
     m = draw(st.integers(1, 3))
     half = draw(st.sampled_from([0.0, 0.5]))
     modes = []
     for _ in range(draw(st.integers(1, 3))):
-        ylin = None
-        if n > 2 and draw(st.booleans()):
-            ylin = draw(st.lists(_coef, min_size=n - 2, max_size=n - 2))
         modes.append(CylindricalMode(draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.5])),
                                      draw(st.integers(0, 4)) + half,
                                      draw(st.lists(_coef, min_size=m, max_size=m)),
-                                     draw(st.lists(_coef, min_size=m, max_size=m)),
-                                     draw(_coef), ylin))
+                                     draw(st.lists(_coef, min_size=m, max_size=m))))
     return CylindricalModeField(modes, n=n)
 
 
@@ -171,13 +160,10 @@ def test_symmetric_gradient_matches_reference(data):
 def _symmetric_values_reference(u, X):
     """CylindricalModeField.symmetric_values as written, one cos/sin pair per mode."""
     r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
-    y = X[:, 2:] if u.n > 2 else None
     out = np.zeros((X.shape[0], u.m))
     for md in u.modes:
         ang = np.cos(md.freq * theta)[:, None] * md.a + np.sin(md.freq * theta)[:, None] * md.b
-        yf = u._yfactor(md, y)
-        yf = yf[:, None] if np.ndim(yf) == 1 else yf
-        out += (r ** md.beta)[:, None] * ang * yf
+        out += (r ** md.beta)[:, None] * ang
     return out
 
 
@@ -305,8 +291,7 @@ def _fields_with_planarity(draw):
     """(field, whether it depends on (x1, x2) alone) for every kind that sets planar."""
     kind = draw(st.sampled_from(["modes", "poly", "poly_qfun"]))
     if kind == "modes":
-        u = draw(_mode_fields(dims=(3, 4)))
-        planar = all(md.ylin is None for md in u.modes)
+        u, planar = draw(_mode_fields(dims=(3, 4))), True
     else:
         n = draw(st.sampled_from([3, 4]))
         coeffs = draw(st.lists(_coef, min_size=2, max_size=4))
@@ -369,6 +354,46 @@ def test_rescalings_converge_to_profile(spec_fast):
     assert ds[1] < 0.3 * ds[0] and ds[2] < 0.3 * ds[1]
 
 
+def _shift_poly(coeffs, z0):
+    """Coefficients of P(z0 + w) in powers of w."""
+    deg = len(coeffs) - 1
+    out = np.zeros(deg + 1, dtype=complex)
+    for k, a in enumerate(coeffs):
+        binom = 1.0
+        for j in range(k + 1):
+            out[j] += a * binom * z0 ** (k - j)
+            binom = binom * (k - j) / (j + 1)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_branch_polynomial_rescales_through_the_view(data):
+    # a branch polynomial rescales as every non-mode field does, through the
+    # RescaledField view; its pairs are those of the polynomial whose
+    # coefficients are shifted to Y, scaled by rho^j and divided by scale^2
+    n, deg, m = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 4)), \
+        data.draw(st.integers(1, 3))
+    coeffs, c = (np.array(data.draw(st.lists(_coef, min_size=size, max_size=size)))
+                 + 1j * np.array(data.draw(st.lists(_coef, min_size=size, max_size=size)))
+                 for size in (deg + 1, m))
+    u = BranchPolynomialField(coeffs, c=c, n=n)
+    Y = np.zeros(n)
+    Y[:2] = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2))
+    rho, scale = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.5, 3.0))
+    view = _rescaled(u, Y, rho, scale)
+    assert isinstance(view, RescaledField)
+    shifted = _shift_poly(u.coeffs, Y[0] + 1j * Y[1]) * rho ** np.arange(len(coeffs))
+    exact = BranchPolynomialField(shifted / scale ** 2, c=c, n=n)
+    X = _points(data.draw, n)
+    # G^2 = 2 min |Re(c (sqrt(a) -+ sqrt(b)))|^2 <= 2 |c|^2 |a - b|, and both
+    # sides evaluate P to rounding of its term sizes at Y + rho X
+    size = np.abs(Y[0] + 1j * Y[1]) + rho * np.hypot(X[:, 0], X[:, 1])
+    terms = sum(abs(a) * size ** k for k, a in enumerate(coeffs)) / scale ** 2
+    err = metric_sq_symmetric(view.symmetric_values(X), exact.symmetric_values(X))
+    assert np.all(err <= 1e-13 * 2.0 * np.sum(np.abs(c) ** 2) * terms)
+
+
 # -- L2 distances -------------------------------------------------------------
 
 def test_l2_distance_self_zero(spec_fast):
@@ -401,8 +426,8 @@ def test_n4_norm_and_distance_collapse_only_planar_integrands():
     ball = Ball((0.1, -0.05, 0.2, 0.0), 0.5)
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
     w = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 3)], n=4)
-    v = CylindricalModeField([CylindricalMode(0.5, 0.5, C_NULL.real, -C_NULL.imag, 1.0,
-                                              [0.3, -0.2])], n=4)
+    v = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
+    assert not v.planar  # its branch axis is tilted out of the x3, x4 plane
     zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=4)
     rule = spec.ball(ball)
     for a, b in ((u, zero), (v, zero), (u, w), (u, v), (v, u)):
@@ -430,7 +455,7 @@ def sample(u, grid):
     nodes = grid.nodes()
     svals = grid.on_grid(u.symmetric_values(nodes))
     signs, hol = propagate_signs(svals)
-    return SampledField(grid, signs[..., None] * svals, hol=hol, domain=u.domain)
+    return SampledField(grid, signs[..., None] * svals, hol=hol)
 
 
 def _sample_field(u, nr=24, nt=48):
@@ -584,6 +609,33 @@ def test_minimize_to_decay_hand_off_matches_v1(tmp_path):
     assert "decay_run.json" in names and "manifest.json" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("rs, ys, radius", [
+    ([0.25, 0.5], None, 0.5),
+    ([0.5, 1.0], [-0.5, 0.5], 0.5),  # the axis ends first
+    ([0.5, 0.8], [-1.0, 1.0], 0.8),  # the radii end first
+    ([0.5, 1.0], [-0.2, 0.9], 0.2),
+    ([0.5, 1.0], [0.1, 0.9], 0.0),  # the axis range misses the origin
+])
+def test_sampled_domain_is_the_largest_centred_ball_of_the_grid(rs, ys, radius):
+    grid = PolarGrid(rs, [0.0, np.pi], ys)
+    assert SampledField(grid, np.zeros(grid.shape + (1,))).domain == Ball((0.0,) * grid.n, radius)
+
+
+def test_cover_solution_csv_keeps_its_domain(tmp_path):
+    # a solution read back from its CSV keeps the solve's radius as its
+    # domain, and so the finite-difference step of its gradient
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
+    cov = solve_branched_laplace(BoundaryTrace.from_field(u, 0.5),
+                                 grid=CoverGridSpec(nr=12, ntheta=24))
+    sf = cov.to_two_valued()
+    path = os.path.join(tmp_path, "solution.csv")
+    sf.to_csv(path)
+    back = SampledField.from_csv(path)
+    assert sf.domain.radius == back.domain.radius == 0.5
+    X = np.random.default_rng(3).uniform(-0.3, 0.3, size=(40, 2))
+    assert back.symmetric_gradient(X).tobytes() == sf.symmetric_gradient(X).tobytes()
 
 
 def test_pairing_propagation_holonomy():
@@ -750,7 +802,7 @@ class _SlabFlipped(Field):
     """The pair of `base`, with its representative negated for y > 0."""
 
     def __init__(self, base):
-        self.base, self.n, self.m, self.domain = base, base.n, base.m, base.domain
+        self.base, self.n, self.m = base, base.n, base.m
 
     def symmetric_values(self, X):
         return self.base.symmetric_values(X) * np.where(X[:, 2] > 0, -1.0, 1.0)[:, None]
@@ -782,7 +834,7 @@ class _PointSigns(Field):
     """The pair of `base`, with its representative negated at random points."""
 
     def __init__(self, base):
-        self.base, self.n, self.m, self.domain = base, base.n, base.m, base.domain
+        self.base, self.n, self.m = base, base.n, base.m
 
     def symmetric_values(self, X):
         flips = np.random.default_rng(7).choice([-1.0, 1.0], size=X.shape[0])

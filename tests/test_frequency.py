@@ -13,6 +13,7 @@ from branchlab.frequency import (axis_energy_integral, check_monotonicity,
                                  radial_frequency_deviation,
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
+from branchlab.profiles import CylindricalProfile, skew_from_params
 from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, sphere_blocks,
                                   unit_ball)
 
@@ -287,14 +288,15 @@ def test_frequency_profile_csv(tmp_path):
 
 def test_frequency_n4_model_profile_blocked():
     # an axis-invariant (planar) model profile runs on collapsed rules of one
-    # block each; a mode that varies along x3, x4 keeps the full rules, which
-    # span two blocks here, so its D and H are summed block by block
+    # block each; a profile whose branch axis is tilted out of the x3, x4
+    # plane keeps the full rules, which span two blocks here, so its D and H
+    # are summed block by block
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
     ball = unit_ball(4)
     radii = np.array([0.25, 0.5, 1.0])
-    ylin = CylindricalMode(0.5, 0.5, C_NULL.real, -C_NULL.imag, 1.0, [0.3, -0.2])
+    tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
     for u, nblocks in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 1),
-                       (CylindricalModeField([ylin], n=4), 2)):
+                       (tilted, 2)):
         assert u.planar == (nblocks == 1)
         assert len(list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis,
                                     planar=u.planar))) == nblocks

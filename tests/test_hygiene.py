@@ -6,9 +6,10 @@ module-level private function or class is referenced somewhere in
 src/branchlab, and every public function, class and method is reached
 from outside its own definition by the library, the benchmark, the
 acceptance suite or the console script.  A name that only unit tests call
-does not survive as library code.  Every field of a dataclass is read as
-an attribute somewhere in the library, the tests or the benchmark: a field
-a test asserts on is a result, but one nothing reads is dead weight.
+does not survive as library code.  Every field of a dataclass, and every
+slot a class lists in __slots__, is read as an attribute somewhere in the
+library, the tests or the benchmark: a field a test asserts on is a
+result, but one nothing reads is dead weight.
 """
 
 import ast
@@ -146,15 +147,26 @@ def unreached_public(src, callers, bench):
 
 
 def record_fields(tree):
-    """Fields of the module-level dataclasses, as (class, field) pairs."""
+    """Fields of the module-level dataclasses and the __slots__ of the
+    module-level classes, as (class, field) pairs."""
     def is_dataclass(dec):
         dec = dec.func if isinstance(dec, ast.Call) else dec
         return getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass"
 
-    return [(node.name, item.target.id) for node in tree.body
-            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        record = any(map(is_dataclass, node.decorator_list))
+        for item in node.body:
+            if record and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                fields.append((node.name, item.target.id))
+            elif isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                      for t in item.targets):
+                slots = ast.literal_eval(item.value)
+                fields.extend((node.name, slot)
+                              for slot in ([slots] if isinstance(slots, str) else slots))
+    return fields
 
 
 def unread_fields(src, readers):
@@ -229,14 +241,22 @@ def test_checks_catch_their_faults():
     reader = ast.parse("from m import Field\n\nVALUE = Field().eval()\n")
     assert unreached_public({"m": lib}, [modules, reader], []) == []
     # a record field that is only filled in, by default or by keyword, is
-    # unread; a class without the decorator holds no record fields
+    # unread; a class without the decorator holds no record fields, but its
+    # __slots__ are fields, and a slot only assigned in __init__ is unread
     record = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n\n"
                        "@dataclass(frozen=True)\nclass Report:\n    value: float\n"
                        "    slack: float = 0.0\n\n"
                        "@dataclasses.dataclass\nclass Row:\n    rho: float\n\n"
                        "class Plain:\n    note: str = ''\n\n"
+                       "class Mode:\n    __slots__ = ('beta', 'ylin')\n\n"
+                       "    def __init__(self, beta, ylin):\n"
+                       "        self.beta, self.ylin = beta, ylin\n\n"
+                       "class Tag:\n    __slots__ = 'label'\n\n"
                        "def report(rows):\n    return Report(value=rows[0].rho, slack=1.0)\n")
-    assert record_fields(record) == [("Report", "value"), ("Report", "slack"), ("Row", "rho")]
-    assert unread_fields({"m": record}, [record]) == ["m.Report.value", "m.Report.slack"]
-    asserts = ast.parse("def test_report(rep):\n    assert rep.value and not rep.slack\n")
-    assert unread_fields({"m": record}, [record, asserts]) == []
+    assert record_fields(record) == [("Report", "value"), ("Report", "slack"), ("Row", "rho"),
+                                     ("Mode", "beta"), ("Mode", "ylin"), ("Tag", "label")]
+    assert unread_fields({"m": record}, [record]) == ["m.Report.value", "m.Report.slack",
+                                                      "m.Mode.beta", "m.Mode.ylin", "m.Tag.label"]
+    asserts = ast.parse("def test_report(rep, md, tag):\n"
+                        "    assert rep.value and not rep.slack and md.beta and tag.label\n")
+    assert unread_fields({"m": record}, [record, asserts]) == ["m.Mode.ylin"]

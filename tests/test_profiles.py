@@ -5,7 +5,7 @@ import pytest
 
 from branchlab import cli
 from branchlab.errors import FitError
-from branchlab.fields import BranchPolynomialField, CylindricalMode, CylindricalModeField
+from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field
 from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
                                 cover_grid, excess, fit_c, fit_profile,
                                 fit_rotation, graphical_decompose,
@@ -406,6 +406,21 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     return filled, v_hat, dv_hat, sup_v, sup_dv, tube_ok, integral_in, integral_out
 
 
+class _AxisWeighted(Field):
+    """{+-(s + x3 p)}: s plus a perturbation p of s's parity weighted by x3.
+
+    Its deviation from s grows with r along the end slabs, which neither a
+    tilted profile nor a branch polynomial's shift q(y) gives: theirs falls
+    like 1/r.
+    """
+
+    def __init__(self, s, p):
+        self.s, self.p, self.n, self.m = s, p, s.n, s.m
+
+    def symmetric_values(self, X):
+        return self.s.symmetric_values(X) + X[:, 2:3] * self.p.symmetric_values(X)
+
+
 @pytest.mark.parametrize("n, case", [(2, "exact"), (2, "perturbed"), (2, "displaced"),
                                      (3, "exact"), (3, "perturbed"), (3, "displaced"),
                                      (3, "axis-dependent"), (3, "filled-along-y")])
@@ -421,10 +436,8 @@ def test_graphical_decompose_matches_former_paths(n, case, spec_fast):
         u = BranchPolynomialField([0.0, 1.0], c=C_NULL, n=3, qfun=lambda y: 3.0 * y[:, 0] ** 2,
                                   qgrad=lambda y: 6.0 * y)
     else:  # outer rings of the end slabs fail; their inner rings fill from the middle slabs
-        pert = CylindricalMode(2.5, 2.5, 3.0 * C_NULL.real, -3.0 * C_NULL.imag, y0=0.0,
-                               ylin=[-1.0])
-        u = CylindricalModeField(CylindricalModeField.power_sum([(C_NULL, 1)], n=3).modes
-                                 + [pert], n=3)
+        u = _AxisWeighted(CylindricalModeField.power_sum([(C_NULL, 1)], n=3),
+                          CylindricalModeField.power_sum([(-3.0 * C_NULL, 5)], n=3))
     counts = {"nr": 16, "ntheta": 32, "ny": 6}
     gr = graphical_decompose(u, prof, spec=spec_fast, **counts)
     filled, v_hat, dv_hat, sup_v, sup_dv, tube_ok, i_in, i_out = \
