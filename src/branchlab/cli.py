@@ -96,9 +96,10 @@ class ExperimentConfig:
         cfg = cls(kind, params, output_dir, seed, u, base_dir)
         _require("corollaries" not in cfg.stages or len(getattr(u, "modes", ())) >= 2, "field",
                  "corollaries needs a power-sum field with a base term plus perturbation terms")
-        _require(u.n <= 3 or not {"decay", "spectral"} & set(cfg.stages), "field.n",
-                 f"decay and spectral fit profiles at n = 2 and 3 only, and the field has "
-                 f"n = {u.n}")
+        # minimize solves planar covers; decay and spectral fit profiles on n = 2, 3 covers
+        for stage, max_n in (("minimize", 2), ("decay", 3), ("spectral", 3)):
+            _require(stage not in cfg.stages or u.n <= max_n, "field.n",
+                     f"{stage} runs at n <= {max_n} only, and the field has n = {u.n}")
         for stage in cfg.stages if u.domain is not None else ():
             for key, reach in REACH[stage](params):
                 _require(reach <= u.domain.radius * (1 + 1e-12), key, f"{stage} reads the field "
@@ -226,7 +227,7 @@ def build_field(spec, base_dir="."):
     for entry in spec:
         _require(entry in entries, f"field.{entry}", f"a {ftype} field has no entry {entry}")
     n = spec.get("n", 2)
-    _require(_is_int(n, 2), "field.n", "field.n must be an integer >= 2")
+    _require(_is_int(n, 2) and n <= 4, "field.n", "field.n must be 2, 3 or 4")
     try:
         if ftype == "power_sum":
             key = "terms"

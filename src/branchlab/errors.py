@@ -9,6 +9,10 @@ class DimensionMismatchError(BranchLabError, ValueError):
     """Operands live in different ambient or value dimensions."""
 
 
+class DomainError(BranchLabError):
+    """A sampled field was read at a point past the grid that holds its data."""
+
+
 class DegenerateHeightError(BranchLabError):
     """Boundary height integral H fell below the floor at some radius."""
 

@@ -18,9 +18,11 @@ field's is the largest origin-centred ball its grid covers.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PairingError
+from .errors import DimensionMismatchError, DomainError, PairingError
 from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import GRADING, Ball, QuadratureSpec
+
+FD_STEP = 1e-5  # a sampled field's gradient step, relative to its outer grid radius
 
 
 def _as_points(X, n):
@@ -369,10 +371,11 @@ class SampledField(Field):
     The lift stores one branch s_lift of s chosen continuously along the grid
     by propagate_signs, seeded on the outermost annulus; hol records the
     pairing holonomy of each annular loop (-1 on genuinely branched data with
-    odd k).  The domain, past which interpolation clamps, is the largest
-    origin-centred ball the grid covers: radius rs[-1] at n = 2, and
-    max(0, min(rs[-1], -ys[0], ys[-1])) at n = 3.  Gradients are central
-    differences of step 1e-5 rs[-1].
+    odd k).  The domain is the largest origin-centred ball the grid covers:
+    radius rs[-1] at n = 2, and max(0, min(rs[-1], -ys[0], ys[-1])) at n = 3.
+    Gradients are central differences of step FD_STEP rs[-1].  A read past
+    the grid (a radius past rs[-1], or an axis value past ys) by more than
+    (1e-12 + FD_STEP) rs[-1], rounding plus that step, raises DomainError.
 
     to_csv writes the v2 layout: a version line, a header with n, m,
     symmetric=1, hol, shape and the rs/thetas[/ys] lists, a line of column
@@ -402,9 +405,16 @@ class SampledField(Field):
 
     def _interp_lift(self, X):
         """The lift interpolated at X: bilinear in (r, theta) with the seam
-        sign on each axis slab, linear across the slabs."""
+        sign on each axis slab, linear across the slabs; every read comes
+        here, so the grid guard is here."""
         X = _as_points(X, self.n)
         r = np.hypot(X[:, 0], X[:, 1])
+        ys = () if self.n == 2 else (self.grid.ys[0] - X[:, 2], X[:, 2] - self.grid.ys[-1])
+        past = np.max([r - self.grid.rs[-1], *ys], axis=0)  # how far each point lies past the grid
+        if np.max(past, initial=0.0) > (1e-12 + FD_STEP) * self.grid.rs[-1]:
+            x = X[np.argmax(past)]
+            raise DomainError(f"sampled field read at radius {float(np.linalg.norm(x))!r}, "
+                              f"past its grid; its domain radius is {self.domain.radius!r}")
         theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
         ir, tr = self._locate(r, self.grid.rs)
         th = self.grid.thetas
@@ -438,7 +448,7 @@ class SampledField(Field):
 
     def symmetric_gradient(self, X):
         X = _as_points(X, self.n)
-        eps = 1e-5 * self.grid.rs[-1]
+        eps = FD_STEP * self.grid.rs[-1]
         out = np.zeros((X.shape[0], self.m, self.n))
         for axis in range(self.n):
             dX = np.zeros_like(X)

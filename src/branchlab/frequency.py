@@ -191,14 +191,12 @@ def default_test_functions(n):
     return [BumpTestFunction(center, 0.85), BumpTestFunction(off, 0.85 / 2)]
 
 
-def _sphere_radial(u, Y, rho, spec):
-    """The sphere rule of B_rho(Y), with u's representative s on it and its
-    radial derivative: (rule, s, D_R s)."""
-    srule = spec.sphere(Ball(tuple(Y), rho))
-    X = srule.points
-    nu = (X - Y[None, :]) / rho
-    dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), nu)
-    return srule, u.symmetric_values(X), dr_s
+def _radial(u, X, Y, R):
+    """u's representative s at X and its derivative along the rays from Y, where
+    R = |X - Y| (N,), or one number on a sphere about Y: (s, D_R s)."""
+    R = np.reshape(R, (-1, 1))
+    dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), (X - Y[None, :]) / R)
+    return u.symmetric_values(X), dr_s
 
 
 def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
@@ -212,20 +210,10 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
     """
     spec = spec or QuadratureSpec()
     domain = u.domain if u.domain is not None else unit_ball(u.n)
-    tfs = test_functions or default_test_functions(u.n)
-    for tf in tfs:
-        if not domain.contains_ball(tf.support_ball()):
-            raise ValueError("test function support leaves the domain")
     n = u.n
-    squash_vals = []
-    squeeze_vals = []
-    for tf in tfs:
-        # integrate on an origin-centered ball covering the support so the
-        # radial grading sits on the axis singularity of the model fields
-        sup = tf.support_ball()
-        cover = Ball((0.0,) * n, float(np.linalg.norm(sup.center_array) + sup.radius))
-        rule = spec.ball(cover)
-        X = rule.points
+
+    def integrands(X, tf):
+        """Row 0 the squash integrand, row 1 + j the squeeze integrand of zeta^j."""
         zeta = tf.value(X)
         dzeta = tf.gradient(X)
         s = u.symmetric_values(X)
@@ -233,25 +221,33 @@ def stationarity_residuals(u, test_functions=None, radial_radii=(0.3, 0.6, 0.9),
         du_sq = 2.0 * np.sum(ds * ds, axis=(1, 2))
         # sum over selections of u^k D_i u^k = 2 s . D_i s
         u_du = 2.0 * np.einsum("pk,pki->pi", s, ds)
-        squash_vals.append(
-            rule.integrate_values(du_sq * zeta + np.sum(u_du * dzeta, axis=1))
-        )
         # stress tensor T_ij = |Du|^2 delta_ij / 2 - sum_sel D_i u . D_j u
         T = -2.0 * np.einsum("pki,pkj->pij", ds, ds)
         T[:, np.arange(n), np.arange(n)] += 0.5 * du_sq[:, None]
-        for j in range(n):
-            # zeta^l = delta_{lj} * bump: residual = int T_ij D_i zeta
-            squeeze_vals.append(rule.integrate_values(np.sum(T[:, :, j] * dzeta, axis=1)))
+        # zeta^l = delta_{lj} * bump: residual = int T_ij D_i zeta
+        return np.stack([du_sq * zeta + np.sum(u_du * dzeta, axis=1)]
+                        + [np.sum(T[:, :, j] * dzeta, axis=1) for j in range(n)])
+
+    vals = []
+    for tf in test_functions or default_test_functions(n):
+        sup = tf.support_ball()
+        if not domain.contains_ball(sup):
+            raise ValueError("test function support leaves the domain")
+        # integrate on an origin-centered ball covering the support so the
+        # radial grading sits on the axis singularity of the model fields
+        cover = Ball((0.0,) * n, float(np.linalg.norm(sup.center_array) + sup.radius))
+        vals.append(spec.integrate_ball(cover, lambda X: integrands(X, tf)))
+    vals = np.array(vals)
     radial = []
     Y = np.zeros(n)
-    for rho in radial_radii:
-        lhs = energy_integral(u, Ball(tuple(Y), float(rho)), spec)
-        srule, s, dr_s = _sphere_radial(u, Y, float(rho), spec)
-        rhs = srule.integrate_values(2.0 * np.sum(s * dr_s, axis=1))
-        radial.append(lhs - rhs)
+    for rho in map(float, radial_radii):
+        ball = Ball(tuple(Y), rho)
+        u_dr_u = spec.integrate_sphere(
+            ball, lambda X: 2.0 * np.sum(np.multiply(*_radial(u, X, Y, rho)), axis=1))
+        radial.append(energy_integral(u, ball, spec) - u_dr_u)
     return StationarityReport(
-        squash=float(np.max(np.abs(squash_vals))),
-        squeeze=float(np.max(np.abs(squeeze_vals))),
+        squash=float(np.max(np.abs(vals[:, 0]))),
+        squeeze=float(np.max(np.abs(vals[:, 1:]))),
         radial=np.abs(np.asarray(radial)),
     )
 
@@ -261,29 +257,24 @@ def radial_frequency_deviation(u, Y, alpha, ball, spec=None):
     spec = spec or QuadratureSpec()
     Y = np.asarray(Y, dtype=float)
     n = u.n
-    ball = Ball(tuple(Y), ball) if np.isscalar(ball) else ball
 
     def integrand(X):
         R = np.linalg.norm(X - Y[None, :], axis=1)
-        nu = (X - Y[None, :]) / R[:, None]
-        return R ** (2 - n) * _radial_deviation_sq(u, X, R, nu, alpha)
+        return R ** (2 - n) * _radial_deviation_sq(u, X, Y, R, alpha)
 
     return spec.integrate_ball(ball, integrand)
 
 
-def _radial_deviation_sq(u, X, R, nu, alpha):
-    """|d/dR (u / R^alpha)|^2 summed over the two selections, pointwise."""
-    s = u.symmetric_values(X)
-    dr_s = np.einsum("pki,pi->pk", u.symmetric_gradient(X), nu)
-    gs = (dr_s - alpha * s / R[:, None]) / R[:, None] ** alpha
-    return _pair_sq(gs)
+def _radial_deviation_sq(u, X, Y, R, alpha):
+    """|d/dR (u / R^alpha)|^2 summed over the two selections, pointwise; R as for _radial."""
+    s, dr_s = _radial(u, X, Y, R)
+    R = np.reshape(R, (-1, 1))
+    return _pair_sq((dr_s - alpha * s / R) / R ** alpha)
 
 
 def axis_energy_integral(u, ball, spec=None):
     """int_{ball} |D_y u|^2 (gradient components along the axis variables)."""
     spec = spec or QuadratureSpec()
-    if u.n <= 2:
-        return 0.0
     return spec.integrate_ball(ball, lambda X: _grad_sq(u, X, slice(2, None)), planar=u.planar)
 
 
@@ -293,10 +284,6 @@ class DerivativeIdentityRow:
     lhs: float            # N'(rho) from central differences
     rhs: float            # the sphere-integral expression
     cauchy_schwarz_gap: float
-
-    @property
-    def residual(self):
-        return self.lhs - self.rhs
 
 
 def frequency_derivative_identity(u, Y, rho_grid, spec=None):
@@ -318,10 +305,13 @@ def frequency_derivative_identity(u, Y, rho_grid, spec=None):
     for i in range(1, rho_grid.shape[0] - 1):
         rho = float(rho_grid[i])
         lhs = (prof.N[i + 1] - prof.N[i - 1]) / (rho_grid[i + 1] - rho_grid[i - 1])
-        srule, svals, dr_s = _sphere_radial(u, Y, rho, spec)
-        A = srule.integrate_values(_pair_sq(svals))
-        B = srule.integrate_values(rho ** 2 * _pair_sq(dr_s))
-        C = srule.integrate_values(rho * (2.0 * np.sum(svals * dr_s, axis=1)))
+
+        def abc(X):
+            svals, dr_s = _radial(u, X, Y, rho)
+            return np.stack([_pair_sq(svals), rho ** 2 * _pair_sq(dr_s),
+                             rho * (2.0 * np.sum(svals * dr_s, axis=1))])
+
+        A, B, C = spec.integrate_sphere(Ball(tuple(Y), rho), abc)
         gap = A * B - C * C
         rhs = 2.0 * gap / (rho ** (2 * n - 1) * prof.H[i] ** 2)
         rows.append(DerivativeIdentityRow(rho, float(lhs), float(rhs), float(gap)))
@@ -361,11 +351,7 @@ def deficit_monotonicity_residual(u, Y, alpha, rho_grid, spec=None):
     for i in range(2, rho_grid.shape[0] - 2):
         lhs = (-F[i + 2] + 8 * F[i + 1] - 8 * F[i - 1] + F[i - 2]) / (12 * h)
         rho = float(rho_grid[i])
-        srule = spec.sphere(Ball(tuple(Y), rho))
-        X = srule.points
-        R = np.full(X.shape[0], rho)
-        nu = (X - Y[None, :]) / rho
-        vals = _radial_deviation_sq(u, X, R, nu, alpha)
-        rhs = 2.0 * rho ** (2 - n) * srule.integrate_values(vals)
+        rhs = 2.0 * rho ** (2 - n) * spec.integrate_sphere(
+            Ball(tuple(Y), rho), lambda X: _radial_deviation_sq(u, X, Y, rho, alpha))
         rows.append(DeficitMonotonicityRow(rho, float(lhs), float(rhs)))
     return rows

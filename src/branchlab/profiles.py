@@ -477,12 +477,17 @@ def corollary_checks(u, prof, Z=None, spec=None):
     rhs = excess(u, prof, unit_ball(n), spec)
     rows = []
 
+    def excess_density(X):
+        return metric_sq_symmetric(u.symmetric_values(X), prof.symmetric_values(X))
+
+    def weighted_R(X):
+        return np.linalg.norm(X, axis=1) ** (-n + SIGMA - 2 * alpha) * excess_density(X)
+
+    def weighted_tube(X):
+        return excess_density(X) / np.maximum(np.hypot(X[:, 0], X[:, 1]), DELTA) ** (1 - SIGMA)
+
     ball_g = Ball((0.0,) * n, GAMMA)
-    rule = spec.ball(ball_g)
-    X = rule.points
-    g2 = metric_sq_symmetric(u.symmetric_values(X), prof.symmetric_values(X))
-    R = np.linalg.norm(X, axis=1)
-    lhs_63 = rule.integrate_values(R ** (-n + SIGMA - 2 * alpha) * g2)
+    lhs_63 = spec.integrate_ball(ball_g, weighted_R)
     rows.append(CorollaryRow("weighted_excess_R", float(lhs_63), float(rhs),
                              {"gamma": GAMMA, "sigma": SIGMA}))
 
@@ -492,12 +497,7 @@ def corollary_checks(u, prof, Z=None, spec=None):
     rows.append(CorollaryRow("shifted_center_excess", float(lhs_64), float(rhs),
                              {"Z": [float(v) for v in Z], "dist_sq": dist_sq}))
 
-    ball_h = Ball((0.0,) * n, 0.5)
-    rule_h = spec.ball(ball_h)
-    Xh = rule_h.points
-    g2h = metric_sq_symmetric(u.symmetric_values(Xh), prof.symmetric_values(Xh))
-    r_delta = np.maximum(np.hypot(Xh[:, 0], Xh[:, 1]), DELTA)
-    lhs_66 = rule_h.integrate_values(g2h / r_delta ** (1 - SIGMA))
+    lhs_66 = spec.integrate_ball(Ball((0.0,) * n, 0.5), weighted_tube)
     rows.append(CorollaryRow("tube_weighted_excess", float(lhs_66), float(rhs),
                              {"delta": DELTA, "sigma": SIGMA}))
 

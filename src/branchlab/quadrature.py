@@ -13,10 +13,12 @@ in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
 
 Summation uses numpy's pairwise reduction, which is deterministic for a
-fixed node layout.  Large rules are also split into a fixed sequence of node
-blocks (whole axis slabs of a ball, whole polar rows of a sphere), so an
-integral can be reduced block by block with memory bounded by the block
-size; the block sums are added in block order, so results stay reproducible.
+fixed node layout.  Rules are split into a fixed sequence of node blocks
+(whole axis slabs of a ball, whole polar rows of a sphere); every integral
+is reduced block by block (QuadratureSpec.integrate_ball/_sphere), in block
+order, with memory bounded by the block size.  A whole rule
+(QuadratureSpec.ball) is built only where its nodes are the result, at n <= 3
+where a default rule is one block: fit_rotation and tangent_expansion's sup.
 """
 
 import functools
@@ -95,10 +97,11 @@ class Rule:
         return self.weights.shape[0]
 
     def integrate_values(self, vals):
+        """The integral of vals (N,), or of each row of vals (k, N) to the bits of the row alone."""
         vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:
             return float(np.sum(self.weights * vals))
-        return np.sum(self.weights[:, None] * vals.reshape(vals.shape[0], -1), axis=0)
+        return np.sum(self.weights * vals, axis=-1)
 
 
 def _polar_nodes(nr, ntheta, period=2.0 * np.pi):
@@ -257,12 +260,9 @@ def sphere_blocks(ball, nang=256, npolar=128, planar=False):
 
 
 def _sum_blocks(blocks, integrand):
-    """Sum of the block integrals of integrand(points) -> (N,), in block order."""
-    total = None
-    for rule in blocks:
-        part = rule.integrate_values(integrand(rule.points))
-        total = part if total is None else total + part
-    return total
+    """Sum of the block integrals of integrand(points) -> (N,) or (k, N), in block order."""
+    parts = [rule.integrate_values(integrand(rule.points)) for rule in blocks]
+    return sum(parts[1:], parts[0])
 
 
 @dataclass(frozen=True)
@@ -288,16 +288,13 @@ class QuadratureSpec:
     def ball(self, ball):
         return ball_rule(ball, nr=self.nr, ntheta=self.ntheta, naxis=self.naxis)
 
-    def sphere(self, ball):
-        return sphere_rule(ball, nang=self.nsphere, npolar=self.npolar)
-
     def integrate_ball(self, ball, integrand, planar=False):
-        """Integral of integrand(points) -> (N,) over the ball, block by block."""
+        """Integral of integrand(points) -> (N,) or (k, N) over the ball, block by block."""
         return _sum_blocks(ball_blocks(ball, self.nr, self.ntheta, self.naxis, planar),
                            integrand)
 
     def integrate_sphere(self, ball, integrand, planar=False):
-        """Integral of integrand(points) -> (N,) over the boundary sphere, block by block."""
+        """Integral of integrand(points) -> (N,) or (k, N) over the sphere, block by block."""
         return _sum_blocks(sphere_blocks(ball, self.nsphere, self.npolar, planar), integrand)
 
 

@@ -24,6 +24,7 @@ from .quadrature import Ball, _polar_slabs
 FOUR_PI = 4.0 * np.pi
 BETA2 = 10.0  # the beta_2 of the radial-derivative hypothesis (remainder_decay_check)
 RADIAL_FD_EPS = 1e-4  # step of the central difference in the scaling parameter
+COVER_NR, COVER_NTHETA, COVER_NY = 32, 128, 16  # radial, angular and axis nodes of cover_ball_rule
 
 
 class CoverFunction:
@@ -89,13 +90,14 @@ def l_span(c0, alpha, r, theta, y=None):
     return span
 
 
-def cover_ball_rule(rho, n, nr=32, ntheta=128, ny=16):
+def cover_ball_rule(rho, n):
     """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover.
 
     These are the slabs of the ball rule, with theta over the double cover.
     """
-    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), nr, ntheta, ny, period=FOUR_PI)
-    shape = axis.shape[:2] + (nr, ntheta)  # (slab, 1, r, theta)
+    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), COVER_NR, COVER_NTHETA, COVER_NY,
+                                     period=FOUR_PI)
+    shape = axis.shape[:2] + (COVER_NR, COVER_NTHETA)  # (slab, 1, r, theta)
     R, W = (np.broadcast_to(a[:, None, :, None], shape).ravel() for a in (r, w))
     Y = None if n == 2 else np.broadcast_to(axis[:, :, None, None, :],
                                             shape + (n - 2,)).reshape(-1, n - 2)

@@ -529,6 +529,12 @@ def term(k, *c):
     pytest.param(lambda c: c.update(kind="spectral", field={
         "type": "branch_polynomial", "n": 5, "coeffs": [[-0.04, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
         "field.n", id="spectral-branch-polynomial-n5"),
+    # n is 2, 3 or 4, checked before the center default reads it
+    pytest.param(lambda c: c["field"].update(n=2 ** 70), "field.n", id="n-2**70"),
+    pytest.param(lambda c: c["field"].update(n=5), "field.n", id="n5"),
+    pytest.param(lambda c: (c.update(kind="full-pipeline"), c["field"].update(n=3),
+                            c["params"].update(stages=["frequency", "minimize"])), "field.n",
+                 id="stages-minimize-n3"),
 ])
 def test_malformed_config_exit_config(tmp_path, capsys, mutate, key):
     cfg = freq_config("out")
@@ -639,6 +645,18 @@ def test_sampled_field_is_read_inside_its_grid(tmp_path, capsys, radii, code):
     assert cli.ExperimentConfig.from_json_file(path).field.domain.radius == 0.5
     assert cli.main(["run", path]) == cli.EXIT_OK
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["status"] == "ok"
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param({"type": "power_sum", "n": n, "terms": [term(1, (C_RE, 0.0), (0.0, C_RE))]},
+                 id=f"power-sum-n{n}") for n in (3, 4)] + [
+    pytest.param({"type": "sampled", "path": "field.csv"}, id="sampled-n3")])
+def test_minimize_runs_at_n2_only(tmp_path, capsys, field):
+    # the boundary trace and the L2 error of a solve read points of the plane
+    (tmp_path / "field.csv").write_text(SAMPLED_V2_N3_HEADER + "1.0\n" * 8)
+    cfg = dict(freq_config("out"), kind="minimize", field=field,
+               params={"radius": 0.5, "freq_radii": [0.25]})
+    assert_config_error(tmp_path, capsys, cfg, "field.n")
 
 
 # a v2 field on B(0, 0.5)

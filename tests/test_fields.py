@@ -8,11 +8,12 @@ import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
 from branchlab import cli
-from branchlab.errors import PairingError
+from branchlab.errors import DomainError, PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid,
                               RescaledField, SampledField, _rescaled, graded_radii,
                               l2_distance_sq, propagate_signs)
+from branchlab.frequency import frequency_profile
 from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, fit_c, fit_profile, skew_from_params
@@ -638,6 +639,30 @@ def test_cover_solution_csv_keeps_its_domain(tmp_path):
     assert back.symmetric_gradient(X).tobytes() == sf.symmetric_gradient(X).tobytes()
 
 
+def test_sampled_reads_stay_on_the_grid():
+    # a radius-0.5 solution is read out to 0.5, the gradient step past it at
+    # most, and a read further out raises, naming both radii
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
+    sf = solve_branched_laplace(BoundaryTrace.from_field(u, 0.5),
+                                grid=CoverGridSpec(nr=12, ntheta=24)).to_two_valued()
+    spec = QuadratureSpec(nr=12, ntheta=24, nsphere=48)
+    frequency_profile(sf, np.zeros(2), [0.25, 0.5], spec)
+    BoundaryTrace.from_field(sf, 0.5)
+    past = r"radius (1\.0|0\.99)\d*, past its grid; its domain radius is 0\.5$"
+    with pytest.raises(DomainError, match=past):
+        frequency_profile(sf, np.zeros(2), [0.25, 0.5, 1.0], spec)
+    with pytest.raises(DomainError, match=past):
+        BoundaryTrace.from_field(sf, 1.0)
+    # at n = 3 the grid is a cylinder: a read past its radius or past ys raises
+    grid = PolarGrid([0.5, 1.0], [0.0, np.pi], [-0.5, 0.5])
+    sf3 = SampledField(grid, np.ones(grid.shape + (1,)))
+    assert np.array_equal(sf3.symmetric_values([[0.9, 0.0, 0.5], [0.0, 0.1, -0.5]]),
+                          np.ones((2, 1)))
+    for X in ([0.0, 1.01, 0.0], [0.1, 0.0, 0.51], [0.0, 0.1, -0.51]):
+        with pytest.raises(DomainError):
+            sf3.symmetric_values(X)
+
+
 def test_pairing_propagation_holonomy():
     odd = _sample_field(CylindricalModeField.power_sum([(C_NULL, 1)], n=2))
     assert odd.hol == -1.0
@@ -920,6 +945,7 @@ def test_sampled_interpolation_matches_former_gathers(n, even_k, c):
     sf = sample(u, grid)
     assert sf.hol == (1.0 if even_k else -1.0)
     X = np.random.default_rng(5).uniform(-0.6, 0.6, size=(300, n))
+    X[:, 2:] = np.clip(X[:, 2:], -0.4, 0.4)  # a read past ys raises
     X[:8, 1], X[8:16, 1] = 0.0, -0.0  # on the seam, from both sides
     X[16:24, :2] = 0.0  # at the center, where a zero sample keeps its sign
     assert sf._interp_lift(X).tobytes() == _interp_lift_reference(sf, X).tobytes()

@@ -3,19 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from branchlab import cli
+from branchlab import cli, quadrature
 from branchlab.errors import DegenerateHeightError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, non_stationary_control)
-from branchlab.frequency import (axis_energy_integral, check_monotonicity,
-                                 frequency_at_point,
+from branchlab.frequency import (axis_energy_integral, check_monotonicity, energy_integral,
+                                 frequency_at_point, frequency_derivative_identity,
                                  frequency_profile, deficit_monotonicity_residual,
                                  radial_frequency_deviation,
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
-from branchlab.profiles import CylindricalProfile, skew_from_params
+from branchlab.profiles import CylindricalProfile, corollary_checks, skew_from_params
 from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, sphere_blocks,
-                                  unit_ball)
+                                  sphere_rule, unit_ball)
 
 from conftest import C_NULL, power_sum_DH
 
@@ -315,7 +315,61 @@ def test_frequency_n4_model_profile_blocked():
         ds = u.symmetric_gradient(rule.points)
         assert prof.D[2] == pytest.approx(
             rule.integrate_values(2.0 * np.sum(ds * ds, axis=(1, 2))), rel=1e-13)
-        srule = spec.sphere(ball)
+        srule = sphere_rule(ball, spec.nsphere, spec.npolar)
         s = u.symmetric_values(srule.points)
         assert prof.H[2] == pytest.approx(
             srule.integrate_values(2.0 * np.sum(s * s, axis=1)), rel=1e-13)
+
+
+def _n4_sums(monkeypatch, budget):
+    """The four formerly whole-rule integral sites on an n = 4 field, with blocks of at most
+    budget nodes: each site's values and the largest rule it built."""
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", budget)
+    sizes = []
+    for name in ("ball_rule", "sphere_rule"):
+        def build(*args, build=getattr(quadrature, name), **kw):
+            rule = build(*args, **kw)
+            sizes.append(rule.size)
+            return rule
+        monkeypatch.setattr(quadrature, name, build)
+    spec = QuadratureSpec(nr=8, ntheta=16, naxis=4, nsphere=32, npolar=8)
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.1 * C_NULL, 3)], n=4)
+    tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.03, -0.02, 0.01, 0.02], 4), n=4)
+    rhos = np.linspace(0.3, 0.7, 5)
+
+    def stationarity():
+        rep = stationarity_residuals(u, spec=spec)
+        return [rep.squash, rep.squeeze, *rep.radial]
+
+    sites = {
+        "corollaries": lambda: [r.lhs for r in corollary_checks(u, tilted, spec=spec)],
+        "stationarity": stationarity,
+        "deficit": lambda: [r.rhs for r in deficit_monotonicity_residual(
+            u, np.zeros(4), 0.5, rhos, spec)],
+        "derivative": lambda: [r.rhs for r in frequency_derivative_identity(
+            u, np.zeros(4), rhos, spec)],
+        # the scale of the stationarity integrands, whose residuals cancel
+        "energy": lambda: [energy_integral(u, unit_ball(4), spec)],
+    }
+    out = {}
+    for name, site in sites.items():
+        sizes.clear()
+        out[name] = site(), max(sizes)
+    monkeypatch.undo()
+    return out
+
+
+def test_n4_integrals_are_summed_block_by_block(monkeypatch):
+    # every n = 4 integral of the section-6 checks, the variational identities
+    # and the N' identity is reduced block by block: no rule over a small budget
+    # is built (a whole rule here has 4,096 nodes, a slab or row at most 1,024)
+    blocked = _n4_sums(monkeypatch, 2048)
+    for name, (_, largest) in blocked.items():
+        assert largest <= 2048, name
+    # with one block per rule each sum is the whole rule's; they differ by block order only
+    whole = _n4_sums(monkeypatch, 2 ** 40)
+    assert whole["corollaries"][1] == 4096
+    for name in ("corollaries", "deficit", "derivative"):
+        assert blocked[name][0] == pytest.approx(whole[name][0], rel=1e-13), name
+    assert blocked["stationarity"][0] == pytest.approx(
+        whole["stationarity"][0], rel=0, abs=1e-13 * whole["energy"][0][0])

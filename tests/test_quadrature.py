@@ -195,7 +195,8 @@ def test_blocked_rules_match_reference(ball, spec):
     refs = [(_whole(_ball_rule_reference(ball, spec.nr, spec.ntheta, spec.naxis)),
              spec.ball(ball), list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis))),
             (_whole(_sphere_rule_reference(ball, spec.nsphere, spec.npolar)),
-             spec.sphere(ball), list(sphere_blocks(ball, spec.nsphere, spec.npolar)))]
+             sphere_rule(ball, spec.nsphere, spec.npolar),
+             list(sphere_blocks(ball, spec.nsphere, spec.npolar)))]
     for ref, rule, blocks in refs:
         assert np.array_equal(rule.points, ref.points)
         assert np.array_equal(rule.weights, ref.weights)
@@ -249,8 +250,8 @@ def test_blocked_integrals_match_whole_rule(ball):
     for blocks, rule, integral in (
             (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis), spec.ball(ball),
              spec.integrate_ball(ball, f)),
-            (sphere_blocks(ball, spec.nsphere, spec.npolar), spec.sphere(ball),
-             spec.integrate_sphere(ball, f))):
+            (sphere_blocks(ball, spec.nsphere, spec.npolar),
+             sphere_rule(ball, spec.nsphere, spec.npolar), spec.integrate_sphere(ball, f))):
         assert len(list(blocks)) > 1
         assert integral == pytest.approx(rule.integrate_values(f(rule.points)), rel=1e-13)
 
@@ -267,7 +268,8 @@ def test_planar_rules_exact_for_planar_integrands(ball, spec):
                                                                 X[:, 1] - c[1]) ** 0.5
 
     for integral, rule in ((spec.integrate_ball(ball, f, planar=True), spec.ball(ball)),
-                           (spec.integrate_sphere(ball, f, planar=True), spec.sphere(ball))):
+                           (spec.integrate_sphere(ball, f, planar=True),
+                            sphere_rule(ball, spec.nsphere, spec.npolar))):
         assert integral == pytest.approx(rule.integrate_values(f(rule.points)), rel=1e-14)
 
 

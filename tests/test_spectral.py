@@ -169,8 +169,10 @@ def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("rho", [1.0, 0.5, 0.125, 1.0 / 32, 0.3, 0.7, 1.0 / 3])
 @pytest.mark.parametrize("counts", [{}, {"nr": 7, "ntheta": 12, "ny": 5}])
-def test_cover_ball_rule_matches_former_slab_loop(n, rho, counts):
-    r, th, y, w = cover_ball_rule(rho, n, **counts)
+def test_cover_ball_rule_matches_former_slab_loop(monkeypatch, n, rho, counts):
+    for name, count in counts.items():
+        monkeypatch.setattr(smod, f"COVER_{name.upper()}", count)
+    r, th, y, w = cover_ball_rule(rho, n)
     r0, th0, y0, w0 = _cover_ball_rule_reference(rho, n, **counts)
     assert np.array_equal(r, r0) and np.array_equal(th, th0)
     assert (y is None and y0 is None) or np.array_equal(y, y0)
