@@ -12,13 +12,19 @@ half-integer powers r^(k/2) times trigonometric factors becomes a polynomial
 in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
 
+For an integrand of (x1, x2) alone (planar=True) the n = 4 rules collapse
+their axis angle to one node, and the n = 3 rules fold onto their mirror
+half: numpy's Gauss-Legendre nodes are exactly antisymmetric, so the slab at
+-psi (the row at -t) repeats the (x1, x2) nodes and weights of the one at
+psi, and only the non-positive half is kept, with doubled weights.
+
 Summation uses numpy's pairwise reduction, which is deterministic for a
 fixed node layout.  Rules are split into a fixed sequence of node blocks
-(whole axis slabs of a ball, whole polar rows of a sphere); every integral
-is reduced block by block (QuadratureSpec.integrate_ball/_sphere), in block
-order, with memory bounded by the block size.  A whole rule
-(QuadratureSpec.ball) is built only where its nodes are the result, at n <= 3
-where a default rule is one block: fit_rotation and tangent_expansion's sup.
+(whole axis slabs of a ball, whole polar rows of a sphere), each within a
+cache-sized budget; every integral is reduced block by block
+(QuadratureSpec.integrate_ball/_sphere), in block order, with memory bounded
+by the block size.  A whole rule (QuadratureSpec.ball) is built only where
+its nodes are the result, at n <= 3: fit_rotation and tangent_expansion's sup.
 """
 
 import functools
@@ -26,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Node budget of one block; a single slab or row larger than this is a block.
-BLOCK_NODES = 2 ** 17
+# Node budget of one block, one default n = 3 or n = 4 ball slab (48 x 96
+# nodes) rounded up, so that an integrand's temporaries stay cache-sized; a
+# single slab or row larger than this is a block.
+BLOCK_NODES = 2 ** 13
 # Node budget of one batch of right-hand sides in the separable cover solve
 # (unknown ring nodes times columns); a column larger than this is a batch.
-# Its complex work arrays take 16 bytes a node, so it is kept below
-# BLOCK_NODES: the cover solver's peak memory is small.
+# Its complex work arrays take 16 bytes a node, half a MiB a batch: the cover
+# solver's peak memory is small.
 SOLVE_BLOCK_NODES = 2 ** 15
 # Radial grading exponent: radial nodes r = s^GRADING for Gauss-Legendre s in
 # [0, 1], on the quadrature rules and on the cover solver's grid alike.
@@ -127,6 +135,25 @@ def _axis_angles(n, planar, full):
     return full if n == 4 and not planar else 1
 
 
+def _axis_nodes(n, planar, count):
+    """Gauss-Legendre nodes and weights on [-1, 1] of a ball's axis angle psi
+    at n = 3, and of a sphere's polar variable t at n = 3 and 4.
+
+    Planar at n = 3, the rule folds onto its non-positive half: the nodes
+    are exactly antisymmetric and the weights symmetric, so the slab at -psi
+    (the row at -t) has the (x1, x2) nodes and weights of the one at psi and
+    its weight doubles; the middle node 0 of an odd count keeps its weight.
+    This is the n = 3 counterpart of _axis_angles.  The n = 4 ball's axis
+    radius has count nodes as well, so the number of nodes is the number of
+    slabs or rows of every rule at n >= 3.
+    """
+    x, w = _leggauss(int(count))
+    if n != 3 or not planar:
+        return x, w
+    x = x[:(x.shape[0] + 1) // 2]
+    return x, w[:x.shape[0]] * np.where(x < 0.0, 2.0, 1.0)
+
+
 def _polar_slabs(ball, nr, ntheta, naxis, slabs=slice(None), planar=False,
                  period=2.0 * np.pi):
     """Disks graded by GRADING, stacked along a ball's axis variables; a disk is one slab.
@@ -142,7 +169,7 @@ def _polar_slabs(ball, nr, ntheta, naxis, slabs=slice(None), planar=False,
         y, wy, axis = np.zeros(1), np.ones(1), np.zeros((1, 1, 0))
     elif n == 3:
         # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
-        psi, wpsi = _leggauss(int(naxis))
+        psi, wpsi = _axis_nodes(n, planar, naxis)
         psi = psi[slabs] * (np.pi / 2.0)
         wpsi = wpsi[slabs] * (np.pi / 2.0)
         y = rho * np.sin(psi)
@@ -173,8 +200,9 @@ def ball_rule(ball, nr=48, ntheta=96, naxis=24, slabs=slice(None), planar=False)
 
     slabs selects a run of the axis slabs (all by default; ignored for the
     disk, which is one slab); the nodes of each slab come out in the same
-    order whichever run they are built in.  planar=True collapses the n = 4
-    axis angle, for integrands of (x1, x2) alone.
+    order whichever run they are built in.  planar=True, for integrands of
+    (x1, x2) alone, collapses the n = 4 axis angle and folds the n = 3 slabs
+    onto psi <= 0 (slabs then selects among the folded slabs).
     """
     n = ball.n
     c = ball.center_array
@@ -196,7 +224,8 @@ def sphere_rule(ball, nang=256, npolar=128, rows=slice(None), planar=False):
     """Rule for the boundary sphere of a ball in R^n.
 
     rows selects a run of the polar rows (a circle is one row) and planar
-    collapses the n = 4 axis angle, as slabs and planar do for ball_rule.
+    collapses the n = 4 axis angle and folds the n = 3 rows onto t <= 0, as
+    slabs and planar do for ball_rule.
     """
     n = ball.n
     c = ball.center_array
@@ -211,7 +240,7 @@ def sphere_rule(ball, nang=256, npolar=128, rows=slice(None), planar=False):
         return Rule(pts, w)
     if n not in (3, 4):
         raise ValueError(f"sphere_rule supports n in (2, 3, 4), got n={n}")
-    t, wpolar = _leggauss(int(npolar))
+    t, wpolar = _axis_nodes(n, planar, npolar)
     t, wpolar = t[rows], wpolar[rows]
     if n == 3:
         # Gauss-Legendre in t = cos(polar angle): the area element becomes dt
@@ -245,7 +274,7 @@ def _blocks(count, per_slab):
 
 def ball_blocks(ball, nr=48, ntheta=96, naxis=24, planar=False):
     """The ball rule as a fixed sequence of node blocks; a disk is one slab."""
-    count = 1 if ball.n == 2 else int(naxis)
+    count = 1 if ball.n == 2 else _axis_nodes(ball.n, planar, naxis)[0].shape[0]
     per_slab = nr * ntheta * _axis_angles(ball.n, planar, max(8, naxis))
     for slabs in _blocks(count, per_slab):
         yield ball_rule(ball, nr, ntheta, naxis, slabs=slabs, planar=planar)
@@ -253,7 +282,7 @@ def ball_blocks(ball, nr=48, ntheta=96, naxis=24, planar=False):
 
 def sphere_blocks(ball, nang=256, npolar=128, planar=False):
     """The sphere rule as a fixed sequence of node blocks; a circle is one row."""
-    count = 1 if ball.n == 2 else int(npolar)
+    count = 1 if ball.n == 2 else _axis_nodes(ball.n, planar, npolar)[0].shape[0]
     per_row = nang * _axis_angles(ball.n, planar, max(16, nang // 4))
     for rows in _blocks(count, per_row):
         yield sphere_rule(ball, nang, npolar, rows=rows, planar=planar)

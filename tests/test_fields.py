@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
 from branchlab import cli
+from branchlab.decay import iterate, rescale_raw
 from branchlab.errors import DomainError, PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid,
@@ -661,6 +662,26 @@ def test_sampled_reads_stay_on_the_grid():
     for X in ([0.0, 1.01, 0.0], [0.1, 0.0, 0.51], [0.0, 0.1, -0.51]):
         with pytest.raises(DomainError):
             sf3.symmetric_values(X)
+
+
+def test_decay_and_profile_fits_stay_on_the_grid():
+    # iterate and fit_profile read the unit ball about their centre: on a
+    # radius-0.5 solution they raise past its grid, and on its view at scale
+    # 0.5, which reads out to 0.5, they run and find the solved profile
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
+    sf = solve_branched_laplace(BoundaryTrace.from_field(u, 0.5),
+                                grid=CoverGridSpec(nr=12, ntheta=24)).to_two_valued()
+    spec = QuadratureSpec(nr=12, ntheta=24, nsphere=48)
+    half = rescale_raw(sf, np.zeros(2), 0.5, 0.5)
+    c = fit_profile(half, 1, spec=spec).c
+    run = iterate(half, np.zeros(2), 1, j_max=1, spec=spec)
+    assert abs(np.vdot(C_NULL, c)) == pytest.approx(1.0, abs=1e-2)
+    assert run.outcome == "decay" and len(run.steps) == 2
+    past = r"past its grid; its domain radius is 0\.5$"
+    with pytest.raises(DomainError, match=past):
+        fit_profile(sf, 1, spec=spec)
+    with pytest.raises(DomainError, match=past):
+        iterate(sf, np.zeros(2), 1, j_max=1, spec=spec)
 
 
 def test_pairing_propagation_holonomy():

@@ -1,16 +1,19 @@
 import json
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from branchlab import cli, quadrature
 from branchlab.errors import DegenerateHeightError
-from branchlab.fields import (BranchPolynomialField, CylindricalMode,
-                              CylindricalModeField, non_stationary_control)
+from branchlab.fields import (BranchPolynomialField, CylindricalMode, CylindricalModeField,
+                              RescaledField, non_stationary_control)
 from branchlab.frequency import (axis_energy_integral, check_monotonicity, energy_integral,
                                  frequency_at_point, frequency_derivative_identity,
                                  frequency_profile, deficit_monotonicity_residual,
-                                 radial_frequency_deviation,
+                                 height_integral, radial_frequency_deviation,
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
 from branchlab.profiles import CylindricalProfile, corollary_checks, skew_from_params
@@ -287,21 +290,23 @@ def test_frequency_profile_csv(tmp_path):
 
 
 def test_frequency_n4_model_profile_blocked():
-    # an axis-invariant (planar) model profile runs on collapsed rules of one
-    # block each; a profile whose branch axis is tilted out of the x3, x4
-    # plane keeps the full rules, which span two blocks here, so its D and H
-    # are summed block by block
+    # an axis-invariant (planar) model profile runs on collapsed rules, with
+    # slabs of 24 x 48 nodes and rows of 128; a profile whose branch axis is
+    # tilted out of the x3, x4 plane keeps the full rules, with slabs of
+    # 24 x 48 x 12 nodes and rows of 128 x 32.  Both are cut into blocks of
+    # whole slabs (rows) within BLOCK_NODES, and D and H are summed block by block
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
     ball = unit_ball(4)
     radii = np.array([0.25, 0.5, 1.0])
     tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
-    for u, nblocks in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 1),
-                       (tilted, 2)):
-        assert u.planar == (nblocks == 1)
-        assert len(list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis,
-                                    planar=u.planar))) == nblocks
-        assert len(list(sphere_blocks(ball, spec.nsphere, spec.npolar,
-                                      planar=u.planar))) == nblocks
+    for u, per_slab, per_row in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 1152, 128),
+                                 (tilted, 13_824, 4096)):
+        assert u.planar == (per_row == 128)
+        for blocks, count, size in (
+                (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=u.planar), 12, per_slab),
+                (sphere_blocks(ball, spec.nsphere, spec.npolar, planar=u.planar), 48, per_row)):
+            per_block = max(1, quadrature.BLOCK_NODES // size)
+            assert len(list(blocks)) == -(-count // per_block)
         prof = frequency_profile(u, np.zeros(4), radii, spec)
         if u.planar:
             # N stays 1/2 up to the quadrature error of this small spec
@@ -319,6 +324,71 @@ def test_frequency_n4_model_profile_blocked():
         s = u.symmetric_values(srule.points)
         assert prof.H[2] == pytest.approx(
             srule.integrate_values(2.0 * np.sum(s * s, axis=1)), rel=1e-13)
+
+
+def _unfolded(u):
+    """u read through an identity view flagged non-planar, so that its
+    integrals run on the full rules, which planar integrals fold."""
+    v = RescaledField(u, np.zeros(u.n), 1.0, 1.0)
+    v.planar = False
+    return v
+
+
+_coefs = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _planar_n3_fields(draw):
+    """Power sums of one angular parity and planar branch polynomials at n = 3,
+    some of them rescaled about an off-origin centre."""
+    pair = st.tuples(_coefs, _coefs, _coefs, _coefs).map(
+        lambda a: np.array([complex(a[0], a[1]), complex(a[2], a[3])]))
+    if draw(st.booleans()):
+        parity = draw(st.integers(0, 1))
+        ks = draw(st.lists(st.integers(parity or 2, 5).filter(lambda k: k % 2 == parity),
+                           min_size=1, max_size=3))
+        u = CylindricalModeField.power_sum([(draw(pair), k) for k in ks], n=3)
+    else:
+        # P = 0 has no gradient
+        coeffs = draw(st.lists(st.builds(complex, _coefs, _coefs), min_size=2, max_size=4)
+                      .filter(any))
+        u = BranchPolynomialField(coeffs, n=3)
+    if draw(st.booleans()):
+        Y = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+        u = RescaledField(u, Y, draw(st.floats(0.25, 1.5)), draw(st.floats(0.5, 2.0)))
+    assert u.planar
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_folded_n3_integrals_match_the_full_rules(data):
+    # planar n = 3 integrals run on rules folded onto the mirror half x3 <= c3;
+    # a planar integrand is the same at mirrored nodes, so only summation order moves
+    u, v = data.draw(_planar_n3_fields()), data.draw(_planar_n3_fields())
+    ball = Ball(data.draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)), data.draw(st.floats(0.2, 1.0)))
+    spec = QuadratureSpec(nr=8, ntheta=16, naxis=data.draw(st.integers(3, 9)), nsphere=24,
+                          npolar=data.draw(st.integers(3, 10)))
+    for folded, full in (
+            (energy_integral(u, ball, spec), energy_integral(_unfolded(u), ball, spec)),
+            (height_integral(u, ball, spec), height_integral(_unfolded(u), ball, spec)),
+            (l2_distance_sq(u, v, ball, spec), l2_distance_sq(_unfolded(u), v, ball, spec))):
+        assert folded == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_frequency_profile_memory_is_block_sized(n):
+    # at the default spec the planar ball rules of a radius have 55,296
+    # (n = 3) and 110,592 (n = 4) nodes; reduced in blocks of at most
+    # BLOCK_NODES, a profile holds the temporaries of one block at a time
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=n)
+    tracemalloc.start()
+    try:
+        frequency_profile(u, np.zeros(n), np.array([0.5, 1.0]), QuadratureSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def _n4_sums(monkeypatch, budget):

@@ -9,7 +9,10 @@ acceptance suite or the console script.  A name that only unit tests call
 does not survive as library code.  Every field of a dataclass, and every
 slot a class lists in __slots__, is read as an attribute somewhere in the
 library, the tests or the benchmark: a field a test asserts on is a
-result, but one nothing reads is dead weight.
+result, but one nothing reads is dead weight.  Whole quadrature rules
+are summed (Rule.integrate_values) and built (QuadratureSpec.ball) only in
+the functions that WHOLE_RULE_READERS names: every other integral goes
+block by block.
 """
 
 import ast
@@ -31,6 +34,14 @@ ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
 EXEMPT = {
     # the n = 4 ball-rule fix checks the new rule with it (ROADMAP item 1)
     "frequency.frequency_derivative_identity",
+}
+
+# The functions that may read each whole-rule attribute: Rule.integrate_values
+# sums a rule's values, and QuadratureSpec.ball builds the whole rule, where
+# its nodes are the result.
+WHOLE_RULE_READERS = {
+    "integrate_values": {"_sum_blocks", "tangent_expansion"},
+    "ball": {"fit_rotation", "tangent_expansion"},
 }
 
 
@@ -183,6 +194,31 @@ def unread_fields(src, readers):
             for cls, name in record_fields(tree) if name not in read]
 
 
+def stray_whole_rule_reads(trees):
+    """Reads of a WHOLE_RULE_READERS attribute outside the functions it
+    names, as file:function.attribute.
+
+    A read belongs to the innermost def around it (<module> at module
+    level); attributes match by name, whatever the object read.
+    """
+    stray = []
+
+    def visit(node, func, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, name)
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and child.attr in WHOLE_RULE_READERS
+                    and func not in WHOLE_RULE_READERS[child.attr]):
+                stray.append(f"{name}:{func}.{child.attr}")
+            visit(child, func, name)
+
+    for path, tree in trees.items():
+        visit(tree, "<module>", os.path.basename(path))
+    return stray
+
+
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_import_is_used(path):
     assert unused_imports(_tree(path)) == []
@@ -208,6 +244,10 @@ def test_every_record_field_is_read():
     readers = [_tree(p) for p in (*MODULES, *TESTS, *BENCH)]
     assert any(record_fields(tree) for tree in src.values())
     assert unread_fields(src, readers) == []
+
+
+def test_whole_rules_are_read_only_where_allowed():
+    assert stray_whole_rule_reads({p: _tree(p) for p in MODULES}) == []
 
 
 def test_checks_catch_their_faults():
@@ -260,3 +300,15 @@ def test_checks_catch_their_faults():
     asserts = ast.parse("def test_report(rep, md, tag):\n"
                         "    assert rep.value and not rep.slack and md.beta and tag.label\n")
     assert unread_fields({"m": record}, [record, asserts]) == ["m.Mode.ylin"]
+    # a whole rule summed or built outside the functions allowed to, also
+    # through a bound method or inside a lambda of an allowed function
+    whole = ast.parse("def energy(spec, ball, f):\n    rule = spec.ball(ball)\n"
+                      "    return rule.integrate_values(f(rule.points))\n\n"
+                      "def _sum_blocks(blocks, f):\n"
+                      "    return sum(b.integrate_values(f(b.points)) for b in blocks)\n\n"
+                      "def fit_rotation(spec, ball):\n    build = spec.ball\n"
+                      "    return lambda f: build(ball).integrate_values(f)\n\n"
+                      "SUM = Rule.integrate_values\n")
+    assert stray_whole_rule_reads({"m.py": whole}) == [
+        "m.py:energy.ball", "m.py:energy.integrate_values",
+        "m.py:fit_rotation.integrate_values", "m.py:<module>.integrate_values"]

@@ -224,16 +224,21 @@ def test_blocks_are_whole_slabs_within_budget(ball, spec):
         assert start == sum(sizes)
 
 
+def _block_count(count, per_slab):
+    """Blocks of whole slabs of per_slab nodes within BLOCK_NODES, a larger slab alone."""
+    per_block = max(1, BLOCK_NODES // per_slab)
+    return -(-count // per_block)
+
+
 def test_default_n4_rules_are_blocked():
-    spec = QuadratureSpec()
-    ball = unit_ball(4)
-    blocks = [b.size for b in ball_blocks(ball)]
-    assert len(blocks) == 24 and sum(blocks) == 2_654_208
-    rows = [b.size for b in sphere_blocks(ball, spec.nsphere, spec.npolar)]
-    assert len(rows) == 16 and set(rows) == {BLOCK_NODES}
-    # every rule of the default n = 3 spec is a single block
-    assert len(list(ball_blocks(unit_ball(3)))) == 1
-    assert len(list(sphere_blocks(unit_ball(3)))) == 1
+    # default spec: 24 axis slabs and 128 polar rows; a full n = 4 slab is
+    # 48 x 96 x 24 nodes and a row 256 x 64, an n = 3 slab 48 x 96 and a row 256
+    for ball, per_slab, per_row in ((unit_ball(4), 110_592, 16_384), (unit_ball(3), 4_608, 256)):
+        blocks = [b.size for b in ball_blocks(ball)]
+        assert len(blocks) == _block_count(24, per_slab) and sum(blocks) == 24 * per_slab
+        rows = [b.size for b in sphere_blocks(ball)]
+        assert len(rows) == _block_count(128, per_row) and sum(rows) == 128 * per_row
+        assert max(blocks + rows) <= max(BLOCK_NODES, per_slab, per_row)
 
 
 @pytest.mark.parametrize("ball", BALLS[2:], ids=lambda b: f"n{b.n}-{b.center}")
@@ -290,28 +295,42 @@ def test_planar_blocks_are_whole_slabs_within_budget(ball, spec):
             assert block.size <= BLOCK_NODES or block.size == per_slab
 
 
-def test_default_n4_planar_rules_are_one_block():
-    ball = unit_ball(4)
-    assert [b.size for b in ball_blocks(ball, planar=True)] == [110_592]
-    assert [b.size for b in sphere_blocks(ball, planar=True)] == [32_768]
+def test_default_planar_rules_are_blocked():
+    # the collapsed n = 4 rules keep 24 slabs of 48 x 96 and 128 rows of 256
+    # nodes; the folded n = 3 rules keep half of each
+    for ball, slabs, rows in ((unit_ball(4), 24, 128), (unit_ball(3), 12, 64)):
+        blocks = [b.size for b in ball_blocks(ball, planar=True)]
+        assert len(blocks) == _block_count(slabs, 4_608) and sum(blocks) == slabs * 4_608
+        blocks = [b.size for b in sphere_blocks(ball, planar=True)]
+        assert len(blocks) == _block_count(rows, 256) and sum(blocks) == rows * 256
     # the whole rules of a spec never collapse
-    assert QuadratureSpec().ball(ball).size == 2_654_208
+    assert QuadratureSpec().ball(unit_ball(4)).size == 2_654_208
 
 
 @pytest.mark.parametrize("ball", BALLS[:4], ids=lambda b: f"n{b.n}-{b.center}")
 @pytest.mark.parametrize("spec", BALL_SPECS, ids=["tiny", "small", "wide"])
 def test_planar_ignored_below_n4(ball, spec):
-    for full, planar in (
-            ((ball_rule(ball, spec.nr, spec.ntheta, spec.naxis),),
-             (ball_rule(ball, spec.nr, spec.ntheta, spec.naxis, planar=True),)),
-            ((sphere_rule(ball, spec.nsphere, spec.npolar),),
-             (sphere_rule(ball, spec.nsphere, spec.npolar, planar=True),)),
-            (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis),
-             ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=True)),
-            (sphere_blocks(ball, spec.nsphere, spec.npolar),
-             sphere_blocks(ball, spec.nsphere, spec.npolar, planar=True))):
-        full, planar = list(full), list(planar)
-        assert len(full) == len(planar)
-        for a, b in zip(full, planar):
-            assert np.array_equal(a.points, b.points)
-            assert np.array_equal(a.weights, b.weights)
+    # planar leaves the n = 2 rules as they are; the n = 3 rules fold onto
+    # their psi <= 0 (t <= 0) half: the full rule's nodes there, bit for bit,
+    # with weights doubled off the mirror plane x3 = c3, where the middle slab
+    # or row of an odd count keeps its weight.  The specs hold odd and even
+    # naxis and npolar.
+    cases = ((ball_rule(ball, spec.nr, spec.ntheta, spec.naxis),
+              ball_rule(ball, spec.nr, spec.ntheta, spec.naxis, planar=True),
+              ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=True), spec.naxis),
+             (sphere_rule(ball, spec.nsphere, spec.npolar),
+              sphere_rule(ball, spec.nsphere, spec.npolar, planar=True),
+              sphere_blocks(ball, spec.nsphere, spec.npolar, planar=True), spec.npolar))
+    for full, planar, blocks, count in cases:
+        blocks = list(blocks)
+        assert np.array_equal(np.concatenate([b.points for b in blocks]), planar.points)
+        assert np.array_equal(np.concatenate([b.weights for b in blocks]), planar.weights)
+        if ball.n == 2:
+            keep, fold = slice(None), 1.0
+        else:
+            x3, c3 = full.points[:, 2], ball.center[2]
+            keep = x3 <= c3
+            fold = np.where(x3[keep] < c3, 2.0, 1.0)
+            assert np.any(fold == 1.0) == (count % 2 == 1)
+        assert np.array_equal(planar.points, full.points[keep])
+        assert np.array_equal(planar.weights, full.weights[keep] * fold)
