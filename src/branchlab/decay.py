@@ -175,13 +175,11 @@ def detect_branch_set(u, extent=0.8, npts=81, spec=None, minimizing=True):
 def gap_probe(report, delta0, alpha, n):
     """Witness y0 with B_delta0(0, y0) free of high-frequency candidates."""
     cands = report.high_frequency(alpha)
-    if n == 2:
-        centers = [np.zeros(2)]
-    else:
-        centers = [np.array([0.0, 0.0, y]) for y in np.linspace(-0.5, 0.5, 21)]
-    for ctr in centers:
+    for y in np.linspace(-0.5, 0.5, 21) if n > 2 else [0.0]:
+        ctr = np.zeros(n)
+        ctr[2:3] = y  # the centre (0, 0, y, 0, ...); the origin at n = 2
         if all(np.linalg.norm(c.location - ctr) > delta0 for c in cands):
-            return ctr[2:] if n > 2 else np.zeros(0)
+            return ctr[2:]
     return None
 
 
@@ -367,14 +365,18 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
     shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=Z, n=n)
     l2 = np.zeros_like(sigmas)
     sup = np.zeros_like(sigmas)
+    block_sups = []
+
+    def eps_sq(X):
+        # |eps|^2 per selection = G^2 / 2; the sup over a ball is its blocks' largest
+        e2 = metric_sq_symmetric(u.symmetric_values(X), shifted.symmetric_values(X)) / 2.0
+        block_sups.append(np.max(e2))
+        return e2
+
     for i, s in enumerate(sigmas):
-        ball = Ball(tuple(Z), float(s))
-        rule = spec.ball(ball)
-        X = rule.points
-        g2 = metric_sq_symmetric(u.symmetric_values(X), shifted.symmetric_values(X))
-        # |eps|^2 per selection = G^2 / 2
-        l2[i] = s ** (-n) * rule.integrate_values(g2 / 2.0)
-        sup[i] = float(np.max(g2 / 2.0))
+        block_sups.clear()
+        l2[i] = s ** (-n) * spec.integrate_ball(Ball(tuple(Z), float(s)), eps_sq)
+        sup[i] = float(np.max(block_sups))
     l2_slope = _middle_slope(sigmas, np.maximum(l2, 1e-300))
     sup_slope = _middle_slope(sigmas, np.maximum(sup, 1e-300))
     gamma_l2 = l2_slope - run.k

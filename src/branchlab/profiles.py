@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric, selection_costs
-from .quadrature import Ball, QuadratureSpec, gauss_legendre_01, unit_ball
+from .quadrature import Ball, QuadratureSpec, ball_rule, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
 ROTATION_BOUND = 0.35  # fit_rotation keeps the skew generator within |A| <= this
@@ -155,35 +155,18 @@ def excess(u, prof, ball=None, spec=None):
     return l2_distance_sq(u, prof, ball, spec)
 
 
-class CoverGrid(PolarGrid):
-    """Annular grid on the double cover, theta in [0, 4 pi), in profile frame
-    coordinates, with radial weights wr and axis weights wy (n = 3)."""
-
-    def __init__(self, rs, wr, thetas, ys=None, wy=None):
-        super().__init__(rs, thetas, ys)
-        self.wr = wr
-        self.wy = wy
-
-    @property
-    def wtheta(self):
-        return 4.0 * np.pi / self.thetas.shape[0]
-
-    def weights(self):
-        """Quadrature weight of each node, shape (nr, nt[, ny])."""
-        w = np.outer(self.wr * self.rs * self.wtheta, np.ones(self.thetas.shape[0]))
-        return w if self.ys is None else w[:, :, None] * self.wy
-
-
 def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
+    """Annular grid on the double cover, theta in [0, 4 pi), in profile frame
+    coordinates, and the quadrature weight of each node, shape (nr, nt[, ny])."""
     s, ws = gauss_legendre_01(nr)
     rs = tau + (rmax - tau) * s
-    wr = (rmax - tau) * ws
     thetas = (np.arange(ntheta) + 0.5) * (4.0 * np.pi / ntheta)
+    w = np.outer((rmax - tau) * ws * rs * (4.0 * np.pi / ntheta), np.ones(ntheta))
     if n == 2:
-        return CoverGrid(rs, wr, thetas)
+        return PolarGrid(rs, thetas), w
     ymax = ymax if ymax is not None else np.sqrt(max(1.0 - rmax ** 2, 0.04))
     ty, wty = gauss_legendre_01(ny)
-    return CoverGrid(rs, wr, thetas, ymax * (2.0 * ty - 1.0), 2.0 * ymax * wty)
+    return PolarGrid(rs, thetas, ymax * (2.0 * ty - 1.0)), w[:, :, None] * (2.0 * ymax * wty)
 
 
 def lift_against_profile(u, prof, grid):
@@ -232,12 +215,12 @@ def fit_c(u, k, A=None, ntheta=128):
     """
     n, m = u.n, u.m
     probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, n=n)
-    grid = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
+    grid, wts = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
     alpha = k / 2.0
     # one lane per axis slab; the plane (n = 2) is one slab
     lanes = grid.shape[:2] + (-1,)
     sv = grid.on_grid(u.symmetric_values(probe.from_frame(grid.nodes()))).reshape(lanes + (m,))
-    wts = grid.weights().reshape(lanes)
+    wts = wts.reshape(lanes)
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
@@ -282,7 +265,7 @@ def fit_rotation(u, prof, spec=None):
     if n == 2:
         return np.zeros((2, 2)), True
     spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=12)
-    rule = spec.ball(unit_ball(n))
+    rule = ball_rule(unit_ball(n), spec.nr, spec.ntheta, spec.naxis)
     su = u.symmetric_values(rule.points)
     sqw = np.sqrt(rule.weights)
 
@@ -359,7 +342,7 @@ def fit_profile(u, k, spec=None):
 class GraphRepresentation:
     """Single-valued graph data of u over a profile outside the branch tube."""
 
-    grid: CoverGrid
+    grid: PolarGrid
     shape: tuple
     admissible: np.ndarray       # per (ring[, y]) admissibility mask
     v_hat: np.ndarray            # lifted graph values on the cover grid
@@ -387,8 +370,8 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     spec = spec or QuadratureSpec()
     n, m = u.n, u.m
     alpha = prof.alpha
-    grid = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
-                      ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
+    grid, wts = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
+                           ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
     u_lift, phi, _, shape = lift_against_profile(u, prof, grid)
     # one lane per axis slab; the plane (n = 2) is one slab
     u_lift, phi = u_lift.reshape(shape[:2] + (-1, m)), phi.reshape(shape[:2] + (1, m))
@@ -425,7 +408,7 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     # expand ring mask to node mask
     node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
     ring_r = grid.rs[:, None, None]
-    wts = grid.weights().reshape(node_mask.shape)
+    wts = wts.reshape(node_mask.shape)
     vmag = np.linalg.norm(v_hat, axis=-1)
     dvmag = np.linalg.norm(dv_hat.reshape(dv_hat.shape[:-2] + (-1,)), axis=-1)
     # interior rings only for the derivative sup (one-sided FD ends are noisy)

@@ -23,8 +23,9 @@ fixed node layout.  Rules are split into a fixed sequence of node blocks
 (whole axis slabs of a ball, whole polar rows of a sphere), each within a
 cache-sized budget; every integral is reduced block by block
 (QuadratureSpec.integrate_ball/_sphere), in block order, with memory bounded
-by the block size.  A whole rule (QuadratureSpec.ball) is built only where
-its nodes are the result, at n <= 3: fit_rotation and tangent_expansion's sup.
+by the block size.  A whole rule is built only where its nodes are the
+result: fit_rotation's least-squares node set (ball_rule) and the slabs of
+spectral.cover_ball_rule on the double cover (_polar_slabs).
 """
 
 import functools
@@ -313,9 +314,6 @@ class QuadratureSpec:
             nsphere=self.nsphere * f,
             npolar=self.npolar * f,
         )
-
-    def ball(self, ball):
-        return ball_rule(ball, nr=self.nr, ntheta=self.ntheta, naxis=self.naxis)
 
     def integrate_ball(self, ball, integrand, planar=False):
         """Integral of integrand(points) -> (N,) or (k, N) over the ball, block by block."""

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from branchlab import cli
 from branchlab.errors import ConfigError, SolverError
@@ -721,6 +725,85 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
 def test_example_configs_validate(name):
     assert cli.main(["validate", os.path.join(CONFIGS, name)]) == cli.EXIT_OK
+
+
+# The values a mutated leaf takes, and the keys an added leaf is given: a
+# fresh name, every params key, the quadrature counts and the field entries.
+LEAF_VALUES = [None, True, False, 0, -1, 1.5, float("nan"), float("inf"), float("-inf"),
+               "", "x", "decay", [], [1.5], [[1.5, 0.0]], {}, {"x": 1}, 1e308, 2 ** 70]
+ADDED_KEYS = ["extra", *cli.PARAMS, *cli.QUADRATURE_COUNTS,
+              *sorted({e for entries in cli.FIELD_ENTRIES.values() for e in entries})]
+
+
+def _nodes(obj, path=()):
+    """(path, value) of obj and of everything inside it, depth first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _blamable_keys(path):
+    """The error keys that name the leaf at path or an ancestor of it: dotted
+    names without list indices, params keys without their params prefix."""
+    names = set()
+    parts = []
+    for seg in path:
+        if isinstance(seg, str):
+            parts.append(seg)
+            names.add(".".join(parts[1:] if parts[0] == "params" and len(parts) > 1 else parts))
+    return names
+
+
+@st.composite
+def mutated_configs(draw):
+    """One of configs/*.json with one leaf replaced, deleted or added, and the
+    paths of that leaf and of everything inside the value put there."""
+    name = draw(st.sampled_from(sorted(os.listdir(CONFIGS))))
+    with open(os.path.join(CONFIGS, name)) as fh:
+        cfg = json.load(fh)
+    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    value = draw(st.sampled_from(LEAF_VALUES))
+    if op == "add":
+        path, node = draw(st.sampled_from([(p, v) for p, v in _nodes(cfg)
+                                           if isinstance(v, (dict, list))]))
+        if isinstance(node, list):
+            node.append(value)
+            path += (len(node) - 1,)
+        else:
+            key = draw(st.sampled_from([k for k in ADDED_KEYS if k not in node]))
+            node[key] = value
+            path += (key,)
+        return cfg, [path + p for p, _ in _nodes(value)]
+    path = draw(st.sampled_from([p for p, _ in _nodes(cfg) if p]))
+    node = cfg
+    for seg in path[:-1]:
+        node = node[seg]
+    if op == "delete":
+        del node[path[-1]]
+        return cfg, [path]
+    node[path[-1]] = value
+    return cfg, [path + p for p, _ in _nodes(value)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configs())
+def test_validate_contract_on_mutated_configs(tmp_path_factory, mutated):
+    # every single-leaf mutation of an example config validates or exits 2
+    # with one JSON line naming the mutated leaf, an ancestor of it, or a key
+    # inside the value put there
+    cfg, paths = mutated
+    target = tmp_path_factory.mktemp("mutated") / "config.json"
+    target.write_text(json.dumps(cfg))
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = cli.main(["validate", str(target)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["key"] in set().union(*map(_blamable_keys, paths)), lines
 
 
 def test_readme_config_and_params_table(tmp_path):

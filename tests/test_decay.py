@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
-from branchlab.decay import (DecayRun, detect_branch_set, decay_step, gap_probe,
-                             iterate, rescale_raw, tangent_expansion)
-from branchlab.frequency import frequency_profile
+from branchlab.decay import (DecayRun, SingularCandidate, SingularReport, detect_branch_set,
+                             decay_step, gap_probe, iterate, rescale_raw, tangent_expansion)
+from branchlab.frequency import FrequencyEstimate, frequency_profile
+from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, profile_distance_sq
-from branchlab.quadrature import QuadratureSpec, unit_ball
+from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
 
 from conftest import C_NULL
 
@@ -83,6 +86,15 @@ def test_gap_probe_empty_candidates():
         extent=0.8, npts=21)
     witness = gap_probe(rep, 0.1, 0.5, 2)
     assert witness is not None  # any ball is free; first grid point returned
+
+
+def test_gap_probe_n4_witness():
+    # the probe centres (0, 0, y, 0) are points of R^4, and the witness is
+    # their axis part
+    est = FrequencyEstimate(0.5, 0.0, np.zeros(1), np.full(1, 0.5), False)
+    rep = SingularReport([SingularCandidate(np.zeros(4), est, -1.0, True)], 0.1)
+    witness = gap_probe(rep, 0.05, 0.5, 4)
+    assert witness.tolist() == [-0.5, 0.0]
 
 
 # -- decay steps and iteration -------------------------------------------------
@@ -180,6 +192,64 @@ def test_tangent_expansion_exact_profile_zero_error():
     tr = tangent_expansion(u, np.zeros(2), run, sigmas=0.5 ** np.arange(4), spec=SPEC)
     assert np.max(tr.l2_table) < 1e-22
     assert np.max(tr.sup_table) < 1e-22
+
+
+def _tangent_tables_reference(u, Z, run, sigmas, spec):
+    """The former tangent_expansion tables, each from one whole ball rule."""
+    prof = run.limit_profile
+    shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=Z, n=u.n)
+    l2, sup = np.zeros_like(sigmas), np.zeros_like(sigmas)
+    for i, s in enumerate(sigmas):
+        rule = ball_rule(Ball(tuple(Z), float(s)), spec.nr, spec.ntheta, spec.naxis)
+        X = rule.points
+        g2 = metric_sq_symmetric(u.symmetric_values(X), shifted.symmetric_values(X))
+        l2[i] = s ** (-u.n) * rule.integrate_values(g2 / 2.0)
+        sup[i] = float(np.max(g2 / 2.0))
+    return l2, sup
+
+
+def _decay_run_n3():
+    """{+-Re(c z^1/2 + 0.01 c z^5/2)} at n = 3 and its 2-step decay run."""
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
+    return u, iterate(u, np.zeros(3), 1, theta=0.125, j_max=2, spec=SPEC3)
+
+
+@pytest.mark.parametrize("Z", [(0.0, 0.0), (0.05, -0.02)])
+def test_tangent_tables_match_whole_rule_n2(Z):
+    # a disk is one block: the tables are the whole rule's, bit for bit
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.02 * C_NULL, 3)], n=2)
+    run = iterate(u, np.zeros(2), 1, theta=0.125, j_max=3, spec=SPEC)
+    sigmas = 0.5 ** np.arange(6)
+    tr = tangent_expansion(u, np.array(Z), run, sigmas=sigmas, spec=SPEC)
+    l2, sup = _tangent_tables_reference(u, np.array(Z), run, sigmas, SPEC)
+    assert tr.l2_table.tobytes() == l2.tobytes()
+    assert tr.sup_table.tobytes() == sup.tobytes()
+
+
+def test_tangent_tables_match_whole_rule_n3():
+    # the default n = 3 ball is 24 blocks of one slab: block sums agree with
+    # the whole sum up to rounding, and the largest block sup is the sup
+    u, run = _decay_run_n3()
+    spec = QuadratureSpec()
+    sigmas = 0.5 ** np.arange(3)
+    tr = tangent_expansion(u, np.zeros(3), run, sigmas=sigmas, spec=spec)
+    l2, sup = _tangent_tables_reference(u, np.zeros(3), run, sigmas, spec)
+    assert np.all(l2 > 0.0)
+    assert np.max(np.abs(tr.l2_table - l2) / l2) <= 1e-14
+    assert np.array_equal(tr.sup_table, sup)
+
+
+def test_tangent_expansion_memory_is_block_sized():
+    # the default n = 3 ball rule is 110,592 nodes; reduced block by block,
+    # the tables hold the temporaries of one 4,608-node slab at a time
+    u, run = _decay_run_n3()
+    tracemalloc.start()
+    try:
+        tangent_expansion(u, np.zeros(3), run, spec=QuadratureSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_not_a_branch_point_result():

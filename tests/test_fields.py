@@ -18,7 +18,7 @@ from branchlab.frequency import frequency_profile
 from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, fit_c, fit_profile, skew_from_params
-from branchlab.quadrature import Ball, QuadratureSpec, unit_ball
+from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
 
@@ -431,7 +431,7 @@ def test_n4_norm_and_distance_collapse_only_planar_integrands():
     v = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
     assert not v.planar  # its branch axis is tilted out of the x3, x4 plane
     zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=4)
-    rule = spec.ball(ball)
+    rule = ball_rule(ball, spec.nr, spec.ntheta, spec.naxis)
     for a, b in ((u, zero), (v, zero), (u, w), (u, v), (v, u)):
         full = rule.integrate_values(
             metric_sq_symmetric(a.symmetric_values(rule.points), b.symmetric_values(rule.points)))

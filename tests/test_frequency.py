@@ -17,7 +17,7 @@ from branchlab.frequency import (axis_energy_integral, check_monotonicity, energ
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
 from branchlab.profiles import CylindricalProfile, corollary_checks, skew_from_params
-from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, sphere_blocks,
+from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, ball_rule, sphere_blocks,
                                   sphere_rule, unit_ball)
 
 from conftest import C_NULL, power_sum_DH
@@ -316,7 +316,7 @@ def test_frequency_n4_model_profile_blocked():
         for a, b in ((prof.D, again.D), (prof.H, again.H), (prof.N, again.N)):
             assert np.array_equal(a, b)
         # the sums agree with one reduction over the whole, uncollapsed rule
-        rule = spec.ball(ball)
+        rule = ball_rule(ball, spec.nr, spec.ntheta, spec.naxis)
         ds = u.symmetric_gradient(rule.points)
         assert prof.D[2] == pytest.approx(
             rule.integrate_values(2.0 * np.sum(ds * ds, axis=(1, 2))), rel=1e-13)

@@ -10,9 +10,9 @@ does not survive as library code.  Every field of a dataclass, and every
 slot a class lists in __slots__, is read as an attribute somewhere in the
 library, the tests or the benchmark: a field a test asserts on is a
 result, but one nothing reads is dead weight.  Whole quadrature rules
-are summed (Rule.integrate_values) and built (QuadratureSpec.ball) only in
-the functions that WHOLE_RULE_READERS names: every other integral goes
-block by block.
+are summed (Rule.integrate_values) and built (ball_rule, sphere_rule and
+their slabs, _polar_slabs) only in the functions that WHOLE_RULE_READERS
+names: every other integral goes block by block.
 """
 
 import ast
@@ -36,12 +36,15 @@ EXEMPT = {
     "frequency.frequency_derivative_identity",
 }
 
-# The functions that may read each whole-rule attribute: Rule.integrate_values
-# sums a rule's values, and QuadratureSpec.ball builds the whole rule, where
-# its nodes are the result.
+# The functions that may read each whole-rule name: Rule.integrate_values
+# sums a rule's values in the block loop; the builders cut their rules into
+# blocks, and a whole rule is built only where its nodes are the result
+# (fit_rotation's least-squares nodes, spectral.cover_ball_rule's slabs).
 WHOLE_RULE_READERS = {
-    "integrate_values": {"_sum_blocks", "tangent_expansion"},
-    "ball": {"fit_rotation", "tangent_expansion"},
+    "integrate_values": {"_sum_blocks"},
+    "ball_rule": {"ball_blocks", "disk_rule", "fit_rotation"},
+    "sphere_rule": {"sphere_blocks"},
+    "_polar_slabs": {"ball_rule", "cover_ball_rule"},
 }
 
 
@@ -195,11 +198,12 @@ def unread_fields(src, readers):
 
 
 def stray_whole_rule_reads(trees):
-    """Reads of a WHOLE_RULE_READERS attribute outside the functions it
-    names, as file:function.attribute.
+    """Reads of a WHOLE_RULE_READERS name outside the functions it names,
+    as file:function.name.
 
     A read belongs to the innermost def around it (<module> at module
-    level); attributes match by name, whatever the object read.
+    level); a name matches as a bare name or as an attribute, whatever the
+    object read.
     """
     stray = []
 
@@ -208,10 +212,11 @@ def stray_whole_rule_reads(trees):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name, name)
                 continue
-            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
-                    and child.attr in WHOLE_RULE_READERS
-                    and func not in WHOLE_RULE_READERS[child.attr]):
-                stray.append(f"{name}:{func}.{child.attr}")
+            read = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if (read in WHOLE_RULE_READERS and isinstance(child.ctx, ast.Load)
+                    and func not in WHOLE_RULE_READERS[read]):
+                stray.append(f"{name}:{func}.{read}")
             visit(child, func, name)
 
     for path, tree in trees.items():
@@ -300,15 +305,20 @@ def test_checks_catch_their_faults():
     asserts = ast.parse("def test_report(rep, md, tag):\n"
                         "    assert rep.value and not rep.slack and md.beta and tag.label\n")
     assert unread_fields({"m": record}, [record, asserts]) == ["m.Mode.ylin"]
-    # a whole rule summed or built outside the functions allowed to, also
-    # through a bound method or inside a lambda of an allowed function
-    whole = ast.parse("def energy(spec, ball, f):\n    rule = spec.ball(ball)\n"
+    # a whole rule summed or built outside the functions allowed to, by a
+    # bare name or an attribute, also through a bound method or inside a
+    # lambda of an allowed function
+    whole = ast.parse("def energy(ball, f):\n    rule = ball_rule(ball)\n"
                       "    return rule.integrate_values(f(rule.points))\n\n"
+                      "def height(ball):\n    return sphere_rule(ball), q.sphere_rule\n\n"
                       "def _sum_blocks(blocks, f):\n"
                       "    return sum(b.integrate_values(f(b.points)) for b in blocks)\n\n"
-                      "def fit_rotation(spec, ball):\n    build = spec.ball\n"
+                      "def fit_rotation(ball):\n    build = q.ball_rule\n"
                       "    return lambda f: build(ball).integrate_values(f)\n\n"
-                      "SUM = Rule.integrate_values\n")
+                      "def ball_rule(ball):\n    return _polar_slabs(ball)\n\n"
+                      "SUM, SLABS = Rule.integrate_values, _polar_slabs\n")
     assert stray_whole_rule_reads({"m.py": whole}) == [
-        "m.py:energy.ball", "m.py:energy.integrate_values",
-        "m.py:fit_rotation.integrate_values", "m.py:<module>.integrate_values"]
+        "m.py:energy.ball_rule", "m.py:energy.integrate_values",
+        "m.py:height.sphere_rule", "m.py:height.sphere_rule",
+        "m.py:fit_rotation.integrate_values", "m.py:<module>.integrate_values",
+        "m.py:<module>._polar_slabs"]

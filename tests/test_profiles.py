@@ -12,7 +12,7 @@ from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
                                 is_admissible_skew, lift_against_profile,
                                 profile_plane_gradient_lift, skew_from_params,
                                 skew_params)
-from branchlab.quadrature import unit_ball
+from branchlab.quadrature import gauss_legendre_01, unit_ball
 
 from conftest import C_NULL, power_sum_norm_sq
 
@@ -176,7 +176,7 @@ def test_excess_decreases_after_fit(spec_fast):
 def test_lift_holonomy_by_parity():
     # odd k: single branched sheet (the u-lift needs the full 4 pi cover);
     # even k: two disjoint sheets
-    grid = cover_grid(0.1, 0.9, nr=12, ntheta=64, n=2)
+    grid, _ = cover_grid(0.1, 0.9, nr=12, ntheta=64, n=2)
     for k, expected in ((1, -1.0), (3, -1.0), (2, 1.0), (4, 1.0)):
         u = CylindricalModeField.power_sum([(C_NULL, k)], n=2)
         prof = CylindricalProfile(C_NULL, k, n=2)
@@ -306,7 +306,7 @@ def _base_points_reference(grid, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cover_grid_base_points_bit_identical(n):
-    grid = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
+    grid, _ = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
     pts, shape = grid.nodes(), grid.shape
     ref_pts, ref_shape = _base_points_reference(grid, n)
     assert shape == ref_shape
@@ -315,21 +315,27 @@ def test_cover_grid_base_points_bit_identical(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cover_grid_weights_bit_identical(n):
-    grid = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
-    w = grid.weights()
+    grid, w = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
     assert w.shape == grid.shape
+    wr, wtheta, wy = _former_weight_factors(0.05, 0.9, 7, 40, 5, np.sqrt(max(1.0 - 0.9 ** 2, 0.04)))
     # the former fit_c weights, slab by slab: wrt * wl, wl = 1 on the plane
     T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")[1]
-    wrt = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones_like(T)
-    for l, wl in enumerate([1.0] if n == 2 else grid.wy):
+    wrt = wr[:, None] * grid.rs[:, None] * wtheta * np.ones_like(T)
+    for l, wl in enumerate([1.0] if n == 2 else wy):
         assert (w if n == 2 else w[:, :, l]).tobytes() == (wrt * wl).tobytes()
     # the former graphical_decompose weights
     if n == 2:
-        wts = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones(grid.shape)
+        wts = wr[:, None] * grid.rs[:, None] * wtheta * np.ones(grid.shape)
     else:
-        wts = (grid.wr[:, None, None] * grid.rs[:, None, None] * grid.wtheta
-               * grid.wy[None, None, :]) * np.ones(grid.shape)
+        wts = (wr[:, None, None] * grid.rs[:, None, None] * wtheta
+               * wy[None, None, :]) * np.ones(grid.shape)
     assert w.tobytes() == wts.tobytes()
+
+
+def _former_weight_factors(tau, rmax, nr, ntheta, ny, ymax):
+    """The radial, angular and axis weights of the former CoverGrid (wr, wtheta, wy)."""
+    wy = None if ymax is None else 2.0 * ymax * gauss_legendre_01(ny)[1]
+    return (rmax - tau) * gauss_legendre_01(nr)[1], 4.0 * np.pi / ntheta, wy
 
 
 def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=40,
@@ -337,8 +343,9 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     """The former graphical_decompose body, with its separate n = 2 and n = 3 paths."""
     n = u.n
     alpha = prof.alpha
-    grid = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
-                      ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
+    ymax = None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01))
+    grid, _ = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny, ymax=ymax)
+    wr, wtheta, wy = _former_weight_factors(1e-6, gamma, nr, ntheta, ny, ymax)
     u_lift, phi, signs, shape = lift_against_profile(u, prof, grid)
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
     pair_resid = 2.0 * np.sum(v_hat ** 2, axis=-1)
@@ -382,12 +389,12 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     if n == 2:
         node_mask = np.repeat(filled[:, None], shape[1], axis=1)
         ring_r = grid.rs[:, None]
-        wts = grid.wr[:, None] * grid.rs[:, None] * grid.wtheta * np.ones(shape)
+        wts = wr[:, None] * grid.rs[:, None] * wtheta * np.ones(shape)
     else:
         node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
         ring_r = grid.rs[:, None, None]
-        wts = (grid.wr[:, None, None] * grid.rs[:, None, None] * grid.wtheta
-               * grid.wy[None, None, :]) * np.ones(shape)
+        wts = (wr[:, None, None] * grid.rs[:, None, None] * wtheta
+               * wy[None, None, :]) * np.ones(shape)
     vmag = np.linalg.norm(v_hat, axis=-1)
     dvmag = np.linalg.norm(dv_hat.reshape(dv_hat.shape[:-2] + (-1,)), axis=-1)
     inner = np.zeros_like(node_mask)

@@ -193,7 +193,7 @@ def _whole(parts):
 @pytest.mark.parametrize("spec", BALL_SPECS, ids=["tiny", "small", "wide"])
 def test_blocked_rules_match_reference(ball, spec):
     refs = [(_whole(_ball_rule_reference(ball, spec.nr, spec.ntheta, spec.naxis)),
-             spec.ball(ball), list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis))),
+             ball_rule(ball, spec.nr, spec.ntheta, spec.naxis), list(ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis))),
             (_whole(_sphere_rule_reference(ball, spec.nsphere, spec.npolar)),
              sphere_rule(ball, spec.nsphere, spec.npolar),
              list(sphere_blocks(ball, spec.nsphere, spec.npolar)))]
@@ -253,7 +253,7 @@ def test_blocked_integrals_match_whole_rule(ball):
         return np.exp(d[:, 0]) * (1.0 + d[:, -1] ** 2) + np.hypot(d[:, 0], d[:, 1]) ** 0.5
 
     for blocks, rule, integral in (
-            (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis), spec.ball(ball),
+            (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis), ball_rule(ball, spec.nr, spec.ntheta, spec.naxis),
              spec.integrate_ball(ball, f)),
             (sphere_blocks(ball, spec.nsphere, spec.npolar),
              sphere_rule(ball, spec.nsphere, spec.npolar), spec.integrate_sphere(ball, f))):
@@ -272,7 +272,7 @@ def test_planar_rules_exact_for_planar_integrands(ball, spec):
         return np.exp(X[:, 0]) * (1.0 + X[:, 1] ** 2) + np.hypot(X[:, 0] - c[0],
                                                                 X[:, 1] - c[1]) ** 0.5
 
-    for integral, rule in ((spec.integrate_ball(ball, f, planar=True), spec.ball(ball)),
+    for integral, rule in ((spec.integrate_ball(ball, f, planar=True), ball_rule(ball, spec.nr, spec.ntheta, spec.naxis)),
                            (spec.integrate_sphere(ball, f, planar=True),
                             sphere_rule(ball, spec.nsphere, spec.npolar))):
         assert integral == pytest.approx(rule.integrate_values(f(rule.points)), rel=1e-14)
@@ -303,8 +303,9 @@ def test_default_planar_rules_are_blocked():
         assert len(blocks) == _block_count(slabs, 4_608) and sum(blocks) == slabs * 4_608
         blocks = [b.size for b in sphere_blocks(ball, planar=True)]
         assert len(blocks) == _block_count(rows, 256) and sum(blocks) == rows * 256
-    # the whole rules of a spec never collapse
-    assert QuadratureSpec().ball(unit_ball(4)).size == 2_654_208
+    # a whole rule at a spec's counts never collapses
+    spec = QuadratureSpec()
+    assert ball_rule(unit_ball(4), spec.nr, spec.ntheta, spec.naxis).size == 2_654_208
 
 
 @pytest.mark.parametrize("ball", BALLS[:4], ids=lambda b: f"n{b.n}-{b.center}")
