@@ -201,14 +201,17 @@ PARAMS = {
 
 
 # How far from the origin each stage reads its field: (params key to blame, radius)
-# pairs.  corollaries needs a mode field, so it never reads a sampled one.
+# pairs.  decay reads the unit ball about each center and its tangent tables the
+# sigma balls; spectral reads the unit ball and the cover balls of its scales.
+# corollaries needs a mode field, so it never reads a sampled one.
 REACH = {
     "frequency": lambda p: [("radii", math.hypot(*p["center"]) + max(p["radii"]))],
     "monotonicity": lambda p: [("radii_range", p["radii_range"][1])],
     "minimize": lambda p: [("radius", p["radius"])],
-    "decay": lambda p: ([("centers", math.hypot(*c) + 1.0) for c in p["centers"]]
-                        if p["centers"] else [("center", math.hypot(*p["center"]) + 1.0)]),
-    "spectral": lambda p: [("field.path", 1.0)],
+    "decay": lambda p: [(key, math.hypot(*c) + reach) for c in p["centers"] or [p["center"]]
+                        for key, reach in (("centers" if p["centers"] else "center", 1.0),
+                                           ("sigmas", max(p["sigmas"] or [0.0])))],
+    "spectral": lambda p: [("field.path", 1.0), ("scales", max(p["scales"]))],
 }
 
 
@@ -347,29 +350,23 @@ def stage_monotonicity(cfg, u, out, prefix=""):
     spec = quad_spec(params)
     lo, hi = params["radii_range"]
     radii = np.linspace(lo, hi, params["nradii"])
-    slack = params["slack"]
+    rng = np.random.default_rng(cfg.seed)
+    # (row label, check name, field, whether it should be monotone)
+    runs = [("configured-field", "monotone_configured_field", u, True)]
+    runs += [(f"random-{idx}", f"monotone_random_{idx}",
+              fmod.random_stationary_power_sum(rng, n=u.n), True)
+             for idx in range(params["n_random"])]
+    if params["include_control"]:
+        runs.append(("non-stationary-control", "control_violates",
+                     fmod.non_stationary_control(), False))
     checks = []
     rows = []
-    prof = qmod.frequency_profile(u, np.zeros(u.n), radii, spec)
-    rep = qmod.check_monotonicity(prof, slack)
-    rows.append(("configured-field", len(rep.violations)))
-    checks.append(check("monotone_configured_field", rep.ok,
-                        f"{len(rep.violations)} violations"))
-    rng = np.random.default_rng(cfg.seed)
-    for idx in range(params["n_random"]):
-        fld = fmod.random_stationary_power_sum(rng, n=u.n)
-        p = qmod.frequency_profile(fld, np.zeros(fld.n), radii, spec)
-        r = qmod.check_monotonicity(p, slack)
-        rows.append((f"random-{idx}", len(r.violations)))
-        checks.append(check(f"monotone_random_{idx}", r.ok,
-                            f"{len(r.violations)} violations"))
-    if params["include_control"]:
-        ctrl = fmod.non_stationary_control()
-        pc = qmod.frequency_profile(ctrl, np.zeros(2), radii, spec)
-        rc = qmod.check_monotonicity(pc, slack)
-        rows.append(("non-stationary-control", len(rc.violations)))
-        checks.append(check("control_violates", not rc.ok,
-                            f"{len(rc.violations)} violations (violations are the expected outcome)"))
+    for label, name, fld, monotone in runs:
+        prof = qmod.frequency_profile(fld, np.zeros(fld.n), radii, spec)
+        rep = qmod.check_monotonicity(prof, params["slack"])
+        rows.append((label, len(rep.violations)))
+        checks.append(check(name, rep.ok == monotone, f"{len(rep.violations)} violations"
+                            + ("" if monotone else " (violations are the expected outcome)")))
     out.write_csv(prefix + "monotonicity.csv", ["field", "violations"], rows)
     return {"checks": checks}
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, PairingError
 from .pairspace import metric_sq_symmetric, selection_costs
-from .quadrature import GRADING, Ball, QuadratureSpec
+from .quadrature import GRADING, Ball, QuadratureSpec, _ring_points
 
 FD_STEP = 1e-5  # a sampled field's gradient step, relative to its outer grid radius
 
@@ -338,14 +338,9 @@ class PolarGrid:
         return base if self.ys is None else base + (self.ys.shape[0],)
 
     def nodes(self):
-        R, T = np.meshgrid(self.rs, self.thetas, indexing="ij")
-        x1, x2 = R * np.cos(T), R * np.sin(T)
-        if self.ys is None:
-            return np.stack([x1, x2], axis=-1).reshape(-1, 2)
-        pts = []
-        for y in self.ys:
-            pts.append(np.stack([x1, x2, np.full_like(x1, y)], axis=-1).reshape(-1, 3))
-        return np.concatenate(pts)
+        """The (N, n) nodes: a ring of each radius on each axis slab, theta innermost."""
+        return _ring_points(self.rs, np.zeros(0) if self.ys is None else self.ys[:, None, None],
+                            self.thetas)
 
     def on_grid(self, rows):
         """(N, m) rows in nodes() order as an (nr, nt[, ny], m) array."""
@@ -415,12 +410,13 @@ class SampledField(Field):
             x = X[np.argmax(past)]
             raise DomainError(f"sampled field read at radius {float(np.linalg.norm(x))!r}, "
                               f"past its grid; its domain radius is {self.domain.radius!r}")
-        theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
         ir, tr = self._locate(r, self.grid.rs)
         th = self.grid.thetas
+        # the angle past thetas[0], so that one below it lies across the seam
+        theta = np.mod(np.arctan2(X[:, 1], X[:, 0]) - th[0], 2.0 * np.pi)
         dth = th[1] - th[0]
-        jt = np.floor((theta - th[0]) / dth).astype(int)
-        tt = (theta - th[0]) / dth - jt
+        jt = np.floor(theta / dth).astype(int)
+        tt = theta / dth - jt
         jt0 = np.mod(jt, th.shape[0])
         jt1 = np.mod(jt + 1, th.shape[0])
         wrap = (jt + 1) >= th.shape[0]

@@ -12,20 +12,29 @@ half-integer powers r^(k/2) times trigonometric factors becomes a polynomial
 in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
 
+Every node set is a table of rings in the (x1, x2)-plane about axis
+points: a ring of radius a at axis offset y carries the nodes
+c + (a cos theta, a sin theta, y), theta innermost.  A ball is a stack of
+disks, each nr rings (the ball itself at n = 2, one psi node at n = 3, one
+(axis radius, phi) pair at n = 4); a sphere is a stack of circles (one t
+node at n = 3, one (t, chi) pair at n = 4).  _ball_rings and _sphere_rings
+give the tables, and _ring_points turns any run of rings into nodes, for
+the rules here, spectral.cover_ball_rule and fields.PolarGrid alike.
+
 For an integrand of (x1, x2) alone (planar=True) the n = 4 rules collapse
 their axis angle to one node, and the n = 3 rules fold onto their mirror
-half: numpy's Gauss-Legendre nodes are exactly antisymmetric, so the slab at
--psi (the row at -t) repeats the (x1, x2) nodes and weights of the one at
+half: numpy's Gauss-Legendre nodes are exactly antisymmetric, so the disk at
+-psi (the circle at -t) repeats the (x1, x2) nodes and weights of the one at
 psi, and only the non-positive half is kept, with doubled weights.
 
 Summation uses numpy's pairwise reduction, which is deterministic for a
-fixed node layout.  Rules are split into a fixed sequence of node blocks
-(whole axis slabs of a ball, whole polar rows of a sphere), each within a
+fixed node layout.  Rules are split into a fixed sequence of node blocks,
+each a run of whole disks of a ball or whole circles of a sphere within a
 cache-sized budget; every integral is reduced block by block
 (QuadratureSpec.integrate_ball/_sphere), in block order, with memory bounded
 by the block size.  A whole rule is built only where its nodes are the
-result: fit_rotation's least-squares node set (ball_rule) and the slabs of
-spectral.cover_ball_rule on the double cover (_polar_slabs).
+result: fit_rotation's least-squares node set (ball_rule) and the rings of
+spectral.cover_ball_rule on the double cover (_ball_rings).
 """
 
 import functools
@@ -33,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Node budget of one block, one default n = 3 or n = 4 ball slab (48 x 96
-# nodes) rounded up, so that an integrand's temporaries stay cache-sized; a
-# single slab or row larger than this is a block.
+# Node budget of one block, one default disk (48 x 96 nodes) rounded up, so
+# that an integrand's temporaries stay cache-sized; a single disk or circle
+# larger than this, at a refined spec, is a block.
 BLOCK_NODES = 2 ** 13
 # Node budget of one batch of right-hand sides in the separable cover solve
 # (unknown ring nodes times columns); a column larger than this is a batch.
@@ -113,13 +122,9 @@ class Rule:
         return np.sum(self.weights * vals, axis=-1)
 
 
-def _polar_nodes(nr, ntheta, period=2.0 * np.pi):
-    s, ws = gauss_legendre_01(nr)
-    r01 = s ** GRADING
-    wr01 = ws * GRADING * s ** (GRADING - 1.0)
-    theta = (np.arange(ntheta) + 0.5) * (period / ntheta)
-    wt = period / ntheta
-    return r01, wr01, theta, wt
+def _midpoints(count, period=2.0 * np.pi):
+    """count midpoint nodes over [0, period) and their common weight."""
+    return (np.arange(count) + 0.5) * (period / count), period / count
 
 
 def disk_rule(center, radius, nr=48, ntheta=96):
@@ -127,26 +132,17 @@ def disk_rule(center, radius, nr=48, ntheta=96):
     return ball_rule(Ball(tuple(center), radius), nr=nr, ntheta=ntheta)
 
 
-def _axis_angles(n, planar, full):
-    """Nodes of the n = 4 axis angle (phi of a ball slab, chi of a sphere row).
-
-    One midpoint node of weight 2 pi is exact for a planar integrand, one of
-    (x1, x2) alone; below n = 4 the rules have no such angle.
-    """
-    return full if n == 4 and not planar else 1
-
-
 def _axis_nodes(n, planar, count):
     """Gauss-Legendre nodes and weights on [-1, 1] of a ball's axis angle psi
     at n = 3, and of a sphere's polar variable t at n = 3 and 4.
 
     Planar at n = 3, the rule folds onto its non-positive half: the nodes
-    are exactly antisymmetric and the weights symmetric, so the slab at -psi
-    (the row at -t) has the (x1, x2) nodes and weights of the one at psi and
-    its weight doubles; the middle node 0 of an odd count keeps its weight.
-    This is the n = 3 counterpart of _axis_angles.  The n = 4 ball's axis
-    radius has count nodes as well, so the number of nodes is the number of
-    slabs or rows of every rule at n >= 3.
+    are exactly antisymmetric and the weights symmetric, so the disk at -psi
+    (the circle at -t) has the (x1, x2) nodes and weights of the one at psi
+    and its weight doubles; the middle node 0 of an odd count keeps its
+    weight.  Planar at n = 4, the rules collapse their axis angle (phi, chi)
+    to one midpoint node of weight 2 pi instead, exact for an integrand of
+    (x1, x2) alone.
     """
     x, w = _leggauss(int(count))
     if n != 3 or not planar:
@@ -155,138 +151,138 @@ def _axis_nodes(n, planar, count):
     return x, w[:x.shape[0]] * np.where(x < 0.0, 2.0, 1.0)
 
 
-def _polar_slabs(ball, nr, ntheta, naxis, slabs=slice(None), planar=False,
-                 period=2.0 * np.pi):
-    """Disks graded by GRADING, stacked along a ball's axis variables; a disk is one slab.
+def _ball_rings(ball, nr, ntheta, naxis, disks=slice(None), planar=False,
+                period=2.0 * np.pi):
+    """The ring table of a ball: disks graded by GRADING, stacked along the axis variables.
 
-    Returns the disk radii (slab, nr), the angles (ntheta,) over [0, period),
-    the axis offsets of the slabs from the center (slab, phi, n - 2) and the
-    weight of each node of a ring (slab, nr).  slabs and planar are as for
-    ball_rule; period 4 pi gives the same slabs on the double cover.
+    A disk is the whole ball at n = 2, one psi node at n = 3 and one (axis
+    radius, phi) pair at n = 4, phi innermost; disks selects a run of them
+    (ignored at n = 2).  Returns the ring radii (disk, nr), the axis offsets
+    of the disks from the center (disk, n - 2), the weight of each node of a
+    ring (disk, nr) and the angles (ntheta,) over [0, period); period 4 pi
+    gives the same rings on the double cover.
     """
     n, rho = ball.n, ball.radius
-    r01, wr01, theta, wt = _polar_nodes(nr, ntheta, period)
+    s, ws = gauss_legendre_01(nr)
+    theta, wt = _midpoints(ntheta, period)
     if n == 2:
-        y, wy, axis = np.zeros(1), np.ones(1), np.zeros((1, 1, 0))
+        y, offsets = np.zeros(1), np.zeros((1, 0))
     elif n == 3:
-        # y = rho sin(psi) removes the sqrt endpoint behavior of the slab radius
+        # y = rho sin(psi) removes the sqrt endpoint behavior of the disk radius
         psi, wpsi = _axis_nodes(n, planar, naxis)
-        psi = psi[slabs] * (np.pi / 2.0)
-        wpsi = wpsi[slabs] * (np.pi / 2.0)
+        psi, wpsi = psi[disks] * (np.pi / 2.0), wpsi[disks] * (np.pi / 2.0)
         y = rho * np.sin(psi)
         wy = rho * np.cos(psi) * wpsi
-        axis = y[:, None, None]
+        offsets = y[:, None]
     else:
-        # polar coordinates (rl, phi) in the (y1, y2)-plane as well
-        sy, wsy = gauss_legendre_01(int(naxis))
-        y = rho * sy[slabs]
-        wy = rho * wsy[slabs]
-        nphi = _axis_angles(n, planar, max(8, naxis))
-        phi = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-        axis = np.stack([y[:, None] * np.cos(phi), y[:, None] * np.sin(phi)], axis=-1)
-    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))
-    keep = rho_l > 0.0
-    rho_l, y, wy, axis = rho_l[keep], y[keep], wy[keep], axis[keep]
-    r = rho_l[:, None] * r01
-    w = rho_l[:, None] * wr01 * r * wt
-    if n == 4:
-        w = w * y[:, None] * wy[:, None] * (2.0 * np.pi / nphi)
-    else:
+        # polar coordinates (y, phi) in the (x3, x4)-plane as well
+        sy, wsy = gauss_legendre_01(naxis)
+        phi, wphi = _midpoints(1 if planar else max(8, naxis))
+        slab, pair = np.divmod(np.arange(sy.shape[0] * phi.shape[0])[disks], phi.shape[0])
+        y, wy, phi = rho * sy[slab], rho * wsy[slab], phi[pair]
+        offsets = np.stack([y * np.cos(phi), y * np.sin(phi)], axis=-1)
+    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))[:, None]
+    r = rho_l * s ** GRADING
+    w = rho_l * (ws * GRADING * s ** (GRADING - 1.0)) * r * wt
+    if n == 3:
         w = w * wy[:, None]
-    return r, theta, axis, w
+    elif n == 4:
+        w = w * y[:, None] * wy[:, None] * wphi
+    return r, offsets, w, theta
 
 
-def ball_rule(ball, nr=48, ntheta=96, naxis=24, slabs=slice(None), planar=False):
-    """Rule for a ball in R^n; axis variables handled by slabs of disks graded by GRADING.
+def _sphere_rings(ball, nang, npolar, circles=slice(None), planar=False):
+    """The ring table of a sphere: its circles about the axis variables.
 
-    slabs selects a run of the axis slabs (all by default; ignored for the
-    disk, which is one slab); the nodes of each slab come out in the same
-    order whichever run they are built in.  planar=True, for integrands of
-    (x1, x2) alone, collapses the n = 4 axis angle and folds the n = 3 slabs
-    onto psi <= 0 (slabs then selects among the folded slabs).
+    A circle is the whole sphere at n = 2, one t node at n = 3 and one
+    (t, chi) pair at n = 4, chi innermost; circles selects a run of them
+    (ignored at n = 2).  Returns the circle radii (circle,), their axis
+    offsets from the center (circle, n - 2), the weight of each node of a
+    circle (circle,) and the angles (nang,).
     """
-    n = ball.n
-    c = ball.center_array
-    if n not in (2, 3, 4):
-        raise ValueError(f"ball_rule supports n in (2, 3, 4), got n={n}")
-    r, theta, axis, wslab = _polar_slabs(ball, nr, ntheta, naxis, slabs, planar)
-    # nodes ordered (slab, phi, r, theta)
-    shape = axis.shape[:2] + (nr, ntheta)
-    pts = np.empty(shape + (n,))
-    R = r[:, None, :, None]
-    pts[..., 0] = c[0] + R * np.cos(theta)
-    pts[..., 1] = c[1] + R * np.sin(theta)
-    pts[..., 2:] = c[2:] + axis[:, :, None, None, :]
-    w = np.broadcast_to(wslab[:, None, :, None], shape)
-    return Rule(pts.reshape(-1, n), w.reshape(-1))
-
-
-def sphere_rule(ball, nang=256, npolar=128, rows=slice(None), planar=False):
-    """Rule for the boundary sphere of a ball in R^n.
-
-    rows selects a run of the polar rows (a circle is one row) and planar
-    collapses the n = 4 axis angle and folds the n = 3 rows onto t <= 0, as
-    slabs and planar do for ball_rule.
-    """
-    n = ball.n
-    c = ball.center_array
-    rho = ball.radius
-    theta = (np.arange(nang) + 0.5) * (2.0 * np.pi / nang)
-    wth = 2.0 * np.pi / nang
+    n, rho = ball.n, ball.radius
+    theta, wth = _midpoints(nang)
     if n == 2:
-        pts = np.stack(
-            [c[0] + rho * np.cos(theta), c[1] + rho * np.sin(theta)], axis=-1
-        )
-        w = np.full(nang, rho * 2.0 * np.pi / nang)
-        return Rule(pts, w)
-    if n not in (3, 4):
-        raise ValueError(f"sphere_rule supports n in (2, 3, 4), got n={n}")
+        return np.full(1, rho), np.zeros((1, 0)), np.full(1, rho * 2.0 * np.pi / nang), theta
     t, wpolar = _axis_nodes(n, planar, npolar)
-    t, wpolar = t[rows], wpolar[rows]
     if n == 3:
         # Gauss-Legendre in t = cos(polar angle): the area element becomes dt
-        sint = np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None]
-        pts = np.empty((t.shape[0], nang, 3))
-        pts[..., 0] = c[0] + rho * sint * np.cos(theta)
-        pts[..., 1] = c[1] + rho * sint * np.sin(theta)
-        pts[..., 2] = (c[2] + rho * t)[:, None]
-        w = np.broadcast_to((rho * rho * wpolar * wth)[:, None], pts.shape[:2])
-        return Rule(pts.reshape(-1, 3), w.reshape(-1))
+        t, wpolar = t[circles], wpolar[circles]
+        return (rho * np.sqrt(np.maximum(1.0 - t * t, 0.0)), (rho * t)[:, None],
+                rho * rho * wpolar * wth, theta)
     # measure sin(psi) cos(psi) dpsi = -dtau/4 under tau = cos(2 psi)
-    sinp = np.sqrt((1.0 - t) / 2.0)[:, None, None]
-    cosp = np.sqrt((1.0 + t) / 2.0)[:, None, None]
-    nchi = _axis_angles(n, planar, max(16, nang // 4))
-    chi = (np.arange(nchi) + 0.5) * (2.0 * np.pi / nchi)
-    wch = 2.0 * np.pi / nchi
-    pts = np.empty((t.shape[0], nang, nchi, 4))
-    pts[..., 0] = c[0] + rho * sinp * np.cos(theta)[:, None]
-    pts[..., 1] = c[1] + rho * sinp * np.sin(theta)[:, None]
-    pts[..., 2] = c[2] + rho * cosp * np.cos(chi)
-    pts[..., 3] = c[3] + rho * cosp * np.sin(chi)
-    w = np.broadcast_to((rho ** 3 * 0.25 * wpolar * wth * wch)[:, None, None], pts.shape[:3])
-    return Rule(pts.reshape(-1, 4), w.reshape(-1))
+    chi, wch = _midpoints(1 if planar else max(16, nang // 4))
+    row, pair = np.divmod(np.arange(t.shape[0] * chi.shape[0])[circles], chi.shape[0])
+    t, wpolar, chi = t[row], wpolar[row], chi[pair]
+    y = rho * np.sqrt((1.0 + t) / 2.0)
+    return (rho * np.sqrt((1.0 - t) / 2.0), np.stack([y * np.cos(chi), y * np.sin(chi)], axis=-1),
+            rho ** 3 * 0.25 * wpolar * wth * wch, theta)
 
 
-def _blocks(count, per_slab):
-    """Runs of whole slabs of at most BLOCK_NODES nodes; one slab if it is larger."""
-    step = max(1, BLOCK_NODES // per_slab)
+def _ring_points(radii, offsets, theta):
+    """The nodes (a cos theta, a sin theta, y) of rings of radius a at axis
+    offset y, theta innermost; radii broadcast against offsets (..., n - 2)
+    without its last axis."""
+    shape = np.broadcast_shapes(np.shape(radii), offsets.shape[:-1])
+    pts = np.empty(shape + theta.shape + (2 + offsets.shape[-1],))
+    a = np.broadcast_to(radii, shape)[..., None]
+    pts[..., 0] = a * np.cos(theta)
+    pts[..., 1] = a * np.sin(theta)
+    pts[..., 2:] = offsets[..., None, :]
+    return pts.reshape(-1, pts.shape[-1])
+
+
+def _ring_rule(ball, radii, offsets, weights, theta):
+    """The rule of a ring table about the ball's center; a node weighs what its ring does."""
+    if ball.n not in (2, 3, 4):
+        raise ValueError(f"the ball and sphere rules support n in (2, 3, 4), got n={ball.n}")
+    pts = _ring_points(radii, offsets, theta)
+    pts += ball.center_array
+    return Rule(pts, np.repeat(weights.ravel(), theta.shape[0]))
+
+
+def ball_rule(ball, nr=48, ntheta=96, naxis=24, disks=slice(None), planar=False):
+    """Rule for a ball in R^n: rings of disks graded by GRADING, stacked along the axis variables.
+
+    disks selects a run of the disks (all by default; ignored for the
+    disk, which is one); the nodes of each disk come out in the same order
+    whichever run they are built in.  planar=True, for integrands of
+    (x1, x2) alone, collapses the n = 4 axis angle and folds the n = 3 disks
+    onto psi <= 0 (disks then selects among the folded disks).
+    """
+    r, offsets, w, theta = _ball_rings(ball, nr, ntheta, naxis, disks, planar)
+    return _ring_rule(ball, r, offsets[:, None], w, theta)
+
+
+def sphere_rule(ball, nang=256, npolar=128, circles=slice(None), planar=False):
+    """Rule for the boundary sphere of a ball in R^n.
+
+    circles selects a run of the circles and planar collapses the n = 4
+    axis angle and folds the n = 3 circles onto t <= 0, as disks and planar
+    do for ball_rule.
+    """
+    return _ring_rule(ball, *_sphere_rings(ball, nang, npolar, circles, planar))
+
+
+def _blocks(count, per_run):
+    """Runs of whole disks or circles of per_run nodes, each within BLOCK_NODES
+    nodes, or one alone if it is larger."""
+    step = max(1, BLOCK_NODES // per_run)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def ball_blocks(ball, nr=48, ntheta=96, naxis=24, planar=False):
-    """The ball rule as a fixed sequence of node blocks; a disk is one slab."""
-    count = 1 if ball.n == 2 else _axis_nodes(ball.n, planar, naxis)[0].shape[0]
-    per_slab = nr * ntheta * _axis_angles(ball.n, planar, max(8, naxis))
-    for slabs in _blocks(count, per_slab):
-        yield ball_rule(ball, nr, ntheta, naxis, slabs=slabs, planar=planar)
+    """The ball rule as a fixed sequence of node blocks, each a run of whole disks."""
+    count = _ball_rings(ball, nr, ntheta, naxis, planar=planar)[0].shape[0]
+    for disks in _blocks(count, nr * ntheta):
+        yield ball_rule(ball, nr, ntheta, naxis, disks=disks, planar=planar)
 
 
 def sphere_blocks(ball, nang=256, npolar=128, planar=False):
-    """The sphere rule as a fixed sequence of node blocks; a circle is one row."""
-    count = 1 if ball.n == 2 else _axis_nodes(ball.n, planar, npolar)[0].shape[0]
-    per_row = nang * _axis_angles(ball.n, planar, max(16, nang // 4))
-    for rows in _blocks(count, per_row):
-        yield sphere_rule(ball, nang, npolar, rows=rows, planar=planar)
+    """The sphere rule as a fixed sequence of node blocks, each a run of whole circles."""
+    count = _sphere_rings(ball, nang, npolar, planar=planar)[0].shape[0]
+    for circles in _blocks(count, nang):
+        yield sphere_rule(ball, nang, npolar, circles=circles, planar=planar)
 
 
 def _sum_blocks(blocks, integrand):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import FitError
 from .pairspace import selection_costs
 from .profiles import profile_plane_gradient_lift
-from .quadrature import Ball, _polar_slabs
+from .quadrature import Ball, _ball_rings
 
 FOUR_PI = 4.0 * np.pi
 BETA2 = 10.0  # the beta_2 of the radial-derivative hypothesis (remainder_decay_check)
@@ -93,13 +93,13 @@ def l_span(c0, alpha, r, theta, y=None):
 def cover_ball_rule(rho, n):
     """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover.
 
-    These are the slabs of the ball rule, with theta over the double cover.
+    These are the rings of the ball rule, with theta over the double cover.
     """
-    r, theta, axis, w = _polar_slabs(Ball((0.0,) * n, rho), COVER_NR, COVER_NTHETA, COVER_NY,
-                                     period=FOUR_PI)
-    shape = axis.shape[:2] + (COVER_NR, COVER_NTHETA)  # (slab, 1, r, theta)
-    R, W = (np.broadcast_to(a[:, None, :, None], shape).ravel() for a in (r, w))
-    Y = None if n == 2 else np.broadcast_to(axis[:, :, None, None, :],
+    r, offsets, w, theta = _ball_rings(Ball((0.0,) * n, rho), COVER_NR, COVER_NTHETA, COVER_NY,
+                                       period=FOUR_PI)
+    shape = r.shape + theta.shape  # (disk, r, theta)
+    R, W = (np.broadcast_to(a[..., None], shape).ravel() for a in (r, w))
+    Y = None if n == 2 else np.broadcast_to(offsets[:, None, None, :],
                                             shape + (n - 2,)).reshape(-1, n - 2)
     return R, np.broadcast_to(theta, shape).ravel(), Y, W
 

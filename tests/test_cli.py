@@ -663,8 +663,9 @@ def test_minimize_runs_at_n2_only(tmp_path, capsys, field):
     assert_config_error(tmp_path, capsys, cfg, "field.n")
 
 
-# a v2 field on B(0, 0.5)
+# v2 fields on B(0, 0.5) and B(0, 1)
 SAMPLED_HALF = SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=0.25,0.5") + "1.0\n" * 4
+SAMPLED_UNIT = SAMPLED_V2_HEADER + "1.0\n" * 4
 
 
 @pytest.mark.parametrize("kind, params, key", [
@@ -681,12 +682,21 @@ SAMPLED_HALF = SAMPLED_V2_HEADER.replace("rs=0.5,1.0", "rs=0.25,0.5") + "1.0\n" 
     ("frequency", {"radii": [0.25, 0.3], "center": [0.0, -0.2]}, None),
     ("monotonicity", {"radii_range": [0.05, 0.5]}, None),
     ("minimize", {"radius": 0.5, "freq_radii": [0.25]}, None),
+    ("decay", {"sigmas": [0.5, 2.0]}, "sigmas"),
+    ("decay", {"centers": [[0.0, 0.0]], "sigmas": [1.5]}, "sigmas"),
+    ("spectral", {"scales": [2.0, 0.5]}, "scales"),
+    ("decay", {"sigmas": [0.5, 1.0]}, None),
+    ("decay", {"centers": [[0.0, 0.0]], "sigmas": [1.0]}, None),
+    ("spectral", {"scales": [1.0, 0.5]}, None),
 ])
 def test_stage_reach_stays_in_the_sampled_domain(tmp_path, capsys, kind, params, key):
     # each stage reads the field out to a radius its params set: frequency
     # |center| + max(radii), monotonicity radii_range[1], minimize radius,
-    # decay |center| + 1 for each center, spectral 1
-    (tmp_path / "field.csv").write_text(SAMPLED_HALF)
+    # decay |center| + 1 and |center| + max(sigmas) for each center, spectral
+    # 1 and max(scales).  decay and spectral read the unit ball, past
+    # B(0, 0.5), so the rows that set sigmas or scales read a field on B(0, 1)
+    unit = not {"sigmas", "scales"}.isdisjoint(params)
+    (tmp_path / "field.csv").write_text(SAMPLED_UNIT if unit else SAMPLED_HALF)
     cfg = dict(freq_config("out"), kind=kind, params=params,
                field={"type": "sampled", "path": "field.csv"})
     if key is None:

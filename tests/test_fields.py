@@ -460,6 +460,26 @@ def sample(u, grid):
     return SampledField(grid, signs[..., None] * svals, hol=hol)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_seam_sign_below_the_first_angle(n):
+    # with angles (j + 1/2) 2 pi / 64, an angle in [0, thetas[0]) lies across
+    # the seam, between the last column and the first, and reads them with
+    # the holonomy as an angle past thetas[-1] does: the branch of the pair
+    # stays within the interpolation error there
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=n)
+    grid = PolarGrid(np.linspace(0.05, 1.0, 40), (np.arange(64) + 0.5) * (2 * np.pi / 64),
+                     None if n == 2 else np.linspace(-0.5, 0.5, 5))
+    sf = sample(u, grid)
+    assert sf.hol == -1.0
+    r = np.linspace(0.1, 1.0, 10)
+    for angle in (0.01, 0.03, 2 * np.pi - 0.01):
+        X = np.zeros((10, n))
+        X[:, 0], X[:, 1] = r * np.cos(angle), r * np.sin(angle)
+        s, exact = sf.symmetric_values(X), u.symmetric_values(X)
+        err = np.minimum(np.abs(s - exact).max(axis=1), np.abs(s + exact).max(axis=1))
+        assert np.max(err) < 1e-3
+
+
 def _sample_field(u, nr=24, nt=48):
     grid = PolarGrid(graded_radii(nr, 0.9), np.arange(nt) * (2 * np.pi / nt))
     return sample(u, grid)

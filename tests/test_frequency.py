@@ -290,23 +290,25 @@ def test_frequency_profile_csv(tmp_path):
 
 
 def test_frequency_n4_model_profile_blocked():
-    # an axis-invariant (planar) model profile runs on collapsed rules, with
-    # slabs of 24 x 48 nodes and rows of 128; a profile whose branch axis is
-    # tilted out of the x3, x4 plane keeps the full rules, with slabs of
-    # 24 x 48 x 12 nodes and rows of 128 x 32.  Both are cut into blocks of
-    # whole slabs (rows) within BLOCK_NODES, and D and H are summed block by block
+    # a disk is 24 x 48 nodes and a circle 128.  An axis-invariant (planar)
+    # model profile runs on collapsed rules, with 12 disks and 48 circles; a
+    # profile whose branch axis is tilted out of the x3, x4 plane keeps the
+    # full rules, with 12 x 12 disks and 48 x 32 circles.  Both are cut into
+    # blocks of whole disks (circles) within BLOCK_NODES, and D and H are
+    # summed block by block
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
     ball = unit_ball(4)
     radii = np.array([0.25, 0.5, 1.0])
     tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
-    for u, per_slab, per_row in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 1152, 128),
-                                 (tilted, 13_824, 4096)):
-        assert u.planar == (per_row == 128)
+    for u, disks, circles in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 12, 48),
+                              (tilted, 12 * 12, 48 * 32)):
+        assert u.planar == (disks == 12)
         for blocks, count, size in (
-                (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=u.planar), 12, per_slab),
-                (sphere_blocks(ball, spec.nsphere, spec.npolar, planar=u.planar), 48, per_row)):
+                (ball_blocks(ball, spec.nr, spec.ntheta, spec.naxis, planar=u.planar), disks, 1152),
+                (sphere_blocks(ball, spec.nsphere, spec.npolar, planar=u.planar), circles, 128)):
             per_block = max(1, quadrature.BLOCK_NODES // size)
-            assert len(list(blocks)) == -(-count // per_block)
+            sizes = [b.size for b in blocks]
+            assert len(sizes) == -(-count // per_block) and sum(sizes) == count * size
         prof = frequency_profile(u, np.zeros(4), radii, spec)
         if u.planar:
             # N stays 1/2 up to the quadrature error of this small spec
@@ -389,6 +391,24 @@ def test_frequency_profile_memory_is_block_sized(n):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+def test_tilted_n4_memory_is_block_sized():
+    # a profile tilted out of the x3, x4 plane runs on the full n = 4 rules,
+    # whose blocks are runs of whole disks and circles within BLOCK_NODES
+    # (one disk of 4,608 nodes at the default spec), so its energy and its
+    # frequency profile hold the temporaries of one block at a time
+    u = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
+    assert not u.planar
+    for run in (lambda: energy_integral(u, unit_ball(4), QuadratureSpec()),
+                lambda: frequency_profile(u, np.zeros(4), np.array([1.0]), QuadratureSpec())):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 def _n4_sums(monkeypatch, budget):

@@ -11,8 +11,8 @@ slot a class lists in __slots__, is read as an attribute somewhere in the
 library, the tests or the benchmark: a field a test asserts on is a
 result, but one nothing reads is dead weight.  Whole quadrature rules
 are summed (Rule.integrate_values) and built (ball_rule, sphere_rule and
-their slabs, _polar_slabs) only in the functions that WHOLE_RULE_READERS
-names: every other integral goes block by block.
+their ring tables, _ball_rings and _sphere_rings) only in the functions that
+WHOLE_RULE_READERS names: every other integral goes block by block.
 """
 
 import ast
@@ -38,13 +38,15 @@ EXEMPT = {
 
 # The functions that may read each whole-rule name: Rule.integrate_values
 # sums a rule's values in the block loop; the builders cut their rules into
-# blocks, and a whole rule is built only where its nodes are the result
-# (fit_rotation's least-squares nodes, spectral.cover_ball_rule's slabs).
+# blocks of whole disks and circles read from the ring tables, and a whole
+# rule is built only where its nodes are the result (fit_rotation's
+# least-squares nodes, spectral.cover_ball_rule's rings).
 WHOLE_RULE_READERS = {
     "integrate_values": {"_sum_blocks"},
     "ball_rule": {"ball_blocks", "disk_rule", "fit_rotation"},
     "sphere_rule": {"sphere_blocks"},
-    "_polar_slabs": {"ball_rule", "cover_ball_rule"},
+    "_ball_rings": {"ball_rule", "ball_blocks", "cover_ball_rule"},
+    "_sphere_rings": {"sphere_rule", "sphere_blocks"},
 }
 
 
@@ -315,10 +317,13 @@ def test_checks_catch_their_faults():
                       "    return sum(b.integrate_values(f(b.points)) for b in blocks)\n\n"
                       "def fit_rotation(ball):\n    build = q.ball_rule\n"
                       "    return lambda f: build(ball).integrate_values(f)\n\n"
-                      "def ball_rule(ball):\n    return _polar_slabs(ball)\n\n"
-                      "SUM, SLABS = Rule.integrate_values, _polar_slabs\n")
+                      "def ball_rule(ball):\n    return _ball_rings(ball)\n\n"
+                      "def cover_ball_rule(rho):\n    return _ball_rings(rho), _sphere_rings(rho)\n\n"
+                      "def integrate_sphere(ball):\n    return q._sphere_rings(ball)\n\n"
+                      "SUM, RINGS = Rule.integrate_values, _ball_rings\n")
     assert stray_whole_rule_reads({"m.py": whole}) == [
         "m.py:energy.ball_rule", "m.py:energy.integrate_values",
         "m.py:height.sphere_rule", "m.py:height.sphere_rule",
-        "m.py:fit_rotation.integrate_values", "m.py:<module>.integrate_values",
-        "m.py:<module>._polar_slabs"]
+        "m.py:fit_rotation.integrate_values",
+        "m.py:cover_ball_rule._sphere_rings", "m.py:integrate_sphere._sphere_rings",
+        "m.py:<module>.integrate_values", "m.py:<module>._ball_rings"]

@@ -79,9 +79,11 @@ def test_gauss_legendre_cached_per_order():
 
 
 # -- blocked rules -----------------------------------------------------------
-# The rule builders as they were before they were split into slab blocks: one
-# meshgrid per slab (per slab and angle at n = 4).  The blocked builders must
-# give the same nodes and weights, bit for bit.
+# The rule builders as they were before they were split into blocks: one
+# meshgrid per disk (per axis slab at n = 3, per axis slab and angle at n = 4)
+# and one per circle of a sphere (per polar row, and per row and axis angle
+# at n = 4, theta innermost).  Each returns one entry per disk or circle, and
+# the blocked builders must give the same nodes and weights, bit for bit.
 
 
 def _ball_rule_reference(ball, nr, ntheta, naxis):
@@ -128,7 +130,6 @@ def _ball_rule_reference(ball, nr, ntheta, naxis):
             continue
         r = rho_l * r01
         wr = rho_l * wr01
-        slab_p, slab_w = [], []
         for ph in phi:
             R, CS = np.meshgrid(r, cs, indexing="ij")
             _, SN = np.meshgrid(r, ct, indexing="ij")
@@ -136,10 +137,8 @@ def _ball_rule_reference(ball, nr, ntheta, naxis):
             p = np.stack([c[0] + R * CS, c[1] + R * SN,
                           np.full_like(R, c[2] + rl * np.cos(ph)),
                           np.full_like(R, c[3] + rl * np.sin(ph))], axis=-1)
-            slab_p.append(p.reshape(-1, 4))
-            slab_w.append((WR * R * wt * rl * wl * wphi).reshape(-1))
-        pts.append(np.concatenate(slab_p))
-        wts.append(np.concatenate(slab_w))
+            pts.append(p.reshape(-1, 4))
+            wts.append((WR * R * wt * rl * wl * wphi).reshape(-1))
     return pts, wts
 
 
@@ -168,14 +167,14 @@ def _sphere_rule_reference(ball, nang, npolar):
         nchi = max(16, nang // 4)
         chi = (np.arange(nchi) + 0.5) * (2.0 * np.pi / nchi)
         wch = 2.0 * np.pi / nchi
-        P_s, T, H = np.meshgrid(sinp, theta, chi, indexing="ij")
-        P_c, _, _ = np.meshgrid(cosp, theta, chi, indexing="ij")
-        W, _, _ = np.meshgrid(wt_polar, theta, chi, indexing="ij")
+        P_s, H, T = np.meshgrid(sinp, chi, theta, indexing="ij")
+        P_c, _, _ = np.meshgrid(cosp, chi, theta, indexing="ij")
+        W, _, _ = np.meshgrid(wt_polar, chi, theta, indexing="ij")
         pts = np.stack([c[0] + rho * P_s * np.cos(T), c[1] + rho * P_s * np.sin(T),
                         c[2] + rho * P_c * np.cos(H), c[3] + rho * P_c * np.sin(H)], axis=-1)
         w = rho ** 3 * 0.25 * W * wth * wch
-    # one entry per polar row
-    return ([p.reshape(-1, n) for p in pts], [row.reshape(-1) for row in w])
+    # one entry per circle
+    return list(pts.reshape(-1, nang, n)), list(w.reshape(-1, nang))
 
 
 BALLS = [unit_ball(2), Ball((0.5, -0.25), 0.37), unit_ball(3), Ball((0.1, -0.3, 0.2), 0.35),
@@ -217,28 +216,30 @@ def test_blocks_are_whole_slabs_within_budget(ball, spec):
         start = 0
         for block in blocks:
             stop = start + block.size
-            # a block starts and ends on slab boundaries
+            # a block starts and ends on disk (circle) boundaries
             assert start in edges and stop in edges
             assert block.size <= BLOCK_NODES or stop - start in sizes
             start = stop
         assert start == sum(sizes)
 
 
-def _block_count(count, per_slab):
-    """Blocks of whole slabs of per_slab nodes within BLOCK_NODES, a larger slab alone."""
-    per_block = max(1, BLOCK_NODES // per_slab)
+def _block_count(count, per_disk):
+    """Blocks of whole disks (circles) of per_disk nodes within BLOCK_NODES, a larger one alone."""
+    per_block = max(1, BLOCK_NODES // per_disk)
     return -(-count // per_block)
 
 
 def test_default_n4_rules_are_blocked():
-    # default spec: 24 axis slabs and 128 polar rows; a full n = 4 slab is
-    # 48 x 96 x 24 nodes and a row 256 x 64, an n = 3 slab 48 x 96 and a row 256
-    for ball, per_slab, per_row in ((unit_ball(4), 110_592, 16_384), (unit_ball(3), 4_608, 256)):
+    # default spec: a disk is 48 x 96 nodes and a circle 256.  The n = 4 ball
+    # has 24 axis radii x 24 axis angles of disks and the sphere 128 polar
+    # rows x 64 axis angles of circles; at n = 3 there are 24 disks and 128
+    # circles.  No block exceeds BLOCK_NODES.
+    for ball, disks, circles in ((unit_ball(4), 24 * 24, 128 * 64), (unit_ball(3), 24, 128)):
         blocks = [b.size for b in ball_blocks(ball)]
-        assert len(blocks) == _block_count(24, per_slab) and sum(blocks) == 24 * per_slab
+        assert len(blocks) == _block_count(disks, 4_608) and sum(blocks) == disks * 4_608
         rows = [b.size for b in sphere_blocks(ball)]
-        assert len(rows) == _block_count(128, per_row) and sum(rows) == 128 * per_row
-        assert max(blocks + rows) <= max(BLOCK_NODES, per_slab, per_row)
+        assert len(rows) == _block_count(circles, 256) and sum(rows) == circles * 256
+        assert max(blocks + rows) <= BLOCK_NODES
 
 
 @pytest.mark.parametrize("ball", BALLS[2:], ids=lambda b: f"n{b.n}-{b.center}")
