@@ -94,12 +94,8 @@ class ExperimentConfig:
             _require((value is None and default is None) or ok(value, params, u), key,
                      f"{key} must be {valid}")
         cfg = cls(kind, params, output_dir, seed, u, base_dir)
-        _require("corollaries" not in cfg.stages or len(getattr(u, "modes", ())) >= 2, "field",
-                 "corollaries needs a power-sum field with a base term plus perturbation terms")
-        # minimize solves planar covers; decay and spectral fit profiles on n = 2, 3 covers
-        for stage, max_n in (("minimize", 2), ("decay", 3), ("spectral", 3)):
-            _require(stage not in cfg.stages or u.n <= max_n, "field.n",
-                     f"{stage} runs at n <= {max_n} only, and the field has n = {u.n}")
+        for key, message in filter(None, (_misfit(stage, u) for stage in cfg.stages)):
+            raise ConfigError(message, key=key)
         for stage in cfg.stages if u.domain is not None else ():
             for key, reach in REACH[stage](params):
                 _require(reach <= u.domain.radius * (1 + 1e-12), key, f"{stage} reads the field "
@@ -110,6 +106,17 @@ class ExperimentConfig:
     def stages(self):
         """The stage kinds this config runs, in order."""
         return self.params["stages"] if self.kind == "full-pipeline" else [self.kind]
+
+
+def _misfit(stage, u):
+    """Why the field u cannot run stage, as (key, message), or None: minimize solves planar
+    covers, decay and spectral fit profiles on n = 2, 3 covers, corollaries perturbs terms."""
+    top = {"minimize": 2, "decay": 3, "spectral": 3}.get(stage, 4)
+    if stage == "corollaries" and len(getattr(u, "modes", ())) < 2:
+        return "field", "corollaries needs a power-sum field with a base term plus perturbation terms"
+    if u.n > top:
+        return "field.n", f"{stage} runs at n <= {top} only, and the field has n = {u.n}"
+    return None
 
 
 def _require(ok, key, message):
@@ -161,7 +168,8 @@ POSITIVE = "a positive finite number"
 # above it, already checked.  A default that is a function is given the field;
 # a key whose default is None may be given as null, the same as leaving it out.
 PARAMS = {
-    "stages": (list(PIPELINE_STAGES), lambda s, *_: isinstance(s, list)
+    "stages": (lambda u: [s for s in PIPELINE_STAGES if not _misfit(s, u)],
+               lambda s, *_: isinstance(s, list)
                and all(k in KINDS and k != "full-pipeline" for k in s),
                "a list of stage kinds, full-pipeline excluded"),
     "quadrature": ({}, _is_quadrature, "an object mapping any of "

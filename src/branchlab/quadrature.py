@@ -19,7 +19,7 @@ disks, each nr rings (the ball itself at n = 2, one psi node at n = 3, one
 (axis radius, phi) pair at n = 4); a sphere is a stack of circles (one t
 node at n = 3, one (t, chi) pair at n = 4).  _ball_rings and _sphere_rings
 give the tables, and _ring_points turns any run of rings into nodes, for
-the rules here, spectral.cover_ball_rule and fields.PolarGrid alike.
+the rules here, the cover blocks of spectral and fields.PolarGrid alike.
 
 For an integrand of (x1, x2) alone (planar=True) the n = 4 rules collapse
 their axis angle to one node, and the n = 3 rules fold onto their mirror
@@ -32,9 +32,8 @@ fixed node layout.  Rules are split into a fixed sequence of node blocks,
 each a run of whole disks of a ball or whole circles of a sphere within a
 cache-sized budget; every integral is reduced block by block
 (QuadratureSpec.integrate_ball/_sphere), in block order, with memory bounded
-by the block size.  A whole rule is built only where its nodes are the
-result: fit_rotation's least-squares node set (ball_rule) and the rings of
-spectral.cover_ball_rule on the double cover (_ball_rings).
+by the block size, as are spectral's cover integrals.  fit_rotation is the
+only whole-rule builder: its least-squares node set is a whole ball_rule.
 """
 
 import functools

@@ -6,10 +6,11 @@ collects the degree-alpha kernel modes (the c-modes r^alpha cos/sin and the
 axis-tilt modes D_i phi . y_j), and the decay check runs the contraction of
 radial-derivative integrals across scales.
 
-L is one array: `l_span` gives its K basis functions at all nodes at once,
-shape (N, K, m), and `project_L` builds the Gram matrix, the right-hand side
-and the projection each with one contraction.  `remainder_decay_check`
-projects each distinct radius once and integrates each distinct radius once.
+Every cover integral is a sum over the blocks of _cover_blocks, in block
+order.  L is one array per block, `l_span` of shape (N, K, m), and
+`project_L` sums the Gram matrix and the right-hand side each with one
+contraction a block.  `remainder_decay_check` projects each distinct radius
+once and integrates each distinct radius once.
 """
 
 from dataclasses import dataclass
@@ -19,12 +20,12 @@ import numpy as np
 from .errors import FitError
 from .pairspace import selection_costs
 from .profiles import profile_plane_gradient_lift
-from .quadrature import Ball, _ball_rings
+from .quadrature import Ball, _ball_rings, _blocks, _midpoints
 
 FOUR_PI = 4.0 * np.pi
 BETA2 = 10.0  # the beta_2 of the radial-derivative hypothesis (remainder_decay_check)
 RADIAL_FD_EPS = 1e-4  # step of the central difference in the scaling parameter
-COVER_NR, COVER_NTHETA, COVER_NY = 32, 128, 16  # radial, angular and axis nodes of cover_ball_rule
+COVER_NR, COVER_NTHETA, COVER_NY = 32, 128, 16  # radial, angular and axis nodes of _cover_blocks
 
 
 class CoverFunction:
@@ -71,7 +72,7 @@ def l_span(c0, alpha, r, theta, y=None):
     Per component k the c-modes r^alpha (cos, sin)(alpha theta) e_k, then the
     axis-tilt modes D_i phi0 . y_j for i = 1, 2 and j = 1..n-2 (n = 2 when y
     is None).  The array is filled in place, with no temporary copy of the
-    modes: at n = 3 the default cover rule has 65,536 nodes.
+    modes.
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=complex))
     r = np.asarray(r, dtype=float)
@@ -90,18 +91,17 @@ def l_span(c0, alpha, r, theta, y=None):
     return span
 
 
-def cover_ball_rule(rho, n):
-    """Quadrature nodes (r, theta, y) and weights for B_rho x [0, 4pi) cover.
-
-    These are the rings of the ball rule, with theta over the double cover.
-    """
+def _cover_blocks(rho, n):
+    """B_rho x [0, 4pi) on the cover as node blocks (r, theta, y, weights): the
+    rings of the ball rule over the double cover, in the ball rule's runs of whole disks."""
     r, offsets, w, theta = _ball_rings(Ball((0.0,) * n, rho), COVER_NR, COVER_NTHETA, COVER_NY,
                                        period=FOUR_PI)
-    shape = r.shape + theta.shape  # (disk, r, theta)
-    R, W = (np.broadcast_to(a[..., None], shape).ravel() for a in (r, w))
-    Y = None if n == 2 else np.broadcast_to(offsets[:, None, None, :],
-                                            shape + (n - 2,)).reshape(-1, n - 2)
-    return R, np.broadcast_to(theta, shape).ravel(), Y, W
+    for disks in _blocks(r.shape[0], COVER_NR * COVER_NTHETA):
+        shape = r[disks].shape + theta.shape  # (disk, r, theta)
+        R, W = (np.broadcast_to(a[disks, :, None], shape).ravel() for a in (r, w))
+        Y = None if n == 2 else np.broadcast_to(offsets[disks, None, None, :],
+                                                shape + (n - 2,)).reshape(-1, n - 2)
+        yield R, np.broadcast_to(theta, shape).ravel(), Y, W
 
 
 def _eval_cover(f, r, theta, y):
@@ -113,8 +113,6 @@ def _eval_cover(f, r, theta, y):
 class SpectralProjection:
     rho: float
     coefficients: np.ndarray
-    psi: CoverFunction
-    remainder: CoverFunction
     norm_sq_w: float
     norm_sq_psi: float
     norm_sq_remainder: float
@@ -129,31 +127,31 @@ class SpectralProjection:
 def project_L(w, rho, c0, alpha):
     """Least-squares projection of w onto L over graph phi0 restricted to B_rho.
 
-    Returns the projection psi_rho and remainder w_rho = w - psi_rho; the
-    remainder is L2-orthogonal to every element of L on B_rho.
+    The projection is psi_rho = coefficients @ l_span; the remainder w - psi_rho is
+    L2-orthogonal to every element of L on B_rho.  The norms are node sums of a second
+    pass over the blocks, not read off G, so the Pythagoras residual tests the projection.
     """
-    r, th, y, wt = cover_ball_rule(rho, w.n)
-    E = l_span(c0, alpha, r, th, y)
-    Wv = _eval_cover(w, r, th, y)
-    N, K, m = E.shape
-    # G_ab = sum_p wt_p E_pa . E_pb: one product over (node, component)
-    # pairs, then the trace over equal components
-    X = E.reshape(N, K * m)
-    G = np.trace((X.T @ (wt[:, None] * X)).reshape(K, m, K, m), axis1=1, axis2=3)
-    rhs = np.einsum("pak,pk->a", E, wt[:, None] * Wv)
+    gram, rhs, values = [], [], []
+    for r, th, y, wt in _cover_blocks(rho, w.n):
+        E = l_span(c0, alpha, r, th, y)
+        values.append(_eval_cover(w, r, th, y))
+        N, K, m = E.shape
+        # G_ab = sum_p wt_p E_pa . E_pb: one product over (node, component)
+        # pairs, then the trace over equal components
+        X = E.reshape(N, K * m)
+        gram.append(np.trace((X.T @ (wt[:, None] * X)).reshape(K, m, K, m), axis1=1, axis2=3))
+        rhs.append(np.einsum("pak,pk->a", E, wt[:, None] * values[-1]))
+        del E, X  # one block's span at a time
+    G = np.sum(gram, axis=0)
     condition = np.linalg.cond(G)
     if not np.isfinite(condition) or condition > 1e12:
         raise FitError(f"Gram matrix of L is singular (cond={condition:.2e})")
-    coef = np.linalg.solve(G, rhs)
-    Pv = coef @ E
-    psi = CoverFunction(lambda r_, th_, y_=None: coef @ l_span(c0, alpha, r_, th_, y_),
-                        w.n, w.m)
-    rem = CoverFunction(lambda r_, th_, y_=None: np.asarray(w(r_, th_, y_), dtype=float)
-                        - psi(r_, th_, y_), w.n, w.m)
-    nw = float(np.sum(wt * np.sum(Wv * Wv, axis=1)))
-    npsi = float(np.sum(wt * np.sum(Pv * Pv, axis=1)))
-    nrem = float(np.sum(wt * np.sum((Wv - Pv) * (Wv - Pv), axis=1)))
-    return SpectralProjection(rho, coef, psi, rem, nw, npsi, nrem)
+    coef = np.linalg.solve(G, np.sum(rhs, axis=0))
+    norms = []  # |w|^2, |psi|^2 and |w - psi|^2 of each block
+    for (r, th, y, wt), Wv in zip(_cover_blocks(rho, w.n), values):
+        Pv = coef @ l_span(c0, alpha, r, th, y)
+        norms.append([np.sum(wt * np.sum(v * v, axis=1)) for v in (Wv, Pv, Wv - Pv)])
+    return SpectralProjection(rho, coef, *map(float, np.sum(norms, axis=0)))
 
 
 def radial_deviation_integral(w, alpha, rho):
@@ -163,14 +161,15 @@ def radial_deviation_integral(w, alpha, rho):
     central differences of the scaling parameter.
     """
     n = w.n
-    r, th, y, wt = cover_ball_rule(rho, n)
-    R = r if y is None else np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
     lp, lm = 1.0 + RADIAL_FD_EPS, 1.0 - RADIAL_FD_EPS
-    wp = _eval_cover(w, r * lp, th, None if y is None else y * lp) / (lp * R[:, None]) ** alpha
-    wm = _eval_cover(w, r * lm, th, None if y is None else y * lm) / (lm * R[:, None]) ** alpha
-    dR = (wp - wm) / (2.0 * RADIAL_FD_EPS * R[:, None])
-    vals = np.sum(dR * dR, axis=1)
-    return float(np.sum(wt * R ** (2 - n) * vals))
+    parts = []
+    for r, th, y, wt in _cover_blocks(rho, n):
+        R = r if y is None else np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
+        wp = _eval_cover(w, r * lp, th, None if y is None else y * lp) / (lp * R[:, None]) ** alpha
+        wm = _eval_cover(w, r * lm, th, None if y is None else y * lm) / (lm * R[:, None]) ** alpha
+        dR = (wp - wm) / (2.0 * RADIAL_FD_EPS * R[:, None])
+        parts.append(np.sum(wt * R ** (2 - n) * np.sum(dR * dR, axis=1)))
+    return float(np.sum(parts))
 
 
 def half_case_boundary_term(w, p=0, *, c0, alpha=0.5):
@@ -178,22 +177,20 @@ def half_case_boundary_term(w, p=0, *, c0, alpha=0.5):
 
     The mixed derivative is a central difference with steps 1e-3 r and 1e-3
     at r = 0.08, 0.04, 0.02, 0.01, the theta integral a 256-node midpoint
-    rule on the cover.  Returns ((limit_1, limit_2), uncertainty, table); the
+    rule on the cover.  Returns ((limit_1, limit_2), uncertainty, table), the
+    table holding the two derivatives at each radius, smallest last; the
     limits vanish for blow-ups of minimizers in the half-degree case.
     """
     if w.n < 3:
         raise ValueError("the boundary term involves an axis variable (n >= 3)")
-    theta = (np.arange(256) + 0.5) * (FOUR_PI / 256)
-    dth = FOUR_PI / 256
+    theta, dth = _midpoints(256, FOUR_PI)
 
     def F(r, ypt):
         rr = np.full(256, r)
         yy = np.broadcast_to(ypt, (256, w.n - 2))
         vals = np.asarray(w(rr, theta, yy), dtype=float)
-        d1, d2 = profile_plane_gradient_lift(c0, alpha, rr, theta)
-        f1 = r * float(np.sum(vals * d1) * dth)
-        f2 = r * float(np.sum(vals * d2) * dth)
-        return np.array([f1, f2])
+        return np.array([r * float(np.sum(vals * d) * dth)
+                         for d in profile_plane_gradient_lift(c0, alpha, rr, theta)])
 
     rows = []
     for r in (0.08, 0.04, 0.02, 0.01):
@@ -202,14 +199,9 @@ def half_case_boundary_term(w, p=0, *, c0, alpha=0.5):
         ep = np.zeros(w.n - 2)
         ep[p] = hy
         mixed = (F(r + hr, ep) - F(r + hr, -ep) - F(r - hr, ep) + F(r - hr, -ep)) / (4 * hr * hy)
-        rows.append((float(r), mixed))
-    vals = np.stack([row[1] for row in rows])
-    limit = vals[-1]
-    unc = float(np.max(np.abs(vals[-1] - vals[-2])))
-    low_confidence = unc > 10 * max(np.max(np.abs(limit)), 1e-14)
-    return limit, unc, {"radii": [row[0] for row in rows],
-                        "values": vals.tolist(),
-                        "low_confidence": low_confidence}
+        rows.append(mixed)
+    table = np.stack(rows)
+    return table[-1], float(np.max(np.abs(table[-1] - table[-2]))), table
 
 
 @dataclass

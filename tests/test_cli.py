@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -6,7 +7,7 @@ import threading
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from branchlab import cli
 from branchlab.errors import ConfigError, SolverError
@@ -766,13 +767,33 @@ def _blamable_keys(path):
     return names
 
 
+def _example_configs():
+    configs = []
+    for name in sorted(os.listdir(CONFIGS)):
+        with open(os.path.join(CONFIGS, name)) as fh:
+            configs.append(json.load(fh))
+    return configs
+
+
+# A full pipeline of the stages that read a sampled field, on the grid of
+# SAMPLED_UNIT beside the config.
+SAMPLED_PIPELINE = {
+    "schema_version": 1, "kind": "full-pipeline",
+    "field": {"type": "sampled", "n": 2, "path": "field.csv"},
+    "params": {"stages": ["frequency", "monotonicity", "decay", "spectral"],
+               "radii": [0.25, 0.5, 1.0], "radii_range": [0.05, 0.9], "scales": [0.5, 0.25],
+               "quadrature": {"nr": 16, "ntheta": 32, "nsphere": 64}},
+    "output_dir": "out", "seed": 0,
+}
+SAMPLED_DEFAULT_STAGES = dict(SAMPLED_PIPELINE, params={
+    key: value for key, value in SAMPLED_PIPELINE["params"].items() if key != "stages"})
+
+
 @st.composite
-def mutated_configs(draw):
-    """One of configs/*.json with one leaf replaced, deleted or added, and the
-    paths of that leaf and of everything inside the value put there."""
-    name = draw(st.sampled_from(sorted(os.listdir(CONFIGS))))
-    with open(os.path.join(CONFIGS, name)) as fh:
-        cfg = json.load(fh)
+def mutated_configs(draw, configs):
+    """One of configs with one leaf replaced, deleted or added, and the paths
+    of that leaf and of everything inside the value put there."""
+    cfg = copy.deepcopy(draw(st.sampled_from(configs)))
     op = draw(st.sampled_from(["replace", "delete", "add"]))
     value = draw(st.sampled_from(LEAF_VALUES))
     if op == "add":
@@ -797,14 +818,10 @@ def mutated_configs(draw):
     return cfg, [path + p for p, _ in _nodes(value)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_configs())
-def test_validate_contract_on_mutated_configs(tmp_path_factory, mutated):
-    # every single-leaf mutation of an example config validates or exits 2
-    # with one JSON line naming the mutated leaf, an ancestor of it, or a key
-    # inside the value put there
+def _assert_validate_contract(target, mutated):
+    """validate exits 0, or 2 with one JSON line naming the mutated leaf, an
+    ancestor of it, or a key inside the value put there."""
     cfg, paths = mutated
-    target = tmp_path_factory.mktemp("mutated") / "config.json"
     target.write_text(json.dumps(cfg))
     err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
@@ -814,6 +831,31 @@ def test_validate_contract_on_mutated_configs(tmp_path_factory, mutated):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["key"] in set().union(*map(_blamable_keys, paths)), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configs(_example_configs()))
+def test_validate_contract_on_mutated_configs(tmp_path_factory, mutated):
+    # every single-leaf mutation of an example config keeps the contract
+    _assert_validate_contract(tmp_path_factory.mktemp("mutated") / "config.json", mutated)
+
+
+@pytest.fixture(scope="module")
+def sampled_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sampled")
+    (path / "field.csv").write_text(SAMPLED_UNIT)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_configs([SAMPLED_PIPELINE]))
+# without stages a pipeline runs the stages its field admits: corollaries is
+# not one of them on a sampled field, so leaving stages out validates
+@example(mutated=(SAMPLED_DEFAULT_STAGES, [("params", "stages")]))
+def test_validate_contract_on_mutated_sampled_config(sampled_dir, mutated):
+    # the same contract on a config that reads a written field: a mutation
+    # may also move a stage's reach past the grid, or break the field's path
+    _assert_validate_contract(sampled_dir / "config.json", mutated)
 
 
 def test_readme_config_and_params_table(tmp_path):

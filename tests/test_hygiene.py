@@ -32,20 +32,21 @@ ENTRY_POINTS = {"cli.main"}  # [project.scripts] in pyproject.toml
 
 # Public names kept although nothing reaches them, each with its reason.
 EXEMPT = {
-    # the n = 4 ball-rule fix checks the new rule with it (ROADMAP item 1)
+    # the planar-disk rules check their n = 3 and n = 4 integrals with it
+    # first (ROADMAP item 9); then it becomes a stage row or goes (item 7)
     "frequency.frequency_derivative_identity",
 }
 
 # The functions that may read each whole-rule name: Rule.integrate_values
 # sums a rule's values in the block loop; the builders cut their rules into
-# blocks of whole disks and circles read from the ring tables, and a whole
-# rule is built only where its nodes are the result (fit_rotation's
-# least-squares nodes, spectral.cover_ball_rule's rings).
+# blocks of whole disks and circles read from the ring tables, as
+# spectral._cover_blocks cuts the cover ball, and a whole rule is built only
+# where its nodes are the result (fit_rotation's least-squares nodes).
 WHOLE_RULE_READERS = {
     "integrate_values": {"_sum_blocks"},
     "ball_rule": {"ball_blocks", "disk_rule", "fit_rotation"},
     "sphere_rule": {"sphere_blocks"},
-    "_ball_rings": {"ball_rule", "ball_blocks", "cover_ball_rule"},
+    "_ball_rings": {"ball_rule", "ball_blocks", "_cover_blocks"},
     "_sphere_rings": {"sphere_rule", "sphere_blocks"},
 }
 
@@ -318,12 +319,14 @@ def test_checks_catch_their_faults():
                       "def fit_rotation(ball):\n    build = q.ball_rule\n"
                       "    return lambda f: build(ball).integrate_values(f)\n\n"
                       "def ball_rule(ball):\n    return _ball_rings(ball)\n\n"
-                      "def cover_ball_rule(rho):\n    return _ball_rings(rho), _sphere_rings(rho)\n\n"
+                      "def _cover_blocks(rho):\n    return _ball_rings(rho), _sphere_rings(rho)\n\n"
+                      "def project_L(w, rho):\n    return q._ball_rings(rho)\n\n"
                       "def integrate_sphere(ball):\n    return q._sphere_rings(ball)\n\n"
                       "SUM, RINGS = Rule.integrate_values, _ball_rings\n")
     assert stray_whole_rule_reads({"m.py": whole}) == [
         "m.py:energy.ball_rule", "m.py:energy.integrate_values",
         "m.py:height.sphere_rule", "m.py:height.sphere_rule",
         "m.py:fit_rotation.integrate_values",
-        "m.py:cover_ball_rule._sphere_rings", "m.py:integrate_sphere._sphere_rings",
+        "m.py:_cover_blocks._sphere_rings", "m.py:project_L._ball_rings",
+        "m.py:integrate_sphere._sphere_rings",
         "m.py:<module>.integrate_values", "m.py:<module>._ball_rings"]

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from branchlab import cli
 from branchlab import spectral as smod
-from branchlab.quadrature import _leggauss, gauss_legendre_01
-from branchlab.spectral import (FOUR_PI, CoverFunction, cover_ball_rule,
+from branchlab.fields import CylindricalModeField
+from branchlab.profiles import excess, fit_profile
+from branchlab.quadrature import (BLOCK_NODES, QuadratureSpec, _leggauss, gauss_legendre_01,
+                                  unit_ball)
+from branchlab.spectral import (FOUR_PI, CoverFunction, _cover_blocks,
                                 remainder_decay_check, half_case_boundary_term,
                                 l_span, project_L, profile_plane_gradient_lift)
 
@@ -49,7 +53,9 @@ def test_projection_pythagoras_and_contraction():
     assert proj.pythagoras_residual < 1e-10
     assert proj.norm_sq_remainder <= proj.norm_sq_w
     # idempotence: projecting the projection returns itself
-    again = project_L(proj.psi, 1.0, C_NULL, alpha)
+    psi = CoverFunction(lambda r, th, y=None: proj.coefficients @ l_span(C_NULL, alpha, r, th, y),
+                        n=2, m=2)
+    again = project_L(psi, 1.0, C_NULL, alpha)
     assert again.norm_sq_remainder <= 1e-12 * max(proj.norm_sq_psi, 1.0)
 
 
@@ -134,7 +140,7 @@ def test_classification_consistency():
 
 
 def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16):
-    """The former per-slab body of cover_ball_rule, the reference for the slab rule."""
+    """The former per-slab cover rule as one whole rule, the reference for the cover blocks."""
     s, ws = gauss_legendre_01(nr)
     theta = (np.arange(ntheta) + 0.5) * (FOUR_PI / ntheta)
     dth = FOUR_PI / ntheta
@@ -172,8 +178,19 @@ def _cover_ball_rule_reference(rho, n, nr=32, ntheta=128, ny=16):
 def test_cover_ball_rule_matches_former_slab_loop(monkeypatch, n, rho, counts):
     for name, count in counts.items():
         monkeypatch.setattr(smod, f"COVER_{name.upper()}", count)
-    r, th, y, w = cover_ball_rule(rho, n)
+    blocks = list(_cover_blocks(rho, n))
+    r, th, w = (np.concatenate([b[i] for b in blocks]) for i in (0, 1, 3))
+    y = None if n == 2 else np.concatenate([b[2] for b in blocks])
     r0, th0, y0, w0 = _cover_ball_rule_reference(rho, n, **counts)
+    # the blocks are runs of whole disks within BLOCK_NODES: the one disk at
+    # n = 2, and 8 blocks of two 4,096-node disks at n = 3 by default
+    disk = smod.COVER_NR * smod.COVER_NTHETA
+    sizes = [b[0].shape[0] for b in blocks]
+    assert all(size % disk == 0 and size <= max(BLOCK_NODES, disk) for size in sizes)
+    if n == 2:
+        assert sizes == [disk]
+    if not counts:
+        assert sizes == ([4096] if n == 2 else [8192] * 8)
     assert np.array_equal(r, r0) and np.array_equal(th, th0)
     assert (y is None and y0 is None) or np.array_equal(y, y0)
     assert np.max(np.abs(w - w0) / w0) <= 1e-14
@@ -210,7 +227,7 @@ def _project_L_reference(w, rho, c0, alpha):
                 return (d1 if i == 0 else d2) * yj[..., None]
 
             elems.append(tilt)
-    r, th, y, wt = cover_ball_rule(rho, n)
+    r, th, y, wt = _cover_ball_rule_reference(rho, n)
 
     def ev(f):
         return np.asarray(f(r, th, y), dtype=float).reshape(r.shape[0], -1)
@@ -269,9 +286,28 @@ def test_project_L_matches_former_loop(n, m, alpha):
         assert abs(got - want) <= 1e-12 * abs(want)
     r, th = rng.uniform(0.05, 0.5, 50), rng.uniform(0.0, FOUR_PI, 50)
     y = None if n == 2 else rng.uniform(-0.3, 0.3, (50, 1))
-    assert _rel_err(proj.psi(r, th, y), psi(r, th, y)) <= 1e-12
-    assert _rel_err(proj.remainder(r, th, y), rem(r, th, y)) <= 1e-12
+    psi_got = proj.coefficients @ l_span(c0, alpha, r, th, y)
+    assert _rel_err(psi_got, psi(r, th, y)) <= 1e-12
+    assert _rel_err(np.asarray(w(r, th, y)) - psi_got, rem(r, th, y)) <= 1e-12
     assert proj.pythagoras_residual <= 1e-10
+
+
+def test_decay_check_memory_is_block_sized():
+    # the n = 3 cover ball has 65,536 nodes; projected and integrated block
+    # by block, the check holds one 8,192-node block's span and the (N, m)
+    # values of w at a time.  The blow-up is that of the profile-pipeline
+    # n = 3 field at its quadrature spec
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
+    spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128)
+    prof = fit_profile(u, 1, spec=spec)
+    w = CoverFunction.blowup(u, prof, float(np.sqrt(excess(u, prof, unit_ball(3), spec))))
+    tracemalloc.start()
+    try:
+        remainder_decay_check(w, c0=prof.c, alpha=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def _count_calls(monkeypatch, name, rho_at):
