@@ -90,16 +90,12 @@ class ExperimentConfig:
         u = build_field(fspec, base_dir)
         params = {}
         for key, (default, ok, valid) in PARAMS.items():
-            value = params[key] = given.get(key, default(u) if callable(default) else default)
+            value = params[key] = given.get(key, default(params, u) if callable(default) else default)
             _require((value is None and default is None) or ok(value, params, u), key,
                      f"{key} must be {valid}")
         cfg = cls(kind, params, output_dir, seed, u, base_dir)
-        for key, message in filter(None, (_misfit(stage, u) for stage in cfg.stages)):
+        for key, message in filter(None, (_misfit(stage, u, params) for stage in cfg.stages)):
             raise ConfigError(message, key=key)
-        for stage in cfg.stages if u.domain is not None else ():
-            for key, reach in REACH[stage](params):
-                _require(reach <= u.domain.radius * (1 + 1e-12), key, f"{stage} reads the field "
-                         f"out to {reach!r}, past its grid's domain radius {u.domain.radius!r}")
         return cfg
 
     @property
@@ -108,14 +104,19 @@ class ExperimentConfig:
         return self.params["stages"] if self.kind == "full-pipeline" else [self.kind]
 
 
-def _misfit(stage, u):
+def _misfit(stage, u, params):
     """Why the field u cannot run stage, as (key, message), or None: minimize solves planar
-    covers, decay and spectral fit profiles on n = 2, 3 covers, corollaries perturbs terms."""
+    covers, decay and spectral fit profiles on n = 2, 3 covers, corollaries perturbs terms,
+    and no stage reads a sampled field past its grid (REACH)."""
     top = {"minimize": 2, "decay": 3, "spectral": 3}.get(stage, 4)
-    if stage == "corollaries" and len(getattr(u, "modes", ())) < 2:
+    if stage == "corollaries" and not (isinstance(u, fmod.CylindricalModeField) and len(u.modes) > 1):
         return "field", "corollaries needs a power-sum field with a base term plus perturbation terms"
     if u.n > top:
         return "field.n", f"{stage} runs at n <= {top} only, and the field has n = {u.n}"
+    for key, reach in REACH[stage](params) if u.domain is not None else ():
+        if reach > u.domain.radius * (1 + 1e-12):
+            return key, (f"{stage} reads the field out to {reach!r}, past its grid's domain "
+                         f"radius {u.domain.radius!r}")
     return None
 
 
@@ -165,17 +166,14 @@ POSITIVE = "a positive finite number"
 
 # The run contract: every `params` key -> (default, check, valid values).  A
 # check is called as check(value, params, field), where params holds the keys
-# above it, already checked.  A default that is a function is given the field;
-# a key whose default is None may be given as null, the same as leaving it out.
+# above it, already checked; a default that is a function as default(params, field),
+# stages last, as it reads every stage's reach.  A key whose default is None may be
+# given as null, the same as leaving it out.
 PARAMS = {
-    "stages": (lambda u: [s for s in PIPELINE_STAGES if not _misfit(s, u)],
-               lambda s, *_: isinstance(s, list)
-               and all(k in KINDS and k != "full-pipeline" for k in s),
-               "a list of stage kinds, full-pipeline excluded"),
     "quadrature": ({}, _is_quadrature, "an object mapping any of "
                    f"{', '.join(QUADRATURE_COUNTS)} to a positive integer"),
     "radii": ([0.25, 0.5, 1.0], _is_increasing, "at least two increasing positive numbers"),
-    "center": (lambda u: [0.0] * u.n, _is_point, "one finite number per field coordinate"),
+    "center": (lambda _, u: [0.0] * u.n, _is_point, "one finite number per field coordinate"),
     "centers": (None, lambda cs, p, u: _is_list(cs, lambda c: _is_point(c, p, u)),
                 "a non-empty list of points like center"),
     "expect_constant": (None, lambda x, *_: _is_finite(x) and x != 0, "a nonzero finite number"),
@@ -205,6 +203,10 @@ PARAMS = {
     "scales": ([0.5, 0.25, 0.125], lambda s, *_: _is_list(s), "one or more positive numbers"),
     "t_values": ([0.1, 0.01, 0.001], lambda t, *_: _is_list(t, _is_finite),
                  "a non-empty list of finite numbers"),
+    "stages": (lambda p, u: [s for s in PIPELINE_STAGES if not _misfit(s, u, p)],
+               lambda s, *_: isinstance(s, list)
+               and all(k in KINDS and k != "full-pipeline" for k in s),
+               "a list of stage kinds, full-pipeline excluded"),
 }
 
 
@@ -332,7 +334,7 @@ def check(name, ok, detail=""):
 # Experiment stages
 
 
-def stage_frequency(cfg, u, out, prefix=""):
+def stage_frequency(cfg, u, out, prefix):
     params = cfg.params
     spec = quad_spec(params)
     center = np.asarray(params["center"], dtype=float)
@@ -353,7 +355,7 @@ def stage_frequency(cfg, u, out, prefix=""):
             "values": {"radii": prof.radii.tolist(), "N": prof.N.tolist()}}
 
 
-def stage_monotonicity(cfg, u, out, prefix=""):
+def stage_monotonicity(cfg, u, out, prefix):
     params = cfg.params
     spec = quad_spec(params)
     lo, hi = params["radii_range"]
@@ -379,7 +381,7 @@ def stage_monotonicity(cfg, u, out, prefix=""):
     return {"checks": checks}
 
 
-def stage_minimize(cfg, u, out, prefix=""):
+def stage_minimize(cfg, u, out, prefix):
     params = cfg.params
     levels = params["levels"]
     btr = mmod.BoundaryTrace.from_field(u, params["radius"])
@@ -414,7 +416,7 @@ def stage_minimize(cfg, u, out, prefix=""):
     return {"checks": checks, "values": {"N": prof.N.tolist(), "errors": errors}}
 
 
-def stage_decay(cfg, u, out, prefix=""):
+def stage_decay(cfg, u, out, prefix):
     params = cfg.params
     spec = quad_spec(params)
     theta = params["theta"]
@@ -455,7 +457,7 @@ def stage_decay(cfg, u, out, prefix=""):
     return {"checks": checks, "values": values}
 
 
-def stage_spectral(cfg, u, out, prefix=""):
+def stage_spectral(cfg, u, out, prefix):
     params = cfg.params
     spec = quad_spec(params)
     k = params["k"]
@@ -493,7 +495,7 @@ def stage_spectral(cfg, u, out, prefix=""):
     return {"checks": checks, "values": values}
 
 
-def stage_corollaries(cfg, u, out, prefix=""):
+def stage_corollaries(cfg, u, out, prefix):
     params = cfg.params
     spec = quad_spec(params)
     base_mode = u.modes[0]

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHeightError, FitError
-from .fields import _rescaled, propagate_signs
+from .fields import propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
 from .quadrature import Ball, QuadratureSpec, loglog_slope, unit_ball
 from .pairspace import metric_sq_symmetric
-
-
-def rescale_raw(u, Z, rho, homogeneity):
-    """View theta^(-alpha) u(Z + rho X) without L2 normalization."""
-    return _rescaled(u, np.asarray(Z, dtype=float), rho, rho ** homogeneity)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,7 @@ def decay_step(u, phi_prev, theta, spec=None):
     n = u.n
     alpha = phi_prev.alpha
     e1 = excess(u, phi_prev, unit_ball(n), spec)
-    u_theta = rescale_raw(u, np.zeros(n), theta, alpha)
+    u_theta = u.rescaled(np.zeros(n), theta, theta ** alpha)
     phi_tilde = fit_profile(u_theta, phi_prev.k, spec=spec)
     e_theta = excess(u_theta, phi_tilde, unit_ball(n), spec)
     ratio = e_theta / e1 if e1 > 0 else 0.0
@@ -263,7 +258,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     Z = np.asarray(Z, dtype=float)
     alpha = k / 2.0
     delta0 = delta0 if delta0 is not None else theta / 2.0
-    u0 = rescale_raw(u, Z, 1.0, alpha) if np.any(Z != 0) else u
+    u0 = u.rescaled(Z, 1.0, 1.0) if np.any(Z != 0) else u
     phi = fit_profile(u0, k, spec=spec)
     e0 = excess(u0, phi, unit_ball(n), spec)
     if eps0 is not None and e0 > eps0 ** 2:
@@ -279,7 +274,8 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
         if scale < min_scale:
             outcome = "truncated"
             break
-        uj = rescale_raw(u, Z, theta ** (j - 1), alpha)
+        rho = theta ** (j - 1)
+        uj = u.rescaled(Z, rho, rho ** alpha)
         if probe_gaps:
             report = detect_branch_set(uj, extent=0.7,
                                        npts=41 if n == 2 else 21,

@@ -12,6 +12,11 @@ per-point representative is exact for integration.  Lift-sensitive
 operations (profile fits, graphical decomposition) work in explicit cover
 coordinates instead.
 
+The Field protocol has no optional parts: every field has lift (the base
+class continues the values along the curve; analytic fields give the
+exact lift) and rescaled (a RescaledField view; a mode field about its
+axis reparameterizes exactly).
+
 An analytic field's domain is None, read as the unit ball; a sampled
 field's is the largest origin-centred ball its grid covers.
 """
@@ -36,7 +41,7 @@ def _as_points(X, n):
 
 class Field:
     """Base class of a symmetric pair {+-s}; subclasses fill in the values and
-    gradient of one representative s."""
+    gradient of one representative s, and may give lift and rescaled exactly."""
 
     n = None
     m = None
@@ -48,6 +53,29 @@ class Field:
 
     def symmetric_gradient(self, X):
         raise NotImplementedError
+
+    def lift(self, r, theta):
+        """Continuous lift of s along the sampled curve (r[k], theta[k]) at
+        y = 0, continued from its value at k = 0: propagate_signs'
+        continuation of symmetric_values, whose first-order predictor
+        carries the lift through transversal zero crossings."""
+        return _continued(self.symmetric_values(_curve_points(r, theta, self.n)))
+
+    def rescaled(self, Y, rho, scale):
+        """u(Y + rho X) / scale, as a RescaledField view."""
+        return RescaledField(self, Y, rho, scale)
+
+
+def _curve_points(r, theta, n):
+    """The points (r cos theta, r sin theta, 0, ...) of a curve at y = 0."""
+    X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return np.concatenate([X, np.zeros(X.shape[:-1] + (n - 2,))], axis=-1)
+
+
+def _continued(s):
+    """The values s along a curve, signed as one continuous lift from s[0]."""
+    signs, _ = propagate_signs(s[None])
+    return signs[0][:, None] * s
 
 
 class CylindricalMode:
@@ -101,49 +129,37 @@ class CylindricalModeField(Field):
             modes.append(CylindricalMode(k / 2.0, k / 2.0, c.real, -c.imag))
         return cls(modes, n=n)
 
-    def power_terms(self):
-        """Back out (c, k) pairs for harmonic modes; None if a mode is not one."""
-        out = []
-        for md in self.modes:
-            if md.beta != md.freq:
-                return None
-            out.append((md.a - 1j * md.b, int(round(2 * md.freq))))
-        return out
-
     def symmetric_values(self, X):
         X = _as_points(X, self.n)
         return self.lift(np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0]))
 
     def symmetric_gradient(self, X):
+        """d1 - i d2 of each mode Re(c z^p zbar^q), c = a - ib, p, q = (beta +- freq)/2,
+        is c p s^(2p-2) sbar^(2q) + conj(c) q s^(2q-2) sbar^(2p), s = sqrt(z) on
+        the arctan2 branch, signed zeros of x2 included (x1 + 1j*x2 loses them).
+        A term with factor 0 is left out: a harmonic mode is (k/2) c s^(k-2), k =
+        2 freq.  A term with both powers is r^(beta-1) (s/|s|)^(+-k-2), so no
+        power over- or underflows alone; it is nan on the axis.  Values stay
+        trigonometric, so the c that fit_c reads off them do not move by rounding.
+        """
         X = _as_points(X, self.n)
         N = X.shape[0]
-        out = np.zeros((N, self.m, self.n))
-        terms = self.power_terms()
-        if terms is not None:
-            # Re f with f = sum c z^(k/2) has gradient (Re f', -Im f'), f' = sum (k/2) c s^(k-2).
-            # s = sqrt(z) takes the arctan2 branch, signed zeros of x2 included, which
-            # z = x1 + 1j*x2 would lose.  Values stay trigonometric, so the c that
-            # fit_c reads off them do not move by rounding.
-            z = np.empty(N, dtype=complex)
-            z.real, z.imag = X[:, 0], X[:, 1]
-            s = np.sqrt(z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fp = sum((0.5 * k * s ** (k - 2))[:, None] * c for c, k in terms)
-            out[:, :, 0], out[:, :, 1] = fp.real, -fp.imag
-            return out
-        r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
-        ct, st = np.cos(theta), np.sin(theta)
+        z = np.empty(N, dtype=complex)
+        z.real, z.imag = X[:, 0], X[:, 1]
+        s = np.sqrt(z)
+        terms = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for md in self.modes:
-                cf = np.cos(md.freq * theta)
-                sf = np.sin(md.freq * theta)
-                ang = cf[:, None] * md.a + sf[:, None] * md.b
-                dang = md.freq * (-sf[:, None] * md.a + cf[:, None] * md.b)
-                rad1 = r[:, None] ** (md.beta - 1.0)
-                ds_dr = md.beta * rad1 * ang
-                ds_dt_over_r = rad1 * dang
-                out[:, :, 0] += ct[:, None] * ds_dr - st[:, None] * ds_dt_over_r
-                out[:, :, 1] += st[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
+                c, k = md.a - 1j * md.b, int(round(2 * md.freq))
+                p, q = (md.beta + md.freq) / 2, (md.beta - md.freq) / 2
+                for coef, e, e_bar, j in ((c, p, q, k - 2), (np.conj(c), q, p, -k - 2)):
+                    if e != 0:
+                        power = s ** j if e_bar == 0 else (
+                            np.hypot(X[:, 0], X[:, 1]) ** (md.beta - 1) * (s / np.abs(s)) ** j)
+                        terms.append((e * power)[:, None] * coef)
+            grad = sum(terms)
+        out = np.zeros((N, self.m, self.n))
+        out[:, :, 0], out[:, :, 1] = grad.real, -grad.imag
         return out
 
     def lift(self, r, theta):
@@ -160,11 +176,12 @@ class CylindricalModeField(Field):
             out += (r ** md.beta)[..., None] * ang
         return out
 
-    def rescaled_exact(self, Y, rho, scale):
-        """Exact reparameterization s(Y + rho X)/scale for Y on the axis."""
+    def rescaled(self, Y, rho, scale):
+        """u(Y + rho X) / scale: for Y on the axis, the exact reparameterization,
+        each mode scaled by rho^beta / scale; else the RescaledField view."""
         Y = np.asarray(Y, dtype=float)
         if np.hypot(Y[0], Y[1]) > 0:
-            return None
+            return super().rescaled(Y, rho, scale)
         modes = []
         for md in self.modes:
             fac = rho ** md.beta / scale
@@ -241,26 +258,19 @@ class BranchPolynomialField(Field):
         samples, arg and modulus together, above pi/4 means a zero within
         about a sample spacing of the curve, where neither the unwrap nor
         the continuation can be trusted to resolve the branch; there (and at
-        an exact zero) the signs are propagate_signs' continuation of the
-        values, as for a field without a lift.
+        an exact zero) the signs are the continuation of Field.lift.
         """
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        if self.n > 2:
-            X = np.concatenate([X, np.zeros(r.shape + (self.n - 2,))], axis=-1)
+        X = _curve_points(r, theta, self.n)
         s = self.symmetric_values(X)
         p = self._P(X[:, 0] + 1j * X[:, 1], X[:, 2:] if self.n > 2 else None)
         arg = np.angle(p)
         unwrapped = np.unwrap(arg)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_steps = np.hypot(np.diff(np.log(np.abs(p))), np.diff(unwrapped))
-        if np.all(log_steps <= np.pi / 4):
-            turns = np.rint((unwrapped - arg) / (2.0 * np.pi))
-            signs = np.where(turns % 2 == 0, 1.0, -1.0)
-        else:
-            signs = propagate_signs(s[None])[0][0]
-        return signs[:, None] * s
+        if not np.all(log_steps <= np.pi / 4):
+            return _continued(s)
+        turns = np.rint((unwrapped - arg) / (2.0 * np.pi))
+        return np.where(turns % 2 == 0, 1.0, -1.0)[:, None] * s
 
 
 class RescaledField(Field):
@@ -285,13 +295,6 @@ class RescaledField(Field):
     def symmetric_gradient(self, X):
         X = _as_points(X, self.n)
         return self.base.symmetric_gradient(self._map(X)) * (self.rho / self.scale)
-
-
-def _rescaled(field, Y, rho, scale):
-    """u(Y + rho X) / scale: a cylindrical mode field's exact
-    reparameterization when Y is on its axis, else a RescaledField view."""
-    ex = field.rescaled_exact(Y, rho, scale) if hasattr(field, "rescaled_exact") else None
-    return RescaledField(field, Y, rho, scale) if ex is None else ex
 
 
 def l2_distance_sq(u, v, ball, spec=None):

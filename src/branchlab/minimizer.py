@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLiftError, SolverError
-from .fields import PolarGrid, SampledField, graded_radii, propagate_signs
+from .fields import PolarGrid, SampledField, graded_radii
 from .frequency import FrequencyProfile
 from .pairspace import metric_sq_symmetric
 from .quadrature import SOLVE_BLOCK_NODES
@@ -48,9 +48,7 @@ class BoundaryTrace:
 
     def __init__(self, thetas, values, radius):
         self.thetas = np.asarray(thetas, dtype=float)
-        self.values = np.atleast_2d(np.asarray(values, dtype=float))
-        if self.values.shape[0] != self.thetas.shape[0]:
-            self.values = self.values.T
+        self.values = np.asarray(values, dtype=float).reshape(self.thetas.shape[0], -1)
         self.radius = float(radius)
         self.m = self.values.shape[1]
         self._parity = None
@@ -58,16 +56,7 @@ class BoundaryTrace:
     @classmethod
     def from_field(cls, fld, radius, nsamples=4096):
         thetas = np.arange(nsamples) * (4.0 * np.pi / nsamples)
-        if hasattr(fld, "lift"):
-            vals = fld.lift(np.full(nsamples, radius), thetas)
-        else:
-            # continuation with a first-order predictor: transversal zero
-            # crossings of the lift would defeat value-based matching
-            pts = np.stack([radius * np.cos(thetas), radius * np.sin(thetas)], axis=-1)
-            s = fld.symmetric_values(pts)
-            signs, _ = propagate_signs(s[None])
-            vals = signs[0][:, None] * s
-        return cls(thetas, vals, radius)
+        return cls(thetas, fld.lift(np.full(nsamples, radius), thetas), radius)
 
     def parity(self):
         """+1 if g(theta + 2pi) = g(theta), -1 if = -g(theta), to 1e-8 of the

@@ -455,8 +455,7 @@ def test_malformed_rows_cover_every_params_key():
     assert set(MALFORMED) == set(cli.PARAMS)
 
 
-@pytest.mark.parametrize("key, value", [(k, v) for k in cli.PARAMS
-                                        for v in MALFORMED.get(k, [])])
+@pytest.mark.parametrize("key, value", [(k, v) for k in MALFORMED for v in MALFORMED[k]])
 def test_malformed_params_exit_config(tmp_path, capsys, key, value):
     cfg = freq_config("out")
     cfg["params"][key] = value
@@ -787,6 +786,11 @@ SAMPLED_PIPELINE = {
 }
 SAMPLED_DEFAULT_STAGES = dict(SAMPLED_PIPELINE, params={
     key: value for key, value in SAMPLED_PIPELINE["params"].items() if key != "stages"})
+# The same on the B(0, 0.5) grid of SAMPLED_HALF, with radii that stay on it:
+# decay and spectral read the unit ball, so the default stages leave them out.
+SAMPLED_HALF_DEFAULT_STAGES = dict(
+    SAMPLED_DEFAULT_STAGES, field=dict(SAMPLED_PIPELINE["field"], path="half.csv"),
+    params=dict(SAMPLED_DEFAULT_STAGES["params"], radii=[0.25, 0.5], radii_range=[0.05, 0.5]))
 
 
 @st.composite
@@ -844,6 +848,7 @@ def test_validate_contract_on_mutated_configs(tmp_path_factory, mutated):
 def sampled_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("sampled")
     (path / "field.csv").write_text(SAMPLED_UNIT)
+    (path / "half.csv").write_text(SAMPLED_HALF)
     return path
 
 
@@ -852,6 +857,8 @@ def sampled_dir(tmp_path_factory):
 # without stages a pipeline runs the stages its field admits: corollaries is
 # not one of them on a sampled field, so leaving stages out validates
 @example(mutated=(SAMPLED_DEFAULT_STAGES, [("params", "stages")]))
+# nor are the stages that would read past its grid
+@example(mutated=(SAMPLED_HALF_DEFAULT_STAGES, [("params", "stages")]))
 def test_validate_contract_on_mutated_sampled_config(sampled_dir, mutated):
     # the same contract on a config that reads a written field: a mutation
     # may also move a stage's reach past the grid, or break the field's path

@@ -5,7 +5,7 @@ import pytest
 
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
 from branchlab.decay import (DecayRun, SingularCandidate, SingularReport, detect_branch_set,
-                             decay_step, gap_probe, iterate, rescale_raw, tangent_expansion)
+                             decay_step, gap_probe, iterate, tangent_expansion)
 from branchlab.frequency import FrequencyEstimate, frequency_profile
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, profile_distance_sq
@@ -165,13 +165,13 @@ def test_iterate_truncation_flag():
     assert run.outcome == "truncated"
 
 
-def test_rescale_raw_symbolic():
+def test_rescaled_on_the_axis_is_symbolic():
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.1 * C_NULL, 3)], n=2)
-    v = rescale_raw(u, np.zeros(2), 0.125, 0.5)
+    v = u.rescaled(np.zeros(2), 0.125, 0.125 ** 0.5)
     assert isinstance(v, CylindricalModeField)
-    terms = v.power_terms()
-    assert abs(terms[0][0][0] - C_NULL[0]) < 1e-15
-    assert abs(terms[1][0][0] - 0.1 * 0.125 * C_NULL[0]) < 1e-16
+    c = [md.a - 1j * md.b for md in v.modes]
+    assert abs(c[0][0] - C_NULL[0]) < 1e-15
+    assert abs(c[1][0] - 0.1 * 0.125 * C_NULL[0]) < 1e-16
 
 
 # -- tangent expansion ----------------------------------------------------------
@@ -300,7 +300,7 @@ def test_minimal_degree_regime_both_branch_points():
     rep = detect_branch_set(u, extent=0.8, npts=81)
     assert len(rep.candidates) == 2
     for cand in rep.candidates:
-        v = rescale_raw(u, cand.location, 0.2, 0.5)
+        v = u.rescaled(cand.location, 0.2, 0.2 ** 0.5)
         run = iterate(v, np.zeros(2), 1, theta=0.125, j_max=2, spec=SPEC,
                       probe_gaps=False)
         assert run.outcome == "decay"

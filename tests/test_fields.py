@@ -3,16 +3,16 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
 from branchlab import cli
-from branchlab.decay import iterate, rescale_raw
+from branchlab.decay import iterate
 from branchlab.errors import DomainError, PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalMode,
                               CylindricalModeField, Field, PolarGrid,
-                              RescaledField, SampledField, _rescaled, graded_radii,
+                              RescaledField, SampledField, graded_radii,
                               l2_distance_sq, propagate_signs)
 from branchlab.frequency import frequency_profile
 from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
@@ -99,13 +99,14 @@ def test_cylindrical_invariance(x1, x2, y):
     assert np.allclose(a, b, atol=1e-14)
 
 
-def _symmetric_gradient_reference(u, X, scale_first=False):
-    """CylindricalModeField.symmetric_gradient as written with two powers per mode.
+def _symmetric_gradient_reference(u, X):
+    """CylindricalModeField.symmetric_gradient as it was written for every mode,
+    with two trigonometric powers per mode.
 
-    scale_first multiplies a and b by r^(beta - 1) before the angular
-    products.  As written, a subnormal coefficient
-    times cos or sin rounds to an absolute 2^-1074 before r^(beta - 1)
-    scales it up; scaled first, the products are normal and round relatively.
+    a and b are multiplied by r^(beta - 1) before the angular products: a
+    subnormal coefficient times cos or sin would otherwise round to an
+    absolute 2^-1074 before r^(beta - 1) scales it up; scaled first, the
+    products are normal and round relatively.
     """
     r, theta = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
     out = np.zeros((X.shape[0], u.m, u.n))
@@ -114,15 +115,28 @@ def _symmetric_gradient_reference(u, X, scale_first=False):
         for md in u.modes:
             cf = np.cos(md.freq * theta)
             sf = np.sin(md.freq * theta)
-            rad1, a, b = r[:, None] ** (md.beta - 1.0), md.a, md.b
-            if scale_first:
-                rad1, a, b = 1.0, rad1 * a, rad1 * b
+            rad1 = r[:, None] ** (md.beta - 1.0)
+            a, b = rad1 * md.a, rad1 * md.b
             ang = cf[:, None] * a + sf[:, None] * b
             dang = md.freq * (-sf[:, None] * a + cf[:, None] * b)
-            ds_dr = md.beta * rad1 * ang
-            ds_dt_over_r = rad1 * dang
-            out[:, :, 0] += ct[:, None] * ds_dr - st_[:, None] * ds_dt_over_r
-            out[:, :, 1] += st_[:, None] * ds_dr + ct[:, None] * ds_dt_over_r
+            ds_dr = md.beta * ang
+            out[:, :, 0] += ct[:, None] * ds_dr - st_[:, None] * dang
+            out[:, :, 1] += st_[:, None] * ds_dr + ct[:, None] * dang
+    return out
+
+
+def _complex_gradient_reference(u, X):
+    """The gradient of an all-harmonic power sum Re sum c z^(k/2) as it was
+    written before every mode took the Wirtinger form: (Re f', -Im f') with
+    f' = sum (k/2) c s^(k-2), s = sqrt(z), k a Python int."""
+    terms = [(md.a - 1j * md.b, int(round(2 * md.freq))) for md in u.modes]
+    z = np.empty(X.shape[0], dtype=complex)
+    z.real, z.imag = X[:, 0], X[:, 1]
+    s = np.sqrt(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fp = sum((0.5 * k * s ** (k - 2))[:, None] * c for c, k in terms)
+    out = np.zeros((X.shape[0], u.m, u.n))
+    out[:, :, 0], out[:, :, 1] = fp.real, -fp.imag
     return out
 
 
@@ -148,15 +162,6 @@ def _points(draw, n):
     rows = draw(st.integers(1, 6))
     X = draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0)))
     return np.vstack([X, np.zeros((1, n))])  # the origin, where r^(beta - 1) blows up
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_symmetric_gradient_matches_reference(data):
-    u = data.draw(_mode_fields())
-    assume(u.power_terms() is None)  # all-harmonic sums take the complex-derivative path
-    X = _points(data.draw, u.n)
-    np.testing.assert_array_equal(u.symmetric_gradient(X), _symmetric_gradient_reference(u, X))
 
 
 def _symmetric_values_reference(u, X):
@@ -205,47 +210,77 @@ def _unwrap(u, X):
 
 
 @st.composite
-def _power_sums_and_cut_points(draw):
-    u = draw(_power_sum_fields())
+def _mode_sums_and_cut_points(draw, harmonic):
+    """A power sum (harmonic) or any mode field, and cut points of its dimension."""
+    u = draw(_power_sum_fields() if harmonic else st.one_of(_power_sum_fields(), _mode_fields()))
     return u, _cut_points(draw, u.n)
 
 
+def _signed_zero_examples(test):
+    """Power sums read on both sides of the cut, subnormal coefficients among them."""
+    for case in [
+        (CylindricalModeField.power_sum([(5e-324 + 0j, 1)], n=2),
+         np.array([[-0.5, 0.0], [-0.5, -0.0]])),
+        (CylindricalModeField.power_sum([(1j, 7), (2j, 1)], n=2),
+         np.array([[-0.65625, 0.0], [-0.65625, -0.0]])),
+        (CylindricalModeField.power_sum([(-4.8e-112 - 0.5j, 4), (-4.8e-112 + 0.5j, 4)], n=2),
+         np.array([[-0.5, 0.0], [-0.5, -0.0]])),
+        (CylindricalModeField.power_sum([(5e-324j, 1)], n=3),
+         np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0]])),
+        (CylindricalModeField.power_sum([(2.2e-311j, 1)], n=2),
+         np.array([[2.0 ** -126, 2.0 ** -126], [-0.5, 0.0], [-0.5, -0.0]])),
+    ]:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
-@given(_power_sums_and_cut_points())
-@example((CylindricalModeField.power_sum([(5e-324 + 0j, 1)], n=2),
-          np.array([[-0.5, 0.0], [-0.5, -0.0]])))
-@example((CylindricalModeField.power_sum([(1j, 7), (2j, 1)], n=2),
-          np.array([[-0.65625, 0.0], [-0.65625, -0.0]])))
-@example((CylindricalModeField.power_sum([(-4.8e-112 - 0.5j, 4), (-4.8e-112 + 0.5j, 4)], n=2),
-          np.array([[-0.5, 0.0], [-0.5, -0.0]])))
-@example((CylindricalModeField.power_sum([(5e-324j, 1)], n=3),
-          np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0]])))
-@example((CylindricalModeField.power_sum([(2.2e-311j, 1)], n=2),
-          np.array([[2.0 ** -126, 2.0 ** -126], [-0.5, 0.0], [-0.5, -0.0]])))
+@given(_mode_sums_and_cut_points(harmonic=True))
+@_signed_zero_examples
+def test_power_sum_gradient_keeps_its_bits(case):
+    # the one Wirtinger formula takes a harmonic mode as (k/2) c s^(k-2) alone,
+    # so all-harmonic gradients keep every bit, signed zeros included
+    u, X = case
+    base, Xb, factor = _unwrap(u, X)
+    ref = _complex_gradient_reference(base, Xb) * factor
+    got = u.symmetric_gradient(X)
+    np.testing.assert_array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mode_sums_and_cut_points(harmonic=False))
+@_signed_zero_examples
 def test_power_sum_gradient_matches_trig_reference(case):
     u, X = case
     base, Xb, factor = _unwrap(u, X)
-    terms = base.power_terms()
-    assert terms is not None
-    ref = _symmetric_gradient_reference(base, Xb, scale_first=True) * factor
+    ref = _symmetric_gradient_reference(base, Xb) * factor
     got = u.symmetric_gradient(X)
-    finite = np.isfinite(ref)
-    np.testing.assert_array_equal(np.isfinite(got), finite)
+    r = np.hypot(Xb[:, 0], Xb[:, 1])
+    # At the axis a mode with both factors p, q nonzero has no direction s/|s|
+    # and reads nan, where the reference takes the limit along theta = 0 (or
+    # pi); every other point, and every point of an all-harmonic sum, is compared.
+    both = any(md.beta != abs(md.freq) for md in base.modes)
+    rows = ((r > 0) | (not both))[:, None, None]
+    finite = np.isfinite(ref) & rows
+    np.testing.assert_array_equal(np.isfinite(got) & rows, finite)
     # A subnormal r = hypot(x1, x2) keeps only a few digits, so there the reference
     # is the inaccurate side (8e-13 relative at r = 3e-313 against a 200-bit
     # evaluation, where sqrt(z) is within 2e-16); compare values at r = 0 or normal r.
-    r = np.hypot(Xb[:, 0], Xb[:, 1])
     check = finite & ((r == 0) | (r >= np.finfo(float).tiny))[:, None, None]
     # Both sides round to ulps of the largest term, not of the sum, where the terms
     # cancel, so the scale is per point and value component: the term sizes
-    # sum_k |c_k| (k/2) r^(k/2 - 1).  It is floored at tiny: where it is subnormal,
+    # sum |c| (|p| + |q|) r^(beta - 1), c = a - ib, which for a harmonic term is
+    # |c| (k/2) r^(k/2 - 1).  It is floored at tiny: where it is subnormal,
     # 1e-14 relative is below one subnormal ulp, and the complex path's correctly
     # rounded +-5e-324 must pass where the trigonometric reference underflows to 0.
     # At r = 0 a term with k = 1 and |c| (k/2) underflowing to 0 sizes as 0 inf =
     # nan; fmax floors that at tiny too, where the finite x3 components are 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        sizes = sum(np.where(c != 0, np.abs(c) * (k / 2) * r[:, None] ** (k / 2 - 1), 0.0)
-                    for c, k in terms)
+        sizes = sum(np.where(c != 0, np.abs(c) * ((abs(md.beta + md.freq)
+                                                   + abs(md.beta - md.freq)) / 2)
+                             * r[:, None] ** (md.beta - 1), 0.0)
+                    for md, c in ((md, md.a - 1j * md.b) for md in base.modes))
     scale = np.broadcast_to(np.fmax(sizes * factor, np.finfo(float).tiny)[:, :, None],
                             got.shape)
     err = np.abs(got[check] - ref[check])
@@ -330,7 +365,7 @@ def test_rescale_unit_norm(spec_fast):
     terms = [(C_NULL, 1), (0.2 * C_NULL, 3)]
     u = CylindricalModeField.power_sum(terms, n=2)
     rho = 0.37
-    rs = _rescaled(u, np.zeros(2), rho, np.sqrt(power_sum_norm_sq(terms, rho)) / rho)
+    rs = u.rescaled(np.zeros(2), rho, np.sqrt(power_sum_norm_sq(terms, rho)) / rho)
     zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=2)
     assert l2_distance_sq(rs, zero, unit_ball(2), spec_fast) == pytest.approx(1.0, abs=1e-8)
 
@@ -339,7 +374,7 @@ def test_rescale_homogeneous_reproduces_itself(spec_fast):
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     nrm = np.sqrt(power_sum_norm_sq([(C_NULL, 1)]))
     for rho in (0.5, 0.25):
-        rs = _rescaled(u, np.zeros(2), rho, rho ** 0.5 * nrm)
+        rs = u.rescaled(np.zeros(2), rho, rho ** 0.5 * nrm)
         d = l2_distance_sq(rs, CylindricalModeField.power_sum([(C_NULL / nrm, 1)], n=2),
                            unit_ball(2), spec_fast)
         assert d < 1e-20
@@ -351,7 +386,7 @@ def test_rescalings_converge_to_profile(spec_fast):
     target = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     ds = []
     for rho in (0.4, 0.2, 0.1):
-        rs = _rescaled(u, np.zeros(2), rho, rho ** 0.5)
+        rs = u.rescaled(np.zeros(2), rho, rho ** 0.5)
         ds.append(np.sqrt(l2_distance_sq(rs, target, unit_ball(2), spec_fast)))
     assert ds[1] < 0.3 * ds[0] and ds[2] < 0.3 * ds[1]
 
@@ -383,7 +418,7 @@ def test_branch_polynomial_rescales_through_the_view(data):
     Y = np.zeros(n)
     Y[:2] = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2))
     rho, scale = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.5, 3.0))
-    view = _rescaled(u, Y, rho, scale)
+    view = u.rescaled(Y, rho, scale)
     assert isinstance(view, RescaledField)
     shifted = _shift_poly(u.coeffs, Y[0] + 1j * Y[1]) * rho ** np.arange(len(coeffs))
     exact = BranchPolynomialField(shifted / scale ** 2, c=c, n=n)
@@ -692,7 +727,7 @@ def test_decay_and_profile_fits_stay_on_the_grid():
     sf = solve_branched_laplace(BoundaryTrace.from_field(u, 0.5),
                                 grid=CoverGridSpec(nr=12, ntheta=24)).to_two_valued()
     spec = QuadratureSpec(nr=12, ntheta=24, nsphere=48)
-    half = rescale_raw(sf, np.zeros(2), 0.5, 0.5)
+    half = sf.rescaled(np.zeros(2), 0.5, 0.5 ** 0.5)
     c = fit_profile(half, 1, spec=spec).c
     run = iterate(half, np.zeros(2), 1, j_max=1, spec=spec)
     assert abs(np.vdot(C_NULL, c)) == pytest.approx(1.0, abs=1e-2)

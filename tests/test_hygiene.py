@@ -12,7 +12,9 @@ library, the tests or the benchmark: a field a test asserts on is a
 result, but one nothing reads is dead weight.  Whole quadrature rules
 are summed (Rule.integrate_values) and built (ball_rule, sphere_rule and
 their ring tables, _ball_rings and _sphere_rings) only in the functions that
-WHOLE_RULE_READERS names: every other integral goes block by block.
+WHOLE_RULE_READERS names: every other integral goes block by block.  No
+module reads hasattr or getattr: a field's protocol (values, gradient, lift,
+rescaled) has no optional parts, so no code asks an object what it has.
 """
 
 import ast
@@ -200,6 +202,13 @@ def unread_fields(src, readers):
             for cls, name in record_fields(tree) if name not in read]
 
 
+def optional_attribute_reads(tree):
+    """How often a module reads hasattr or getattr, bare or as an attribute
+    (builtins.getattr), by name."""
+    reads = _reads(tree)
+    return {name: reads[name] for name in ("hasattr", "getattr") if reads[name]}
+
+
 def stray_whole_rule_reads(trees):
     """Reads of a WHOLE_RULE_READERS name outside the functions it names,
     as file:function.name.
@@ -237,6 +246,11 @@ def test_no_module_imports_scipy(path):
     assert scipy_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_asks_for_optional_attributes(path):
+    assert optional_attribute_reads(_tree(path)) == {}
+
+
 def test_every_private_helper_has_a_caller():
     assert unreferenced_private({p: _tree(p) for p in MODULES}) == []
 
@@ -267,6 +281,15 @@ def test_checks_catch_their_faults():
                        "def expm(A):\n    import scipy as sp\n    return sp\n")
     assert scipy_imports(solver) == ["scipy.linalg", "scipy.sparse.linalg", "scipy"]
     assert unreferenced_private({"m.py": tree}) == ["m.py:_helper"]
+    # an optional part of a protocol asked for by hasattr or getattr, bare,
+    # through builtins or nested in a method, or imported by name
+    probe = ast.parse("import builtins\nfrom builtins import getattr as ga\n\n"
+                      "def trace(fld):\n    if hasattr(fld, 'lift'):\n        return fld.lift\n"
+                      "    return getattr(fld, 'modes', ()), builtins.hasattr\n\n"
+                      "class View:\n    def rescaled(self):\n"
+                      "        return getattr(self.base, 'rescaled_exact', None)\n")
+    assert optional_attribute_reads(probe) == {"hasattr": 2, "getattr": 3}
+    assert optional_attribute_reads(tree) == {}
     called = ast.parse("def _helper():\n    return 1\n\nVALUE = _helper()\n")
     assert unreferenced_private({"m.py": tree, "n.py": called}) == []
     # a public function that calls itself, and is called only from a unit

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import cg, spsolve
 
 from branchlab.errors import BoundaryLiftError, SolverError
 from branchlab import fields
-from branchlab.fields import BranchPolynomialField, CylindricalModeField, RescaledField
+from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field, RescaledField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (REFINE_RTOL, SOLVE_RTOL, BoundaryTrace, BranchConfiguration,
                                  CoverField, CoverGridSpec, _batch_columns, _checked_solve,
@@ -238,9 +238,9 @@ BRANCH_COEFFS = [[-0.09, 0.0, 1.0], [-0.2, 1.0], [0.0, 0.0, 1.0]]
 
 @pytest.mark.parametrize("coeffs", BRANCH_COEFFS)
 def test_from_field_continuation_matches_reference(coeffs):
-    # a rescaled view has no exact lift, so from_field continues
+    # a rescaled view has the base lift, so from_field continues
     u = RescaledField(BranchPolynomialField(coeffs), np.zeros(2), 1.0, 1.0)
-    assert not hasattr(u, "lift")
+    assert type(u).lift is Field.lift
     btr = BoundaryTrace.from_field(u, 1.0, nsamples=512)
     _assert_same_bits(btr.values, _circle_trace_reference(u, 512))
 
