@@ -15,7 +15,7 @@ from .errors import DegenerateHeightError, FitError
 from .fields import propagate_signs
 from .frequency import FrequencyEstimate, frequency_at_point
 from .profiles import CylindricalProfile, excess, fit_profile, profile_distance_sq
-from .quadrature import Ball, QuadratureSpec, loglog_slope, unit_ball
+from .quadrature import Ball, QuadratureSpec, _midpoints, _ring_points, loglog_slope, unit_ball
 from .pairspace import metric_sq_symmetric
 
 
@@ -73,12 +73,8 @@ def _polish_minimum(u, X0, h):
 
 
 def _loop_holonomy(u, Z, radius):
-    th = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
-    pts = np.zeros((64, u.n))
-    pts[:, 0] = Z[0] + radius * np.cos(th)
-    pts[:, 1] = Z[1] + radius * np.sin(th)
-    if u.n > 2:
-        pts[:, 2:] = Z[2:]
+    pts = _ring_points(radius, _midpoints(64)[0], Z[2:])
+    pts[:, :2] += Z[:2]
     svals = u.symmetric_values(pts)[None, :, :]
     _, hol = propagate_signs(svals)
     return hol

@@ -59,17 +59,11 @@ class Field:
         y = 0, continued from its value at k = 0: propagate_signs'
         continuation of symmetric_values, whose first-order predictor
         carries the lift through transversal zero crossings."""
-        return _continued(self.symmetric_values(_curve_points(r, theta, self.n)))
+        return _continued(self.symmetric_values(_ring_points(r, theta, np.zeros(self.n - 2))))
 
     def rescaled(self, Y, rho, scale):
         """u(Y + rho X) / scale, as a RescaledField view."""
         return RescaledField(self, Y, rho, scale)
-
-
-def _curve_points(r, theta, n):
-    """The points (r cos theta, r sin theta, 0, ...) of a curve at y = 0."""
-    X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    return np.concatenate([X, np.zeros(X.shape[:-1] + (n - 2,))], axis=-1)
 
 
 def _continued(s):
@@ -222,8 +216,7 @@ class BranchPolynomialField(Field):
         return np.polynomial.polynomial.polyval(z, dcoef)
 
     def _w(self, X):
-        z = X[:, 0] + 1j * X[:, 1]
-        y = X[:, 2:] if self.n > 2 else None
+        z, y = X[:, 0] + 1j * X[:, 1], X[:, 2:]
         return np.sqrt(self._P(z, y)), z, y
 
     def symmetric_values(self, X):
@@ -260,9 +253,9 @@ class BranchPolynomialField(Field):
         the continuation can be trusted to resolve the branch; there (and at
         an exact zero) the signs are the continuation of Field.lift.
         """
-        X = _curve_points(r, theta, self.n)
+        X = _ring_points(r, theta, np.zeros(self.n - 2))
         s = self.symmetric_values(X)
-        p = self._P(X[:, 0] + 1j * X[:, 1], X[:, 2:] if self.n > 2 else None)
+        p = self._P(X[:, 0] + 1j * X[:, 1], X[:, 2:])
         arg = np.angle(p)
         unwrapped = np.unwrap(arg)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -340,10 +333,15 @@ class PolarGrid:
         base = (self.rs.shape[0], self.thetas.shape[0])
         return base if self.ys is None else base + (self.ys.shape[0],)
 
+    def coordinates(self):
+        """(r, theta, y) that broadcast to the nodes as (slab, nr, nt): y is
+        (ny, 1, 1, 1), or (1, 1, 1, 0) for the plane, which is one slab."""
+        y = np.zeros((1, 1, 1, 0)) if self.ys is None else self.ys[:, None, None, None]
+        return self.rs[:, None], self.thetas, y
+
     def nodes(self):
         """The (N, n) nodes: a ring of each radius on each axis slab, theta innermost."""
-        return _ring_points(self.rs, np.zeros(0) if self.ys is None else self.ys[:, None, None],
-                            self.thetas)
+        return _ring_points(*self.coordinates()).reshape(-1, self.n)
 
     def on_grid(self, rows):
         """(N, m) rows in nodes() order as an (nr, nt[, ny], m) array."""

@@ -33,7 +33,7 @@ from .errors import BoundaryLiftError, SolverError
 from .fields import PolarGrid, SampledField, graded_radii
 from .frequency import FrequencyProfile
 from .pairspace import metric_sq_symmetric
-from .quadrature import SOLVE_BLOCK_NODES
+from .quadrature import SOLVE_BLOCK_NODES, _midpoints, _ring_points
 
 SOLVE_RTOL = 1e-10
 REFINE_RTOL = 1e-13
@@ -146,7 +146,7 @@ def _deflect_cuts(cuts, rs):
     """
     clearance = float(rs[min(2, len(rs) - 1)])
     R_out = float(rs[-1])
-    nudge = 0.23 * float(rs[0]) * np.array([np.cos(1.234), np.sin(1.234)])
+    nudge = _ring_points(0.23 * float(rs[0]), 1.234, np.zeros(0))
     out = []
     for (a, b) in cuts:
         a = np.asarray(a, dtype=float)
@@ -222,7 +222,7 @@ def _edge_segments(rs, M):
     _cover_edges' order; a center spoke starts at the origin."""
     jn = (np.arange(M) + 1) % M
     thetas = np.arange(M) * (2.0 * np.pi / M)
-    xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
+    xy = _ring_points(rs[:, None], thetas, np.zeros(0))
     p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
     q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
     return p, q
@@ -417,7 +417,7 @@ def _anchor_for_single_point(boundary, point, R, parity):
     if parity == -1:
         direction = point / max(np.linalg.norm(point), 1e-30)
         th = np.arctan2(direction[1], direction[0]) + 0.0137
-        return np.array([np.cos(th), np.sin(th)]) * (1.5 * R)
+        return _ring_points(1.5 * R, th, np.zeros(0))
     g = boundary.sample_half(2048)
     mags = np.linalg.norm(g, axis=1)
     scale = max(float(np.max(mags)), 1e-300)
@@ -428,7 +428,7 @@ def _anchor_for_single_point(boundary, point, R, parity):
         )
     jstar = int(np.argmin(mags))
     th = jstar * (2.0 * np.pi / 2048) + 0.0137
-    return np.array([np.cos(th), np.sin(th)]) * (1.5 * R)
+    return _ring_points(1.5 * R, th, np.zeros(0))
 
 
 def _batch_columns(nring, M):
@@ -835,11 +835,11 @@ def local_growth_exponent(cov, Z):
     cell = 2.0 * np.sqrt(max(rz, 0.05) * R) / cov.rs.shape[0]
     rho1 = max(3.0 * cell, 0.04 * R)
     rho2 = min(2.0 * rho1, 0.45 * (R - rz) + rho1)
-    th = (np.arange(128) + 0.5) * (2.0 * np.pi / 128)
+    th = _midpoints(128)[0]
     sf = cov.to_two_valued()
     means = []
     for rho in (rho1, rho2):
-        pts = Z[None, :] + rho * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        pts = Z[None, :] + _ring_points(rho, th, np.zeros(0))
         vals = sf.symmetric_values(pts)  # |v|^2 does not depend on the sheet
         means.append(float(np.mean(np.sum(vals * vals, axis=1))))
     if means[0] <= 0 or means[1] <= 0:

@@ -5,8 +5,11 @@ The rotation parameter A lives in the skew space with zero diagonal blocks
 the branch axis without rotating within the (x1,x2)-plane or within the
 axis plane.  Such an A is [[0, B], [-B^T, 0]], and with B = U diag(s) V^T
 e^A = I + [[U (cos s - 1) U^T, U sin s V^T], [-V sin s U^T, V (cos s - 1) V^T]]
-in closed form (_rotation).  Fitting is linear least squares in c on the
-branched cover and Gauss-Newton in the 2(n-2) free entries of A.
+in closed form (_rotation).  A profile reads u at the cover points
+(r, theta in [0, 4pi), y) of its frame (frame_values: fit_c's least squares
+in c) and signs them nearest its frame lift Re(c r^alpha e^(i alpha theta))
+(paired: lift_against_profile and the spectral blow-up); its lift is the
+base Field.lift.  A is fitted by Gauss-Newton in its 2(n-2) free entries.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric, selection_costs
-from .quadrature import Ball, QuadratureSpec, ball_rule, gauss_legendre_01, unit_ball
+from .quadrature import Ball, QuadratureSpec, _ring_points, ball_rule, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
 ROTATION_BOUND = 0.35  # fit_rotation keeps the skew generator within |A| <= this
@@ -116,10 +119,21 @@ class CylindricalProfile(Field):
         # chain rule: d/dX = Q^T d/dX'
         return np.einsum("pki,ij->pkj", g, self.Q)
 
-    def lift(self, r, theta):
-        """Continuous lift Re(c r^alpha e^(i alpha theta)) on the cover frame."""
-        w = r ** self.alpha * np.exp(1j * self.alpha * theta)
-        return np.real(np.asarray(w)[..., None] * self.c)
+    def frame_values(self, u, r, theta, y):
+        """u's values at the cover points (r, theta, y) of this frame, shape broadcast(r,
+        theta, y[..., 0]) + (m,); the points live only inside the symmetric_values call."""
+        shape = np.broadcast_shapes(np.shape(r), np.shape(theta), np.shape(y)[:-1])
+        return u.symmetric_values(
+            self.from_frame(_ring_points(r, theta, y).reshape(-1, self.n))).reshape(shape + (u.m,))
+
+    def paired(self, u, r, theta, y):
+        """(signed values, phi, signs): u's frame_values, each signed nearest the
+        frame lift phi = Re(c r^alpha e^(i alpha theta)), a tie keeping the sign."""
+        s = self.frame_values(u, r, theta, y)
+        phi = np.real((r ** self.alpha * np.exp(1j * self.alpha * theta))[..., None] * self.c)
+        keep, swap = selection_costs(s, phi)
+        signs = np.where(keep <= swap, 1.0, -1.0)
+        return signs[..., None] * s, phi, signs
 
     def to_json_dict(self):
         return {
@@ -169,38 +183,35 @@ def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
     return PolarGrid(rs, thetas, ymax * (2.0 * ty - 1.0)), w[:, :, None] * (2.0 * ymax * wty)
 
 
+def _lanes(values):
+    """Cover-grid data (slab, nr, nt, ...) as lanes (nr, nt, slab, ...), the plane one slab."""
+    return np.moveaxis(values, 0, 2)
+
+
 def lift_against_profile(u, prof, grid):
     """Nearest-selection lift of u's symmetric part against the profile lift.
 
-    Returns (u_lift, phi_lift, signs, shape); raises PairingError when the
-    induced sign field has holonomy inconsistent with the parity of k around
-    some annular loop of the cover.
+    Returns (u_lift, phi_lift, signs) in lanes, (nr, nt, lane, m), (nr, nt, 1, m)
+    and (nr, nt, lane); raises PairingError when the induced sign field has
+    holonomy inconsistent with the parity of k around some annular loop.
     """
-    s_rep = grid.on_grid(u.symmetric_values(prof.from_frame(grid.nodes())))
-    R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
-    phi = prof.lift(R, T)  # (nr, nt, m)
-    if grid.n == 3:
-        phi = phi[:, :, None, :]
-    d_keep, d_swap = selection_costs(s_rep, phi)
-    signs = np.where(d_keep <= d_swap, 1.0, -1.0)
-    u_lift = signs[..., None] * s_rep
+    u_lift, phi, signs = prof.paired(u, *grid.coordinates())
+    u_lift, phi, signs = _lanes(u_lift), phi[:, :, None], _lanes(signs)
     # holonomy of the sign field around each theta loop must be +1 on the
     # cover (the lift of a genuine two-valued branch is 4pi-periodic)
     flips = signs * np.roll(signs, -1, axis=1)
     # ignore flips where the profile is tiny relative to the residual
     # (ambiguous pairing); they do not witness holonomy
-    mag_phi = np.sum(np.broadcast_to(phi, s_rep.shape) ** 2, axis=-1)
-    resid = np.minimum(d_keep, d_swap)
+    mag_phi = np.sum(np.broadcast_to(phi, u_lift.shape) ** 2, axis=-1)
+    resid = np.sum((u_lift - phi) ** 2, axis=-1)  # the nearer selection cost
     solid = mag_phi > 4.0 * resid
     hol = np.where(np.all(~solid, axis=1), 1.0,
                    np.prod(np.where(solid, flips, 1.0), axis=1))
     if np.any(hol < 0):
-        if signs.ndim == 2:
-            bad = int(np.argmax(hol < 0))
-        else:
-            bad = tuple(int(v) for v in np.argwhere(hol < 0)[0])
+        bad = tuple(int(v) for v in np.argwhere(hol < 0)[0])
+        bad = bad[0] if grid.n == 2 else bad  # an annulus, or (annulus, slab)
         raise PairingError(f"pairing holonomy violation around annulus {bad}", loop=bad)
-    return u_lift, phi, signs, grid.shape
+    return u_lift, phi, signs
 
 
 def fit_c(u, k, A=None, ntheta=128):
@@ -217,10 +228,8 @@ def fit_c(u, k, A=None, ntheta=128):
     probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, n=n)
     grid, wts = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
     alpha = k / 2.0
-    # one lane per axis slab; the plane (n = 2) is one slab
-    lanes = grid.shape[:2] + (-1,)
-    sv = grid.on_grid(u.symmetric_values(probe.from_frame(grid.nodes()))).reshape(lanes + (m,))
-    wts = wts.reshape(lanes)
+    sv = _lanes(probe.frame_values(u, *grid.coordinates()))
+    wts = wts.reshape(sv.shape[:3])
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
@@ -372,9 +381,7 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     alpha = prof.alpha
     grid, wts = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
                            ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
-    u_lift, phi, _, shape = lift_against_profile(u, prof, grid)
-    # one lane per axis slab; the plane (n = 2) is one slab
-    u_lift, phi = u_lift.reshape(shape[:2] + (-1, m)), phi.reshape(shape[:2] + (1, m))
+    u_lift, phi, _ = lift_against_profile(u, prof, grid)
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
     # per-(ring, slab) mean local excess against the profile scale
     pair_v_sq = 2.0 * np.sum(v_hat ** 2, axis=-1)
@@ -406,7 +413,7 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     dvy = st * dv1 + ct * dv2
     dv_hat = np.stack([dvx, dvy], axis=-1)
     # expand ring mask to node mask
-    node_mask = np.repeat(filled[:, None, :], shape[1], axis=1)
+    node_mask = np.repeat(filled[:, None, :], u_lift.shape[1], axis=1)
     ring_r = grid.rs[:, None, None]
     wts = wts.reshape(node_mask.shape)
     vmag = np.linalg.norm(v_hat, axis=-1)
@@ -426,8 +433,8 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     integral_out = float(np.sum(np.where(~node_mask, wts * (su2 + ring_r ** 2 * du_sq), 0.0)) / 2.0)
     exc = excess(u, prof, unit_ball(n), spec)
     return GraphRepresentation(
-        grid=grid, shape=shape, admissible=filled.reshape(shape[:1] + shape[2:]),
-        v_hat=v_hat.reshape(shape + (m,)), dv_hat=dv_hat.reshape(shape + (m, 2)),
+        grid=grid, shape=grid.shape, admissible=filled.reshape(grid.shape[:1] + grid.shape[2:]),
+        v_hat=v_hat.reshape(grid.shape + (m,)), dv_hat=dv_hat.reshape(grid.shape + (m, 2)),
         beta=beta, sup_v=sup_v, sup_dv=sup_dv,
         tube_condition_met=tube_ok, integral_in=integral_in,
         integral_out=integral_out, excess_sq=float(exc),

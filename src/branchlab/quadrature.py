@@ -13,13 +13,13 @@ in the radial quadrature variable, so the model-field integrals of the lab
 are computed to machine accuracy at modest node counts.
 
 Every node set is a table of rings in the (x1, x2)-plane about axis
-points: a ring of radius a at axis offset y carries the nodes
-c + (a cos theta, a sin theta, y), theta innermost.  A ball is a stack of
-disks, each nr rings (the ball itself at n = 2, one psi node at n = 3, one
-(axis radius, phi) pair at n = 4); a sphere is a stack of circles (one t
-node at n = 3, one (t, chi) pair at n = 4).  _ball_rings and _sphere_rings
-give the tables, and _ring_points turns any run of rings into nodes, for
-the rules here, the cover blocks of spectral and fields.PolarGrid alike.
+points, from _ball_rings and _sphere_rings: a ring of radius a at axis
+offset y carries the nodes c + (a cos theta, a sin theta, y), theta
+innermost.  A ball is a stack of disks, each nr rings (the ball itself at
+n = 2, one psi node at n = 3, one (axis radius, phi) pair at n = 4); a
+sphere is a stack of circles (one t node at n = 3, one (t, chi) pair at
+n = 4).  _ring_points(r, theta, y), y (..., n - 2) at every n, builds every
+polar point of the lab: rule nodes, grids, curves, loops and cover frames.
 
 For an integrand of (x1, x2) alone (planar=True) the n = 4 rules collapse
 their axis angle to one node, and the n = 3 rules fold onto their mirror
@@ -179,7 +179,7 @@ def _ball_rings(ball, nr, ntheta, naxis, disks=slice(None), planar=False,
         phi, wphi = _midpoints(1 if planar else max(8, naxis))
         slab, pair = np.divmod(np.arange(sy.shape[0] * phi.shape[0])[disks], phi.shape[0])
         y, wy, phi = rho * sy[slab], rho * wsy[slab], phi[pair]
-        offsets = np.stack([y * np.cos(phi), y * np.sin(phi)], axis=-1)
+        offsets = _ring_points(y, phi, np.zeros(0))
     rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))[:, None]
     r = rho_l * s ** GRADING
     w = rho_l * (ws * GRADING * s ** (GRADING - 1.0)) * r * wt
@@ -214,28 +214,26 @@ def _sphere_rings(ball, nang, npolar, circles=slice(None), planar=False):
     row, pair = np.divmod(np.arange(t.shape[0] * chi.shape[0])[circles], chi.shape[0])
     t, wpolar, chi = t[row], wpolar[row], chi[pair]
     y = rho * np.sqrt((1.0 + t) / 2.0)
-    return (rho * np.sqrt((1.0 - t) / 2.0), np.stack([y * np.cos(chi), y * np.sin(chi)], axis=-1),
+    return (rho * np.sqrt((1.0 - t) / 2.0), _ring_points(y, chi, np.zeros(0)),
             rho ** 3 * 0.25 * wpolar * wth * wch, theta)
 
 
-def _ring_points(radii, offsets, theta):
-    """The nodes (a cos theta, a sin theta, y) of rings of radius a at axis
-    offset y, theta innermost; radii broadcast against offsets (..., n - 2)
-    without its last axis."""
-    shape = np.broadcast_shapes(np.shape(radii), offsets.shape[:-1])
-    pts = np.empty(shape + theta.shape + (2 + offsets.shape[-1],))
-    a = np.broadcast_to(radii, shape)[..., None]
-    pts[..., 0] = a * np.cos(theta)
-    pts[..., 1] = a * np.sin(theta)
-    pts[..., 2:] = offsets[..., None, :]
-    return pts.reshape(-1, pts.shape[-1])
+def _ring_points(r, theta, y):
+    """The points (r cos theta, r sin theta, y) for r, theta and y (..., n - 2)
+    broadcast against each other: the one builder of polar and cover points."""
+    shape = np.broadcast_shapes(np.shape(r), np.shape(theta), np.shape(y)[:-1])
+    pts = np.empty(shape + (2 + np.shape(y)[-1],))
+    pts[..., 0] = r * np.cos(theta)
+    pts[..., 1] = r * np.sin(theta)
+    pts[..., 2:] = y
+    return pts
 
 
 def _ring_rule(ball, radii, offsets, weights, theta):
     """The rule of a ring table about the ball's center; a node weighs what its ring does."""
     if ball.n not in (2, 3, 4):
         raise ValueError(f"the ball and sphere rules support n in (2, 3, 4), got n={ball.n}")
-    pts = _ring_points(radii, offsets, theta)
+    pts = _ring_points(radii[..., None], theta, offsets[..., None, :]).reshape(-1, ball.n)
     pts += ball.center_array
     return Rule(pts, np.repeat(weights.ravel(), theta.shape[0]))
 

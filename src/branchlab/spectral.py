@@ -1,9 +1,10 @@
 """Linear theory on the branched cover: projections onto L, decay.
 
 Functions on the graph of a cylindrical profile are parameterized by cover
-coordinates (r, theta, y) with theta in [0, 4pi).  The distinguished span L
-collects the degree-alpha kernel modes (the c-modes r^alpha cos/sin and the
-axis-tilt modes D_i phi . y_j), and the decay check runs the contraction of
+coordinates (r, theta, y), theta in [0, 4pi) and y (N, n - 2) at every n, and
+the blow-up pairs u through CylindricalProfile.paired.  The span L collects
+the degree-alpha kernel modes (the c-modes r^alpha cos/sin and the axis-tilt
+modes D_i phi . y_j); the decay check runs the contraction of
 radial-derivative integrals across scales.
 
 Every cover integral is a sum over the blocks of _cover_blocks, in block
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .pairspace import selection_costs
 from .profiles import profile_plane_gradient_lift
 from .quadrature import Ball, _ball_rings, _blocks, _midpoints
 
@@ -36,28 +36,16 @@ class CoverFunction:
         self.n = int(n)
         self.m = int(m)
 
-    def __call__(self, r, theta, y=None):
+    def __call__(self, r, theta, y):
         return self.fn(r, theta, y)
 
     @classmethod
     def blowup(cls, u, prof, scale):
         """(lift of u against prof - prof lift)/scale as a cover function."""
 
-        def fn(r, theta, y=None):
-            r = np.asarray(r, dtype=float)
-            theta = np.asarray(theta, dtype=float)
-            cols = [r * np.cos(theta), r * np.sin(theta)]
-            if prof.n > 2:
-                yarr = np.asarray(y, dtype=float).reshape(r.shape + (prof.n - 2,))
-                for j in range(prof.n - 2):
-                    cols.append(yarr[..., j])
-            pts_frame = np.stack(cols, axis=-1)
-            pts = prof.from_frame(pts_frame.reshape(-1, prof.n))
-            s = u.symmetric_values(pts).reshape(r.shape + (u.m,))
-            phi = prof.lift(r, theta)
-            d_keep, d_swap = selection_costs(s, phi)
-            sel = np.where(d_keep <= d_swap, 1.0, -1.0)
-            return (sel[..., None] * s - phi) / scale
+        def fn(r, theta, y):
+            u_lift, phi, _ = prof.paired(u, r, theta, y)
+            return (u_lift - phi) / scale
 
         return cls(fn, n=u.n, m=u.m)
 
@@ -66,26 +54,25 @@ class CoverFunction:
 # The span L and its projection
 
 
-def l_span(c0, alpha, r, theta, y=None):
+def l_span(c0, alpha, r, theta, y):
     """Basis of L at the nodes, shape r.shape + (K, m), K = 2m + 2(n-2).
 
     Per component k the c-modes r^alpha (cos, sin)(alpha theta) e_k, then the
-    axis-tilt modes D_i phi0 . y_j for i = 1, 2 and j = 1..n-2 (n = 2 when y
-    is None).  The array is filled in place, with no temporary copy of the
-    modes.
+    axis-tilt modes D_i phi0 . y_j for i = 1, 2 and j = 1..n-2, y being
+    (..., n - 2).  The array is filled in place, with no temporary copy of
+    the modes.
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=complex))
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     m = c0.shape[0]
-    ny = 0 if y is None else np.shape(y)[-1]
+    ny = np.shape(y)[-1]
     span = np.zeros(r.shape + (2 * m + 2 * ny, m))
     ra = r ** alpha
     k = np.arange(m)
     span[..., 2 * k, k] = (ra * np.cos(alpha * theta))[..., None]
     span[..., 2 * k + 1, k] = (ra * np.sin(alpha * theta))[..., None]
     if ny:
-        y = np.asarray(y, dtype=float)
         for i, d in enumerate(profile_plane_gradient_lift(c0, alpha, r, theta)):
             span[..., 2 * m + i * ny:2 * m + (i + 1) * ny, :] = d[..., None, :] * y[..., :, None]
     return span
@@ -99,8 +86,7 @@ def _cover_blocks(rho, n):
     for disks in _blocks(r.shape[0], COVER_NR * COVER_NTHETA):
         shape = r[disks].shape + theta.shape  # (disk, r, theta)
         R, W = (np.broadcast_to(a[disks, :, None], shape).ravel() for a in (r, w))
-        Y = None if n == 2 else np.broadcast_to(offsets[disks, None, None, :],
-                                                shape + (n - 2,)).reshape(-1, n - 2)
+        Y = np.broadcast_to(offsets[disks, None, None, :], shape + (n - 2,)).reshape(R.size, n - 2)
         yield R, np.broadcast_to(theta, shape).ravel(), Y, W
 
 
@@ -164,9 +150,9 @@ def radial_deviation_integral(w, alpha, rho):
     lp, lm = 1.0 + RADIAL_FD_EPS, 1.0 - RADIAL_FD_EPS
     parts = []
     for r, th, y, wt in _cover_blocks(rho, n):
-        R = r if y is None else np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
-        wp = _eval_cover(w, r * lp, th, None if y is None else y * lp) / (lp * R[:, None]) ** alpha
-        wm = _eval_cover(w, r * lm, th, None if y is None else y * lm) / (lm * R[:, None]) ** alpha
+        R = np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
+        wp = _eval_cover(w, r * lp, th, y * lp) / (lp * R[:, None]) ** alpha
+        wm = _eval_cover(w, r * lm, th, y * lm) / (lm * R[:, None]) ** alpha
         dR = (wp - wm) / (2.0 * RADIAL_FD_EPS * R[:, None])
         parts.append(np.sum(wt * R ** (2 - n) * np.sum(dR * dR, axis=1)))
     return float(np.sum(parts))

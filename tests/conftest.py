@@ -1,11 +1,53 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from branchlab.fields import CylindricalModeField
+from branchlab.fields import CylindricalModeField, Field
+from branchlab.profiles import CylindricalProfile, skew_from_params
 from branchlab.quadrature import QuadratureSpec
 
 # c with c . c = 0: the admissible coefficient for odd-k minimizing profiles
 C_NULL = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+
+# cover angles at the seams: both zeros, 2 pi, and the last float below 4 pi
+SEAM_ANGLES = (0.0, -0.0, 2.0 * np.pi, np.nextafter(4.0 * np.pi, 0.0))
+_COEF = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _values(draw, count, lo, hi, special):
+    """count floats in [lo, hi], each maybe one of special."""
+    return draw(st.lists(st.one_of(st.sampled_from(special), st.floats(lo, hi)),
+                         min_size=count, max_size=count))
+
+
+@st.composite
+def profile_pairs(draw, dims=(2, 3)):
+    """A power sum u and a tilted, off-centre profile of its dimension and m."""
+    n, m = draw(st.sampled_from(dims)), draw(st.integers(1, 2))
+
+    def coef():
+        re, im = (np.array(draw(st.lists(_COEF, min_size=m, max_size=m))) for _ in range(2))
+        return re + 1j * im
+
+    parity = draw(st.integers(0, 1))
+    terms = [(coef(), 2 * draw(st.integers(1 - parity, 2)) + parity)
+             for _ in range(draw(st.integers(1, 2)))]
+    A = skew_from_params(draw(st.lists(st.floats(-0.3, 0.3), min_size=2 * (n - 2),
+                                       max_size=2 * (n - 2))), n)
+    prof = CylindricalProfile(coef(), draw(st.integers(1, 4)), A=A,
+                              center=_values(draw, n, -0.3, 0.3, (0.0, -0.0)), n=n)
+    return CylindricalModeField.power_sum(terms, n=n), prof
+
+
+@st.composite
+def cover_points(draw, n):
+    """(r, theta, y) of N cover points: theta on [0, 4 pi) or at a seam, and y
+    (N, n - 2) with signed zeros."""
+    N = draw(st.integers(1, 8))
+    r = np.array(_values(draw, N, 0.0, 1.5, (0.0,)))
+    theta = np.array(_values(draw, N, 0.0, np.nextafter(4.0 * np.pi, 0.0), SEAM_ANGLES))
+    y = np.array(_values(draw, N * (n - 2), -1.0, 1.0, (0.0, -0.0))).reshape(N, n - 2)
+    return r, theta, y
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +91,15 @@ def power_sum_DH(terms, rho=1.0):
         D += 2.0 * np.pi * a * csq * rho ** (2 * a)
         H += 2.0 * np.pi * csq * rho ** (2 * a)
     return D, H
+
+
+class PointRecorder(Field):
+    """A field that keeps a copy of every point set it is read at; its one
+    value component is 1 + x1."""
+
+    def __init__(self, n):
+        self.n, self.m, self.points = n, 1, []
+
+    def symmetric_values(self, X):
+        self.points.append(np.array(X, copy=True))
+        return 1.0 + X[:, :1]

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from branchlab.fields import BranchPolynomialField, CylindricalModeField
-from branchlab.decay import (DecayRun, SingularCandidate, SingularReport, detect_branch_set,
-                             decay_step, gap_probe, iterate, tangent_expansion)
+from branchlab.decay import (DecayRun, SingularCandidate, SingularReport, _loop_holonomy,
+                             detect_branch_set, decay_step, gap_probe, iterate, tangent_expansion)
 from branchlab.frequency import FrequencyEstimate, frequency_profile
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, profile_distance_sq
 from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
 
-from conftest import C_NULL
+from conftest import C_NULL, PointRecorder
 
 SPEC = QuadratureSpec(nr=32, ntheta=80, nsphere=192)
 SPEC3 = QuadratureSpec(nr=16, ntheta=48, naxis=8, nsphere=96)
@@ -399,3 +399,19 @@ def test_detect_frequency_failure(monkeypatch, mode):
     assert rep.candidates
     assert all(np.isnan(c.frequency.value) and c.frequency.uncertainty == np.inf
                for c in rep.candidates)
+
+
+@pytest.mark.parametrize("Z", [[0.1, -0.2], [-0.0, 0.0, -0.0], [0.3, -0.0, 0.0, -0.25]])
+def test_loop_holonomy_points_keep_the_former_bits(Z):
+    # the 64 loop points about Z come from the one point builder; the former
+    # loop set x1, x2 = Z + radius (cos, sin) and copied Z's axis values,
+    # signed zeros kept
+    Z = np.array(Z)
+    recorder = PointRecorder(Z.shape[0])
+    _loop_holonomy(recorder, Z, 0.05)
+    th = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    want = np.zeros((64, Z.shape[0]))
+    want[:, 0] = Z[0] + 0.05 * np.cos(th)
+    want[:, 1] = Z[1] + 0.05 * np.sin(th)
+    want[:, 2:] = Z[2:]
+    assert recorder.points[0].tobytes() == want.tobytes()

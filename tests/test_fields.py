@@ -20,7 +20,7 @@ from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, fit_c, fit_profile, skew_from_params
 from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
 
-from conftest import C_NULL, power_sum_norm_sq
+from conftest import C_NULL, PointRecorder, cover_points, power_sum_norm_sq
 
 
 # -- evaluation -------------------------------------------------------------
@@ -1025,3 +1025,35 @@ def test_sampled_interpolation_matches_former_gathers(n, even_k, c):
     X[:8, 1], X[8:16, 1] = 0.0, -0.0  # on the seam, from both sides
     X[16:24, :2] = 0.0  # at the center, where a zero sample keeps its sign
     assert sf._interp_lift(X).tobytes() == _interp_lift_reference(sf, X).tobytes()
+
+
+# -- curve points of the lifts -----------------------------------------------
+
+
+def _former_curve_points(r, theta, n):
+    """The parent's fields._curve_points."""
+    X = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return np.concatenate([X, np.zeros(X.shape[:-1] + (n - 2,))], axis=-1)
+
+
+class _RecordedPolynomial(BranchPolynomialField):
+    """A branch polynomial that keeps the points its lift reads."""
+
+    def symmetric_values(self, X):
+        self.points = np.array(X, copy=True)
+        return super().symmetric_values(X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.tuples(st.just(n), cover_points(n))))
+def test_lift_curve_points_keep_the_former_bits(case):
+    # the base lift and the branch polynomial's lift read the curve at y = 0
+    # through the one point builder, at the former points bit for bit
+    n, (r, theta, _) = case
+    want = _former_curve_points(r, theta, n).tobytes()
+    recorder = PointRecorder(n)
+    recorder.lift(r, theta)
+    assert recorder.points[0].tobytes() == want
+    poly = _RecordedPolynomial([-0.01, 0.0, 1.0], c=C_NULL, n=n)
+    poly.lift(r, theta)
+    assert poly.points.tobytes() == want

@@ -12,9 +12,12 @@ library, the tests or the benchmark: a field a test asserts on is a
 result, but one nothing reads is dead weight.  Whole quadrature rules
 are summed (Rule.integrate_values) and built (ball_rule, sphere_rule and
 their ring tables, _ball_rings and _sphere_rings) only in the functions that
-WHOLE_RULE_READERS names: every other integral goes block by block.  No
-module reads hasattr or getattr: a field's protocol (values, gradient, lift,
-rescaled) has no optional parts, so no code asks an object what it has.
+WHOLE_RULE_READERS names: every other integral goes block by block.
+Nearest selection against a reference (pairspace.selection_costs) is read
+only where SELECTION_READERS says: the pair metric, the one continuation
+routine and the one profile-frame pairing.  No module reads hasattr or
+getattr: a field's protocol (values, gradient, lift, rescaled) has no
+optional parts, so no code asks an object what it has.
 """
 
 import ast
@@ -50,6 +53,15 @@ WHOLE_RULE_READERS = {
     "sphere_rule": {"sphere_blocks"},
     "_ball_rings": {"ball_rule", "ball_blocks", "_cover_blocks"},
     "_sphere_rings": {"sphere_rule", "sphere_blocks"},
+}
+
+# The functions that may choose a sign nearest a reference: the pair metric,
+# propagate_signs (its sweep, through its closure nearer, and its slab
+# alignment) and the one pairing of u against a profile's frame lift, which
+# lift_against_profile and the spectral blow-up share.
+SELECTION_READERS = {
+    "selection_costs": {"metric_sq_symmetric", "propagate_signs", "propagate_signs.nearer",
+                        "CylindricalProfile.paired"},
 }
 
 
@@ -209,25 +221,26 @@ def optional_attribute_reads(tree):
     return {name: reads[name] for name in ("hasattr", "getattr") if reads[name]}
 
 
-def stray_whole_rule_reads(trees):
-    """Reads of a WHOLE_RULE_READERS name outside the functions it names,
-    as file:function.name.
+def stray_reads(trees, readers):
+    """Reads of a `readers` name outside the functions it names, as
+    file:function.name.
 
-    A read belongs to the innermost def around it (<module> at module
-    level); a name matches as a bare name or as an attribute, whatever the
-    object read.
+    A read belongs to the innermost def around it, by qualified name: the
+    classes and defs around it joined by dots (CylindricalProfile.paired,
+    propagate_signs.nearer), or <module> at module level.  A name matches as
+    a bare name or as an attribute, whatever the object read.
     """
     stray = []
 
     def visit(node, func, name):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name, name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if func == "<module>" else f"{func}.{child.name}", name)
                 continue
             read = (child.id if isinstance(child, ast.Name) else
                     child.attr if isinstance(child, ast.Attribute) else None)
-            if (read in WHOLE_RULE_READERS and isinstance(child.ctx, ast.Load)
-                    and func not in WHOLE_RULE_READERS[read]):
+            if (read in readers and isinstance(child.ctx, ast.Load)
+                    and func not in readers[read]):
                 stray.append(f"{name}:{func}.{read}")
             visit(child, func, name)
 
@@ -269,7 +282,11 @@ def test_every_record_field_is_read():
 
 
 def test_whole_rules_are_read_only_where_allowed():
-    assert stray_whole_rule_reads({p: _tree(p) for p in MODULES}) == []
+    assert stray_reads({p: _tree(p) for p in MODULES}, WHOLE_RULE_READERS) == []
+
+
+def test_selection_costs_are_read_only_where_allowed():
+    assert stray_reads({p: _tree(p) for p in MODULES}, SELECTION_READERS) == []
 
 
 def test_checks_catch_their_faults():
@@ -346,10 +363,23 @@ def test_checks_catch_their_faults():
                       "def project_L(w, rho):\n    return q._ball_rings(rho)\n\n"
                       "def integrate_sphere(ball):\n    return q._sphere_rings(ball)\n\n"
                       "SUM, RINGS = Rule.integrate_values, _ball_rings\n")
-    assert stray_whole_rule_reads({"m.py": whole}) == [
+    assert stray_reads({"m.py": whole}, WHOLE_RULE_READERS) == [
         "m.py:energy.ball_rule", "m.py:energy.integrate_values",
         "m.py:height.sphere_rule", "m.py:height.sphere_rule",
         "m.py:fit_rotation.integrate_values",
         "m.py:_cover_blocks._sphere_rings", "m.py:project_L._ball_rings",
         "m.py:integrate_sphere._sphere_rings",
         "m.py:<module>.integrate_values", "m.py:<module>._ball_rings"]
+    # nearest selection outside the pairing functions: in a method that
+    # shares its name with the allowed one but not its class, and in a
+    # closure of an allowed function, which is not that function
+    pairing = ast.parse("class Profile:\n    def paired(self, s, phi):\n"
+                        "        return selection_costs(s, phi)\n\n"
+                        "class CylindricalProfile:\n    def paired(self, s, phi):\n"
+                        "        return pairspace.selection_costs(s, phi)\n\n"
+                        "def metric_sq_symmetric(su, sv):\n    def keep(a):\n"
+                        "        return selection_costs(a, sv)[0]\n    return keep(su)\n\n"
+                        "def propagate_signs(x):\n    def nearer(v):\n"
+                        "        return selection_costs(v, x)\n    return nearer\n")
+    assert stray_reads({"m.py": pairing}, SELECTION_READERS) == [
+        "m.py:Profile.paired.selection_costs", "m.py:metric_sq_symmetric.keep.selection_costs"]

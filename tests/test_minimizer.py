@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,7 +13,8 @@ from branchlab import fields
 from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field, RescaledField
 from branchlab.frequency import stationarity_residuals
 from branchlab.minimizer import (REFINE_RTOL, SOLVE_RTOL, BoundaryTrace, BranchConfiguration,
-                                 CoverField, CoverGridSpec, _batch_columns, _checked_solve,
+                                 CoverField, CoverGridSpec, _anchor_for_single_point,
+                                 _batch_columns, _checked_solve,
                                  _cover_edges, _crossing_signs, _cut_flips, _deflect_cuts,
                                  _dirichlet_slots, _edge_residual,
                                  _edge_segments, _green_block, _radial_sweep,
@@ -22,7 +24,7 @@ from branchlab.minimizer import (REFINE_RTOL, SOLVE_RTOL, BoundaryTrace, BranchC
                                  optimize_branch_points, solve_branched_laplace)
 from branchlab.quadrature import QuadratureSpec
 
-from conftest import C_NULL
+from conftest import C_NULL, PointRecorder
 
 GRID = CoverGridSpec(nr=48, ntheta=96)
 GRID_COARSE = CoverGridSpec(nr=24, ntheta=48)
@@ -1034,3 +1036,69 @@ def test_green_block_matches_per_ring_solves(case, with_center):
     assert G.shape == ref.shape == (idx.shape[0],) * 2
     if idx.shape[0]:
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# -- points from the one point builder ---------------------------------------
+# The parent's expressions at each polar point of the solver: every site now
+# calls quadrature._ring_points and keeps the bits, signed zeros included.
+
+
+def _former_edge_segments(rs, M):
+    jn = (np.arange(M) + 1) % M
+    thetas = np.arange(M) * (2.0 * np.pi / M)
+    xy = np.stack([rs[:, None] * np.cos(thetas), rs[:, None] * np.sin(thetas)], axis=-1)
+    p = np.concatenate([np.zeros((M, 2)), xy[:-1].reshape(-1, 2), xy.reshape(-1, 2)])
+    q = np.concatenate([xy[0], xy[1:].reshape(-1, 2), xy[:, jn].reshape(-1, 2)])
+    return p, q
+
+
+def _former_circle_point(th, radius):
+    return np.array([np.cos(th), np.sin(th)]) * radius
+
+
+@pytest.mark.parametrize("nr, M", [(1, 1), (3, 5), (17, 64)])
+def test_edge_segments_keep_the_former_bits(nr, M):
+    rs = CoverGridSpec(nr=nr, ntheta=M).radii(1.0)
+    assert ([a.tobytes() for a in _edge_segments(rs, M)]
+            == [a.tobytes() for a in _former_edge_segments(rs, M)])
+
+
+def test_cut_nudge_keeps_the_former_bits():
+    # a cut far from the centre is not bent; its inner end points move by
+    # the former generic nudge 0.23 rs[0] (cos 1.234, sin 1.234)
+    rs = GRID_COARSE.radii(1.0)
+    a, b = np.array([0.5, -0.0]), np.array([0.7, 0.4])
+    nudge = 0.23 * float(rs[0]) * np.array([np.cos(1.234), np.sin(1.234)])
+    (got,) = _deflect_cuts(((a, b),), rs)
+    assert [p.tobytes() for p in got] == [(a + nudge).tobytes(), (b + nudge).tobytes()]
+
+
+@pytest.mark.parametrize("point", [[0.3, -0.0], [-0.2, 0.1], [-0.4, -0.0]])
+def test_single_point_anchors_keep_the_former_bits(point):
+    # anti-periodic data anchors radially; periodic data at its smallest |g|
+    point, R = np.array(point), 0.9
+    th = np.arctan2(point[1], point[0]) + 0.0137
+    got = _anchor_for_single_point(None, point, R, -1)
+    assert got.tobytes() == _former_circle_point(th, 1.5 * R).tobytes()
+    thetas = np.arange(512) * (4.0 * np.pi / 512)
+    trace = BoundaryTrace(thetas, np.cos(thetas + point[0]), 1.0)
+    jstar = int(np.argmin(np.linalg.norm(trace.sample_half(2048), axis=1)))
+    th = jstar * (2.0 * np.pi / 2048) + 0.0137
+    got = _anchor_for_single_point(trace, point, R, 1)
+    assert got.tobytes() == _former_circle_point(th, 1.5 * R).tobytes()
+
+
+@pytest.mark.parametrize("Z", [[0.2, -0.0], [-0.0, 0.0], [-0.3, 0.25]])
+def test_growth_circles_keep_the_former_bits(Z):
+    # the two circles of 128 points about Z at which the growth exponent
+    # reads the solution, recorded from a stand-in for the solved field
+    recorder, Z = PointRecorder(2), np.array(Z)
+    cov = types.SimpleNamespace(rs=GRID_COARSE.radii(1.0), to_two_valued=lambda: recorder)
+    local_growth_exponent(cov, Z)
+    R, rz = float(cov.rs[-1]), float(np.linalg.norm(Z))
+    cell = 2.0 * np.sqrt(max(rz, 0.05) * R) / cov.rs.shape[0]
+    rho1 = max(3.0 * cell, 0.04 * R)
+    rho2 = min(2.0 * rho1, 0.45 * (R - rz) + rho1)
+    th = (np.arange(128) + 0.5) * (2.0 * np.pi / 128)
+    want = [Z[None, :] + rho * np.stack([np.cos(th), np.sin(th)], axis=-1) for rho in (rho1, rho2)]
+    assert [p.tobytes() for p in recorder.points] == [w.tobytes() for w in want]

@@ -1,11 +1,16 @@
 import json
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
 
 from branchlab import cli
-from branchlab.errors import FitError
-from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field
+from branchlab.errors import FitError, PairingError
+from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field, PolarGrid
+from branchlab.minimizer import BoundaryTrace
+from branchlab.pairspace import selection_costs
 from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
                                 cover_grid, excess, fit_c, fit_profile,
                                 fit_rotation, graphical_decompose,
@@ -14,7 +19,7 @@ from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
                                 skew_params)
 from branchlab.quadrature import gauss_legendre_01, unit_ball
 
-from conftest import C_NULL, power_sum_norm_sq
+from conftest import C_NULL, cover_points, power_sum_norm_sq, profile_pairs
 
 
 def c_dist(c1, c2):
@@ -180,7 +185,7 @@ def test_lift_holonomy_by_parity():
     for k, expected in ((1, -1.0), (3, -1.0), (2, 1.0), (4, 1.0)):
         u = CylindricalModeField.power_sum([(C_NULL, k)], n=2)
         prof = CylindricalProfile(C_NULL, k, n=2)
-        _, _, signs, _ = lift_against_profile(u, prof, grid)
+        _, _, signs = lift_against_profile(u, prof, grid)  # (nr, nt, 1): one lane
         nt = grid.thetas.shape[0]
         half = nt // 2
         # sign relation between the two sheets of the cover
@@ -346,7 +351,11 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     ymax = None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01))
     grid, _ = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny, ymax=ymax)
     wr, wtheta, wy = _former_weight_factors(1e-6, gamma, nr, ntheta, ny, ymax)
-    u_lift, phi, signs, shape = lift_against_profile(u, prof, grid)
+    # the lanes (nr, nt, lane, m) of lift_against_profile in the former
+    # (nr, nt[, ny], m) layout, the lift of the profile (nr, nt[, 1], m)
+    u_lift, phi, _ = lift_against_profile(u, prof, grid)
+    shape = grid.shape
+    u_lift, phi = u_lift.reshape(shape + (u.m,)), phi.reshape(shape[:2] + (1,) * (n - 2) + (u.m,))
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
     pair_resid = 2.0 * np.sum(v_hat ** 2, axis=-1)
     local = np.mean(pair_resid, axis=1)
@@ -459,3 +468,105 @@ def test_graphical_decompose_matches_former_paths(n, case, spec_fast):
         assert np.any(gr.admissible) and not np.all(gr.admissible)
     if case == "filled-along-y":
         assert gr.admissible[0, 0] and not gr.admissible[-1, 0]
+
+
+# -- the profile frame -------------------------------------------------------
+
+
+def test_profile_takes_the_base_lift():
+    # a profile's lift is every field's lift: along a curve about the origin,
+    # not in the profile's frame.  Off the origin the two differ (by 0.1155
+    # on the unit circle for centre (0.3, 0)); the frame lift is paired's phi
+    assert type(CylindricalProfile(C_NULL, 1)).lift is Field.lift
+    off = CylindricalProfile(C_NULL, 1, center=(0.3, 0))
+    trace = BoundaryTrace.from_field(off, 1.0)
+    base = Field.lift(off, np.full(trace.thetas.shape, 1.0), trace.thetas)
+    assert trace.values.tobytes() == base.tobytes()
+    frame = np.real(np.exp(0.5j * trace.thetas)[:, None] * C_NULL)
+    assert np.max(np.abs(trace.values - frame)) > 0.1
+    centred = BoundaryTrace.from_field(CylindricalProfile(C_NULL, 1), 1.0)
+    assert np.max(np.abs(centred.values - frame)) <= 1e-15
+    assert centred.parity() == -1
+
+
+def _former_lift_against_profile(u, prof, grid):
+    """The parent's lift_against_profile, the profile's former frame lift inlined."""
+    s_rep = grid.on_grid(u.symmetric_values(prof.from_frame(grid.nodes())))
+    R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
+    phi = np.real(np.asarray(R ** prof.alpha * np.exp(1j * prof.alpha * T))[..., None] * prof.c)
+    if grid.n == 3:
+        phi = phi[:, :, None, :]
+    d_keep, d_swap = selection_costs(s_rep, phi)
+    signs = np.where(d_keep <= d_swap, 1.0, -1.0)
+    u_lift = signs[..., None] * s_rep
+    flips = signs * np.roll(signs, -1, axis=1)
+    mag_phi = np.sum(np.broadcast_to(phi, s_rep.shape) ** 2, axis=-1)
+    resid = np.minimum(d_keep, d_swap)
+    solid = mag_phi > 4.0 * resid
+    hol = np.where(np.all(~solid, axis=1), 1.0,
+                   np.prod(np.where(solid, flips, 1.0), axis=1))
+    if np.any(hol < 0):
+        if signs.ndim == 2:
+            bad = int(np.argmax(hol < 0))
+        else:
+            bad = tuple(int(v) for v in np.argwhere(hol < 0)[0])
+        raise PairingError(f"pairing holonomy violation around annulus {bad}", loop=bad)
+    return u_lift, phi, signs, grid.shape
+
+
+def _outcome(fn, *args):
+    """fn's result and None, or None and the loop its PairingError names."""
+    try:
+        return fn(*args), None
+    except PairingError as exc:
+        return None, exc.loop
+
+
+@st.composite
+def _profile_grids(draw):
+    """A power sum, a tilted off-centre profile and a cover grid with angles
+    at the seams and signed-zero axis values."""
+    u, prof = draw(profile_pairs())
+    _, thetas, ys = draw(cover_points(3))
+    rs = np.sort(np.array(draw(st.lists(st.floats(0.01, 1.2), min_size=1, max_size=4))))
+    return u, prof, PolarGrid(rs, thetas, None if u.n == 2 else ys[:, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profile_grids())
+@example((CylindricalModeField.power_sum([(C_NULL, 1), (0.2 * C_NULL, 5)], n=3),
+          CylindricalProfile(C_NULL, 1, A=skew_from_params([0.2, -0.1], 3),
+                             center=(0.05, -0.0, 0.0), n=3),
+          cover_grid(0.05, 0.95, nr=6, ntheta=16, n=3, ny=3)[0]))
+@example((CylindricalModeField.power_sum([(C_NULL, 1)], n=2), CylindricalProfile(C_NULL, 2, n=2),
+          cover_grid(0.1, 0.9, nr=4, ntheta=16, n=2)[0]))
+def test_lift_against_profile_keeps_the_former_bits(case):
+    # the lanes (nr, nt, lane, m) hold the former (nr, nt[, ny], m) values
+    # bit for bit, and a holonomy violation names the same loop
+    u, prof, grid = case
+    (got, loop), (want, former_loop) = (_outcome(fn, u, prof, grid)
+                                        for fn in (lift_against_profile, _former_lift_against_profile))
+    event("holonomy violation" if former_loop is not None else "paired")
+    assert loop == former_loop and (got is None) == (want is None)
+    if want is None:
+        return
+    u_lift, phi, signs = got
+    shape = grid.shape
+    assert u_lift.shape == shape[:2] + (u_lift.shape[2], u.m) and phi.shape == shape[:2] + (1, u.m)
+    assert u_lift.tobytes() == want[0].reshape(u_lift.shape).tobytes()
+    assert phi.tobytes() == want[1].reshape(phi.shape).tobytes()
+    assert signs.tobytes() == want[2].reshape(signs.shape).tobytes()
+
+
+def test_fit_c_holds_no_frame_points_while_reading_u():
+    # fit_c at n = 3 reads u at the 36,864 nodes of the default cover grid;
+    # the frame points are built inside the symmetric_values call, so no
+    # second (36,864, 3) array lives while u is evaluated
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
+    tracemalloc.start()
+    try:
+        fit_c(u, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * 2 ** 20

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from branchlab.quadrature import (BLOCK_NODES, Ball, QuadratureSpec, Rule, _leggauss,
+from branchlab.fields import PolarGrid
+from branchlab.quadrature import (BLOCK_NODES, GRADING, Ball, QuadratureSpec, Rule, _axis_nodes,
+                                  _ball_rings, _leggauss, _midpoints, _sphere_rings,
                                   ball_blocks, ball_rule, disk_rule, gauss_legendre_01,
                                   loglog_slope, sphere_blocks, sphere_rule, unit_ball)
 
@@ -336,3 +338,114 @@ def test_planar_ignored_below_n4(ball, spec):
             assert np.any(fold == 1.0) == (count % 2 == 1)
         assert np.array_equal(planar.points, full.points[keep])
         assert np.array_equal(planar.weights, full.weights[keep] * fold)
+
+
+# -- the one point builder ---------------------------------------------------
+# The parent's ring tables and ring points, before _ring_points took (r, theta,
+# y): the n = 4 axis offsets were stacked from (y cos phi, y sin phi) in
+# _ball_rings and _sphere_rings, and _ring_points took (radii, offsets,
+# theta).  Every rule, table and grid node keeps its bits, signed zeros of
+# the centre and of the axis values included.
+
+
+def _former_ring_points(radii, offsets, theta):
+    shape = np.broadcast_shapes(np.shape(radii), offsets.shape[:-1])
+    pts = np.empty(shape + theta.shape + (2 + offsets.shape[-1],))
+    a = np.broadcast_to(radii, shape)[..., None]
+    pts[..., 0] = a * np.cos(theta)
+    pts[..., 1] = a * np.sin(theta)
+    pts[..., 2:] = offsets[..., None, :]
+    return pts.reshape(-1, pts.shape[-1])
+
+
+def _former_ball_rings(ball, nr, ntheta, naxis, disks=slice(None), planar=False,
+                       period=2.0 * np.pi):
+    n, rho = ball.n, ball.radius
+    s, ws = gauss_legendre_01(nr)
+    theta, wt = _midpoints(ntheta, period)
+    if n == 2:
+        y, offsets = np.zeros(1), np.zeros((1, 0))
+    elif n == 3:
+        psi, wpsi = _axis_nodes(n, planar, naxis)
+        psi, wpsi = psi[disks] * (np.pi / 2.0), wpsi[disks] * (np.pi / 2.0)
+        y = rho * np.sin(psi)
+        wy = rho * np.cos(psi) * wpsi
+        offsets = y[:, None]
+    else:
+        sy, wsy = gauss_legendre_01(naxis)
+        phi, wphi = _midpoints(1 if planar else max(8, naxis))
+        slab, pair = np.divmod(np.arange(sy.shape[0] * phi.shape[0])[disks], phi.shape[0])
+        y, wy, phi = rho * sy[slab], rho * wsy[slab], phi[pair]
+        offsets = np.stack([y * np.cos(phi), y * np.sin(phi)], axis=-1)
+    rho_l = np.sqrt(np.maximum(rho * rho - y * y, 0.0))[:, None]
+    r = rho_l * s ** GRADING
+    w = rho_l * (ws * GRADING * s ** (GRADING - 1.0)) * r * wt
+    if n == 3:
+        w = w * wy[:, None]
+    elif n == 4:
+        w = w * y[:, None] * wy[:, None] * wphi
+    return r, offsets, w, theta
+
+
+def _former_sphere_rings(ball, nang, npolar, circles=slice(None), planar=False):
+    n, rho = ball.n, ball.radius
+    theta, wth = _midpoints(nang)
+    if n == 2:
+        return np.full(1, rho), np.zeros((1, 0)), np.full(1, rho * 2.0 * np.pi / nang), theta
+    t, wpolar = _axis_nodes(n, planar, npolar)
+    if n == 3:
+        t, wpolar = t[circles], wpolar[circles]
+        return (rho * np.sqrt(np.maximum(1.0 - t * t, 0.0)), (rho * t)[:, None],
+                rho * rho * wpolar * wth, theta)
+    chi, wch = _midpoints(1 if planar else max(16, nang // 4))
+    row, pair = np.divmod(np.arange(t.shape[0] * chi.shape[0])[circles], chi.shape[0])
+    t, wpolar, chi = t[row], wpolar[row], chi[pair]
+    y = rho * np.sqrt((1.0 + t) / 2.0)
+    return (rho * np.sqrt((1.0 - t) / 2.0), np.stack([y * np.cos(chi), y * np.sin(chi)], axis=-1),
+            rho ** 3 * 0.25 * wpolar * wth * wch, theta)
+
+
+def _former_rule(ball, radii, offsets, weights, theta):
+    pts = _former_ring_points(radii, offsets, theta)
+    pts += ball.center_array
+    return pts, np.repeat(weights.ravel(), theta.shape[0])
+
+
+def _bytes(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+SIGNED_ZERO_BALLS = [Ball((-0.0, 0.0), 0.7), Ball((0.0, -0.0, -0.0), 1.0),
+                     Ball((-0.0, 0.25, 0.0, -0.0), 0.6), Ball((0.2, 0.1, -0.4, 0.3), 0.6)]
+
+
+@pytest.mark.parametrize("ball", SIGNED_ZERO_BALLS, ids=lambda b: f"n{b.n}-{b.center}")
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("runs", [slice(None), slice(1, 4)])
+def test_ring_rules_keep_the_former_point_bits(ball, planar, runs):
+    # odd axis counts put a node on the axis plane: y = 0 at n = 3
+    nr, ntheta, naxis, nang, npolar = 5, 8, 5, 12, 7
+    tables = [(_ball_rings(ball, nr, ntheta, naxis, runs, planar),
+               _former_ball_rings(ball, nr, ntheta, naxis, runs, planar),
+               ball_rule(ball, nr, ntheta, naxis, disks=runs, planar=planar), True),
+              (_sphere_rings(ball, nang, npolar, runs, planar),
+               _former_sphere_rings(ball, nang, npolar, runs, planar),
+               sphere_rule(ball, nang, npolar, circles=runs, planar=planar), False)]
+    for table, former, rule, disks in tables:
+        assert _bytes(*table) == _bytes(*former)
+        r, offsets, w, theta = former
+        pts, wts = _former_rule(ball, r, offsets[:, None] if disks else offsets, w, theta)
+        assert _bytes(rule.points, rule.weights) == _bytes(pts, wts)
+    cover = _ball_rings(ball, nr, ntheta, naxis, runs, planar, period=4.0 * np.pi)
+    assert _bytes(*cover) == _bytes(*_former_ball_rings(ball, nr, ntheta, naxis, runs, planar,
+                                                        period=4.0 * np.pi))
+
+
+@pytest.mark.parametrize("ys", [None, [-0.5, -0.0, 0.0, 0.25]])
+def test_polar_grid_nodes_keep_the_former_point_bits(ys):
+    # angles at the seam, signed, and just below 4 pi on the cover
+    thetas = [-0.0, 0.0, 0.5, np.pi, 2.0 * np.pi, np.nextafter(4.0 * np.pi, 0.0)]
+    grid = PolarGrid([0.0, 0.3, 1.0], thetas, ys)
+    offsets = np.zeros(0) if ys is None else grid.ys[:, None, None]
+    assert _bytes(grid.nodes()) == _bytes(_former_ring_points(grid.rs, offsets, grid.thetas))
+    assert grid.nodes().shape == (np.prod(grid.shape), grid.n)

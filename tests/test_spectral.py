@@ -1,20 +1,24 @@
 import json
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from branchlab import cli
 from branchlab import spectral as smod
 from branchlab.fields import CylindricalModeField
-from branchlab.profiles import excess, fit_profile
+from branchlab.pairspace import selection_costs
+from branchlab.profiles import CylindricalProfile, excess, fit_profile, skew_from_params
 from branchlab.quadrature import (BLOCK_NODES, QuadratureSpec, _leggauss, gauss_legendre_01,
                                   unit_ball)
 from branchlab.spectral import (FOUR_PI, CoverFunction, _cover_blocks,
                                 remainder_decay_check, half_case_boundary_term,
-                                l_span, project_L, profile_plane_gradient_lift)
+                                l_span, project_L, profile_plane_gradient_lift,
+                                radial_deviation_integral)
 
-from conftest import C_NULL
+from conftest import C_NULL, cover_points, profile_pairs
 
 
 def _mode(alpha, vec, kind="cos"):
@@ -28,7 +32,7 @@ def _mode(alpha, vec, kind="cos"):
 def test_l_span_dimension():
     r, th = np.array([0.2, 0.5, 0.9]), np.array([0.1, 2.0, 7.0])
     for n, m in ((2, 1), (2, 3), (3, 2), (4, 3)):
-        y = None if n == 2 else np.full((3, n - 2), 0.3)
+        y = np.full((3, n - 2), 0.3)
         span = l_span(C_NULL[:m] if m <= 2 else np.ones(m) + 0j, 0.5, r, th, y)
         assert span.shape == (3, 2 * m + 2 * (n - 2), m)
 
@@ -179,8 +183,7 @@ def test_cover_ball_rule_matches_former_slab_loop(monkeypatch, n, rho, counts):
     for name, count in counts.items():
         monkeypatch.setattr(smod, f"COVER_{name.upper()}", count)
     blocks = list(_cover_blocks(rho, n))
-    r, th, w = (np.concatenate([b[i] for b in blocks]) for i in (0, 1, 3))
-    y = None if n == 2 else np.concatenate([b[2] for b in blocks])
+    r, th, y, w = (np.concatenate([b[i] for b in blocks]) for i in range(4))
     r0, th0, y0, w0 = _cover_ball_rule_reference(rho, n, **counts)
     # the blocks are runs of whole disks within BLOCK_NODES: the one disk at
     # n = 2, and 8 blocks of two 4,096-node disks at n = 3 by default
@@ -192,7 +195,9 @@ def test_cover_ball_rule_matches_former_slab_loop(monkeypatch, n, rho, counts):
     if not counts:
         assert sizes == ([4096] if n == 2 else [8192] * 8)
     assert np.array_equal(r, r0) and np.array_equal(th, th0)
-    assert (y is None and y0 is None) or np.array_equal(y, y0)
+    # y is (N, n - 2) at every n; the former rule had none on the plane
+    assert y.shape == (r.shape[0], n - 2)
+    assert (n == 2 and y0 is None) or np.array_equal(y, y0)
     assert np.max(np.abs(w - w0) / w0) <= 1e-14
     if n == 2 and np.log2(rho) == round(np.log2(rho)):
         # at power-of-two radii the ball's weight formula rounds the same way
@@ -285,7 +290,7 @@ def test_project_L_matches_former_loop(n, m, alpha):
     for got, want in zip((proj.norm_sq_w, proj.norm_sq_psi, proj.norm_sq_remainder), norms):
         assert abs(got - want) <= 1e-12 * abs(want)
     r, th = rng.uniform(0.05, 0.5, 50), rng.uniform(0.0, FOUR_PI, 50)
-    y = None if n == 2 else rng.uniform(-0.3, 0.3, (50, 1))
+    y = rng.uniform(-0.3, 0.3, (50, n - 2))
     psi_got = proj.coefficients @ l_span(c0, alpha, r, th, y)
     assert _rel_err(psi_got, psi(r, th, y)) <= 1e-12
     assert _rel_err(np.asarray(w(r, th, y)) - psi_got, rem(r, th, y)) <= 1e-12
@@ -351,3 +356,76 @@ def test_stage_spectral_makes_no_projection_of_its_own(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert [c["name"] for c in summary["checks"]] == ["pythagoras", "contractions_below_one"]
     assert all(c["status"] == "pass" for c in summary["checks"])
+
+
+def _former_blowup(u, prof, scale):
+    """The parent's CoverFunction.blowup body, the profile's former frame lift inlined."""
+
+    def fn(r, theta, y=None):
+        r = np.asarray(r, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        cols = [r * np.cos(theta), r * np.sin(theta)]
+        if prof.n > 2:
+            yarr = np.asarray(y, dtype=float).reshape(r.shape + (prof.n - 2,))
+            for j in range(prof.n - 2):
+                cols.append(yarr[..., j])
+        pts_frame = np.stack(cols, axis=-1)
+        pts = prof.from_frame(pts_frame.reshape(-1, prof.n))
+        s = u.symmetric_values(pts).reshape(r.shape + (u.m,))
+        w = r ** prof.alpha * np.exp(1j * prof.alpha * theta)
+        phi = np.real(np.asarray(w)[..., None] * prof.c)
+        d_keep, d_swap = selection_costs(s, phi)
+        sel = np.where(d_keep <= d_swap, 1.0, -1.0)
+        return (sel[..., None] * s - phi) / scale
+
+    return fn
+
+
+@st.composite
+def _blowups(draw):
+    u, prof = draw(profile_pairs())
+    return u, prof, draw(st.floats(0.1, 3.0)), draw(cover_points(u.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blowups())
+@example((CylindricalModeField.power_sum([(C_NULL, 1)], n=3),
+          CylindricalProfile(C_NULL, 1, A=skew_from_params([0.2, -0.1], 3),
+                             center=(-0.0, 0.1, 0.0), n=3), 0.5,
+          (np.array([0.0, 0.5, 0.5, 1.0]), np.array([-0.0, 0.0, 2.0 * np.pi,
+                                                      np.nextafter(FOUR_PI, 0.0)]),
+           np.array([[-0.0], [0.0], [-0.0], [0.3]]))))
+def test_blowup_keeps_the_former_bits(case):
+    # the blow-up pairs u through CylindricalProfile.paired; its values keep
+    # the former body's bits at every cover point, tilted and off-centre
+    u, prof, scale, (r, theta, y) = case
+    got = CoverFunction.blowup(u, prof, scale)(r, theta, y)
+    want = _former_blowup(u, prof, scale)(r, theta, y)
+    assert got.shape == want.shape == r.shape + (u.m,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _former_radial_deviation_integral(w, alpha, rho):
+    """The parent's radial_deviation_integral, with no axis values on the plane."""
+    lp, lm = 1.0 + smod.RADIAL_FD_EPS, 1.0 - smod.RADIAL_FD_EPS
+    parts = []
+    for r, th, y, wt in _cover_blocks(rho, w.n):
+        y = None if w.n == 2 else y
+        R = r if y is None else np.sqrt(r ** 2 + np.sum(y ** 2, axis=1))
+        wp = smod._eval_cover(w, r * lp, th, None if y is None else y * lp) / (lp * R[:, None]) ** alpha
+        wm = smod._eval_cover(w, r * lm, th, None if y is None else y * lm) / (lm * R[:, None]) ** alpha
+        dR = (wp - wm) / (2.0 * smod.RADIAL_FD_EPS * R[:, None])
+        parts.append(np.sum(wt * R ** (2 - w.n) * np.sum(dR * dR, axis=1)))
+    return float(np.sum(parts))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_deviation_keeps_the_former_bits(n):
+    # on the plane R = sqrt(r^2 + |y|^2) with y (N, 0) is r bit for bit
+    def fn(r, th, y):
+        out = (r ** 0.5 * np.cos(0.5 * th) + 0.3 * r ** 2.5 * np.sin(2.5 * th))[:, None]
+        return out if n == 2 else out * (1.0 + y)
+
+    w = CoverFunction(fn, n=n, m=1)
+    for rho in (1.0, 0.3, 0.0625):
+        assert radial_deviation_integral(w, 0.5, rho) == _former_radial_deviation_integral(w, 0.5, rho)
