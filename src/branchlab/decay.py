@@ -354,7 +354,7 @@ def tangent_expansion(u, Z, run, sigmas=None, spec=None):
     if sigmas is None:
         sigmas = run.theta ** np.arange(0, max(3, len(run.steps)))
     sigmas = np.asarray(sigmas, dtype=float)
-    shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=Z, n=n)
+    shifted = CylindricalProfile(prof.c, prof.k, B=prof.B, center=Z, n=n)
     l2 = np.zeros_like(sigmas)
     sup = np.zeros_like(sigmas)
     block_sups = []

@@ -361,15 +361,15 @@ SAMPLED_CSV_V2 = "# branchlab sampled-field v2"
 
 
 class SampledField(Field):
-    """Samples of a symmetric pair {+-s} on a polar grid, with a propagated
-    local lift.
+    """Samples of a symmetric pair {+-s} on a polar grid, stored as one lift.
 
-    The lift stores one branch s_lift of s chosen continuously along the grid
-    by propagate_signs, seeded on the outermost annulus; hol records the
-    pairing holonomy of each annular loop (-1 on genuinely branched data with
-    odd k).  The domain is the largest origin-centred ball the grid covers:
-    radius rs[-1] at n = 2, and max(0, min(rs[-1], -ys[0], ys[-1])) at n = 3.
-    Gradients are central differences of step FD_STEP rs[-1].  A read past
+    The caller supplies the lift s_lift, one branch of s at every grid node,
+    continuous along theta on each ring and axis slab.  hol is one seam sign:
+    the sign a read that interpolates across the theta seam puts on the
+    values at thetas[0] (-1 on genuinely branched data with odd k; None
+    reads as +1).  The domain is the largest origin-centred ball the grid
+    covers: radius rs[-1] at n = 2, and max(0, min(rs[-1], -ys[0], ys[-1]))
+    at n = 3.  Gradients are central differences of step FD_STEP rs[-1].  A read past
     the grid (a radius past rs[-1], or an axis value past ys) by more than
     (1e-12 + FD_STEP) rs[-1], rounding plus that step, raises DomainError.
 

@@ -331,13 +331,13 @@ class CoverField:
         t = (r - rs[i]) / (rs[i + 1] - rs[i])
         return (1 - t) * self.values[i] + t * self.values[i + 1]
 
-    def _radial_derivative(self, r, j):
-        """d/dr of the quadratic through the three rings around r."""
+    def _radial_derivative(self, r):
+        """d/dr of the quadratic through the three rings around r, per angle."""
         rs = self.rs
         i = int(np.searchsorted(rs, r)) - 1
         i = min(max(i, 1), rs.shape[0] - 2)
         r0, r1, r2 = rs[i - 1], rs[i], rs[i + 1]
-        v0, v1, v2 = self.values[i - 1, j], self.values[i, j], self.values[i + 1, j]
+        v0, v1, v2 = self.values[i - 1], self.values[i], self.values[i + 1]
         # derivative of the Lagrange quadratic at r
         d0 = (2 * r - r1 - r2) / ((r0 - r1) * (r0 - r2))
         d1 = (2 * r - r0 - r2) / ((r1 - r0) * (r1 - r2))
@@ -742,7 +742,7 @@ def cover_frequency(cf, radii):
     H = np.zeros_like(radii)
     for idx, rho in enumerate(radii):
         vals = cf._radial_interp(rho)
-        ders = cf._radial_derivative(rho, slice(None))
+        ders = cf._radial_derivative(rho)
         # base-ring integrals carry the pair factor 2; n = 2 scalings
         H[idx] = (1.0 / rho) * 2.0 * float(np.sum(vals * vals)) * dth * rho
         D[idx] = 2.0 * float(np.sum(vals * ders)) * dth * rho

@@ -1,15 +1,14 @@
 """Cylindrical profiles {+-Re(c ((e^A (X-Z))_1 + i (e^A (X-Z))_2)^(k/2))}.
 
-The rotation parameter A lives in the skew space with zero diagonal blocks
-(entries vanish when both indices are <= 2 or both are >= 3), so e^A tilts
-the branch axis without rotating within the (x1,x2)-plane or within the
-axis plane.  Such an A is [[0, B], [-B^T, 0]], and with B = U diag(s) V^T
+The tilt is A = [[0, B], [-B^T, 0]] with B a free 2 x (n-2) block, so e^A
+tilts the branch axis without rotating within the (x1,x2)-plane or within
+the axis plane; a profile stores B, and with B = U diag(s) V^T
 e^A = I + [[U (cos s - 1) U^T, U sin s V^T], [-V sin s U^T, V (cos s - 1) V^T]]
 in closed form (_rotation).  A profile reads u at the cover points
 (r, theta in [0, 4pi), y) of its frame (frame_values: fit_c's least squares
 in c) and signs them nearest its frame lift Re(c r^alpha e^(i alpha theta))
 (paired: lift_against_profile and the spectral blow-up); its lift is the
-base Field.lift.  A is fitted by Gauss-Newton in its 2(n-2) free entries.
+base Field.lift.  B is fitted by Gauss-Newton in its 2(n-2) entries.
 """
 
 from dataclasses import dataclass
@@ -22,50 +21,24 @@ from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import Ball, QuadratureSpec, _ring_points, ball_rule, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
-ROTATION_BOUND = 0.35  # fit_rotation keeps the skew generator within |A| <= this
+ROTATION_BOUND = 0.35  # fit_rotation keeps |A|_F = sqrt(2) |B|_F <= this
 # The gamma, sigma and delta of the section-6 estimates in corollary_checks
 GAMMA = 0.5   # radius of the ball of the R-weighted excess and a priori integrals
 SIGMA = 0.5   # power the weighted excesses gain over the plain excess
 DELTA = 0.05  # the tube weight is max(|x|, DELTA)
 
 
-def skew_from_params(params, n):
-    """Assemble A in the admissible skew space from its 2(n-2) free entries."""
-    params = np.asarray(params, dtype=float).reshape(2, n - 2) if n > 2 else np.zeros((2, 0))
-    A = np.zeros((n, n))
-    if n > 2:
-        A[0:2, 2:] = params
-        A[2:, 0:2] = -params.T
-    return A
-
-
-def skew_params(A):
-    n = A.shape[0]
-    return A[0:2, 2:].reshape(-1) if n > 2 else np.zeros(0)
-
-
-def is_admissible_skew(A):
-    n = A.shape[0]
-    if not np.allclose(A, -A.T, rtol=0.0, atol=1e-12):
-        return False
-    if np.max(np.abs(A[0:2, 0:2])) > 1e-12:
-        return False
-    if n > 2 and np.max(np.abs(A[2:, 2:])) > 1e-12:
-        return False
-    return True
-
-
-def _rotation(A):
-    """e^A of an admissible A = [[0, B], [-B^T, 0]] in closed form.
+def _rotation(B):
+    """e^A of A = [[0, B], [-B^T, 0]], B of shape (2, n-2), in closed form.
 
     With B = U diag(s) V^T (thin SVD), A^2 = -diag(B B^T, B^T B) and
     e^A = I + [[U (cos s - 1) U^T, U sin s V^T], [-V sin s U^T, V (cos s - 1) V^T]]
-    (Gallier & Xu 2002).  Each block is added to the identity, so at A = 0,
-    and for every A at n = 2, Q is np.eye(n) bit for bit.
+    (Gallier & Xu 2002).  Each block is added to the identity, so at B = 0,
+    and for every B at n = 2, Q is np.eye(n) bit for bit.
     """
-    U, s, Vt = np.linalg.svd(A[0:2, 2:], full_matrices=False)
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
     cos1, S = np.cos(s) - 1.0, (U * np.sin(s)) @ Vt
-    Q = np.eye(A.shape[0])
+    Q = np.eye(2 + B.shape[1])
     Q[0:2, 0:2] += (U * cos1) @ U.T
     Q[0:2, 2:] += S
     Q[2:, 0:2] -= S.T
@@ -76,18 +49,17 @@ def _rotation(A):
 class CylindricalProfile(Field):
     """Rotated, centered model profile; usable anywhere a field is."""
 
-    def __init__(self, c, k, A=None, center=None, n=2):
+    def __init__(self, c, k, B=None, center=None, n=2):
         self.c = np.atleast_1d(np.asarray(c, dtype=complex))
         self.k = int(k)
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         self.n = int(n)
         self.m = self.c.shape[0]
-        self.A = np.zeros((self.n, self.n)) if A is None else np.asarray(A, dtype=float)
-        if self.A.shape != (self.n, self.n) or not is_admissible_skew(self.A):
-            raise ValueError("A must lie in the admissible skew space")
+        B = np.zeros(2 * (self.n - 2)) if B is None else B
+        self.B = np.asarray(B, dtype=float).reshape(2, self.n - 2)
         self.center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
-        self.Q = _rotation(self.A)
+        self.Q = _rotation(self.B)
 
     @property
     def alpha(self):
@@ -142,7 +114,7 @@ class CylindricalProfile(Field):
             "k": self.k,
             "c_re": [float(v) for v in self.c.real],
             "c_im": [float(v) for v in self.c.imag],
-            "A_entries": [float(v) for v in skew_params(self.A)],
+            "A_entries": [float(v) for v in self.B.reshape(-1)],
             "center": [float(v) for v in self.center],
         }
 
@@ -214,7 +186,7 @@ def lift_against_profile(u, prof, grid):
     return u_lift, phi, signs
 
 
-def fit_c(u, k, A=None, ntheta=128):
+def fit_c(u, k, B=None, ntheta=128):
     """Least-squares fit of c against the degree-alpha modes on the cover.
 
     The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
@@ -222,10 +194,10 @@ def fit_c(u, k, A=None, ntheta=128):
     at the origin) is taken on the cover grid for 0.05 <= r <= 0.95, outside
     the tube about the axis.  The u-lift is one propagate_signs lift over
     all axis slabs, so every representative of the pair u fits the same c up
-    to a global sign.  Returns (c, weighted residual).
+    to a global sign.  Returns c.
     """
     n, m = u.n, u.m
-    probe = CylindricalProfile(np.ones(m) + 0j, k, A=A, n=n)
+    probe = CylindricalProfile(np.ones(m) + 0j, k, B=B, n=n)
     grid, wts = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
     alpha = k / 2.0
     sv = _lanes(probe.frame_values(u, *grid.coordinates()))
@@ -239,11 +211,9 @@ def fit_c(u, k, A=None, ntheta=128):
         raise PairingError("u-lift is not 4pi-periodic on the cover")
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
-    lifted = []
     for l in range(sv.shape[2]):
         # a global sign flip of the lift negates c; both describe one pair
         lift, w = signs[:, :, l, None] * sv[:, :, l], wts[:, :, l]
-        lifted.append((lift, w))
         G[0, 0] += np.sum(w * b1 * b1)
         G[0, 1] += np.sum(w * b1 * b2)
         G[1, 1] += np.sum(w * b2 * b2)
@@ -254,41 +224,32 @@ def fit_c(u, k, A=None, ntheta=128):
     if not np.isfinite(condition) or condition > 1e12:
         raise FitError(f"normal equations ill-conditioned (cond={condition:.2e})")
     coef = np.linalg.solve(G, rhs)  # rows: [cos part; sin part] per component
-    c = coef[0] - 1j * coef[1]
-    resid_sq = 0.0
-    for (lift, w) in lifted:
-        fitv = b1[..., None] * coef[0][None, None, :] + b2[..., None] * coef[1][None, None, :]
-        resid_sq += np.sum(w[..., None] * (lift - fitv) ** 2)
-    return c, float(np.sqrt(max(resid_sq, 0.0)))
+    return coef[0] - 1j * coef[1]
 
 
 def fit_rotation(u, prof, spec=None):
-    """Gauss-Newton over the free skew entries minimizing the excess.
+    """Gauss-Newton over the 2(n-2) entries of B minimizing the excess.
 
-    The fit takes at most 12 steps, each backtracking by at most 20 halvings,
-    and stops early once the gradient norm or the objective is below 1e-12.
-    Returns (A, converged flag).  For n = 2 the admissible space is trivial
-    and zero is returned immediately.
+    The fit starts at prof.B, takes at most 12 steps, each backtracking by
+    at most 20 halvings, and stops early once the gradient norm or the
+    objective is below 1e-12, or when no halving improves.  Returns B, shape
+    (2, n-2), empty at n = 2.
     """
     n = prof.n
-    if n == 2:
-        return np.zeros((2, 2)), True
     spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=12)
     rule = ball_rule(unit_ball(n), spec.nr, spec.ntheta, spec.naxis)
     su = u.symmetric_values(rule.points)
     sqw = np.sqrt(rule.weights)
 
     def residuals(params):
-        p = CylindricalProfile(prof.c, prof.k, A=skew_from_params(params, n),
-                               center=prof.center, n=n)
+        p = CylindricalProfile(prof.c, prof.k, B=params, center=prof.center, n=n)
         g2 = metric_sq_symmetric(su, p.symmetric_values(rule.points))
         return sqw * np.sqrt(np.maximum(g2, 0.0))
 
-    params = skew_params(prof.A).copy()
+    params = prof.B.reshape(-1)
     r = residuals(params)
     obj = float(r @ r)
     dim = params.shape[0]
-    converged = False
     for _ in range(12):
         J = np.zeros((r.shape[0], dim))
         eps = 1e-6
@@ -298,53 +259,46 @@ def fit_rotation(u, prof, spec=None):
             J[:, d] = (residuals(params + e) - residuals(params - e)) / (2 * eps)
         g = J.T @ r
         if np.linalg.norm(g) < 1e-12:
-            converged = True
             break
         H = J.T @ J + 1e-14 * np.eye(dim)
         step = -np.linalg.solve(H, g)
-        ok = False
         t = 1.0
         for _ in range(20):
             trial = params + t * step
-            A_trial = skew_from_params(trial, n)
-            nrm = np.linalg.norm(A_trial)
+            nrm = np.sqrt(2.0) * np.linalg.norm(trial)  # |A|_F
             if nrm > ROTATION_BOUND:
                 trial = trial * (ROTATION_BOUND / nrm)
             r_trial = residuals(trial)
             obj_trial = float(r_trial @ r_trial)
             if obj_trial < obj:
                 params, r, obj = trial, r_trial, obj_trial
-                ok = True
                 break
             t *= 0.5
-        if not ok:
+        else:
             break
         if obj < 1e-12:
-            converged = True
             break
-    else:
-        converged = True
-    return skew_from_params(params, n), converged
+    return params.reshape(2, n - 2)
 
 
 def fit_profile(u, k, spec=None):
-    """Fit c (linear) and the axis tilt A (Gauss-Newton) for a known k.
+    """Fit c (linear) and the axis tilt B (Gauss-Newton) for a known k.
 
     The profile is centered at the origin.  At n > 2 the fit alternates two
-    rounds of c, then A.  Degenerate c = 0 fits are rejected: a zero profile
+    rounds of c, then B.  Degenerate c = 0 fits are rejected: a zero profile
     has no frequency and does not belong to the admissible profile family.
     """
     n = u.n
-    A = np.zeros((n, n))
+    B = None
     for _ in range(2):
-        c, _resid = fit_c(u, k, A=A)
+        c = fit_c(u, k, B=B)
         if not float(np.linalg.norm(c)) > 0.0:
             raise FitError("degenerate fit: c = 0 is not an admissible profile")
-        prof = CylindricalProfile(c, k, A=A, n=n)
+        prof = CylindricalProfile(c, k, B=B, n=n)
         if n <= 2:
             return prof
-        A, _ok = fit_rotation(u, prof, spec=spec)
-    return CylindricalProfile(c, k, A=A, n=n)
+        B = fit_rotation(u, prof, spec=spec)
+    return CylindricalProfile(c, k, B=B, n=n)
 
 
 @dataclass
@@ -481,7 +435,7 @@ def corollary_checks(u, prof, Z=None, spec=None):
     rows.append(CorollaryRow("weighted_excess_R", float(lhs_63), float(rhs),
                              {"gamma": GAMMA, "sigma": SIGMA}))
 
-    shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=prof.center + Z, n=n)
+    shifted = CylindricalProfile(prof.c, prof.k, B=prof.B, center=prof.center + Z, n=n)
     dist_sq = float(np.sum(Z[:2] ** 2))
     lhs_64 = dist_sq + excess(u, shifted, unit_ball(n), spec)
     rows.append(CorollaryRow("shifted_center_excess", float(lhs_64), float(rhs),

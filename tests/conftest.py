@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from branchlab.fields import CylindricalModeField, Field
-from branchlab.profiles import CylindricalProfile, skew_from_params
+from branchlab.profiles import CylindricalProfile
 from branchlab.quadrature import QuadratureSpec
 
 # c with c . c = 0: the admissible coefficient for odd-k minimizing profiles
@@ -32,9 +32,8 @@ def profile_pairs(draw, dims=(2, 3)):
     parity = draw(st.integers(0, 1))
     terms = [(coef(), 2 * draw(st.integers(1 - parity, 2)) + parity)
              for _ in range(draw(st.integers(1, 2)))]
-    A = skew_from_params(draw(st.lists(st.floats(-0.3, 0.3), min_size=2 * (n - 2),
-                                       max_size=2 * (n - 2))), n)
-    prof = CylindricalProfile(coef(), draw(st.integers(1, 4)), A=A,
+    B = draw(st.lists(st.floats(-0.3, 0.3), min_size=2 * (n - 2), max_size=2 * (n - 2)))
+    prof = CylindricalProfile(coef(), draw(st.integers(1, 4)), B=B,
                               center=_values(draw, n, -0.3, 0.3, (0.0, -0.0)), n=n)
     return CylindricalModeField.power_sum(terms, n=n), prof
 

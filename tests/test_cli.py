@@ -379,6 +379,42 @@ def test_single_kind_run_exit_ok(tmp_path):
     assert (outdir / "minimizer_solution.csv").exists()
 
 
+def spectral_config(outdir, n, terms):
+    return {"schema_version": 1, "kind": "spectral",
+            "field": {"type": "power_sum", "n": n, "terms": terms},
+            "params": {"quadrature": {"nr": 12, "ntheta": 24, "naxis": 6,
+                                      "nsphere": 48, "npolar": 24}},
+            "output_dir": outdir, "seed": 0}
+
+
+def test_spectral_n3_writes_the_half_case(tmp_path):
+    # at n >= 3 the blow-up's boundary term is held to zero
+    path = write_config(tmp_path, spectral_config(
+        "out", 3, [term(1, (C_RE, 0.0), (0.0, C_RE)),
+                   term(5, (0.01 * C_RE, 0.0), (0.0, 0.01 * C_RE))]))
+    assert cli.main(["run", path]) == cli.EXIT_OK
+    outdir = tmp_path / "out"
+    half = json.loads((outdir / "spectral_summary.json").read_text())["half_case"]
+    assert set(half) == {"limit", "uncertainty"}
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert {c["name"]: c["status"] for c in summary["checks"]}["half_case_limit_zero"] == "pass"
+
+
+def test_spectral_on_its_own_profile_writes_no_blow_up(tmp_path):
+    # a single-term field is its fitted profile: zero excess, no blow-up
+    path = write_config(tmp_path, spectral_config("out", 2, [term(1, (C_RE, 0.0), (0.0, C_RE))]))
+    assert cli.main(["run", path]) == cli.EXIT_OK
+    outdir = tmp_path / "out"
+    assert json.loads((outdir / "spectral_summary.json").read_text()) == {
+        "note": "field coincides with its profile; no blow-up"}
+    assert not (outdir / "spectral_scales.csv").exists()
+
+
+def test_validate_missing_file_names_path(tmp_path, capsys):
+    assert cli.main(["validate", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err.strip())["key"] == "path"
+
+
 @pytest.mark.parametrize("levels", [[[4]], [], [[0, 8]], [[8, 16.5]], "8x16", [[True, 8]],
                                     [[8, 16, 32]], [[1, 8]], [[2, 8]], [[3, 1]]])
 def test_malformed_levels_exit_config(tmp_path, capsys, levels):
@@ -392,8 +428,9 @@ def test_malformed_levels_exit_config(tmp_path, capsys, levels):
 
 @pytest.mark.parametrize("kind", ["frequency", "full-pipeline"])
 @pytest.mark.parametrize("exc", [SolverError("forced failure"), ValueError("forced failure")])
-def test_stage_exception_exit_numerical(tmp_path, monkeypatch, kind, exc):
-    # a failing stage is recorded in summary.json in both run modes
+def test_stage_exception_exit_numerical(tmp_path, monkeypatch, capsys, kind, exc):
+    # a failing stage is recorded in summary.json in both run modes, and
+    # report names it
     def failing_stage(cfg, u, out, prefix=""):
         raise exc
 
@@ -409,6 +446,9 @@ def test_stage_exception_exit_numerical(tmp_path, monkeypatch, kind, exc):
     assert summary["stages"]["frequency"]["status"] == "error"
     assert "forced failure" in summary["stages"]["frequency"]["error"]
     assert (outdir / "manifest.json").exists()
+    assert cli.main(["report", str(outdir)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("stage frequency: ERROR") and "forced failure" in ln for ln in lines)
 
 
 # At least one malformed value for every key of cli.PARAMS, among them each

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branchlab.fields import BranchPolynomialField, CylindricalModeField
+from branchlab import decay
+from branchlab.errors import FitError
+from branchlab.fields import BranchPolynomialField, CylindricalModeField, RescaledField
 from branchlab.decay import (DecayRun, SingularCandidate, SingularReport, _loop_holonomy,
                              detect_branch_set, decay_step, gap_probe, iterate, tangent_expansion)
 from branchlab.frequency import FrequencyEstimate, frequency_profile
@@ -165,6 +167,19 @@ def test_iterate_truncation_flag():
     assert run.outcome == "truncated"
 
 
+def test_iterate_records_a_fit_failure(monkeypatch):
+    # a step whose fit raises ends the run there; the scale-1 profile stays the limit
+    def failing_step(uj, phi, theta, spec=None):
+        raise FitError("forced failure")
+
+    monkeypatch.setattr(decay, "decay_step", failing_step)
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 3)], n=2)
+    run = iterate(u, np.zeros(2), 1, theta=0.125, j_max=3, spec=SPEC, probe_gaps=False)
+    assert run.outcome == "fit-failure"
+    assert [(s.j, s.outcome) for s in run.steps] == [(0, "decay"), (1, "fit-failure")]
+    assert run.limit_profile is run.steps[0].profile
+
+
 def test_rescaled_on_the_axis_is_symbolic():
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.1 * C_NULL, 3)], n=2)
     v = u.rescaled(np.zeros(2), 0.125, 0.125 ** 0.5)
@@ -172,6 +187,15 @@ def test_rescaled_on_the_axis_is_symbolic():
     c = [md.a - 1j * md.b for md in v.modes]
     assert abs(c[0][0] - C_NULL[0]) < 1e-15
     assert abs(c[1][0] - 0.1 * 0.125 * C_NULL[0]) < 1e-16
+
+
+def test_rescaled_off_the_axis_is_the_view():
+    u = CylindricalModeField.power_sum([(C_NULL, 1), (0.1 * C_NULL, 3)], n=3)
+    Y, rho, scale = np.array([0.2, -0.1, 0.3]), 0.5, 0.7
+    v = u.rescaled(Y, rho, scale)
+    assert isinstance(v, RescaledField)
+    X = np.random.default_rng(3).uniform(-0.6, 0.6, size=(40, 3))
+    assert np.array_equal(v.symmetric_values(X), u.symmetric_values(Y + rho * X) / scale)
 
 
 # -- tangent expansion ----------------------------------------------------------
@@ -197,7 +221,7 @@ def test_tangent_expansion_exact_profile_zero_error():
 def _tangent_tables_reference(u, Z, run, sigmas, spec):
     """The former tangent_expansion tables, each from one whole ball rule."""
     prof = run.limit_profile
-    shifted = CylindricalProfile(prof.c, prof.k, A=prof.A, center=Z, n=u.n)
+    shifted = CylindricalProfile(prof.c, prof.k, B=prof.B, center=Z, n=u.n)
     l2, sup = np.zeros_like(sigmas), np.zeros_like(sigmas)
     for i, s in enumerate(sigmas):
         rule = ball_rule(Ball(tuple(Z), float(s)), spec.nr, spec.ntheta, spec.naxis)

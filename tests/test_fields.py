@@ -17,7 +17,7 @@ from branchlab.fields import (BranchPolynomialField, CylindricalMode,
 from branchlab.frequency import frequency_profile
 from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
 from branchlab.pairspace import metric_sq_symmetric
-from branchlab.profiles import CylindricalProfile, fit_c, fit_profile, skew_from_params
+from branchlab.profiles import CylindricalProfile, fit_c, fit_profile
 from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
 
 from conftest import C_NULL, PointRecorder, cover_points, power_sum_norm_sq
@@ -463,7 +463,7 @@ def test_n4_norm_and_distance_collapse_only_planar_integrands():
     ball = Ball((0.1, -0.05, 0.2, 0.0), 0.5)
     u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
     w = CylindricalModeField.power_sum([(C_NULL, 1), (0.3 * C_NULL, 3)], n=4)
-    v = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
+    v = CylindricalProfile(C_NULL, 1, B=[0.3, -0.2, 0.1, 0.25], n=4)
     assert not v.planar  # its branch axis is tilted out of the x3, x4 plane
     zero = CylindricalModeField([CylindricalMode(0.5, 0.5, [0.0, 0.0], [0.0, 0.0])], n=4)
     rule = ball_rule(ball, spec.nr, spec.ntheta, spec.naxis)
@@ -946,15 +946,15 @@ def test_fit_c_n3_is_one_lift_over_slabs():
     # every representative of one pair fits one c, up to a global sign; slabs
     # lifted apart would cancel in the normal equations of _SlabFlipped
     base = CylindricalModeField.power_sum([(np.array([1.0, 0.3j]), 1)], n=3)
-    c0, _ = fit_c(base, 1)
+    c0 = fit_c(base, 1)
     assert np.allclose(c0, [1.0, 0.3j], atol=1e-10)
     p0 = fit_profile(base, 1)
     for u in (_SlabFlipped(base), _PointSigns(base)):
-        c, _ = fit_c(u, 1)
+        c = fit_c(u, 1)
         assert min(np.max(np.abs(c - c0)), np.max(np.abs(c + c0))) <= 1e-12
         p = fit_profile(u, 1)
         assert min(np.max(np.abs(p.c - p0.c)), np.max(np.abs(p.c + p0.c))) <= 1e-12
-        assert np.allclose(p.A, p0.A, rtol=0, atol=1e-12)
+        assert np.allclose(p.B, p0.B, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ys", [None, np.linspace(-0.5, 0.5, 4)])

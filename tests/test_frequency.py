@@ -16,7 +16,7 @@ from branchlab.frequency import (axis_energy_integral, check_monotonicity, energ
                                  height_integral, radial_frequency_deviation,
                                  stationarity_residuals)
 from branchlab.fields import l2_distance_sq
-from branchlab.profiles import CylindricalProfile, corollary_checks, skew_from_params
+from branchlab.profiles import CylindricalProfile, corollary_checks
 from branchlab.quadrature import (Ball, QuadratureSpec, ball_blocks, ball_rule, sphere_blocks,
                                   sphere_rule, unit_ball)
 
@@ -299,7 +299,7 @@ def test_frequency_n4_model_profile_blocked():
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128, npolar=48)
     ball = unit_ball(4)
     radii = np.array([0.25, 0.5, 1.0])
-    tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
+    tilted = CylindricalProfile(C_NULL, 1, B=[0.3, -0.2, 0.1, 0.25], n=4)
     for u, disks, circles in ((CylindricalModeField.power_sum([(C_NULL, 1)], n=4), 12, 48),
                               (tilted, 12 * 12, 48 * 32)):
         assert u.planar == (disks == 12)
@@ -398,7 +398,7 @@ def test_tilted_n4_memory_is_block_sized():
     # whose blocks are runs of whole disks and circles within BLOCK_NODES
     # (one disk of 4,608 nodes at the default spec), so its energy and its
     # frequency profile hold the temporaries of one block at a time
-    u = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.3, -0.2, 0.1, 0.25], 4), n=4)
+    u = CylindricalProfile(C_NULL, 1, B=[0.3, -0.2, 0.1, 0.25], n=4)
     assert not u.planar
     for run in (lambda: energy_integral(u, unit_ball(4), QuadratureSpec()),
                 lambda: frequency_profile(u, np.zeros(4), np.array([1.0]), QuadratureSpec())):
@@ -424,7 +424,7 @@ def _n4_sums(monkeypatch, budget):
         monkeypatch.setattr(quadrature, name, build)
     spec = QuadratureSpec(nr=8, ntheta=16, naxis=4, nsphere=32, npolar=8)
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.1 * C_NULL, 3)], n=4)
-    tilted = CylindricalProfile(C_NULL, 1, A=skew_from_params([0.03, -0.02, 0.01, 0.02], 4), n=4)
+    tilted = CylindricalProfile(C_NULL, 1, B=[0.03, -0.02, 0.01, 0.02], n=4)
     rhos = np.linspace(0.3, 0.7, 5)
 
     def stationarity():

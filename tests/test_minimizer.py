@@ -50,6 +50,21 @@ def test_parity_rejects_unliftable():
         BoundaryTrace(thetas, vals, 1.0).parity()
 
 
+def test_cut_layouts_that_miss_the_branching_raise(half_trace):
+    # two cuts on anti-periodic data leave a sign jump of |c| sqrt(2) = 1.41
+    # on a smooth boundary edge, four times the tolerance at 128 angles
+    _, btr = half_trace
+    two = BranchConfiguration([np.array([0.3, 0.0]), np.array([-0.3, 0.0])])
+    with pytest.raises(BoundaryLiftError, match="lift jump"):
+        solve_branched_laplace(btr, two, CoverGridSpec(nr=16, ntheta=128))
+    # |Re(c z)| with c = (1, i)/sqrt(2) is 1/sqrt(2) on the whole circle:
+    # no zero for a single cut to end at
+    whole = BoundaryTrace.from_field(CylindricalModeField.power_sum([(C_NULL, 2)], n=2), 1.0)
+    with pytest.raises(BoundaryLiftError, match="periodic boundary data has no zero"):
+        solve_branched_laplace(whole, BranchConfiguration([np.array([0.3, 0.0])]),
+                               CoverGridSpec(nr=16, ntheta=32))
+
+
 def test_solve_convergence_and_energy(half_trace):
     # exact energy int_{B_1} |D phi|^2 = 2 pi alpha |c|^2 = pi
     u, btr = half_trace
@@ -171,7 +186,7 @@ def _cover_frequency_reference(cf, radii):
     D, H = np.zeros_like(radii), np.zeros_like(radii)
     for idx, rho in enumerate(radii):
         vals = np.stack([_radial_interp_reference(cf, rho, j) for j in range(M)])
-        ders = np.stack([cf._radial_derivative(rho, j) for j in range(M)])
+        ders = np.stack([cf._radial_derivative(rho)[j] for j in range(M)])
         H[idx] = (1.0 / rho) * 2.0 * float(np.sum(vals * vals)) * dth * rho
         D[idx] = 2.0 * float(np.sum(vals * ders)) * dth * rho
     return D, H

@@ -11,12 +11,10 @@ from branchlab.errors import FitError, PairingError
 from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field, PolarGrid
 from branchlab.minimizer import BoundaryTrace
 from branchlab.pairspace import selection_costs
-from branchlab.profiles import (CylindricalProfile, _rotation, corollary_checks,
-                                cover_grid, excess, fit_c, fit_profile,
-                                fit_rotation, graphical_decompose,
-                                is_admissible_skew, lift_against_profile,
-                                profile_plane_gradient_lift, skew_from_params,
-                                skew_params)
+from branchlab.profiles import (ROTATION_BOUND, CylindricalProfile, _rotation,
+                                corollary_checks, cover_grid, excess, fit_c,
+                                fit_profile, fit_rotation, graphical_decompose,
+                                lift_against_profile, profile_plane_gradient_lift)
 from branchlab.quadrature import gauss_legendre_01, unit_ball
 
 from conftest import C_NULL, cover_points, power_sum_norm_sq, profile_pairs
@@ -27,43 +25,26 @@ def c_dist(c1, c2):
     return min(np.linalg.norm(c1 - c2), np.linalg.norm(c1 + c2))
 
 
-def test_skew_space_structure():
-    A = skew_from_params([0.1, -0.2], 3)
-    assert is_admissible_skew(A)
-    assert np.allclose(skew_params(A), [0.1, -0.2])
-    bad = np.zeros((3, 3))
-    bad[0, 1], bad[1, 0] = 1.0, -1.0  # rotation within the (x1,x2)-plane
-    assert not is_admissible_skew(bad)
-    with pytest.raises(ValueError):
-        CylindricalProfile(C_NULL, 1, A=bad, n=3)
-    # a lower block off by 1e-6 relative: an antisymmetry defect of 3e-7,
-    # far above the absolute 1e-12 the check allows
-    skewed = skew_from_params([0.3, -0.2], 3)
-    skewed[2:, 0:2] *= 1.0 + 1e-6
-    assert not is_admissible_skew(skewed)
-    with pytest.raises(ValueError):
-        CylindricalProfile(C_NULL, 1, A=skewed, n=3)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rotation_matches_expm(n):
-    # the closed form against scipy's expm over random admissible A with
-    # |B| from 1e-6 to about 10; Q is orthogonal
+    # the closed form against scipy's expm of A = [[0, B], [-B^T, 0]] over
+    # random B with |B| from 1e-6 to about 10; Q is orthogonal
     from scipy.linalg import expm
 
     rng = np.random.default_rng(n)
     for scale in np.geomspace(1e-6, 10.0, 200):
         params = rng.standard_normal(2 * (n - 2))
-        A = skew_from_params(scale * params / np.linalg.norm(params), n)
-        Q = _rotation(A)
+        B = (scale * params / np.linalg.norm(params)).reshape(2, n - 2)
+        A = np.block([[np.zeros((2, 2)), B], [-B.T, np.zeros((n - 2, n - 2))]])
+        Q = _rotation(B)
         assert np.max(np.abs(Q - expm(A))) <= 1e-12
         assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rotation_is_the_identity_at_zero(n):
-    # exact, so that a profile with A = 0 keeps its frame bit for bit
-    assert np.array_equal(_rotation(np.zeros((n, n))), np.eye(n))
+    # exact, so that a profile with B = 0 keeps its frame bit for bit
+    assert np.array_equal(_rotation(np.zeros((2, n - 2))), np.eye(n))
     assert np.array_equal(CylindricalProfile(C_NULL, 1, n=n).Q, np.eye(n))
 
 
@@ -104,15 +85,14 @@ def test_fit_c_exact(k):
     rng = np.random.default_rng(k)
     c0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     u = CylindricalModeField.power_sum([(c0, k)], n=2)
-    c, resid = fit_c(u, k)
+    c = fit_c(u, k)
     assert c_dist(c, c0) < 1e-11
-    assert resid < 1e-11
 
 
 def test_fit_c_perturbation_orthogonality():
     # degree alpha+1 perturbations are angularly orthogonal to the fit basis
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.05 * C_NULL, 3)], n=2)
-    c, _ = fit_c(u, 1)
+    c = fit_c(u, 1)
     assert c_dist(c, C_NULL) < 1e-12
 
 
@@ -129,9 +109,7 @@ def test_fit_c_noise(spec_fast):
     u = NoisyField.power_sum([(C_NULL, 1)], n=2)
     errs = []
     for _ in range(3):
-        c, resid = fit_c(u, 1)
-        errs.append(c_dist(c, C_NULL))
-        assert resid > 0
+        errs.append(c_dist(fit_c(u, 1), C_NULL))
     assert max(errs) < 5e-3  # noise-scaled bound
 
 
@@ -143,21 +121,27 @@ def test_fit_c_ill_conditioned_rejected():
 
 
 def test_fit_rotation_roundtrip(spec_fast):
-    A0 = skew_from_params([0.04, -0.03], 3)
-    u = CylindricalProfile(C_NULL, 1, A=A0, n=3)
+    u = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3)
     base = CylindricalProfile(C_NULL, 1, n=3)
-    A, ok = fit_rotation(u, base)
-    assert ok
-    assert np.max(np.abs(A - A0)) < 1e-6
+    B = fit_rotation(u, base)
+    assert B.shape == (2, 1)
+    assert np.max(np.abs(B - u.B)) < 1e-6
 
 
 def test_fit_rotation_trivial_cases():
     u2 = CylindricalProfile(C_NULL, 1, n=2)
-    A, ok = fit_rotation(u2, u2)
-    assert ok and np.array_equal(A, np.zeros((2, 2)))
+    assert fit_rotation(u2, u2).shape == (2, 0)
     u3 = CylindricalProfile(C_NULL, 1, n=3)
-    A3, ok3 = fit_rotation(u3, u3)
-    assert ok3 and np.max(np.abs(A3)) < 1e-8
+    assert np.max(np.abs(fit_rotation(u3, u3))) < 1e-8
+
+
+def test_fit_rotation_keeps_the_generator_bound():
+    # a tilt with |A|_F = sqrt(2) |B|_F = 0.71 lies past the bound: the fit
+    # ends on the bound, not past it
+    u = CylindricalProfile(C_NULL, 1, B=[0.4, -0.3], n=3)
+    B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3))
+    assert np.sqrt(2.0) * np.linalg.norm(B) <= ROTATION_BOUND * (1.0 + 1e-12)
+    assert np.sqrt(2.0) * np.linalg.norm(B) == pytest.approx(ROTATION_BOUND, rel=1e-9)
 
 
 def test_excess_trivial_and_closed_form(spec_fast):
@@ -268,15 +252,15 @@ def test_corollary_displaced_branch(spec_fast):
 
 def test_profile_json_roundtrip():
     # the decay artifacts record profiles by to_json_dict; the record rebuilds them
-    prof = CylindricalProfile(C_NULL, 3, A=skew_from_params([0.02, 0.01], 3),
+    prof = CylindricalProfile(C_NULL, 3, B=[0.02, 0.01],
                               center=np.array([0.1, 0.0, -0.2]), n=3)
     d = json.loads(json.dumps(prof.to_json_dict()))
     back = CylindricalProfile(np.asarray(d["c_re"]) + 1j * np.asarray(d["c_im"]), d["k"],
-                              A=skew_from_params(d["A_entries"], d["n"]),
+                              B=d["A_entries"],
                               center=np.asarray(d["center"]), n=d["n"])
     assert back.k == prof.k
     assert np.allclose(back.c, prof.c)
-    assert np.allclose(back.A, prof.A)
+    assert np.allclose(back.B, prof.B)
     assert np.allclose(back.center, prof.center)
 
 
@@ -535,7 +519,7 @@ def _profile_grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(_profile_grids())
 @example((CylindricalModeField.power_sum([(C_NULL, 1), (0.2 * C_NULL, 5)], n=3),
-          CylindricalProfile(C_NULL, 1, A=skew_from_params([0.2, -0.1], 3),
+          CylindricalProfile(C_NULL, 1, B=[0.2, -0.1],
                              center=(0.05, -0.0, 0.0), n=3),
           cover_grid(0.05, 0.95, nr=6, ntheta=16, n=3, ny=3)[0]))
 @example((CylindricalModeField.power_sum([(C_NULL, 1)], n=2), CylindricalProfile(C_NULL, 2, n=2),

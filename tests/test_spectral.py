@@ -10,7 +10,7 @@ from branchlab import cli
 from branchlab import spectral as smod
 from branchlab.fields import CylindricalModeField
 from branchlab.pairspace import selection_costs
-from branchlab.profiles import CylindricalProfile, excess, fit_profile, skew_from_params
+from branchlab.profiles import CylindricalProfile, excess, fit_profile
 from branchlab.quadrature import (BLOCK_NODES, QuadratureSpec, _leggauss, gauss_legendre_01,
                                   unit_ball)
 from branchlab.spectral import (FOUR_PI, CoverFunction, _cover_blocks,
@@ -94,6 +94,12 @@ def test_half_case_boundary_term_zero_cases():
     w = CoverFunction(fn_pure, n=3, m=2)
     limit, unc, info = half_case_boundary_term(w, 0, c0=C_NULL, alpha=alpha)
     assert np.max(np.abs(limit)) < 1e-10
+
+
+def test_half_case_boundary_term_needs_an_axis():
+    w = CoverFunction(lambda r, th, y: np.zeros(np.shape(r) + (2,)), n=2, m=2)
+    with pytest.raises(ValueError, match="n >= 3"):
+        half_case_boundary_term(w, 0, c0=C_NULL, alpha=0.5)
 
 
 def test_half_case_adversarial_detected():
@@ -390,7 +396,7 @@ def _blowups(draw):
 @settings(max_examples=200, deadline=None)
 @given(_blowups())
 @example((CylindricalModeField.power_sum([(C_NULL, 1)], n=3),
-          CylindricalProfile(C_NULL, 1, A=skew_from_params([0.2, -0.1], 3),
+          CylindricalProfile(C_NULL, 1, B=[0.2, -0.1],
                              center=(-0.0, 0.1, 0.0), n=3), 0.5,
           (np.array([0.0, 0.5, 0.5, 1.0]), np.array([-0.0, 0.0, 2.0 * np.pi,
                                                       np.nextafter(FOUR_PI, 0.0)]),
