@@ -193,7 +193,7 @@ PARAMS = {
     "freq_radii": ([0.25, 0.5], lambda r, p, u: _is_list(r) and max(r) <= p["radius"],
                    "a non-empty list of positive numbers, each <= radius"),
     "theta": (0.125, lambda x, *_: _is_finite(x) and 0 < x < 0.25, "a number in (0, 1/4)"),
-    "k": (1, lambda x, *_: _is_int(x), "a positive integer"),
+    "k": (1, lambda x, *_: _is_int(x) and x <= pmod.K_MAX, f"a positive integer <= {pmod.K_MAX}"),
     "j_max": (3, lambda x, *_: _is_int(x), "a positive integer"),
     "delta0": (None, _is_positive, POSITIVE),
     "eps0": (None, _is_positive, POSITIVE),

@@ -75,7 +75,7 @@ def _polish_minimum(u, X0, h):
 def _loop_holonomy(u, Z, radius):
     pts = _ring_points(radius, _midpoints(64)[0], Z[2:])
     pts[:, :2] += Z[:2]
-    svals = u.symmetric_values(pts)[None, :, :]
+    svals = u.symmetric_values(pts)[None, None]
     _, hol = propagate_signs(svals)
     return hol
 

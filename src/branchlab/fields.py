@@ -68,8 +68,8 @@ class Field:
 
 def _continued(s):
     """The values s along a curve, signed as one continuous lift from s[0]."""
-    signs, _ = propagate_signs(s[None])
-    return signs[0][:, None] * s
+    signs, _ = propagate_signs(s[None, None])
+    return signs[0, 0][:, None] * s
 
 
 class CylindricalMode:
@@ -112,7 +112,6 @@ class CylindricalModeField(Field):
             parities.add(int(round(two_f)) % 2)
         if len(parities) > 1:
             raise ValueError("mixed angular parities give an ill-defined unordered pair")
-        self.parity = parities.pop()
 
     @classmethod
     def power_sum(cls, terms, n=2):
@@ -314,9 +313,9 @@ def graded_radii(nr, radius):
 class PolarGrid:
     """Polar grid in the (x1,x2)-plane times an optional axis line (n=3).
 
-    Per-node data comes in two layouts: rows in nodes() order, axis slabs
-    outermost, and arrays of shape (nr, nt[, ny], m); on_grid and node_rows
-    convert between them.
+    Per-node data has one layout, (slab, nr, nt, m) in nodes() order, the
+    plane one slab; on_grid reshapes (N, m) rows to it.  shape is the file
+    order (nr, nt[, ny]) of the sampled-field CSV header.
     """
 
     def __init__(self, rs, thetas, ys=None):
@@ -344,16 +343,8 @@ class PolarGrid:
         return _ring_points(*self.coordinates()).reshape(-1, self.n)
 
     def on_grid(self, rows):
-        """(N, m) rows in nodes() order as an (nr, nt[, ny], m) array."""
-        m = rows.shape[-1]
-        if self.ys is None:
-            return rows.reshape(self.shape + (m,))
-        return np.moveaxis(rows.reshape((self.shape[2],) + self.shape[:2] + (m,)), 0, 2)
-
-    def node_rows(self, arr):
-        """An (nr, nt[, ny], m) array as (N, m) rows in nodes() order."""
-        m = arr.shape[-1]
-        return (arr if self.ys is None else np.moveaxis(arr, 2, 0)).reshape(-1, m)
+        """(N, m) rows in nodes() order as a (slab, nr, nt, m) array."""
+        return rows.reshape((-1,) + self.shape[:2] + rows.shape[-1:])
 
 
 SAMPLED_CSV_V1 = "# branchlab sampled-field v1"
@@ -363,7 +354,8 @@ SAMPLED_CSV_V2 = "# branchlab sampled-field v2"
 class SampledField(Field):
     """Samples of a symmetric pair {+-s} on a polar grid, stored as one lift.
 
-    The caller supplies the lift s_lift, one branch of s at every grid node,
+    The caller supplies the lift s_lift, one branch of s at every grid node
+    as a (slab, nr, nt, m) array in nodes() order (PolarGrid.on_grid),
     continuous along theta on each ring and axis slab.  hol is one seam sign:
     the sign a read that interpolates across the theta seam puts on the
     values at thetas[0] (-1 on genuinely branched data with odd k; None
@@ -385,7 +377,7 @@ class SampledField(Field):
     def __init__(self, grid, s_lift, hol=None):
         self.grid = grid
         self.n = grid.n
-        self.s_lift = np.asarray(s_lift, dtype=float)  # shape (*grid.shape, m)
+        self.s_lift = np.asarray(s_lift, dtype=float)  # (slab, nr, nt, m)
         self.m = self.s_lift.shape[-1]
         self.hol = hol
         R = grid.rs[-1] if grid.ys is None else max(0.0, min(grid.rs[-1], -grid.ys[0], grid.ys[-1]))
@@ -423,18 +415,18 @@ class SampledField(Field):
         wrap = (jt + 1) >= th.shape[0]
         sgn = np.where(wrap, (self.hol if self.hol is not None else 1.0), 1.0)
         if self.n == 2:
-            slabs = [((), 1.0)]  # the plane is one slab, of weight 1
+            slabs = [(0, 1.0)]  # the plane is one slab, of weight 1
         else:
             iy, ty = self._locate(X[:, 2], self.grid.ys)
-            slabs = [((iy,), (1 - ty)[:, None]), ((iy + 1,), ty[:, None])]
+            slabs = [(iy, (1 - ty)[:, None]), (iy + 1, ty[:, None])]
 
         arr = self.s_lift
         parts = []
         for iy, wy in slabs:
-            v00 = arr[(ir, jt0) + iy]
-            v01 = arr[(ir, jt1) + iy] * sgn[:, None]
-            v10 = arr[(ir + 1, jt0) + iy]
-            v11 = arr[(ir + 1, jt1) + iy] * sgn[:, None]
+            v00 = arr[iy, ir, jt0]
+            v01 = arr[iy, ir, jt1] * sgn[:, None]
+            v10 = arr[iy, ir + 1, jt0]
+            v11 = arr[iy, ir + 1, jt1] * sgn[:, None]
             parts.append(wy * (
                 (1 - tr)[:, None] * ((1 - tt)[:, None] * v00 + tt[:, None] * v01)
                 + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11)))
@@ -473,7 +465,7 @@ class SampledField(Field):
             fh.write(",".join(cols) + "\n")
             row = ",".join(["%r"] * len(cols)) + "\n"
             fh.writelines(row % tuple(values)
-                          for values in self.grid.node_rows(self.s_lift).tolist())
+                          for values in self.s_lift.reshape(-1, self.m).tolist())
 
     @classmethod
     def from_csv(cls, path):
@@ -548,59 +540,59 @@ def _check_sampled_grid(grid, data, hol):
 def propagate_signs(svals):
     """Continuous lift of a polar value array, swept ring by ring.
 
-    svals has shape (nr, nt, m), or (nr, nt, ny, m) for a stack of ny axis
-    slabs.  Returns (signs, holonomy): signs (nr, nt), or (nr, nt, ny), make
-    sign * svals one locally continuous lift, and holonomy is the float sign
-    picked up around a theta loop.  Column 0 is continued from ring to ring,
-    sweeping inward from the outermost annulus; each ring is then continued
-    along theta.  A slab whose rings disagree on the holonomy raises a
-    PairingError, the first such slab for a stack.
+    svals has shape (ny, nr, nt, m): ny axis slabs, the PolarGrid layout, a
+    lone ring or curve being (1, 1, nt, m).  Returns (signs, holonomy):
+    signs (ny, nr, nt) make sign * svals one locally continuous lift, and
+    holonomy is the float sign picked up around a theta loop.  Column 0 is
+    continued from ring to ring, sweeping inward from the outermost annulus;
+    each ring is then continued along theta.  A slab whose rings disagree on
+    the holonomy raises a PairingError naming the annulus, the first such
+    slab's.
 
-    A stack is one lift: a slab whose holonomy differs from slab 0's raises a
-    PairingError naming it, and each slab is aligned to the aligned slab
-    below it by whole-slab sums, a tie keeping the sign.
+    The slabs are one lift: a slab whose holonomy differs from slab 0's
+    raises a PairingError naming it, and each slab is aligned to the aligned
+    slab below it by whole-slab sums, a tie keeping the sign.
 
     Matching uses a first-order continuation predictor rather than the bare
     previous value: value curves that swing quickly through a near-zero dip
-    would otherwise be mis-paired at coarse angular sampling.  Every (ring,
-    slab) pair is one lane; the theta sweep advances all lanes at once.
+    would otherwise be mis-paired at coarse angular sampling.  Every (slab,
+    ring) pair is one lane; the theta sweep advances all lanes at once.
     """
-    x = svals if svals.ndim == 4 else svals[:, :, None]
-    nr, nt, ny = x.shape[:3]
+    ny, nr, nt = svals.shape[:3]
 
     def nearer(v, pred):
         keep, swap = selection_costs(v, pred)
         return np.where(keep <= swap, 1.0, -1.0)
 
-    signs = np.ones(x.shape[:-1])
+    signs = np.ones(svals.shape[:-1])
     prev = None
     for ri in range(nr - 1, -1, -1):
         if prev is not None:
-            signs[ri, 0] = nearer(x[ri, 0], prev)
-        prev = signs[ri, 0][:, None] * x[ri, 0]
-    first = signs[:, 0, :, None] * x[:, 0]
+            signs[:, ri, 0] = nearer(svals[:, ri, 0], prev)
+        prev = signs[:, ri, 0, None] * svals[:, ri, 0]
+    first = signs[:, :, 0, None] * svals[:, :, 0]
     lift_prev, lift_prev2 = first, None
     for j in range(1, nt):
         pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
-        signs[:, j] = nearer(x[:, j], pred)
-        lift_prev2, lift_prev = lift_prev, signs[:, j, :, None] * x[:, j]
+        signs[:, :, j] = nearer(svals[:, :, j], pred)
+        lift_prev2, lift_prev = lift_prev, signs[:, :, j, None] * svals[:, :, j]
     # holonomy: continue the predictor across the wraparound
     pred = lift_prev if lift_prev2 is None else 2.0 * lift_prev - lift_prev2
-    hols = nearer(first, pred)  # (nr, ny)
-    mixed = np.any(hols != hols[-1], axis=0)
+    hols = nearer(first, pred)  # (ny, nr)
+    mixed = np.any(hols != hols[:, -1:], axis=1)
     if np.any(mixed):
-        col = hols[:, int(np.argmax(mixed))]
-        bad = int(np.argmax(col != col[-1]))
+        row = hols[int(np.argmax(mixed))]
+        bad = int(np.argmax(row != row[-1]))
         raise PairingError(f"inconsistent pairing holonomy at annulus {bad}", loop=bad)
-    if np.any(hols[-1] != hols[-1, 0]):
-        iy = int(np.argmax(hols[-1] != hols[-1, 0]))
+    if np.any(hols[:, -1] != hols[0, -1]):
+        iy = int(np.argmax(hols[:, -1] != hols[0, -1]))
         raise PairingError(f"holonomy changes along the axis at slab {iy}", loop=iy)
     for iy in range(1, ny):
-        below = signs[:, :, iy - 1, None] * x[:, :, iy - 1]
-        keep, swap = selection_costs((signs[:, :, iy, None] * x[:, :, iy]).ravel(), below.ravel())
+        below = signs[iy - 1, ..., None] * svals[iy - 1]
+        keep, swap = selection_costs((signs[iy, ..., None] * svals[iy]).ravel(), below.ravel())
         if swap < keep:
-            signs[:, :, iy] = -signs[:, :, iy]
-    return (signs if svals.ndim == 4 else signs[:, :, 0]), float(hols[-1, 0])
+            signs[iy] = -signs[iy]
+    return signs, float(hols[0, -1])
 
 
 def non_stationary_control(m=1):

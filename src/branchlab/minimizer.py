@@ -54,9 +54,10 @@ class BoundaryTrace:
         self._parity = None
 
     @classmethod
-    def from_field(cls, fld, radius, nsamples=4096):
-        thetas = np.arange(nsamples) * (4.0 * np.pi / nsamples)
-        return cls(thetas, fld.lift(np.full(nsamples, radius), thetas), radius)
+    def from_field(cls, fld, radius):
+        """fld's lift at 4096 angles of [0, 4pi) on the circle of this radius."""
+        thetas = np.arange(4096) * (4.0 * np.pi / 4096)
+        return cls(thetas, fld.lift(np.full(4096, radius), thetas), radius)
 
     def parity(self):
         """+1 if g(theta + 2pi) = g(theta), -1 if = -g(theta), to 1e-8 of the
@@ -346,7 +347,7 @@ class CoverField:
 
     def to_two_valued(self):
         grid = PolarGrid(self.rs, self.thetas)
-        return SampledField(grid, self.values.copy(), hol=self.wrap_sign)
+        return SampledField(grid, self.values[None].copy(), hol=self.wrap_sign)
 
 
 def energy(cf):
@@ -752,7 +753,7 @@ def cover_frequency(cf, radii):
 def l2_error_vs_field(cf, fld):
     """Grid-weighted L2 pair distance between the cover data and a field."""
     grid = PolarGrid(cf.rs, cf.thetas)
-    s_exact = grid.on_grid(fld.symmetric_values(grid.nodes()))
+    s_exact = grid.on_grid(fld.symmetric_values(grid.nodes()))[0]
     g2 = metric_sq_symmetric(cf.values, s_exact)
     lower, upper = _ring_bands(cf.rs)
     w = ((upper - lower) * cf.rs)[:, None] * (2.0 * np.pi / cf.thetas.shape[0])

@@ -22,6 +22,9 @@ from .quadrature import Ball, QuadratureSpec, _ring_points, ball_rule, gauss_leg
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
 ROTATION_BOUND = 0.35  # fit_rotation keeps |A|_F = sqrt(2) |B|_F <= this
+# The largest k fit_c resolves: its 128 cover angles over [0, 4pi) recover a
+# pure mode Re(c z^(k/2)) to rounding for k <= 32, and not above
+K_MAX = 32
 # The gamma, sigma and delta of the section-6 estimates in corollary_checks
 GAMMA = 0.5   # radius of the ball of the R-weighted excess and a priori integrals
 SIGMA = 0.5   # power the weighted excesses gain over the plain excess
@@ -143,65 +146,60 @@ def excess(u, prof, ball=None, spec=None):
 
 def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
     """Annular grid on the double cover, theta in [0, 4 pi), in profile frame
-    coordinates, and the quadrature weight of each node, shape (nr, nt[, ny])."""
+    coordinates, and the quadrature weight of each node, shape (slab, nr, nt)."""
     s, ws = gauss_legendre_01(nr)
     rs = tau + (rmax - tau) * s
     thetas = (np.arange(ntheta) + 0.5) * (4.0 * np.pi / ntheta)
     w = np.outer((rmax - tau) * ws * rs * (4.0 * np.pi / ntheta), np.ones(ntheta))
     if n == 2:
-        return PolarGrid(rs, thetas), w
+        return PolarGrid(rs, thetas), w[None]
     ymax = ymax if ymax is not None else np.sqrt(max(1.0 - rmax ** 2, 0.04))
     ty, wty = gauss_legendre_01(ny)
-    return PolarGrid(rs, thetas, ymax * (2.0 * ty - 1.0)), w[:, :, None] * (2.0 * ymax * wty)
-
-
-def _lanes(values):
-    """Cover-grid data (slab, nr, nt, ...) as lanes (nr, nt, slab, ...), the plane one slab."""
-    return np.moveaxis(values, 0, 2)
+    return PolarGrid(rs, thetas, ymax * (2.0 * ty - 1.0)), (2.0 * ymax * wty)[:, None, None] * w
 
 
 def lift_against_profile(u, prof, grid):
     """Nearest-selection lift of u's symmetric part against the profile lift.
 
-    Returns (u_lift, phi_lift, signs) in lanes, (nr, nt, lane, m), (nr, nt, 1, m)
-    and (nr, nt, lane); raises PairingError when the induced sign field has
-    holonomy inconsistent with the parity of k around some annular loop.
+    Returns (u_lift, phi_lift, signs) in the grid's layout: (slab, nr, nt, m),
+    (nr, nt, m), which broadcasts over the slabs, and (slab, nr, nt); raises
+    PairingError when the induced sign field has holonomy inconsistent with
+    the parity of k around some annular loop.
     """
     u_lift, phi, signs = prof.paired(u, *grid.coordinates())
-    u_lift, phi, signs = _lanes(u_lift), phi[:, :, None], _lanes(signs)
     # holonomy of the sign field around each theta loop must be +1 on the
     # cover (the lift of a genuine two-valued branch is 4pi-periodic)
-    flips = signs * np.roll(signs, -1, axis=1)
+    flips = signs * np.roll(signs, -1, axis=2)
     # ignore flips where the profile is tiny relative to the residual
     # (ambiguous pairing); they do not witness holonomy
     mag_phi = np.sum(np.broadcast_to(phi, u_lift.shape) ** 2, axis=-1)
     resid = np.sum((u_lift - phi) ** 2, axis=-1)  # the nearer selection cost
     solid = mag_phi > 4.0 * resid
-    hol = np.where(np.all(~solid, axis=1), 1.0,
-                   np.prod(np.where(solid, flips, 1.0), axis=1))
+    hol = np.where(np.all(~solid, axis=2), 1.0,
+                   np.prod(np.where(solid, flips, 1.0), axis=2))
     if np.any(hol < 0):
-        bad = tuple(int(v) for v in np.argwhere(hol < 0)[0])
+        bad = tuple(int(v) for v in np.argwhere(hol.T < 0)[0])
         bad = bad[0] if grid.n == 2 else bad  # an annulus, or (annulus, slab)
         raise PairingError(f"pairing holonomy violation around annulus {bad}", loop=bad)
     return u_lift, phi, signs
 
 
-def fit_c(u, k, B=None, ntheta=128):
+def fit_c(u, k, B=None):
     """Least-squares fit of c against the degree-alpha modes on the cover.
 
     The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
     component; the pairing of u against the current profile frame (centered
     at the origin) is taken on the cover grid for 0.05 <= r <= 0.95, outside
-    the tube about the axis.  The u-lift is one propagate_signs lift over
-    all axis slabs, so every representative of the pair u fits the same c up
-    to a global sign.  Returns c.
+    the tube about the axis, 128 angles over [0, 4pi) (so k <= K_MAX).  The
+    u-lift is one propagate_signs lift over all axis slabs, so every
+    representative of the pair u fits the same c up to a global sign.
+    Returns c.
     """
     n, m = u.n, u.m
     probe = CylindricalProfile(np.ones(m) + 0j, k, B=B, n=n)
-    grid, wts = cover_grid(0.05, 0.95, ntheta=ntheta, n=n)
+    grid, wts = cover_grid(0.05, 0.95, n=n)
     alpha = k / 2.0
-    sv = _lanes(probe.frame_values(u, *grid.coordinates()))
-    wts = wts.reshape(sv.shape[:3])
+    sv = probe.frame_values(u, *grid.coordinates())
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
@@ -211,9 +209,9 @@ def fit_c(u, k, B=None, ntheta=128):
         raise PairingError("u-lift is not 4pi-periodic on the cover")
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
-    for l in range(sv.shape[2]):
+    for l in range(sv.shape[0]):
         # a global sign flip of the lift negates c; both describe one pair
-        lift, w = signs[:, :, l, None] * sv[:, :, l], wts[:, :, l]
+        lift, w = signs[l, ..., None] * sv[l], wts[l]
         G[0, 0] += np.sum(w * b1 * b1)
         G[0, 1] += np.sum(w * b1 * b2)
         G[1, 1] += np.sum(w * b2 * b2)
@@ -336,6 +334,8 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     grid, wts = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,
                            ymax=None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01)))
     u_lift, phi, _ = lift_against_profile(u, prof, grid)
+    # lanes (nr, nt, lane, m), one per axis slab, the plane one slab
+    u_lift, phi, wts = np.moveaxis(u_lift, 0, 2), phi[:, :, None], np.moveaxis(wts, 0, 2)
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
     # per-(ring, slab) mean local excess against the profile scale
     pair_v_sq = 2.0 * np.sum(v_hat ** 2, axis=-1)
@@ -369,7 +369,6 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     # expand ring mask to node mask
     node_mask = np.repeat(filled[:, None, :], u_lift.shape[1], axis=1)
     ring_r = grid.rs[:, None, None]
-    wts = wts.reshape(node_mask.shape)
     vmag = np.linalg.norm(v_hat, axis=-1)
     dvmag = np.linalg.norm(dv_hat.reshape(dv_hat.shape[:-2] + (-1,)), axis=-1)
     # interior rings only for the derivative sup (one-sided FD ends are noisy)

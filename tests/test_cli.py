@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from branchlab import cli
+from branchlab import profiles as pmod
 from branchlab.errors import ConfigError, SolverError
 
 C_RE = 0.7071067811865476
@@ -502,6 +503,12 @@ def test_malformed_params_exit_config(tmp_path, capsys, key, value):
     assert_config_error(tmp_path, capsys, cfg, key)
 
 
+def test_k_above_bound_exit_config(tmp_path, capsys):
+    cfg = freq_config("out")
+    cfg["params"]["k"] = pmod.K_MAX + 1
+    assert_config_error(tmp_path, capsys, cfg, "k")
+
+
 def term(k, *c):
     return {"k": k, "c": [list(v) for v in c]}
 
@@ -922,6 +929,7 @@ import json, sys
 import numpy as np
 
 from branchlab import cli
+from branchlab import profiles as pmod
 from branchlab.fields import BranchPolynomialField
 from branchlab.minimizer import (BoundaryTrace, BranchConfiguration, CoverGridSpec,
                                  solve_branched_laplace)

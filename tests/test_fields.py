@@ -18,7 +18,7 @@ from branchlab.frequency import frequency_profile
 from branchlab.minimizer import BoundaryTrace, CoverGridSpec, solve_branched_laplace
 from branchlab.pairspace import metric_sq_symmetric
 from branchlab.profiles import CylindricalProfile, fit_c, fit_profile
-from branchlab.quadrature import Ball, QuadratureSpec, ball_rule, unit_ball
+from branchlab.quadrature import Ball, QuadratureSpec, _ring_points, ball_rule, unit_ball
 
 from conftest import C_NULL, PointRecorder, cover_points, power_sum_norm_sq
 
@@ -564,8 +564,6 @@ def _sampled_csv_header(sf, fh, version):
 
 def _node_rows(sf):
     """s as (N, m) rows in nodes() order."""
-    if sf.n == 3:
-        return np.moveaxis(sf.s_lift, 2, 0).reshape(-1, sf.m)
     return sf.s_lift.reshape(-1, sf.m)
 
 
@@ -599,7 +597,8 @@ def _extreme_sampled_field(n):
     ys = None if n == 2 else np.linspace(-0.5, 0.5, 3)
     grid = PolarGrid(graded_radii(6, 0.9), np.arange(10) * (2 * np.pi / 10), ys)
     rng = np.random.default_rng(5)
-    lift = rng.standard_normal(grid.shape + (2,)) * 10.0 ** rng.integers(-300, 300, grid.shape + (2,))
+    rows = (int(np.prod(grid.shape)), 2)
+    lift = grid.on_grid(rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows))
     lift.flat[:5] = [0.0, -0.0, 1e-320, 1e300, -1e-300]
     return SampledField(grid, lift, hol=-1.0)
 
@@ -677,7 +676,8 @@ def test_minimize_to_decay_hand_off_matches_v1(tmp_path):
 ])
 def test_sampled_domain_is_the_largest_centred_ball_of_the_grid(rs, ys, radius):
     grid = PolarGrid(rs, [0.0, np.pi], ys)
-    assert SampledField(grid, np.zeros(grid.shape + (1,))).domain == Ball((0.0,) * grid.n, radius)
+    s_lift = grid.on_grid(np.zeros((len(grid.nodes()), 1)))
+    assert SampledField(grid, s_lift).domain == Ball((0.0,) * grid.n, radius)
 
 
 def test_cover_solution_csv_keeps_its_domain(tmp_path):
@@ -711,7 +711,7 @@ def test_sampled_reads_stay_on_the_grid():
         BoundaryTrace.from_field(sf, 1.0)
     # at n = 3 the grid is a cylinder: a read past its radius or past ys raises
     grid = PolarGrid([0.5, 1.0], [0.0, np.pi], [-0.5, 0.5])
-    sf3 = SampledField(grid, np.ones(grid.shape + (1,)))
+    sf3 = SampledField(grid, grid.on_grid(np.ones((len(grid.nodes()), 1))))
     assert np.array_equal(sf3.symmetric_values([[0.9, 0.0, 0.5], [0.0, 0.1, -0.5]]),
                           np.ones((2, 1)))
     for X in ([0.0, 1.01, 0.0], [0.1, 0.0, 0.51], [0.0, 0.1, -0.51]):
@@ -784,7 +784,7 @@ def test_propagate_signs_loop_inconsistency():
     theta = np.arange(nt) * (2 * np.pi / nt)
     odd_ring = np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)[None]
     even_ring = np.stack([np.cos(theta), -np.sin(theta)], axis=-1)[None]
-    svals = np.concatenate([odd_ring, even_ring], axis=0)
+    svals = np.concatenate([odd_ring, even_ring], axis=0)[None]
     with pytest.raises(PairingError):
         propagate_signs(svals)
 
@@ -839,35 +839,35 @@ def _value_stacks(draw):
     nr, nt, ny = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     elems = _POOL | st.floats(-4.0, 4.0, allow_nan=False)
-    vals = draw(arrays(float, (nr, nt, ny, m), elements=elems))
+    vals = draw(arrays(float, (ny, nr, nt, m), elements=elems))
     if draw(st.booleans()):
         theta = np.arange(nt) * (2.0 * np.pi / nt)
         k = draw(st.integers(1, 3))
-        amp = draw(arrays(float, (nr, 1, ny, 1), elements=st.floats(0.5, 2.0)))
+        amp = draw(arrays(float, (ny, nr, 1, 1), elements=st.floats(0.5, 2.0)))
         ring = np.stack([np.cos(k * theta / 2), np.sin(k * theta / 2)], axis=-1)
-        vals = amp * ring[None, :, None, :] + 0.05 * vals[..., :1]
+        vals = amp * ring + 0.05 * vals[..., :1]
     return vals
 
 
 def _check_against_reference(vals):
     # one slab: signs (with their sign bit), holonomy and errors agree
-    for iy in range(vals.shape[2]):
-        got = _outcome(propagate_signs, vals[:, :, iy])
-        ref = _outcome(_propagate_signs_reference, vals[:, :, iy])
+    for slab in vals:
+        got = _outcome(propagate_signs, slab[None])
+        ref = _outcome(_propagate_signs_reference, slab)
         assert got[0] == ref[0]
         if ref[0] == "error":
             assert got[1:] == ref[1:]
         else:
-            assert np.array_equal(got[1], ref[1])
-            assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1]))
+            assert np.array_equal(got[1], ref[1][None])
+            assert np.array_equal(np.signbit(got[1]), np.signbit(ref[1][None]))
             assert type(got[2]) is float and got[2] == ref[2]
     # the stack is the per-slab loop (up to its first error), then one
     # holonomy for all slabs, then each slab aligned to the aligned slab below
     # it by whole-slab sums, a tie keeping the sign
     got = _outcome(propagate_signs, vals)
     signs, hols = [], []
-    for iy in range(vals.shape[2]):
-        ref = _outcome(_propagate_signs_reference, vals[:, :, iy])
+    for slab in vals:
+        ref = _outcome(_propagate_signs_reference, slab)
         if ref[0] == "error":
             assert got == ref
             return
@@ -877,22 +877,22 @@ def _check_against_reference(vals):
         iy = next(i for i, h in enumerate(hols) if h != hols[0])
         assert got == ("error", f"holonomy changes along the axis at slab {iy}", iy)
         return
-    for iy in range(1, vals.shape[2]):
-        slab = signs[iy][:, :, None] * vals[:, :, iy]
-        prev = signs[iy - 1][:, :, None] * vals[:, :, iy - 1]
+    for iy in range(1, vals.shape[0]):
+        slab = signs[iy][:, :, None] * vals[iy]
+        prev = signs[iy - 1][:, :, None] * vals[iy - 1]
         if np.sum((slab + prev) ** 2) < np.sum((slab - prev) ** 2):
             signs[iy] = -signs[iy]
     assert got[0] == "ok"
-    assert np.array_equal(got[1], np.stack(signs, axis=-1))
+    assert np.array_equal(got[1], np.stack(signs))
     assert type(got[2]) is float and got[2] == hols[0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_value_stacks())
-@example(np.zeros((3, 5, 2, 2)))
-@example(np.array([[[[1.0, -0.0]]], [[[-1.0, 0.0]]]]))
-@example(np.arange(24.0).reshape(1, 6, 2, 2) - 11.5)
-@example(np.einsum("r,y,tk->rtyk", [1.0, 0.5], [1.0, -1.0, -2.0],  # slabs 1, 2 flipped
+@example(np.zeros((2, 3, 5, 2)))
+@example(np.array([[[[1.0, -0.0]], [[-1.0, 0.0]]]]))
+@example((np.arange(24.0).reshape(1, 6, 2, 2) - 11.5).transpose(2, 0, 1, 3))
+@example(np.einsum("r,y,tk->yrtk", [1.0, 0.5], [1.0, -1.0, -2.0],  # slabs 1, 2 flipped
                    np.stack([np.cos(np.arange(6) * np.pi / 6),
                              np.sin(np.arange(6) * np.pi / 6)], axis=-1)))
 def test_propagate_signs_matches_reference(vals):
@@ -916,15 +916,15 @@ def test_sample_n3_matches_per_slab_reference():
     u = _SlabFlipped(base)
     grid = PolarGrid(graded_radii(12, 0.8), np.arange(24) * (2 * np.pi / 24),
                      np.linspace(-0.5, 0.5, 5))
-    svals = np.moveaxis(u.symmetric_values(grid.nodes()).reshape(5, 12, 24, 2), 0, 2)
+    svals = u.symmetric_values(grid.nodes()).reshape(5, 12, 24, 2)
     ref = np.zeros_like(svals)
     prev = None
     for iy in range(5):
-        signs, hol = _propagate_signs_reference(svals[:, :, iy])
-        slab = signs[:, :, None] * svals[:, :, iy]
+        signs, hol = _propagate_signs_reference(svals[iy])
+        slab = signs[:, :, None] * svals[iy]
         if prev is not None and np.sum((slab + prev) ** 2) < np.sum((slab - prev) ** 2):
             slab = -slab
-        ref[:, :, iy] = prev = slab
+        ref[iy] = prev = slab
     sf = sample(u, grid)
     assert np.array_equal(sf.s_lift, ref)
     assert np.array_equal(sf.s_lift, sample(base, grid).s_lift)
@@ -963,29 +963,51 @@ def test_polar_grid_layout_matches_former_reorders(ys, m):
     grid = PolarGrid(graded_radii(5, 0.8), np.arange(7) * (2 * np.pi / 7), ys)
     rows = np.random.default_rng(m).standard_normal((grid.nodes().shape[0], m))
     arr = grid.on_grid(rows)
-    # the former hand-written reorders: nodes() orders the axis slabs outermost
+    # the former (nr, nt[, ny], m) array, by the former hand-written reorder,
+    # is the new (slab, nr, nt, m) array with its slab axis moved after nt
     if ys is None:
-        ref, ref_rows = rows.reshape(grid.shape + (m,)), arr.reshape(-1, m)
+        former = rows.reshape(grid.shape + (m,))
+        assert np.array_equal(arr[0], former)
     else:
-        ref = np.moveaxis(rows.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
-        ref_rows = np.moveaxis(arr, 2, 0).reshape(-1, m)
-    assert arr.shape == grid.shape + (m,)
-    assert np.array_equal(arr, ref)
-    assert np.array_equal(grid.node_rows(arr), ref_rows)
-    assert np.array_equal(grid.node_rows(arr), rows)
-    assert np.array_equal(grid.on_grid(grid.node_rows(arr)), arr)
-    # on the grid, index (i, j[, l]) holds the node (r_i, theta_j[, y_l])
+        former = np.moveaxis(rows.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
+        assert np.array_equal(np.moveaxis(arr, 0, 2), former)
+    assert arr.shape == (1 if ys is None else len(ys),) + grid.shape[:2] + (m,)
+    # the rows come back in nodes() order by a reshape, as the CSV writes them
+    assert np.array_equal(arr.reshape(-1, m), rows)
+    assert np.array_equal(grid.on_grid(arr.reshape(-1, m)), arr)
+    # on the grid, index (slab, i, j) holds the node (r_i, theta_j[, y_slab])
     pts = grid.on_grid(grid.nodes())
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     if ys is not None:
-        R, T = R[:, :, None], T[:, :, None]
-        assert np.array_equal(pts[..., 2], np.broadcast_to(ys, grid.shape))
-    assert np.array_equal(pts[..., 0], np.broadcast_to(R * np.cos(T), grid.shape))
-    assert np.array_equal(pts[..., 1], np.broadcast_to(R * np.sin(T), grid.shape))
+        assert np.array_equal(pts[..., 2], np.broadcast_to(ys[:, None, None], pts.shape[:3]))
+    assert np.array_equal(pts[..., 0], np.broadcast_to(R * np.cos(T), pts.shape[:3]))
+    assert np.array_equal(pts[..., 1], np.broadcast_to(R * np.sin(T), pts.shape[:3]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_grid_data_is_in_node_order(n):
+    # per-node data is (slab, nr, nt, m) in nodes() order at every n, the
+    # plane one slab: on_grid(rows)[s, i, j] is the row of the node built
+    # from (rs[i], thetas[j]) on slab s
+    ys = None if n == 2 else np.linspace(-0.5, 0.5, 3)
+    grid = PolarGrid(graded_radii(4, 0.8), np.arange(5) * (2 * np.pi / 5), ys)
+    nodes = grid.nodes()
+    rows = np.random.default_rng(n).standard_normal((nodes.shape[0], 2))
+    arr = grid.on_grid(rows)
+    slabs = np.zeros((1, 0)) if ys is None else ys[:, None]
+    assert arr.shape == (len(slabs), 4, 5, 2)
+    for s, y in enumerate(slabs):
+        for i, r in enumerate(grid.rs):
+            for j, theta in enumerate(grid.thetas):
+                dist = np.linalg.norm(nodes - _ring_points(r, theta, y), axis=1)
+                row = int(np.argmin(dist))
+                assert dist[row] <= 1e-15
+                assert np.array_equal(arr[s, i, j], rows[row])
 
 
 def _interp_lift_reference(sf, X):
-    """The former SampledField._interp_lift body, with its separate n = 3 gather."""
+    """The former SampledField._interp_lift body, with its separate n = 3 gather,
+    on the former (nr, nt[, ny], m) array."""
     r = np.hypot(X[:, 0], X[:, 1])
     theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
     ir, tr = sf._locate(r, sf.grid.rs)
@@ -1005,9 +1027,10 @@ def _interp_lift_reference(sf, X):
                 + tr[:, None] * ((1 - tt)[:, None] * v10 + tt[:, None] * v11))
 
     if sf.n == 2:
-        return gather(sf.s_lift)
+        return gather(sf.s_lift[0])
+    former = np.moveaxis(sf.s_lift, 0, 2)
     iy, ty = sf._locate(X[:, 2], sf.grid.ys)
-    return (1 - ty)[:, None] * gather(sf.s_lift, iy) + ty[:, None] * gather(sf.s_lift, iy + 1)
+    return (1 - ty)[:, None] * gather(former, iy) + ty[:, None] * gather(former, iy + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -15,7 +15,9 @@ their ring tables, _ball_rings and _sphere_rings) only in the functions that
 WHOLE_RULE_READERS names: every other integral goes block by block.
 Nearest selection against a reference (pairspace.selection_costs) is read
 only where SELECTION_READERS says: the pair metric, the one continuation
-routine and the one profile-frame pairing.  No module reads hasattr or
+routine and the one profile-frame pairing.  A polar grid's per-node data
+has one layout, (slab, nr, nt, m) in nodes() order, so no axis is moved
+(np.moveaxis) except where LAYOUT_READERS says.  No module reads hasattr or
 getattr: a field's protocol (values, gradient, lift, rescaled) has no
 optional parts, so no code asks an object what it has.
 """
@@ -62,6 +64,12 @@ WHOLE_RULE_READERS = {
 SELECTION_READERS = {
     "selection_costs": {"metric_sq_symmetric", "propagate_signs", "propagate_signs.nearer",
                         "CylindricalProfile.paired"},
+}
+
+# The functions that may move an axis of per-node data: graphical_decompose
+# alone, whose ring flood fill reads a local lane view (nr, nt, lane, m).
+LAYOUT_READERS = {
+    "moveaxis": {"graphical_decompose"},
 }
 
 
@@ -289,6 +297,10 @@ def test_selection_costs_are_read_only_where_allowed():
     assert stray_reads({p: _tree(p) for p in MODULES}, SELECTION_READERS) == []
 
 
+def test_axes_are_moved_only_where_allowed():
+    assert stray_reads({p: _tree(p) for p in MODULES}, LAYOUT_READERS) == []
+
+
 def test_checks_catch_their_faults():
     tree = ast.parse("import os\nfrom math import pi, tau\n\ndef _helper():\n    return pi\n")
     assert unused_imports(tree) == ["os", "tau"]
@@ -383,3 +395,14 @@ def test_checks_catch_their_faults():
                         "        return selection_costs(v, x)\n    return nearer\n")
     assert stray_reads({"m.py": pairing}, SELECTION_READERS) == [
         "m.py:Profile.paired.selection_costs", "m.py:metric_sq_symmetric.keep.selection_costs"]
+    # an axis moved outside graphical_decompose: a layout reorder in a grid
+    # method and in a closure of the allowed function, which is not that
+    # function, by attribute or by a name imported alone
+    layout = ast.parse("from numpy import moveaxis\n\n"
+                       "class PolarGrid:\n    def on_grid(self, rows):\n"
+                       "        return np.moveaxis(rows, 0, 2)\n\n"
+                       "def graphical_decompose(u_lift):\n"
+                       "    def lanes(a):\n        return moveaxis(a, 0, 2)\n"
+                       "    return np.moveaxis(u_lift, 0, 2), lanes\n")
+    assert stray_reads({"m.py": layout}, LAYOUT_READERS) == [
+        "m.py:PolarGrid.on_grid.moveaxis", "m.py:graphical_decompose.lanes.moveaxis"]

@@ -114,10 +114,11 @@ def test_fit_c_noise(spec_fast):
 
 
 def test_fit_c_ill_conditioned_rejected():
-    u = CylindricalModeField.power_sum([(C_NULL, 2)], n=2)
-    # two angular samples cannot separate cos from sin at alpha = 1
+    u = CylindricalModeField.power_sum([(C_NULL, 64)], n=2)
+    # at alpha = 32 every cos(alpha theta) on the 128 cover angles
+    # (j + 1/2) pi / 32 is a zero, so cos cannot be told from sin
     with pytest.raises(FitError):
-        fit_c(u, 2, ntheta=2)
+        fit_c(u, 64)
 
 
 def test_fit_rotation_roundtrip(spec_fast):
@@ -169,11 +170,11 @@ def test_lift_holonomy_by_parity():
     for k, expected in ((1, -1.0), (3, -1.0), (2, 1.0), (4, 1.0)):
         u = CylindricalModeField.power_sum([(C_NULL, k)], n=2)
         prof = CylindricalProfile(C_NULL, k, n=2)
-        _, _, signs = lift_against_profile(u, prof, grid)  # (nr, nt, 1): one lane
+        _, _, signs = lift_against_profile(u, prof, grid)  # (1, nr, nt): the plane one slab
         nt = grid.thetas.shape[0]
         half = nt // 2
         # sign relation between the two sheets of the cover
-        rel = signs[:, :half] * signs[:, half:]
+        rel = signs[:, :, :half] * signs[:, :, half:]
         assert np.all(rel == expected)
 
 
@@ -305,20 +306,20 @@ def test_cover_grid_base_points_bit_identical(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_cover_grid_weights_bit_identical(n):
     grid, w = cover_grid(0.05, 0.9, nr=7, ntheta=40, n=n, ny=5)
-    assert w.shape == grid.shape
+    assert w.shape == (1 if n == 2 else 5,) + grid.shape[:2]
     wr, wtheta, wy = _former_weight_factors(0.05, 0.9, 7, 40, 5, np.sqrt(max(1.0 - 0.9 ** 2, 0.04)))
     # the former fit_c weights, slab by slab: wrt * wl, wl = 1 on the plane
     T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")[1]
     wrt = wr[:, None] * grid.rs[:, None] * wtheta * np.ones_like(T)
     for l, wl in enumerate([1.0] if n == 2 else wy):
-        assert (w if n == 2 else w[:, :, l]).tobytes() == (wrt * wl).tobytes()
-    # the former graphical_decompose weights
+        assert w[l].tobytes() == (wrt * wl).tobytes()
+    # the former graphical_decompose weights, (nr, nt[, ny])
     if n == 2:
         wts = wr[:, None] * grid.rs[:, None] * wtheta * np.ones(grid.shape)
     else:
         wts = (wr[:, None, None] * grid.rs[:, None, None] * wtheta
                * wy[None, None, :]) * np.ones(grid.shape)
-    assert w.tobytes() == wts.tobytes()
+    assert np.moveaxis(w, 0, 2).tobytes() == wts.tobytes()
 
 
 def _former_weight_factors(tau, rmax, nr, ntheta, ny, ymax):
@@ -335,11 +336,12 @@ def _graphical_decompose_reference(u, prof, tau=0.08, gamma=0.75, beta=0.5, nr=4
     ymax = None if n == 2 else np.sqrt(max(gamma ** 2 * 0.3, 0.01))
     grid, _ = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny, ymax=ymax)
     wr, wtheta, wy = _former_weight_factors(1e-6, gamma, nr, ntheta, ny, ymax)
-    # the lanes (nr, nt, lane, m) of lift_against_profile in the former
+    # the (slab, nr, nt, m) lift of lift_against_profile in the former
     # (nr, nt[, ny], m) layout, the lift of the profile (nr, nt[, 1], m)
     u_lift, phi, _ = lift_against_profile(u, prof, grid)
     shape = grid.shape
-    u_lift, phi = u_lift.reshape(shape + (u.m,)), phi.reshape(shape[:2] + (1,) * (n - 2) + (u.m,))
+    u_lift = np.moveaxis(u_lift, 0, 2).reshape(shape + (u.m,))
+    phi = phi.reshape(shape[:2] + (1,) * (n - 2) + (u.m,))
     v_hat = u_lift - np.broadcast_to(phi, u_lift.shape)
     pair_resid = 2.0 * np.sum(v_hat ** 2, axis=-1)
     local = np.mean(pair_resid, axis=1)
@@ -473,9 +475,17 @@ def test_profile_takes_the_base_lift():
     assert centred.parity() == -1
 
 
+def _former_on_grid(grid, rows):
+    """The former PolarGrid.on_grid: (N, m) rows as an (nr, nt[, ny], m) array."""
+    m = rows.shape[-1]
+    if grid.ys is None:
+        return rows.reshape(grid.shape + (m,))
+    return np.moveaxis(rows.reshape((grid.shape[2],) + grid.shape[:2] + (m,)), 0, 2)
+
+
 def _former_lift_against_profile(u, prof, grid):
-    """The parent's lift_against_profile, the profile's former frame lift inlined."""
-    s_rep = grid.on_grid(u.symmetric_values(prof.from_frame(grid.nodes())))
+    """The former lift_against_profile, the profile's former frame lift inlined."""
+    s_rep = _former_on_grid(grid, u.symmetric_values(prof.from_frame(grid.nodes())))
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     phi = np.real(np.asarray(R ** prof.alpha * np.exp(1j * prof.alpha * T))[..., None] * prof.c)
     if grid.n == 3:
@@ -525,8 +535,9 @@ def _profile_grids(draw):
 @example((CylindricalModeField.power_sum([(C_NULL, 1)], n=2), CylindricalProfile(C_NULL, 2, n=2),
           cover_grid(0.1, 0.9, nr=4, ntheta=16, n=2)[0]))
 def test_lift_against_profile_keeps_the_former_bits(case):
-    # the lanes (nr, nt, lane, m) hold the former (nr, nt[, ny], m) values
-    # bit for bit, and a holonomy violation names the same loop
+    # the (slab, nr, nt, m) arrays hold the former (nr, nt[, ny], m) values
+    # bit for bit, the slab axis moved, and a holonomy violation names the
+    # same loop
     u, prof, grid = case
     (got, loop), (want, former_loop) = (_outcome(fn, u, prof, grid)
                                         for fn in (lift_against_profile, _former_lift_against_profile))
@@ -536,10 +547,11 @@ def test_lift_against_profile_keeps_the_former_bits(case):
         return
     u_lift, phi, signs = got
     shape = grid.shape
-    assert u_lift.shape == shape[:2] + (u_lift.shape[2], u.m) and phi.shape == shape[:2] + (1, u.m)
-    assert u_lift.tobytes() == want[0].reshape(u_lift.shape).tobytes()
-    assert phi.tobytes() == want[1].reshape(phi.shape).tobytes()
-    assert signs.tobytes() == want[2].reshape(signs.shape).tobytes()
+    assert u_lift.shape == (1 if u.n == 2 else shape[2],) + shape[:2] + (u.m,)
+    assert phi.shape == shape[:2] + (u.m,) and signs.shape == u_lift.shape[:3]
+    assert np.moveaxis(u_lift, 0, 2).tobytes() == want[0].tobytes()
+    assert phi.tobytes() == want[1].tobytes()
+    assert np.moveaxis(signs, 0, 2).tobytes() == want[2].tobytes()
 
 
 def test_fit_c_holds_no_frame_points_while_reading_u():
