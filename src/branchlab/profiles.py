@@ -8,7 +8,7 @@ in closed form (_rotation).  A profile reads u at the cover points
 (r, theta in [0, 4pi), y) of its frame (frame_values: fit_c's least squares
 in c) and signs them nearest its frame lift Re(c r^alpha e^(i alpha theta))
 (paired: lift_against_profile and the spectral blow-up); its lift is the
-base Field.lift.  B is fitted by Gauss-Newton in its 2(n-2) entries.
+base Field.lift.  B is fitted by a blocked Gauss-Newton (0 for a planar u).
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric, selection_costs
-from .quadrature import Ball, QuadratureSpec, _ring_points, ball_rule, gauss_legendre_01, unit_ball
+from .quadrature import Ball, QuadratureSpec, _ring_points, gauss_legendre_01, unit_ball
 from .frequency import axis_energy_integral, radial_frequency_deviation
 
 ROTATION_BOUND = 0.35  # fit_rotation keeps |A|_F = sqrt(2) |B|_F <= this
@@ -193,8 +193,10 @@ def fit_c(u, k, B=None):
     the tube about the axis, 128 angles over [0, 4pi) (so k <= K_MAX).  The
     u-lift is one propagate_signs lift over all axis slabs, so every
     representative of the pair u fits the same c up to a global sign.
-    Returns c.
+    Returns c; raises FitError for k > K_MAX.
     """
+    if k > K_MAX:
+        raise FitError(f"k = {k} is past K_MAX = {K_MAX}, the largest k the cover angles resolve")
     n, m = u.n, u.m
     probe = CylindricalProfile(np.ones(m) + 0j, k, B=B, n=n)
     grid, wts = cover_grid(0.05, 0.95, n=n)
@@ -228,50 +230,47 @@ def fit_c(u, k, B=None):
 def fit_rotation(u, prof, spec=None):
     """Gauss-Newton over the 2(n-2) entries of B minimizing the excess.
 
+    J^T J and J^T r (J by central differences of the residuals sqrt(w) G)
+    are one blocked integral over the spec's ball rule; r^T r is the excess.
     The fit starts at prof.B, takes at most 12 steps, each backtracking by
     at most 20 halvings, and stops early once the gradient norm or the
-    objective is below 1e-12, or when no halving improves.  Returns B, shape
-    (2, n-2), empty at n = 2.
+    objective is below 1e-12, or when no halving improves.  Returns B,
+    shape (2, n-2), empty at n = 2.
     """
-    n = prof.n
-    spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=12)
-    rule = ball_rule(unit_ball(n), spec.nr, spec.ntheta, spec.naxis)
-    su = u.symmetric_values(rule.points)
-    sqw = np.sqrt(rule.weights)
+    n, dim, eps, ball = prof.n, prof.B.size, 1e-6, unit_ball(prof.n)
+    params, spec = prof.B.reshape(-1), spec or QuadratureSpec()
 
-    def residuals(params):
-        p = CylindricalProfile(prof.c, prof.k, B=params, center=prof.center, n=n)
-        g2 = metric_sq_symmetric(su, p.symmetric_values(rule.points))
-        return sqw * np.sqrt(np.maximum(g2, 0.0))
+    def tilted(params):
+        return CylindricalProfile(prof.c, prof.k, B=params, center=prof.center, n=n)
 
-    params = prof.B.reshape(-1)
-    r = residuals(params)
-    obj = float(r @ r)
-    dim = params.shape[0]
+    def normal_equations(params):
+        steps = eps * np.concatenate([np.eye(dim), -np.eye(dim)])
+        profs = [tilted(params + step) for step in steps] + [tilted(params)]
+
+        def rows(X):  # the entries of J^T J, then of J^T r, per node before the weight
+            su = u.symmetric_values(X)
+            g = np.sqrt([metric_sq_symmetric(su, p.symmetric_values(X)) for p in profs])
+            d = (g[:dim] - g[dim:-1]) / (2 * eps)
+            return np.concatenate([(d[:, None] * d).reshape(-1, d.shape[1]), d * g[-1]])
+
+        sums = spec.integrate_ball(ball, rows)
+        return sums[:dim * dim].reshape(dim, dim), sums[dim * dim:]
+
+    obj = excess(u, prof, ball, spec)
     for _ in range(12):
-        J = np.zeros((r.shape[0], dim))
-        eps = 1e-6
-        for d in range(dim):
-            e = np.zeros(dim)
-            e[d] = eps
-            J[:, d] = (residuals(params + e) - residuals(params - e)) / (2 * eps)
-        g = J.T @ r
+        H, g = normal_equations(params)
         if np.linalg.norm(g) < 1e-12:
             break
-        H = J.T @ J + 1e-14 * np.eye(dim)
-        step = -np.linalg.solve(H, g)
-        t = 1.0
-        for _ in range(20):
+        step = -np.linalg.solve(H + 1e-14 * np.eye(dim), g)
+        for t in 0.5 ** np.arange(20):
             trial = params + t * step
             nrm = np.sqrt(2.0) * np.linalg.norm(trial)  # |A|_F
             if nrm > ROTATION_BOUND:
                 trial = trial * (ROTATION_BOUND / nrm)
-            r_trial = residuals(trial)
-            obj_trial = float(r_trial @ r_trial)
+            obj_trial = excess(u, tilted(trial), ball, spec)
             if obj_trial < obj:
-                params, r, obj = trial, r_trial, obj_trial
+                params, obj = trial, obj_trial
                 break
-            t *= 0.5
         else:
             break
         if obj < 1e-12:
@@ -282,9 +281,11 @@ def fit_rotation(u, prof, spec=None):
 def fit_profile(u, k, spec=None):
     """Fit c (linear) and the axis tilt B (Gauss-Newton) for a known k.
 
-    The profile is centered at the origin.  At n > 2 the fit alternates two
-    rounds of c, then B.  Degenerate c = 0 fits are rejected: a zero profile
-    has no frequency and does not belong to the admissible profile family.
+    The profile is centered at the origin.  At n = 2, and for a planar u
+    (y -> -y fixes u and maps B to -B, so the excess is even in B), the fit
+    is one fit_c with B = 0; else it alternates two rounds of c, then B.
+    Degenerate c = 0 fits are rejected: a zero profile has no frequency and
+    does not belong to the admissible profile family.
     """
     n = u.n
     B = None
@@ -292,10 +293,9 @@ def fit_profile(u, k, spec=None):
         c = fit_c(u, k, B=B)
         if not float(np.linalg.norm(c)) > 0.0:
             raise FitError("degenerate fit: c = 0 is not an admissible profile")
-        prof = CylindricalProfile(c, k, B=B, n=n)
-        if n <= 2:
-            return prof
-        B = fit_rotation(u, prof, spec=spec)
+        if u.planar or n <= 2:
+            return CylindricalProfile(c, k, n=n)
+        B = fit_rotation(u, CylindricalProfile(c, k, B=B, n=n), spec=spec)
     return CylindricalProfile(c, k, B=B, n=n)
 
 

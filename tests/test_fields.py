@@ -948,11 +948,12 @@ def test_fit_c_n3_is_one_lift_over_slabs():
     base = CylindricalModeField.power_sum([(np.array([1.0, 0.3j]), 1)], n=3)
     c0 = fit_c(base, 1)
     assert np.allclose(c0, [1.0, 0.3j], atol=1e-10)
-    p0 = fit_profile(base, 1)
+    spec = QuadratureSpec(nr=20, ntheta=48, naxis=12)
+    p0 = fit_profile(base, 1, spec=spec)
     for u in (_SlabFlipped(base), _PointSigns(base)):
         c = fit_c(u, 1)
         assert min(np.max(np.abs(c - c0)), np.max(np.abs(c + c0))) <= 1e-12
-        p = fit_profile(u, 1)
+        p = fit_profile(u, 1, spec=spec)
         assert min(np.max(np.abs(p.c - p0.c)), np.max(np.abs(p.c + p0.c))) <= 1e-12
         assert np.allclose(p.B, p0.B, rtol=0, atol=1e-12)
 

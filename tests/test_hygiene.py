@@ -45,13 +45,13 @@ EXEMPT = {
 }
 
 # The functions that may read each whole-rule name: Rule.integrate_values
-# sums a rule's values in the block loop; the builders cut their rules into
-# blocks of whole disks and circles read from the ring tables, as
-# spectral._cover_blocks cuts the cover ball, and a whole rule is built only
-# where its nodes are the result (fit_rotation's least-squares nodes).
+# sums a rule's values in the block loop, and the builders cut their rules
+# into blocks of whole disks and circles read from the ring tables, as
+# spectral._cover_blocks cuts the cover ball.  No function builds a whole
+# rule: a disk is one block.
 WHOLE_RULE_READERS = {
     "integrate_values": {"_sum_blocks"},
-    "ball_rule": {"ball_blocks", "disk_rule", "fit_rotation"},
+    "ball_rule": {"ball_blocks", "disk_rule"},
     "sphere_rule": {"sphere_blocks"},
     "_ball_rings": {"ball_rule", "ball_blocks", "_cover_blocks"},
     "_sphere_rings": {"sphere_rule", "sphere_blocks"},
@@ -378,7 +378,7 @@ def test_checks_catch_their_faults():
     assert stray_reads({"m.py": whole}, WHOLE_RULE_READERS) == [
         "m.py:energy.ball_rule", "m.py:energy.integrate_values",
         "m.py:height.sphere_rule", "m.py:height.sphere_rule",
-        "m.py:fit_rotation.integrate_values",
+        "m.py:fit_rotation.ball_rule", "m.py:fit_rotation.integrate_values",
         "m.py:_cover_blocks._sphere_rings", "m.py:project_L._ball_rings",
         "m.py:integrate_sphere._sphere_rings",
         "m.py:<module>.integrate_values", "m.py:<module>._ball_rings"]

@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 
-from branchlab import cli
+from branchlab import cli, profiles
+from branchlab.decay import iterate
 from branchlab.errors import FitError, PairingError
-from branchlab.fields import BranchPolynomialField, CylindricalModeField, Field, PolarGrid
+from branchlab.fields import (BranchPolynomialField, CylindricalModeField, Field, PolarGrid,
+                              SampledField, graded_radii)
 from branchlab.minimizer import BoundaryTrace
-from branchlab.pairspace import selection_costs
-from branchlab.profiles import (ROTATION_BOUND, CylindricalProfile, _rotation,
+from branchlab.pairspace import metric_sq_symmetric, selection_costs
+from branchlab.profiles import (K_MAX, ROTATION_BOUND, CylindricalProfile, _rotation,
                                 corollary_checks, cover_grid, excess, fit_c,
                                 fit_profile, fit_rotation, graphical_decompose,
                                 lift_against_profile, profile_plane_gradient_lift)
-from branchlab.quadrature import gauss_legendre_01, unit_ball
+from branchlab.quadrature import QuadratureSpec, ball_rule, gauss_legendre_01, unit_ball
 
 from conftest import C_NULL, cover_points, power_sum_norm_sq, profile_pairs
+
+
+# a small ball rule for the unit tests of the tilt fit
+SPEC_LSQ = QuadratureSpec(nr=20, ntheta=48, naxis=12)
 
 
 def c_dist(c1, c2):
@@ -116,33 +122,188 @@ def test_fit_c_noise(spec_fast):
 def test_fit_c_ill_conditioned_rejected():
     u = CylindricalModeField.power_sum([(C_NULL, 64)], n=2)
     # at alpha = 32 every cos(alpha theta) on the 128 cover angles
-    # (j + 1/2) pi / 32 is a zero, so cos cannot be told from sin
-    with pytest.raises(FitError):
+    # (j + 1/2) pi / 32 is a zero, so cos cannot be told from sin; the fit
+    # refuses it at the K_MAX bound, before its condition-number guard
+    with pytest.raises(FitError, match=f"K_MAX = {K_MAX}"):
         fit_c(u, 64)
+
+
+@pytest.mark.parametrize("k", [33, 40])
+def test_k_past_the_bound_raises(k):
+    # past K_MAX the 128 cover angles return a c of rounding size with a
+    # well-conditioned normal matrix: the fit, the profile fit and the decay
+    # iteration raise at the bound instead of handing back noise
+    u = CylindricalModeField.power_sum([(C_NULL, k)], n=2)
+    for run in (lambda: fit_c(u, k), lambda: fit_profile(u, k),
+                lambda: iterate(u, np.zeros(2), k, j_max=1)):
+        with pytest.raises(FitError, match=f"K_MAX = {K_MAX}"):
+            run()
 
 
 def test_fit_rotation_roundtrip(spec_fast):
     u = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3)
     base = CylindricalProfile(C_NULL, 1, n=3)
-    B = fit_rotation(u, base)
+    B = fit_rotation(u, base, spec=SPEC_LSQ)
     assert B.shape == (2, 1)
+    assert np.max(np.abs(B - u.B)) < 1e-6
+
+
+def test_fit_rotation_memory_is_block_sized():
+    # the normal equations are summed block by block over the default n = 3
+    # ball rule (110,592 nodes, 4,608 a block), so the fit holds one
+    # block's temporaries at a time, not the whole rule
+    u = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3)
+    tracemalloc.start()
+    try:
+        B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3), spec=QuadratureSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
     assert np.max(np.abs(B - u.B)) < 1e-6
 
 
 def test_fit_rotation_trivial_cases():
     u2 = CylindricalProfile(C_NULL, 1, n=2)
-    assert fit_rotation(u2, u2).shape == (2, 0)
+    assert fit_rotation(u2, u2, spec=SPEC_LSQ).shape == (2, 0)
     u3 = CylindricalProfile(C_NULL, 1, n=3)
-    assert np.max(np.abs(fit_rotation(u3, u3))) < 1e-8
+    assert np.max(np.abs(fit_rotation(u3, u3, spec=SPEC_LSQ))) < 1e-8
 
 
 def test_fit_rotation_keeps_the_generator_bound():
     # a tilt with |A|_F = sqrt(2) |B|_F = 0.71 lies past the bound: the fit
     # ends on the bound, not past it
     u = CylindricalProfile(C_NULL, 1, B=[0.4, -0.3], n=3)
-    B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3))
+    B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3), spec=SPEC_LSQ)
     assert np.sqrt(2.0) * np.linalg.norm(B) <= ROTATION_BOUND * (1.0 + 1e-12)
     assert np.sqrt(2.0) * np.linalg.norm(B) == pytest.approx(ROTATION_BOUND, rel=1e-9)
+
+
+def _former_fit_rotation(u, prof, spec=None):
+    """The former fit_rotation: Gauss-Newton on the residuals of one whole ball rule."""
+    n = prof.n
+    spec = spec or QuadratureSpec(nr=20, ntheta=48, naxis=12)
+    rule = ball_rule(unit_ball(n), spec.nr, spec.ntheta, spec.naxis)
+    su = u.symmetric_values(rule.points)
+    sqw = np.sqrt(rule.weights)
+
+    def residuals(params):
+        p = CylindricalProfile(prof.c, prof.k, B=params, center=prof.center, n=n)
+        g2 = metric_sq_symmetric(su, p.symmetric_values(rule.points))
+        return sqw * np.sqrt(np.maximum(g2, 0.0))
+
+    params = prof.B.reshape(-1)
+    r = residuals(params)
+    obj = float(r @ r)
+    dim = params.shape[0]
+    for _ in range(12):
+        J = np.zeros((r.shape[0], dim))
+        eps = 1e-6
+        for d in range(dim):
+            e = np.zeros(dim)
+            e[d] = eps
+            J[:, d] = (residuals(params + e) - residuals(params - e)) / (2 * eps)
+        g = J.T @ r
+        if np.linalg.norm(g) < 1e-12:
+            break
+        H = J.T @ J + 1e-14 * np.eye(dim)
+        step = -np.linalg.solve(H, g)
+        t = 1.0
+        for _ in range(20):
+            trial = params + t * step
+            nrm = np.sqrt(2.0) * np.linalg.norm(trial)
+            if nrm > ROTATION_BOUND:
+                trial = trial * (ROTATION_BOUND / nrm)
+            r_trial = residuals(trial)
+            obj_trial = float(r_trial @ r_trial)
+            if obj_trial < obj:
+                params, r, obj = trial, r_trial, obj_trial
+                break
+            t *= 0.5
+        else:
+            break
+        if obj < 1e-12:
+            break
+    return params.reshape(2, n - 2)
+
+
+def _former_fit_profile(u, k, spec=None):
+    """The former fit_profile at n > 2: two rounds of fit_c, then the whole-rule tilt fit."""
+    n = u.n
+    B = None
+    for _ in range(2):
+        c = fit_c(u, k, B=B)
+        if not float(np.linalg.norm(c)) > 0.0:
+            raise FitError("degenerate fit: c = 0 is not an admissible profile")
+        B = _former_fit_rotation(u, CylindricalProfile(c, k, B=B, n=n), spec=spec)
+    return CylindricalProfile(c, k, B=B, n=n)
+
+
+def _planar_view(view, k0, extra, level, parts, offset, y, rho):
+    """A planar n = 3 power sum of degrees k0 + extra (one parity), amplitude
+    2^level: the field, or its view u(Y + rho X) / rho^(k0/2) about the axis
+    point Y = (0, 0, y), or about the off-axis point Y = (offset, y)."""
+    ks = [k0] + [k0 + e for e in extra]
+    c = 0.25 * np.array(parts[:4 * len(ks)]).reshape(-1, 2, 2) @ np.array([1.0, 1.0j])
+    c[0] += C_NULL
+    u = CylindricalModeField.power_sum([(2.0 ** level * cj, k) for cj, k in zip(c, ks)], n=3)
+    if view == "field":
+        return u
+    Y = np.array([*(offset if view == "off-axis" else (0.0, 0.0)), y])
+    return u.rescaled(Y, rho, rho ** (k0 / 2.0))
+
+
+@pytest.mark.parametrize("view", ["field", "axis", "off-axis"])
+@settings(max_examples=6, deadline=None)
+@given(k0=st.integers(1, 5), extra=st.lists(st.sampled_from([2, 4]), max_size=2),
+       level=st.integers(-2, 6), parts=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       offset=st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+       y=st.floats(-0.3, 0.3), rho=st.floats(0.25, 1.0))
+@example(k0=1, extra=[], level=-2, parts=[0.0] * 12, offset=(0.02, -0.02), y=0.3, rho=0.25)
+@example(k0=4, extra=[2, 4], level=6, parts=[1.0] * 12, offset=(-0.02, 0.0), y=-0.3, rho=1.0)
+def test_planar_fields_keep_the_untilted_profile(view, k0, extra, level, parts, offset, y, rho):
+    # the reflection y -> -y fixes a planar u and maps the profile of B to
+    # that of -B, so the excess is even in B: the former whole-rule tilt
+    # fit, started at B = 0, returns B = 0, and fit_profile's one fit_c
+    # gives the former two-round fit bit for bit
+    u = _planar_view(view, k0, extra, level, parts, offset, y, rho)
+    assert u.planar
+    spec = QuadratureSpec(nr=12, ntheta=24, naxis=6)
+    try:
+        former = _former_fit_profile(u, k0, spec=spec)
+    except (FitError, PairingError) as err:
+        event(type(err).__name__)
+        with pytest.raises(type(err)):
+            fit_profile(u, k0, spec=spec)
+        return
+    prof = fit_profile(u, k0, spec=spec)  # its c is fit_c(u, k0), B = 0
+    assert np.array_equal(_former_fit_rotation(u, CylindricalProfile(prof.c, k0, n=3), spec=spec),
+                          np.zeros((2, 1)))
+    assert np.array_equal(prof.c, former.c)
+    assert np.array_equal(prof.B, former.B) and np.array_equal(prof.B, np.zeros((2, 1)))
+
+
+def test_fit_profile_fits_c_once_where_b_stays_zero(monkeypatch):
+    # a planar u and every u at n = 2 (cover-solve's sampled solution among
+    # them) take one fit_c and no tilt fit; a tilted u takes two rounds
+    calls, fit_c_alone = [], profiles.fit_c
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit_c_alone(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "fit_c", counted)
+    phi = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
+    grid = PolarGrid(graded_radii(16, 1.0), np.arange(64) * (2.0 * np.pi / 64))
+    R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
+    sampled = SampledField(grid, phi.lift(R, T)[None], hol=-1.0)
+    cases = ((sampled, 1), (CylindricalModeField.power_sum([(C_NULL, 1)], n=3), 1),
+             (CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3), 2))
+    for u, count in cases:
+        calls.clear()
+        prof = fit_profile(u, 1, spec=QuadratureSpec(nr=8, ntheta=16, naxis=4))
+        assert len(calls) == count
+        assert c_dist(prof.c, C_NULL) < 1e-3
 
 
 def test_excess_trivial_and_closed_form(spec_fast):
