@@ -462,7 +462,7 @@ def stage_spectral(cfg, u, out, prefix):
     spec = quad_spec(params)
     k = params["k"]
     alpha = k / 2.0
-    prof = pmod.fit_profile(u, k, spec=spec)
+    prof = pmod.fit_profile(u, k)
     e_sq = pmod.excess(u, prof, unit_ball(u.n), spec)
     scale = float(np.sqrt(max(e_sq, 1e-300)))
     checks = []

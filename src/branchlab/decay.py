@@ -189,7 +189,7 @@ def decay_step(u, phi_prev, theta, spec=None):
     alpha = phi_prev.alpha
     e1 = excess(u, phi_prev, unit_ball(n), spec)
     u_theta = u.rescaled(np.zeros(n), theta, theta ** alpha)
-    phi_tilde = fit_profile(u_theta, phi_prev.k, spec=spec)
+    phi_tilde = fit_profile(u_theta, phi_prev.k)
     e_theta = excess(u_theta, phi_tilde, unit_ball(n), spec)
     ratio = e_theta / e1 if e1 > 0 else 0.0
     return phi_tilde, float(ratio), float(e_theta)
@@ -255,7 +255,7 @@ def iterate(u, Z, k, theta=0.125, j_max=4, delta0=None, spec=None,
     alpha = k / 2.0
     delta0 = delta0 if delta0 is not None else theta / 2.0
     u0 = u.rescaled(Z, 1.0, 1.0) if np.any(Z != 0) else u
-    phi = fit_profile(u0, k, spec=spec)
+    phi = fit_profile(u0, k)
     e0 = excess(u0, phi, unit_ball(n), spec)
     if eps0 is not None and e0 > eps0 ** 2:
         return DecayRun(Z, float(theta), int(k),

@@ -8,14 +8,15 @@ in closed form (_rotation).  A profile reads u at the cover points
 (r, theta in [0, 4pi), y) of its frame (frame_values: fit_c's least squares
 in c) and signs them nearest its frame lift Re(c r^alpha e^(i alpha theta))
 (paired: lift_against_profile and the spectral blow-up); its lift is the
-base Field.lift.  B is fitted by a blocked Gauss-Newton (0 for a planar u).
+base Field.lift.  c is linear given B, and B is fitted by Gauss-Newton on
+fit_c's residual (variable projection; 0 for a planar u), at n <= 3.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, PairingError
+from .errors import DimensionMismatchError, FitError, PairingError
 from .fields import Field, PolarGrid, _as_points, l2_distance_sq, propagate_signs
 from .pairspace import metric_sq_symmetric, selection_costs
 from .quadrature import Ball, QuadratureSpec, _ring_points, gauss_legendre_01, unit_ball
@@ -147,6 +148,8 @@ def excess(u, prof, ball=None, spec=None):
 def cover_grid(tau, rmax, nr=24, ntheta=128, n=2, ny=12, ymax=None):
     """Annular grid on the double cover, theta in [0, 4 pi), in profile frame
     coordinates, and the quadrature weight of each node, shape (slab, nr, nt)."""
+    if n > 3:
+        raise DimensionMismatchError(f"the cover fits run at n <= 3 only, got n = {n}")
     s, ws = gauss_legendre_01(nr)
     rs = tau + (rmax - tau) * s
     thetas = (np.arange(ntheta) + 0.5) * (4.0 * np.pi / ntheta)
@@ -184,24 +187,19 @@ def lift_against_profile(u, prof, grid):
     return u_lift, phi, signs
 
 
-def fit_c(u, k, B=None):
-    """Least-squares fit of c against the degree-alpha modes on the cover.
-
-    The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
-    component; the pairing of u against the current profile frame (centered
-    at the origin) is taken on the cover grid for 0.05 <= r <= 0.95, outside
-    the tube about the axis, 128 angles over [0, 4pi) (so k <= K_MAX).  The
-    u-lift is one propagate_signs lift over all axis slabs, so every
-    representative of the pair u fits the same c up to a global sign.
-    Returns c; raises FitError for k > K_MAX.
-    """
+def _cover_fit(u, k, B=None):
+    """fit_c's least squares at the tilt B: c, and the residual sqrt(w) (lift -
+    fitted mode) on the cover grid (slab, nr, nt, m) that fit_rotation minimizes."""
     if k > K_MAX:
         raise FitError(f"k = {k} is past K_MAX = {K_MAX}, the largest k the cover angles resolve")
     n, m = u.n, u.m
     probe = CylindricalProfile(np.ones(m) + 0j, k, B=B, n=n)
     grid, wts = cover_grid(0.05, 0.95, n=n)
     alpha = k / 2.0
-    sv = probe.frame_values(u, *grid.coordinates())
+    rs, thetas, ys = grid.coordinates()
+    sv = np.empty(wts.shape + (m,))
+    for l, y in enumerate(ys):  # one slab's frame points at a time
+        sv[l] = probe.frame_values(u, rs, thetas, y)
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     b1 = R ** alpha * np.cos(alpha * T)
     b2 = R ** alpha * np.sin(alpha * T)
@@ -209,11 +207,10 @@ def fit_c(u, k, B=None):
     signs, hol = propagate_signs(sv)
     if hol < 0:
         raise PairingError("u-lift is not 4pi-periodic on the cover")
+    sv *= signs[..., None]  # a global sign flip of the lift negates c; both describe one pair
     G = np.zeros((2, 2))
     rhs = np.zeros((2, m))
-    for l in range(sv.shape[0]):
-        # a global sign flip of the lift negates c; both describe one pair
-        lift, w = signs[l, ..., None] * sv[l], wts[l]
+    for lift, w in zip(sv, wts):
         G[0, 0] += np.sum(w * b1 * b1)
         G[0, 1] += np.sum(w * b1 * b2)
         G[1, 1] += np.sum(w * b2 * b2)
@@ -224,79 +221,76 @@ def fit_c(u, k, B=None):
     if not np.isfinite(condition) or condition > 1e12:
         raise FitError(f"normal equations ill-conditioned (cond={condition:.2e})")
     coef = np.linalg.solve(G, rhs)  # rows: [cos part; sin part] per component
-    return coef[0] - 1j * coef[1]
+    sv -= b1[..., None] * coef[0] + b2[..., None] * coef[1]  # the lift's residual, in place
+    sv *= np.sqrt(wts)[..., None]
+    return coef[0] - 1j * coef[1], sv
 
 
-def fit_rotation(u, prof, spec=None):
-    """Gauss-Newton over the 2(n-2) entries of B minimizing the excess.
+def fit_c(u, k, B=None):
+    """Least-squares fit of c against the degree-alpha modes on the cover.
 
-    J^T J and J^T r (J by central differences of the residuals sqrt(w) G)
-    are one blocked integral over the spec's ball rule; r^T r is the excess.
-    The fit starts at prof.B, takes at most 12 steps, each backtracking by
-    at most 20 halvings, and stops early once the gradient norm or the
-    objective is below 1e-12, or when no halving improves.  Returns B,
-    shape (2, n-2), empty at n = 2.
+    The basis is r^alpha cos(alpha theta), r^alpha sin(alpha theta) per value
+    component; the pairing of u against the profile frame of the tilt B
+    (centered at the origin) is taken on the cover grid for 0.05 <= r <= 0.95,
+    outside the tube about the axis, 128 angles over [0, 4pi) (so k <= K_MAX),
+    with u read one axis slab at a time.  The u-lift is one propagate_signs
+    lift over all axis slabs, so every representative of the pair u fits the
+    same c up to a global sign.  Returns c; raises FitError for k > K_MAX.
     """
-    n, dim, eps, ball = prof.n, prof.B.size, 1e-6, unit_ball(prof.n)
-    params, spec = prof.B.reshape(-1), spec or QuadratureSpec()
+    return _cover_fit(u, k, B)[0]
 
-    def tilted(params):
-        return CylindricalProfile(prof.c, prof.k, B=params, center=prof.center, n=n)
 
-    def normal_equations(params):
-        steps = eps * np.concatenate([np.eye(dim), -np.eye(dim)])
-        profs = [tilted(params + step) for step in steps] + [tilted(params)]
+def fit_rotation(u, k):
+    """Gauss-Newton over the 2(n-2) entries of B, from B = 0, on fit_c's residual.
 
-        def rows(X):  # the entries of J^T J, then of J^T r, per node before the weight
-            su = u.symmetric_values(X)
-            g = np.sqrt([metric_sq_symmetric(su, p.symmetric_values(X)) for p in profs])
-            d = (g[:dim] - g[dim:-1]) / (2 * eps)
-            return np.concatenate([(d[:, None] * d).reshape(-1, d.shape[1]), d * g[-1]])
+    Variable projection (Golub & Pereyra 1973): c is fit_c(u, k, B) at every
+    B, and J is by central differences (eps 1e-6).  At most 12 steps, each
+    backtracking by at most 20 halvings and clamped to sqrt(2) |B|_F <=
+    ROTATION_BOUND; the fit stops once the step is below 1e-12, its model
+    decrease -g.step below 1e-12 of the objective, or no halving improves.
+    Returns B, shape (2, n-2).
+    """
+    params, eps = np.zeros(2 * (u.n - 2)), 1e-6
+    r = _cover_fit(u, k, params)[1]
+    obj = np.vdot(r, r)
 
-        sums = spec.integrate_ball(ball, rows)
-        return sums[:dim * dim].reshape(dim, dim), sums[dim * dim:]
+    def normal_equations():  # J^T J and J^T r; the columns of J are freed on return
+        J = [(_cover_fit(u, k, params + e)[1] - _cover_fit(u, k, params - e)[1]) / (2 * eps)
+             for e in eps * np.eye(params.size)]
+        return (np.array([[np.vdot(a, b) for b in J] for a in J]),
+                np.array([np.vdot(col, r) for col in J]))
 
-    obj = excess(u, prof, ball, spec)
     for _ in range(12):
-        H, g = normal_equations(params)
-        if np.linalg.norm(g) < 1e-12:
+        H, g = normal_equations()
+        step = -np.linalg.solve(H + 1e-14 * np.eye(params.size), g)
+        if np.linalg.norm(step) < 1e-12 or -g @ step < 1e-12 * obj:
             break
-        step = -np.linalg.solve(H + 1e-14 * np.eye(dim), g)
         for t in 0.5 ** np.arange(20):
             trial = params + t * step
             nrm = np.sqrt(2.0) * np.linalg.norm(trial)  # |A|_F
             if nrm > ROTATION_BOUND:
                 trial = trial * (ROTATION_BOUND / nrm)
-            obj_trial = excess(u, tilted(trial), ball, spec)
+            r_trial = _cover_fit(u, k, trial)[1]
+            obj_trial = np.vdot(r_trial, r_trial)
             if obj_trial < obj:
-                params, obj = trial, obj_trial
+                params, r, obj = trial, r_trial, obj_trial
                 break
         else:
             break
-        if obj < 1e-12:
-            break
-    return params.reshape(2, n - 2)
+    return params.reshape(2, -1)
 
 
-def fit_profile(u, k, spec=None):
-    """Fit c (linear) and the axis tilt B (Gauss-Newton) for a known k.
-
-    The profile is centered at the origin.  At n = 2, and for a planar u
-    (y -> -y fixes u and maps B to -B, so the excess is even in B), the fit
-    is one fit_c with B = 0; else it alternates two rounds of c, then B.
-    Degenerate c = 0 fits are rejected: a zero profile has no frequency and
-    does not belong to the admissible profile family.
+def fit_profile(u, k):
+    """The profile centered at the origin for a known k: B is fit_rotation's,
+    0 at n = 2 and for a planar u (y -> -y fixes u and maps B to -B, so its
+    fit is even in B), and c is fit_c at that B.  Degenerate c = 0 fits are
+    rejected: a zero profile has no frequency and is no admissible profile.
     """
-    n = u.n
-    B = None
-    for _ in range(2):
-        c = fit_c(u, k, B=B)
-        if not float(np.linalg.norm(c)) > 0.0:
-            raise FitError("degenerate fit: c = 0 is not an admissible profile")
-        if u.planar or n <= 2:
-            return CylindricalProfile(c, k, n=n)
-        B = fit_rotation(u, CylindricalProfile(c, k, B=B, n=n), spec=spec)
-    return CylindricalProfile(c, k, B=B, n=n)
+    B = None if u.planar or u.n <= 2 else fit_rotation(u, k)
+    c = fit_c(u, k, B=B)
+    if not float(np.linalg.norm(c)) > 0.0:
+        raise FitError("degenerate fit: c = 0 is not an admissible profile")
+    return CylindricalProfile(c, k, B=B, n=u.n)
 
 
 @dataclass
@@ -328,7 +322,6 @@ def graphical_decompose(u, prof, tau=0.08, gamma=0.75, beta=0.5,
     the grid analogue of the paper-style covering construction, and is
     rotationally symmetric in the plane variables by construction.
     """
-    spec = spec or QuadratureSpec()
     n, m = u.n, u.m
     alpha = prof.alpha
     grid, wts = cover_grid(1e-6, gamma, nr=nr, ntheta=ntheta, n=n, ny=ny,

@@ -32,8 +32,8 @@ fixed node layout.  Rules are split into a fixed sequence of node blocks,
 each a run of whole disks of a ball or whole circles of a sphere within a
 cache-sized budget; every integral is reduced block by block
 (QuadratureSpec.integrate_ball/_sphere), in block order, with memory bounded
-by the block size, as are spectral's cover integrals and fit_rotation's
-normal equations: no caller builds a whole rule.
+by the block size, as are spectral's cover integrals: no caller builds a
+whole rule.
 """
 
 import functools

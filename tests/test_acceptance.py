@@ -237,7 +237,7 @@ def test_criterion_10_spectral():
 
     spec3 = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128)
     u3 = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
-    prof3 = fit_profile(u3, 1, spec=spec3)
+    prof3 = fit_profile(u3, 1)
     e2 = excess_fn(u3, prof3, unit_ball(3), spec3)
     w3 = CoverFunction.blowup(u3, prof3, float(np.sqrt(e2)))
     limit, unc, _ = half_case_boundary_term(w3, 0, c0=prof3.c, alpha=alpha)

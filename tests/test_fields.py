@@ -728,13 +728,13 @@ def test_decay_and_profile_fits_stay_on_the_grid():
                                 grid=CoverGridSpec(nr=12, ntheta=24)).to_two_valued()
     spec = QuadratureSpec(nr=12, ntheta=24, nsphere=48)
     half = sf.rescaled(np.zeros(2), 0.5, 0.5 ** 0.5)
-    c = fit_profile(half, 1, spec=spec).c
+    c = fit_profile(half, 1).c
     run = iterate(half, np.zeros(2), 1, j_max=1, spec=spec)
     assert abs(np.vdot(C_NULL, c)) == pytest.approx(1.0, abs=1e-2)
     assert run.outcome == "decay" and len(run.steps) == 2
     past = r"past its grid; its domain radius is 0\.5$"
     with pytest.raises(DomainError, match=past):
-        fit_profile(sf, 1, spec=spec)
+        fit_profile(sf, 1)
     with pytest.raises(DomainError, match=past):
         iterate(sf, np.zeros(2), 1, j_max=1, spec=spec)
 
@@ -948,12 +948,11 @@ def test_fit_c_n3_is_one_lift_over_slabs():
     base = CylindricalModeField.power_sum([(np.array([1.0, 0.3j]), 1)], n=3)
     c0 = fit_c(base, 1)
     assert np.allclose(c0, [1.0, 0.3j], atol=1e-10)
-    spec = QuadratureSpec(nr=20, ntheta=48, naxis=12)
-    p0 = fit_profile(base, 1, spec=spec)
+    p0 = fit_profile(base, 1)
     for u in (_SlabFlipped(base), _PointSigns(base)):
         c = fit_c(u, 1)
         assert min(np.max(np.abs(c - c0)), np.max(np.abs(c + c0))) <= 1e-12
-        p = fit_profile(u, 1, spec=spec)
+        p = fit_profile(u, 1)
         assert min(np.max(np.abs(p.c - p0.c)), np.max(np.abs(p.c + p0.c))) <= 1e-12
         assert np.allclose(p.B, p0.B, rtol=0, atol=1e-12)
 

@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings
 
 from branchlab import cli, profiles
 from branchlab.decay import iterate
-from branchlab.errors import FitError, PairingError
+from branchlab.errors import DimensionMismatchError, FitError, PairingError
 from branchlab.fields import (BranchPolynomialField, CylindricalModeField, Field, PolarGrid,
                               SampledField, graded_radii)
 from branchlab.minimizer import BoundaryTrace
@@ -22,7 +22,7 @@ from branchlab.quadrature import QuadratureSpec, ball_rule, gauss_legendre_01, u
 from conftest import C_NULL, cover_points, power_sum_norm_sq, profile_pairs
 
 
-# a small ball rule for the unit tests of the tilt fit
+# a small ball rule for the excess of a fitted tilt
 SPEC_LSQ = QuadratureSpec(nr=20, ntheta=48, naxis=12)
 
 
@@ -140,43 +140,81 @@ def test_k_past_the_bound_raises(k):
             run()
 
 
-def test_fit_rotation_roundtrip(spec_fast):
+def test_fit_rotation_roundtrip():
     u = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3)
-    base = CylindricalProfile(C_NULL, 1, n=3)
-    B = fit_rotation(u, base, spec=SPEC_LSQ)
+    B = fit_rotation(u, 1)
     assert B.shape == (2, 1)
-    assert np.max(np.abs(B - u.B)) < 1e-6
+    assert np.max(np.abs(B - u.B)) < 1e-10
 
 
 def test_fit_rotation_memory_is_block_sized():
-    # the normal equations are summed block by block over the default n = 3
-    # ball rule (110,592 nodes, 4,608 a block), so the fit holds one
-    # block's temporaries at a time, not the whole rule
+    # the tilt fit reads u on fit_c's n = 3 cover grid (36,864 nodes) one
+    # axis slab (3,072 nodes) at a time, and holds the residual and the two
+    # Jacobian columns (0.56 MiB each) besides one fit's arrays; fit_c
+    # alone holds one fit's arrays
     u = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3)
-    tracemalloc.start()
-    try:
-        B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3), spec=QuadratureSpec())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
-    assert np.max(np.abs(B - u.B)) < 1e-6
+    v = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
+    fits = {}
+    for name, fit in (("B", lambda: fit_rotation(u, 1)), ("c", lambda: fit_c(v, 1))):
+        tracemalloc.start()
+        try:
+            fits[name] = fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, name
+    assert np.max(np.abs(fits["B"] - u.B)) < 1e-6
 
 
 def test_fit_rotation_trivial_cases():
-    u2 = CylindricalProfile(C_NULL, 1, n=2)
-    assert fit_rotation(u2, u2, spec=SPEC_LSQ).shape == (2, 0)
-    u3 = CylindricalProfile(C_NULL, 1, n=3)
-    assert np.max(np.abs(fit_rotation(u3, u3, spec=SPEC_LSQ))) < 1e-8
+    # at n = 2 there is no tilt; an untilted profile keeps B = 0 in 0 steps
+    assert fit_rotation(CylindricalProfile(C_NULL, 1, n=2), 1).shape == (2, 0)
+    assert np.array_equal(fit_rotation(CylindricalProfile(C_NULL, 1, n=3), 1), np.zeros((2, 1)))
 
 
 def test_fit_rotation_keeps_the_generator_bound():
     # a tilt with |A|_F = sqrt(2) |B|_F = 0.71 lies past the bound: the fit
     # ends on the bound, not past it
     u = CylindricalProfile(C_NULL, 1, B=[0.4, -0.3], n=3)
-    B = fit_rotation(u, CylindricalProfile(C_NULL, 1, n=3), spec=SPEC_LSQ)
+    B = fit_rotation(u, 1)
     assert np.sqrt(2.0) * np.linalg.norm(B) <= ROTATION_BOUND * (1.0 + 1e-12)
     assert np.sqrt(2.0) * np.linalg.norm(B) == pytest.approx(ROTATION_BOUND, rel=1e-9)
+
+
+@settings(max_examples=4, deadline=None)
+@given(k=st.integers(1, 3), size=st.floats(0.25, 2.0), phase=st.floats(0.0, 2.0 * np.pi),
+       spin=st.floats(0.0, 2.0 * np.pi), shape=st.floats(np.pi / 6.0, np.pi / 3.0),
+       turn=st.floats(0.0, 2.0 * np.pi), tilt=st.floats(0.0, 0.3))
+@example(k=1, size=1.0, phase=0.0, spin=0.0, shape=np.pi / 4.0, turn=-0.6435, tilt=0.05 * np.sqrt(2.0))
+@example(k=3, size=0.25, phase=2.0, spin=1.0, shape=np.pi / 3.0, turn=2.0, tilt=0.3)
+def test_fit_profile_recovers_an_exact_tilted_profile(k, size, phase, spin, shape, turn, tilt):
+    # c is linear given B, so the fit is one least-squares problem in B
+    # (variable projection): from B = 0 it returns an exact tilted profile's
+    # B and c to rounding, at sqrt(2) |B|_F = tilt <= 0.3.  Every c in C^2 is
+    # size e^(i phase) R(spin) (cos shape, i sin shape); shape in [pi/6, pi/3]
+    # keeps |c.c| <= |c|^2 / 2, so the values stay |c| / 2 off zero away from
+    # the axis and the pairing at the starting B = 0 holds
+    R = np.array([[np.cos(spin), -np.sin(spin)], [np.sin(spin), np.cos(spin)]])
+    c = size * np.exp(1j * phase) * (R @ np.array([np.cos(shape), 1j * np.sin(shape)]))
+    u = CylindricalProfile(c, k, B=tilt / np.sqrt(2.0) * np.array([np.cos(turn), np.sin(turn)]), n=3)
+    prof = fit_profile(u, k)
+    assert np.max(np.abs(prof.B - u.B)) <= 1e-10
+    assert c_dist(prof.c, c) <= 1e-10 * size
+    assert excess(u, prof, unit_ball(3), SPEC_LSQ) < 1e-18
+
+
+def test_cover_fits_refuse_n4():
+    # a PolarGrid has one axis line, so the cover fits run at n <= 3: at
+    # n = 4 every entry point names that, not a failed reshape of the nodes
+    u = CylindricalModeField.power_sum([(C_NULL, 1)], n=4)
+    tilted = CylindricalProfile(C_NULL, 1, B=[0.04, -0.03, 0.02, 0.01], n=4)
+    runs = (lambda: fit_c(u, 1), lambda: fit_profile(tilted, 1),
+            lambda: iterate(u, np.zeros(4), 1, j_max=1),
+            lambda: lift_against_profile(u, tilted, cover_grid(0.05, 0.95, n=4)),
+            lambda: graphical_decompose(u, tilted))
+    for run in runs:
+        with pytest.raises(DimensionMismatchError, match=r"^the cover fits run at n <= 3 only, got n = 4$"):
+            run()
 
 
 def _former_fit_rotation(u, prof, spec=None):
@@ -274,9 +312,9 @@ def test_planar_fields_keep_the_untilted_profile(view, k0, extra, level, parts, 
     except (FitError, PairingError) as err:
         event(type(err).__name__)
         with pytest.raises(type(err)):
-            fit_profile(u, k0, spec=spec)
+            fit_profile(u, k0)
         return
-    prof = fit_profile(u, k0, spec=spec)  # its c is fit_c(u, k0), B = 0
+    prof = fit_profile(u, k0)  # its c is fit_c(u, k0), B = 0
     assert np.array_equal(_former_fit_rotation(u, CylindricalProfile(prof.c, k0, n=3), spec=spec),
                           np.zeros((2, 1)))
     assert np.array_equal(prof.c, former.c)
@@ -285,24 +323,28 @@ def test_planar_fields_keep_the_untilted_profile(view, k0, extra, level, parts, 
 
 def test_fit_profile_fits_c_once_where_b_stays_zero(monkeypatch):
     # a planar u and every u at n = 2 (cover-solve's sampled solution among
-    # them) take one fit_c and no tilt fit; a tilted u takes two rounds
-    calls, fit_c_alone = [], profiles.fit_c
+    # them) take one fit_c and no tilt fit; a tilted u takes one tilt fit,
+    # then one fit_c at its B
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fit_c_alone(*args, **kwargs)
+    def counted(fit):
+        def run(*args, **kwargs):
+            calls.append(fit.__name__)
+            return fit(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(profiles, "fit_c", counted)
+    for fit in (profiles.fit_c, profiles.fit_rotation):
+        monkeypatch.setattr(profiles, fit.__name__, counted(fit))
     phi = CylindricalModeField.power_sum([(C_NULL, 1)], n=2)
     grid = PolarGrid(graded_radii(16, 1.0), np.arange(64) * (2.0 * np.pi / 64))
     R, T = np.meshgrid(grid.rs, grid.thetas, indexing="ij")
     sampled = SampledField(grid, phi.lift(R, T)[None], hol=-1.0)
-    cases = ((sampled, 1), (CylindricalModeField.power_sum([(C_NULL, 1)], n=3), 1),
-             (CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3), 2))
-    for u, count in cases:
+    cases = ((sampled, ["fit_c"]), (CylindricalModeField.power_sum([(C_NULL, 1)], n=3), ["fit_c"]),
+             (CylindricalProfile(C_NULL, 1, B=[0.04, -0.03], n=3), ["fit_rotation", "fit_c"]))
+    for u, fits in cases:
         calls.clear()
-        prof = fit_profile(u, 1, spec=QuadratureSpec(nr=8, ntheta=16, naxis=4))
-        assert len(calls) == count
+        prof = fit_profile(u, 1)
+        assert calls == fits
         assert c_dist(prof.c, C_NULL) < 1e-3
 
 

@@ -310,7 +310,7 @@ def test_decay_check_memory_is_block_sized():
     # n = 3 field at its quadrature spec
     u = CylindricalModeField.power_sum([(C_NULL, 1), (0.01 * C_NULL, 5)], n=3)
     spec = QuadratureSpec(nr=24, ntheta=48, naxis=12, nsphere=128)
-    prof = fit_profile(u, 1, spec=spec)
+    prof = fit_profile(u, 1)
     w = CoverFunction.blowup(u, prof, float(np.sqrt(excess(u, prof, unit_ball(3), spec))))
     tracemalloc.start()
     try:
